@@ -29,7 +29,12 @@ from repro.diffusion.base import get_model
 from repro.graph.builder import from_edge_array
 from repro.graph.generators import erdos_renyi
 from repro.graph.weights import assign_ic_weights, assign_lt_weights
-from repro.kernels import KernelSampler
+from repro.kernels import (
+    BatchedSampler,
+    KernelSampler,
+    indexed_draws,
+    sample_scalar,
+)
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 N_VERTICES = 8_192 if SMOKE else 32_768
@@ -56,14 +61,27 @@ def workload(request):
     return model_name, get_model(model_name, _graph(model_name))
 
 
+def _sampler(model, kernel: str, batch: int):
+    """``sample_indexed(seed, start, count)`` for one kernel configuration."""
+    if kernel == "batched":
+        draw = BatchedSampler(model, batch).sample
+    else:
+        def draw(roots, keys):
+            return sample_scalar(model, roots, keys)
+    n = model.graph.num_vertices
+    return lambda seed, start, count: draw(
+        *indexed_draws(seed, np.arange(start, start + count), n)
+    )
+
+
 def _throughput(model, kernel: str, batch: int, num_sets: int = NUM_SETS):
     """Best-of-3 sets/s and edges/s for one kernel configuration."""
-    sampler = KernelSampler(model, kernel, batch)
-    sampler.sample_indexed(SEED, 0, min(num_sets, 256))  # warm scratch
+    sample_indexed = _sampler(model, kernel, batch)
+    sample_indexed(SEED, 0, min(num_sets, 256))  # warm scratch
     best = None
     for _ in range(3):
         t0 = time.perf_counter()
-        flat, sizes, edges = sampler.sample_indexed(SEED, 0, num_sets)
+        flat, sizes, edges = sample_indexed(SEED, 0, num_sets)
         dt = time.perf_counter() - t0
         if best is None or dt < best[0]:
             best = (dt, flat, sizes, edges)
@@ -78,7 +96,7 @@ def _throughput(model, kernel: str, batch: int, num_sets: int = NUM_SETS):
 
 def test_wallclock_batched_kernel(benchmark, workload):
     _, model = workload
-    sampler = KernelSampler(model, "batched", 64)
+    sampler = KernelSampler(model)
     sampler.sample_indexed(SEED, 0, 256)
     out = benchmark.pedantic(
         lambda: sampler.sample_indexed(SEED, 0, NUM_SETS),
@@ -89,9 +107,9 @@ def test_wallclock_batched_kernel(benchmark, workload):
 
 def test_wallclock_scalar_kernel(benchmark, workload):
     _, model = workload
-    sampler = KernelSampler(model, "scalar", 1)
+    sample_indexed = _sampler(model, "scalar", 1)
     out = benchmark.pedantic(
-        lambda: sampler.sample_indexed(SEED, 0, NUM_SETS),
+        lambda: sample_indexed(SEED, 0, NUM_SETS),
         rounds=3, iterations=1,
     )
     assert out[1].size == NUM_SETS
@@ -100,9 +118,7 @@ def test_wallclock_scalar_kernel(benchmark, workload):
 def test_kernel_speedup(benchmark, workload, bench_record):
     model_name, model = workload
     benchmark.pedantic(
-        lambda: KernelSampler(model, "batched", 64).sample_indexed(
-            SEED, 0, 256
-        ),
+        lambda: KernelSampler(model).sample_indexed(SEED, 0, 256),
         rounds=1, iterations=1,
     )
     scalar = _throughput(model, "scalar", 1)

@@ -16,7 +16,8 @@ from repro.errors import ParameterError
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
+    "sorted_unique",
+    "stable_argsort",
     "Timer",
     "StageTimes",
     "human_bytes",
@@ -37,21 +38,33 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from one seed.
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
 
-    Used to give each simulated/actual worker its own stream so that results
-    are reproducible independently of scheduling order — the Python analogue
-    of the per-thread RNG streams Ripples and EfficientIMM both use.
+    Computed as one sort of the unique values ``key * len + position``,
+    several times faster than numpy's stable (merge/tim) argsort on the
+    int32/int64 keys this package groups by.  Needs ``max(keys) *
+    len(keys) < 2**63``, which vertex ids and entry counts below 2**31
+    guarantee.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    root = np.random.SeedSequence(seed) if not isinstance(seed, np.random.Generator) else None
-    if root is None:
-        # Derive children from the generator's own bit stream.
-        seeds = seed.integers(0, 2**63 - 1, size=n)  # type: ignore[union-attr]
-        return [np.random.default_rng(int(s)) for s in seeds]
-    return [np.random.default_rng(s) for s in root.spawn(n)]
+    m = keys.size
+    return np.sort(keys.astype(np.int64) * m + np.arange(m)) % m
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d integer array: sort, then keep first copies.
+
+    An order of magnitude faster than ``np.unique`` on the int64 pair keys
+    the sampling kernels deduplicate every level (numpy's hash-based
+    unique pays a hash pass and then a sort anyway).
+    """
+    out = np.sort(values)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 @dataclass

@@ -38,20 +38,6 @@ _EXPERIMENTS = (
 )
 
 
-def _add_kernel_args(p: argparse.ArgumentParser) -> None:
-    """Sampling-kernel switch, shared by every verb that draws RRR sets."""
-    p.add_argument(
-        "--kernel", default=None, choices=("batched", "scalar"),
-        help="counter-stream sampling kernel; both choices yield "
-        "byte-identical sets, 'batched' vectorizes across sets "
-        "(default: legacy per-worker RNG path; docs/performance.md)",
-    )
-    p.add_argument(
-        "--kernel-batch", type=int, default=64, metavar="B",
-        help="RRR sets per vectorized pass (batched kernel only)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -145,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=0,
         help="seed for the fault plan's corrupt-mangling RNG",
     )
-    _add_kernel_args(run)
 
     trace = sub.add_parser(
         "trace",
@@ -169,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory", action="store_true",
         help="also attribute tracemalloc memory to spans (slower)",
     )
-    _add_kernel_args(trace)
 
     query = sub.add_parser(
         "query",
@@ -199,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--json", action="store_true", help="print the raw JSON response"
     )
-    _add_kernel_args(query)
 
     serve = sub.add_parser(
         "serve",
@@ -229,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", metavar="DIR", default=None,
         help="write DIR/metrics.json and DIR/trace.json at shutdown",
     )
-    _add_kernel_args(serve)
 
     shard = sub.add_parser(
         "shard",
@@ -293,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the raw JSON response (query action)",
     )
-    _add_kernel_args(shard)
 
     gw = sub.add_parser(
         "gateway",
@@ -423,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--zipf", type=float, default=1.1,
         help="zipf skew of the loadgen k mix",
     )
-    _add_kernel_args(gw)
 
     update = sub.add_parser(
         "update",
@@ -466,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", metavar="DIR", default=None,
         help="write DIR/metrics.json and DIR/trace.json at end of stream",
     )
-    _add_kernel_args(update)
 
     shm = sub.add_parser(
         "shm",
@@ -763,7 +742,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     params = IMMParams(
         k=args.k, epsilon=args.epsilon, model=args.model,
         seed=args.seed, theta_cap=args.theta_cap,
-        kernel=args.kernel, kernel_batch=args.kernel_batch,
     )
     algo = (
         EfficientIMM(graph) if args.framework == "efficientimm"
@@ -825,7 +803,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     params = IMMParams(
         k=args.k, epsilon=args.epsilon, model=args.model,
         seed=args.seed, theta_cap=args.theta_cap,
-        kernel=args.kernel, kernel_batch=args.kernel_batch,
     )
     algo = (
         EfficientIMM(graph) if args.framework == "efficientimm"
@@ -887,6 +864,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro import EfficientIMM, IMMParams, estimate_spread, get_model, load_dataset
     from repro.core.parallel_sampling import parallel_generate
     from repro.core.sampling import RRRSampler, SamplingConfig
+    from repro.kernels import roots_for_indices
     from repro.runtime.backends import SerialBackend
     from repro.validate import (
         roots_are_uniform,
@@ -896,10 +874,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     graph = load_dataset(args.dataset, model=args.model, seed=args.seed)
     model = get_model(args.model, graph)
-    rng = np.random.default_rng(args.seed)
     checks = []
 
-    roots = np.array([model.random_root(rng) for _ in range(3000)])
+    # The root stream every sampler draws from.
+    roots = roots_for_indices(args.seed, np.arange(3000), graph.num_vertices)
     checks.append(roots_are_uniform(roots, graph.num_vertices))
 
     serial = RRRSampler(
@@ -942,9 +920,6 @@ def _engine_config(args: argparse.Namespace, **overrides):
         kwargs["cache_budget_bytes"] = args.cache_bytes
     if getattr(args, "artifacts", None) is not None:
         kwargs["artifact_dir"] = args.artifacts
-    if getattr(args, "kernel", None) is not None:
-        kwargs["kernel"] = args.kernel
-        kwargs["kernel_batch"] = args.kernel_batch
     kwargs.update(overrides)
     return EngineConfig(**kwargs)
 
@@ -1444,8 +1419,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         seed=args.seed,
         full_resample_threshold=args.threshold,
         repair=args.repair,
-        kernel=args.kernel,
-        kernel_batch=args.kernel_batch,
     )
 
     # With --resume, commits up to the checkpointed epoch are replayed

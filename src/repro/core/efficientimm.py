@@ -63,8 +63,6 @@ class EfficientIMM:
             schedule="dynamic" if self.dynamic_schedule else "static",
             adaptive_policy=policy,
             memory_budget_bytes=self.memory_budget_bytes,
-            kernel=params.kernel,
-            kernel_batch=params.kernel_batch,
         )
 
     def run(

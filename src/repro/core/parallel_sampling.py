@@ -10,12 +10,14 @@ guides:
 
 - the graph is installed once per worker via the pool initializer (fork
   shares it copy-on-write; nothing graph-sized is ever pickled);
-- each worker returns its sets as two flat numpy buffers (concatenated
-  vertices + sizes), so inter-process traffic is two contiguous arrays per
-  worker, not per-set Python objects;
-- every worker gets an independent :func:`~repro._util.spawn_rngs` stream,
-  so results are deterministic for a given ``(seed, num_workers)`` and
-  independent of scheduling.
+- each worker returns its sets as flat numpy buffers (concatenated
+  vertices + sizes) per kernel batch, so inter-process traffic is a few
+  contiguous arrays, not per-set Python objects, and the parent appends
+  each batch in bulk without ever concatenating a whole chunk;
+- each task names a contiguous chunk of *global* set indices, and the
+  kernels key every set's randomness by ``(seed, index)``
+  (:mod:`repro.kernels`), so the merged store is byte-identical for any
+  worker count, chunking, or start method.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry
-from repro._util import spawn_rngs
-from repro.core.sampling import reverse_sample_with_cost
 from repro.diffusion.base import get_model
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
+from repro.kernels import KernelSampler
 from repro.runtime.backends import ExecutionBackend, MultiprocessBackend, SerialBackend
 from repro.sketch.protocol import make_store
 from repro.sketch.store import FlatRRRStore
@@ -38,24 +39,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.faults import FaultPlan
     from repro.resilience.retry import RetryPolicy
 
-__all__ = ["kernel_worker_task", "parallel_generate", "worker_task"]
+__all__ = ["parallel_generate", "sample_task"]
 
 # Per-process state installed by the initializer (fork-shared graph).
 _WORKER_MODEL = None
-_WORKER_KERNEL: tuple[str, int, int] | None = None  # (kernel, batch, seed)
 
 
-def _init_worker(
-    graph: CSRGraph, model_name: str, kernel_info=None
-) -> None:
-    global _WORKER_MODEL, _WORKER_KERNEL
+def _init_worker(graph: CSRGraph, model_name: str) -> None:
+    global _WORKER_MODEL
     _WORKER_MODEL = get_model(model_name, graph)
-    _WORKER_KERNEL = kernel_info
     # Materialise the transpose (and LT cumsums) once, pre-fork-warm.
     _WORKER_MODEL.reverse_graph  # noqa: B018 - intentional touch
 
 
-def _init_worker_shared(graph_handle, model_name: str, kernel_info=None) -> None:
+def _init_worker_shared(graph_handle, model_name: str) -> None:
     """Spawn-mode initializer: attach the graph from its shm segment.
 
     Module-level and picklable; what crosses the process boundary is the
@@ -67,78 +64,38 @@ def _init_worker_shared(graph_handle, model_name: str, kernel_info=None) -> None
     """
     from repro import shm
 
-    _init_worker(shm.attach_graph(graph_handle), model_name, kernel_info)
+    _init_worker(shm.attach_graph(graph_handle), model_name)
 
 
-def worker_task(args: tuple[int, int]) -> tuple[bytes, np.ndarray]:
-    """Draw ``count`` sets with the given seed; returns packed buffers.
-
-    Module-level (picklable) so the fork pool can dispatch it.  The first
-    element is the concatenated ``int32`` vertex buffer as bytes, the
-    second the per-set sizes.
-    """
-    seed, count = args
-    model = _WORKER_MODEL
-    if model is None:  # serial fallback path (SerialBackend)
-        raise RuntimeError("worker not initialised")
-    rng = np.random.default_rng(seed)
-    n = model.graph.num_vertices
-    chunks: list[np.ndarray] = []
-    sizes = np.empty(count, dtype=np.int64)
-    edges_total = 0
-    for i in range(count):
-        root = int(rng.integers(0, n))
-        verts, edges = reverse_sample_with_cost(model, root, rng)
-        chunks.append(np.sort(verts))
-        sizes[i] = verts.size
-        edges_total += edges
-    flat = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
-    )
-    tel = telemetry.get()
-    if tel.enabled and count:
-        # Same `sampling.*` schema as the in-process sampler; recorded in
-        # the worker's registry and shipped back via the backend's
-        # merge-on-reduce protocol (repro.runtime.backends).
-        reg = tel.registry
-        reg.counter("sampling.rrr_sets").inc(count)
-        reg.counter("sampling.edges_examined").inc(edges_total)
-        hist = reg.histogram("sampling.set_size")
-        for s in sizes.tolist():
-            hist.observe(s)
-    return flat.astype(np.int32).tobytes(), sizes
-
-
-def kernel_worker_task(args: tuple[int, int]) -> tuple[bytes, np.ndarray]:
+def sample_task(
+    args: tuple[int, int, int],
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Draw the sets with global indices ``[start, start + count)``.
 
-    Kernel-mode counterpart of :func:`worker_task`: per-set randomness is
-    keyed by the run seed and the *global* set index
-    (:func:`repro.kernels.sample_indexed`), so the union over workers is
-    byte-identical no matter how the index space was partitioned, which
-    worker drew which chunk, or how the pool was started.
+    Module-level (picklable) so the process pool can dispatch it.  Returns
+    one ``(int32 vertices, sizes)`` CSR pair per kernel batch.
     """
-    from repro.kernels import KernelSampler
-
-    start, count = args
+    seed, start, count = args
     model = _WORKER_MODEL
     if model is None:
         raise RuntimeError("worker not initialised")
-    if _WORKER_KERNEL is None:
-        raise RuntimeError("worker initialised without kernel config")
-    kernel, batch, seed = _WORKER_KERNEL
-    flat, sizes, _edges = KernelSampler(model, kernel, batch).sample_indexed(
-        seed, start, count
-    )
     tel = telemetry.get()
-    if tel.enabled and count:
-        reg = tel.registry
-        reg.counter("sampling.rrr_sets").inc(count)
-        reg.counter("sampling.edges_examined").inc(int(_edges.sum()))
-        hist = reg.histogram("sampling.set_size")
-        for s in sizes.tolist():
-            hist.observe(s)
-    return flat.tobytes(), sizes
+    batches = []
+    for flat, sizes, edges in KernelSampler(model).stream_indexed(
+        seed, start, count
+    ):
+        batches.append((flat, sizes))
+        if tel.enabled:
+            # Same `sampling.*` schema as the in-process sampler; recorded
+            # in the worker's registry and shipped back via the backend's
+            # merge-on-reduce protocol (repro.runtime.backends).
+            reg = tel.registry
+            reg.counter("sampling.rrr_sets").inc(sizes.size)
+            reg.counter("sampling.edges_examined").inc(int(edges.sum()))
+            hist = reg.histogram("sampling.set_size")
+            for s in sizes.tolist():
+                hist.observe(s)
+    return batches
 
 
 def parallel_generate(
@@ -152,15 +109,14 @@ def parallel_generate(
     retry: "RetryPolicy | None" = None,
     faults: "FaultPlan | None" = None,
     start_method: str = "fork",
-    kernel: str | None = None,
-    kernel_batch: int = 64,
 ) -> FlatRRRStore:
     """Generate ``count`` RRR sets across ``num_workers`` processes.
 
-    Returns a flat store whose sets are grouped by producing worker
-    (worker 0's sets first) — the partition-local layout EfficientIMM's
-    selection consumes directly.  Pass a :class:`SerialBackend` to run the
-    identical code path in-process (used by tests and single-core hosts).
+    Each worker draws one contiguous chunk of the global index space over
+    its (fork- or shm-shared) graph view; the chunks are appended in index
+    order, so the store holds set *i* at index *i* whatever the worker
+    count.  Pass a :class:`SerialBackend` to run the identical code path
+    in-process (used by tests and single-core hosts).
 
     ``retry`` / ``faults`` attach resilience to the per-worker tasks
     (docs/resilience.md); they are installed on the backend this call owns,
@@ -169,17 +125,8 @@ def parallel_generate(
     ``start_method="spawn"`` starts fresh-interpreter workers that attach
     the graph from a :mod:`repro.shm` segment this call publishes (and
     unlinks on exit), instead of inheriting it through fork — per-worker
-    handoff is a segment handle, not the adjacency arrays, and the drawn
-    sets are identical for a given ``(seed, num_workers)``.  Ignored when
-    a ``backend`` is supplied (its start method was fixed at construction).
-
-    ``kernel="batched"``/``"scalar"`` switches workers to the counter-stream
-    kernels of :mod:`repro.kernels`: each worker pulls a contiguous chunk of
-    global set indices and samples it batched over its (fork- or shm-shared)
-    graph view.  Because per-set randomness is keyed by ``(seed, index)``
-    the store bytes are identical for *any* ``num_workers`` and either start
-    method — a stronger guarantee than the legacy path's per-``(seed,
-    num_workers)`` determinism.
+    handoff is a segment handle, not the adjacency arrays.  Ignored when a
+    ``backend`` is supplied (its start method was fixed at construction).
     """
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
@@ -189,33 +136,14 @@ def parallel_generate(
         raise ParameterError(
             f"unknown start_method {start_method!r}; expected 'fork' or 'spawn'"
         )
-    if kernel is not None:
-        from repro.kernels import check_kernel
-
-        check_kernel(kernel)
 
     base, extra = divmod(count, num_workers)
-    if kernel is None:
-        # Derive per-worker independent streams; split the count evenly.
-        worker_seeds = [
-            int(r.integers(0, 2**62)) for r in spawn_rngs(seed, num_workers)
-        ]
-        tasks = [
-            (worker_seeds[w], base + (1 if w < extra else 0))
-            for w in range(num_workers)
-        ]
-        task_fn = worker_task
-        kernel_info = None
-    else:
-        # Contiguous chunks of the global index space, in worker order.
-        tasks = []
-        start = 0
-        for w in range(num_workers):
-            span = base + (1 if w < extra else 0)
-            tasks.append((start, span))
-            start += span
-        task_fn = kernel_worker_task
-        kernel_info = (kernel, kernel_batch, int(seed))
+    tasks = []
+    start = 0
+    for w in range(num_workers):
+        span = base + (1 if w < extra else 0)
+        tasks.append((int(seed), start, span))
+        start += span
 
     owns_backend = backend is None
     segment_manager = None
@@ -228,17 +156,17 @@ def parallel_generate(
             backend = MultiprocessBackend(
                 num_workers,
                 initializer=_init_worker_shared,
-                initargs=(handle, model_name, kernel_info),
+                initargs=(handle, model_name),
                 start_method="spawn",
             )
         else:
             backend = MultiprocessBackend(
                 num_workers,
                 initializer=_init_worker,
-                initargs=(graph, model_name, kernel_info),
+                initargs=(graph, model_name),
             )
     elif isinstance(backend, SerialBackend):
-        _init_worker(graph, model_name, kernel_info)
+        _init_worker(graph, model_name)
     if retry is not None:
         backend.retry_policy = retry
     if faults is not None:
@@ -250,7 +178,7 @@ def parallel_generate(
         backend=backend.backend_name, num_workers=num_workers, count=count,
     ):
         try:
-            results = backend.run_tasks(task_fn, tasks)
+            results = backend.run_tasks(sample_task, tasks)
         finally:
             if owns_backend:
                 backend.close()
@@ -258,12 +186,9 @@ def parallel_generate(
                 segment_manager.close()
 
         store = make_store("flat", num_vertices=graph.num_vertices, sort_sets=True)
-        for blob, sizes in results:
-            flat = np.frombuffer(blob, dtype=np.int32)
-            offset = 0
-            for size in sizes.tolist():
-                store.append(flat[offset : offset + size])
-                offset += size
+        for batches in results:
+            for flat, sizes in batches:
+                store.append_csr(flat, sizes)
     if tel.enabled:
         tel.registry.gauge("sketch.store.sets").set(len(store))
         tel.registry.gauge("sketch.store.entries").set(store.total_entries)

@@ -37,15 +37,6 @@ class IMMParams:
         Optional hard cap on the number of RRR sets, used by tests and
         benchmarks to bound runtime; ``None`` (default) is the faithful
         uncapped algorithm.
-    kernel:
-        Sampling kernel: ``None`` (default) is the legacy per-root path
-        driven by a sequential ``np.random.Generator``; ``"batched"`` /
-        ``"scalar"`` select the counter-stream kernels in
-        :mod:`repro.kernels`, whose output is byte-identical to each other
-        for a given seed but *different* from the legacy stream.
-    kernel_batch:
-        Sets per vectorised pass when ``kernel="batched"``; ``1`` is the
-        compatibility mode (still counter-keyed, minimal memory).
     """
 
     k: int = 50
@@ -55,24 +46,17 @@ class IMMParams:
     seed: int = 0
     num_threads: int = 1
     theta_cap: int | None = None
-    kernel: str | None = None
-    kernel_batch: int = 64
 
     def __post_init__(self) -> None:
         check_positive_int("k", self.k)
         check_fraction("epsilon", self.epsilon)
         check_positive_int("num_threads", self.num_threads)
-        check_positive_int("kernel_batch", self.kernel_batch)
         if self.ell <= 0:
             raise ParameterError(f"ell must be positive, got {self.ell}")
         if self.model.upper() not in ("IC", "LT"):
             raise ParameterError(f"model must be 'IC' or 'LT', got {self.model!r}")
         if self.theta_cap is not None and self.theta_cap < 1:
             raise ParameterError(f"theta_cap must be >= 1, got {self.theta_cap}")
-        if self.kernel is not None and self.kernel not in ("batched", "scalar"):
-            raise ParameterError(
-                f"kernel must be None, 'batched' or 'scalar', got {self.kernel!r}"
-            )
 
 
 @dataclass

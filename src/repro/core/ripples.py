@@ -45,8 +45,6 @@ class RipplesIMM:
         return SamplingConfig.ripples(
             num_threads=params.num_threads,
             memory_budget_bytes=self.memory_budget_bytes,
-            kernel=params.kernel,
-            kernel_batch=params.kernel_batch,
         )
 
     def run(

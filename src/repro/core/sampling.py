@@ -28,56 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro._util import as_rng
 from repro.core.params import KernelStats
 from repro.diffusion.base import DiffusionModel
 from repro.errors import OutOfMemoryModelError, ParameterError
+from repro.kernels import KernelSampler
 from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.protocol import make_store
 from repro.runtime.workqueue import simulate_schedule
 
-__all__ = ["RRRSampler", "modelled_store_bytes", "reverse_sample_with_cost"]
-
-
-def reverse_sample_with_cost(
-    model: DiffusionModel, root: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Draw one RRR set and return ``(vertices, edges_examined)``.
-
-    ``edges_examined`` is the traversal cost the schedulers balance on: the
-    number of in-edges whose coin was flipped (IC) or walk steps taken (LT).
-    """
-    kind = getattr(model, "name", "?")
-    if kind == "IC":
-        from repro.diffusion.ic import gather_frontier_edges
-
-        rev = model.reverse_graph
-        stamp = model._stamp
-        epoch = model._next_epoch()
-        stamp[root] = epoch
-        out = [np.array([root], dtype=np.int32)]
-        frontier = np.array([root], dtype=np.int64)
-        edges = 0
-        while frontier.size:
-            nbrs, probs = gather_frontier_edges(rev, frontier)
-            edges += nbrs.size
-            if nbrs.size == 0:
-                break
-            live = rng.random(nbrs.size) < probs
-            cand = nbrs[live]
-            if cand.size == 0:
-                break
-            cand = np.unique(cand)
-            fresh = cand[stamp[cand] != epoch]
-            if fresh.size == 0:
-                break
-            stamp[fresh] = epoch
-            out.append(fresh.astype(np.int32))
-            frontier = fresh.astype(np.int64)
-        return np.concatenate(out), edges
-    # LT (and any walk-style model): cost = path length.
-    verts = model.reverse_sample(root, rng)
-    return verts, int(verts.size)
+__all__ = ["RRRSampler", "modelled_store_bytes"]
 
 
 def modelled_store_bytes(
@@ -131,15 +90,7 @@ def charge_per_set(
 
 @dataclass
 class SamplingConfig:
-    """How the sampler behaves; the two presets mirror the frameworks.
-
-    ``kernel`` selects the sampling implementation: ``None`` (default) is
-    the legacy per-root path over a sequential ``np.random.Generator``;
-    ``"batched"``/``"scalar"`` route through :mod:`repro.kernels`'s
-    counter-stream kernels (byte-identical to each other, but a different
-    random stream from the legacy path).  ``kernel_batch`` is the number of
-    sets per vectorised pass for the batched kernel.
-    """
+    """How the sampler behaves; the two presets mirror the frameworks."""
 
     num_threads: int = 1
     fused: bool = True  # EfficientIMM: update counter as sets are produced
@@ -147,8 +98,6 @@ class SamplingConfig:
     chunk_size: int = 8
     adaptive_policy: AdaptivePolicy | None = None  # None = all sorted lists
     memory_budget_bytes: int | None = None
-    kernel: str | None = None
-    kernel_batch: int = 64
 
     @classmethod
     def ripples(cls, num_threads: int = 1, **kw) -> "SamplingConfig":
@@ -172,27 +121,25 @@ class RRRSampler:
     The physical store is always a :class:`FlatRRRStore`; representation
     choices (sorted vs adaptive) affect the sort work charged, the membership
     structures used at selection, and the modelled memory footprint.
+
+    Set *i* (global store index) is drawn by :mod:`repro.kernels` from the
+    counter stream keyed by ``(seed, i)``, so growing the store in any
+    number of calls of any size yields the same bytes — which also makes
+    checkpoint resume (store length = next index) exact.
     """
 
     def __init__(self, model: DiffusionModel, config: SamplingConfig, *, seed=0):
         if config.num_threads < 1:
             raise ParameterError("num_threads must be >= 1")
+        if not isinstance(seed, (int, np.integer)):
+            raise ParameterError(
+                "the sampler needs an integer seed: its counter streams "
+                "are keyed by (seed, set_index)"
+            )
         self.model = model
         self.config = config
-        self.rng = as_rng(seed)
-        self._kernel_sampler = None
-        if config.kernel is not None:
-            from repro.kernels import KernelSampler
-
-            if not isinstance(seed, (int, np.integer)):
-                raise ParameterError(
-                    "kernel sampling needs an integer seed (counter streams "
-                    "are keyed by (seed, set_index), not by Generator state)"
-                )
-            self.seed = int(seed)
-            self._kernel_sampler = KernelSampler(
-                model, config.kernel, config.kernel_batch
-            )
+        self.seed = int(seed)
+        self._kernel = KernelSampler(model)
         n = model.graph.num_vertices
         # The physical layout always keeps sets internally sorted so both
         # selection kernels can binary-search them; what differs between the
@@ -206,83 +153,47 @@ class RRRSampler:
 
     # ---------------------------------------------------------------- main
     def extend(self, target_count: int) -> None:
-        """Generate sets until the store holds ``target_count`` of them."""
-        if self._kernel_sampler is not None:
-            self.sample_batch(target_count)
-            return
-        cfg = self.config
-        n = self.model.graph.num_vertices
-        tel = telemetry.get()
-        t0 = time.perf_counter() if tel.enabled else 0.0
-        new_costs: list[float] = []
-        new_sizes: list[int] = []
-        new_edges = 0
-        while len(self.store) < target_count:
-            root = int(self.rng.integers(0, n))
-            verts, edges = reverse_sample_with_cost(self.model, root, self.rng)
-            self.store.append(verts)
-            size = verts.size
-            # Traversal loads (edges examined) + writes of the set entries,
-            # plus the representation cost: Ripples sorts every set
-            # (s log s); EfficientIMM sorts only the small sets and builds a
-            # bitmap (O(s)) for dense ones (§IV-C).
-            cost = float(edges + size)
-            if size > 1:
-                if cfg.adaptive_policy is None:
-                    cost += size * np.log2(size)
-                elif size > cfg.adaptive_policy.threshold(n):
-                    cost += size  # bitmap construction
-                else:
-                    cost += size * np.log2(size)
-            if cfg.fused:
-                self.counter[verts] += 1  # in-place fused update (Alg. 3)
-                self.num_atomic_updates += size
-                cost += size
-            new_costs.append(cost)
-            new_sizes.append(size)
-            new_edges += edges
-            self.per_set_costs.append(cost)
-            self.per_set_edges.append(edges)
+        """Generate sets until the store holds ``target_count`` of them.
 
-        if new_costs:
-            self._attribute(np.asarray(new_costs), np.asarray(new_sizes))
-        self._check_budget()
-        if tel.enabled and new_sizes:
-            self._record_telemetry(tel, new_sizes, new_edges, time.perf_counter() - t0)
-
-    def sample_batch(self, target_count: int) -> None:
-        """Kernel-mode extend: draw the missing sets in vectorised batches.
-
-        Set *i* (global store index) is produced from the counter stream
-        keyed by ``(seed, i)``, so growing the store in any number of calls
-        of any size yields the same bytes — which also makes checkpoint
-        resume (store length = next index) work unchanged.
+        Each kernel batch is bulk-appended to the store as it is drawn, so
+        the extend never holds its new sets twice.  Every set is charged
+        its traversal loads (edges examined) plus the writes of its
+        entries, plus the representation cost: Ripples sorts every set
+        (s log s); EfficientIMM sorts only the small sets and builds a
+        bitmap (O(s)) for dense ones (§IV-C).
         """
         cfg = self.config
-        count = target_count - len(self.store)
+        start = len(self.store)
+        count = target_count - start
         if count <= 0:
             return
         n = self.model.graph.num_vertices
         tel = telemetry.get()
         t0 = time.perf_counter() if tel.enabled else 0.0
-        start = len(self.store)
-        flat, sizes, edges = self._kernel_sampler.sample_indexed(
+        entries0 = self.store.total_entries
+        all_sizes: list[np.ndarray] = []
+        all_edges: list[np.ndarray] = []
+        for flat, sizes, edges in self._kernel.stream_indexed(
             self.seed, start, count
-        )
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        for i in range(count):
-            self.store.append(flat[offsets[i] : offsets[i + 1]])
+        ):
+            self.store.append_csr(flat, sizes)
+            all_sizes.append(sizes)
+            all_edges.append(edges)
+        sizes = np.concatenate(all_sizes)
+        edges = np.concatenate(all_edges)
         costs = charge_per_set(
             edges, sizes, n, cfg.adaptive_policy, fused=cfg.fused
         )
-        if cfg.fused and flat.size:
-            self.counter += np.bincount(flat, minlength=n).astype(np.int64)
-            self.num_atomic_updates += int(flat.size)
+        if cfg.fused:
+            # Fused update (Alg. 3): one bincount over the appended entries.
+            added = self.store.vertices[entries0:]
+            self.counter += np.bincount(added, minlength=n).astype(np.int64)
+            self.num_atomic_updates += int(added.size)
         self.per_set_costs.extend(costs.tolist())
         self.per_set_edges.extend(edges.tolist())
         self._attribute(costs, sizes.astype(np.float64))
         self._check_budget()
-        if tel.enabled and count:
+        if tel.enabled:
             self._record_telemetry(
                 tel, sizes.tolist(), int(edges.sum()),
                 time.perf_counter() - t0,

@@ -4,7 +4,8 @@ Maps EfficientIMM's shared-memory design onto ranks exactly the way the
 paper's future-work paragraph anticipates:
 
 - **sampling** — theta is block-split across ranks; every rank draws its
-  share of RRR sets with its own RNG stream and keeps them rank-local
+  share of RRR sets from its own counter-keyed stream
+  (:func:`~repro.kernels.rng.rank_seed`) and keeps them rank-local
   (the distributed analogue of the NUMA-local partitioned store), fusing
   counter updates into generation (Algorithm 3);
 - **counter** — the global vertex-occurrence counter is one
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import spawn_rngs
 from repro.core.martingale import MartingaleSchedule
 from repro.core.params import IMMParams
 from repro.core.sampling import RRRSampler, SamplingConfig
@@ -38,6 +38,7 @@ from repro.distributed.cluster import ClusterTopology
 from repro.distributed.comm import CommStats, SimulatedComm
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
+from repro.kernels.rng import rank_seed
 from repro.simmachine.cost import CostModel
 
 __all__ = ["DistributedIMM", "DistributedResult"]
@@ -97,12 +98,11 @@ class DistributedIMM:
         n = self.graph.num_vertices
         world = SimulatedComm(self.cluster)
         ranks = world.size
-        rngs = spawn_rngs(params.seed, ranks)
         samplers = [
             RRRSampler(
                 get_model(params.model, self.graph),
                 SamplingConfig.efficientimm(num_threads=1),
-                seed=rngs[r],
+                seed=rank_seed(params.seed, r),
             )
             for r in range(ranks)
         ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import spawn_rngs
 from repro.core.martingale import MartingaleSchedule
 from repro.core.params import IMMParams
 from repro.core.sampling import RRRSampler, SamplingConfig, charge_per_set
@@ -37,6 +36,7 @@ from repro.distributed.comm import SimulatedComm
 from repro.distributed.dimm import DistributedResult, _rank_profile
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
+from repro.kernels.rng import rank_seed
 from repro.simmachine.cost import CostModel
 
 __all__ = ["DistributedRipples"]
@@ -67,12 +67,11 @@ class DistributedRipples:
         n = self.graph.num_vertices
         world = SimulatedComm(self.cluster)
         ranks = world.size
-        rngs = spawn_rngs(params.seed, ranks)
         samplers = [
             RRRSampler(
                 get_model(params.model, self.graph),
                 SamplingConfig.efficientimm(num_threads=1),
-                seed=rngs[r],
+                seed=rank_seed(params.seed, r),
             )
             for r in range(ranks)
         ]

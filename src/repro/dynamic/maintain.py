@@ -12,8 +12,7 @@ Per update kind (IC, ``repair="extend"``, the default):
 
 - **delete / reweight** of ``(u, v)``: every set containing ``v`` may have
   realised a coin the new graph contradicts, so those sets are *resampled*
-  from their original roots through the existing sampling kernel
-  (:func:`~repro.core.sampling.reverse_sample_with_cost`).
+  from their original roots through the sampling kernel.
 - **insert** of ``(u, v)`` with probability ``p``: sets containing ``v``
   are *extended* instead of resampled — the new edge's coin was simply
   never flipped, so we flip it now (probability ``p``) and, on success,
@@ -23,20 +22,23 @@ Per update kind (IC, ``repair="extend"``, the default):
   other edges inserted in the same batch.  This deferred-decision coupling
   is distribution-exact and turns the dominant update kind of a growing
   graph into cheap repairs that do **not** count against the resample
-  budget.
+  budget.  All extended sets advance together through the kernel's
+  batched level loop (:meth:`KernelSampler.grow
+  <repro.kernels.dispatch.KernelSampler.grow>`).
 
 ``repair="resample"`` (and the LT model always, since any in-row change
 reshapes a vertex's whole walk distribution) skips the extension path and
 resamples every set containing the destination of *any* update.
 
 Resampling keeps each set's original root (roots are uniform draws,
-independent of the graph) and replaces its vertices in place via
-:meth:`FlatRRRStore.replace_sets`; the fused selection counter is patched
-with two ``bincount`` passes (subtract old members, add new) rather than
-rebuilt — the dynamic analogue of EfficientIMM's fused counter updates.
-When the invalidated fraction exceeds ``full_resample_threshold`` the
-maintainer falls back to a full resample of the sketch (fresh roots, same
-RNG stream), which is cheaper than patching almost everything.
+independent of the graph); resampled and extended sets are spliced into
+the store with one :meth:`FlatRRRStore.replace_sets` pass, and the fused
+selection counter is patched with ``bincount`` passes (subtract old
+members, add new) rather than rebuilt — the dynamic analogue of
+EfficientIMM's fused counter updates.  When the invalidated fraction
+exceeds ``full_resample_threshold`` the maintainer falls back to a full
+resample of the sketch (fresh roots), which is cheaper than patching
+almost everything.
 
 Statistical note (docs/dynamic.md): keeping the sets that provably did not
 observe a structural change conditions them on that event; the resampled
@@ -47,17 +49,12 @@ endpoints and the rest of each set, and the ``bench_dynamic.py`` quality
 gate bounds its effect on seed quality (spread within tolerance of a full
 recompute).  The insert extension path carries no such caveat.
 
-Everything is deterministic in ``(seed, update stream)``: sets are
-resampled in ascending index order and extension coins are drawn in batch
-order, so the same stream yields a byte-identical repaired store.
-
-``kernel="batched"``/``"scalar"`` switches full builds and the resample
-path to the counter-stream kernels (:mod:`repro.kernels`): per-set draws
-are keyed by ``(seed, resample-domain, epoch, set_index)`` instead of
-consuming the maintainer's sequential RNG, so a replayed update stream is
-byte-identical *without* carrying RNG state — and resampling N sets is one
-vectorised pass.  The insert-extension path keeps the sequential RNG (its
-coins are conditioned on batch order by design).
+Every draw goes through the counter-stream kernels (:mod:`repro.kernels`),
+keyed by ``(seed, domain, epoch, set_index)`` with separate domains for
+fresh roots, resample coins and extension coins.  A replayed update
+stream is therefore byte-identical without carrying any RNG state, and
+per-epoch keying keeps redraws of the same set index at different epochs
+independent.
 """
 
 from __future__ import annotations
@@ -72,11 +69,18 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro._util import as_rng
-from repro.core.sampling import reverse_sample_with_cost
 from repro.core.selection import SelectionResult, efficient_select
 from repro.diffusion.base import get_model
 from repro.errors import ArtifactError, ParameterError
+from repro.kernels import KernelSampler
+from repro.kernels.rng import (
+    DOMAIN_EXTEND,
+    DOMAIN_RESAMPLE,
+    DOMAIN_ROOT,
+    counter_uniforms,
+    derive_key,
+    derive_keys,
+)
 from repro.sketch.protocol import make_store
 
 from repro.dynamic.delta import CommitInfo, DeltaGraph
@@ -84,7 +88,9 @@ from repro.dynamic.delta import CommitInfo, DeltaGraph
 __all__ = ["IncrementalMaintainer", "RepairReport"]
 
 #: Version of the dynamic checkpoint metadata layered on the artifact schema.
-DYNAMIC_CHECKPOINT_VERSION = 1
+#: Version 2 holds only counter-keyed sets and no RNG state; a version-1
+#: checkpoint is refused rather than resumed into a mixed stream.
+DYNAMIC_CHECKPOINT_VERSION = 2
 
 _REPAIR_MODES = ("extend", "resample")
 
@@ -137,8 +143,6 @@ class IncrementalMaintainer:
         full_resample_threshold: float = 0.25,
         repair: str = "extend",
         build: bool = True,
-        kernel: str | None = None,
-        kernel_batch: int = 64,
     ):
         if num_sets < 1:
             raise ParameterError(f"num_sets must be >= 1, got {num_sets}")
@@ -159,15 +163,6 @@ class IncrementalMaintainer:
         self.seed = int(seed)
         self.full_resample_threshold = float(full_resample_threshold)
         self.repair = repair
-        from repro.kernels import check_kernel
-
-        self.kernel = check_kernel(kernel)
-        self.kernel_batch = int(kernel_batch)
-        if self.kernel_batch < 1:
-            raise ParameterError(
-                f"kernel_batch must be >= 1, got {kernel_batch}"
-            )
-        self.rng = as_rng(self.seed)
         self.store = make_store("flat", num_vertices=delta.num_vertices, sort_sets=True)
         self.roots = np.empty(self.num_sets, dtype=np.int64)
         self.counter = np.zeros(delta.num_vertices, dtype=np.int64)
@@ -176,72 +171,27 @@ class IncrementalMaintainer:
             self._build_full()
 
     # ------------------------------------------------------------- building
-    def _sample_set(self, model, root: int) -> np.ndarray:
-        verts, _cost = reverse_sample_with_cost(model, int(root), self.rng)
-        return verts
-
-    def _kernel_draws(
-        self,
-        model,
-        epoch: int,
-        indices: np.ndarray,
-        roots: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw one RRR set per index via the counter-stream kernel.
-
-        Coins are keyed by ``(seed, resample-domain, epoch, index)`` so a
-        replayed update stream regenerates identical sets without any RNG
-        state; per-epoch keying keeps redraws of the same set index at
-        different epochs independent.  When ``roots`` is ``None`` fresh
-        roots are drawn from a ``(seed, root-domain, epoch)`` stream.
-        Returns ``(roots, flat_vertices, sizes)``.
-        """
-        from repro.kernels import KernelSampler
-        from repro.kernels.rng import (
-            DOMAIN_RESAMPLE,
-            DOMAIN_ROOT,
-            counter_uniforms,
-            derive_key,
-            derive_keys,
-        )
-
-        n = self.delta.num_vertices
-        if roots is None:
-            u = counter_uniforms(
-                derive_key(self.seed, DOMAIN_ROOT, epoch), indices
-            )
-            roots = np.clip((u * n).astype(np.int64), 0, n - 1)
-        keys = derive_keys(
-            derive_key(self.seed, DOMAIN_RESAMPLE, epoch), indices
-        )
-        sampler = KernelSampler(model, self.kernel, self.kernel_batch)
-        flat, sizes, _edges = sampler.sample_for_roots(roots, keys)
-        return roots, flat, sizes
+    def _keys(self, domain: int, epoch: int, indices: np.ndarray) -> np.ndarray:
+        """Per-set stream keys of one draw domain at one epoch."""
+        return derive_keys(derive_key(self.seed, domain, epoch), indices)
 
     def _build_full(self) -> None:
-        """(Re)build the whole sketch against the current delta epoch,
-        drawing fresh roots from the maintainer's RNG stream (or, in
-        kernel mode, from the epoch-keyed counter stream)."""
+        """(Re)build the whole sketch against the current delta epoch, with
+        fresh roots from the ``(seed, root-domain, epoch)`` stream, one
+        kernel batch at a time."""
         model = get_model(self.model_name, self.delta.compact())
         n = self.delta.num_vertices
+        epoch = self.delta.epoch
+        indices = np.arange(self.num_sets, dtype=np.int64)
+        u = counter_uniforms(derive_key(self.seed, DOMAIN_ROOT, epoch), indices)
+        self.roots = np.clip((u * n).astype(np.int64), 0, n - 1)
+        keys = self._keys(DOMAIN_RESAMPLE, epoch, indices)
         store = make_store("flat", num_vertices=n, sort_sets=True)
-        if self.kernel is not None:
-            indices = np.arange(self.num_sets, dtype=np.int64)
-            roots, flat, sizes = self._kernel_draws(
-                model, self.delta.epoch, indices
-            )
-            self.roots = roots
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            for i in range(self.num_sets):
-                store.append(flat[offsets[i] : offsets[i + 1]])
-        else:
-            for i in range(self.num_sets):
-                root = int(self.rng.integers(0, n))
-                self.roots[i] = root
-                store.append(self._sample_set(model, root))
+        for flat, sizes, _ in KernelSampler(model).stream(self.roots, keys):
+            store.append_csr(flat, sizes)
         self.store = store.trim()
         self.counter = self.store.vertex_counts()
-        self.epoch = self.delta.epoch
+        self.epoch = epoch
 
     # -------------------------------------------------------------- repairs
     def apply(self, commit: CommitInfo) -> RepairReport:
@@ -281,14 +231,23 @@ class IncrementalMaintainer:
                 added = 0
                 invalidated_count = self.num_sets
             else:
-                model = get_model(self.model_name, self.delta.compact())
-                self._resample_sets(model, invalidated, commit.epoch)
-                if use_extension and commit.inserted.shape[0]:
-                    extended_sets, added = self._extend_sets(
-                        model, commit, exclude=invalidated
-                    )
-                else:
-                    extended_sets, added = 0, 0
+                sampler = KernelSampler(
+                    get_model(self.model_name, self.delta.compact())
+                )
+                # Both repairs read the store before either writes it, so
+                # the inverted index is built once, and the store is
+                # spliced once.
+                ext_idx, ext_sets, added = (
+                    self._extend_sets(sampler, commit, exclude=invalidated)
+                    if use_extension and commit.inserted.shape[0]
+                    else (np.empty(0, dtype=np.int64), [], 0)
+                )
+                fresh = self._resample_sets(sampler, invalidated, commit.epoch)
+                idx = np.concatenate([invalidated, ext_idx])
+                order = np.argsort(idx, kind="stable")
+                sets = fresh + ext_sets
+                self.store.replace_sets(idx[order], [sets[j] for j in order])
+                extended_sets = int(ext_idx.size)
                 mode = "repair"
                 invalidated_count = int(invalidated.size)
                 self.epoch = commit.epoch
@@ -313,110 +272,87 @@ class IncrementalMaintainer:
 
     def _sets_containing_any(self, dsts: np.ndarray) -> np.ndarray:
         """Sorted unique indices of sets containing any of ``dsts``."""
-        if dsts.size == 0:
-            return np.empty(0, dtype=np.int64)
-        hits = [self.store.sets_containing(int(v)) for v in dsts]
-        return np.unique(np.concatenate(hits))
+        return np.unique(self.store.membership_pairs(dsts)[0])
 
-    def _resample_sets(self, model, indices: np.ndarray, epoch: int) -> None:
+    def _resample_sets(
+        self, sampler: KernelSampler, indices: np.ndarray, epoch: int
+    ) -> list[np.ndarray]:
         """Redraw the given sets from their original roots on the current
-        graph, patching the fused counter in place."""
+        graph; returns the new sets and patches the fused counter."""
         if indices.size == 0:
-            return
+            return []
+        n = self.delta.num_vertices
         old = np.concatenate([self.store.get(int(i)) for i in indices])
-        if self.kernel is not None:
-            _roots, flat, sizes = self._kernel_draws(
-                model, epoch, indices, roots=self.roots[indices]
-            )
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            fresh = [
-                flat[offsets[j] : offsets[j + 1]]
-                for j in range(indices.size)
-            ]
-        else:
-            fresh = [
-                self._sample_set(model, int(self.roots[int(i)]))
-                for i in indices
-            ]
-        self.store.replace_sets(indices, fresh)
-        self.counter -= np.bincount(old, minlength=self.delta.num_vertices)
-        self.counter += np.bincount(
-            np.concatenate(fresh).astype(np.int64),
-            minlength=self.delta.num_vertices,
-        )
+        fresh: list[np.ndarray] = []
+        keys = self._keys(DOMAIN_RESAMPLE, epoch, indices)
+        for flat, sizes, _ in sampler.stream(self.roots[indices], keys):
+            fresh.extend(np.split(flat, np.cumsum(sizes)[:-1]))
+            self.counter += np.bincount(flat, minlength=n)
+        self.counter -= np.bincount(old, minlength=n)
+        return fresh
 
     def _extend_sets(
-        self, model, commit: CommitInfo, exclude: np.ndarray
-    ) -> tuple[int, int]:
+        self, sampler: KernelSampler, commit: CommitInfo, exclude: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray], int]:
         """Couple inserted edges into the surviving sets (IC only).
 
-        For each set containing an inserted edge's destination (and not
-        already resampled), flip the edge's coin; on success run the
-        reverse BFS from the source with the set pre-seeded as visited.
-        Returns ``(sets_extended, vertices_added)``.
+        For each set containing an inserted edge's destination but not its
+        source (and not being resampled), flip the edge's coin; the sets
+        with a live coin continue their reverse BFS from the live sources,
+        all at once through :meth:`KernelSampler.grow
+        <repro.kernels.dispatch.KernelSampler.grow>`.  Set *i*'s coins come
+        from the ``(seed, extend-domain, epoch, i)`` stream: first one per
+        candidate edge in insertion order, then the BFS edges.  Returns
+        ``(indices, extended sets, vertices added)`` and patches the
+        fused counter.
         """
-        from repro.diffusion.ic import gather_frontier_edges
-
+        n = self.delta.num_vertices
         ins_src = commit.inserted[:, 0].astype(np.int64)
         ins_dst = commit.inserted[:, 1].astype(np.int64)
-        ins_prob = commit.inserted_probs
-        affected = self._sets_containing_any(np.unique(ins_dst))
-        if exclude.size:
-            affected = np.setdiff1d(affected, exclude, assume_unique=True)
-        if affected.size == 0:
-            return 0, 0
+        num_ins = ins_src.size
 
-        rev = model.reverse_graph
-        stamp = model._stamp
-        extended_idx: list[int] = []
-        extended_sets: list[np.ndarray] = []
-        added_total = 0
-        for i in affected:
-            members = self.store.get(int(i))  # sorted (sort_sets=True)
-            # Inserted edges whose coin is now decidable: dst inside the
-            # set, src outside (src inside adds nothing to the closure).
-            pos = np.searchsorted(members, ins_dst)
-            dst_in = (pos < members.size) & (members[np.minimum(pos, members.size - 1)] == ins_dst)
-            pos_s = np.searchsorted(members, ins_src)
-            src_in = (pos_s < members.size) & (members[np.minimum(pos_s, members.size - 1)] == ins_src)
-            cand = np.flatnonzero(dst_in & ~src_in)
-            if cand.size == 0:
-                continue
-            live = self.rng.random(cand.size) < ins_prob[cand]
-            frontier = np.unique(ins_src[cand[live]])
-            if frontier.size == 0:
-                continue
-            epoch = model._next_epoch()
-            stamp[members] = epoch
-            stamp[frontier] = epoch
-            new_parts: list[np.ndarray] = [frontier.astype(np.int32)]
-            while frontier.size:
-                nbrs, probs = gather_frontier_edges(rev, frontier)
-                if nbrs.size == 0:
-                    break
-                hit = self.rng.random(nbrs.size) < probs
-                cand_v = nbrs[hit]
-                if cand_v.size == 0:
-                    break
-                cand_v = np.unique(cand_v)
-                fresh = cand_v[stamp[cand_v] != epoch]
-                if fresh.size == 0:
-                    break
-                stamp[fresh] = epoch
-                new_parts.append(fresh.astype(np.int32))
-                frontier = fresh.astype(np.int64)
-            added = np.concatenate(new_parts)
-            extended_idx.append(int(i))
-            extended_sets.append(np.concatenate([members, added]))
-            added_total += int(added.size)
-            self.counter += np.bincount(
-                added.astype(np.int64), minlength=self.delta.num_vertices
-            )
-        if extended_idx:
-            self.store.replace_sets(
-                np.array(extended_idx, dtype=np.int64), extended_sets
-            )
-        return len(extended_idx), added_total
+        def pair_keys(endpoints: np.ndarray) -> np.ndarray:
+            """``set * num_ins + edge`` for every set holding an endpoint."""
+            sets, edge = self.store.membership_pairs(endpoints)
+            return sets * num_ins + edge
+
+        # Candidate (set, edge) pairs, set-major then insertion order.
+        cand = pair_keys(ins_dst)
+        cand = cand[~np.isin(cand, pair_keys(ins_src))]
+        cand_set, cand_edge = np.divmod(np.sort(cand), num_ins)
+        keep = ~np.isin(cand_set, exclude)
+        cand_set, cand_edge = cand_set[keep], cand_edge[keep]
+        empty = (np.empty(0, dtype=np.int64), [], 0)
+        if cand_set.size == 0:
+            return empty
+        sets, first, counts = np.unique(
+            cand_set, return_index=True, return_counts=True
+        )
+        keys = self._keys(DOMAIN_EXTEND, commit.epoch, sets)
+        slot = np.repeat(np.arange(sets.size), counts)
+        within = np.arange(cand_set.size) - first[slot]
+        live = counter_uniforms(keys[slot], within) < (
+            commit.inserted_probs[cand_edge]
+        )
+        frontier = np.unique(slot[live] * n + ins_src[cand_edge[live]])
+        if frontier.size == 0:
+            return empty
+        f_slot, f_vert = np.divmod(frontier, n)
+        grown, f_sizes = np.unique(f_slot, return_counts=True)
+        members = [self.store.get(int(i)) for i in sets[grown]]
+        added, a_sizes = sampler.grow(
+            (np.concatenate(members), np.array([m.size for m in members])),
+            (f_vert, f_sizes),
+            keys[grown],
+            counts[grown].astype(np.uint64),
+        )
+        self.counter += np.bincount(added, minlength=n)
+        parts = np.split(added, np.cumsum(a_sizes)[:-1])
+        return (
+            sets[grown],
+            [np.concatenate([m, a]) for m, a in zip(members, parts)],
+            int(added.size),
+        )
 
     def _record_telemetry(self, report: RepairReport) -> None:
         tel = telemetry.get()
@@ -454,10 +390,7 @@ class IncrementalMaintainer:
         """Fingerprint of this maintainer's *configuration* (not its state):
         base graph + model + sketch shape + seed + repair policy.  Two
         maintainers share a key iff replaying the same update stream yields
-        identical sketches.  The kernel name joins the key only when set,
-        so checkpoints written before kernel mode existed keep their keys;
-        ``kernel_batch`` is excluded because kernel output is
-        batch-size-invariant."""
+        identical sketches."""
         parts = [
             self.delta.base_fingerprint,
             self.model_name,
@@ -466,8 +399,6 @@ class IncrementalMaintainer:
             f"{self.full_resample_threshold:.12g}",
             self.repair,
         ]
-        if self.kernel is not None:
-            parts.append(f"kernel={self.kernel}")
         key = ":".join(parts)
         return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
@@ -475,7 +406,7 @@ class IncrementalMaintainer:
         return Path(root) / f"dynamic-{self.checkpoint_key()}.npz"
 
     def save_checkpoint(self, root: str | os.PathLike) -> Path:
-        """Snapshot the full maintainer state (store, counter, roots, RNG,
+        """Snapshot the full maintainer state (store, counter, roots,
         epoch) as one checksummed artifact, written atomically."""
         from repro.service.artifacts import save_store
 
@@ -491,9 +422,7 @@ class IncrementalMaintainer:
             "seed": self.seed,
             "full_resample_threshold": self.full_resample_threshold,
             "repair": self.repair,
-            "kernel": self.kernel,
             "roots": [int(r) for r in self.roots],
-            "rng_state": self.rng.bit_generator.state,
         }
         save_store(
             self.store,
@@ -520,8 +449,6 @@ class IncrementalMaintainer:
         seed: int = 0,
         full_resample_threshold: float = 0.25,
         repair: str = "extend",
-        kernel: str | None = None,
-        kernel_batch: int = 64,
     ) -> "IncrementalMaintainer":
         """Restore a maintainer whose sketch matches ``delta``'s epoch.
 
@@ -540,8 +467,6 @@ class IncrementalMaintainer:
             full_resample_threshold=full_resample_threshold,
             repair=repair,
             build=False,
-            kernel=kernel,
-            kernel_batch=kernel_batch,
         )
         path = m.checkpoint_path(root)
         store, counter, meta = load_store(
@@ -565,7 +490,6 @@ class IncrementalMaintainer:
             counter if counter is not None else store.vertex_counts()
         ).astype(np.int64)
         m.roots = np.array(meta["roots"], dtype=np.int64)
-        m.rng.bit_generator.state = meta["rng_state"]
         m.epoch = int(meta["epoch"])
         tel = telemetry.get()
         if tel.enabled:

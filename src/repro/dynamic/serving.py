@@ -10,8 +10,9 @@ pair and *publishes* each successfully repaired epoch into a
   sketch fingerprint (:meth:`QueryEngine.warm`).
 
 Because sketch fingerprints hash the *graph* fingerprint, every epoch gets
-its own cache key automatically — stale epochs simply stop being addressed
-and age out of the LRU.  Queries are answered from the newest *published*
+its own cache key automatically; publishing an epoch evicts the one it
+supersedes, so a long-running service holds one sketch, not one per
+epoch.  Queries are answered from the newest *published*
 epoch; when a repair fails mid-stream the delta graph may run ahead of the
 sketch, and the service keeps serving the last good epoch with
 ``degraded: true`` on the response (the same disclosure the engine uses
@@ -53,8 +54,6 @@ class DynamicService:
         epsilon: float = 0.5,
         full_resample_threshold: float = 0.25,
         repair: str = "extend",
-        kernel: str | None = None,
-        kernel_batch: int = 64,
         engine: QueryEngine | None = None,
         config: EngineConfig | None = None,
     ):
@@ -81,8 +80,6 @@ class DynamicService:
                 seed=self.seed,
                 full_resample_threshold=full_resample_threshold,
                 repair=repair,
-                kernel=kernel,
-                kernel_batch=kernel_batch,
             )
         self.num_sets = self.maintainer.num_sets
         self._own_engine = engine is None
@@ -90,6 +87,7 @@ class DynamicService:
             config=config or EngineConfig()
         )
         self.served_epoch = -1
+        self._fp: str | None = None
         # Publish fan-out (repro.shard): each hook receives every published
         # epoch — graph, fingerprint, sketch snapshot, counter, meta — so a
         # shard cluster (or any other downstream consumer) stays in lockstep
@@ -141,9 +139,12 @@ class DynamicService:
         """Install the maintainer's epoch (graph + warm sketch) for serving."""
         graph = self.delta.compact()
         gfp = self.engine.install_graph(self.dataset, graph)
+        superseded = self._fp
         self._fp = sketch_fingerprint(
             gfp, self.model, self.epsilon, self.seed, self.num_sets
         )
+        if superseded is not None and superseded != self._fp:
+            self.engine.cache.evict(superseded)
         # Snapshot the sketch: the maintainer keeps mutating its own store,
         # so the published entry copies the flat arrays (from_arrays copies).
         store = FlatRRRStore.from_arrays(

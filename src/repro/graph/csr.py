@@ -23,6 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro._util import stable_argsort
 from repro.errors import GraphConstructionError
 
 __all__ = ["CSRGraph"]
@@ -176,10 +177,10 @@ def _csr_from_coo(
 ) -> CSRGraph:
     """Build a CSR graph from COO triples via a counting sort on ``src``.
 
-    Vectorised: one ``bincount`` for degrees, one stable ``argsort`` keyed on
+    Vectorised: one ``bincount`` for degrees, one stable argsort keyed on
     the source vertex to group rows, keeping each row's edges in input order.
     """
-    order = np.argsort(src, kind="stable")
+    order = stable_argsort(src)
     counts = np.bincount(src, minlength=n).astype(OFFSET_DTYPE)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return CSRGraph(n, indptr, dst[order], data[order])

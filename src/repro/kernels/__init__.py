@@ -1,44 +1,34 @@
 """``repro.kernels`` — batched multi-root reverse-sampling kernels.
 
-The per-root samplers in ``repro.diffusion`` pay full numpy dispatch
-overhead for every frontier of every individual RRR set.  This package
-draws **B sets per vectorised pass** instead: a ``(set_id, vertex)``
-pair-frontier BFS over the reverse CSR graph (IC) and a lock-step batch of
-reverse weighted walks (LT), with one fused coin-flip array per level
-across all active sets and per-set edge-cost accounting.
+This package is the only way the program draws RRR sets.  It draws **B
+sets per vectorised pass**: a ``(set_id, vertex)`` pair-frontier BFS over
+the reverse CSR graph (IC) and a lock-step batch of reverse weighted walks
+(LT), with one fused coin-flip array per level across all active sets and
+per-set edge-cost accounting.
 
 Determinism is the load-bearing property.  Randomness comes from
 counter-based per-set streams (:mod:`repro.kernels.rng`): each global set
 index owns a key derived from ``(seed, set_index)`` and consumes uniforms
 ``u(key, 0), u(key, 1), ...`` in a canonical traversal order.  Because no
 stream state is shared between sets, the output bytes are identical
-regardless of batch size, worker count, process start method, or whether
-the batched or the scalar reference kernel ran — the equivalence suite in
-``tests/test_kernels.py`` proves it.
+regardless of batch size, worker count, process start method, or shard
+layout.  :mod:`repro.kernels.scalar` is an independent per-root reference
+implementation sharing only the RNG layer; the equivalence suite in
+``tests/test_kernels.py`` uses it as the oracle.
 
 Entry points:
 
-- :func:`sample_indexed` — sample sets for global indices ``start..start+count``
-  under a ``(seed, index)`` keying (sampler / parallel / shard paths).
-- :func:`sample_for_roots` — sample sets for explicit roots and explicit
-  per-set keys (the dynamic maintainer's root-preserving resample path).
-- :func:`roots_for_indices` — the deterministic root stream.
-
-``kernel="batched"`` selects the vectorised kernel, ``kernel="scalar"``
-the independent per-root reference implementation; both share only the
-RNG layer, which is what makes their byte-identity a meaningful test.
+- :class:`KernelSampler` — ``sample_for_roots`` / ``sample_indexed`` and
+  their per-batch streaming forms, plus ``grow`` (the dynamic layer's
+  insert extension);
+- :func:`indexed_draws` / :func:`roots_for_indices` — the deterministic
+  root and key streams of global set indices.
 """
 
 from __future__ import annotations
 
-from repro.kernels.batched import BatchedSampler, sample_batched
-from repro.kernels.dispatch import (
-    KERNEL_NAMES,
-    KernelSampler,
-    check_kernel,
-    sample_for_roots,
-    sample_indexed,
-)
+from repro.kernels.batched import BATCH_SIZE, BatchedSampler, sample_batched
+from repro.kernels.dispatch import KernelSampler, indexed_draws
 from repro.kernels.rng import (
     coin_key,
     counter_uniforms,
@@ -49,17 +39,15 @@ from repro.kernels.rng import (
 from repro.kernels.scalar import sample_scalar
 
 __all__ = [
+    "BATCH_SIZE",
     "BatchedSampler",
-    "KERNEL_NAMES",
     "KernelSampler",
-    "check_kernel",
     "coin_key",
     "counter_uniforms",
     "derive_key",
     "derive_keys",
+    "indexed_draws",
     "roots_for_indices",
     "sample_batched",
-    "sample_for_roots",
-    "sample_indexed",
     "sample_scalar",
 ]

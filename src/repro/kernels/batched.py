@@ -28,11 +28,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util import sorted_unique, stable_argsort
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ParameterError
 from repro.kernels.rng import counter_uniforms
 
-__all__ = ["BatchedSampler", "sample_batched"]
+__all__ = ["BATCH_SIZE", "BatchedSampler", "sample_batched"]
+
+#: Sets per vectorised pass.  Output bytes never depend on it (see the
+#: module docstring); it only trades scratch memory (``B * n`` stamps)
+#: against per-pass dispatch overhead.
+BATCH_SIZE = 64
 
 
 class BatchedSampler:
@@ -42,7 +48,7 @@ class BatchedSampler:
     extend loop, a shard's streaming build) do not reallocate it.
     """
 
-    def __init__(self, model: DiffusionModel, batch_size: int = 64):
+    def __init__(self, model: DiffusionModel, batch_size: int = BATCH_SIZE):
         if batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
         kind = getattr(model, "name", "?")
@@ -100,26 +106,38 @@ class BatchedSampler:
     def _split(pairs: np.ndarray, b: int, n: int):
         """Flat level-major pair keys -> per-set CSR ``(flat, sizes)``."""
         slots = pairs // n
-        order = np.argsort(slots, kind="stable")  # keeps per-set level order
+        order = stable_argsort(slots)  # keeps per-set level order
         flat = (pairs % n).astype(np.int32)[order]
         sizes = np.bincount(slots, minlength=b)
         return flat, sizes
 
     # ------------------------------------------------------------------- IC
     def _ic_batch(self, roots, keys):
-        rev = self.model.reverse_graph
         n = self._n
         b = roots.size
         stamp, epoch = self._scratch(b)
-        slot_base = np.arange(b, dtype=np.int64) * n
-        level0 = slot_base + roots
+        level0 = np.arange(b, dtype=np.int64) * n + roots
         stamp[level0] = epoch
-        pairs = [level0]
-        fslot = np.arange(b, dtype=np.int64)
-        fvert = roots
         counters = np.zeros(b, dtype=np.uint64)
         edges = np.zeros(b, dtype=np.int64)
+        pairs = [level0] + self._ic_levels(
+            np.arange(b, dtype=np.int64), roots, keys, counters, edges,
+            stamp, epoch, b,
+        )
+        flat, sizes = self._split(np.concatenate(pairs), b, n)
+        return flat, sizes, edges
+
+    def _ic_levels(self, fslot, fvert, keys, counters, edges, stamp, epoch, b):
+        """Advance a pair frontier level by level until every set stops.
+
+        ``fslot`` must be ascending with ``fvert`` ascending within each
+        slot (the canonical order).  ``counters`` and ``edges`` are updated
+        in place; returns the fresh pair keys of each level reached.
+        """
+        rev = self.model.reverse_graph
+        n = self._n
         indptr = rev.indptr
+        pairs: list[np.ndarray] = []
         while fslot.size:
             self.levels += 1
             if self.collect_occupancy:
@@ -133,39 +151,85 @@ class BatchedSampler:
             if total == 0:
                 break
             # One flat gather addresses every in-edge of every frontier pair.
-            row_of = np.repeat(np.arange(fvert.size), lengths)
-            within_row = np.arange(total, dtype=np.int64) - np.repeat(
-                np.concatenate(([0], np.cumsum(lengths[:-1]))), lengths
+            ends = np.cumsum(lengths)
+            flat_idx = np.arange(total, dtype=np.int64) + np.repeat(
+                starts - (ends - lengths), lengths
             )
-            flat_idx = starts[row_of] + within_row
             nbrs = rev.indices[flat_idx]
             probs = rev.probs[flat_idx]
-            eslot = fslot[row_of]
+            eslot = np.repeat(fslot, lengths)
             # Per-edge draw counter: this set's running counter plus the
             # edge's position within the set's slice of this level (eslot is
-            # sorted, so a cumsum gives each run's start).
-            counts = np.bincount(fslot, weights=lengths, minlength=b).astype(
-                np.int64
-            )
-            run_start = np.cumsum(counts) - counts
-            within = np.arange(total, dtype=np.int64) - run_start[eslot]
-            with np.errstate(over="ignore"):
-                base = counters[eslot] + within.astype(np.uint64)
+            # sorted, so each run starts where the previous set's ended).
+            # (uint64 array arithmetic wraps silently, as the streams want.)
+            counts = np.bincount(eslot, minlength=b)
+            run_start = (np.cumsum(counts) - counts).astype(np.uint64)
+            shift = counters - run_start
+            base = np.arange(total, dtype=np.uint64) + shift[eslot]
             u = counter_uniforms(keys[eslot], base)
-            with np.errstate(over="ignore"):
-                counters += counts.astype(np.uint64)
+            counters += counts.astype(np.uint64)
             edges += counts
             live = u < probs
             pk = eslot[live] * n + nbrs[live].astype(np.int64)
-            pk = np.unique(pk)  # dedup per set; canonical slot/vertex order
-            fresh = pk[stamp[pk] != epoch]
+            # Drop visited pairs first (cheap), then dedup what is left per
+            # set in the canonical slot/vertex order.
+            fresh = sorted_unique(pk[stamp[pk] != epoch])
             if fresh.size == 0:
                 break
             stamp[fresh] = epoch
             pairs.append(fresh)
             fslot, fvert = np.divmod(fresh, n)
-        flat, sizes = self._split(np.concatenate(pairs), b, n)
-        return flat, sizes, edges
+        return pairs
+
+    def grow(
+        self,
+        members: tuple[np.ndarray, np.ndarray],
+        frontier: tuple[np.ndarray, np.ndarray],
+        keys: np.ndarray,
+        counters: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Continue IC reverse BFS of existing sets from a new frontier.
+
+        ``members`` and ``frontier`` are CSR ``(flat, sizes)`` per set: the
+        vertices the set already holds (pre-visited, never re-added) and
+        the vertices it newly reaches (disjoint from ``members``).  Set
+        *i* draws coins from ``u(keys[i], counters[i]), ...`` in the same
+        canonical order as :meth:`sample`, so the result does not depend
+        on the batch size.  Returns the added vertices, frontier included,
+        as CSR ``(flat int32, sizes int64)`` in discovery order.
+        """
+        if getattr(self.model, "name", "?") != "IC":
+            raise ParameterError("grow is defined for the IC model only")
+        m_flat, m_sizes = (np.asarray(a) for a in members)
+        f_flat, f_sizes = (np.asarray(a) for a in frontier)
+        keys = np.asarray(keys, dtype=np.uint64)
+        counters = np.asarray(counters, dtype=np.uint64)
+        m_off = np.concatenate(([0], np.cumsum(m_sizes)))
+        f_off = np.concatenate(([0], np.cumsum(f_sizes)))
+        n = self._n
+        flats: list[np.ndarray] = []
+        sizes: list[np.ndarray] = []
+        for lo in range(0, keys.size, self.batch_size):
+            hi = min(lo + self.batch_size, keys.size)
+            b = hi - lo
+            stamp, epoch = self._scratch(b)
+            slot = np.arange(b, dtype=np.int64)
+            mv = m_flat[m_off[lo] : m_off[hi]].astype(np.int64)
+            stamp[np.repeat(slot, m_sizes[lo:hi]) * n + mv] = epoch
+            fv = f_flat[f_off[lo] : f_off[hi]].astype(np.int64)
+            seed = sorted_unique(np.repeat(slot, f_sizes[lo:hi]) * n + fv)
+            stamp[seed] = epoch
+            fslot, fvert = np.divmod(seed, n)
+            pairs = [seed] + self._ic_levels(
+                fslot, fvert, keys[lo:hi], counters[lo:hi].copy(),
+                np.zeros(b, dtype=np.int64), stamp, epoch, b,
+            )
+            flat, size = self._split(np.concatenate(pairs), b, n)
+            flats.append(flat)
+            sizes.append(size)
+        if not flats:
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
+        return np.concatenate(flats), np.concatenate(sizes)
 
     # ------------------------------------------------------------------- LT
     def _lt_batch(self, roots, keys):
@@ -244,7 +308,7 @@ def sample_batched(
     roots: np.ndarray,
     keys: np.ndarray,
     *,
-    batch_size: int = 64,
+    batch_size: int = BATCH_SIZE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-shot convenience wrapper around :class:`BatchedSampler`."""
     return BatchedSampler(model, batch_size).sample(roots, keys)

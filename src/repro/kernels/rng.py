@@ -32,6 +32,7 @@ __all__ = [
     "counter_uniforms",
     "derive_key",
     "derive_keys",
+    "rank_seed",
     "root_key",
     "roots_for_indices",
 ]
@@ -46,11 +47,14 @@ _SEED0 = np.uint64(0x243F6A8885A308D3)  # pi digits: arbitrary non-zero start
 _INV53 = np.float64(2.0**-53)
 _SH11 = np.uint64(11)
 
-# Domain tags keep the root stream, the coin stream, and the dynamic
-# layer's resample streams disjoint even for identical (seed, index) pairs.
+# Domain tags keep the root stream, the coin stream, the dynamic layer's
+# resample and insert-extension streams, and the distributed ranks' seeds
+# disjoint even for identical (seed, index) pairs.
 DOMAIN_ROOT = 0x01
 DOMAIN_COIN = 0x02
 DOMAIN_RESAMPLE = 0x03
+DOMAIN_EXTEND = 0x04
+DOMAIN_RANK = 0x05
 
 
 def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -92,9 +96,9 @@ def counter_uniforms(
     ``keys`` may be a scalar (one stream, many counters) or an array aligned
     with ``counters`` (one draw from each of many streams).
     """
-    ctr = np.asarray(counters).astype(np.uint64)
+    ctr = np.asarray(counters, dtype=np.uint64)
     if isinstance(keys, np.ndarray):
-        k = keys.astype(np.uint64)
+        k = np.asarray(keys, dtype=np.uint64)
     else:
         k = np.uint64(keys)
     with np.errstate(over="ignore"):
@@ -110,6 +114,12 @@ def root_key(seed: int) -> int:
 def coin_key(seed: int) -> int:
     """Base key the per-set coin streams are derived from."""
     return derive_key(seed, DOMAIN_COIN)
+
+
+def rank_seed(seed: int, rank: int) -> int:
+    """Integer sampling seed of one distributed rank: each rank draws its
+    own counter-keyed stream, disjoint from every other rank's."""
+    return derive_key(seed, DOMAIN_RANK, rank)
 
 
 def roots_for_indices(

@@ -3,14 +3,16 @@
 An IMM run spends almost all of its time in the sampling batches the
 martingale schedule requests (estimation levels, then the top-up).  The
 :class:`SamplingCheckpointer` snapshots the complete sampler state after
-every completed batch — the RRR store, the fused counter, the RNG state,
-and the per-set cost bookkeeping — as one checksummed ``.npz`` artifact
-(the PR 2 format, written atomically via rename).
+every completed batch — the RRR store, the fused counter, and the
+per-set cost bookkeeping — as one checksummed ``.npz`` artifact (the
+sketch artifact format, written atomically via rename).
 
 Because :func:`repro.core.imm.run_imm` is deterministic in that state, a
 run interrupted at *any* point and restarted with ``resume=True`` replays
 the completed batches as no-ops (the store already holds their sets), then
-continues sampling from the restored RNG — producing **byte-identical**
+continues sampling at the next set index — every set's randomness is keyed
+by ``(seed, index)`` (:mod:`repro.kernels`), so there is no RNG state to
+restore — producing **byte-identical**
 seed sets to an uninterrupted run.  The checkpoint is keyed by
 :func:`run_key`, a fingerprint over the graph, every parameter that shapes
 sampling, and the framework, so a stale checkpoint from a different run can
@@ -38,7 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SamplingCheckpointer", "run_key"]
 
 #: Version of the checkpoint metadata layered on the sketch artifact schema.
-CHECKPOINT_VERSION = 1
+#: Version 2 holds only counter-keyed sets; a version-1 checkpoint (sets
+#: from a sequential Generator plus its state) is refused, never resumed.
+CHECKPOINT_VERSION = 2
 
 
 def run_key(graph: "CSRGraph", params: "IMMParams", framework: str = "IMM") -> str:
@@ -110,7 +114,6 @@ class SamplingCheckpointer:
             "checkpoint_version": CHECKPOINT_VERSION,
             "run_key": self.key,
             "batch_index": int(batch_index),
-            "rng_state": sampler.rng.bit_generator.state,
             "per_set_costs": [float(c) for c in sampler.per_set_costs],
             "per_set_edges": [int(e) for e in sampler.per_set_edges],
             "num_atomic_updates": int(sampler.num_atomic_updates),
@@ -168,7 +171,6 @@ class SamplingCheckpointer:
             counter = store.vertex_counts()
         sampler.store = store
         sampler.counter = counter
-        sampler.rng.bit_generator.state = meta["rng_state"]
         sampler.per_set_costs = [float(c) for c in meta.get("per_set_costs", [])]
         sampler.per_set_edges = [int(e) for e in meta.get("per_set_edges", [])]
         sampler.num_atomic_updates = int(meta.get("num_atomic_updates", 0))

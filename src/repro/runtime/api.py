@@ -14,12 +14,6 @@ This module is that place:
   config, hands out matching work queues, and cleans up after itself.
   Backend construction is lazy, so describing a multiprocess context is
   free until someone actually runs tasks on it.
-
-The pre-redesign call forms (``make_backend("serial")``,
-``ChunkedWorkQueue(n, w, c)``, ``QueryEngine(engine_config)``) keep
-working through shims that emit :class:`DeprecationWarning`; all shim
-messages start with ``"repro execution API: "`` so the test suite can
-escalate them to errors for in-repo callers (see pyproject.toml).
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -423,36 +422,22 @@ class MultiprocessBackend(ExecutionBackend):
             pass
 
 
-def make_backend(
-    config: "BackendConfig | str | None" = None,
-    num_workers: int | None = None,
-    **kwargs,
-) -> ExecutionBackend:
-    """Factory: build a backend from a :class:`~repro.runtime.api.BackendConfig`.
+def make_backend(config: "BackendConfig | None" = None) -> ExecutionBackend:
+    """Factory: build a backend from a :class:`~repro.runtime.api.BackendConfig`
+    (default: a serial backend).
 
     The config carries the backend name, worker count, and the optional
     resilience attachments (retry policy, fault plan), which are installed
-    on the returned backend.  The pre-redesign positional form
-    ``make_backend("serial"|"multiprocess", num_workers, **kwargs)`` keeps
-    working through a shim that emits :class:`DeprecationWarning`.
+    on the returned backend.
     """
     from repro.runtime.api import BackendConfig
 
-    if config is None or isinstance(config, str):
-        warnings.warn(
-            "repro execution API: make_backend(name, num_workers, ...) is "
-            "deprecated; pass a keyword-only BackendConfig instead, e.g. "
-            "make_backend(BackendConfig(backend='multiprocess', num_workers=4))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = BackendConfig(
-            backend=config or "serial", num_workers=num_workers, **kwargs
-        )
-    elif num_workers is not None or kwargs:
+    if config is None:
+        config = BackendConfig()
+    elif not isinstance(config, BackendConfig):
         raise BackendError(
-            "make_backend(BackendConfig(...)) takes no extra arguments; "
-            "fold them into the config"
+            f"make_backend takes a BackendConfig, got {config!r}; e.g. "
+            "make_backend(BackendConfig(backend='multiprocess', num_workers=4))"
         )
     if config.backend == "serial":
         backend: ExecutionBackend = SerialBackend()

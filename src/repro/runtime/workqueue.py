@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
@@ -57,36 +56,18 @@ class ChunkedWorkQueue:
     Construct with keywords (``ChunkedWorkQueue(n, num_workers=4,
     chunk_size=8)``) or from a :class:`~repro.runtime.api.BackendConfig`
     (``ChunkedWorkQueue(n, config=cfg)``), which also supplies the fault
-    plan.  The pre-redesign positional form ``ChunkedWorkQueue(n, workers,
-    chunk)`` still works but emits :class:`DeprecationWarning`.
+    plan.
     """
 
     def __init__(
         self,
         num_items: int,
-        *args,
+        *,
         num_workers: int | None = None,
         chunk_size: int | None = None,
         config: "BackendConfig | None" = None,
         fault_plan: "FaultPlan | None" = None,
     ):
-        if args:
-            warnings.warn(
-                "repro execution API: ChunkedWorkQueue(num_items, "
-                "num_workers, chunk_size) positional form is deprecated; "
-                "use keyword arguments or pass config=BackendConfig(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2:
-                raise ParameterError(
-                    f"ChunkedWorkQueue takes at most 3 positional arguments, "
-                    f"got {1 + len(args)}"
-                )
-            if num_workers is None:
-                num_workers = args[0]
-            if len(args) > 1 and chunk_size is None:
-                chunk_size = args[1]
         if config is not None:
             if num_workers is None:
                 num_workers = config.num_workers

@@ -60,20 +60,19 @@ def sketch_fingerprint(
     epsilon: float,
     seed: int,
     num_sets: int,
-    *,
-    kernel: str | None = None,
 ) -> str:
     """Content key of one sketch: graph hash + model + epsilon + seed + size.
 
-    ``kernel`` joins the key only when set: the counter-stream kernels
-    (:mod:`repro.kernels`) draw a different (equally valid) sketch than the
-    legacy per-root path for the same parameters, so the two must never
-    alias — while every fingerprint minted before kernels existed stays
-    byte-for-byte stable.
+    The trailing ``:batched`` tag names the counter-keyed sampling stream
+    (:mod:`repro.kernels`) the sketch was drawn from.  Sketches drawn from
+    the retired sequential-``Generator`` stream were keyed without it, so
+    their artifacts are never addressed — they hold different sets for
+    the same parameters.
     """
-    key = f"{graph_fp}:{str(model).upper()}:{float(epsilon):.12g}:{int(seed)}:{int(num_sets)}"
-    if kernel is not None:
-        key += f":{kernel}"
+    key = (
+        f"{graph_fp}:{str(model).upper()}:{float(epsilon):.12g}:"
+        f"{int(seed)}:{int(num_sets)}:batched"
+    )
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 

@@ -37,7 +37,6 @@ a query-latency histogram whose ``percentile(0.95)`` is the serving p95.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -66,15 +65,9 @@ class EngineConfig:
     :class:`~repro.runtime.backends.SerialBackend`; ``"multiprocess"``
     lets each cold sampling pass fork its own pool of ``num_workers``
     (the pool must be initialised per graph, so it cannot be shared).
-    Note the sampled sets are deterministic in ``(seed, num_workers)``,
-    so changing ``num_workers`` changes which (equally valid) sketch a
-    fingerprint materialises to.
-
-    ``kernel="batched"``/``"scalar"`` switches cold sampling to the
-    counter-stream kernels (:mod:`repro.kernels`): the sketch becomes a
-    pure function of the seed alone — independent of ``num_workers`` —
-    and the kernel name joins the sketch fingerprint, so kernel-mode and
-    legacy sketches never alias in the cache or the artifact store.
+    The sampled sets are a pure function of the seed (:mod:`repro.kernels`),
+    so ``num_workers`` changes only how fast a sketch is drawn, never which
+    sketch a fingerprint materialises to.
     """
 
     cache_budget_bytes: int | None = 256 * 1024 * 1024
@@ -84,8 +77,6 @@ class EngineConfig:
     num_workers: int = 1
     dataset_scale: float = 1.0
     persist: bool = True  # write artifacts for newly sampled sketches
-    kernel: str | None = None
-    kernel_batch: int = 64
 
 
 @dataclass
@@ -138,23 +129,10 @@ class QueryEngine:
 
     def __init__(
         self,
-        *args,
+        *,
         config: EngineConfig | None = None,
         context: ExecutionContext | None = None,
     ):
-        if args:
-            warnings.warn(
-                "repro execution API: QueryEngine(config) positional form "
-                "is deprecated; use QueryEngine(config=...) — and pass "
-                "context=ExecutionContext(...) to control execution",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 1 or config is not None:
-                raise ParameterError(
-                    "QueryEngine takes at most one EngineConfig"
-                )
-            config = args[0]
         self.config = config or EngineConfig()
         self.cache = SketchCache(self.config.cache_budget_bytes)
         self.artifacts = (
@@ -427,8 +405,7 @@ class QueryEngine:
 
         num_sets = q0.theta_cap or self.config.default_theta
         fp = sketch_fingerprint(
-            graph_fp, q0.model, q0.epsilon, q0.seed, num_sets,
-            kernel=self.config.kernel,
+            graph_fp, q0.model, q0.epsilon, q0.seed, num_sets
         )
         with tel.span("service.batch", fingerprint=fp, size=len(live)):
             try:
@@ -522,8 +499,6 @@ class QueryEngine:
                 backend=self._backend,
                 retry=self.context.retry,
                 faults=self.context.faults,
-                kernel=self.config.kernel,
-                kernel_batch=self.config.kernel_batch,
             )
         except (ReproError, OSError) as exc:
             stale = self._stale_fallback(query)

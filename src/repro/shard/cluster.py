@@ -13,7 +13,8 @@ the tests, and the benchmarks drive: it instantiates
   :meth:`DynamicService.add_publish_hook
   <repro.dynamic.serving.DynamicService.add_publish_hook>` calls, so a
   dynamic graph's repaired epochs propagate to every shard atomically
-  from the cluster's point of view;
+  from the cluster's point of view, and the epoch it supersedes is
+  released from every replica;
 - :meth:`kill` / :meth:`revive` — deterministic fault injection at
   replica or whole-shard granularity, mirrored by the CLI's JSON ops so
   CI can exercise failover over the wire.
@@ -55,7 +56,6 @@ class ShardCluster:
         *,
         engine_config: EngineConfig | None = None,
         router_config: RouterConfig | None = None,
-        sampling_workers: int = 1,
         dataset_scale: float = 1.0,
         segment_manager=None,
     ):
@@ -67,7 +67,6 @@ class ShardCluster:
                 plan,
                 replica_id=r,
                 config=engine_config,
-                sampling_workers=sampling_workers,
                 dataset_scale=dataset_scale,
                 segment_manager=segment_manager,
             )
@@ -75,7 +74,6 @@ class ShardCluster:
             for r in range(plan.replication)
         ]
         self.router = Router(self.workers, config=router_config)
-        self.sampling_workers = int(sampling_workers)
         self.dataset_scale = float(dataset_scale)
         self._engine_config = engine_config
         self._installed: dict[str, Any] = {}
@@ -164,7 +162,6 @@ class ShardCluster:
             self.plan,
             replica_id=rid,
             config=self._engine_config,
-            sampling_workers=self.sampling_workers,
             dataset_scale=self.dataset_scale,
             segment_manager=self.segment_manager,
         )
@@ -245,21 +242,17 @@ class ShardCluster:
                 spec.dataset, model=spec.model, seed=spec.seed,
                 scale=self.dataset_scale,
             )
-        gfp = graph_fingerprint(graph)
-        kcfg = self._engine_config or EngineConfig()
         fp = sketch_fingerprint(
-            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets,
-            kernel=kcfg.kernel,
+            graph_fingerprint(graph), spec.model, spec.epsilon, spec.seed,
+            spec.num_sets,
         )
         with tel.span(
             "shard.build", dataset=spec.dataset, num_sets=spec.num_sets,
             num_shards=self.plan.num_shards,
         ):
             full = parallel_generate(
-                graph, spec.model, spec.num_sets,
-                num_workers=self.sampling_workers, seed=spec.seed,
-                backend=SerialBackend(),
-                kernel=kcfg.kernel, kernel_batch=kcfg.kernel_batch,
+                graph, spec.model, spec.num_sets, num_workers=1,
+                seed=spec.seed, backend=SerialBackend(),
             )
             parts = self.plan.partition_store(full, fp).trim()
         return self._adopt(spec, fp, parts)
@@ -299,7 +292,31 @@ class ShardCluster:
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("shard.publishes").inc()
-        return self._adopt(spec, fingerprint, parts, meta=extra)
+        previous = self._published.get(ds)
+        summary = self._adopt(spec, fingerprint, parts, meta=extra)
+        if previous is not None and previous[1] != fingerprint:
+            self._retire(previous[1])
+        return summary
+
+    def _retire(self, fp: str) -> None:
+        """Release a superseded sketch's slices on every replica.
+
+        A published epoch replaces its predecessor for good (nothing
+        addresses an old graph fingerprint again), so a long-running
+        dynamic cluster keeps one sketch per dataset instead of growing by
+        one per epoch: each replica evicts its slice and detaches its
+        views, and the slice's shm segment, if any, is unlinked.
+        """
+        for w in self.workers:
+            sub_fp = shard_fingerprint(fp, w.shard_id, self.plan)
+            w.engine.cache.evict(sub_fp)
+            if self.segment_manager is not None:
+                w.detach_views(self.segment_manager.segment_name(sub_fp))
+        if self.segment_manager is not None:
+            for shard in range(self.plan.num_shards):
+                self.segment_manager.unlink(
+                    shard_fingerprint(fp, shard, self.plan)
+                )
 
     def _adopt(
         self,

@@ -17,13 +17,14 @@ Acquisition order mirrors the engine (docs/serving.md):
    of the sub-sketch bytes (docs/memory.md);
 3. a ``sketch-<shard_fp>.npz`` artifact written by ``repro shard build``
    (or a previous cold pass) — integrity-checked, survives restarts;
-4. cold: the worker *streams* the deterministic sampling sequence of the
-   full sketch and keeps only the sets its shard owns, so its peak sketch
-   memory stays ``O(owned sets)`` even while deriving them from the global
-   sequence (the HBMax memory-per-worker discipline).  The sequence is
-   byte-identical to :func:`repro.core.parallel_sampling.parallel_generate`
-   for the same ``(seed, sampling_workers)``, which is what makes
-   scatter-gathered selection equal the single-node engine.
+4. cold: the worker samples exactly the global set indices its shard
+   owns, streaming them batch by batch into its store, so both its work
+   and its peak sketch memory stay ``O(owned sets)`` (the HBMax
+   memory-per-worker discipline).  Every set is keyed by ``(seed, index)``
+   (:mod:`repro.kernels`), so the owned sets are byte-identical to the ones
+   :func:`repro.core.parallel_sampling.parallel_generate` draws at those
+   indices, which is what makes scatter-gathered selection equal the
+   single-node engine.
 
 The scatter protocol (``session_open`` / ``session_cover`` /
 ``session_counts``) is deliberately self-healing: every call carries the
@@ -47,13 +48,14 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro._util import spawn_rngs
-from repro.core.sampling import reverse_sample_with_cost
+from repro.core.parallel_sampling import parallel_generate
 from repro.core.selection import segmented_membership
 from repro.diffusion.base import get_model
 from repro.errors import ArtifactError, BackendError, ParameterError
 from repro.graph.datasets import load_dataset
 from repro.graph.io import graph_fingerprint
+from repro.kernels import KernelSampler, indexed_draws
+from repro.runtime.backends import SerialBackend
 from repro.service.artifacts import sketch_fingerprint
 from repro.service.cache import CacheEntry
 from repro.service.engine import EngineConfig, QueryEngine
@@ -154,7 +156,6 @@ class ShardWorker:
         *,
         replica_id: int = 0,
         config: EngineConfig | None = None,
-        sampling_workers: int = 1,
         dataset_scale: float = 1.0,
         segment_manager=None,
     ):
@@ -172,7 +173,6 @@ class ShardWorker:
         self.plan = plan
         self.name = plan.worker_name(shard_id, replica_id)
         self.engine = QueryEngine(config=config or EngineConfig())
-        self.sampling_workers = int(sampling_workers)
         self.dataset_scale = float(dataset_scale)
         self.segment_manager = segment_manager
         self.stats = WorkerStats()
@@ -190,6 +190,17 @@ class ShardWorker:
         for view in views:
             view.detach()
         self.engine.close()
+
+    def detach_views(self, segment_name: str) -> None:
+        """Detach this worker's views of one shm segment (a superseded
+        sketch slice being released)."""
+        keep = []
+        for view in self._views:
+            if view.segment_name == segment_name:
+                view.detach()
+            else:
+                keep.append(view)
+        self._views = keep
 
     def __enter__(self) -> "ShardWorker":
         return self
@@ -275,8 +286,7 @@ class ShardWorker:
         """(full-sketch fingerprint, this shard's sub-sketch fingerprint)."""
         _, gfp = self._resolve_graph(spec)
         fp = sketch_fingerprint(
-            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets,
-            kernel=self.engine.config.kernel,
+            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
         )
         return fp, shard_fingerprint(fp, self.shard_id, self.plan)
 
@@ -284,8 +294,7 @@ class ShardWorker:
         """(entry, warm, fp, shard_fp): cache → shm → artifact → cold stream."""
         graph, gfp = self._resolve_graph(spec)
         fp = sketch_fingerprint(
-            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets,
-            kernel=self.engine.config.kernel,
+            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
         )
         sub_fp = shard_fingerprint(fp, self.shard_id, self.plan)
         entry = self.engine.cache.get(sub_fp)
@@ -352,77 +361,33 @@ class ShardWorker:
     def _build_subsketch(
         self, graph: Any, spec: SketchSpec, fingerprint: str
     ) -> FlatRRRStore:
-        """Cold path: derive this shard's slice of the global sequence.
+        """Cold path: draw this shard's slice of the global sketch.
 
-        Replays :func:`parallel_generate`'s exact ordering — per-sampling-
-        worker seed streams, worker 0's sets first — appending only owned
-        global indices, so memory stays proportional to the owned slice.
-        The ``"balanced"`` strategy needs all set sizes up front and so
-        cannot stream; it materialises the full sketch transiently (prefer
-        ``repro shard build`` artifacts for that layout).
-
-        With an engine ``kernel`` configured the replay gets cheaper still:
-        counter streams are keyed by the global set index, so only the
-        *owned* indices are sampled at all — O(owned) work instead of a
-        full O(num_sets) pass — and the result still matches what a
-        single-node engine with the same kernel would draw.
+        Only the *owned* global indices are sampled, batch by batch, so the
+        work and the memory are O(owned) and the result matches what a
+        single-node engine draws at those indices.  The ``"balanced"``
+        strategy needs all set sizes up front and so cannot stream; it
+        materialises the full sketch transiently (prefer ``repro shard
+        build`` artifacts for that layout).
         """
-        kernel = self.engine.config.kernel
+        n = graph.num_vertices
+        store = make_store("flat", num_vertices=n, sort_sets=True)
         if self.plan.strategy == "balanced":
-            from repro.core.parallel_sampling import parallel_generate
-            from repro.runtime.backends import SerialBackend
-
             full = parallel_generate(
-                graph, spec.model, spec.num_sets,
-                num_workers=self.sampling_workers, seed=spec.seed,
-                backend=SerialBackend(),
-                kernel=kernel, kernel_batch=self.engine.config.kernel_batch,
+                graph, spec.model, spec.num_sets, num_workers=1,
+                seed=spec.seed, backend=SerialBackend(),
             )
             mask = self.plan.owned_mask(
                 fingerprint, len(full), self.shard_id, sizes=full.sizes()
             )
-            store = make_store("flat", num_vertices=graph.num_vertices, sort_sets=True)
-            for i in np.flatnonzero(mask).tolist():
-                store.append(full.get(i))
+            store.extend(full.get(i) for i in np.flatnonzero(mask).tolist())
             return store.trim()
 
         mask = self.plan.owned_mask(fingerprint, spec.num_sets, self.shard_id)
-        if kernel is not None:
-            from repro.kernels import KernelSampler
-            from repro.kernels.rng import coin_key, derive_keys, roots_for_indices
-
-            model = get_model(spec.model, graph)
-            owned = np.flatnonzero(mask).astype(np.int64)
-            roots = roots_for_indices(spec.seed, owned, graph.num_vertices)
-            keys = derive_keys(coin_key(spec.seed), owned)
-            flat, sizes, _ = KernelSampler(
-                model, kernel, self.engine.config.kernel_batch
-            ).sample_for_roots(roots, keys)
-            store = make_store(
-                "flat", num_vertices=graph.num_vertices, sort_sets=True
-            )
-            offsets = np.concatenate(([0], np.cumsum(sizes)))
-            for i in range(owned.size):
-                store.append(flat[offsets[i] : offsets[i + 1]])
-            return store.trim()
-        model = get_model(spec.model, graph)
-        n = graph.num_vertices
-        worker_seeds = [
-            int(r.integers(0, 2**62))
-            for r in spawn_rngs(spec.seed, self.sampling_workers)
-        ]
-        base, extra = divmod(spec.num_sets, self.sampling_workers)
-        store = make_store("flat", num_vertices=n, sort_sets=True)
-        g_index = 0
-        for w, wseed in enumerate(worker_seeds):
-            count = base + (1 if w < extra else 0)
-            rng = np.random.default_rng(wseed)
-            for _ in range(count):
-                root = int(rng.integers(0, n))
-                verts, _ = reverse_sample_with_cost(model, root, rng)
-                if mask[g_index]:
-                    store.append(np.sort(verts))
-                g_index += 1
+        owned = np.flatnonzero(mask).astype(np.int64)
+        sampler = KernelSampler(get_model(spec.model, graph))
+        for flat, sizes, _ in sampler.stream(*indexed_draws(spec.seed, owned, n)):
+            store.append_csr(flat, sizes)
         return store.trim()
 
     # ------------------------------------------------------- scatter protocol

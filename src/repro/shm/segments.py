@@ -425,6 +425,29 @@ class SegmentManager:
         if tel.enabled:
             tel.registry.counter("shm.detaches").inc()
 
+    def unlink(self, fingerprint: str) -> bool:
+        """Unlink one segment this manager created; returns whether it
+        existed.  Views still attached keep their mapping until detached."""
+        name = self.segment_name(fingerprint)
+        self._handles.pop(name, None)
+        shm = self._created.pop(name, None)
+        if shm is None:
+            return False
+        try:
+            shm.close()
+        except BufferError:  # a view still maps the buffer; unlink anyway
+            pass
+        shm.unlink()
+        tel = telemetry.get()
+        if tel.enabled:
+            reg = tel.registry
+            reg.counter("shm.unlinks").inc()
+            reg.gauge("shm.segments").set(len(self._created))
+            reg.gauge("shm.segment_bytes").set(
+                sum(s.size for s in self._created.values())
+            )
+        return True
+
     # ------------------------------------------------------------ diagnostics
     def leaked(self) -> list[str]:
         """Segment names with views attached through this manager that were

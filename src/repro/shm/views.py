@@ -78,6 +78,10 @@ class SharedFlatRRRStore(FlatRRRStore):
         self._privatize()
         super().extend(sets)
 
+    def append_csr(self, vertices, sizes) -> None:
+        self._privatize()
+        super().append_csr(vertices, sizes)
+
     def replace_sets(self, indices, new_sets) -> "SharedFlatRRRStore":
         self._privatize()
         super().replace_sets(indices, new_sets)

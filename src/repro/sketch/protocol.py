@@ -16,16 +16,12 @@ module is that statement:
   registry: a store may only expose a public method that is either in the
   protocol or declared here as a deliberate extra, so new surface area is
   an explicit decision, not an accident (tests/test_store_protocol.py);
-- :func:`make_store` — one construction entry point mirroring
-  :func:`~repro.runtime.backends.make_backend`; the pre-redesign positional
-  form keeps working through a shim that emits :class:`DeprecationWarning`
-  (messages start with ``"repro execution API: "`` so pyproject.toml's
-  filterwarnings escalates in-repo use).
+- :func:`make_store` — one keyword-only construction entry point
+  mirroring :func:`~repro.runtime.backends.make_backend`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -115,7 +111,9 @@ PROTOCOL_METHODS: frozenset[str] = frozenset(
 STORE_EXTRAS: dict[type, frozenset[str]] = {
     FlatRRRStore: frozenset(
         {
+            "append_csr",
             "from_arrays",
+            "membership_pairs",
             "offsets",
             "vertices",
             "total_entries",
@@ -171,10 +169,10 @@ def store_implementations() -> list[type]:
 STORE_KINDS = ("flat", "adaptive", "partitioned", "compressed", "shared")
 
 
-def make_store(kind: str, *args, num_vertices: int | None = None, **opts):
+def make_store(kind: str, *, num_vertices: int | None = None, **opts):
     """Factory: build any RRR store by kind (mirrors ``make_backend``).
 
-    Canonical, keyword-only forms::
+    Keyword-only forms::
 
         make_store("flat", num_vertices=n, sort_sets=True)
         make_store("flat", num_vertices=n, offsets=off, vertices=vs)  # rebuild
@@ -183,28 +181,7 @@ def make_store(kind: str, *args, num_vertices: int | None = None, **opts):
         make_store("compressed", num_vertices=n, codec="delta-varint")
         make_store("shared", handle=h)        # attach a repro.shm segment
         make_store("shared", name="rs-...")   # ... by raw segment name
-
-    The pre-redesign positional form ``make_store(kind, n, ...)`` keeps
-    working through a shim that emits :class:`DeprecationWarning`.
     """
-    if args:
-        if len(args) > 1:
-            raise ParameterError(
-                f"make_store takes at most one positional option, got {args!r}"
-            )
-        if num_vertices is not None:
-            raise ParameterError(
-                "make_store got num_vertices both positionally and by keyword"
-            )
-        warnings.warn(
-            "repro execution API: make_store(kind, num_vertices, ...) with a "
-            "positional vertex count is deprecated; pass it as a keyword, "
-            "e.g. make_store('flat', num_vertices=n)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        num_vertices = args[0]
-
     if kind == "shared":
         # Lazy import: repro.shm imports this package's stores.
         from repro import shm

@@ -25,6 +25,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro import telemetry
+from repro._util import stable_argsort
 from repro.errors import OutOfMemoryModelError, ParameterError
 from repro.sketch.rrr import AdaptivePolicy, RRRSet, make_rrr
 
@@ -104,6 +105,41 @@ class FlatRRRStore:
     def extend(self, sets: Sequence[np.ndarray]) -> None:
         for s in sets:
             self.append(s)
+
+    def append_csr(self, vertices: np.ndarray, sizes: np.ndarray) -> None:
+        """Add ``len(sizes)`` sets at once from CSR form: set *j* is the
+        next ``sizes[j]`` entries of ``vertices``.
+
+        Equivalent to appending each set in turn (same preconditions, same
+        resulting bytes), but one bulk copy instead of a Python call per
+        set — the path every sampler streams its batches through.
+        """
+        verts = np.asarray(vertices, dtype=np.int32).ravel()
+        sizes = np.asarray(sizes, dtype=np.int64).ravel()
+        if int(sizes.sum()) != verts.size:
+            raise ParameterError(
+                f"sizes sum to {int(sizes.sum())} but there are "
+                f"{verts.size} vertices"
+            )
+        if self.sort_sets and verts.size:
+            # One sort of (set, vertex) keys orders every set at once.
+            sets = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+            keyed = np.sort(sets * self.num_vertices + verts)
+            verts = (keyed - sets * self.num_vertices).astype(np.int32)
+        need = self._num_entries + verts.size
+        if need > self._verts.size:
+            new_cap = max(int(self._verts.size * _GROW), need)
+            self._verts = np.resize(self._verts, new_cap)
+        last = self._num_sets + sizes.size
+        if last + 1 > self._offsets.size:
+            new_cap = max(int(self._offsets.size * _GROW) + 2, last + 1)
+            self._offsets = np.resize(self._offsets, new_cap)
+        self._verts[self._num_entries : need] = verts
+        np.cumsum(sizes, out=self._offsets[self._num_sets + 1 : last + 1])
+        self._offsets[self._num_sets + 1 : last + 1] += self._num_entries
+        self._num_entries = need
+        self._num_sets = last
+        self._index = None
 
     @classmethod
     def from_arrays(
@@ -205,10 +241,32 @@ class FlatRRRStore:
         ptr, set_ids = self._index
         return np.unique(set_ids[ptr[v] : ptr[v + 1]])
 
+    def membership_pairs(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(set, i)`` with ``vertices[i]`` in set ``set``, as two
+        aligned arrays (``i`` ascending, then set ascending).
+
+        :meth:`sets_containing` for many vertices in one vectorised
+        gather from the inverted index.
+        """
+        vs = np.asarray(vertices, dtype=np.int64).ravel()
+        if self._index is None:
+            self._build_index()
+        assert self._index is not None
+        ptr, set_ids = self._index
+        lo = ptr[vs]
+        lengths = ptr[vs + 1] - lo
+        starts = np.cumsum(lengths) - lengths
+        pos = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+            lo - starts, lengths
+        )
+        return set_ids[pos], np.repeat(np.arange(vs.size), lengths)
+
     def _build_index(self) -> None:
         """Build the inverted index: for each vertex, which sets hold it."""
         verts = self.vertices
-        order = np.argsort(verts, kind="stable")
+        order = stable_argsort(verts)
         set_ids = np.repeat(
             np.arange(self._num_sets, dtype=np.int64), self.sizes()
         )[order]

@@ -119,19 +119,18 @@ class TestDistributedIMM:
         dimm = DistributedIMM(skitter, cluster)
         params = IMMParams(k=6, theta_cap=450, seed=7)
 
-        # Reconstruct the union store with the same spawned RNG streams.
-        from repro._util import spawn_rngs
+        # Reconstruct the union store from the per-rank keyed seeds.
         from repro.core.sampling import RRRSampler, SamplingConfig
         from repro.diffusion.base import get_model
+        from repro.kernels.rng import rank_seed
 
         res = dimm.run(params)
-        rngs = spawn_rngs(params.seed, 3)
         union = FlatRRRStore(skitter.num_vertices, sort_sets=True)
         for r, count in enumerate(res.sets_per_rank):
             sampler = RRRSampler(
                 get_model("IC", skitter),
                 SamplingConfig.efficientimm(num_threads=1),
-                seed=rngs[r],
+                seed=rank_seed(params.seed, r),
             )
             sampler.extend(count)
             for s in sampler.store:

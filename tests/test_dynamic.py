@@ -360,7 +360,8 @@ class TestMaintainerCheckpoint:
 
     def test_resume_continues_identically(self, tmp_path):
         """checkpoint → restore → apply == uninterrupted apply, bit for bit
-        (the RNG state round-trips through the checkpoint)."""
+        (every draw is keyed by seed, epoch and set index, so the sketch
+        and its roots are all the state there is)."""
         runs = []
         for resume in (False, True):
             d = DeltaGraph(random_graph())
@@ -385,6 +386,30 @@ class TestMaintainerCheckpoint:
         d.insert(0, 5, 0.5)
         d.commit()  # delta moved on; checkpoint is now for another graph
         with pytest.raises(ArtifactError, match="replay"):
+            IncrementalMaintainer.from_checkpoint(
+                tmp_path, d, num_sets=m.num_sets, seed=m.seed
+            )
+
+    def test_pre_bump_checkpoint_refused(self, tmp_path, maintained):
+        """A version-1 checkpoint (Generator-drawn sets plus the Generator
+        state) is refused, never resumed into a mixed stream."""
+        from repro.service.artifacts import save_store
+
+        d, m = maintained
+        save_store(
+            m.store,
+            m.checkpoint_path(tmp_path),
+            fingerprint=m.checkpoint_key(),
+            counter=m.counter,
+            meta={
+                "dynamic_checkpoint_version": 1,
+                "epoch": m.epoch,
+                "graph_fp": d.fingerprint(),
+                "roots": [int(r) for r in m.roots],
+                "rng_state": np.random.default_rng(0).bit_generator.state,
+            },
+        )
+        with pytest.raises(ArtifactError, match="checkpoint version 1"):
             IncrementalMaintainer.from_checkpoint(
                 tmp_path, d, num_sets=m.num_sets, seed=m.seed
             )
@@ -466,6 +491,57 @@ class TestDynamicService:
             fp0 = svc.current_fingerprint()
             svc.apply([EdgeUpdate("insert", 0, 5, 0.9)])
             assert svc.current_fingerprint() != fp0
+
+    @pytest.mark.parametrize("custom_config", (False, True))
+    def test_answers_hit_the_published_sketch(self, tmp_path, custom_config):
+        """Every answer comes from the sketch the service published (never
+        a cold sample of some other stream), under any engine config."""
+        from repro.service import EngineConfig
+
+        config = (
+            EngineConfig(artifact_dir=tmp_path, cache_budget_bytes=64 << 20)
+            if custom_config
+            else None
+        )
+        g = random_graph()
+        with DynamicService("live", g, num_sets=96, seed=1, config=config) as svc:
+            for step in range(3):
+                resp = svc.query(k=4)
+                assert resp.ok and resp.cached, resp
+                assert list(resp.seeds) == svc.maintainer.select(4).seeds.tolist()
+                svc.apply([EdgeUpdate("insert", step, 40 + step, 0.7)])
+            assert svc.engine.stats.cold_samples == 0
+
+    def test_superseded_epochs_are_released(self):
+        """Publishing an epoch drops the one it replaced: the service's
+        engine and every shard replica keep one sketch per dataset, and
+        the cluster's shm segments stay one per shard."""
+        from repro import shm
+        from repro.service import IMQuery
+        from repro.shard import ShardCluster, ShardPlan
+
+        g = random_graph()
+        rng = np.random.default_rng(4)
+        with shm.SegmentManager(prefix="tsup") as mgr:
+            cluster = ShardCluster(
+                ShardPlan(num_shards=2, replication=2), segment_manager=mgr
+            )
+            with DynamicService("live", g, num_sets=64, seed=1) as svc:
+                svc.add_publish_hook(cluster.publish)
+                for _ in range(20):
+                    u, v = (int(x) for x in rng.choice(80, size=2, replace=False))
+                    op = "delete" if svc.delta.has_edge(u, v) else "insert"
+                    svc.apply([EdgeUpdate(op, u, v, None if op == "delete" else 0.5)])
+                assert len(svc.engine.cache) == 1
+                assert [len(w.engine.cache) for w in cluster.workers] == [1] * 4
+                assert len(mgr.segments()) == 2
+                routed = cluster.execute([
+                    IMQuery("live", k=3, epsilon=svc.epsilon, seed=svc.seed,
+                            theta_cap=svc.num_sets)
+                ])[0]
+                assert routed.ok and routed.seeds == svc.query(k=3).seeds
+            cluster.close()
+            assert mgr.leaked() == []
 
     def test_failed_repair_serves_degraded(self, monkeypatch):
         g = random_graph()

@@ -64,6 +64,28 @@ class TestGoldenRuns:
         # Coverage fraction is a pure function of the pinned RNG stream.
         assert 0.3 < res.coverage_fraction < 0.9
 
+    def test_sampling_stream_pinned(self):
+        """Pinned: the bytes of the one sampling stream (counter-keyed by
+        seed and set index, drawn in two extends).
+
+        Regenerate:  python -c "from repro.graph.datasets import
+        load_dataset; from repro.diffusion.base import get_model; from
+        repro.core.sampling import RRRSampler, SamplingConfig; g =
+        load_dataset('amazon', model='IC', seed=0, scale=0.5); s =
+        RRRSampler(get_model('IC', g), SamplingConfig.efficientimm(),
+        seed=7); s.extend(300); s.extend(1000); print(s.store.fingerprint())"
+        """
+        from repro.core.sampling import RRRSampler, SamplingConfig
+        from repro.diffusion.base import get_model
+
+        g = load_dataset("amazon", model="IC", seed=0, scale=0.5)
+        sampler = RRRSampler(
+            get_model("IC", g), SamplingConfig.efficientimm(), seed=7
+        )
+        sampler.extend(300)
+        sampler.extend(1000)
+        assert sampler.store.fingerprint() == "6fb6b04ca983e2c8"
+
     def test_run_is_bit_stable_across_invocations(self):
         g = load_dataset("google", model="IC", seed=0)
         params = IMMParams(k=6, theta_cap=300, seed=42)

@@ -1,14 +1,19 @@
 """Equivalence suite for :mod:`repro.kernels`.
 
 The batched kernel's contract is *byte-identity*: the same ``(seed, set
-index)`` always yields the same RRR set, no matter which kernel ran, how
-sets were batched, how many workers drew them, or which process start
-method launched those workers.  These tests prove the contract on adversarial
-graph shapes (disconnected components, self-loops, zero-probability edges)
-and all the integration seams (RRRSampler, parallel_generate, run_imm).
+index)`` always yields the same RRR set, no matter how sets were batched,
+how many workers drew them, or which process start method launched those
+workers — and it is exactly the set the independent scalar reference
+(:mod:`repro.kernels.scalar`, the test oracle) draws.  These tests prove
+the contract on adversarial graph shapes (disconnected components,
+self-loops, zero-probability edges) and all the integration seams
+(RRRSampler, parallel_generate, run_imm, the dynamic maintainer), by
+re-running each seam at other batch sizes and with the oracle swapped in.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -24,8 +29,8 @@ from repro.graph.builder import GraphBuilder, from_edge_array
 from repro.graph.generators import erdos_renyi
 from repro.graph.weights import assign_ic_weights, assign_lt_weights
 from repro.kernels import (
+    BatchedSampler,
     KernelSampler,
-    check_kernel,
     coin_key,
     counter_uniforms,
     derive_key,
@@ -34,9 +39,24 @@ from repro.kernels import (
     sample_batched,
     sample_scalar,
 )
+from repro.kernels import dispatch
 from repro.runtime.backends import SerialBackend
 
 BATCHES = (1, 7, 64)
+
+
+@contextmanager
+def kernel_mode(kernel, batch):
+    """Route every sampler through the batched kernel at ``batch`` sets
+    per pass, or (``kernel="scalar"``) through the scalar oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispatch, "BATCH_SIZE", batch)
+        if kernel == "scalar":
+            mp.setattr(
+                BatchedSampler, "sample",
+                lambda self, roots, keys: sample_scalar(self.model, roots, keys),
+            )
+        yield
 
 
 def random_graph(model="IC", n=300, m=1200, seed=7):
@@ -183,7 +203,7 @@ class TestKernelEquivalence:
 
     def test_chunk_split_invariance(self):
         g = random_graph()
-        ks = KernelSampler(get_model("IC", g), "batched", 32)
+        ks = KernelSampler(get_model("IC", g))
         whole = ks.sample_indexed(5, 0, 200)
         a = ks.sample_indexed(5, 0, 90)
         b = ks.sample_indexed(5, 90, 110)
@@ -198,12 +218,11 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------- integration seams
-def kernel_store(graph, model_name, kernel, count=160, seed=9, batch=64):
-    cfg = SamplingConfig.efficientimm(
-        num_threads=1, kernel=kernel, kernel_batch=batch
-    )
-    sampler = RRRSampler(get_model(model_name, graph), cfg, seed=seed)
-    sampler.extend(count)
+def kernel_store(graph, model_name, kernel="batched", count=160, seed=9, batch=64):
+    with kernel_mode(kernel, batch):
+        cfg = SamplingConfig.efficientimm(num_threads=1)
+        sampler = RRRSampler(get_model(model_name, graph), cfg, seed=seed)
+        sampler.extend(count)
     return sampler
 
 
@@ -219,8 +238,8 @@ class TestSamplerIntegration:
 
     def test_incremental_extend_matches_one_shot(self):
         g = random_graph()
-        a = kernel_store(g, "IC", "batched", count=150)
-        b = kernel_store(g, "IC", "batched", count=60)
+        a = kernel_store(g, "IC", count=150)
+        b = kernel_store(g, "IC", count=60)
         b.extend(150)
         assert a.store.fingerprint() == b.store.fingerprint()
         assert a.per_set_costs == b.per_set_costs
@@ -228,12 +247,12 @@ class TestSamplerIntegration:
 
     def test_fused_counter_matches_store(self):
         g = random_graph()
-        s = kernel_store(g, "IC", "batched")
+        s = kernel_store(g, "IC")
         np.testing.assert_array_equal(s.counter, s.store.vertex_counts())
 
     def test_kernel_requires_integer_seed(self):
         g = random_graph()
-        cfg = SamplingConfig.efficientimm(num_threads=1, kernel="batched")
+        cfg = SamplingConfig.efficientimm(num_threads=1)
         with pytest.raises(ParameterError):
             RRRSampler(get_model("IC", g), cfg, seed=np.random.default_rng(0))
 
@@ -241,94 +260,135 @@ class TestSamplerIntegration:
     def test_parallel_generate_worker_invariance(self, workers):
         g = random_graph()
         ref = parallel_generate(
-            g, "IC", 120, num_workers=1, seed=4,
-            backend=SerialBackend(), kernel="batched",
+            g, "IC", 120, num_workers=1, seed=4, backend=SerialBackend(),
         )
-        got = parallel_generate(
-            g, "IC", 120, num_workers=workers, seed=4,
-            backend=SerialBackend(), kernel="batched", kernel_batch=16,
-        )
+        with kernel_mode("batched", 16):
+            got = parallel_generate(
+                g, "IC", 120, num_workers=workers, seed=4,
+                backend=SerialBackend(),
+            )
         assert ref.fingerprint() == got.fingerprint()
 
     def test_parallel_generate_kernels_and_processes_agree(self):
         g = random_graph()
-        serial = parallel_generate(
-            g, "IC", 90, num_workers=2, seed=4,
-            backend=SerialBackend(), kernel="scalar",
-        )
-        procs = parallel_generate(
-            g, "IC", 90, num_workers=2, seed=4, kernel="batched"
-        )
+        with kernel_mode("scalar", 1):
+            serial = parallel_generate(
+                g, "IC", 90, num_workers=2, seed=4, backend=SerialBackend(),
+            )
+        procs = parallel_generate(g, "IC", 90, num_workers=2, seed=4)
         assert serial.fingerprint() == procs.fingerprint()
+
+    def test_parallel_generate_matches_sampler(self):
+        """One stream: the worker pool and the in-process sampler hold
+        the same sets at the same indices."""
+        g = random_graph()
+        pooled = parallel_generate(
+            g, "IC", 130, num_workers=3, seed=9, backend=SerialBackend(),
+        )
+        assert pooled.fingerprint() == kernel_store(g, "IC", count=130).store.fingerprint()
 
     def test_final_selection_invariant_across_kernels(self):
         g = random_graph()
-        results = [
-            EfficientIMM(g).run(
-                IMMParams(
-                    k=5, model="IC", theta_cap=400, seed=2,
-                    kernel=k, kernel_batch=b,
+        results = []
+        for k, b in (("batched", 64), ("batched", 5), ("scalar", 64)):
+            with kernel_mode(k, b):
+                results.append(
+                    EfficientIMM(g).run(
+                        IMMParams(k=5, model="IC", theta_cap=400, seed=2)
+                    )
                 )
-            )
-            for k, b in (("batched", 64), ("batched", 5), ("scalar", 64))
-        ]
         seeds = {tuple(r.seeds.tolist()) for r in results}
         assert len(seeds) == 1
 
-    def test_legacy_path_untouched_by_kernel_flag(self):
-        g = random_graph()
-        a = parallel_generate(
-            g, "IC", 60, num_workers=2, seed=4, backend=SerialBackend()
-        )
-        b = parallel_generate(
-            g, "IC", 60, num_workers=2, seed=4, backend=SerialBackend()
-        )
-        assert a.fingerprint() == b.fingerprint()
-
 
 # -------------------------------------------------- dynamic maintenance
+def grow_reference(model, members, frontier, key, counter):
+    """Per-set IC continuation in the canonical order, one set at a time:
+    the oracle for :meth:`BatchedSampler.grow`."""
+    rev = model.reverse_graph
+    seen = set(members.tolist()) | set(frontier.tolist())
+    out = sorted(set(frontier.tolist()))
+    level = out
+    while level:
+        nbrs, probs = [], []
+        for v in level:
+            lo, hi = rev.indptr[v], rev.indptr[v + 1]
+            nbrs.extend(rev.indices[lo:hi].tolist())
+            probs.extend(rev.probs[lo:hi].tolist())
+        u = counter_uniforms(key, np.arange(counter, counter + len(nbrs)))
+        counter += len(nbrs)
+        live = {w for w, p, x in zip(nbrs, probs, u) if x < p}
+        level = sorted(live - seen)
+        seen |= live
+        out += level
+    return np.array(out, dtype=np.int32)
+
+
 class TestMaintainerKernel:
-    def drive(self, kernel, batch):
+    def drive(self, kernel, batch, inserts=0):
+        """Replay three update batches; returns (maintainer, sets extended)."""
         from repro.dynamic import DeltaGraph, IncrementalMaintainer
 
-        d = DeltaGraph(random_graph(n=80, m=320))
-        m = IncrementalMaintainer(
-            d, num_sets=150, seed=3, kernel=kernel, kernel_batch=batch,
-            full_resample_threshold=1.0,
-        )
-        rng = np.random.default_rng(11)
-        for _ in range(3):
-            src, dst, _ = d.compact().edge_array()
-            picks = rng.choice(src.size, size=4, replace=False)
-            for j in picks:
-                u, v = int(src[j]), int(dst[j])
-                if d.has_edge(u, v):
-                    d.reweight(u, v, float(rng.random()))
-            m.apply(d.commit())
-        return m
+        extended = 0
+        with kernel_mode(kernel, batch):
+            d = DeltaGraph(random_graph(n=80, m=320))
+            m = IncrementalMaintainer(
+                d, num_sets=150, seed=3, full_resample_threshold=1.0,
+            )
+            rng = np.random.default_rng(11)
+            for _ in range(3):
+                src, dst, _ = d.compact().edge_array()
+                picks = rng.choice(src.size, size=4, replace=False)
+                for j in picks:
+                    u, v = int(src[j]), int(dst[j])
+                    if d.has_edge(u, v):
+                        d.reweight(u, v, float(rng.random()))
+                for _ in range(inserts):
+                    u, v = (int(x) for x in rng.integers(0, 80, size=2))
+                    if u != v and not d.has_edge(u, v):
+                        d.insert(u, v, float(rng.uniform(0.2, 0.9)))
+                extended += m.apply(d.commit()).extended
+        return m, extended
 
     def test_replay_byte_identical_across_kernels_and_batches(self):
         fps = {
-            self.drive(k, b).store.fingerprint()
+            self.drive(k, b)[0].store.fingerprint()
             for k, b in (("batched", 64), ("batched", 7), ("scalar", 1))
         }
         assert len(fps) == 1
 
-    def test_checkpoint_key_stable_for_legacy_and_distinct_for_kernel(self):
-        from repro.dynamic import DeltaGraph, IncrementalMaintainer
+    def test_insert_extension_batch_invariant(self):
+        runs = [self.drive("batched", b, inserts=12) for b in BATCHES]
+        assert all(extended > 0 for _, extended in runs)
+        assert len({m.store.fingerprint() for m, _ in runs}) == 1
+        for m, _ in runs:
+            np.testing.assert_array_equal(m.counter, m.store.vertex_counts())
 
-        d = DeltaGraph(random_graph(n=80, m=320))
-        legacy = IncrementalMaintainer(d, num_sets=10, seed=0, build=False)
-        batched = IncrementalMaintainer(
-            d, num_sets=10, seed=0, build=False, kernel="batched"
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_grow_matches_reference(self, batch):
+        g = random_graph(n=120, m=480)
+        model = get_model("IC", g)
+        flat, sizes, _ = sample_batched(model, *draws_for(g, count=40))
+        members = np.split(flat, np.cumsum(sizes)[:-1])
+        rng = np.random.default_rng(5)
+        frontiers = [
+            np.unique(rng.choice(np.setdiff1d(np.arange(120), m), size=2))
+            for m in members
+        ]
+        keys = derive_keys(derive_key(1, 4, 2), np.arange(40))
+        counters = rng.integers(0, 50, size=40).astype(np.uint64)
+        added, added_sizes = BatchedSampler(model, batch).grow(
+            (flat, sizes),
+            (np.concatenate(frontiers), np.array([f.size for f in frontiers])),
+            keys, counters,
         )
-        wide = IncrementalMaintainer(
-            d, num_sets=10, seed=0, build=False,
-            kernel="batched", kernel_batch=7,
-        )
-        assert legacy.checkpoint_key() != batched.checkpoint_key()
-        # batch size never changes bytes, so it must not change the key
-        assert batched.checkpoint_key() == wide.checkpoint_key()
+        got = np.split(added, np.cumsum(added_sizes)[:-1])
+        for i in range(40):
+            ref = grow_reference(
+                model, members[i], frontiers[i], int(keys[i]), int(counters[i])
+            )
+            np.testing.assert_array_equal(got[i], ref)
+            assert not np.intersect1d(got[i], members[i]).size
 
 
 # ------------------------------------------------------------- telemetry
@@ -336,39 +396,21 @@ class TestKernelTelemetry:
     def test_kernels_metric_family(self):
         g = random_graph()
         with telemetry.session() as tel:
-            kernel_store(g, "IC", "batched", count=100)
+            kernel_store(g, "IC", count=100)
         snap = tel.snapshot()
         assert snap["counters"]["kernels.sets"] == 100
         assert snap["counters"]["kernels.edges"] > 0
-        assert snap["counters"]["kernels.calls.batched"] >= 1
+        assert snap["counters"]["kernels.calls"] >= 1
         assert snap["counters"]["kernels.levels"] >= 1
         assert "kernels.batch_occupancy" in snap["histograms"]
         assert snap["gauges"]["kernels.sets_per_sec"] > 0
 
-    def test_scalar_kernel_reports_too(self):
-        g = random_graph()
-        with telemetry.session() as tel:
-            kernel_store(g, "IC", "scalar", count=40)
-        snap = tel.snapshot()
-        assert snap["counters"]["kernels.calls.scalar"] >= 1
-        assert "kernels.levels" not in snap["counters"]
-
 
 # ------------------------------------------------------------- validation
 class TestValidation:
-    def test_check_kernel(self):
-        assert check_kernel(None) is None
-        assert check_kernel("batched") == "batched"
-        with pytest.raises(ParameterError):
-            check_kernel("simd")
-
     def test_imm_params_validate_kernel(self):
-        with pytest.raises(ParameterError):
-            IMMParams(k=1, kernel="turbo")
-        with pytest.raises(ParameterError):
-            IMMParams(k=1, kernel="batched", kernel_batch=0)
-
-    def test_kernel_sampler_needs_explicit_kernel(self):
-        g = random_graph()
-        with pytest.raises(ParameterError):
-            KernelSampler(get_model("IC", g), None)  # type: ignore[arg-type]
+        """There is one sampling stream: the old selector knobs are gone."""
+        with pytest.raises(TypeError):
+            IMMParams(k=1, kernel="batched")
+        with pytest.raises(TypeError):
+            IMMParams(k=1, kernel_batch=8)

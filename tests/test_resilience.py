@@ -577,8 +577,8 @@ class TestSamplingCheckpointer:
         fresh = _make_sampler(amazon_graph)
         assert ck.restore(fresh) == 0
         assert len(fresh.store) == 50
-        # Continuing both samplers must produce identical futures: the RNG
-        # state travelled with the checkpoint.
+        # Continuing both samplers must produce identical futures: every
+        # set is keyed by (seed, index), and the index is the store length.
         sampler.extend(80)
         fresh.extend(80)
         assert np.array_equal(
@@ -601,6 +601,25 @@ class TestSamplingCheckpointer:
             SamplingCheckpointer(tmp_path, "key-b").restore(
                 _make_sampler(amazon_graph)
             )
+
+    def test_pre_bump_checkpoint_refused(self, amazon_graph, tmp_path):
+        """A version-1 checkpoint (Generator-drawn sets plus the Generator
+        state) is refused, never resumed into a mixed stream."""
+        from repro.service.artifacts import save_store
+
+        sampler = _make_sampler(amazon_graph)
+        sampler.extend(10)
+        ck = SamplingCheckpointer(tmp_path, "old")
+        save_store(
+            sampler.store, ck.path(), fingerprint="old",
+            counter=sampler.counter,
+            meta={
+                "checkpoint_version": 1, "run_key": "old", "batch_index": 0,
+                "rng_state": np.random.default_rng(0).bit_generator.state,
+            },
+        )
+        with pytest.raises(ArtifactError, match="checkpoint version 1"):
+            ck.restore(_make_sampler(amazon_graph))
 
     def test_cadence(self, amazon_graph, tmp_path):
         sampler = _make_sampler(amazon_graph)

@@ -130,43 +130,35 @@ class TestExecutionContext:
 
 # -------------------------------------------------------- deprecation shims
 class TestDeprecationShims:
-    """Old positional call forms still work but warn; pyproject escalates
-    the warning to an error for in-repo callers, so everything here goes
-    through pytest.warns."""
+    """The pre-redesign positional call forms are gone: each fails at the
+    call site, and the keyword / config forms work."""
 
     def test_make_backend_positional_name(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            b = make_backend("serial")
-        assert isinstance(b, SerialBackend)
+        with pytest.raises(BackendError, match="takes a BackendConfig"):
+            make_backend("serial")
 
     def test_make_backend_positional_with_workers(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            b = make_backend("multiprocess", 1)
-        assert b.num_workers == 1
-        b.close()
+        with pytest.raises(TypeError):
+            make_backend("multiprocess", 1)
 
     def test_make_backend_no_args_defaults_serial(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            assert isinstance(make_backend(), SerialBackend)
+        assert isinstance(make_backend(), SerialBackend)
 
     def test_make_backend_config_plus_extras_rejected(self):
-        with pytest.raises(BackendError, match="no extra arguments"):
+        with pytest.raises(TypeError):
             make_backend(BackendConfig(), num_workers=2)
 
     def test_workqueue_positional(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            q = ChunkedWorkQueue(10, 2, 5)
-        assert q.num_workers == 2 and q.remaining() == 2
+        with pytest.raises(TypeError):
+            ChunkedWorkQueue(10, 2, 5)
 
     def test_workqueue_positional_workers_only(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            q = ChunkedWorkQueue(4, 2)
-        assert q.remaining() == 4  # chunk_size defaults to 1
+        with pytest.raises(TypeError):
+            ChunkedWorkQueue(4, 2)
 
     def test_workqueue_too_many_positionals(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            with pytest.raises(ParameterError, match="positional"):
-                ChunkedWorkQueue(10, 2, 5, 7)
+        with pytest.raises(TypeError):
+            ChunkedWorkQueue(10, 2, 5, 7)
 
     def test_workqueue_config_form(self):
         cfg = BackendConfig(num_workers=2, chunk_size=5)
@@ -183,15 +175,12 @@ class TestDeprecationShims:
             ChunkedWorkQueue(10)
 
     def test_query_engine_positional(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            eng = QueryEngine(EngineConfig(default_theta=300))
-        assert eng.config.default_theta == 300
-        eng.close()
+        with pytest.raises(TypeError):
+            QueryEngine(EngineConfig(default_theta=300))
 
     def test_query_engine_positional_and_keyword_rejected(self):
-        with pytest.warns(DeprecationWarning, match="repro execution API"):
-            with pytest.raises(ParameterError):
-                QueryEngine(EngineConfig(), config=EngineConfig())
+        with pytest.raises(TypeError):
+            QueryEngine(EngineConfig(), config=EngineConfig())
 
     def test_query_engine_accepts_external_context(self):
         ctx = ExecutionContext(BackendConfig(telemetry_label="service"))

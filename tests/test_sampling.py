@@ -8,10 +8,10 @@ from repro.core.sampling import (
     SamplingConfig,
     charge_per_set,
     modelled_store_bytes,
-    reverse_sample_with_cost,
 )
 from repro.diffusion.base import get_model
 from repro.errors import OutOfMemoryModelError, ParameterError
+from repro.kernels import KernelSampler, coin_key, derive_keys
 from repro.sketch.rrr import AdaptivePolicy
 
 from conftest import make_graph
@@ -23,33 +23,53 @@ def chain_model():
     return get_model("IC", g)
 
 
+def sample_with_cost(model, root):
+    """One kernel set from ``root``: ``(vertices, edges examined)``."""
+    keys = derive_keys(coin_key(3), np.array([0]))
+    flat, _sizes, edges = KernelSampler(model).sample_for_roots(
+        np.array([root]), keys
+    )
+    return flat, int(edges[0])
+
+
 class TestReverseSampleWithCost:
-    def test_ic_counts_edges(self, chain_model, rng):
-        verts, edges = reverse_sample_with_cost(chain_model, 9, rng)
+    """The per-set traversal cost the kernel reports with each set."""
+
+    def test_ic_counts_edges(self, chain_model):
+        verts, edges = sample_with_cost(chain_model, 9)
         assert sorted(verts.tolist()) == list(range(10))
         # Chain: each of the 9 in-edges examined exactly once.
         assert edges == 9
 
-    def test_ic_no_inedges(self, chain_model, rng):
-        verts, edges = reverse_sample_with_cost(chain_model, 0, rng)
+    def test_ic_no_inedges(self, chain_model):
+        verts, edges = sample_with_cost(chain_model, 0)
         assert verts.tolist() == [0]
         assert edges == 0
 
-    def test_lt_cost_is_path_length(self, rng):
+    def test_lt_cost_is_path_length(self):
         g = make_graph([(0, 1, 1.0), (1, 2, 1.0)], n=3)
         model = get_model("LT", g)
-        verts, cost = reverse_sample_with_cost(model, 2, rng)
+        verts, cost = sample_with_cost(model, 2)
         assert cost == verts.size
 
     def test_matches_plain_reverse_sample_distribution(self, amazon_ic):
-        # Same seed stream => same sets as the uninstrumented sampler.
-        model_a = get_model("IC", amazon_ic)
-        model_b = get_model("IC", amazon_ic)
-        ra, rb = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(5):
-            va, _ = reverse_sample_with_cost(model_a, 7, ra)
-            vb = model_b.reverse_sample(7, rb)
-            assert np.array_equal(np.sort(va), np.sort(vb))
+        # Kernel sets from a fixed root have the size distribution of the
+        # model's own per-root sampler.
+        model = get_model("IC", amazon_ic)
+        draws = 300
+        keys = derive_keys(coin_key(5), np.arange(draws))
+        _flat, kernel_sizes, _ = KernelSampler(model).sample_for_roots(
+            np.full(draws, 7), keys
+        )
+        rng = np.random.default_rng(3)
+        plain_sizes = np.array(
+            [model.reverse_sample(7, rng).size for _ in range(draws)]
+        )
+        diff = kernel_sizes.mean() - plain_sizes.mean()
+        stderr = np.sqrt(
+            (kernel_sizes.var() + plain_sizes.var()) / draws
+        )
+        assert abs(diff) <= 4 * stderr + 1e-9
 
 
 class TestModelledStoreBytes:

@@ -528,6 +528,35 @@ class TestEnginePersistence:
         assert eng2.stats.artifact_corrupt == 1
         assert eng2.stats.cold_samples == 1
 
+    def test_legacy_keyed_artifact_never_read(self, tmp_path):
+        """Sketches drawn by the retired sequential-Generator sampler were
+        keyed without the stream tag; an artifact under such a key is never
+        addressed, so its sets cannot stand in for the keyed sketch."""
+        import hashlib
+
+        from repro.graph.datasets import load_dataset
+
+        q = _q(k=5)
+        graph = load_dataset(q.dataset, model=q.model, seed=q.seed)
+        legacy_key = (
+            f"{graph_fingerprint(graph)}:{q.model}:{float(q.epsilon):.12g}:"
+            f"{q.seed}:{THETA}"
+        )
+        legacy_fp = hashlib.sha256(legacy_key.encode()).hexdigest()[:16]
+        bogus = FlatRRRStore(graph.num_vertices, sort_sets=True)
+        bogus.extend([np.array([v]) for v in range(THETA)])
+        ArtifactStore(tmp_path).save_sketch(legacy_fp, bogus)
+        cfg = EngineConfig(default_theta=THETA, artifact_dir=tmp_path)
+        with QueryEngine(config=cfg) as eng:
+            got = eng.query(q)
+        with QueryEngine(config=EngineConfig(default_theta=THETA)) as ref:
+            want = ref.query(q)
+        assert got.ok and got.seeds == want.seeds
+        assert eng.stats.artifact_loads == 0 and eng.stats.cold_samples == 1
+        assert legacy_fp != sketch_fingerprint(
+            graph_fingerprint(graph), q.model, q.epsilon, q.seed, THETA
+        )
+
     def test_persist_false_writes_nothing(self, tmp_path):
         cfg = EngineConfig(
             default_theta=THETA, artifact_dir=tmp_path, persist=False

@@ -70,6 +70,29 @@ class TestFlatRRRStore:
         assert len(s) == 1 and s.get(0).size == 0
 
 
+    @pytest.mark.parametrize("sort_sets", (False, True))
+    def test_append_csr_matches_per_set_appends(self, sort_sets):
+        rng = np.random.default_rng(4)
+        sets = [
+            rng.permutation(50)[: rng.integers(0, 9)].astype(np.int32)
+            for _ in range(40)
+        ]
+        one = FlatRRRStore(50, sort_sets=sort_sets)
+        one.extend(sets)
+        bulk = FlatRRRStore(50, sort_sets=sort_sets)
+        for lo in range(0, 40, 13):  # uneven batches across growth steps
+            chunk = sets[lo : lo + 13]
+            bulk.append_csr(
+                np.concatenate(chunk), np.array([s.size for s in chunk])
+            )
+        assert bulk.fingerprint() == one.fingerprint()
+        np.testing.assert_array_equal(bulk.offsets, one.offsets)
+
+    def test_append_csr_rejects_size_mismatch(self):
+        with pytest.raises(ParameterError, match="sizes sum"):
+            FlatRRRStore(5).append_csr(np.array([1, 2]), np.array([3]))
+
+
 class TestAdaptiveRRRStore:
     def test_ripples_mode_all_lists(self):
         s = AdaptiveRRRStore(100, policy=None)

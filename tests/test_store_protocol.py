@@ -222,14 +222,11 @@ def test_make_store_rejects_unknown_kind_and_bad_options():
         make_store("shared")
 
 
-def test_make_store_positional_form_warns_deprecation():
-    with pytest.warns(DeprecationWarning, match="repro execution API: "):
-        store = make_store("flat", N, sort_sets=True)
-    assert store.num_vertices == N
-    with pytest.raises(ParameterError, match="both positionally and by keyword"):
+def test_make_store_positional_form_rejected():
+    with pytest.raises(TypeError):
+        make_store("flat", N, sort_sets=True)
+    with pytest.raises(TypeError):
         make_store("flat", N, num_vertices=N)
-    with pytest.raises(ParameterError, match="at most one positional"):
-        make_store("flat", N, True)
 
 
 def test_make_store_shared_attaches_by_handle_name_and_manager():

@@ -14,7 +14,6 @@ from repro._util import (
     human_bytes,
     human_time,
     log2ceil,
-    spawn_rngs,
 )
 
 
@@ -26,27 +25,6 @@ class TestRng:
     def test_as_rng_passthrough(self):
         g = np.random.default_rng(0)
         assert as_rng(g) is g
-
-    def test_spawn_independent(self):
-        rngs = spawn_rngs(7, 4)
-        draws = [r.integers(0, 10**9) for r in rngs]
-        assert len(set(draws)) == 4
-
-    def test_spawn_deterministic(self):
-        a = [r.integers(0, 100) for r in spawn_rngs(3, 3)]
-        b = [r.integers(0, 100) for r in spawn_rngs(3, 3)]
-        assert a == b
-
-    def test_spawn_zero(self):
-        assert spawn_rngs(1, 0) == []
-
-    def test_spawn_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
-    def test_spawn_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(0), 2)
-        assert len(rngs) == 2
 
 
 class TestTimers:
