@@ -22,15 +22,26 @@ maintenance is adaptive — decrement newly covered sets when they are the
 minority, rebuild from uncovered sets when they dominate (§IV-C, Figure 5's
 knob, exposed as ``adaptive_update``).
 
-Membership ("which sets contain v") is resolved once per round with a
-segmented binary search over all remaining sorted sets — vectorised across
-sets, faithful to the per-set O(log s) probe both codes perform (adaptive
-bitmap sets are charged O(1) instead in the stats).
+:func:`greedy_cover` is the only greedy loop: ``efficient_select`` and the
+shard router (:mod:`repro.shard.router`) both run it, each with its own
+cover step.
+
+Membership ("which uncovered sets contain v") costs what it covers.
+:class:`CoverStep` finds it one of two ways, fixed once per call (or per
+shard session) by a rule on the store's shape: one scan of the flat vertex
+array for ``v``, correct for any set order, or a segmented binary search
+over the uncovered sets when they are sorted and large enough that
+bisecting beats scanning.  Ripples and the simulated distributed ranks
+always bisect: that is the probe pattern they model.  EfficientIMM's stats
+charge the per-set O(log s) probe both codes perform (adaptive bitmap sets
+O(1)) whichever path ran, settled once per call: a set pays once for every
+round up to and including the one that covers it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,11 +53,23 @@ from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.store import FlatRRRStore
 
 __all__ = [
+    "CoverStep",
     "SelectionResult",
     "efficient_select",
+    "greedy_cover",
     "ripples_select",
     "segmented_membership",
 ]
+
+#: The cost of one bisection step over one set, counted in scanned flat
+#: entries: the exchange rate of the membership rule (:func:`_bisects`).
+#: One :func:`segmented_membership` round over every set measured 43-61
+#: entries per set-step on a 2-core x86 host, and a whole selection pays
+#: less, since it only bisects the sets still uncovered.  Real sketches sit
+#: far from the line, and the rule picks the faster path on each replica
+#: measured: LT sketches hold ~0.4 entries per set-step (scan), IC sketches
+#: 87-620 (bisect), skitter's IC sketch 7.0 (scan).
+_BISECT_STEP_ENTRIES = 32
 
 
 @dataclass
@@ -100,20 +123,93 @@ def segmented_membership(
     return sets[found]
 
 
-def _entry_set_ids(store: FlatRRRStore) -> np.ndarray:
-    """Set id of every flat entry (``repeat`` over sizes)."""
-    return np.repeat(
-        np.arange(len(store), dtype=np.int64), store.sizes()
-    )
+def _bisects(store: FlatRRRStore) -> bool:
+    """The membership rule: bisect only sorted stores whose flat scan
+    costs more than one bisection over every set.
+
+    A scan reads ``total_entries``; bisecting reads ``num_sets`` sets for
+    ``ceil(log2(max_size + 1))`` steps, each worth
+    ``_BISECT_STEP_ENTRIES`` scanned entries.
+    """
+    if not store.sort_sets or len(store) == 0:
+        return False
+    depth = int(store.sizes().max()).bit_length()  # ceil(log2(max + 1))
+    return store.total_entries > _BISECT_STEP_ENTRIES * len(store) * depth
 
 
-def _fresh_counts(
-    store: FlatRRRStore, active_entries: np.ndarray
-) -> np.ndarray:
-    """Occurrence counter over the entries whose mask is true."""
-    return np.bincount(
-        store.vertices[active_entries], minlength=store.num_vertices
-    ).astype(np.int64)
+class CoverStep:
+    """One greedy round's cover over one store: retire the uncovered sets
+    holding a vertex, then gather their entries with one index.
+
+    Membership takes one of two paths, fixed when the step is built
+    (:func:`_bisects`):
+
+    - **scan**: one pass ``vertices == v``; each hit's set is
+      ``searchsorted(offsets, hit, side="right") - 1``, and covered sets
+      are dropped.  Correct for any set order and for empty sets.
+    - **bisection**: :func:`segmented_membership` over the uncovered sets,
+      which must be sorted.
+    """
+
+    def __init__(self, store: FlatRRRStore):
+        self.store = store
+        self.bisect = _bisects(store)
+
+    def retire(self, v: int, active: np.ndarray) -> np.ndarray:
+        """Ids (ascending) of the active sets holding ``v``, which are
+        marked inactive in ``active``."""
+        if self.bisect:
+            sets = segmented_membership(self.store, v, active)
+        else:
+            hits = np.flatnonzero(self.store.vertices == v)
+            sets = np.searchsorted(self.store.offsets, hits, side="right") - 1
+            sets = sets[active[sets]]
+        active[sets] = False
+        return sets
+
+    def entries(self, sets: np.ndarray) -> np.ndarray:
+        """The entries of ``sets``, concatenated in order."""
+        offsets = self.store.offsets
+        lo = offsets[sets]
+        sizes = offsets[sets + 1] - lo
+        starts = np.cumsum(sizes) - sizes
+        index = np.arange(int(sizes.sum()), dtype=np.int64)
+        return self.store.vertices[index + np.repeat(lo - starts, sizes)]
+
+
+def greedy_cover(
+    counts: np.ndarray,
+    k: int,
+    num_sets: int,
+    cover: Callable[[int, np.ndarray], int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy max-cover: the loop every exact selection runs.
+
+    Each round picks ``v = argmax(counts)`` (ties go to the lowest id),
+    calls ``cover(v, counts)`` — which retires the uncovered sets holding
+    ``v``, takes their entries off ``counts`` in place and returns how many
+    sets it retired — and marks every chosen vertex ``-1``.  Once all
+    ``num_sets`` sets are covered, the remaining seeds are the lowest
+    unchosen ids.  ``k`` must not exceed ``counts.size``.
+
+    Returns the seeds and the sets each round newly covered (0 on fill
+    rounds); ``counts`` is consumed.
+    """
+    seeds = np.empty(k, dtype=np.int64)
+    newly = np.zeros(k, dtype=np.int64)
+    covered = 0
+    for rnd in range(k):
+        v = int(np.argmax(counts))
+        seeds[rnd] = v
+        newly[rnd] = cover(v, counts)
+        covered += int(newly[rnd])
+        counts[seeds[: rnd + 1]] = -1
+        if covered >= num_sets and rnd + 1 < k:
+            free = np.ones(counts.size, dtype=bool)
+            free[seeds[: rnd + 1]] = False
+            seeds[rnd + 1 :] = np.flatnonzero(free)[: k - rnd - 1]
+            break
+    return seeds, newly
 
 
 # ===================================================================== IMM
@@ -160,6 +256,7 @@ def efficient_select(
     policy = adaptive_policy if adaptive_policy is not None else AdaptivePolicy()
     stats = KernelStats(num_threads)
     sizes = store.sizes()
+    set_entries = sizes.astype(np.float64)
     # RRRset partitioning: contiguous blocks of sets per thread (§IV-A).
     owner = np.zeros(num_sets, dtype=np.int64)
     for w, (s_lo, s_hi) in enumerate(block_partition(num_sets, num_threads)):
@@ -178,127 +275,89 @@ def efficient_select(
     if counts is None:
         counts = store.vertex_counts()
         per_thread = np.bincount(
-            owner, weights=sizes.astype(np.float64), minlength=num_threads
+            owner, weights=set_entries, minlength=num_threads
         )
         stats.loads += per_thread
         stats.atomics += per_thread
         stats.sync_barriers += 1
 
-    offsets = store.offsets
-    active_sets = np.ones(num_sets, dtype=bool)
-    active_entries = np.ones(store.total_entries, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered_total = 0
-    rounds: list[dict] = []
+    step = CoverStep(store)
     verts = store.vertices
+    active = np.ones(num_sets, dtype=bool)
+    covered_in = np.full(num_sets, k, dtype=np.int64)  # round covering each set
+    uncovered = store.total_entries
+    rounds: list[dict] = []
 
-    def retire(set_list: np.ndarray) -> np.ndarray:
-        """Mark sets covered; return their concatenated entries.  Touches
-        only the covered sets' slices — the partition-local work the
-        RRRset-partitioned kernel actually does."""
-        chunks = []
-        for s in set_list.tolist():
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            active_entries[lo:hi] = False
-            chunks.append(verts[lo:hi])
-        if chunks:
-            return np.concatenate(chunks)
-        return np.empty(0, dtype=verts.dtype)
-
-    for rnd in range(k):
-        # --- two-step parallel reduction (charged: n/p loads + p serial) ---
-        v = int(np.argmax(counts))
-        stats.loads += np.array(
-            [hi - lo for lo, hi in vertex_bounds], dtype=np.float64
-        )
-        stats.serial_ops += num_threads
-        seeds[rnd] = v
-        chosen[v] = True
-
-        # --- membership scan over the thread-local partitions -------------
-        new_sets = segmented_membership(store, v, active_sets)
-        scan_charge = np.bincount(
-            owner[active_sets],
-            weights=probe_cost[active_sets],
-            minlength=num_threads,
-        )
-        stats.loads += scan_charge
-        stats.sync_barriers += 1
-
-        new_entry_count = int(sizes[new_sets].sum())
-        remaining_entries = int(active_entries.sum())
-        uncovered_entry_count = remaining_entries - new_entry_count
-        use_rebuild = adaptive_update and new_entry_count > uncovered_entry_count
-
-        # Retire the newly covered sets.
-        active_sets[new_sets] = False
-        dec = retire(new_sets)
-        covered_total += new_sets.size
-
+    def cover(v: int, counts: np.ndarray) -> int:
+        nonlocal uncovered
+        new_sets = step.retire(v, active)
+        covered_in[new_sets] = len(rounds)
+        new_entries = int(sizes[new_sets].sum())
+        uncovered -= new_entries
         if not adaptive_update:
             # Figure 5's baseline arm: re-derive the counter from scratch —
             # count every set, then subtract every covered set again.
-            counts = store.vertex_counts()
-            np.subtract.at(counts, verts[~active_entries], 1)
-            per_set_w = sizes.astype(np.float64)
-            charge = (
-                np.bincount(owner, weights=per_set_w, minlength=num_threads)
-                + np.bincount(
-                    owner[~active_sets],
-                    weights=per_set_w[~active_sets],
-                    minlength=num_threads,
-                )
-            )
-            stats.loads += charge
-            stats.atomics += charge
-        elif use_rebuild:
-            counts = _fresh_counts(store, active_entries)
+            method = "recount"
+            counts[:] = store.vertex_counts()
+            counts -= np.bincount(verts[np.repeat(~active, sizes)], minlength=n)
             charge = np.bincount(
-                owner[active_sets],
-                weights=sizes[active_sets].astype(np.float64),
+                owner, weights=set_entries, minlength=num_threads
+            ) + np.bincount(
+                owner[~active], weights=set_entries[~active],
                 minlength=num_threads,
             )
-            stats.loads += charge
-            stats.atomics += charge
+        elif new_entries > uncovered:
+            # Recount from the uncovered sets alone: fewer entries than the
+            # decrement would touch, which is what chose this branch.
+            method = "rebuild"
+            counts[:] = np.bincount(
+                step.entries(np.flatnonzero(active)), minlength=n
+            )
+            charge = np.bincount(
+                owner[active], weights=set_entries[active],
+                minlength=num_threads,
+            )
         else:
-            np.subtract.at(counts, dec, 1)
+            method = "decrement"
+            np.subtract.at(counts, step.entries(new_sets), 1)
             charge = np.bincount(
-                owner[new_sets],
-                weights=sizes[new_sets].astype(np.float64),
+                owner[new_sets], weights=set_entries[new_sets],
                 minlength=num_threads,
             )
-            stats.loads += charge
-            stats.atomics += charge
-        counts[chosen] = -1
-        stats.sync_barriers += 1
-
+        stats.loads += charge
+        stats.atomics += charge
         rounds.append(
             {
                 "seed": v,
                 "new_covered_sets": int(new_sets.size),
-                "covered_entries": new_entry_count,
-                "method": (
-                    "recount" if not adaptive_update
-                    else "rebuild" if use_rebuild
-                    else "decrement"
-                ),
+                "covered_entries": new_entries,
+                "method": method,
             }
         )
-        if covered_total >= num_sets and rnd + 1 < k:
-            # All sets covered: remaining seeds add nothing; fill with the
-            # lowest-id unchosen vertices (counts are all <= 0).
-            fill = np.flatnonzero(~chosen)[: k - rnd - 1]
-            seeds[rnd + 1 : rnd + 1 + fill.size] = fill
-            for fv in fill:
-                chosen[fv] = True
-                rounds.append(
-                    {"seed": int(fv), "new_covered_sets": 0,
-                     "covered_entries": 0, "method": "fill"}
-                )
-            break
+        return int(new_sets.size)
 
-    coverage = covered_total / num_sets if num_sets else 0.0
+    seeds, newly = greedy_cover(counts, k, num_sets, cover)
+
+    # Settle the per-round charges once: every greedy round pays the
+    # two-step reduction (n/p loads + p serial ops) and a membership probe
+    # of each set still uncovered when it starts; two barriers per round.
+    greedy = len(rounds)
+    widths = np.array([hi - lo for lo, hi in vertex_bounds], dtype=np.float64)
+    stats.loads += greedy * widths
+    stats.loads += np.bincount(
+        owner,
+        weights=probe_cost * np.minimum(covered_in + 1, greedy),
+        minlength=num_threads,
+    )
+    stats.serial_ops += greedy * num_threads
+    stats.sync_barriers += 2 * greedy
+    rounds.extend(
+        {"seed": fv, "new_covered_sets": 0, "covered_entries": 0,
+         "method": "fill"}
+        for fv in seeds[greedy:].tolist()
+    )
+
+    coverage = int(newly.sum()) / num_sets
     _record_selection_telemetry(rounds)
     return SelectionResult(
         seeds=seeds, coverage_fraction=coverage, stats=stats, rounds=rounds

@@ -7,12 +7,12 @@ shard.  The merge is exact, not approximate:
 
 - the global fused counter is the **int64 sum** of per-shard partial
   counters (disjoint set ownership makes occurrence counts additive);
-- each greedy round runs :func:`~repro.core.selection.efficient_select`'s
-  own loop at the router — ``argmax`` pick, scatter the pick, gather each
-  shard's newly covered entries, subtract, ``counts[chosen] = -1`` — so
-  integer arithmetic, tie-breaking (lowest id via ``np.argmax``), and the
-  all-covered fill path match the single-node kernel operation for
-  operation.  Under a fixed seed the returned seed sets are therefore
+- the router runs :func:`~repro.core.selection.greedy_cover`, the same
+  loop :func:`~repro.core.selection.efficient_select` runs; only its
+  cover step differs — scatter the pick, gather each shard's newly
+  covered entries, subtract — so integer arithmetic, tie-breaking (lowest
+  id via ``np.argmax``), and the all-covered fill path are the single-node
+  kernel's own.  Under a fixed seed the returned seed sets are therefore
   **byte-identical** to the single-node engine's.
 
 Failure handling (docs/sharding.md):
@@ -48,6 +48,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import telemetry
+from repro.core.selection import greedy_cover
 from repro.errors import BackendError, ParameterError, ReproError
 from repro.resilience.retry import RetryPolicy
 from repro.service.protocol import IMQuery, IMResponse
@@ -155,25 +156,11 @@ class _GroupSession:
         self.live = list(shards)          # shards still participating
         self.opens: dict[int, OpenInfo] = {}
         self.history: list[int] = []      # seeds applied so far
-        self.counts: np.ndarray | None = None
-        self.chosen: np.ndarray | None = None
-        # covered[shard] = per-round newly covered local sets (live shards).
-        self.covered: dict[int, list[int]] = {}
         self.lost_shard = False
-        self.needs_restart = False        # a shard died mid-selection
 
     @property
     def num_live_sets(self) -> int:
         return sum(self.opens[s].num_local_sets for s in self.live)
-
-    def covered_rounds(self) -> np.ndarray:
-        """Total newly covered sets per round, over the live shards."""
-        rounds = len(self.history)
-        out = np.zeros(rounds, dtype=np.int64)
-        for s in self.live:
-            rec = self.covered.get(s, [])
-            out[: len(rec)] += np.asarray(rec[:rounds], dtype=np.int64)
-        return out
 
 
 class Router:
@@ -366,7 +353,6 @@ class Router:
                 self._note_shard_loss(sess, shard)
                 continue
             sess.opens[shard] = info
-            sess.covered[shard] = []
             still_live.append(shard)
         sess.live = still_live
         if tel.enabled:
@@ -391,102 +377,59 @@ class Router:
                 counts += c.astype(np.int64, copy=False)
         return counts
 
-    def _drop_shard(self, sess: _GroupSession, lost: int) -> None:
-        """A shard died mid-selection: drop it and flag a restart."""
-        sess.live = [s for s in sess.live if s != lost]
-        sess.needs_restart = True
-        self._note_shard_loss(sess, lost)
+    def _select(
+        self, sess: _GroupSession, k_max: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run :func:`greedy_cover` with a scatter as its cover step: apply
+        seed ``v`` on every live shard and subtract the entries of the sets
+        each one newly covered from the fused counter.  Returns the seeds
+        and the sets each round newly covered.
 
-    def _scatter_cover(self, sess: _GroupSession, v: int) -> int:
-        """One greedy round's scatter: apply seed ``v`` on every live shard,
-        gather decrements into the fused counter; returns the total newly
-        covered sets.  A shard lost here flags a selection restart."""
+        A shard lost mid-pass raises :class:`ShardDownError` out of the
+        cover step, and the selection restarts from round zero over the
+        survivors.  A restart (rather than splicing a partially
+        full-sketch-informed prefix onto survivor-only rounds) keeps the
+        degraded contract exact: the answer equals what a cluster holding
+        only the surviving shards would have produced from scratch.
+        Surviving workers self-heal to the empty history on the first
+        post-restart call, and each restart removes at least one shard, so
+        the loop is bounded.
+        """
         tel = telemetry.get()
-        history = tuple(sess.history)
-        new_covered = 0
-        n = sess.counts.shape[0]
-        for s in list(sess.live):
-            try:
-                res: CoverResult = self._call(
+
+        def cover(v: int, counts: np.ndarray) -> int:
+            history = tuple(sess.history)
+            results: list[CoverResult] = [
+                self._call(
                     s,
                     lambda w: w.session_cover(sess.sid, sess.spec, history, v),
                 )
-            except ShardDownError:
-                self._drop_shard(sess, s)
-                return new_covered
-            if res.dec.size:
-                sess.counts -= np.bincount(res.dec, minlength=n).astype(
-                    np.int64
+                for s in sess.live
+            ]
+            dec = np.concatenate([r.dec for r in results])
+            if dec.size:
+                counts -= np.bincount(dec, minlength=counts.size)
+            sess.history.append(v)
+            if tel.enabled:
+                tel.registry.histogram("shard.router.gather_fanin").observe(
+                    len(sess.live)
                 )
-            sess.covered[s].append(res.new_covered)
-            new_covered += res.new_covered
-        if tel.enabled:
-            tel.registry.histogram("shard.router.gather_fanin").observe(
-                len(sess.live)
-            )
-        return new_covered
+            return sum(r.new_covered for r in results)
 
-    def _select(self, sess: _GroupSession, k_max: int) -> np.ndarray:
-        """Run the selection, restarting over the survivors on shard loss.
-
-        A restart (rather than splicing a partially full-sketch-informed
-        prefix onto survivor-only rounds) keeps the degraded contract
-        exact: the answer equals what a cluster holding only the surviving
-        shards would have produced from scratch.  Surviving workers
-        self-heal to the empty history on the first post-restart call, and
-        each restart removes at least one shard, so the loop is bounded.
-        """
         while True:
-            seeds = self._select_pass(sess, k_max)
-            if seeds is not None:
-                return seeds
+            sess.history = []
+            counts = self._sum_counters(sess)
+            try:
+                return greedy_cover(counts, k_max, sess.num_live_sets, cover)
+            except ShardDownError as exc:
+                sess.live = [s for s in sess.live if s != exc.shard]
+                self._note_shard_loss(sess, exc.shard)
             if not sess.live:
                 raise ShardDownError(
                     -1, BackendError("all shards lost mid-query")
                 )
             self.stats.resyncs += 1
             self._tel_inc("shard.router.resyncs")
-
-    def _select_pass(self, sess: _GroupSession, k_max: int) -> np.ndarray | None:
-        """The exact :func:`efficient_select` greedy loop, scatter-gathered;
-        returns None when a shard was lost mid-pass (caller restarts).
-
-        Round structure is copied operation-for-operation from the kernel:
-        ``argmax`` (np.argmax == lowest-id tie-break), membership+retire
-        (scattered), counter decrement (gathered), ``counts[chosen] = -1``,
-        and the all-covered lowest-id fill — which is what makes the output
-        byte-identical to the single-node engine."""
-        sess.needs_restart = False
-        sess.history = []
-        for s in sess.live:
-            sess.covered[s] = []
-        sess.counts = self._sum_counters(sess)
-        n = sess.counts.shape[0]
-        sess.chosen = np.zeros(n, dtype=bool)
-        seeds = np.empty(k_max, dtype=np.int64)
-        covered_total = 0
-        rnd = 0
-        while rnd < k_max:
-            v = int(np.argmax(sess.counts))
-            seeds[rnd] = v
-            sess.chosen[v] = True
-            covered_total += self._scatter_cover(sess, v)
-            if sess.needs_restart:
-                return None
-            sess.history.append(v)
-            sess.counts[sess.chosen] = -1
-            num_sets = sess.num_live_sets
-            if covered_total >= num_sets and rnd + 1 < k_max:
-                fill = np.flatnonzero(~sess.chosen)[: k_max - rnd - 1]
-                seeds[rnd + 1 : rnd + 1 + fill.size] = fill
-                for fv in fill.tolist():
-                    sess.chosen[fv] = True
-                    sess.history.append(int(fv))
-                    for s in sess.live:
-                        sess.covered[s].append(0)
-                break
-            rnd += 1
-        return seeds
 
     def _serve_group(
         self, pending: list[_Pending]
@@ -548,7 +491,7 @@ class Router:
             cached = all(sess.opens[s].warm for s in sess.live)
             k_max = max(p.query.k for p in live)
             try:
-                seeds = self._select(sess, k_max)
+                seeds, newly = self._select(sess, k_max)
             except ReproError as exc:
                 if sess.lost_shard and not self.config.allow_degraded:
                     exc = BackendError(
@@ -572,7 +515,7 @@ class Router:
                 self._close_sessions(sess)
                 return out
 
-            covered = np.cumsum(sess.covered_rounds())
+            covered = np.cumsum(newly)
             num_sets = sess.num_live_sets
             degraded = sess.lost_shard
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
-from repro.core.selection import segmented_membership
+from repro.core.selection import CoverStep
 from repro.diffusion.base import get_model
 from repro.errors import ArtifactError, BackendError, ParameterError
 from repro.graph.datasets import load_dataset
@@ -141,9 +141,13 @@ class _Session:
 
     spec: SketchSpec
     entry: CacheEntry
-    active: np.ndarray          # bool per local set
     covered: int = 0            # cover ops applied so far
     history: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.active = np.ones(len(self.entry.store), dtype=bool)
+        # The membership path is decided once per session, not per round.
+        self.step = CoverStep(self.entry.store)
 
 
 class ShardWorker:
@@ -399,11 +403,7 @@ class ShardWorker:
         cached)."""
         self._checkpoint()
         entry, warm, fp, sub_fp = self._acquire(spec)
-        self._sessions[session_id] = _Session(
-            spec=spec,
-            entry=entry,
-            active=np.ones(len(entry.store), dtype=bool),
-        )
+        self._sessions[session_id] = _Session(spec=spec, entry=entry)
         self.stats.opens += 1
         return OpenInfo(
             counter=entry.counter.copy() if with_counts else None,
@@ -430,11 +430,7 @@ class ShardWorker:
         # Fresh replica (failover) or diverged state (a call the router
         # timed out on still mutated us): rebuild deterministically.
         entry, _, _, _ = self._acquire(spec)
-        sess = _Session(
-            spec=spec,
-            entry=entry,
-            active=np.ones(len(entry.store), dtype=bool),
-        )
+        sess = _Session(spec=spec, entry=entry)
         for v in history:
             self._cover(sess, int(v))
         self._sessions[session_id] = sess
@@ -445,21 +441,10 @@ class ShardWorker:
         return sess, True
 
     def _cover(self, sess: _Session, v: int) -> tuple[np.ndarray, int]:
-        store = sess.entry.store
-        new_sets = segmented_membership(store, v, sess.active)
-        sess.active[new_sets] = False
-        offsets, verts = store.offsets, store.vertices
-        chunks = [
-            verts[offsets[s] : offsets[s + 1]] for s in new_sets.tolist()
-        ]
-        dec = (
-            np.concatenate(chunks)
-            if chunks
-            else np.empty(0, dtype=np.int32)
-        )
+        new_sets = sess.step.retire(v, sess.active)
         sess.covered += 1
         sess.history.append(int(v))
-        return dec, int(new_sets.size)
+        return sess.step.entries(new_sets), int(new_sets.size)
 
     def session_cover(
         self,

@@ -5,14 +5,21 @@ The crucial contract: EfficientIMM's and Ripples' selections are different
 on every input, and both must match a brute-force greedy reference.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import selection
+from repro.core.params import KernelStats
 from repro.errors import ParameterError
+from repro.runtime.partition import block_partition
+from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.store import FlatRRRStore
 from repro.core.selection import (
+    CoverStep,
     efficient_select,
     ripples_select,
     segmented_membership,
@@ -51,6 +58,141 @@ def greedy_reference(sets, n, k):
             if v in s:
                 covered[i] = True
     return seeds
+
+
+def reference_select(store, k, num_threads=1, *, initial_counter=None,
+                     adaptive_update=True):
+    """The per-round ``efficient_select`` loop from before the shared
+    ``greedy_cover``: every round it bisects every active set, charges
+    their probes, re-sums a per-entry mask to size the rebuild-vs-decrement
+    decision and retires sets one slice at a time.  Kept as the oracle the
+    sub-linear loop must match round for round (sets must be sorted)."""
+    n = store.num_vertices
+    num_sets = len(store)
+    policy = AdaptivePolicy()
+    stats = KernelStats(num_threads)
+    sizes = store.sizes()
+    owner = np.zeros(num_sets, dtype=np.int64)
+    for w, (s_lo, s_hi) in enumerate(block_partition(num_sets, num_threads)):
+        owner[s_lo:s_hi] = w
+    vertex_bounds = block_partition(n, num_threads)
+    is_bitmap = sizes > policy.threshold(n)
+    probe_cost = np.where(is_bitmap, 1.0, np.log2(np.maximum(sizes, 2)))
+
+    if initial_counter is not None:
+        counts = initial_counter.astype(np.int64, copy=True)
+    else:
+        counts = store.vertex_counts()
+        per_thread = np.bincount(
+            owner, weights=sizes.astype(np.float64), minlength=num_threads
+        )
+        stats.loads += per_thread
+        stats.atomics += per_thread
+        stats.sync_barriers += 1
+
+    offsets, verts = store.offsets, store.vertices
+    active_sets = np.ones(num_sets, dtype=bool)
+    active_entries = np.ones(store.total_entries, dtype=bool)
+    chosen = np.zeros(n, dtype=bool)
+    seeds = np.empty(k, dtype=np.int64)
+    covered_total = 0
+    rounds = []
+
+    def retire(set_list):
+        chunks = []
+        for s in set_list.tolist():
+            lo, hi = int(offsets[s]), int(offsets[s + 1])
+            active_entries[lo:hi] = False
+            chunks.append(verts[lo:hi])
+        if chunks:
+            return np.concatenate(chunks)
+        return np.empty(0, dtype=verts.dtype)
+
+    for rnd in range(k):
+        v = int(np.argmax(counts))
+        stats.loads += np.array(
+            [hi - lo for lo, hi in vertex_bounds], dtype=np.float64
+        )
+        stats.serial_ops += num_threads
+        seeds[rnd] = v
+        chosen[v] = True
+
+        new_sets = segmented_membership(store, v, active_sets)
+        stats.loads += np.bincount(
+            owner[active_sets], weights=probe_cost[active_sets],
+            minlength=num_threads,
+        )
+        stats.sync_barriers += 1
+
+        new_entry_count = int(sizes[new_sets].sum())
+        uncovered_entry_count = int(active_entries.sum()) - new_entry_count
+        use_rebuild = adaptive_update and new_entry_count > uncovered_entry_count
+        active_sets[new_sets] = False
+        dec = retire(new_sets)
+        covered_total += new_sets.size
+
+        per_set_w = sizes.astype(np.float64)
+        if not adaptive_update:
+            counts = store.vertex_counts()
+            np.subtract.at(counts, verts[~active_entries], 1)
+            charge = np.bincount(
+                owner, weights=per_set_w, minlength=num_threads
+            ) + np.bincount(
+                owner[~active_sets], weights=per_set_w[~active_sets],
+                minlength=num_threads,
+            )
+        elif use_rebuild:
+            counts = np.bincount(
+                verts[active_entries], minlength=n
+            ).astype(np.int64)
+            charge = np.bincount(
+                owner[active_sets], weights=per_set_w[active_sets],
+                minlength=num_threads,
+            )
+        else:
+            np.subtract.at(counts, dec, 1)
+            charge = np.bincount(
+                owner[new_sets], weights=per_set_w[new_sets],
+                minlength=num_threads,
+            )
+        stats.loads += charge
+        stats.atomics += charge
+        counts[chosen] = -1
+        stats.sync_barriers += 1
+
+        rounds.append(
+            {
+                "seed": v,
+                "new_covered_sets": int(new_sets.size),
+                "covered_entries": new_entry_count,
+                "method": (
+                    "recount" if not adaptive_update
+                    else "rebuild" if use_rebuild
+                    else "decrement"
+                ),
+            }
+        )
+        if covered_total >= num_sets and rnd + 1 < k:
+            fill = np.flatnonzero(~chosen)[: k - rnd - 1]
+            seeds[rnd + 1 : rnd + 1 + fill.size] = fill
+            for fv in fill:
+                chosen[fv] = True
+                rounds.append(
+                    {"seed": int(fv), "new_covered_sets": 0,
+                     "covered_entries": 0, "method": "fill"}
+                )
+            break
+
+    coverage = covered_total / num_sets if num_sets else 0.0
+    return seeds, coverage, stats, rounds
+
+
+def membership_side(bisect):
+    """Force the membership rule to one side: a zero exchange rate bisects
+    every sorted, non-empty store; an unreachable one always scans."""
+    return mock.patch.object(
+        selection, "_BISECT_STEP_ENTRIES", 0 if bisect else 10**18
+    )
 
 
 class TestSegmentedMembership:
@@ -262,3 +404,231 @@ class TestKernelEquivalence:
         seeds = set(res.seeds.tolist()[:k])
         expected = sum(bool(seeds & set(x)) for x in sets) / len(sets)
         assert res.coverage_fraction == pytest.approx(expected)
+
+
+class TestReferenceLoop:
+    """The shared loop matches the per-round loop it replaced on both
+    sides of the membership rule: same seeds, coverage and round records;
+    the same modelled charges up to float summation order."""
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 24), min_size=0, max_size=12, unique=True),
+            min_size=1, max_size=30,
+        ),
+        st.integers(1, 8),
+        st.sampled_from([1, 3]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(
+        self, sets, k, threads, adaptive, fused, bisect
+    ):
+        n = 25
+        s = store_of(sets, n)
+        counter = s.vertex_counts() if fused else None
+        seeds, coverage, stats, rounds = reference_select(
+            s, k, threads, initial_counter=counter, adaptive_update=adaptive
+        )
+        with membership_side(bisect):
+            assert CoverStep(s).bisect == (bisect and s.total_entries > 0)
+            res = efficient_select(
+                s, k, threads, initial_counter=counter,
+                adaptive_update=adaptive,
+            )
+        assert res.seeds.tolist() == seeds.tolist()
+        assert res.coverage_fraction == coverage
+        assert res.rounds == rounds
+        np.testing.assert_allclose(res.stats.loads, stats.loads, rtol=1e-12)
+        np.testing.assert_allclose(
+            res.stats.atomics, stats.atomics, rtol=1e-12
+        )
+        assert res.stats.serial_ops == stats.serial_ops
+        assert res.stats.sync_barriers == stats.sync_barriers
+
+    def test_real_sketch_matches_reference(self, amazon_ic):
+        from repro.core.sampling import RRRSampler, SamplingConfig
+        from repro.diffusion.base import get_model
+
+        sampler = RRRSampler(
+            get_model("IC", amazon_ic), SamplingConfig.efficientimm(), seed=0
+        )
+        sampler.extend(120)
+        store = sampler.store
+        seeds, coverage, stats, rounds = reference_select(
+            store, 20, 2, initial_counter=sampler.counter
+        )
+        for bisect in (False, True):
+            with membership_side(bisect):
+                res = efficient_select(
+                    store, 20, 2, initial_counter=sampler.counter
+                )
+            assert res.seeds.tolist() == seeds.tolist()
+            assert res.rounds == rounds
+            assert res.coverage_fraction == coverage
+            np.testing.assert_allclose(
+                res.stats.loads, stats.loads, rtol=1e-12
+            )
+            assert np.array_equal(res.stats.atomics, stats.atomics)
+
+
+class TestUnsortedStores:
+    """Selection on stores whose sets are not sorted must scan: bisecting
+    unsorted sets misses members and returns wrong seeds."""
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 24), min_size=0, max_size=12, unique=True),
+            min_size=1, max_size=30,
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_greedy_reference(self, sets, k):
+        n = 25
+        s = store_of(sets, n, sort=False)
+        res = efficient_select(s, k, num_threads=2)
+        assert res.seeds.tolist() == greedy_reference(sets, n, k)
+        expected = sum(
+            bool(set(res.seeds.tolist()) & set(x)) for x in sets
+        ) / len(sets)
+        assert res.coverage_fraction == pytest.approx(expected)
+
+    def test_never_bisects_unsorted(self):
+        s = store_of([list(range(400, 0, -1))] * 3, 401, sort=False)
+        assert not CoverStep(s).bisect
+        with membership_side(True):
+            assert not CoverStep(s).bisect
+
+    def test_engine_serves_warmed_unsorted_store(self, amazon_ic):
+        from repro.graph.io import graph_fingerprint
+        from repro.service import (
+            EngineConfig, IMQuery, QueryEngine, sketch_fingerprint,
+        )
+        from repro.sketch.protocol import make_store
+
+        rng = np.random.default_rng(5)
+        n = amazon_ic.num_vertices
+        sets = [
+            rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
+            for _ in range(200)
+        ]
+        store = make_store("flat", num_vertices=n)
+        store.extend(sets)
+        q = IMQuery(dataset="amazon", k=5, theta_cap=len(sets))
+        fp = sketch_fingerprint(
+            graph_fingerprint(amazon_ic), q.model, q.epsilon, q.seed,
+            len(sets),
+        )
+        with QueryEngine(config=EngineConfig()) as engine:
+            engine.install_graph("amazon", amazon_ic)
+            engine.warm(fp, store)
+            resp = engine.query(q)
+        assert resp.cached
+        assert resp.seeds == greedy_reference(
+            [x.tolist() for x in sets], n, 5
+        )
+
+
+class TestCoverStep:
+    """Scan and bisection retire the same sets and gather the same
+    entries; the rule picks bisection only for large sorted sets."""
+
+    @staticmethod
+    def both(store):
+        steps = []
+        for bisect in (False, True):
+            with membership_side(bisect):
+                steps.append(CoverStep(store))
+        return steps
+
+    def check(self, sets, n, v, active):
+        s = store_of(sets, n)
+        scan, bis = self.both(s)
+        got = []
+        for step in (scan, bis):
+            mask = active.copy()
+            retired = step.retire(v, mask)
+            got.append((retired.tolist(), step.entries(retired).tolist(), mask))
+        (sets_a, ent_a, mask_a), (sets_b, ent_b, mask_b) = got
+        assert sets_a == sets_b
+        assert ent_a == ent_b
+        assert np.array_equal(mask_a, mask_b)
+        expected = [
+            i for i, x in enumerate(sets) if active[i] and v in x
+        ]
+        assert sets_a == expected
+        assert ent_a == [u for i in expected for u in sorted(sets[i])]
+        assert not mask_a[expected].any()
+        return sets_a
+
+    def test_empty_sets(self):
+        assert self.check(
+            [[], [4], [], [1, 4], []], 10, 4, np.ones(5, dtype=bool)
+        ) == [1, 3]
+
+    def test_vertex_held_by_no_set(self):
+        assert self.check(
+            [[1, 2], [3], []], 10, 9, np.ones(3, dtype=bool)
+        ) == []
+
+    def test_no_active_sets(self):
+        assert self.check(
+            [[1], [1, 2]], 10, 1, np.zeros(2, dtype=bool)
+        ) == []
+
+    def test_respects_active_mask(self):
+        assert self.check(
+            [[1, 5], [5], [5, 7]], 10, 5, np.array([True, False, True])
+        ) == [0, 2]
+
+    def test_empty_store(self):
+        s = FlatRRRStore(4, sort_sets=True)
+        for step in self.both(s):
+            out = step.retire(2, np.zeros(0, dtype=bool))
+            assert out.size == 0 and step.entries(out).size == 0
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 19), min_size=0, max_size=15, unique=True),
+            min_size=1, max_size=25,
+        ),
+        st.integers(0, 19),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_paths_agree(self, sets, v, data):
+        active = np.array(
+            data.draw(st.lists(
+                st.booleans(), min_size=len(sets), max_size=len(sets)
+            )),
+            dtype=bool,
+        )
+        self.check(sets, 20, v, active)
+
+    def test_rule_sides(self):
+        # 3 sets of 400 entries: depth 9, 400 > 32 x 9 entries per set.
+        big = [list(range(i, 400 + i)) for i in range(3)]
+        assert CoverStep(store_of(big, 403)).bisect
+        assert not CoverStep(store_of(big, 403, sort=False)).bisect
+        # Sets of 200 entries: 200 <= 32 x 8, so a scan is cheaper.
+        small = [list(range(i, 200 + i)) for i in range(3)]
+        assert not CoverStep(store_of(small, 203)).bisect
+        assert not CoverStep(FlatRRRStore(3, sort_sets=True)).bisect
+
+    def test_large_sets_select_like_reference(self):
+        rng = np.random.default_rng(11)
+        n = 900
+        sets = [
+            rng.choice(n, size=int(rng.integers(380, 600)), replace=False)
+            for _ in range(12)
+        ] + [rng.choice(n, size=3, replace=False) for _ in range(4)]
+        s = store_of(sets, n)
+        assert CoverStep(s).bisect
+        seeds, coverage, _, rounds = reference_select(s, 10, 3)
+        res = efficient_select(s, 10, 3)
+        assert res.seeds.tolist() == seeds.tolist()
+        assert res.rounds == rounds
+        assert res.coverage_fraction == coverage

@@ -14,6 +14,8 @@ import pytest
 
 from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
+from repro.core.selection import CoverStep
+from repro.graph.datasets import load_dataset
 from repro.graph.io import graph_fingerprint
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.backends import SerialBackend
@@ -21,6 +23,7 @@ from repro.service import EngineConfig, IMQuery, QueryEngine, sketch_fingerprint
 from repro.dynamic import DynamicService
 from repro.errors import ParameterError
 from repro.shard import Router, RouterConfig, ShardCluster, ShardPlan
+from repro.shard import worker as worker_module
 
 from conftest import make_graph
 from test_shard import THETA, small_graph, spec_for
@@ -102,6 +105,87 @@ class TestByteIdenticalSelection:
             second = cluster.query(query())
             assert not first.cached and second.cached
             assert first.seeds == second.seeds
+
+
+# ======================================================= bisecting shards
+AMAZON = dict(dataset="amazon", model="IC", seed=0, theta_cap=300)
+
+
+@pytest.fixture(scope="module")
+def amazon_reference():
+    """Single-node answers on the amazon replica; k=100 is past the 56
+    rounds that cover every set, so it takes the lowest-id fill path."""
+    with QueryEngine(config=EngineConfig()) as engine:
+        refs = {k: engine.query(IMQuery(k=k, **AMAZON)) for k in (5, 30, 100)}
+    assert refs[30].coverage_fraction < 1.0 == refs[100].coverage_fraction
+    return refs
+
+
+@pytest.fixture
+def membership_paths(monkeypatch):
+    """Every membership path a shard session picks, in order."""
+    seen: list[bool] = []
+
+    class Recording(CoverStep):
+        def __init__(self, store):
+            super().__init__(store)
+            seen.append(self.bisect)
+
+    monkeypatch.setattr(worker_module, "CoverStep", Recording)
+    return seen
+
+
+class TestBisectingShards:
+    """The 40-vertex graph above always scans.  On the amazon replica
+    under IC at theta 300 every shard's sets are large enough that its
+    cover step bisects, and the router still matches the engine."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 8])
+    def test_matches_single_node_engine(
+        self, amazon_reference, membership_paths, num_shards
+    ):
+        plan = ShardPlan(num_shards=num_shards, replication=1)
+        with ShardCluster(plan) as cluster:
+            for k, ref in amazon_reference.items():
+                resp = cluster.query(IMQuery(k=k, **AMAZON))
+                assert resp.status == "ok" and not resp.degraded
+                assert resp.seeds == ref.seeds, f"k={k} seeds diverge"
+                assert resp.coverage_fraction == ref.coverage_fraction
+                assert resp.spread_estimate == ref.spread_estimate
+        assert len(membership_paths) == num_shards * len(amazon_reference)
+        assert all(membership_paths)
+
+    def test_shard_lost_mid_query_restarts_exactly(self, membership_paths):
+        plan = ShardPlan(num_shards=2, replication=1)
+        theta = AMAZON["theta_cap"]
+        with ShardCluster(plan) as cluster:
+            cluster.query(IMQuery(k=5, **AMAZON))  # warm both shards
+            cluster.worker(1, 0).fail_after(2)     # open, one cover, dead
+            resp = cluster.query(IMQuery(k=100, **AMAZON))
+            assert resp.status == "ok" and resp.degraded
+            assert cluster.router.stats.resyncs == 1
+        assert all(membership_paths)
+
+        g = load_dataset("amazon", model="IC", seed=0)
+        fp = sketch_fingerprint(
+            graph_fingerprint(g), "IC", IMQuery(k=1, **AMAZON).epsilon, 0,
+            theta,
+        )
+        full = parallel_generate(
+            g, "IC", theta, num_workers=1, seed=0, backend=SerialBackend()
+        )
+        owners = plan.assign_sets(fp, theta, sizes=full.sizes())
+        from repro.sketch.store import FlatRRRStore
+
+        survivor = FlatRRRStore(g.num_vertices, sort_sets=True)
+        survivor.extend(full.get(i) for i in range(theta) if owners[i] == 0)
+        with QueryEngine(config=EngineConfig()) as engine:
+            engine.warm(fp, survivor)
+            ref = engine.query(IMQuery(k=100, **AMAZON))
+        assert ref.cached
+        assert resp.seeds == ref.seeds
+        assert resp.coverage_fraction == ref.coverage_fraction
+        assert resp.num_rrrsets == len(survivor)
 
 
 # ================================================================= failover
