@@ -7,7 +7,9 @@ kernel amortises it across B sets per pass.  On heavy-tailed R-MAT hub
 graphs both kernels converge to edge-bound throughput (big frontiers keep
 numpy busy either way), so the ER graph here is the honest showcase *and*
 the guard: the batched kernel must clear >= 3x scalar sets/s at batch 64
-under IC (docs/performance.md records the measured numbers).
+under IC (docs/performance.md records the measured numbers).  Each sweep
+also runs the model's default pass (64 IC sets, 16,384 LT walks) and
+records its speedup.
 
 Both kernels draw byte-identical sets (asserted here too — a throughput
 win that changed the bytes would be a bug, not a speedup).
@@ -122,9 +124,10 @@ def test_kernel_speedup(benchmark, workload, bench_record):
         rounds=1, iterations=1,
     )
     scalar = _throughput(model, "scalar", 1)
+    default = BatchedSampler(model).batch_size
     rows = []
     speedup_at = {}
-    for batch in BATCHES:
+    for batch in sorted({*BATCHES, default}):
         batched = _throughput(model, "batched", batch)
         assert batched["fingerprint"] == scalar["fingerprint"]
         speedup = batched["sets_per_s"] / scalar["sets_per_s"]
@@ -154,6 +157,8 @@ def test_kernel_speedup(benchmark, workload, bench_record):
         num_sets=NUM_SETS,
         scalar_sets_per_s=scalar["sets_per_s"],
         speedup_batch_64=speedup_at[64],
+        default_pass=default,
+        speedup_default_pass=speedup_at[default],
         smoke=SMOKE,
     )
     floor = MIN_IC_SPEEDUP if model_name == "IC" else MIN_LT_SPEEDUP

@@ -92,9 +92,7 @@ def sample_task(
             reg = tel.registry
             reg.counter("sampling.rrr_sets").inc(sizes.size)
             reg.counter("sampling.edges_examined").inc(int(edges.sum()))
-            hist = reg.histogram("sampling.set_size")
-            for s in sizes.tolist():
-                hist.observe(s)
+            reg.histogram("sampling.set_size").observe_many(sizes)
     return batches
 
 

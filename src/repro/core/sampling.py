@@ -195,24 +195,21 @@ class RRRSampler:
         self._check_budget()
         if tel.enabled:
             self._record_telemetry(
-                tel, sizes.tolist(), int(edges.sum()),
-                time.perf_counter() - t0,
+                tel, sizes, int(edges.sum()), time.perf_counter() - t0
             )
 
     def _record_telemetry(
-        self, tel, new_sizes: list[int], new_edges: int, elapsed: float
+        self, tel, new_sizes: np.ndarray, new_edges: int, elapsed: float
     ) -> None:
         """Unified sampling metrics (docs/observability.md, `sampling.*`)."""
         reg = tel.registry
-        reg.counter("sampling.rrr_sets").inc(len(new_sizes))
+        reg.counter("sampling.rrr_sets").inc(new_sizes.size)
         reg.counter("sampling.edges_examined").inc(new_edges)
         if self.config.fused:
-            reg.counter("sampling.atomic_updates").inc(sum(new_sizes))
-        hist = reg.histogram("sampling.set_size")
-        for s in new_sizes:
-            hist.observe(s)
+            reg.counter("sampling.atomic_updates").inc(int(new_sizes.sum()))
+        reg.histogram("sampling.set_size").observe_many(new_sizes)
         if elapsed > 0:
-            reg.gauge("sampling.rrr_sets_per_sec").set(len(new_sizes) / elapsed)
+            reg.gauge("sampling.rrr_sets_per_sec").set(new_sizes.size / elapsed)
         reg.gauge("sketch.store.sets").set(len(self.store))
         reg.gauge("sketch.store.entries").set(self.store.total_entries)
         reg.gauge("sketch.store.bytes").set(self.modelled_bytes())

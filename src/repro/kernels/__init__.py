@@ -1,10 +1,13 @@
 """``repro.kernels`` — batched multi-root reverse-sampling kernels.
 
-This package is the only way the program draws RRR sets.  It draws **B
+This package is the only way the program draws RRR sets.  It draws **many
 sets per vectorised pass**: a ``(set_id, vertex)`` pair-frontier BFS over
-the reverse CSR graph (IC) and a lock-step batch of reverse weighted walks
-(LT), with one fused coin-flip array per level across all active sets and
-per-set edge-cost accounting.
+the reverse CSR graph, :data:`BATCH_SIZE` sets per pass over a
+``B x |V|`` visited stamp (IC), and a lock-step pass of
+:data:`LT_BATCH_SIZE` reverse weighted walks that each check revisits
+against their own path, with no per-pass scratch (LT).  Each level draws
+one fused coin array across all active sets, with per-set edge-cost
+accounting.
 
 Determinism is the load-bearing property.  Randomness comes from
 counter-based per-set streams (:mod:`repro.kernels.rng`): each global set
@@ -19,7 +22,7 @@ implementation sharing only the RNG layer; the equivalence suite in
 Entry points:
 
 - :class:`KernelSampler` — ``sample_for_roots`` / ``sample_indexed`` and
-  their per-batch streaming forms, plus ``grow`` (the dynamic layer's
+  their per-pass streaming forms, plus ``grow`` (the dynamic layer's
   insert extension);
 - :func:`indexed_draws` / :func:`roots_for_indices` — the deterministic
   root and key streams of global set indices.
@@ -27,7 +30,12 @@ Entry points:
 
 from __future__ import annotations
 
-from repro.kernels.batched import BATCH_SIZE, BatchedSampler, sample_batched
+from repro.kernels.batched import (
+    BATCH_SIZE,
+    LT_BATCH_SIZE,
+    BatchedSampler,
+    sample_batched,
+)
 from repro.kernels.dispatch import KernelSampler, indexed_draws
 from repro.kernels.rng import (
     coin_key,
@@ -41,6 +49,7 @@ from repro.kernels.scalar import sample_scalar
 __all__ = [
     "BATCH_SIZE",
     "BatchedSampler",
+    "LT_BATCH_SIZE",
     "KernelSampler",
     "coin_key",
     "counter_uniforms",

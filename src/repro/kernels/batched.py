@@ -1,27 +1,30 @@
-"""Batched multi-root reverse sampling: B RRR sets per vectorised pass.
+"""Batched multi-root reverse sampling: many RRR sets per vectorised pass.
 
 The per-root path pays numpy dispatch overhead per frontier *per set*; here
-one pass advances every active set one level.  The working state is a
-``(set_slot, vertex)`` **pair frontier** encoded as flat keys
-``slot * n + vertex``:
+one pass advances every active set one level.
 
-- IC: all in-edges of all frontier pairs are gathered with one CSR row
-  gather, one fused coin array covers every edge of every active set, and
-  ``np.unique`` over pair keys deduplicates per set while producing exactly
-  the canonical (slot-ascending, vertex-ascending) order the scalar
-  reference consumes.
+- IC: the working state is a ``(set_slot, vertex)`` **pair frontier**
+  encoded as flat keys ``slot * n + vertex``.  All in-edges of all frontier
+  pairs are gathered with one CSR row gather, one fused coin array covers
+  every edge of every active set, and a sorted unique over pair keys
+  deduplicates per set while producing exactly the canonical
+  (slot-ascending, vertex-ascending) order the scalar reference consumes.
+  Visited tracking is a flat epoch-stamped array of ``batch_size * n``
+  cells reused across calls (memory is O(B·n), so IC passes stay small).
 - LT: all active walks advance in lock step — one uniform per walk per
   level, a vectorised bisection over the per-row cumulative weights picks
-  each walk's in-neighbour.
-
-Visited tracking is a flat epoch-stamped array of ``batch_size * n`` cells
-reused across calls (memory is O(B·n); keep B modest on huge graphs).
+  each walk's in-neighbour.  A walk can only revisit its own path, so each
+  walk checks the step against its path so far (one row of an
+  ``(active walks, steps)`` matrix) and LT needs no per-pass scratch.
+  That lets thousands of walks share each pass; transient memory is
+  O(pass size x walk length).
 
 Per-set randomness comes from counter streams keyed by the *global* set
 index (:mod:`repro.kernels.rng`), and each set's counter advances by
-exactly the number of edges it examined at each level — the same schedule
-the scalar reference follows — so the produced bytes are independent of
-batch size, batch boundaries, worker count, and start method.
+exactly the number of edges it examined at each level (one per step for an
+LT walk) — the same schedule the scalar reference follows — so the
+produced bytes are independent of batch size, batch boundaries, worker
+count, and start method.
 """
 
 from __future__ import annotations
@@ -33,35 +36,50 @@ from repro.diffusion.base import DiffusionModel
 from repro.errors import ParameterError
 from repro.kernels.rng import counter_uniforms
 
-__all__ = ["BATCH_SIZE", "BatchedSampler", "sample_batched"]
+__all__ = ["BATCH_SIZE", "LT_BATCH_SIZE", "BatchedSampler", "sample_batched"]
 
-#: Sets per vectorised pass.  Output bytes never depend on it (see the
+#: IC sets per vectorised pass.  Output bytes never depend on it (see the
 #: module docstring); it only trades scratch memory (``B * n`` stamps)
-#: against per-pass dispatch overhead.
+#: against per-pass dispatch overhead.  Larger IC passes do not pay: 1,600
+#: sets on the half-scale amazon replica took 614, 591 and 623 ms at 64,
+#: 256 and 1,024 sets per pass, while peak memory grew from 12 to 45 MB.
 BATCH_SIZE = 64
+
+#: LT walks per vectorised pass.  LT keeps no ``B * n`` scratch; the pass
+#: only bounds the path matrix (pass size x walk length).  55,000 walks on
+#: the amazon replica took 72, 35, 22 and 20 ms at 1,024, 4,096, 16,384 and
+#: 32,768 walks per pass, all at a 2.5 MB peak: past 16,384 the gain is a
+#: few ms, while a graph of long walks needs ever more transient memory.
+LT_BATCH_SIZE = 1 << 14
 
 
 class BatchedSampler:
     """Reusable batched kernel bound to one diffusion model.
 
-    Holds the ``B * n`` epoch-stamp scratch so repeated calls (the sampler's
-    extend loop, a shard's streaming build) do not reallocate it.
+    ``batch_size`` is the number of sets per vectorised pass; ``None``
+    picks the model's default (:data:`BATCH_SIZE` for IC,
+    :data:`LT_BATCH_SIZE` for LT).  Holds the IC ``B * n`` epoch-stamp
+    scratch so repeated calls (the sampler's extend loop, a shard's
+    streaming build) do not reallocate it.
     """
 
-    def __init__(self, model: DiffusionModel, batch_size: int = BATCH_SIZE):
-        if batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
+    def __init__(self, model: DiffusionModel, batch_size: int | None = None):
         kind = getattr(model, "name", "?")
         if kind not in ("IC", "LT"):
             raise ParameterError(f"kernel sampling supports IC/LT, not {kind!r}")
+        if batch_size is None:
+            batch_size = LT_BATCH_SIZE if kind == "LT" else BATCH_SIZE
+        if batch_size < 1:
+            raise ParameterError("batch_size must be >= 1")
         self.model = model
         self.batch_size = int(batch_size)
         self._n = model.graph.num_vertices
         self._stamp = np.zeros(0, dtype=np.int32)
         self._epoch = 0
-        self.levels = 0  # vectorised passes executed (across calls)
+        self._stop_at = _step_thresholds(model) if kind == "LT" else None
+        self.levels = 0  # vectorised levels executed (across calls)
         self.collect_occupancy = False  # set by KernelSampler under telemetry
-        self.occupancy: list[float] = []  # active-slot fraction per pass
+        self.occupancy: list[float] = []  # active fraction of a pass, per level
 
     # ------------------------------------------------------------- plumbing
     def _scratch(self, b: int) -> tuple[np.ndarray, int]:
@@ -85,17 +103,11 @@ class BatchedSampler:
         if roots.size == 0:
             z = np.empty(0, dtype=np.int64)
             return np.empty(0, dtype=np.int32), z, z
-        out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for lo in range(0, roots.size, self.batch_size):
-            hi = min(lo + self.batch_size, roots.size)
-            out.append(self._one_batch(roots[lo:hi], keys[lo:hi]))
-        if len(out) == 1:
-            return out[0]
-        return (
-            np.concatenate([o[0] for o in out]),
-            np.concatenate([o[1] for o in out]),
-            np.concatenate([o[2] for o in out]),
-        )
+        step = self.batch_size
+        return _join([
+            self._one_batch(roots[lo : lo + step], keys[lo : lo + step])
+            for lo in range(0, roots.size, step)
+        ])
 
     def _one_batch(self, roots, keys):
         if self.model.name == "IC":
@@ -198,6 +210,11 @@ class BatchedSampler:
         on the batch size.  Returns the added vertices, frontier included,
         as CSR ``(flat int32, sizes int64)`` in discovery order.
         """
+        flat, sizes, _edges = self._grow(members, frontier, keys, counters)
+        return flat, sizes
+
+    def _grow(self, members, frontier, keys, counters):
+        """:meth:`grow`, plus the edges each set examined (int64)."""
         if getattr(self.model, "name", "?") != "IC":
             raise ParameterError("grow is defined for the IC model only")
         m_flat, m_sizes = (np.asarray(a) for a in members)
@@ -207,8 +224,7 @@ class BatchedSampler:
         m_off = np.concatenate(([0], np.cumsum(m_sizes)))
         f_off = np.concatenate(([0], np.cumsum(f_sizes)))
         n = self._n
-        flats: list[np.ndarray] = []
-        sizes: list[np.ndarray] = []
+        out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for lo in range(0, keys.size, self.batch_size):
             hi = min(lo + self.batch_size, keys.size)
             b = hi - lo
@@ -220,64 +236,78 @@ class BatchedSampler:
             seed = sorted_unique(np.repeat(slot, f_sizes[lo:hi]) * n + fv)
             stamp[seed] = epoch
             fslot, fvert = np.divmod(seed, n)
+            edges = np.zeros(b, dtype=np.int64)
             pairs = [seed] + self._ic_levels(
                 fslot, fvert, keys[lo:hi], counters[lo:hi].copy(),
-                np.zeros(b, dtype=np.int64), stamp, epoch, b,
+                edges, stamp, epoch, b,
             )
             flat, size = self._split(np.concatenate(pairs), b, n)
-            flats.append(flat)
-            sizes.append(size)
-        if not flats:
-            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
-        return np.concatenate(flats), np.concatenate(sizes)
+            out.append((flat, size, edges))
+        if not out:
+            z = np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32), z, z
+        return _join(out)
 
     # ------------------------------------------------------------------- LT
     def _lt_batch(self, roots, keys):
+        """Advance every walk of the pass one step per level.
+
+        ``path`` holds each active walk's vertices so far, one row per
+        walk; a step onto the walk's own path closes a live-edge cycle and
+        stops it.  Every walk still active at a level has drawn once per
+        earlier level, so one counter serves the whole pass.
+        """
         model = self.model
         rev = model.reverse_graph
         indptr, indices, cum = rev.indptr, rev.indices, model._cum
-        n = self._n
+        stop_at = self._stop_at
         b = roots.size
-        stamp, epoch = self._scratch(b)
-        slot_base = np.arange(b, dtype=np.int64) * n
-        level0 = slot_base + roots
-        stamp[level0] = epoch
-        pairs = [level0]
-        aslot = np.arange(b, dtype=np.int64)
-        avert = roots
-        counters = np.zeros(b, dtype=np.uint64)
+        aslot = np.arange(b, dtype=np.int32)
+        avert = roots.astype(np.int32)
+        path = avert[:, None]
+        slots, verts = [aslot], [avert]
+        draw = 0
         while aslot.size:
             self.levels += 1
             if self.collect_occupancy:
                 self.occupancy.append(aslot.size / b)
-            lo = indptr[avert].astype(np.int64)
-            hi = indptr[avert + 1].astype(np.int64)
-            has = hi > lo  # walks at an in-degree-0 vertex stop, no draw
-            if not has.all():
-                aslot, lo, hi = aslot[has], lo[has], hi[has]
-            if aslot.size == 0:
-                break
-            r = counter_uniforms(keys[aslot], counters[aslot])
-            with np.errstate(over="ignore"):
-                counters[aslot] += np.uint64(1)
-            go = r < cum[hi - 1]  # beyond total weight: no in-edge selected
+            # Walks at an in-degree-0 vertex stop too: the draw they would
+            # not have made is discarded unread.
+            r = counter_uniforms(keys[aslot], np.uint64(draw))
+            draw += 1
+            go = r < stop_at[avert]
             if not go.all():
-                aslot, lo, hi, r = aslot[go], lo[go], hi[go], r[go]
-            if aslot.size == 0:
-                break
-            idx = _vector_bisect_right(cum, lo, hi, r)
-            u = indices[idx].astype(np.int64)
-            pk = aslot * n + u
-            fresh = stamp[pk] != epoch  # revisit = live-edge cycle: stop
+                aslot, avert, r, path = aslot[go], avert[go], r[go], path[go]
+            lo, hi = indptr[avert], indptr[avert + 1]
+            u = indices[_vector_bisect_right(cum, lo, hi, r)]
+            fresh = ~(path == u[:, None]).any(axis=1)
             if not fresh.all():
-                aslot, u, pk = aslot[fresh], u[fresh], pk[fresh]
-            if aslot.size == 0:
-                break
-            stamp[pk] = epoch
-            pairs.append(pk)
+                aslot, u, path = aslot[fresh], u[fresh], path[fresh]
+            path = np.concatenate((path, u[:, None]), axis=1)
+            slots.append(aslot)
+            verts.append(u)
             avert = u
-        flat, sizes = self._split(np.concatenate(pairs), b, n)
+        slot = np.concatenate(slots)
+        flat = np.concatenate(verts)[stable_argsort(slot)]  # level order per set
+        sizes = np.bincount(slot, minlength=b)
         return flat, sizes, sizes.copy()  # LT cost convention: path length
+
+
+def _step_thresholds(model: DiffusionModel) -> np.ndarray:
+    """Per vertex, the total LT in-weight a walk's uniform must fall below
+    to take a step (``-1`` with no in-edges, so it never does)."""
+    indptr = model.reverse_graph.indptr
+    has = indptr[1:] > indptr[:-1]
+    out = np.full(model.graph.num_vertices, -1.0)
+    out[has] = model._cum[indptr[1:][has] - 1]
+    return out
+
+
+def _join(passes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+    """Concatenate per-pass CSR ``(flat, sizes, edges)`` triples."""
+    if len(passes) == 1:
+        return passes[0]
+    return tuple(np.concatenate(column) for column in zip(*passes))
 
 
 def _vector_bisect_right(
@@ -308,7 +338,7 @@ def sample_batched(
     roots: np.ndarray,
     keys: np.ndarray,
     *,
-    batch_size: int = BATCH_SIZE,
+    batch_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-shot convenience wrapper around :class:`BatchedSampler`."""
     return BatchedSampler(model, batch_size).sample(roots, keys)

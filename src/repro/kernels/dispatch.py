@@ -4,10 +4,11 @@ Every sampler (``RRRSampler``, ``parallel_generate`` workers, the shard
 cold build, the dynamic maintainer, the distributed ranks) draws through a
 :class:`KernelSampler`: hand it ``(roots, keys)`` or global set indices,
 get CSR-style ``(flat, sizes, edges)`` back — whole, or streamed one
-:data:`~repro.kernels.batched.BATCH_SIZE` batch at a time so a caller can
-bulk-append each batch into its store without holding a whole extend twice
+kernel pass at a time (:data:`~repro.kernels.batched.BATCH_SIZE` IC sets or
+:data:`~repro.kernels.batched.LT_BATCH_SIZE` LT walks) so a caller can
+bulk-append each pass into its store without holding a whole extend twice
 — and the ``kernels.*`` metric family (docs/observability.md) is emitted
-when a telemetry session is active.
+for every draw and insert-extension when a telemetry session is active.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.diffusion.base import DiffusionModel
-from repro.kernels.batched import BATCH_SIZE, BatchedSampler
+from repro.kernels.batched import BatchedSampler
 from repro.kernels.rng import coin_key, derive_keys, roots_for_indices
 
 __all__ = ["KernelSampler", "indexed_draws"]
@@ -52,8 +53,7 @@ class KernelSampler:
 
     def __init__(self, model: DiffusionModel):
         self.model = model
-        self.batch_size = BATCH_SIZE
-        self._batched = BatchedSampler(model, self.batch_size)
+        self._batched = BatchedSampler(model)
 
     def sample_for_roots(self, roots: np.ndarray, keys: np.ndarray) -> Draws:
         """Draw one set per ``(root, key)``: ``(flat, sizes, edges)``."""
@@ -62,14 +62,16 @@ class KernelSampler:
         self._batched.collect_occupancy = tel.enabled
         out = self._batched.sample(roots, keys)
         if tel.enabled:
-            self._record(tel, out, time.perf_counter() - t0)
+            _flat, sizes, edges = out
+            self._record(tel, sizes.size, edges, time.perf_counter() - t0)
         return out
 
     def stream(self, roots: np.ndarray, keys: np.ndarray) -> Iterator[Draws]:
-        """:meth:`sample_for_roots`, one batch of sets per yielded triple."""
-        for lo in range(0, len(roots), self.batch_size):
-            hi = lo + self.batch_size
-            yield self.sample_for_roots(roots[lo:hi], keys[lo:hi])
+        """:meth:`sample_for_roots`, one kernel pass of sets per yielded
+        triple."""
+        step = self._batched.batch_size
+        for lo in range(0, len(roots), step):
+            yield self.sample_for_roots(roots[lo : lo + step], keys[lo : lo + step])
 
     def stream_indexed(self, seed: int, start: int, count: int) -> Iterator[Draws]:
         """Stream the sets with global indices ``start .. start+count``."""
@@ -87,20 +89,27 @@ class KernelSampler:
 
     def grow(self, members, frontier, keys, counters) -> tuple[np.ndarray, np.ndarray]:
         """Extend existing IC sets from new frontiers; see
-        :meth:`BatchedSampler.grow`."""
-        return self._batched.grow(members, frontier, keys, counters)
+        :meth:`BatchedSampler.grow`.  Recorded like a draw, except that
+        ``kernels.sets`` counts only sets drawn, so it does not move."""
+        tel = telemetry.get()
+        t0 = time.perf_counter() if tel.enabled else 0.0
+        self._batched.collect_occupancy = tel.enabled
+        flat, sizes, edges = self._batched._grow(members, frontier, keys, counters)
+        if tel.enabled:
+            self._record(tel, 0, edges, time.perf_counter() - t0)
+        return flat, sizes
 
-    def _record(self, tel, out: Draws, elapsed: float) -> None:
-        _flat, sizes, edges = out
+    def _record(self, tel, sets: int, edges: np.ndarray, elapsed: float) -> None:
+        examined = int(edges.sum())
         reg = tel.registry
-        reg.counter("kernels.sets").inc(sizes.size)
-        reg.counter("kernels.edges").inc(int(edges.sum()))
+        reg.counter("kernels.sets").inc(sets)
+        reg.counter("kernels.edges").inc(examined)
         reg.counter("kernels.calls").inc()
         if elapsed > 0:
-            reg.gauge("kernels.sets_per_sec").set(sizes.size / elapsed)
-            reg.gauge("kernels.edges_per_sec").set(int(edges.sum()) / elapsed)
-        reg.counter("kernels.levels").inc(len(self._batched.occupancy))
-        hist = reg.histogram("kernels.batch_occupancy")
-        for frac in self._batched.occupancy:
-            hist.observe(frac)
-        self._batched.occupancy.clear()
+            if sets:
+                reg.gauge("kernels.sets_per_sec").set(sets / elapsed)
+            reg.gauge("kernels.edges_per_sec").set(examined / elapsed)
+        occupancy = self._batched.occupancy
+        reg.counter("kernels.levels").inc(len(occupancy))
+        reg.histogram("kernels.batch_occupancy").observe_many(occupancy)
+        occupancy.clear()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapreplace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -220,15 +220,27 @@ def simulate_schedule(
     elif policy == "dynamic":
         if chunk_size <= 0:
             raise ParameterError(f"chunk_size must be positive, got {chunk_size}")
+        # Each chunk's cost is summed row-wise, which adds in the same order
+        # as summing the chunk's slice; the ragged tail is its own chunk.
+        full = c.size - c.size % chunk_size
+        chunk_costs = c[:full].reshape(-1, chunk_size).sum(axis=1)
+        if full < c.size:
+            chunk_costs = np.append(chunk_costs, c[full:].sum())
         # Earliest-free-worker list scheduling over chunks, via a time heap.
+        owners: list[int] = []
         heap = [(0.0, w) for w in range(num_workers)]
-        for start in range(0, c.size, chunk_size):
-            end = min(start + chunk_size, c.size)
-            t, w = heappop(heap)
-            assignment[start:end] = w
-            cost = float(c[start:end].sum())
-            loads[w] += cost
-            heappush(heap, (t + cost, w))
+        for cost in chunk_costs.tolist():
+            t, w = heap[0]
+            owners.append(w)
+            heapreplace(heap, (t + cost, w))
+        owner = np.array(owners, dtype=np.int64)
+        assignment = np.repeat(owner, chunk_size)[: c.size]
+        # bincount adds each worker's chunk costs in chunk order, so loads
+        # equal a running per-worker sum bit for bit (it returns ints when
+        # there are no chunks, hence the cast).
+        loads = np.bincount(
+            owner, weights=chunk_costs, minlength=num_workers
+        ).astype(np.float64, copy=False)
     else:
         raise ParameterError(f"unknown scheduling policy {policy!r}")
 

@@ -24,7 +24,8 @@ Design constraints (ISSUE 1 / docs/observability.md):
   observations geometrically (base ``2**(1/4)``, ~19% relative error) in a
   sparse dict, so p50/p95/p99 come from bucket boundaries in O(buckets).
 
-Only the standard library is used; numpy never enters the hot path.
+Apart from :meth:`Histogram.observe_many`, which buckets a whole numpy
+array of observations at once, only the standard library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import json
 import math
 import threading
 from typing import Any, Iterable
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -107,6 +110,24 @@ class Histogram:
                 self.min = v
             if v > self.max:
                 self.max = v
+
+    def observe_many(self, values: np.ndarray | list[float]) -> None:
+        """:meth:`observe` every value, bucketing each distinct value once
+        under one lock acquisition."""
+        distinct, reps = np.unique(
+            np.asarray(values, dtype=np.float64), return_counts=True
+        )
+        if distinct.size == 0:
+            return
+        buckets = [self._bucket(v) for v in distinct.tolist()]
+        total = float(np.dot(distinct, reps))
+        with self._lock:
+            for b, c in zip(buckets, reps.tolist()):
+                self.counts[b] = self.counts.get(b, 0) + c
+            self.count += int(reps.sum())
+            self.sum += total
+            self.min = min(self.min, float(distinct[0]))
+            self.max = max(self.max, float(distinct[-1]))
 
     @staticmethod
     def _bucket(v: float) -> int:

@@ -86,6 +86,28 @@ class TestGoldenRuns:
         sampler.extend(1000)
         assert sampler.store.fingerprint() == "6fb6b04ca983e2c8"
 
+    def test_lt_sampling_stream_pinned(self):
+        """Pinned: the bytes of the LT stream, drawn in two extends whose
+        second one spans a kernel-pass boundary.
+
+        Regenerate:  python -c "from repro.graph.datasets import
+        load_dataset; from repro.diffusion.base import get_model; from
+        repro.core.sampling import RRRSampler, SamplingConfig; g =
+        load_dataset('amazon', model='LT', seed=0, scale=1.0); s =
+        RRRSampler(get_model('LT', g), SamplingConfig.efficientimm(),
+        seed=7); s.extend(3000); s.extend(20000); print(s.store.fingerprint())"
+        """
+        from repro.core.sampling import RRRSampler, SamplingConfig
+        from repro.diffusion.base import get_model
+
+        g = load_dataset("amazon", model="LT", seed=0, scale=1.0)
+        sampler = RRRSampler(
+            get_model("LT", g), SamplingConfig.efficientimm(), seed=7
+        )
+        sampler.extend(3000)
+        sampler.extend(20000)
+        assert sampler.store.fingerprint() == "ffc5340081652fc8"
+
     def test_run_is_bit_stable_across_invocations(self):
         g = load_dataset("google", model="IC", seed=0)
         params = IMMParams(k=6, theta_cap=300, seed=42)

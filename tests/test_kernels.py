@@ -35,11 +35,12 @@ from repro.kernels import (
     counter_uniforms,
     derive_key,
     derive_keys,
+    indexed_draws,
     roots_for_indices,
     sample_batched,
     sample_scalar,
 )
-from repro.kernels import dispatch
+from repro.kernels import batched
 from repro.runtime.backends import SerialBackend
 
 BATCHES = (1, 7, 64)
@@ -48,9 +49,11 @@ BATCHES = (1, 7, 64)
 @contextmanager
 def kernel_mode(kernel, batch):
     """Route every sampler through the batched kernel at ``batch`` sets
-    per pass, or (``kernel="scalar"``) through the scalar oracle."""
+    per pass under both models, or (``kernel="scalar"``) through the
+    scalar oracle, still streamed ``batch`` sets at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dispatch, "BATCH_SIZE", batch)
+        mp.setattr(batched, "BATCH_SIZE", batch)
+        mp.setattr(batched, "LT_BATCH_SIZE", batch)
         if kernel == "scalar":
             mp.setattr(
                 BatchedSampler, "sample",
@@ -217,6 +220,97 @@ class TestKernelEquivalence:
         )
 
 
+# ------------------------------------------------------------ LT passes
+LT_PASSES = (1, 7, 64, None)  # None: the model's default pass
+
+
+def ring_graph(n=300):
+    """A directed ring of weight-1 edges: no slack, so every reverse walk
+    goes once round and stops when it steps back onto its root."""
+    src = np.arange(n)
+    return from_edge_array(src, (src + 1) % n, np.ones(n), num_vertices=n)
+
+
+def chain_graph(n=30):
+    """A weight-1 chain ``0 -> 1 -> ...``: every walk ends at vertex 0,
+    whose in-degree is 0."""
+    src = np.arange(n - 1)
+    return from_edge_array(src, src + 1, np.ones(n - 1), num_vertices=n)
+
+
+def lt_draws(graph, batch, count, seed=11):
+    """``(scalar oracle, batched at pass batch)`` draws of ``count`` sets."""
+    roots, keys = draws_for(graph, seed=seed, count=count)
+    ref = sample_scalar(get_model("LT", graph), roots, keys)
+    got = sample_batched(get_model("LT", graph), roots, keys, batch_size=batch)
+    return roots, ref, got
+
+
+class TestLTPasses:
+    @pytest.mark.parametrize("batch", LT_PASSES)
+    def test_ring_walks_close_on_their_root(self, batch):
+        roots, ref, got = lt_draws(ring_graph(), batch, count=20)
+        assert_same_draws(ref, got)
+        flat, sizes, _ = got
+        assert (sizes == 300).all()
+        # The last vertex's one in-neighbour is the root.
+        np.testing.assert_array_equal((flat[np.cumsum(sizes) - 1] - 1) % 300, roots)
+
+    @pytest.mark.parametrize("batch", LT_PASSES)
+    def test_walks_stop_at_in_degree_zero(self, batch):
+        roots, ref, got = lt_draws(chain_graph(), batch, count=100)
+        assert_same_draws(ref, got)
+        flat, sizes, _ = got
+        np.testing.assert_array_equal(sizes, roots + 1)
+        assert (flat[np.cumsum(sizes) - 1] == 0).all()
+
+    @pytest.mark.parametrize("batch", LT_PASSES)
+    def test_rows_with_slack(self, batch):
+        g = random_graph("LT")
+        model = get_model("LT", g)
+        rev = model.reverse_graph
+        rows = np.flatnonzero(np.diff(rev.indptr))
+        assert (model._cum[rev.indptr[rows + 1] - 1] < 1.0).all()
+        _, ref, got = lt_draws(g, batch, count=400)
+        assert_same_draws(ref, got)
+
+    @pytest.mark.parametrize("batch", LT_PASSES)
+    def test_extend_with_pass_boundary_mid_call(self, batch):
+        """The second extend starts at index 10, so its passes end at other
+        indices than a one-shot draw's; the sets around every boundary are
+        still the oracle's."""
+        g = random_graph("LT")
+        step = batch or batched.LT_BATCH_SIZE
+        first, total = 10, 10 + 2 * step + 5
+        two = kernel_store(g, "LT", count=first, batch=step)
+        two.extend(total)
+        assert two.store.fingerprint() == kernel_store(
+            g, "LT", count=total, batch=step
+        ).store.fingerprint()
+        bounds = (first, first + step, first + 2 * step, step, 2 * step)
+        window = np.unique(
+            np.clip(np.add.outer(bounds, np.arange(-2, 2)).ravel(), 0, total - 1)
+        )
+        ref = sample_scalar(
+            get_model("LT", g), *indexed_draws(9, window, g.num_vertices)
+        )
+        offsets = np.concatenate(([0], np.cumsum(ref[1])))
+        for j, i in enumerate(window.tolist()):
+            np.testing.assert_array_equal(
+                two.store.get(i), np.sort(ref[0][offsets[j] : offsets[j + 1]])
+            )
+
+    def test_default_passes_and_no_lt_stamp(self):
+        ic = BatchedSampler(get_model("IC", random_graph()))
+        lt = BatchedSampler(get_model("LT", random_graph("LT")))
+        assert (ic.batch_size, lt.batch_size) == (
+            batched.BATCH_SIZE, batched.LT_BATCH_SIZE,
+        )
+        assert BatchedSampler(lt.model, 7).batch_size == 7
+        lt.sample(*draws_for(lt.model.graph, count=300))
+        assert lt._stamp.size == 0
+
+
 # ----------------------------------------------------- integration seams
 def kernel_store(graph, model_name, kernel="batched", count=160, seed=9, batch=64):
     with kernel_mode(kernel, batch):
@@ -324,6 +418,19 @@ def grow_reference(model, members, frontier, key, counter):
     return np.array(out, dtype=np.int32)
 
 
+def grow_inputs(members, n):
+    """Two new frontier vertices per set (outside its members), with
+    extension keys and starting counters."""
+    rng = np.random.default_rng(5)
+    frontiers = [
+        np.unique(rng.choice(np.setdiff1d(np.arange(n), m), size=2))
+        for m in members
+    ]
+    keys = derive_keys(derive_key(1, 4, 2), np.arange(len(members)))
+    counters = rng.integers(0, 50, size=len(members)).astype(np.uint64)
+    return frontiers, keys, counters
+
+
 class TestMaintainerKernel:
     def drive(self, kernel, batch, inserts=0):
         """Replay three update batches; returns (maintainer, sets extended)."""
@@ -370,13 +477,7 @@ class TestMaintainerKernel:
         model = get_model("IC", g)
         flat, sizes, _ = sample_batched(model, *draws_for(g, count=40))
         members = np.split(flat, np.cumsum(sizes)[:-1])
-        rng = np.random.default_rng(5)
-        frontiers = [
-            np.unique(rng.choice(np.setdiff1d(np.arange(120), m), size=2))
-            for m in members
-        ]
-        keys = derive_keys(derive_key(1, 4, 2), np.arange(40))
-        counters = rng.integers(0, 50, size=40).astype(np.uint64)
+        frontiers, keys, counters = grow_inputs(members, 120)
         added, added_sizes = BatchedSampler(model, batch).grow(
             (flat, sizes),
             (np.concatenate(frontiers), np.array([f.size for f in frontiers])),
@@ -404,6 +505,39 @@ class TestKernelTelemetry:
         assert snap["counters"]["kernels.levels"] >= 1
         assert "kernels.batch_occupancy" in snap["histograms"]
         assert snap["gauges"]["kernels.sets_per_sec"] > 0
+
+    def test_grow_is_recorded_and_leaves_no_occupancy(self):
+        g = random_graph(n=120, m=480)
+        ks = KernelSampler(get_model("IC", g))
+        rev = ks.model.reverse_graph
+        with telemetry.session() as tel:
+            flat, sizes, _ = ks.sample_for_roots(*draws_for(g, count=40))
+            before = tel.snapshot()["counters"]
+            frontiers, keys, counters = grow_inputs(
+                np.split(flat, np.cumsum(sizes)[:-1]), 120
+            )
+            added, _ = ks.grow(
+                (flat, sizes),
+                (np.concatenate(frontiers), np.array([f.size for f in frontiers])),
+                keys, counters,
+            )
+            after = tel.snapshot()["counters"]
+            assert ks._batched.occupancy == []
+            levels = ks._batched.levels
+            ks.sample_for_roots(*draws_for(g, seed=12, count=30))
+            final = tel.snapshot()["counters"]
+        assert after["kernels.calls"] == before["kernels.calls"] + 1
+        # Every added vertex (frontier included) has all its in-edges
+        # examined exactly once.
+        examined = int((rev.indptr[added + 1] - rev.indptr[added]).sum())
+        assert examined > 0
+        assert after["kernels.edges"] == before["kernels.edges"] + examined
+        assert after["kernels.levels"] > before["kernels.levels"]
+        assert after["kernels.sets"] == before["kernels.sets"] == 40
+        # The next draw records only its own levels.
+        assert final["kernels.levels"] - after["kernels.levels"] == (
+            ks._batched.levels - levels
+        )
 
 
 # ------------------------------------------------------------- validation

@@ -1,5 +1,7 @@
 """Tests for the runtime substrate: partitioners, atomics, queues, backends."""
 
+from heapq import heappop, heappush
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,11 @@ from repro.runtime.partition import (
     block_partition,
     cyclic_partition,
 )
-from repro.runtime.workqueue import ChunkedWorkQueue, simulate_schedule
+from repro.runtime.workqueue import (
+    ChunkedWorkQueue,
+    ScheduleResult,
+    simulate_schedule,
+)
 
 
 class TestBlockPartition:
@@ -219,6 +225,24 @@ class TestChunkedWorkQueue:
         assert sorted(seen) == list(range(n))
 
 
+def reference_dynamic_schedule(c, num_workers, chunk_size):
+    """The dynamic policy one chunk at a time: pop the earliest-free
+    worker, hand it the chunk, push it back free after the chunk's cost."""
+    assignment = np.zeros(c.size, dtype=np.int64)
+    loads = np.zeros(num_workers)
+    heap = [(0.0, w) for w in range(num_workers)]
+    for start in range(0, c.size, chunk_size):
+        end = min(start + chunk_size, c.size)
+        t, w = heappop(heap)
+        assignment[start:end] = w
+        cost = float(c[start:end].sum())
+        loads[w] += cost
+        heappush(heap, (t + cost, w))
+    return ScheduleResult(
+        assignment=assignment, loads=loads, makespan=float(loads.max())
+    )
+
+
 class TestSimulateSchedule:
     def test_static_blocks(self):
         r = simulate_schedule(np.ones(8), 4, policy="static")
@@ -246,6 +270,26 @@ class TestSimulateSchedule:
     def test_empty_costs(self):
         r = simulate_schedule(np.empty(0), 3)
         assert r.makespan == 0.0
+
+    @given(
+        st.one_of(
+            st.lists(st.floats(0.0, 1e6), max_size=150),
+            st.lists(st.integers(0, 3).map(float), max_size=150),
+        ),
+        st.integers(1, 9),
+        st.integers(1, 17),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dynamic_matches_per_chunk_reference(self, costs, p, chunk):
+        """Floats, integer ties, zeros and the empty case: the same
+        schedule as the per-chunk loop, loads equal bit for bit."""
+        c = np.asarray(costs, dtype=np.float64)
+        ref = reference_dynamic_schedule(c, p, chunk)
+        got = simulate_schedule(c, p, policy="dynamic", chunk_size=chunk)
+        np.testing.assert_array_equal(got.assignment, ref.assignment)
+        assert got.loads.dtype == np.float64
+        assert got.loads.tobytes() == ref.loads.tobytes()
+        assert got.makespan == ref.makespan
 
     @given(
         st.lists(st.floats(0.0, 50.0), min_size=1, max_size=120),

@@ -64,6 +64,34 @@ class TestInstruments:
         h.observe(1e-12)
         assert h.counts == {0: 2}
 
+    @pytest.mark.parametrize("kind", ("int", "float"))
+    def test_observe_many_matches_observe_loop(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "int":
+            values = rng.geometric(0.4, size=5_000)
+        else:
+            values = np.concatenate(
+                (rng.random(5_000), rng.random(200) * 1e-10, [0.0, 0.5, 0.5])
+            )
+        one, many = Histogram(), Histogram()
+        one.observe(1.0)  # both start from earlier observations
+        many.observe(1.0)
+        for v in values:
+            one.observe(v)
+        many.observe_many(values)
+        assert many.counts == one.counts
+        assert (many.count, many.min, many.max) == (one.count, one.min, one.max)
+        if kind == "int":
+            assert many.sum == one.sum
+        else:
+            assert many.sum == pytest.approx(one.sum, rel=1e-12)
+
+    def test_observe_many_empty_is_a_no_op(self):
+        h = Histogram()
+        h.observe_many([])
+        h.observe_many(np.empty(0, dtype=np.int64))
+        assert h.to_dict() == Histogram().to_dict()
+
 
 class TestThreadSafety:
     """Instruments are mutated from gateway handler threads and the engine
