@@ -14,6 +14,12 @@ records its speedup.
 Both kernels draw byte-identical sets (asserted here too — a throughput
 win that changed the bytes would be a bug, not a speedup).
 
+The edge-bound cell is imm-ic's: 1,600 IC sets on the half-scale amazon
+replica at the default pass, each reaching about half the graph, so the
+per-edge work of a level (coins, gathers, dedup) is what it measures.  Its
+bytes are checked against the scalar oracle once, and it records sets/s
+and edges/s there and at two larger passes, which do not pay.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the graph and set counts so the CI
 benchmark-smoke job finishes quickly.
 """
@@ -29,6 +35,7 @@ import pytest
 from repro.bench.report import Table
 from repro.diffusion.base import get_model
 from repro.graph.builder import from_edge_array
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi
 from repro.graph.weights import assign_ic_weights, assign_lt_weights
 from repro.kernels import (
@@ -47,6 +54,9 @@ SEED = 5
 BATCHES = (8, 32, 64, 256)
 MIN_IC_SPEEDUP = 3.0
 MIN_LT_SPEEDUP = 1.5
+REPLICA_SETS = 200 if SMOKE else 1_600
+REPLICA_PASSES = (256, 1_024)
+REPLICA_REPEATS = 5
 
 
 def _graph(model: str):
@@ -165,4 +175,64 @@ def test_kernel_speedup(benchmark, workload, bench_record):
     assert speedup_at[64] >= floor, (
         f"batched kernel speedup {speedup_at[64]:.2f}x at batch 64 "
         f"below the {floor}x floor"
+    )
+
+
+def test_edge_bound_replica_cell(benchmark, bench_record):
+    """imm-ic's graph and set count, at the default IC pass and at the
+    larger passes that do not pay there."""
+    g = load_dataset("amazon", model="IC", seed=0, scale=0.5)
+    model = get_model("IC", g)
+    roots, keys = indexed_draws(
+        SEED, np.arange(REPLICA_SETS), g.num_vertices
+    )
+    default = BatchedSampler(model).batch_size
+    got = BatchedSampler(model).sample(roots, keys)
+    ref = sample_scalar(model, roots, keys)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
+    edges = int(got[2].sum())
+    samplers = {p: BatchedSampler(model, p) for p in (default, *REPLICA_PASSES)}
+    times = {p: [] for p in samplers}
+    for _ in range(REPLICA_REPEATS):  # interleaved, so drift hits every pass
+        for p, sampler in samplers.items():
+            t0 = time.perf_counter()
+            sampler.sample(roots, keys)
+            times[p].append(time.perf_counter() - t0)
+    benchmark.pedantic(
+        lambda: samplers[default].sample(roots, keys), rounds=1, iterations=1
+    )
+    median = {p: float(np.median(t)) for p, t in times.items()}
+    table = Table(
+        title=f"edge-bound cell [IC] (amazon x0.5: {g.num_vertices} vertices, "
+        f"{g.num_edges} edges; {REPLICA_SETS} sets, {edges} edges examined; "
+        f"median of {REPLICA_REPEATS})",
+        columns=("pass", "ms", "sets/s", "edges/s"),
+        rows=[
+            (
+                f"{p} (default)" if p == default else p,
+                f"{median[p] * 1e3:.0f}",
+                round(REPLICA_SETS / median[p]),
+                round(edges / median[p]),
+            )
+            for p in samplers
+        ],
+    )
+    print("\n" + table.render())
+    bench_record(
+        "kernels_ic_replica",
+        table=table,
+        model="IC",
+        dataset="amazon",
+        scale=0.5,
+        num_vertices=g.num_vertices,
+        num_edges=g.num_edges,
+        num_sets=REPLICA_SETS,
+        edges_examined=edges,
+        repeats=REPLICA_REPEATS,
+        default_pass=default,
+        seconds_median={str(p): t for p, t in median.items()},
+        sets_per_s=REPLICA_SETS / median[default],
+        edges_per_s=edges / median[default],
+        smoke=SMOKE,
     )

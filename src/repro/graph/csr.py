@@ -88,7 +88,8 @@ class CSRGraph:
             raise GraphConstructionError("indptr must be non-decreasing")
         if m and (self.indices.min() < 0 or self.indices.max() >= n):
             raise GraphConstructionError("edge endpoint out of range")
-        if m and (np.any(self.probs < 0.0) or np.any(self.probs > 1.0)):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if m and not np.all((0.0 <= self.probs) & (self.probs <= 1.0)):
             raise GraphConstructionError("edge probabilities must lie in [0, 1]")
 
     # ------------------------------------------------------------- accessors

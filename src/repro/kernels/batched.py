@@ -4,13 +4,21 @@ The per-root path pays numpy dispatch overhead per frontier *per set*; here
 one pass advances every active set one level.
 
 - IC: the working state is a ``(set_slot, vertex)`` **pair frontier**
-  encoded as flat keys ``slot * n + vertex``.  All in-edges of all frontier
-  pairs are gathered with one CSR row gather, one fused coin array covers
-  every edge of every active set, and a sorted unique over pair keys
-  deduplicates per set while producing exactly the canonical
-  (slot-ascending, vertex-ascending) order the scalar reference consumes.
-  Visited tracking is a flat epoch-stamped array of ``batch_size * n``
-  cells reused across calls (memory is O(B·n), so IC passes stay small).
+  encoded as flat keys ``slot * n + vertex``.  Each level repeats the
+  frontier-pair index once per in-edge, and every per-edge array (CSR
+  position, draw counter, stream key, pair-key offset) is one ``take``
+  from a per-pair array through it.  One fused coin array covers every
+  edge of every active set; each coin is the integer compare
+  ``(x >> 11) < ceil(p * 2**53)`` against thresholds built once per
+  sampler (exactly the float coin ``u < p``, see :mod:`repro.kernels.rng`),
+  hashed in place.  Live, then unvisited, edges are picked with
+  ``np.flatnonzero`` and ``take`` rather than boolean masks, which cost
+  about 2.5 times as much per element at the ~50% densities seen here.  A
+  sorted unique over pair keys deduplicates per set while producing
+  exactly the canonical (slot-ascending, vertex-ascending) order the
+  scalar reference consumes.  Visited tracking is a flat epoch-stamped
+  array of ``batch_size * n`` cells reused across calls (memory is
+  O(B·n), so IC passes stay small).
 - LT: all active walks advance in lock step — one uniform per walk per
   level, a vectorised bisection over the per-row cumulative weights picks
   each walk's in-neighbour.  A walk can only revisit its own path, so each
@@ -34,15 +42,16 @@ import numpy as np
 from repro._util import sorted_unique, stable_argsort
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ParameterError
-from repro.kernels.rng import counter_uniforms
+from repro.kernels.rng import coin_thresholds, counter_uniforms, flip_coins
 
 __all__ = ["BATCH_SIZE", "LT_BATCH_SIZE", "BatchedSampler", "sample_batched"]
 
 #: IC sets per vectorised pass.  Output bytes never depend on it (see the
 #: module docstring); it only trades scratch memory (``B * n`` stamps)
-#: against per-pass dispatch overhead.  Larger IC passes do not pay: 1,600
-#: sets on the half-scale amazon replica took 614, 591 and 623 ms at 64,
-#: 256 and 1,024 sets per pass, while peak memory grew from 12 to 45 MB.
+#: against per-pass dispatch overhead.  Larger IC passes do not pay: on the
+#: edge-bound cell of ``benchmarks/bench_kernels.py`` (imm-ic's 1,600 sets)
+#: 256 sets per pass is within noise of 64 and 1,024 is slower, while the
+#: stamp grows 4x and 16x.
 BATCH_SIZE = 64
 
 #: LT walks per vectorised pass.  LT keeps no ``B * n`` scratch; the pass
@@ -77,6 +86,9 @@ class BatchedSampler:
         self._stamp = np.zeros(0, dtype=np.int32)
         self._epoch = 0
         self._stop_at = _step_thresholds(model) if kind == "LT" else None
+        self._thresh = (
+            coin_thresholds(model.reverse_graph.probs) if kind == "IC" else None
+        )
         self.levels = 0  # vectorised levels executed (across calls)
         self.collect_occupancy = False  # set by KernelSampler under telemetry
         self.occupancy: list[float] = []  # active fraction of a pass, per level
@@ -86,6 +98,10 @@ class BatchedSampler:
         need = b * self._n
         if self._stamp.size < need:
             self._stamp = np.zeros(need, dtype=np.int32)
+            self._epoch = 0
+        elif self._epoch == np.iinfo(np.int32).max:
+            # The next epoch would not fit the stamp: start the count over.
+            self._stamp.fill(0)
             self._epoch = 0
         self._epoch += 1
         return self._stamp, self._epoch
@@ -148,7 +164,8 @@ class BatchedSampler:
         """
         rev = self.model.reverse_graph
         n = self._n
-        indptr = rev.indptr
+        indptr, indices, thresh = rev.indptr, rev.indices, self._thresh
+        slots = np.arange(b + 1)
         pairs: list[np.ndarray] = []
         while fslot.size:
             self.levels += 1
@@ -157,40 +174,46 @@ class BatchedSampler:
                 self.occupancy.append(
                     (np.count_nonzero(np.diff(fslot)) + 1) / b
                 )
-            starts = indptr[fvert].astype(np.int64)
-            lengths = indptr[fvert + 1] - starts
-            total = int(lengths.sum())
+            starts = indptr.take(fvert)
+            lengths = indptr.take(fvert + 1)
+            lengths -= starts
+            # bounds[j]: where pair j's edges start in this level's arrays.
+            bounds = np.zeros(fslot.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=bounds[1:])
+            total = int(bounds[-1])
             if total == 0:
                 break
-            # One flat gather addresses every in-edge of every frontier pair.
-            ends = np.cumsum(lengths)
-            flat_idx = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - (ends - lengths), lengths
+            # fslot is sorted, so each set's edges form one run of the
+            # level, and an edge draws its set's running counter plus its
+            # position within that run.  (uint64 array arithmetic wraps
+            # silently, as the streams want.)
+            runs = bounds.take(np.searchsorted(fslot, slots))
+            counts = np.diff(runs)
+            shift = counters - runs[:-1].astype(np.uint64)
+            # Every per-edge array is one take from a per-pair array through
+            # the one repeat of the pair index.
+            pair = np.repeat(np.arange(fslot.size), lengths)
+            iota = np.arange(total)
+            csr = (starts - bounds[:-1]).take(pair)
+            csr += iota
+            ctr = shift.take(fslot).take(pair)
+            ctr += iota.view(np.uint64)
+            live = np.flatnonzero(
+                flip_coins(ctr, keys.take(fslot).take(pair), thresh.take(csr))
             )
-            nbrs = rev.indices[flat_idx]
-            probs = rev.probs[flat_idx]
-            eslot = np.repeat(fslot, lengths)
-            # Per-edge draw counter: this set's running counter plus the
-            # edge's position within the set's slice of this level (eslot is
-            # sorted, so each run starts where the previous set's ended).
-            # (uint64 array arithmetic wraps silently, as the streams want.)
-            counts = np.bincount(eslot, minlength=b)
-            run_start = (np.cumsum(counts) - counts).astype(np.uint64)
-            shift = counters - run_start
-            base = np.arange(total, dtype=np.uint64) + shift[eslot]
-            u = counter_uniforms(keys[eslot], base)
             counters += counts.astype(np.uint64)
             edges += counts
-            live = u < probs
-            pk = eslot[live] * n + nbrs[live].astype(np.int64)
+            pk = (fslot * n).take(pair.take(live))
+            pk += indices.take(csr.take(live))
             # Drop visited pairs first (cheap), then dedup what is left per
             # set in the canonical slot/vertex order.
-            fresh = sorted_unique(pk[stamp[pk] != epoch])
+            fresh = sorted_unique(pk.take(np.flatnonzero(stamp.take(pk) != epoch)))
             if fresh.size == 0:
                 break
             stamp[fresh] = epoch
             pairs.append(fresh)
-            fslot, fvert = np.divmod(fresh, n)
+            fslot = fresh // n
+            fvert = fresh - fslot * n
         return pairs
 
     def grow(

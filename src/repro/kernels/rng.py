@@ -18,6 +18,12 @@ BigCrush when used as a stream generator and vectorise to a handful of
 uint64 numpy ops.  Floats use the standard 53-bit mantissa construction
 ``(x >> 11) * 2**-53``, giving uniforms in ``[0, 1)``.
 
+A coin that fires with probability ``p`` is ``u < p``.  Scaling both sides
+by ``2**53`` is exact, so the kernels flip it as the integer compare
+``(x >> 11) < ceil(p * 2**53)`` (:func:`coin_thresholds`,
+:func:`flip_coins`): the same outcome as the float compare for every ``p``
+in ``[0, 1]``, with no float conversion per coin.
+
 All arithmetic is modulo 2**64 (numpy uint64 wraps silently); the explicit
 ``errstate`` guards silence the scalar-overflow RuntimeWarnings some numpy
 versions emit for 0-d operands.
@@ -29,9 +35,11 @@ import numpy as np
 
 __all__ = [
     "coin_key",
+    "coin_thresholds",
     "counter_uniforms",
     "derive_key",
     "derive_keys",
+    "flip_coins",
     "rank_seed",
     "root_key",
     "roots_for_indices",
@@ -58,12 +66,17 @@ DOMAIN_RANK = 0x05
 
 
 def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """splitmix64 finalizer: a bijective avalanche mix on uint64."""
-    x = x ^ (x >> _S1)
-    x = x * _M1
-    x = x ^ (x >> _S2)
-    x = x * _M2
-    return x ^ (x >> _S3)
+    """splitmix64 finalizer: a bijective avalanche mix on uint64.
+
+    Mixes an array in place (callers pass a buffer they own) and returns
+    it; a scalar is rebound, not mutated.
+    """
+    x ^= x >> _S1
+    x *= _M1
+    x ^= x >> _S2
+    x *= _M2
+    x ^= x >> _S3
+    return x
 
 
 def derive_key(*components: int) -> int:
@@ -104,6 +117,33 @@ def counter_uniforms(
     with np.errstate(over="ignore"):
         x = _mix64((ctr * _GAMMA) ^ k)
         return ((x >> _SH11).astype(np.float64)) * _INV53
+
+
+def coin_thresholds(probs: np.ndarray) -> np.ndarray:
+    """Integer coin thresholds ``ceil(p * 2**53)`` (uint64), elementwise.
+
+    ``u < p`` for ``u = (x >> 11) * 2**-53`` holds exactly when
+    ``(x >> 11) < ceil(p * 2**53)``: multiplying by ``2**53`` is exact for
+    every ``p`` in ``[0, 1]`` (subnormals included), and ``x >> 11`` is an
+    integer.  ``p = 1`` gives ``2**53``, above every draw; ``p = 0`` gives 0.
+    """
+    return np.ceil(np.asarray(probs, dtype=np.float64) * 2.0**53).astype(np.uint64)
+
+
+def flip_coins(
+    counters: np.ndarray, keys: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """``counter_uniforms(keys, counters) < p`` elementwise, for
+    ``thresholds = coin_thresholds(p)``, as integer compares.
+
+    Hashes in place: ``counters`` (a uint64 array, the caller's buffer) is
+    overwritten.
+    """
+    counters *= _GAMMA
+    counters ^= keys
+    _mix64(counters)
+    counters >>= _SH11
+    return counters < thresholds
 
 
 def root_key(seed: int) -> int:

@@ -48,6 +48,11 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             CSRGraph(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("bad", (np.nan, -np.nan, np.inf, -np.inf))
+    def test_rejects_non_finite_probability(self, bad):
+        with pytest.raises(GraphConstructionError):
+            CSRGraph(3, np.array([0, 1, 2, 2]), np.array([1, 2]), np.array([bad, 0.5]))
+
     def test_rejects_probs_length_mismatch(self):
         with pytest.raises(GraphConstructionError):
             CSRGraph(2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(3))

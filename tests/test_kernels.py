@@ -17,8 +17,11 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
+from repro._util import sorted_unique
 from repro.core.efficientimm import EfficientIMM
 from repro.core.params import IMMParams
 from repro.core.parallel_sampling import parallel_generate
@@ -26,6 +29,7 @@ from repro.core.sampling import RRRSampler, SamplingConfig
 from repro.diffusion.base import get_model
 from repro.errors import ParameterError
 from repro.graph.builder import GraphBuilder, from_edge_array
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.weights import assign_ic_weights, assign_lt_weights
 from repro.kernels import (
@@ -40,7 +44,8 @@ from repro.kernels import (
     sample_batched,
     sample_scalar,
 )
-from repro.kernels import batched
+from repro.kernels import batched, rng
+from repro.kernels.rng import coin_thresholds, flip_coins
 from repro.runtime.backends import SerialBackend
 
 BATCHES = (1, 7, 64)
@@ -309,6 +314,313 @@ class TestLTPasses:
         assert BatchedSampler(lt.model, 7).batch_size == 7
         lt.sample(*draws_for(lt.model.graph, count=300))
         assert lt._stamp.size == 0
+
+
+# ------------------------------ reference: the mask-and-float IC loop
+def reference_ic_levels(model, fslot, fvert, keys, counters, edges, stamp, epoch, b):
+    """The IC level loop written with boolean masks, two repeats per level
+    and a float coin ``counter_uniforms(...) < p`` per edge: the reference
+    :meth:`BatchedSampler._ic_levels` must match byte for byte, counters
+    and edge counts included."""
+    rev = model.reverse_graph
+    n = model.graph.num_vertices
+    indptr = rev.indptr
+    pairs = []
+    while fslot.size:
+        starts = indptr[fvert].astype(np.int64)
+        lengths = indptr[fvert + 1] - starts
+        total = int(lengths.sum())
+        if total == 0:
+            break
+        ends = np.cumsum(lengths)
+        flat_idx = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - (ends - lengths), lengths
+        )
+        nbrs = rev.indices[flat_idx]
+        probs = rev.probs[flat_idx]
+        eslot = np.repeat(fslot, lengths)
+        counts = np.bincount(eslot, minlength=b)
+        run_start = (np.cumsum(counts) - counts).astype(np.uint64)
+        shift = counters - run_start
+        base = np.arange(total, dtype=np.uint64) + shift[eslot]
+        u = counter_uniforms(keys[eslot], base)
+        counters += counts.astype(np.uint64)
+        edges += counts
+        live = u < probs
+        pk = eslot[live] * n + nbrs[live].astype(np.int64)
+        fresh = sorted_unique(pk[stamp[pk] != epoch])
+        if fresh.size == 0:
+            break
+        stamp[fresh] = epoch
+        pairs.append(fresh)
+        fslot, fvert = np.divmod(fresh, n)
+    return pairs
+
+
+def reference_split(pairs, b, n):
+    slots = pairs // n
+    order = np.argsort(slots, kind="stable")
+    return (pairs % n).astype(np.int32)[order], np.bincount(slots, minlength=b)
+
+
+def reference_ic_batch(model, roots, keys, batch):
+    """Sets drawn ``batch`` at a time through :func:`reference_ic_levels`."""
+    n = model.graph.num_vertices
+    out = []
+    for lo in range(0, roots.size, batch):
+        r, k = roots[lo : lo + batch], keys[lo : lo + batch]
+        b = r.size
+        stamp = np.zeros(b * n, dtype=np.int32)
+        level0 = np.arange(b, dtype=np.int64) * n + r
+        stamp[level0] = 1
+        edges = np.zeros(b, dtype=np.int64)
+        pairs = [level0] + reference_ic_levels(
+            model, np.arange(b, dtype=np.int64), r, k,
+            np.zeros(b, dtype=np.uint64), edges, stamp, 1, b,
+        )
+        out.append((*reference_split(np.concatenate(pairs), b, n), edges))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def reference_ic_grow(model, members, frontier, keys, counters, batch):
+    """:meth:`BatchedSampler._grow` through :func:`reference_ic_levels`."""
+    (m_flat, m_sizes), (f_flat, f_sizes) = members, frontier
+    m_off = np.concatenate(([0], np.cumsum(m_sizes)))
+    f_off = np.concatenate(([0], np.cumsum(f_sizes)))
+    n = model.graph.num_vertices
+    out = []
+    for lo in range(0, keys.size, batch):
+        hi = min(lo + batch, keys.size)
+        b = hi - lo
+        stamp = np.zeros(b * n, dtype=np.int32)
+        slot = np.arange(b, dtype=np.int64)
+        mv = m_flat[m_off[lo] : m_off[hi]].astype(np.int64)
+        stamp[np.repeat(slot, m_sizes[lo:hi]) * n + mv] = 1
+        fv = f_flat[f_off[lo] : f_off[hi]].astype(np.int64)
+        seed = sorted_unique(np.repeat(slot, f_sizes[lo:hi]) * n + fv)
+        stamp[seed] = 1
+        fslot, fvert = np.divmod(seed, n)
+        edges = np.zeros(b, dtype=np.int64)
+        pairs = [seed] + reference_ic_levels(
+            model, fslot, fvert, keys[lo:hi], counters[lo:hi].copy(),
+            edges, stamp, 1, b,
+        )
+        out.append((*reference_split(np.concatenate(pairs), b, n), edges))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def csr_from_edges(n, edges):
+    """A CSR graph straight from ``(u, v, p)`` triples: parallel edges and
+    self-loops kept, each row in list order."""
+    edges = sorted(edges, key=lambda e: e[0])
+    src = np.array([u for u, _, _ in edges], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return CSRGraph(
+        n, indptr,
+        np.array([v for _, v, _ in edges], dtype=np.int64),
+        np.array([p for _, _, p in edges], dtype=np.float64),
+    )
+
+
+COIN_PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 1.0 - 2.0**-53, 2.0**-53]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def small_ic_graphs(draw):
+    """Up to 10 vertices and 30 edges drawn with repetition, so self-loops
+    and parallel edges are common; no edge enters the last vertex, so
+    frontiers at in-degree 0 occur too."""
+    n = draw(st.integers(2, 10))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), COIN_PROBS)
+    return csr_from_edges(n, draw(st.lists(edge, max_size=30)))
+
+
+def near_wrap_counters(count, seed):
+    """Start counters within 40 of 2**64, so draws wrap to 0 mid-set."""
+    back = np.random.default_rng(seed).integers(0, 40, size=count)
+    return np.uint64(2**64 - 1) - back.astype(np.uint64)
+
+
+class TestICLoopReference:
+    @pytest.mark.parametrize("batch", BATCHES)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=small_ic_graphs(), seed=st.integers(0, 2**32), count=st.integers(1, 150)
+    )
+    def test_sample_matches_reference(self, batch, graph, seed, count):
+        model = get_model("IC", graph)
+        roots, keys = indexed_draws(seed, np.arange(count), graph.num_vertices)
+        assert_same_draws(
+            reference_ic_batch(model, roots, keys, batch),
+            BatchedSampler(model, batch).sample(roots, keys),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=small_ic_graphs(), seed=st.integers(0, 2**32), b=st.integers(1, 9))
+    def test_levels_leave_same_counters(self, graph, seed, b):
+        """From a multi-vertex frontier per set, counters near 2**64."""
+        model = get_model("IC", graph)
+        n = graph.num_vertices
+        pick = np.random.default_rng(seed).random((b, n)) < 0.4
+        fslot, fvert = np.nonzero(pick)  # slot-major, vertex-ascending
+        keys = derive_keys(coin_key(seed), np.arange(b))
+        sides = []
+        for levels in (
+            BatchedSampler(model, b)._ic_levels,
+            lambda *a: reference_ic_levels(model, *a),
+        ):
+            counters = near_wrap_counters(b, seed)
+            edges = np.zeros(b, dtype=np.int64)
+            stamp = np.zeros(b * n, dtype=np.int32)
+            stamp[fslot * n + fvert] = 1
+            pairs = levels(fslot, fvert, keys, counters, edges, stamp, 1, b)
+            sides.append((pairs, counters, edges, stamp))
+        (pa, ca, ea, sa), (pb, cb, eb, sb) = sides
+        assert len(pa) == len(pb)
+        for x, y in zip(pa, pb):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(ca, cb)
+        np.testing.assert_array_equal(ea, eb)
+        np.testing.assert_array_equal(sa, sb)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=small_ic_graphs(), seed=st.integers(0, 2**32), count=st.integers(1, 40)
+    )
+    def test_grow_matches_reference(self, batch, graph, seed, count):
+        model = get_model("IC", graph)
+        n = graph.num_vertices
+        flat, sizes, _ = sample_batched(
+            model, *indexed_draws(seed, np.arange(count), n)
+        )
+        members = np.split(flat, np.cumsum(sizes)[:-1])
+        rng_ = np.random.default_rng(seed)
+        frontiers = [
+            np.unique(rng_.choice(rest, size=min(2, rest.size)))
+            for rest in (np.setdiff1d(np.arange(n), m) for m in members)
+        ]
+        frontier = (
+            np.concatenate(frontiers).astype(np.int32),
+            np.array([f.size for f in frontiers]),
+        )
+        keys = derive_keys(derive_key(seed, 4), np.arange(count))
+        counters = near_wrap_counters(count, seed)
+        assert_same_draws(
+            reference_ic_grow(model, (flat, sizes), frontier, keys, counters, batch),
+            BatchedSampler(model, batch)._grow((flat, sizes), frontier, keys, counters),
+        )
+
+    def test_replica_matches_reference(self):
+        """An edge-bound cell: 300 sets of the half-scale amazon replica."""
+        from repro.graph.datasets import load_dataset
+
+        g = load_dataset("amazon", model="IC", seed=0, scale=0.5)
+        model = get_model("IC", g)
+        roots, keys = indexed_draws(3, np.arange(300), g.num_vertices)
+        assert_same_draws(
+            reference_ic_batch(model, roots, keys, 64),
+            BatchedSampler(model).sample(roots, keys),
+        )
+
+
+# ------------------------------------------------------------ integer coins
+_MOD = 1 << 64
+
+
+def _unshift(y, s):
+    """Invert ``x ^ (x >> s)`` on a 64-bit integer."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def counter_hashing_to(bits, key):
+    """The draw counter whose hash under ``key`` is the 64-bit ``bits``:
+    the splitmix64 steps of :func:`counter_uniforms`, undone one by one."""
+    x = _unshift(bits, 31)
+    x = x * pow(int(rng._M2), -1, _MOD) % _MOD
+    x = _unshift(x, 27)
+    x = x * pow(int(rng._M1), -1, _MOD) % _MOD
+    x = _unshift(x, 30)
+    return (x ^ key) * pow(int(rng._GAMMA), -1, _MOD) % _MOD
+
+
+def grid_probs():
+    """Probabilities at the edges of the coin's resolution."""
+    out = [0.0, 1.0, 1.0 - 2.0**-53, 5e-324, 0.5]
+    for k in (1, 2, 3, 12345, 2**40 + 7, 2**52, 2**53 - 2, 2**53 - 1):
+        p = k * 2.0**-53
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)]
+    out += np.random.default_rng(0).random(40).tolist()
+    return np.clip(np.array(out), 0.0, 1.0)
+
+
+class TestIntegerCoins:
+    def test_integer_coin_equals_float_coin_at_its_threshold(self):
+        """For each p, draws whose top 53 bits sit at T(p) - 1, T(p) and
+        T(p) + 1 (random low bits) flip the same way under both coins."""
+        rand = np.random.default_rng(1)
+        probs = grid_probs()
+        rows, tops, keys, ctrs = [], [], [], []
+        for i, c in enumerate(coin_thresholds(probs).tolist()):
+            for top in (c - 1, c, c + 1):
+                if 0 <= top < 2**53:
+                    key = int(rand.integers(0, 2**64, dtype=np.uint64))
+                    low = int(rand.integers(0, 2**11))
+                    rows.append(i)
+                    tops.append(top)
+                    keys.append(key)
+                    ctrs.append(counter_hashing_to(top << 11 | low, key))
+        p = probs[rows]
+        keys = np.array(keys, dtype=np.uint64)
+        ctrs = np.array(ctrs, dtype=np.uint64)
+        u = counter_uniforms(keys, ctrs)
+        np.testing.assert_array_equal(u * 2.0**53, np.array(tops, dtype=np.float64))
+        got = flip_coins(ctrs.copy(), keys, coin_thresholds(p))
+        np.testing.assert_array_equal(got, u < p)
+        np.testing.assert_array_equal(
+            got, np.array(tops, dtype=np.uint64) < coin_thresholds(p)
+        )
+        assert got.any() and not got.all()
+
+
+# ------------------------------------------------------------ stamp epochs
+class TestEpochWrap:
+    def test_epoch_restarts_below_int32_limit(self):
+        """A sampler one epoch below the int32 limit wraps its stamp and
+        draws the bytes a fresh one does, for draws and for grow."""
+        g = random_graph(n=120, m=480)
+        model = get_model("IC", g)
+        roots, keys = draws_for(g, count=150)
+        # Other sets size the stamp, so a wrap that kept their stamps
+        # would hide vertices from the sets drawn after it.
+        other = draws_for(g, seed=12, count=64)
+        worn = BatchedSampler(model, 64)
+        worn.sample(*other)
+        worn._epoch = np.iinfo(np.int32).max - 1
+        assert_same_draws(
+            worn.sample(roots, keys), BatchedSampler(model, 64).sample(roots, keys)
+        )
+        assert worn._epoch < 10
+
+        flat, sizes, _ = sample_batched(model, roots[:40], keys[:40])
+        frontiers, gkeys, counters = grow_inputs(
+            np.split(flat, np.cumsum(sizes)[:-1]), 120
+        )
+        frontier = (np.concatenate(frontiers), np.array([f.size for f in frontiers]))
+        worn = BatchedSampler(model, 7)
+        worn.sample(other[0][:7], other[1][:7])
+        worn._epoch = np.iinfo(np.int32).max - 1
+        assert_same_draws(
+            worn._grow((flat, sizes), frontier, gkeys, counters),
+            BatchedSampler(model, 7)._grow((flat, sizes), frontier, gkeys, counters),
+        )
+        assert worn._epoch < 10
 
 
 # ----------------------------------------------------- integration seams
