@@ -27,7 +27,7 @@ NUM_QUERIES = 50 if SMOKE else 500
 
 def build_store(seed=0):
     rng = np.random.default_rng(seed)
-    s = FlatRRRStore(NUM_VERTICES, sort_sets=True)
+    s = FlatRRRStore(NUM_VERTICES)
     for _ in range(NUM_SETS):
         size = int(rng.integers(1, 60))
         s.append(rng.choice(NUM_VERTICES, size=size, replace=False))

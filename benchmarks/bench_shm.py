@@ -51,12 +51,15 @@ SEED = 17
 
 
 def _synthetic_store():
-    """A flat store with ~NUM_SETS * AVG_SET entries (payload in the MBs)."""
+    """A flat store with ~NUM_SETS * AVG_SET entries (payload in the MBs),
+    each set's vertices distinct and ascending, as a store holds them."""
     rng = np.random.default_rng(SEED)
     sizes = rng.integers(AVG_SET // 2, AVG_SET * 2, size=NUM_SETS)
+    sets = np.repeat(np.arange(NUM_SETS, dtype=np.int64), sizes)
+    keys = np.unique(sets * N_VERTICES + rng.integers(0, N_VERTICES, sets.size))
     offsets = np.zeros(NUM_SETS + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    vertices = rng.integers(0, N_VERTICES, size=int(offsets[-1])).astype(np.int32)
+    np.cumsum(np.bincount(keys // N_VERTICES, minlength=NUM_SETS), out=offsets[1:])
+    vertices = (keys % N_VERTICES).astype(np.int32)
     return make_store(
         "flat", num_vertices=N_VERTICES, offsets=offsets, vertices=vertices
     )

@@ -183,7 +183,7 @@ def parallel_generate(
             if segment_manager is not None:
                 segment_manager.close()
 
-        store = make_store("flat", num_vertices=graph.num_vertices, sort_sets=True)
+        store = make_store("flat", num_vertices=graph.num_vertices)
         for batches in results:
             for flat, sizes in batches:
                 store.append_csr(flat, sizes)

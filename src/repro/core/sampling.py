@@ -144,7 +144,7 @@ class RRRSampler:
         # The physical layout always keeps sets internally sorted so both
         # selection kernels can binary-search them; what differs between the
         # frameworks is the *charged* post-processing cost (below).
-        self.store = make_store("flat", num_vertices=n, sort_sets=True)
+        self.store = make_store("flat", num_vertices=n)
         self.counter = np.zeros(n, dtype=np.int64)  # fused global counter
         self.per_set_costs: list[float] = []
         self.per_set_edges: list[int] = []  # traversal work, charge-independent

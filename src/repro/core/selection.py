@@ -29,9 +29,9 @@ cover step.
 Membership ("which uncovered sets contain v") costs what it covers.
 :class:`CoverStep` finds it one of two ways, fixed once per call (or per
 shard session) by a rule on the store's shape: one scan of the flat vertex
-array for ``v``, correct for any set order, or a segmented binary search
-over the uncovered sets when they are sorted and large enough that
-bisecting beats scanning.  Ripples and the simulated distributed ranks
+array for ``v``, or a segmented binary search over the uncovered sets
+(every flat store keeps its sets ascending) when they are large enough
+that bisecting beats scanning.  Ripples and the simulated distributed ranks
 always bisect: that is the probe pattern they model.  EfficientIMM's stats
 charge the per-set O(log s) probe both codes perform (adaptive bitmap sets
 O(1)) whichever path ran, settled once per call: a set pays once for every
@@ -124,14 +124,14 @@ def segmented_membership(
 
 
 def _bisects(store: FlatRRRStore) -> bool:
-    """The membership rule: bisect only sorted stores whose flat scan
-    costs more than one bisection over every set.
+    """The membership rule, on the store's shape alone: bisect when the
+    flat scan costs more than one bisection over every set.
 
     A scan reads ``total_entries``; bisecting reads ``num_sets`` sets for
     ``ceil(log2(max_size + 1))`` steps, each worth
     ``_BISECT_STEP_ENTRIES`` scanned entries.
     """
-    if not store.sort_sets or len(store) == 0:
+    if len(store) == 0:
         return False
     depth = int(store.sizes().max()).bit_length()  # ceil(log2(max + 1))
     return store.total_entries > _BISECT_STEP_ENTRIES * len(store) * depth
@@ -146,9 +146,9 @@ class CoverStep:
 
     - **scan**: one pass ``vertices == v``; each hit's set is
       ``searchsorted(offsets, hit, side="right") - 1``, and covered sets
-      are dropped.  Correct for any set order and for empty sets.
+      are dropped.  Correct for empty sets too.
     - **bisection**: :func:`segmented_membership` over the uncovered sets,
-      which must be sorted.
+      which the store keeps ascending.
     """
 
     def __init__(self, store: FlatRRRStore):
@@ -390,17 +390,12 @@ def ripples_select(
     slice.  Counting and every post-pick update require each thread to
     traverse **all** (remaining) sets — executed here as real redundant
     passes over the flat store, one per thread, so the p-fold traffic the
-    paper measures is physically present.  Sets must be internally sorted
-    (``store.sort_sets`` at generation): both the range clipping and the
-    membership probes binary-search them.
+    paper measures is physically present.  Both the range clipping and the
+    membership probes binary-search the store's ascending sets.
     """
     n = store.num_vertices
     num_sets = len(store)
     _check_select_args(store, k, num_threads)
-    if not store.sort_sets:
-        raise ParameterError(
-            "ripples_select requires a store built with sort_sets=True"
-        )
     stats = KernelStats(num_threads)
     sizes = store.sizes()
     offsets = store.offsets

@@ -151,7 +151,6 @@ class DynamicService:
             self.delta.num_vertices,
             self.maintainer.store.offsets,
             self.maintainer.store.vertices,
-            sort_sets=True,
         )
         counter = self.maintainer.counter.copy()
         meta = {

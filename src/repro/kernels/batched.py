@@ -27,6 +27,9 @@ one pass advances every active set one level.
   That lets thousands of walks share each pass; transient memory is
   O(pass size x walk length).
 
+Both models end a pass with one sort of its pair keys, which leaves each
+set's vertices strictly ascending: the layout every flat store keeps.
+
 Per-set randomness comes from counter streams keyed by the *global* set
 index (:mod:`repro.kernels.rng`), and each set's counter advances by
 exactly the number of edges it examined at each level (one per step for an
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import sorted_unique, stable_argsort
+from repro._util import sorted_unique
 from repro.diffusion.base import DiffusionModel
 from repro.errors import ParameterError
 from repro.kernels.rng import coin_thresholds, counter_uniforms, flip_coins
@@ -112,7 +115,7 @@ class BatchedSampler:
         """Draw one set per ``(root, key)`` pair, all in lock step.
 
         Returns CSR-style ``(flat_vertices int32, sizes int64, edges int64)``
-        with set *i*'s vertices in its canonical discovery order.
+        with set *i*'s vertices strictly ascending.
         """
         roots = np.asarray(roots, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
@@ -132,11 +135,14 @@ class BatchedSampler:
 
     @staticmethod
     def _split(pairs: np.ndarray, b: int, n: int):
-        """Flat level-major pair keys -> per-set CSR ``(flat, sizes)``."""
-        slots = pairs // n
-        order = stable_argsort(slots)  # keeps per-set level order
-        flat = (pairs % n).astype(np.int32)[order]
-        sizes = np.bincount(slots, minlength=b)
+        """Distinct pair keys ``slot * n + vertex`` -> per-set CSR
+        ``(flat, sizes)``, each set strictly ascending."""
+        keys = np.sort(pairs)
+        # Set i's keys are the run in [i * n, (i + 1) * n): locating the
+        # runs and subtracting their bases is cheaper than ``% n`` and ``// n``.
+        base = np.arange(b, dtype=np.int64) * n
+        sizes = np.diff(np.searchsorted(keys, base + n), prepend=0)
+        flat = (keys - np.repeat(base, sizes)).astype(np.int32)
         return flat, sizes
 
     # ------------------------------------------------------------------- IC
@@ -231,7 +237,7 @@ class BatchedSampler:
         *i* draws coins from ``u(keys[i], counters[i]), ...`` in the same
         canonical order as :meth:`sample`, so the result does not depend
         on the batch size.  Returns the added vertices, frontier included,
-        as CSR ``(flat int32, sizes int64)`` in discovery order.
+        as CSR ``(flat int32, sizes int64)``, each set strictly ascending.
         """
         flat, sizes, _edges = self._grow(members, frontier, keys, counters)
         return flat, sizes
@@ -310,9 +316,9 @@ class BatchedSampler:
             slots.append(aslot)
             verts.append(u)
             avert = u
-        slot = np.concatenate(slots)
-        flat = np.concatenate(verts)[stable_argsort(slot)]  # level order per set
-        sizes = np.bincount(slot, minlength=b)
+        pairs = np.concatenate(slots).astype(np.int64) * self._n
+        pairs += np.concatenate(verts)
+        flat, sizes = self._split(pairs, b, self._n)
         return flat, sizes, sizes.copy()  # LT cost convention: path length
 
 

@@ -14,9 +14,11 @@ LT (reverse weighted walk):
     least one in-edge (matching :meth:`LTModel.reverse_sample`, which
     checks ``hi == lo`` before consuming randomness).
 
-It shares only :mod:`repro.kernels.rng` with the batched implementation,
-so their byte-identity (``tests/test_kernels.py``) is a real cross-check
-rather than two calls into common code.
+The traversal order fixes the coins; each set is then returned sorted,
+as the batched kernel emits it.  It shares only :mod:`repro.kernels.rng`
+with the batched implementation, so their byte-identity
+(``tests/test_kernels.py``) is a real cross-check rather than two calls
+into common code.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = ["sample_scalar", "scalar_one_set"]
 def scalar_one_set(
     model: DiffusionModel, root: int, key: int
 ) -> tuple[np.ndarray, int]:
-    """Draw one RRR set from one counter stream: ``(vertices, edges)``."""
+    """Draw one RRR set from one counter stream: ``(sorted vertices, edges)``."""
     kind = getattr(model, "name", "?")
     if kind == "IC":
         return _ic_one(model, root, key)
@@ -90,7 +92,7 @@ def _ic_one(model, root: int, key: int) -> tuple[np.ndarray, int]:
         stamp[fresh] = epoch
         out.append(fresh.astype(np.int32))
         frontier = fresh.astype(np.int64)
-    return np.concatenate(out), edges
+    return np.sort(np.concatenate(out)), edges
 
 
 def _lt_one(model, root: int, key: int) -> tuple[np.ndarray, int]:
@@ -118,5 +120,5 @@ def _lt_one(model, root: int, key: int) -> tuple[np.ndarray, int]:
         stamp[u] = epoch
         out.append(u)
         v = u
-    verts = np.asarray(out, dtype=np.int32)
+    verts = np.sort(np.asarray(out, dtype=np.int32))
     return verts, int(verts.size)  # LT cost convention: path length

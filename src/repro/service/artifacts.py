@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_fingerprint, load_npz, save_npz
 from repro.sketch.protocol import make_store
@@ -97,7 +97,7 @@ def _flat_arrays(store: FlatRRRStore, prefix: str = "") -> dict[str, np.ndarray]
 def _store_payload(store) -> tuple[str, dict[str, np.ndarray], dict[str, Any]]:
     """(kind, payload arrays, json-able meta) for any supported store."""
     if isinstance(store, FlatRRRStore):
-        return "flat", _flat_arrays(store), {"sort_sets": store.sort_sets}
+        return "flat", _flat_arrays(store), {}
     if isinstance(store, PartitionedRRRStore):
         arrays: dict[str, np.ndarray] = {}
         for w, part in enumerate(store.parts):
@@ -105,13 +105,13 @@ def _store_payload(store) -> tuple[str, dict[str, np.ndarray], dict[str, Any]]:
         return (
             "partitioned",
             arrays,
-            {"sort_sets": store.sort_sets, "num_workers": store.num_workers},
+            {"num_workers": store.num_workers},
         )
     if isinstance(store, AdaptiveRRRStore):
         # Adaptive sets are persisted in the flat layout (each set's sorted
         # vertices); the policy/budget metadata rebuilds the per-set
         # representations on load.
-        flat = store.to_flat(sort_sets=True)
+        flat = store.to_flat()
         meta: dict[str, Any] = {
             "policy_bitmap_fraction": (
                 store.policy.bitmap_fraction if store.policy is not None else None
@@ -167,20 +167,17 @@ def save_store(
 
 
 def _rebuild_flat(
-    num_vertices: int, arrays: dict[str, np.ndarray], prefix: str, sort_sets: bool
+    path: Path, num_vertices: int, arrays: dict[str, np.ndarray], prefix: str
 ) -> FlatRRRStore:
     try:
         offsets = arrays[f"{prefix}offsets"]
         vertices = arrays[f"{prefix}vertices"]
     except KeyError as exc:
         raise ArtifactError(f"sketch artifact is missing array {exc}") from exc
-    return make_store(
-        "flat",
-        num_vertices=num_vertices,
-        offsets=offsets,
-        vertices=vertices,
-        sort_sets=sort_sets,
-    )
+    try:
+        return FlatRRRStore.from_arrays(num_vertices, offsets, vertices)
+    except ParameterError as exc:
+        raise ArtifactError(f"{path}: malformed sketch ({exc})") from exc
 
 
 def load_store(
@@ -192,8 +189,10 @@ def load_store(
 
     Returns ``(store, counter, meta)`` where ``counter`` is ``None`` when the
     artifact was saved without one.  Raises :class:`ArtifactError` on a
-    missing file, unknown schema, checksum mismatch, or (when
-    ``expect_fingerprint`` is given) a fingerprint mismatch.
+    missing file, unknown schema, checksum mismatch, (when
+    ``expect_fingerprint`` is given) a fingerprint mismatch, or arrays no
+    store holds (:meth:`FlatRRRStore.from_arrays`'s checks, and a counter
+    whose length is not ``num_vertices``).
     """
     path = Path(path)
     if not path.exists():
@@ -230,31 +229,27 @@ def load_store(
             f"{doc.get('fingerprint')!r}, expected {expect_fingerprint!r})"
         )
 
+    n = int(doc["num_vertices"])
     counter = arrays.pop("counter", None)
     if counter is not None:
+        if counter.shape != (n,):
+            raise ArtifactError(f"{path}: counter shape {counter.shape} is not ({n},)")
         counter = counter.astype(np.int64, copy=False)
-    n = int(doc["num_vertices"])
     kind = doc.get("kind")
     store_meta = doc.get("store_meta", {})
     if kind == "flat":
-        store = _rebuild_flat(n, arrays, "", bool(store_meta.get("sort_sets")))
+        store = _rebuild_flat(path, n, arrays, "")
     elif kind == "partitioned":
         num_workers = int(store_meta["num_workers"])
-        store = make_store(
-            "partitioned",
-            num_vertices=n,
-            num_workers=num_workers,
-            sort_sets=bool(store_meta.get("sort_sets")),
-        )
+        store = make_store("partitioned", num_vertices=n, num_workers=num_workers)
         store.parts = [
-            _rebuild_flat(n, arrays, f"part{w}_", bool(store_meta.get("sort_sets")))
-            for w in range(num_workers)
+            _rebuild_flat(path, n, arrays, f"part{w}_") for w in range(num_workers)
         ]
     elif kind == "adaptive":
         frac = store_meta.get("policy_bitmap_fraction")
         policy = AdaptivePolicy(frac) if frac is not None else None
         store = make_store("adaptive", num_vertices=n, policy=policy, budget_bytes=None)
-        flat = _rebuild_flat(n, arrays, "", sort_sets=True)
+        flat = _rebuild_flat(path, n, arrays, "")
         for s in flat:
             store.append(s)
         # Restore the budget only after re-appending: the saved contents by
@@ -418,6 +413,6 @@ class ArtifactStore:
         if isinstance(store, PartitionedRRRStore):
             store = store.merge()
         elif not isinstance(store, FlatRRRStore):
-            store = store.to_flat(sort_sets=True)
+            store = store.to_flat()
         handle = manager.publish_store(store.trim(), fingerprint=fingerprint)
         return handle, counter, meta

@@ -195,7 +195,6 @@ class ShardPlan:
             "partitioned",
             num_vertices=store.num_vertices,
             num_workers=self.num_shards,
-            sort_sets=store.sort_sets,
         )
         for i, s in enumerate(owners.tolist()):
             parts.append(s, store.get(i))

@@ -375,7 +375,7 @@ class ShardWorker:
         build`` artifacts for that layout).
         """
         n = graph.num_vertices
-        store = make_store("flat", num_vertices=n, sort_sets=True)
+        store = make_store("flat", num_vertices=n)
         if self.plan.strategy == "balanced":
             full = parallel_generate(
                 graph, spec.model, spec.num_sets, num_workers=1,

@@ -6,7 +6,7 @@ in a self-describing layout::
     [ u64 header length | JSON header | padding | arrays, 64-byte aligned ]
 
 The header records each array's name, dtype, shape, and byte offset plus
-object-level metadata (``num_vertices``, ``sort_sets``, fingerprint), so a
+object-level metadata (``num_vertices``, fingerprint), so a
 child process can attach *by name alone* — the only thing that crosses the
 process boundary is a :class:`SegmentHandle` a few hundred bytes long,
 instead of a multi-GB pickle.
@@ -331,7 +331,7 @@ class SegmentManager:
             if hasattr(store, "merge"):
                 store = store.merge()
             elif hasattr(store, "to_flat"):
-                store = store.to_flat(sort_sets=True)
+                store = store.to_flat()
             else:
                 raise ShmError(
                     f"cannot publish store type {type(store).__name__}"
@@ -342,7 +342,6 @@ class SegmentManager:
             {"offsets": store.offsets, "vertices": store.vertices},
             {
                 "num_vertices": int(store.num_vertices),
-                "sort_sets": bool(store.sort_sets),
                 "fingerprint": fp,
             },
             fp,

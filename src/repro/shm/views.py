@@ -41,7 +41,7 @@ class SharedFlatRRRStore(FlatRRRStore):
 
     def __init__(self, *, shm, header: dict[str, Any], manager=None):
         meta = header["meta"]
-        super().__init__(meta["num_vertices"], sort_sets=meta.get("sort_sets", False))
+        super().__init__(meta["num_vertices"])
         views = array_views(shm, header)
         offsets, vertices = views["offsets"], views["vertices"]
         self._offsets = offsets

@@ -220,10 +220,10 @@ class CompressedRRRStore:
             np.concatenate(sets) if sets else np.empty(0, dtype=np.int32),
         )
 
-    def to_flat(self, *, sort_sets: bool = True) -> FlatRRRStore:
+    def to_flat(self) -> FlatRRRStore:
         """Decode everything into a flat store (pays full decode cost)."""
         self.finalize()
-        flat = FlatRRRStore(self.num_vertices, sort_sets=sort_sets)
+        flat = FlatRRRStore(self.num_vertices)
         for i in range(len(self)):
             flat.append(self.get(i))
         return flat

@@ -118,7 +118,6 @@ STORE_EXTRAS: dict[type, frozenset[str]] = {
             "vertices",
             "total_entries",
             "capacity_bytes",
-            "memory_model_bytes_per_set_entry",
         }
     ),
     AdaptiveRRRStore: frozenset({"representation_histogram", "to_flat"}),
@@ -174,7 +173,7 @@ def make_store(kind: str, *, num_vertices: int | None = None, **opts):
 
     Keyword-only forms::
 
-        make_store("flat", num_vertices=n, sort_sets=True)
+        make_store("flat", num_vertices=n)
         make_store("flat", num_vertices=n, offsets=off, vertices=vs)  # rebuild
         make_store("adaptive", num_vertices=n, policy=p, budget_bytes=b)
         make_store("partitioned", num_vertices=n, num_workers=w)

@@ -75,12 +75,12 @@ class ListRRR(RRRSet):
     __slots__ = ("_verts",)
     kind = "list"
 
-    def __init__(self, vertices: np.ndarray, num_vertices: int, *, presorted: bool = False):
+    def __init__(self, vertices: np.ndarray, num_vertices: int):
         super().__init__(num_vertices)
         arr = np.asarray(vertices, dtype=np.int32).ravel()
         # The sort is charged to this representation by design: it is the
         # O(s log s) cost the paper attributes to Ripples' pipeline.
-        self._verts = arr if presorted else np.sort(arr)
+        self._verts = np.sort(arr)
 
     @property
     def size(self) -> int:

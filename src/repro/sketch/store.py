@@ -2,10 +2,10 @@
 
 Three stores cover the designs the paper contrasts:
 
-- :class:`FlatRRRStore` — the numpy workhorse: every set's vertices
-  concatenated into one ``int32`` array with an ``int64`` offsets array
-  (CSR-of-sets).  All selection kernels consume this layout because it
-  vectorises counting (`bincount`) and per-set slicing.
+- :class:`FlatRRRStore` — the numpy workhorse: every set's vertices,
+  ascending, concatenated into one ``int32`` array with an ``int64``
+  offsets array (CSR-of-sets).  All selection kernels consume this layout
+  because it vectorises counting (`bincount`) and per-set slicing.
 - :class:`AdaptiveRRRStore` — per-set adaptive representations with *memory
   accounting*: every append charges the modelled footprint against an
   optional budget, raising :class:`OutOfMemoryModelError` when exceeded.
@@ -55,18 +55,30 @@ def content_fingerprint(
     return h.hexdigest()[:16]
 
 
+def _check_sets(num_vertices: int, verts: np.ndarray, bounds: np.ndarray) -> None:
+    """Raise :class:`ParameterError` unless each set, ``verts`` split at the
+    flat positions ``bounds``, is strictly ascending in ``[0, num_vertices)``."""
+    rising = verts[1:] > verts[:-1]
+    # A set may start below the end of the set before it.
+    rising[bounds[(bounds > 0) & (bounds < verts.size)] - 1] = True
+    if not rising.all():
+        raise ParameterError("each set's vertices must be strictly ascending")
+    if verts.size and (verts.min() < 0 or verts.max() >= num_vertices):
+        raise ParameterError(f"vertex ids must lie in [0, {num_vertices})")
+
+
 class FlatRRRStore:
     """Concatenated RRR sets: ``offsets[i]:offsets[i+1]`` slices set ``i``.
 
-    Vertices within each set are kept sorted if ``sort_sets`` is true; the
-    Ripples baseline needs sorted sets (it binary-searches them), while the
-    EfficientIMM kernels do not (they only ever scan sets forward), so the
-    sorting cost is charged exactly where the paper charges it.
+    Each set's vertices are strictly ascending: the kernels emit sets that
+    way, :meth:`append_csr` and :meth:`from_arrays` reject any that are not,
+    and :meth:`append` and :meth:`replace_sets` sort each set they get.
+    The sort the paper charges Ripples per set is modelled, in
+    ``charge_per_set``, not paid here.
     """
 
-    def __init__(self, num_vertices: int, *, sort_sets: bool = False):
+    def __init__(self, num_vertices: int):
         self.num_vertices = int(num_vertices)
-        self.sort_sets = bool(sort_sets)
         self._offsets = np.zeros(16, dtype=np.int64)
         self._verts = np.empty(64, dtype=np.int32)
         self._num_sets = 0
@@ -77,16 +89,14 @@ class FlatRRRStore:
 
     # --------------------------------------------------------------- append
     def append(self, vertices: np.ndarray) -> int:
-        """Add one set; returns its index.
+        """Add one set (stored sorted); returns its index.
 
         Precondition: ``vertices`` holds no duplicates (every sampler
         guarantees this — a BFS/walk visits each vertex at most once).  The
         store does not re-deduplicate; duplicate entries would double-count
         in :meth:`vertex_counts` and the selection kernels.
         """
-        arr = np.asarray(vertices, dtype=np.int32).ravel()
-        if self.sort_sets:
-            arr = np.sort(arr)
+        arr = np.sort(np.asarray(vertices, dtype=np.int32).ravel())
         need = self._num_entries + arr.size
         if need > self._verts.size:
             new_cap = max(int(self._verts.size * _GROW), need)
@@ -108,11 +118,11 @@ class FlatRRRStore:
 
     def append_csr(self, vertices: np.ndarray, sizes: np.ndarray) -> None:
         """Add ``len(sizes)`` sets at once from CSR form: set *j* is the
-        next ``sizes[j]`` entries of ``vertices``.
+        next ``sizes[j]`` entries of ``vertices``, strictly ascending.
 
-        Equivalent to appending each set in turn (same preconditions, same
-        resulting bytes), but one bulk copy instead of a Python call per
-        set — the path every sampler streams its batches through.
+        One checked bulk copy instead of a Python call per set — the path
+        every sampler streams its batches through.  Sets are not sorted: a
+        batch with one out of order raises :class:`ParameterError`.
         """
         verts = np.asarray(vertices, dtype=np.int32).ravel()
         sizes = np.asarray(sizes, dtype=np.int64).ravel()
@@ -121,11 +131,8 @@ class FlatRRRStore:
                 f"sizes sum to {int(sizes.sum())} but there are "
                 f"{verts.size} vertices"
             )
-        if self.sort_sets and verts.size:
-            # One sort of (set, vertex) keys orders every set at once.
-            sets = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-            keyed = np.sort(sets * self.num_vertices + verts)
-            verts = (keyed - sets * self.num_vertices).astype(np.int32)
+        ends = np.cumsum(sizes)
+        _check_sets(self.num_vertices, verts, ends)
         need = self._num_entries + verts.size
         if need > self._verts.size:
             new_cap = max(int(self._verts.size * _GROW), need)
@@ -135,8 +142,7 @@ class FlatRRRStore:
             new_cap = max(int(self._offsets.size * _GROW) + 2, last + 1)
             self._offsets = np.resize(self._offsets, new_cap)
         self._verts[self._num_entries : need] = verts
-        np.cumsum(sizes, out=self._offsets[self._num_sets + 1 : last + 1])
-        self._offsets[self._num_sets + 1 : last + 1] += self._num_entries
+        self._offsets[self._num_sets + 1 : last + 1] = ends + self._num_entries
         self._num_entries = need
         self._num_sets = last
         self._index = None
@@ -147,13 +153,11 @@ class FlatRRRStore:
         num_vertices: int,
         offsets: np.ndarray,
         vertices: np.ndarray,
-        *,
-        sort_sets: bool = False,
     ) -> "FlatRRRStore":
         """Rebuild a store directly from its flat arrays (deserialisation).
 
-        The arrays are adopted as-is — sets are **not** re-sorted, so a
-        store saved with ``sort_sets=True`` round-trips bit-for-bit.
+        The arrays are checked (offsets and sets, as in :meth:`append_csr`)
+        and copied, never re-sorted, so a store round-trips bit for bit.
         """
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         vertices = np.ascontiguousarray(vertices, dtype=np.int32)
@@ -166,7 +170,8 @@ class FlatRRRStore:
                 f"offsets end at {int(offsets[-1])} but there are "
                 f"{vertices.size} vertices"
             )
-        store = cls(num_vertices, sort_sets=sort_sets)
+        _check_sets(num_vertices, vertices, offsets)
+        store = cls(num_vertices)
         store._offsets = offsets.copy()
         store._verts = vertices.copy()
         store._num_sets = offsets.size - 1
@@ -284,8 +289,8 @@ class FlatRRRStore:
         ``indices`` must be strictly increasing set indices;``new_sets[j]``
         replaces set ``indices[j]``.  Replacement sets may have any size —
         the flat arrays are rebuilt in one concatenation pass, so the cost
-        is O(total_entries) regardless of how many sets change.  Honours
-        ``sort_sets`` and drops the inverted index.  Returns ``self``.
+        is O(total_entries) regardless of how many sets change.  Sorts each
+        replacement set and drops the inverted index.  Returns ``self``.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
@@ -307,9 +312,7 @@ class FlatRRRStore:
         for j, i in enumerate(idx):
             if cursor < i:  # untouched run [cursor, i)
                 pieces.append(self._verts[offsets[cursor] : offsets[i]])
-            arr = np.asarray(new_sets[j], dtype=np.int32).ravel()
-            if self.sort_sets:
-                arr = np.sort(arr)
+            arr = np.sort(np.asarray(new_sets[j], dtype=np.int32).ravel())
             pieces.append(arr)
             sizes[i] = arr.size
             cursor = int(i) + 1
@@ -346,10 +349,6 @@ class FlatRRRStore:
             self._offsets = self._offsets[: self._num_sets + 1].copy()
         self._index = None
         return self
-
-    def memory_model_bytes_per_set_entry(self) -> float:
-        """Average modelled bytes per stored vertex (for OOM projection)."""
-        return self.nbytes() / max(self._num_entries, 1)
 
     def fingerprint(self) -> str:
         """Layout-independent content hash (see :func:`content_fingerprint`)."""
@@ -487,9 +486,9 @@ class AdaptiveRRRStore:
             hist[s.kind] = hist.get(s.kind, 0) + 1
         return hist
 
-    def to_flat(self, *, sort_sets: bool = False) -> FlatRRRStore:
+    def to_flat(self) -> FlatRRRStore:
         """Materialise as a flat store (used when handing to kernels)."""
-        flat = FlatRRRStore(self.num_vertices, sort_sets=sort_sets)
+        flat = FlatRRRStore(self.num_vertices)
         for s in self._sets:
             flat.append(s.vertices())
         return flat
@@ -504,16 +503,12 @@ class PartitionedRRRStore:
     models that gather (it copies every vertex once).
     """
 
-    def __init__(self, num_vertices: int, num_workers: int, *, sort_sets: bool = False):
+    def __init__(self, num_vertices: int, num_workers: int):
         if num_workers <= 0:
             raise ParameterError(f"num_workers must be positive, got {num_workers}")
         self.num_vertices = int(num_vertices)
         self.num_workers = int(num_workers)
-        self.sort_sets = bool(sort_sets)
-        self.parts = [
-            FlatRRRStore(num_vertices, sort_sets=sort_sets)
-            for _ in range(num_workers)
-        ]
+        self.parts = [FlatRRRStore(num_vertices) for _ in range(num_workers)]
 
     def append(self, worker, vertices: np.ndarray | None = None) -> int:
         """Add one set.
@@ -573,11 +568,11 @@ class PartitionedRRRStore:
     def merge(self) -> FlatRRRStore:
         """Gather all partitions into one store (Ripples' redistribution).
 
-        The merged store preserves this store's ``sort_sets`` flag and the
-        global iteration order, so ``len(merged) == len(self)`` and
-        ``merged.get(i)`` equals ``self.get(i)`` for every ``i``.
+        The merged store preserves the global iteration order, so
+        ``len(merged) == len(self)`` and ``merged.get(i)`` equals
+        ``self.get(i)`` for every ``i``.
         """
-        out = FlatRRRStore(self.num_vertices, sort_sets=self.sort_sets)
+        out = FlatRRRStore(self.num_vertices)
         for part in self.parts:
             for s in part:
                 out.append(s)

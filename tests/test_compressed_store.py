@@ -111,7 +111,7 @@ class TestCompressedStore:
 
         n = 120
         sets = random_sets(n, 40, rng)
-        plain = FlatRRRStore(n, sort_sets=True)
+        plain = FlatRRRStore(n)
         comp = CompressedRRRStore(n, codec="huffman", training_sets=10)
         for s in sets:
             plain.append(s)

@@ -125,7 +125,7 @@ class TestDistributedIMM:
         from repro.kernels.rng import rank_seed
 
         res = dimm.run(params)
-        union = FlatRRRStore(skitter.num_vertices, sort_sets=True)
+        union = FlatRRRStore(skitter.num_vertices)
         for r, count in enumerate(res.sets_per_rank):
             sampler = RRRSampler(
                 get_model("IC", skitter),

@@ -92,7 +92,7 @@ class TestEpsilonExtremes:
 
 class TestSelectionDegenerates:
     def test_all_identical_sets(self):
-        s = FlatRRRStore(6, sort_sets=True)
+        s = FlatRRRStore(6)
         for _ in range(10):
             s.append(np.array([2, 4]))
         res = efficient_select(s, 2)
@@ -100,20 +100,20 @@ class TestSelectionDegenerates:
         assert res.coverage_fraction == 1.0
 
     def test_all_singleton_sets(self):
-        s = FlatRRRStore(5, sort_sets=True)
+        s = FlatRRRStore(5)
         for v in [0, 1, 1, 2, 2, 2]:
             s.append(np.array([v]))
         res = efficient_select(s, 3)
         assert res.seeds.tolist()[:3] == [2, 1, 0]
 
     def test_sets_larger_than_k_vertices(self):
-        s = FlatRRRStore(4, sort_sets=True)
+        s = FlatRRRStore(4)
         s.append(np.array([0, 1, 2, 3]))
         res = ripples_select(s, 4)
         assert sorted(res.seeds.tolist()) == [0, 1, 2, 3]
 
     def test_one_empty_set_among_real_ones(self):
-        s = FlatRRRStore(4, sort_sets=True)
+        s = FlatRRRStore(4)
         s.append(np.array([], dtype=np.int32))
         s.append(np.array([1]))
         res = efficient_select(s, 1)

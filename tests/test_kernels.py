@@ -258,8 +258,8 @@ class TestLTPasses:
         assert_same_draws(ref, got)
         flat, sizes, _ = got
         assert (sizes == 300).all()
-        # The last vertex's one in-neighbour is the root.
-        np.testing.assert_array_equal((flat[np.cumsum(sizes) - 1] - 1) % 300, roots)
+        # Every walk goes once round the ring: each set is all 300 vertices.
+        np.testing.assert_array_equal(flat, np.tile(np.arange(300), roots.size))
 
     @pytest.mark.parametrize("batch", LT_PASSES)
     def test_walks_stop_at_in_degree_zero(self, batch):
@@ -267,7 +267,9 @@ class TestLTPasses:
         assert_same_draws(ref, got)
         flat, sizes, _ = got
         np.testing.assert_array_equal(sizes, roots + 1)
-        assert (flat[np.cumsum(sizes) - 1] == 0).all()
+        np.testing.assert_array_equal(
+            flat, np.concatenate([np.arange(r + 1) for r in roots])
+        )
 
     @pytest.mark.parametrize("batch", LT_PASSES)
     def test_rows_with_slack(self, batch):
@@ -358,9 +360,8 @@ def reference_ic_levels(model, fslot, fvert, keys, counters, edges, stamp, epoch
 
 
 def reference_split(pairs, b, n):
-    slots = pairs // n
-    order = np.argsort(slots, kind="stable")
-    return (pairs % n).astype(np.int32)[order], np.bincount(slots, minlength=b)
+    slots, verts = np.divmod(np.sort(pairs), n)
+    return verts.astype(np.int32), np.bincount(slots, minlength=b)
 
 
 def reference_ic_batch(model, roots, keys, batch):
@@ -442,6 +443,70 @@ def near_wrap_counters(count, seed):
     """Start counters within 40 of 2**64, so draws wrap to 0 mid-set."""
     back = np.random.default_rng(seed).integers(0, 40, size=count)
     return np.uint64(2**64 - 1) - back.astype(np.uint64)
+
+
+@st.composite
+def small_lt_graphs(draw):
+    """:func:`small_ic_graphs` with LT weights: each vertex's in-weights
+    sum to below 1, so walks can stop at any step."""
+    return assign_lt_weights(
+        draw(small_ic_graphs()), seed=draw(st.integers(0, 2**16))
+    )
+
+
+def assert_ascending(flat, sizes):
+    """Every set of the CSR ``(flat, sizes)`` is strictly ascending."""
+    for one in np.split(flat, np.cumsum(sizes)[:-1]):
+        assert (np.diff(one) > 0).all(), one
+
+
+class TestAscendingSets:
+    """Every set leaves the kernel strictly ascending: the layout the flat
+    store keeps, so it copies each pass without sorting."""
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graph=small_ic_graphs(), seed=st.integers(0, 2**32), count=st.integers(1, 150)
+    )
+    def test_ic_sample_stream_and_grow(self, batch, graph, seed, count):
+        model = get_model("IC", graph)
+        n = graph.num_vertices
+        roots, keys = indexed_draws(seed, np.arange(count), n)
+        flat, sizes, _ = BatchedSampler(model, batch).sample(roots, keys)
+        assert_ascending(flat, sizes)
+        with kernel_mode("batched", batch):
+            for f, s, _ in KernelSampler(model).stream(roots, keys):
+                assert_ascending(f, s)
+        members = np.split(flat, np.cumsum(sizes)[:-1])
+        rng_ = np.random.default_rng(seed)
+        frontiers = [
+            np.unique(rng_.choice(rest, size=min(3, rest.size)))
+            for rest in (np.setdiff1d(np.arange(n), m) for m in members)
+        ]
+        added, added_sizes = BatchedSampler(model, batch).grow(
+            (flat, sizes),
+            (np.concatenate(frontiers), np.array([f.size for f in frontiers])),
+            derive_keys(derive_key(seed, 4), np.arange(count)),
+            near_wrap_counters(count, seed),
+        )
+        assert_ascending(added, added_sizes)
+
+    @pytest.mark.parametrize("batch", LT_PASSES)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graph=small_lt_graphs(), seed=st.integers(0, 2**32), count=st.integers(1, 150)
+    )
+    def test_lt_sample_and_stream(self, batch, graph, seed, count):
+        model = get_model("LT", graph)
+        roots, keys = indexed_draws(seed, np.arange(count), graph.num_vertices)
+        flat, sizes, _ = BatchedSampler(model, batch).sample(roots, keys)
+        assert_ascending(flat, sizes)
+        with pytest.MonkeyPatch.context() as mp:
+            if batch is not None:
+                mp.setattr(batched, "LT_BATCH_SIZE", batch)
+            for f, s, _ in KernelSampler(model).stream(roots, keys):
+                assert_ascending(f, s)
 
 
 class TestICLoopReference:
@@ -727,7 +792,7 @@ def grow_reference(model, members, frontier, key, counter):
         level = sorted(live - seen)
         seen |= live
         out += level
-    return np.array(out, dtype=np.int32)
+    return np.array(sorted(out), dtype=np.int32)
 
 
 def grow_inputs(members, n):

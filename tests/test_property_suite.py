@@ -126,7 +126,7 @@ class TestSelectionCostCoupling:
     @settings(max_examples=30, deadline=None)
     def test_ripples_total_ops_affine_in_threads(self, sets, k):
         """W(p) = A + B*p exactly — the decomposition the cost model uses."""
-        store = FlatRRRStore(30, sort_sets=True)
+        store = FlatRRRStore(30)
         for s in sets:
             store.append(np.asarray(s, dtype=np.int32))
         w = {
@@ -145,7 +145,7 @@ class TestSelectionCostCoupling:
     @settings(max_examples=30, deadline=None)
     def test_efficient_reduction_term_only(self, sets):
         """EfficientIMM's only p-dependent work is the k*n reduction scan."""
-        store = FlatRRRStore(30, sort_sets=True)
+        store = FlatRRRStore(30)
         for s in sets:
             store.append(np.asarray(s, dtype=np.int32))
         w1 = float(efficient_select(store, 2, 1).stats.per_thread_ops().sum())

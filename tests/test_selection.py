@@ -26,8 +26,8 @@ from repro.core.selection import (
 )
 
 
-def store_of(sets, n, sort=True):
-    s = FlatRRRStore(n, sort_sets=sort)
+def store_of(sets, n):
+    s = FlatRRRStore(n)
     for x in sets:
         s.append(np.asarray(x, dtype=np.int32))
     return s
@@ -334,12 +334,6 @@ class TestEfficientSelect:
 
 
 class TestRipplesSelect:
-    def test_requires_sorted_store(self):
-        s = FlatRRRStore(5, sort_sets=False)
-        s.append(np.array([0, 1]))
-        with pytest.raises(ParameterError, match="sort_sets"):
-            ripples_select(s, 1)
-
     def test_same_result_as_efficient(self):
         s = store_of([[0, 1], [0, 2], [0, 3], [4]], 5)
         assert ripples_select(s, 2).seeds.tolist() == efficient_select(
@@ -475,8 +469,8 @@ class TestReferenceLoop:
 
 
 class TestUnsortedStores:
-    """Selection on stores whose sets are not sorted must scan: bisecting
-    unsorted sets misses members and returns wrong seeds."""
+    """Sets handed to a store in any order are stored ascending, so
+    selection over them matches the greedy reference."""
 
     @given(
         st.lists(
@@ -488,19 +482,13 @@ class TestUnsortedStores:
     @settings(max_examples=100, deadline=None)
     def test_matches_greedy_reference(self, sets, k):
         n = 25
-        s = store_of(sets, n, sort=False)
+        s = store_of(sets, n)
         res = efficient_select(s, k, num_threads=2)
         assert res.seeds.tolist() == greedy_reference(sets, n, k)
         expected = sum(
             bool(set(res.seeds.tolist()) & set(x)) for x in sets
         ) / len(sets)
         assert res.coverage_fraction == pytest.approx(expected)
-
-    def test_never_bisects_unsorted(self):
-        s = store_of([list(range(400, 0, -1))] * 3, 401, sort=False)
-        assert not CoverStep(s).bisect
-        with membership_side(True):
-            assert not CoverStep(s).bisect
 
     def test_engine_serves_warmed_unsorted_store(self, amazon_ic):
         from repro.graph.io import graph_fingerprint
@@ -585,7 +573,7 @@ class TestCoverStep:
         ) == [0, 2]
 
     def test_empty_store(self):
-        s = FlatRRRStore(4, sort_sets=True)
+        s = FlatRRRStore(4)
         for step in self.both(s):
             out = step.retire(2, np.zeros(0, dtype=bool))
             assert out.size == 0 and step.entries(out).size == 0
@@ -612,11 +600,10 @@ class TestCoverStep:
         # 3 sets of 400 entries: depth 9, 400 > 32 x 9 entries per set.
         big = [list(range(i, 400 + i)) for i in range(3)]
         assert CoverStep(store_of(big, 403)).bisect
-        assert not CoverStep(store_of(big, 403, sort=False)).bisect
         # Sets of 200 entries: 200 <= 32 x 8, so a scan is cheaper.
         small = [list(range(i, 200 + i)) for i in range(3)]
         assert not CoverStep(store_of(small, 203)).bisect
-        assert not CoverStep(FlatRRRStore(3, sort_sets=True)).bisect
+        assert not CoverStep(FlatRRRStore(3)).bisect
 
     def test_large_sets_select_like_reference(self):
         rng = np.random.default_rng(11)

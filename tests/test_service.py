@@ -50,13 +50,61 @@ def _random_sets(n, count, seed=0, max_size=12):
 
 
 def _flat_store(n=40, count=30, seed=0) -> FlatRRRStore:
-    s = FlatRRRStore(n, sort_sets=True)
+    s = FlatRRRStore(n)
     s.extend(_random_sets(n, count, seed))
     return s
 
 
 def _spans(tel, name):
     return [s for root in tel.tracer.roots for s in root.find(name)]
+
+
+def _resign(path, header=None, **arrays):
+    """Rewrite a sketch artifact with some payload arrays (and optionally
+    the header document) replaced, under a correct checksum, so only the
+    new contents can make it invalid."""
+    from repro.service.artifacts import _payload_checksum
+
+    with np.load(path) as data:
+        payload = {k: data[k].copy() for k in data.files}
+    payload.update(arrays)
+    if header is not None:
+        payload["header"] = np.frombuffer(
+            json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        )
+    body = {k: v for k, v in payload.items() if k not in ("header", "checksum")}
+    payload["checksum"] = np.uint32(_payload_checksum(body))
+    np.savez_compressed(path, **payload)
+
+
+def _header(path):
+    with np.load(path) as data:
+        return json.loads(bytes(data["header"]).decode("utf-8"))
+
+
+def _malformed(kind, offsets, vertices, counter, n):
+    """Payload arrays that break one rule of a valid sketch: a duplicated
+    vertex, a set out of order, an id past ``n``, or a short counter."""
+    vertices = vertices.copy()
+    i = int(np.flatnonzero(np.diff(offsets) >= 2)[0])  # a set of 2+ entries
+    lo = int(offsets[i])
+    if kind == "duplicate":
+        vertices[lo + 1] = vertices[lo]
+    elif kind == "unsorted":
+        vertices[[lo, lo + 1]] = vertices[[lo + 1, lo]]
+    elif kind == "out_of_range":
+        vertices[-1] = n  # still the last set's largest entry
+    else:
+        return {"counter": counter[:-1]}
+    return {"vertices": vertices}
+
+
+MALFORMED = {
+    "duplicate": "strictly ascending",
+    "unsorted": "strictly ascending",
+    "out_of_range": "must lie in",
+    "short_counter": "counter shape",
+}
 
 
 # --------------------------------------------------------------------- graphs
@@ -94,12 +142,11 @@ class TestSketchArtifacts:
         loaded, counter, meta = load_store(path, expect_fingerprint="abc")
         assert counter is None and meta == {}
         assert isinstance(loaded, FlatRRRStore)
-        assert loaded.sort_sets == store.sort_sets
         assert np.array_equal(loaded.offsets, store.offsets)
         assert np.array_equal(loaded.vertices, store.vertices)
 
     def test_partitioned_roundtrip(self, tmp_path):
-        store = PartitionedRRRStore(40, 3, sort_sets=True)
+        store = PartitionedRRRStore(40, 3)
         for i, s in enumerate(_random_sets(40, 30, seed=1)):
             store.append(i % 3, s)
         path = save_store(store, tmp_path / "p.npz")
@@ -128,11 +175,11 @@ class TestSketchArtifacts:
     def test_selection_identical_after_reload(self, tmp_path, kind):
         sets = _random_sets(60, 50, seed=3)
         if kind == "flat":
-            store = FlatRRRStore(60, sort_sets=True)
+            store = FlatRRRStore(60)
             store.extend(sets)
             to_flat = lambda s: s
         elif kind == "partitioned":
-            store = PartitionedRRRStore(60, 2, sort_sets=True)
+            store = PartitionedRRRStore(60, 2)
             for i, s in enumerate(sets):
                 store.append(i % 2, s)
             to_flat = lambda s: s.merge()
@@ -140,7 +187,7 @@ class TestSketchArtifacts:
             store = AdaptiveRRRStore(60, policy=AdaptivePolicy(0.5))
             for s in sets:
                 store.append(s)
-            to_flat = lambda s: s.to_flat(sort_sets=True)
+            to_flat = lambda s: s.to_flat()
         before = efficient_select(to_flat(store), 5, 1)
         loaded, _, _ = load_store(save_store(store, tmp_path / "s.npz"))
         after = efficient_select(to_flat(loaded), 5, 1)
@@ -180,6 +227,17 @@ class TestSketchArtifacts:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ArtifactError):
             load_store(path)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_payload_rejected(self, tmp_path, kind):
+        store = _flat_store()
+        counter = store.vertex_counts()
+        path = save_store(store, tmp_path / "s.npz", counter=counter)
+        n = store.num_vertices
+        _resign(path, **_malformed(kind, store.offsets, store.vertices, counter, n))
+        with pytest.raises(ArtifactError, match=MALFORMED[kind]) as exc:
+            load_store(path)
+        assert str(path) in str(exc.value)
 
     def test_foreign_npz_rejected(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -528,6 +586,41 @@ class TestEnginePersistence:
         assert eng2.stats.artifact_corrupt == 1
         assert eng2.stats.cold_samples == 1
 
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_artifact_falls_back_to_cold(self, tmp_path, kind):
+        cfg = EngineConfig(default_theta=THETA, artifact_dir=tmp_path)
+        with QueryEngine(config=cfg) as eng1:
+            cold = eng1.query(_q(k=5))
+        (art_file,) = tmp_path.glob("sketch-*.npz")
+        with np.load(art_file) as data:
+            offsets, vertices = data["offsets"], data["vertices"]
+            counter = data["counter"]
+        n = _header(art_file)["num_vertices"]
+        _resign(art_file, **_malformed(kind, offsets, vertices, counter, n))
+        with telemetry.session() as tel:
+            with QueryEngine(config=cfg) as eng2:
+                r = eng2.query(_q(k=5))
+            counters = tel.registry.snapshot()["counters"]
+        assert r.ok and not r.cached and r.seeds == cold.seeds
+        assert counters["service.artifacts.corrupt"] == 1
+        assert eng2.stats.artifact_corrupt == 1
+        assert eng2.stats.cold_samples == 1
+
+    def test_artifact_with_old_store_meta_loads(self, tmp_path):
+        """Every artifact written while flat stores had a sort flag carries
+        it in the header's store meta; such artifacts load unchanged."""
+        cfg = EngineConfig(default_theta=THETA, artifact_dir=tmp_path)
+        with QueryEngine(config=cfg) as eng1:
+            cold = eng1.query(_q(k=5))
+        (art_file,) = tmp_path.glob("sketch-*.npz")
+        header = _header(art_file)
+        assert header["store_meta"] == {}
+        _resign(art_file, header={**header, "store_meta": {"sort_sets": True}})
+        with QueryEngine(config=cfg) as eng2:
+            warm = eng2.query(_q(k=5))
+        assert warm.cached and warm.seeds == cold.seeds
+        assert eng2.stats.artifact_loads == 1 and eng2.stats.cold_samples == 0
+
     def test_legacy_keyed_artifact_never_read(self, tmp_path):
         """Sketches drawn by the retired sequential-Generator sampler were
         keyed without the stream tag; an artifact under such a key is never
@@ -543,7 +636,7 @@ class TestEnginePersistence:
             f"{q.seed}:{THETA}"
         )
         legacy_fp = hashlib.sha256(legacy_key.encode()).hexdigest()[:16]
-        bogus = FlatRRRStore(graph.num_vertices, sort_sets=True)
+        bogus = FlatRRRStore(graph.num_vertices)
         bogus.extend([np.array([v]) for v in range(THETA)])
         ArtifactStore(tmp_path).save_sketch(legacy_fp, bogus)
         cfg = EngineConfig(default_theta=THETA, artifact_dir=tmp_path)

@@ -177,7 +177,7 @@ class TestBisectingShards:
         owners = plan.assign_sets(fp, theta, sizes=full.sizes())
         from repro.sketch.store import FlatRRRStore
 
-        survivor = FlatRRRStore(g.num_vertices, sort_sets=True)
+        survivor = FlatRRRStore(g.num_vertices)
         survivor.extend(full.get(i) for i in range(theta) if owners[i] == 0)
         with QueryEngine(config=EngineConfig()) as engine:
             engine.warm(fp, survivor)
@@ -253,7 +253,7 @@ class TestShardLoss:
         owners = plan.assign_sets(fp, THETA, sizes=full.sizes())
         from repro.sketch.store import FlatRRRStore
 
-        survivor = FlatRRRStore(graph.num_vertices, sort_sets=True)
+        survivor = FlatRRRStore(graph.num_vertices)
         for i in range(THETA):
             if owners[i] in surviving_shards:
                 survivor.append(full.get(i))

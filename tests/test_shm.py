@@ -40,7 +40,7 @@ SHM_DIR = Path("/dev/shm")
 
 def _filled_store(seed=5, num_sets=40):
     rng = np.random.default_rng(seed)
-    store = make_store("flat", num_vertices=N, sort_sets=True)
+    store = make_store("flat", num_vertices=N)
     store.extend(
         np.sort(
             rng.choice(N, size=int(rng.integers(1, 10)), replace=False)
@@ -116,7 +116,7 @@ def test_publish_is_idempotent_per_fingerprint(mgr):
 
 
 def test_partitioned_store_flattens_on_publish(mgr):
-    part = make_store("partitioned", num_vertices=N, num_workers=3, sort_sets=True)
+    part = make_store("partitioned", num_vertices=N, num_workers=3)
     rng = np.random.default_rng(9)
     for w in range(3):
         for _ in range(5):

@@ -14,10 +14,6 @@ class TestListRRR:
         r = ListRRR(np.array([5, 1, 3]), 10)
         assert r.vertices().tolist() == [1, 3, 5]
 
-    def test_presorted_skips_sort(self):
-        r = ListRRR(np.array([1, 3, 5]), 10, presorted=True)
-        assert r.vertices().tolist() == [1, 3, 5]
-
     def test_contains(self):
         r = ListRRR(np.array([2, 4, 6]), 10)
         assert r.contains(4)

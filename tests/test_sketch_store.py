@@ -16,11 +16,11 @@ class TestFlatRRRStore:
         s.append(np.array([3, 1, 2]))
         s.append(np.array([7]))
         assert len(s) == 2
-        assert s.get(0).tolist() == [3, 1, 2]
+        assert s.get(0).tolist() == [1, 2, 3]
         assert s.get(1).tolist() == [7]
 
     def test_sorted_mode(self):
-        s = FlatRRRStore(10, sort_sets=True)
+        s = FlatRRRStore(10)
         s.append(np.array([3, 1, 2]))
         assert s.get(0).tolist() == [1, 2, 3]
 
@@ -31,7 +31,7 @@ class TestFlatRRRStore:
         for x in sets:
             s.append(x)
         for i, x in enumerate(sets):
-            assert np.array_equal(s.get(i), x.astype(np.int32))
+            assert np.array_equal(s.get(i), np.sort(x).astype(np.int32))
 
     def test_sizes(self):
         s = FlatRRRStore(10)
@@ -70,23 +70,43 @@ class TestFlatRRRStore:
         assert len(s) == 1 and s.get(0).size == 0
 
 
-    @pytest.mark.parametrize("sort_sets", (False, True))
-    def test_append_csr_matches_per_set_appends(self, sort_sets):
+    def test_append_csr_matches_per_set_appends(self):
         rng = np.random.default_rng(4)
         sets = [
             rng.permutation(50)[: rng.integers(0, 9)].astype(np.int32)
             for _ in range(40)
         ]
-        one = FlatRRRStore(50, sort_sets=sort_sets)
+        one = FlatRRRStore(50)
         one.extend(sets)
-        bulk = FlatRRRStore(50, sort_sets=sort_sets)
+        bulk = FlatRRRStore(50)
         for lo in range(0, 40, 13):  # uneven batches across growth steps
             chunk = sets[lo : lo + 13]
-            bulk.append_csr(
-                np.concatenate(chunk), np.array([s.size for s in chunk])
-            )
+            sizes = np.array([s.size for s in chunk])
+            with pytest.raises(ParameterError, match="strictly ascending"):
+                bulk.append_csr(np.concatenate(chunk), sizes)
+            bulk.append_csr(np.concatenate([np.sort(s) for s in chunk]), sizes)
         assert bulk.fingerprint() == one.fingerprint()
         np.testing.assert_array_equal(bulk.offsets, one.offsets)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [1, 4, 9, 2, 6, 7, 8, 5],  # one descending pair in the third set
+            [1, 4, 9, 2, 6, 7, 7, 8],  # one duplicated pair in the third set
+            [1, 4, 9, 6, 2, 7, 8, 9],  # ... at the third set's start
+        ],
+    )
+    def test_append_csr_rejects_unordered_pair(self, vertices):
+        s = FlatRRRStore(10)
+        s.append(np.array([3]))
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            s.append_csr(np.array(vertices), np.array([2, 1, 5]))
+        assert len(s) == 1 and s.total_entries == 1  # nothing was added
+
+    def test_append_csr_allows_descent_across_sets(self):
+        s = FlatRRRStore(10)
+        s.append_csr(np.array([4, 9, 2, 0, 5, 7]), np.array([2, 1, 0, 3]))
+        assert [x.tolist() for x in s] == [[4, 9], [2], [], [0, 5, 7]]
 
     def test_append_csr_rejects_size_mismatch(self):
         with pytest.raises(ParameterError, match="sizes sum"):
@@ -198,13 +218,6 @@ class TestPartitionedRRRStore:
             assert np.array_equal(via_iter, merged.get(i))
         assert s.sizes().tolist() == merged.sizes().tolist()
 
-    def test_merge_preserves_sort_sets(self):
-        s = PartitionedRRRStore(10, 2, sort_sets=True)
-        s.append(0, np.array([3, 1, 2]))
-        merged = s.merge()
-        assert merged.sort_sets is True
-        assert merged.get(0).tolist() == [1, 2, 3]
-
     def test_append_out_of_range_worker_raises(self):
         s = PartitionedRRRStore(10, 3)
         with pytest.raises(IndexError, match="out of range"):
@@ -276,11 +289,9 @@ class TestFlatStoreAccessors:
         assert len(s) == 51
 
     def test_from_arrays_roundtrip(self):
-        s = FlatRRRStore(10, sort_sets=True)
+        s = FlatRRRStore(10)
         s.extend([np.array([3, 1]), np.array([5])])
-        s2 = FlatRRRStore.from_arrays(
-            10, s.offsets, s.vertices, sort_sets=True
-        )
+        s2 = FlatRRRStore.from_arrays(10, s.offsets, s.vertices)
         assert len(s2) == len(s)
         assert np.array_equal(s2.vertices, s.vertices)
         # from_arrays copies: mutating the source store must not alias.
@@ -301,6 +312,21 @@ class TestFlatStoreAccessors:
                 10,
                 np.asarray(offsets, dtype=np.int64),
                 np.array([1, 2], dtype=np.int32),
+            )
+
+    @pytest.mark.parametrize(
+        "vertices,match",
+        [
+            ([1, 7, 7, 7], "strictly ascending"),  # a duplicated vertex
+            ([3, 1, 2, 4], "strictly ascending"),  # a set out of order
+            ([1, 2, 4, 5], r"\[0, 5\)"),           # an id past num_vertices
+            ([-1, 2, 3, 4], r"\[0, 5\)"),          # a negative id
+        ],
+    )
+    def test_from_arrays_rejects_bad_sets(self, vertices, match):
+        with pytest.raises(ParameterError, match=match):
+            FlatRRRStore.from_arrays(
+                5, np.array([0, 2, 4]), np.array(vertices, dtype=np.int32)
             )
 
 
@@ -388,8 +414,8 @@ class TestReplaceSets:
         assert s.get(0).size == 0
         assert s.get(1).tolist() == [2]
 
-    def test_honours_sort_sets(self):
-        s = FlatRRRStore(10, sort_sets=True)
+    def test_sorts_replacement_sets(self):
+        s = FlatRRRStore(10)
         s.append(np.array([1, 2]))
         s.replace_sets(np.array([0]), [np.array([9, 3, 7])])
         assert s.get(0).tolist() == [3, 7, 9]
@@ -468,3 +494,36 @@ class TestStoreProperties:
             s.append(np.asarray(x, dtype=np.int32))
         assert s.offsets[-1] == s.total_entries
         assert np.array_equal(np.diff(s.offsets), [len(x) for x in sets])
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 49), min_size=0, max_size=30, unique=True),
+            min_size=1, max_size=20,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_per_set_paths_ignore_input_order(self, sets, rnd):
+        """``append`` and ``replace_sets`` fed any permutation of each set
+        store the same bytes as when fed it ascending."""
+
+        def shuffled(x):
+            return rnd.sample(x, len(x))
+
+        ascending = FlatRRRStore(50)
+        ascending.append_csr(
+            np.array([v for x in sets for v in sorted(x)], dtype=np.int32),
+            np.array([len(x) for x in sets]),
+        )
+        appended = FlatRRRStore(50)
+        for x in sets:
+            appended.append(np.array(shuffled(x), dtype=np.int32))
+        replaced = FlatRRRStore(50)
+        replaced.extend([np.array([0])] * len(sets))
+        replaced.replace_sets(
+            np.arange(len(sets)),
+            [np.array(shuffled(x), dtype=np.int32) for x in sets],
+        )
+        assert appended.fingerprint() == ascending.fingerprint()
+        assert replaced.fingerprint() == ascending.fingerprint()
+        np.testing.assert_array_equal(replaced.offsets, ascending.offsets)

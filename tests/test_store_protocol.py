@@ -60,13 +60,13 @@ def _instances():
         if cls.__name__ == "SharedFlatRRRStore":
             continue  # exercised via the shm fixture below
         if cls is PartitionedRRRStore:
-            store = make_store("partitioned", num_vertices=N, num_workers=3, sort_sets=True)
+            store = make_store("partitioned", num_vertices=N, num_workers=3)
         elif cls is AdaptiveRRRStore:
             store = make_store("adaptive", num_vertices=N)
         elif cls is CompressedRRRStore:
             store = make_store("compressed", num_vertices=N)
         else:
-            store = make_store("flat", num_vertices=N, sort_sets=True)
+            store = make_store("flat", num_vertices=N)
         store.extend(sets)
         out.append(store)
     return sets, out
@@ -83,7 +83,7 @@ def test_every_implementation_satisfies_the_protocol():
 def test_shared_view_satisfies_the_protocol():
     shm = pytest.importorskip("repro.shm")
     sets = _sample_sets()
-    flat = make_store("flat", num_vertices=N, sort_sets=True)
+    flat = make_store("flat", num_vertices=N)
     flat.extend(sets)
     with shm.SegmentManager(prefix="tsp") as mgr:
         view = mgr.attach_store(mgr.publish_store(flat))
@@ -197,14 +197,13 @@ def test_make_store_builds_every_kind():
 
 
 def test_make_store_flat_rebuild_from_arrays():
-    flat = make_store("flat", num_vertices=N, sort_sets=True)
+    flat = make_store("flat", num_vertices=N)
     flat.extend(_sample_sets())
     rebuilt = make_store(
         "flat",
         num_vertices=N,
         offsets=flat.offsets,
         vertices=flat.vertices,
-        sort_sets=True,
     )
     assert rebuilt.fingerprint() == flat.fingerprint()
 
@@ -224,7 +223,7 @@ def test_make_store_rejects_unknown_kind_and_bad_options():
 
 def test_make_store_positional_form_rejected():
     with pytest.raises(TypeError):
-        make_store("flat", N, sort_sets=True)
+        make_store("flat", N)
     with pytest.raises(TypeError):
         make_store("flat", N, num_vertices=N)
 
@@ -232,7 +231,7 @@ def test_make_store_positional_form_rejected():
 def test_make_store_shared_attaches_by_handle_name_and_manager():
     from repro import shm
 
-    flat = make_store("flat", num_vertices=N, sort_sets=True)
+    flat = make_store("flat", num_vertices=N)
     flat.extend(_sample_sets())
     with shm.SegmentManager(prefix="tsf") as mgr:
         handle = mgr.publish_store(flat)
