@@ -70,20 +70,24 @@ class TestFlatRRRStore:
         assert len(s) == 1 and s.get(0).size == 0
 
 
-    def test_append_csr_matches_per_set_appends(self):
+    @pytest.mark.parametrize("ascending_input", (False, True))
+    def test_append_csr_matches_per_set_appends(self, ascending_input):
         rng = np.random.default_rng(4)
         sets = [
             rng.permutation(50)[: rng.integers(0, 9)].astype(np.int32)
             for _ in range(40)
         ]
+        if ascending_input:
+            sets = [np.sort(s) for s in sets]
         one = FlatRRRStore(50)
-        one.extend(sets)
+        one.extend(sets)  # the per-set path sorts what it is given
         bulk = FlatRRRStore(50)
         for lo in range(0, 40, 13):  # uneven batches across growth steps
             chunk = sets[lo : lo + 13]
             sizes = np.array([s.size for s in chunk])
-            with pytest.raises(ParameterError, match="strictly ascending"):
-                bulk.append_csr(np.concatenate(chunk), sizes)
+            if not ascending_input:
+                with pytest.raises(ParameterError, match="strictly ascending"):
+                    bulk.append_csr(np.concatenate(chunk), sizes)
             bulk.append_csr(np.concatenate([np.sort(s) for s in chunk]), sizes)
         assert bulk.fingerprint() == one.fingerprint()
         np.testing.assert_array_equal(bulk.offsets, one.offsets)
