@@ -22,20 +22,23 @@ maintenance is adaptive — decrement newly covered sets when they are the
 minority, rebuild from uncovered sets when they dominate (§IV-C, Figure 5's
 knob, exposed as ``adaptive_update``).
 
-:func:`greedy_cover` is the only greedy loop: ``efficient_select`` and the
-shard router (:mod:`repro.shard.router`) both run it, each with its own
-cover step.
+:func:`greedy_cover` is the only greedy loop.  ``efficient_select``,
+``ripples_select``, the Table IV trace replays
+(:mod:`repro.simmachine.instrumented`), the simulated-cluster ranks
+(:mod:`repro.distributed.dimm`) and the shard router
+(:mod:`repro.shard.router`) all run it, each with its own cover step.
 
 Membership ("which uncovered sets contain v") costs what it covers.
 :class:`CoverStep` finds it one of two ways, fixed once per call (or per
 shard session) by a rule on the store's shape: one scan of the flat vertex
 array for ``v``, or a segmented binary search over the uncovered sets
 (every flat store keeps its sets ascending) when they are large enough
-that bisecting beats scanning.  Ripples and the simulated distributed ranks
-always bisect: that is the probe pattern they model.  EfficientIMM's stats
-charge the per-set O(log s) probe both codes perform (adaptive bitmap sets
-O(1)) whichever path ran, settled once per call: a set pays once for every
-round up to and including the one that covers it.
+that bisecting beats scanning.  Only ``ripples_select`` still bisects
+physically, for its wall-clock bench; the modelled charges never depended
+on the path.  EfficientIMM's stats charge the per-set O(log s) probe both
+codes perform (adaptive bitmap sets O(1)) whichever path ran, settled once
+per call: a set pays once for every round up to and including the one
+that covers it.
 """
 
 from __future__ import annotations
@@ -183,7 +186,8 @@ def greedy_cover(
     num_sets: int,
     cover: Callable[[int, np.ndarray], int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy max-cover: the loop every exact selection runs.
+    """Greedy max-cover: the loop every exact selection runs (the callers
+    are listed in the module docstring).
 
     Each round picks ``v = argmax(counts)`` (ties go to the lowest id),
     calls ``cover(v, counts)`` — which retires the uncovered sets holding
@@ -397,11 +401,10 @@ def ripples_select(
     num_sets = len(store)
     _check_select_args(store, k, num_threads)
     stats = KernelStats(num_threads)
-    sizes = store.sizes()
-    offsets = store.offsets
     verts = store.vertices
     vertex_bounds = block_partition(n, num_threads)
-    log_sizes = np.log2(np.maximum(sizes, 2))
+    widths = np.array([hi - lo for lo, hi in vertex_bounds], dtype=np.float64)
+    log_sizes = np.log2(np.maximum(store.sizes(), 2))
 
     # ---- initial counting: p real passes over the whole store ------------
     counts = np.zeros(n, dtype=np.int64)
@@ -413,69 +416,50 @@ def ripples_select(
         stats.stores[w] += float(in_range.sum())
     stats.sync_barriers += 1
 
-    active_sets = np.ones(num_sets, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered_total = 0
+    step = CoverStep(store)
+    active = np.ones(num_sets, dtype=bool)
     rounds: list[dict] = []
 
-    for rnd in range(k):
+    def cover(v: int, counts: np.ndarray) -> int:
         # Thread-local maxima then serial merge (the reduction Ripples does).
-        v = int(np.argmax(counts))
-        stats.loads += np.array(
-            [hi - lo for lo, hi in vertex_bounds], dtype=np.float64
-        )
+        stats.loads += widths
         stats.serial_ops += num_threads
-        seeds[rnd] = v
-        chosen[v] = True
-
         # Every thread probes every remaining set for v (log s each).
-        new_sets = segmented_membership(store, v, active_sets)
-        active_count = int(active_sets.sum())
-        stats.loads += float(log_sizes[active_sets].sum())  # per thread
+        active_count = int(active.sum())
+        stats.loads += float(log_sizes[active].sum())  # per thread
         stats.sync_barriers += 1
-
-        active_sets[new_sets] = False
-        covered_total += new_sets.size
-        dec_chunks = [
-            verts[offsets[s] : offsets[s + 1]] for s in new_sets.tolist()
-        ]
-        dec_all = (
-            np.concatenate(dec_chunks) if dec_chunks
-            else np.empty(0, dtype=verts.dtype)
-        )
+        new_sets = segmented_membership(store, v, active)
+        active[new_sets] = False
+        covered = step.entries(new_sets)
 
         # Decrement: each thread re-reads every covered set, updates its
         # own slice — p real passes over the covered entries.
         for w, (v_lo, v_hi) in enumerate(vertex_bounds):
-            mine = dec_all[(dec_all >= v_lo) & (dec_all < v_hi)]
+            mine = covered[(covered >= v_lo) & (covered < v_hi)]
             np.subtract.at(counts, mine, 1)
-            stats.loads[w] += float(dec_all.size + log_sizes[new_sets].sum())
+            stats.loads[w] += float(covered.size + log_sizes[new_sets].sum())
             stats.stores[w] += float(mine.size)
-        counts[chosen] = -1
         stats.sync_barriers += 1
 
         rounds.append(
             {
                 "seed": v,
                 "new_covered_sets": int(new_sets.size),
-                "covered_entries": int(sizes[new_sets].sum()),
+                "covered_entries": int(covered.size),
                 "method": "decrement",
                 "active_sets_scanned": active_count,
             }
         )
-        if covered_total >= num_sets and rnd + 1 < k:
-            fill = np.flatnonzero(~chosen)[: k - rnd - 1]
-            seeds[rnd + 1 : rnd + 1 + fill.size] = fill
-            for fv in fill:
-                chosen[fv] = True
-                rounds.append(
-                    {"seed": int(fv), "new_covered_sets": 0,
-                     "covered_entries": 0, "method": "fill"}
-                )
-            break
+        return int(new_sets.size)
 
-    coverage = covered_total / num_sets if num_sets else 0.0
+    seeds, newly = greedy_cover(counts, k, num_sets, cover)
+    rounds.extend(
+        {"seed": fv, "new_covered_sets": 0, "covered_entries": 0,
+         "method": "fill"}
+        for fv in seeds[len(rounds):].tolist()
+    )
+
+    coverage = int(newly.sum()) / num_sets
     _record_selection_telemetry(rounds)
     return SelectionResult(
         seeds=seeds, coverage_fraction=coverage, stats=stats, rounds=rounds

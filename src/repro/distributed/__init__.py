@@ -21,7 +21,11 @@ rules):
   partition-local layout maps 1:1 onto ranks), the global counter is an
   ``allreduce``, and each selection round exchanges only the per-rank
   counter deltas — the communication pattern the paper predicts matches
-  Ripples' MPI version.
+  Ripples' MPI version;
+- :mod:`repro.distributed.dripples` — Ripples' MPI design, a subclass of
+  ``DistributedIMM`` that overrides three node-local hooks: how the
+  global counter is built, each rank's ops per round and the sampling
+  profile.
 """
 
 from repro.distributed.cluster import ClusterTopology, perlmutter_cluster

@@ -10,12 +10,13 @@ paper's future-work paragraph anticipates:
   counter updates into generation (Algorithm 3);
 - **counter** — the global vertex-occurrence counter is one
   ``Allreduce_sum`` of the per-rank fused counters;
-- **selection** — every rank runs the same greedy rounds SPMD-style: the
-  argmax is computed redundantly from the (replicated) global counter, each
-  rank retires its local sets containing the seed and contributes a local
-  decrement vector; one ``Allreduce_sum`` per round merges the deltas.  Per
-  round the wire carries exactly one counter-sized reduction — matching the
-  paper's claim of "no additional communication compared to Ripples' MPI
+- **selection** — every rank runs the same greedy rounds SPMD-style
+  (:func:`~repro.core.selection.greedy_cover`): the argmax is computed
+  redundantly from the (replicated) global counter, each rank retires its
+  local sets containing the seed and contributes a local decrement vector;
+  one ``Allreduce_sum`` per round merges the deltas.  Per round the wire
+  carries exactly one counter-sized reduction — matching the paper's claim
+  of "no additional communication compared to Ripples' MPI
   implementation".
 
 Everything executes for real (per-rank numpy state, exact collectives);
@@ -25,21 +26,22 @@ the cluster model prices compute (via the node-level
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.martingale import MartingaleSchedule
 from repro.core.params import IMMParams
 from repro.core.sampling import RRRSampler, SamplingConfig
-from repro.core.selection import segmented_membership
+from repro.core.selection import CoverStep, greedy_cover
 from repro.diffusion.base import get_model
 from repro.distributed.cluster import ClusterTopology
 from repro.distributed.comm import CommStats, SimulatedComm
 from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.kernels.rng import rank_seed
-from repro.simmachine.cost import CostModel
+from repro.simmachine.cost import CostModel, RunProfile
+from repro.sketch.store import FlatRRRStore
 
 __all__ = ["DistributedIMM", "DistributedResult"]
 
@@ -73,7 +75,13 @@ class DistributedResult:
 
 
 class DistributedIMM:
-    """IMM across ``cluster.num_nodes`` ranks, ``threads_per_rank`` wide each."""
+    """IMM across ``cluster.num_nodes`` ranks, ``threads_per_rank`` wide each.
+
+    :meth:`run` and :meth:`_select` serve every distributed framework;
+    :class:`~repro.distributed.dripples.DistributedRipples` overrides only
+    the three node-local hooks: :meth:`_global_counter`,
+    :meth:`_round_ops` and :meth:`_sampling_profile`.
+    """
 
     def __init__(
         self,
@@ -84,7 +92,10 @@ class DistributedIMM:
     ):
         self.graph = graph
         self.cluster = cluster
-        self.threads_per_rank = threads_per_rank or cluster.node.num_cores
+        self.threads_per_rank = (
+            cluster.node.num_cores if threads_per_rank is None
+            else threads_per_rank
+        )
         if not (1 <= self.threads_per_rank <= cluster.node.num_cores):
             raise ParameterError(
                 f"threads_per_rank {self.threads_per_rank} outside "
@@ -123,10 +134,7 @@ class DistributedIMM:
         for level in range(1, sched.max_level + 1):
             theta_i = capped(sched.theta_for_level(level))
             extend_to(theta_i)
-            counter = world.Allreduce_sum([s.counter for s in samplers])
-            seeds, coverage, _ = self._select(
-                samplers, counter.copy(), params.k, world
-            )
+            seeds, coverage, _ = self._select(samplers, params.k, world)
             if sched.accepts(level, coverage):
                 lb = sched.lower_bound(coverage)
                 break
@@ -138,14 +146,13 @@ class DistributedIMM:
         extend_to(max(theta, sum(len(s.store) for s in samplers)))
 
         # ---- final selection ---------------------------------------------
-        counter = world.Allreduce_sum([s.counter for s in samplers])
-        seeds, coverage, select_ops = self._select(
-            samplers, counter.copy(), params.k, world
-        )
+        seeds, coverage, select_ops = self._select(samplers, params.k, world)
 
         # ---- price the compute -------------------------------------------
         sampling_s = max(
-            self._cost.sampling_time_s(_rank_profile(s), self.threads_per_rank)
+            self._cost.sampling_time_s(
+                self._sampling_profile(s), self.threads_per_rank
+            )
             for s in samplers
         )
         selection_s = (
@@ -167,67 +174,66 @@ class DistributedIMM:
     def _select(
         self,
         samplers: list[RRRSampler],
-        counter: np.ndarray,
         k: int,
         world: SimulatedComm,
     ) -> tuple[np.ndarray, float, list[float]]:
         """SPMD greedy max-cover over the rank-local stores.
 
-        Returns ``(seeds, coverage_fraction, per-rank op counts)``.  One
-        counter-sized allreduce per round, exactly as documented above.
+        :func:`~repro.core.selection.greedy_cover` runs over the global
+        counter; each round every rank retires its local sets holding the
+        seed and contributes their entries as a decrement vector, merged by
+        one counter-sized allreduce.  Returns ``(seeds, coverage_fraction,
+        per-rank op counts)``.
         """
-        n = self.graph.num_vertices
-        ranks = len(samplers)
-        stores = [s.store for s in samplers]
-        active = [np.ones(len(st), dtype=bool) for st in stores]
-        sizes = [st.sizes() for st in stores]
-        num_sets_total = sum(len(st) for st in stores)
-        chosen = np.zeros(n, dtype=bool)
-        seeds = np.empty(min(k, n), dtype=np.int64)
-        covered_total = 0
-        ops = [0.0] * ranks
+        counter, ops = self._global_counter(samplers, world)
+        n = counter.size
+        steps = [CoverStep(s.store) for s in samplers]
+        active = [np.ones(len(s.store), dtype=bool) for s in samplers]
+        num_sets = sum(len(s.store) for s in samplers)
 
-        for rnd in range(seeds.size):
-            v = int(np.argmax(counter))
-            seeds[rnd] = v
-            chosen[v] = True
-
+        def cover(v: int, counter: np.ndarray) -> int:
+            retired = 0
             deltas = []
-            for r, st in enumerate(stores):
-                new_local = segmented_membership(st, v, active[r])
-                active[r][new_local] = False
-                covered_total += new_local.size
-                delta = np.zeros(n, dtype=np.int64)
-                for s_id in new_local.tolist():
-                    seg = st.get(s_id)
-                    np.add.at(delta, seg.astype(np.int64), 1)
-                    ops[r] += 2.0 * seg.size
-                ops[r] += float(np.log2(max(sizes[r].size, 2)))  # probe pass
-                deltas.append(delta)
-            merged = world.Allreduce_sum(deltas)
-            counter -= merged
-            counter[chosen] = -1
-            if covered_total >= num_sets_total and rnd + 1 < seeds.size:
-                fill = np.flatnonzero(~chosen)[: seeds.size - rnd - 1]
-                seeds[rnd + 1 : rnd + 1 + fill.size] = fill
-                break
+            for r, step in enumerate(steps):
+                uncovered = active[r].copy()
+                new_sets = step.retire(v, active[r])
+                entries = step.entries(new_sets)
+                retired += new_sets.size
+                ops[r] += self._round_ops(step.store, uncovered, entries.size)
+                deltas.append(np.bincount(entries, minlength=n))
+            counter -= world.Allreduce_sum(deltas)
+            return retired
 
-        coverage = covered_total / num_sets_total if num_sets_total else 0.0
+        seeds, newly = greedy_cover(counter, k, num_sets, cover)
+        coverage = int(newly.sum()) / num_sets if num_sets else 0.0
         return seeds, coverage, ops
 
+    def _global_counter(
+        self, samplers: list[RRRSampler], world: SimulatedComm
+    ) -> tuple[np.ndarray, list[float]]:
+        """The global counter and each rank's ops to build it: one
+        allreduce of the fused counters, which sampling already paid for."""
+        counter = world.Allreduce_sum([s.counter for s in samplers])
+        return counter, [0.0] * len(samplers)
 
-def _rank_profile(sampler: RRRSampler):
-    """Minimal RunProfile for pricing one rank's sampling."""
-    from repro.simmachine.cost import RunProfile
+    def _round_ops(
+        self, store: FlatRRRStore, uncovered: np.ndarray, covered_entries: int
+    ) -> float:
+        """One rank's ops in one round, given the local sets uncovered when
+        it began: read and decrement each covered entry, plus one probe
+        pass."""
+        return 2.0 * covered_entries + float(np.log2(max(len(store), 2)))
 
-    return RunProfile(
-        framework="EfficientIMM",
-        dataset="-",
-        model="-",
-        n=sampler.store.num_vertices,
-        num_sets=len(sampler.store),
-        total_entries=sampler.store.total_entries,
-        per_set_costs=np.asarray(sampler.per_set_costs),
-        sampling_schedule="dynamic",
-        numa_aware=True,
-    )
+    def _sampling_profile(self, sampler: RRRSampler) -> RunProfile:
+        """Minimal RunProfile for pricing one rank's sampling."""
+        return RunProfile(
+            framework="EfficientIMM",
+            dataset="-",
+            model="-",
+            n=sampler.store.num_vertices,
+            num_sets=len(sampler.store),
+            total_entries=sampler.store.total_entries,
+            per_set_costs=np.asarray(sampler.per_set_costs),
+            sampling_schedule="dynamic",
+            numa_aware=True,
+        )

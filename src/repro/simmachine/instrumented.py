@@ -1,11 +1,11 @@
 """Instrumented kernels: replay the algorithms as per-thread memory traces.
 
 Table IV (cache misses) and Table II (NUMA placement) need the kernels'
-*address streams*, not just their operation counts.  The drivers here re-run
-the greedy selection loop — the same logic as :mod:`repro.core.selection`,
-verified equivalent by tests — while feeding each emulated thread's accesses
-through its private :class:`~repro.simmachine.cache.CacheHierarchy` and the
-NUMA placement model.
+*address streams*, not just their operation counts.  Each selection replay
+runs :func:`~repro.core.selection.greedy_cover` with a cover step that
+emits the access streams, feeding each emulated thread's accesses through
+its private :class:`~repro.simmachine.cache.CacheHierarchy` and the NUMA
+placement model.
 
 Address-stream construction rules (one per access class):
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.core.selection import CoverStep, _check_select_args, greedy_cover
 from repro.runtime.partition import block_partition
 from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.store import FlatRRRStore
@@ -95,6 +96,7 @@ def trace_efficient_selection(
     adaptive_update: bool = True,
 ) -> SelectionTraceResult:
     """Replay EfficientIMM's selection, simulating each thread's caches."""
+    _check_select_args(store, k, num_threads)
     n = store.num_vertices
     num_sets = len(store)
     policy = adaptive_policy or AdaptivePolicy()
@@ -120,23 +122,16 @@ def trace_efficient_selection(
     for w, (s_lo, s_hi) in enumerate(set_bounds):
         owner[s_lo:s_hi] = w
 
-    counts = store.vertex_counts()
+    step = CoverStep(store)
     active = np.ones(num_sets, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
-    seeds = np.empty(min(k, n), dtype=np.int64)
     remaining_entries = store.total_entries
 
-    from repro.core.selection import segmented_membership
-
-    for rnd in range(seeds.size):
-        v = int(np.argmax(counts))
-        seeds[rnd] = v
-        chosen[v] = True
+    def cover(v: int, counts: np.ndarray) -> int:
+        nonlocal remaining_entries
         # Reduction scan: each thread reads its counter slice sequentially.
         for w, (v_lo, v_hi) in enumerate(vertex_bounds):
             caches[w].access(_seq_addrs(ctr_base, v_lo, v_hi - v_lo, 8))
 
-        new_sets = segmented_membership(store, v, active)
         # Membership probes, thread-local partitions only.
         for w in range(num_threads):
             probe_chunks = []
@@ -155,11 +150,10 @@ def trace_efficient_selection(
             if probe_chunks:
                 caches[w].access(np.concatenate(probe_chunks))
 
+        new_sets = step.retire(v, active)
         new_entry_count = int(sizes[new_sets].sum())
-        uncovered_after = remaining_entries - new_entry_count
-        use_rebuild = adaptive_update and new_entry_count > uncovered_after
-        active[new_sets] = False
-        remaining_entries = uncovered_after
+        remaining_entries -= new_entry_count
+        use_rebuild = adaptive_update and new_entry_count > remaining_entries
 
         touch_sets = (
             np.flatnonzero(active) if use_rebuild else new_sets
@@ -175,19 +169,12 @@ def trace_efficient_selection(
                 caches[w].access(np.concatenate(streams))
         # Maintain the real counter so seeds match the real kernel.
         if use_rebuild:
-            ent = np.zeros(store.total_entries, dtype=bool)
-            for s in np.flatnonzero(active).tolist():
-                ent[offsets[s] : offsets[s + 1]] = True
-            counts = np.bincount(verts[ent], minlength=n).astype(np.int64)
+            counts[:] = np.bincount(step.entries(touch_sets), minlength=n)
         else:
-            for s in new_sets.tolist():
-                np.subtract.at(counts, verts[offsets[s] : offsets[s + 1]], 1)
-        counts[chosen] = -1
-        if not np.any(active) and rnd + 1 < seeds.size:
-            fill = np.flatnonzero(~chosen)[: seeds.size - rnd - 1]
-            seeds[rnd + 1 : rnd + 1 + fill.size] = fill
-            break
+            np.subtract.at(counts, step.entries(new_sets), 1)
+        return int(new_sets.size)
 
+    seeds, _ = greedy_cover(store.vertex_counts(), k, num_sets, cover)
     return _record_selection_trace(
         SelectionTraceResult(
             framework="EfficientIMM",
@@ -217,6 +204,7 @@ def trace_ripples_selection(
     topology: MachineTopology,
 ) -> SelectionTraceResult:
     """Replay Ripples' selection: every thread traverses every set."""
+    _check_select_args(store, k, num_threads)
     n = store.num_vertices
     num_sets = len(store)
     sizes = store.sizes()
@@ -245,20 +233,13 @@ def trace_ripples_selection(
         caches[w].access(read_stream)
         caches[w].access(write_stream)
 
-    counts = store.vertex_counts()
+    step = CoverStep(store)
     active = np.ones(num_sets, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
-    seeds = np.empty(min(k, n), dtype=np.int64)
-    from repro.core.selection import segmented_membership
 
-    for rnd in range(seeds.size):
-        v = int(np.argmax(counts))
-        seeds[rnd] = v
-        chosen[v] = True
+    def cover(v: int, counts: np.ndarray) -> int:
         for w, (v_lo, v_hi) in enumerate(vertex_bounds):
             caches[w].access(_seq_addrs(ctr_bases[w], 0, v_hi - v_lo, 8))
 
-        new_sets = segmented_membership(store, v, active)
         # Every thread probes every remaining set.
         probe_chunks = [
             _bisect_probe_addrs(rrr_base, int(offsets[s]), int(sizes[s]))
@@ -268,7 +249,7 @@ def trace_ripples_selection(
             np.concatenate(probe_chunks) if probe_chunks
             else np.empty(0, dtype=np.int64)
         )
-        active[new_sets] = False
+        new_sets = step.retire(v, active)
 
         # Every thread replays the probe stream and re-reads every covered
         # set, writing only the occurrences in its own vertex range.
@@ -284,14 +265,10 @@ def trace_ripples_selection(
             if streams:
                 caches[w].access(np.concatenate(streams))
         # Maintain the real counter once (semantics, not traffic).
-        for s in new_sets.tolist():
-            np.subtract.at(counts, verts[offsets[s] : offsets[s + 1]], 1)
-        counts[chosen] = -1
-        if not np.any(active) and rnd + 1 < seeds.size:
-            fill = np.flatnonzero(~chosen)[: seeds.size - rnd - 1]
-            seeds[rnd + 1 : rnd + 1 + fill.size] = fill
-            break
+        np.subtract.at(counts, step.entries(new_sets), 1)
+        return int(new_sets.size)
 
+    seeds, _ = greedy_cover(store.vertex_counts(), k, num_sets, cover)
     return _record_selection_trace(
         SelectionTraceResult(
             framework="Ripples",

@@ -127,3 +127,154 @@ class TestGoldenRuns:
             assert a[fw].num_sets == b[fw].num_sets
             assert a[fw].selection.partitioned_ops == b[fw].selection.partitioned_ops
             assert np.array_equal(a[fw].per_set_costs, b[fw].per_set_costs)
+
+
+#: Per-thread ``(l1_hits, l1_misses, l2_hits, l2_misses)`` of both Table IV
+#: replays, keyed by (store, framework, threads, adaptive_update).
+REPLAY_COUNTS = {
+    ("ic", "EfficientIMM", 1, True): [(26966, 542, 58, 484)],
+    ("ic", "EfficientIMM", 1, False): [(239541, 24125, 16268, 7857)],
+    ("ic", "Ripples", 1, None): [(468566, 31886, 24075, 7811)],
+    ("ic", "EfficientIMM", 3, True): [
+        (8976, 164, 0, 164), (9024, 171, 0, 171), (9005, 168, 0, 168)
+    ],
+    ("ic", "EfficientIMM", 3, False): [
+        (78634, 7868, 5009, 2859), (73980, 7361, 4664, 2697),
+        (86979, 8844, 5691, 3153),
+    ],
+    ("ic", "Ripples", 3, None): [
+        (310384, 15391, 7863, 7528), (309439, 15399, 7871, 7528),
+        (308325, 15392, 7864, 7528),
+    ],
+    ("lt", "EfficientIMM", 1, True): [(38172, 468, 0, 468)],
+    ("lt", "EfficientIMM", 1, False): [(38172, 468, 0, 468)],
+    ("lt", "Ripples", 1, None): [(39548, 468, 0, 468)],
+    ("lt", "EfficientIMM", 3, True): [
+        (12677, 168, 0, 168), (12729, 169, 0, 169), (12734, 163, 0, 163)
+    ],
+    ("lt", "EfficientIMM", 3, False): [
+        (12677, 168, 0, 168), (12729, 169, 0, 169), (12734, 163, 0, 163)
+    ],
+    ("lt", "Ripples", 3, None): [
+        (16669, 185, 0, 185), (16705, 185, 0, 185), (16603, 185, 0, 185)
+    ],
+    ("ic-fill", "EfficientIMM", 1, True): [(13221, 445, 0, 445)],
+    ("ic-fill", "EfficientIMM", 1, False): [(86896, 8632, 5631, 3001)],
+    ("ic-fill", "Ripples", 1, None): [(166185, 11399, 8414, 2985)],
+    ("ic-fill", "EfficientIMM", 3, True): [
+        (4404, 149, 0, 149), (4409, 153, 0, 153), (4402, 149, 0, 149)
+    ],
+    ("ic-fill", "EfficientIMM", 3, False): [
+        (27381, 2638, 1411, 1227), (32318, 3108, 1711, 1397),
+        (27319, 2764, 1535, 1229),
+    ],
+    ("ic-fill", "Ripples", 3, None): [
+        (108715, 5389, 2687, 2702), (108855, 5391, 2689, 2702),
+        (108021, 5389, 2687, 2702),
+    ],
+}
+
+#: The replayed stores: (model, sets, sampler seed, k, store fingerprint,
+#: seeds).  "ic" has a rebuild round, "lt" only decrements, "ic-fill"
+#: covers every set and ends on fill rounds.
+REPLAY_STORES = {
+    "ic": ("IC", 60, 2, 8, "617e5bfebd69df96",
+           [49, 312, 486, 582, 829, 941, 954, 1248]),
+    "lt": ("LT", 400, 2, 10, "c1f92aa516653352",
+           [253, 312, 1204, 2491, 2714, 274, 276, 371, 427, 507]),
+    "ic-fill": ("IC", 20, 3, 6, "8c592ebf1c9064de",
+                [302, 178, 409, 2016, 0, 1]),
+}
+
+
+class TestGoldenSelectionReplays:
+    """Pinned: both Table IV replays' seeds and per-thread cache counts on
+    amazon sketches, at 1 and 3 threads, adaptive update on and off.
+
+    Regenerate:  for each REPLAY_STORES entry, sample
+    RRRSampler(get_model(model, load_dataset('amazon', model=model,
+    seed=0)), SamplingConfig.efficientimm(), seed=seed).extend(sets) and
+    print [(c.l1_hits, c.l1_misses, c.l2_hits, c.l2_misses) for c in
+    trace_*_selection(store, k, threads, perlmutter(), ...).per_thread].
+    """
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        from repro.core.sampling import RRRSampler, SamplingConfig
+        from repro.diffusion.base import get_model
+
+        out = {}
+        for name, (model, count, seed, *_) in REPLAY_STORES.items():
+            g = load_dataset("amazon", model=model, seed=0)
+            sampler = RRRSampler(
+                get_model(model, g), SamplingConfig.efficientimm(), seed=seed
+            )
+            sampler.extend(count)
+            out[name] = sampler.store
+        return out
+
+    @pytest.mark.parametrize("key", sorted(REPLAY_COUNTS, key=str))
+    def test_access_counts_pinned(self, stores, key):
+        from repro.simmachine.instrumented import (
+            trace_efficient_selection,
+            trace_ripples_selection,
+        )
+        from repro.simmachine.topology import perlmutter
+
+        name, framework, threads, adaptive = key
+        store = stores[name]
+        _, _, _, k, fingerprint, seeds = REPLAY_STORES[name]
+        assert store.fingerprint() == fingerprint
+        if framework == "Ripples":
+            res = trace_ripples_selection(store, k, threads, perlmutter())
+        else:
+            res = trace_efficient_selection(
+                store, k, threads, perlmutter(), adaptive_update=adaptive
+            )
+        assert res.framework == framework
+        assert res.seeds.tolist() == seeds
+        assert [
+            (c.l1_hits, c.l1_misses, c.l2_hits, c.l2_misses)
+            for c in res.per_thread
+        ] == REPLAY_COUNTS[key]
+
+
+class TestGoldenDistributed:
+    """Pinned: both simulated-cluster drivers on skitter, 3 nodes.
+
+    Regenerate:  python -c "from repro.graph.datasets import load_dataset;
+    from repro.core.params import IMMParams; from repro.distributed import
+    DistributedIMM, DistributedRipples, perlmutter_cluster; g =
+    load_dataset('skitter', model='IC', seed=0); [print(vars(c(g,
+    perlmutter_cluster(3)).run(IMMParams(k=6, theta_cap=450, seed=7))))
+    for c in (DistributedIMM, DistributedRipples)]"
+    """
+
+    @pytest.mark.parametrize(
+        "framework,sampling_s,selection_s",
+        [
+            ("DistributedIMM", 0.0001016669582785911, 9.979032061328188e-07),
+            ("DistributedRipples", 7.306869401356539e-05,
+             0.00016705770412887342),
+        ],
+    )
+    def test_run_pinned(self, skitter_ic, framework, sampling_s, selection_s):
+        import repro.distributed as dist
+
+        cls = getattr(dist, framework)
+        res = cls(skitter_ic, dist.perlmutter_cluster(3)).run(
+            IMMParams(k=6, theta_cap=450, seed=7)
+        )
+        assert res.seeds.tolist() == [417, 16, 151, 152, 311, 5]
+        assert res.coverage_fraction == 0.45111111111111113
+        assert res.theta == 450
+        assert res.num_ranks == 3
+        assert res.sets_per_rank == [150, 150, 150]
+        assert res.comm.num_collectives == 14
+        assert res.comm.by_kind == {"allreduce": 14}
+        assert res.comm.bytes_on_wire == 448_000
+        assert res.comm.comm_time_s == 0.00013589333333333337
+        assert res.sampling_time_s == sampling_s
+        # A float sum of per-rank op counts: its grouping may move the
+        # last bit.
+        assert res.selection_compute_s == pytest.approx(selection_s, rel=1e-12)

@@ -5,6 +5,8 @@ The crucial contract: EfficientIMM's and Ripples' selections are different
 on every input, and both must match a brute-force greedy reference.
 """
 
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -170,6 +172,90 @@ def reference_select(store, k, num_threads=1, *, initial_counter=None,
                     else "rebuild" if use_rebuild
                     else "decrement"
                 ),
+            }
+        )
+        if covered_total >= num_sets and rnd + 1 < k:
+            fill = np.flatnonzero(~chosen)[: k - rnd - 1]
+            seeds[rnd + 1 : rnd + 1 + fill.size] = fill
+            for fv in fill:
+                chosen[fv] = True
+                rounds.append(
+                    {"seed": int(fv), "new_covered_sets": 0,
+                     "covered_entries": 0, "method": "fill"}
+                )
+            break
+
+    coverage = covered_total / num_sets if num_sets else 0.0
+    return seeds, coverage, stats, rounds
+
+
+def reference_ripples_select(store, k, num_threads=1):
+    """The per-round ``ripples_select`` loop from before the shared
+    ``greedy_cover``: p counting passes, then every round a reduction, a
+    probe charge over every active set, a bisection, a per-set gather of
+    the covered entries and p decrement passes.  Kept as the oracle the
+    shared loop must match byte for byte, charges included."""
+    n = store.num_vertices
+    num_sets = len(store)
+    stats = KernelStats(num_threads)
+    sizes = store.sizes()
+    offsets = store.offsets
+    verts = store.vertices
+    vertex_bounds = block_partition(n, num_threads)
+    log_sizes = np.log2(np.maximum(sizes, 2))
+
+    counts = np.zeros(n, dtype=np.int64)
+    for w, (v_lo, v_hi) in enumerate(vertex_bounds):
+        in_range = (verts >= v_lo) & (verts < v_hi)
+        counts += np.bincount(verts[in_range], minlength=n)
+        stats.loads[w] += float(log_sizes.sum() + in_range.sum())
+        stats.stores[w] += float(in_range.sum())
+    stats.sync_barriers += 1
+
+    active_sets = np.ones(num_sets, dtype=bool)
+    chosen = np.zeros(n, dtype=bool)
+    seeds = np.empty(k, dtype=np.int64)
+    covered_total = 0
+    rounds = []
+
+    for rnd in range(k):
+        v = int(np.argmax(counts))
+        stats.loads += np.array(
+            [hi - lo for lo, hi in vertex_bounds], dtype=np.float64
+        )
+        stats.serial_ops += num_threads
+        seeds[rnd] = v
+        chosen[v] = True
+
+        new_sets = segmented_membership(store, v, active_sets)
+        active_count = int(active_sets.sum())
+        stats.loads += float(log_sizes[active_sets].sum())
+        stats.sync_barriers += 1
+
+        active_sets[new_sets] = False
+        covered_total += new_sets.size
+        dec_chunks = [
+            verts[offsets[s] : offsets[s + 1]] for s in new_sets.tolist()
+        ]
+        dec_all = (
+            np.concatenate(dec_chunks) if dec_chunks
+            else np.empty(0, dtype=verts.dtype)
+        )
+        for w, (v_lo, v_hi) in enumerate(vertex_bounds):
+            mine = dec_all[(dec_all >= v_lo) & (dec_all < v_hi)]
+            np.subtract.at(counts, mine, 1)
+            stats.loads[w] += float(dec_all.size + log_sizes[new_sets].sum())
+            stats.stores[w] += float(mine.size)
+        counts[chosen] = -1
+        stats.sync_barriers += 1
+
+        rounds.append(
+            {
+                "seed": v,
+                "new_covered_sets": int(new_sets.size),
+                "covered_entries": int(sizes[new_sets].sum()),
+                "method": "decrement",
+                "active_sets_scanned": active_count,
             }
         )
         if covered_total >= num_sets and rnd + 1 < k:
@@ -386,6 +472,62 @@ class TestKernelEquivalence:
 
     @given(
         st.lists(
+            st.lists(st.integers(0, 24), min_size=0, max_size=12, unique=True),
+            min_size=1, max_size=30,
+        ),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_replays_and_ranks_agree(self, sets, k, ranks, data):
+        """The Table IV replays and both distributed selections, with the
+        sets dealt across 1-4 rank stores, pick the reference's seeds."""
+        from types import SimpleNamespace
+
+        from conftest import make_graph
+        from repro.distributed import (
+            DistributedIMM,
+            DistributedRipples,
+            SimulatedComm,
+            perlmutter_cluster,
+        )
+        from repro.simmachine.instrumented import (
+            trace_efficient_selection,
+            trace_ripples_selection,
+        )
+        from repro.simmachine.topology import perlmutter
+
+        n = 25
+        s = store_of(sets, n)
+        ref = greedy_reference(sets, n, k)
+        topo = perlmutter()
+        assert trace_efficient_selection(s, k, 3, topo).seeds.tolist() == ref
+        assert trace_ripples_selection(s, k, 2, topo).seeds.tolist() == ref
+
+        deal = data.draw(st.lists(
+            st.integers(0, ranks - 1), min_size=len(sets), max_size=len(sets)
+        ))
+        rank_sets = [[x for x, r in zip(sets, deal) if r == rank]
+                     for rank in range(ranks)]
+        samplers = []
+        for part in rank_sets:
+            local = store_of(part, n)
+            samplers.append(
+                SimpleNamespace(store=local, counter=local.vertex_counts())
+            )
+        covered = sum(bool(set(ref) & set(x)) for x in sets) / len(sets)
+        cluster = perlmutter_cluster(ranks)
+        for cls in (DistributedIMM, DistributedRipples):
+            driver = cls(make_graph([], n=n), cluster, threads_per_rank=2)
+            seeds, coverage, _ = driver._select(
+                samplers, k, SimulatedComm(cluster)
+            )
+            assert seeds.tolist() == ref
+            assert coverage == pytest.approx(covered)
+
+    @given(
+        st.lists(
             st.lists(st.integers(0, 24), min_size=1, max_size=12, unique=True),
             min_size=1, max_size=30,
         ),
@@ -398,6 +540,42 @@ class TestKernelEquivalence:
         seeds = set(res.seeds.tolist()[:k])
         expected = sum(bool(seeds & set(x)) for x in sets) / len(sets)
         assert res.coverage_fraction == pytest.approx(expected)
+
+
+class TestApproximationGuarantee:
+    """Greedy max-cover's (1 - 1/e) guarantee, the bound IMM rests on,
+    checked against the brute-force optimum over every k-subset."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_within_greedy_bound_of_optimum(self, data):
+        n = data.draw(st.integers(1, 12))
+        sets = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+            min_size=1, max_size=20,
+        ))
+        k = data.draw(st.integers(1, min(4, n)))
+        res = efficient_select(store_of(sets, n), k)
+
+        masks = np.array([sum(1 << v for v in x) for x in sets])
+
+        def covered(seeds):
+            mask = sum(1 << int(v) for v in seeds)
+            return int(np.count_nonzero(masks & mask))
+
+        opt = max(covered(c) for c in itertools.combinations(range(n), k))
+        got = covered(res.seeds)
+        assert got == round(res.coverage_fraction * len(sets))
+        assert (1 - 1 / math.e) * opt <= got <= opt
+
+    def test_counts_follow_coverage(self):
+        # Vertices 0 and 1 always appear together, so ranking by the
+        # initial counts picks 0 then 1 and covers 5 of 9 sets, below
+        # (1 - 1/e) x 9.  The greedy must re-count after the first pick.
+        sets = [[0, 1]] * 5 + [[2, 5, 6]] * 4
+        res = efficient_select(store_of(sets, 7), 2)
+        assert res.seeds.tolist() == [0, 2]
+        assert res.coverage_fraction == 1.0
 
 
 class TestReferenceLoop:
@@ -466,6 +644,58 @@ class TestReferenceLoop:
                 res.stats.loads, stats.loads, rtol=1e-12
             )
             assert np.array_equal(res.stats.atomics, stats.atomics)
+
+
+class TestRipplesReference:
+    """``ripples_select`` matches its per-round loop byte for byte: seeds,
+    coverage, round records and every ``KernelStats`` field."""
+
+    @staticmethod
+    def assert_matches(store, k, threads):
+        seeds, coverage, stats, rounds = reference_ripples_select(
+            store, k, threads
+        )
+        res = ripples_select(store, k, threads)
+        assert res.seeds.dtype == seeds.dtype
+        assert res.seeds.tobytes() == seeds.tobytes()
+        assert res.coverage_fraction == coverage
+        assert res.rounds == rounds
+        for name in ("loads", "stores", "atomics", "compute"):
+            got, want = getattr(res.stats, name), getattr(stats, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert res.stats.num_threads == stats.num_threads
+        assert repr(res.stats.serial_ops) == repr(stats.serial_ops)
+        assert res.stats.sync_barriers == stats.sync_barriers
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 24), min_size=0, max_size=12, unique=True),
+            min_size=1, max_size=30,
+        ),
+        st.integers(1, 8),
+        st.sampled_from([1, 2, 5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, sets, k, threads):
+        self.assert_matches(store_of(sets, 25), k, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "model,count,k", [("IC", 120, 25), ("LT", 2000, 25)]
+    )
+    def test_real_sketch_matches_reference(
+        self, model, count, k, threads, amazon_ic, amazon_lt
+    ):
+        from repro.core.sampling import RRRSampler, SamplingConfig
+        from repro.diffusion.base import get_model
+
+        graph = amazon_ic if model == "IC" else amazon_lt
+        sampler = RRRSampler(
+            get_model(model, graph), SamplingConfig.efficientimm(), seed=0
+        )
+        sampler.extend(count)
+        self.assert_matches(sampler.store, k, threads)
 
 
 class TestUnsortedStores:

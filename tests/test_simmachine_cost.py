@@ -176,6 +176,28 @@ class TestSelectionTraces:
         m4 = trace_ripples_selection(small_store, 3, 4, topo).total_misses
         assert m4 > 1.5 * m2
 
+    @pytest.mark.parametrize(
+        "trace", [trace_efficient_selection, trace_ripples_selection]
+    )
+    @pytest.mark.parametrize("sets,k", [
+        ([[0, 1], [1, 2], [3]], 0),
+        ([[0, 1], [1, 2], [3]], -1),
+        ([[0, 1], [1, 2], [3]], 9),
+        ([], 2),
+    ])
+    def test_rejects_what_the_kernels_reject(self, trace, sets, k):
+        from repro.core.selection import efficient_select, ripples_select
+        from repro.sketch.store import FlatRRRStore
+
+        store = FlatRRRStore(5)
+        for x in sets:
+            store.append(np.asarray(x, dtype=np.int32))
+        for select in (efficient_select, ripples_select):
+            with pytest.raises(ParameterError):
+                select(store, k)
+        with pytest.raises(ParameterError):
+            trace(store, k, 2, perlmutter())
+
 
 class TestBitmapShares:
     def test_numa_aware_always_cheaper(self):
