@@ -7,7 +7,8 @@ Walks through the paper's §IV-C storage story on a real workload:
 2. compare the store footprint of Ripples' sorted vectors, pure bitmaps,
    and EfficientIMM's adaptive policy across threshold settings;
 3. demonstrate the OOM behaviour under a fixed memory budget (Table III's
-   Twitter7 mechanism) and its paper-scale projection;
+   Twitter7 mechanism): the budget check IMM runs make, growing the sketch
+   one set at a time, and its paper-scale projection;
 4. run the HBMax-style compression baselines (Huffman / delta-varint) and
    show the codec-time-vs-space trade-off the paper cites.
 
@@ -24,7 +25,6 @@ from repro.errors import OutOfMemoryModelError
 from repro.graph.datasets import load_dataset
 from repro.sketch.compress import compare_codecs
 from repro.sketch.rrr import AdaptivePolicy
-from repro.sketch.store import AdaptiveRRRStore
 
 
 def main() -> None:
@@ -61,15 +61,26 @@ def main() -> None:
     # ---- 2. budget / OOM demonstration --------------------------------
     budget = 260 * ((n + 7) // 8)  # room for ~260 bitmaps (all 250 sets)
     print(f"\nreplaying under a {human_bytes(budget)} budget:")
-    for label, policy in (("Ripples (lists)", None), ("EfficientIMM", AdaptivePolicy())):
-        s = AdaptiveRRRStore(n, policy=policy, budget_bytes=budget)
+    for label, preset in (
+        ("Ripples (lists)", SamplingConfig.ripples),
+        ("EfficientIMM", SamplingConfig.efficientimm),
+    ):
+        # The same seed draws the same sets; the config decides how each is
+        # represented and what the budget check charges for it.
+        replay = RRRSampler(
+            get_model("IC", graph), preset(memory_budget_bytes=budget), seed=1
+        )
         try:
-            for rrr in store:
-                s.append(rrr)
-            print(f"  {label:18s} stored all {len(s)} sets "
-                  f"({human_bytes(s.nbytes())}) {s.representation_histogram()}")
+            for count in range(1, len(store) + 1):
+                replay.extend(count)
         except OutOfMemoryModelError as err:
-            print(f"  {label:18s} OOM after {len(s)} sets: {err}")
+            print(f"  {label:18s} OOM after {count - 1} sets: {err}")
+            continue
+        kept = replay.store.sizes()
+        bitmaps = int((kept > replay.config.adaptive_policy.threshold(n)).sum())
+        hist = {"bitmap": bitmaps, "list": kept.size - bitmaps}
+        print(f"  {label:18s} stored all {kept.size} sets "
+              f"({human_bytes(replay.modelled_bytes())}) {hist}")
 
     proj = oom_projection("twitter7", "IC")
     print(

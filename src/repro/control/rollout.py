@@ -139,10 +139,10 @@ class EpochRollout:
                 raise ReproError(
                     "no live replica available to canary on some shard"
                 )
-            parts = self.cluster.plan.partition_store(store, fingerprint).trim()
+            parts = self.cluster.plan.partition_store(store, fingerprint)
             for w in canaries:
                 restore[w.name] = (w, w.installed_graph(ds))
-                sub = parts.parts[w.shard_id]
+                sub = parts[w.shard_id]
                 sub_fp = shard_fingerprint(fingerprint, w.shard_id, self.cluster.plan)
                 sub_fps.append(sub_fp)
                 w.install_graph(ds, graph)

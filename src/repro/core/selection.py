@@ -53,7 +53,7 @@ from repro.core.params import KernelStats
 from repro.errors import ParameterError
 from repro.runtime.partition import block_partition
 from repro.sketch.rrr import AdaptivePolicy
-from repro.sketch.store import FlatRRRStore
+from repro.sketch.store import FlatRRRStore, gather_rows
 
 __all__ = [
     "CoverStep",
@@ -172,12 +172,7 @@ class CoverStep:
 
     def entries(self, sets: np.ndarray) -> np.ndarray:
         """The entries of ``sets``, concatenated in order."""
-        offsets = self.store.offsets
-        lo = offsets[sets]
-        sizes = offsets[sets + 1] - lo
-        starts = np.cumsum(sizes) - sizes
-        index = np.arange(int(sizes.sum()), dtype=np.int64)
-        return self.store.vertices[index + np.repeat(lo - starts, sizes)]
+        return gather_rows(self.store.offsets, self.store.vertices, sets)[0]
 
 
 def greedy_cover(

@@ -6,7 +6,7 @@ paper's future-work paragraph anticipates:
 - **sampling** — theta is block-split across ranks; every rank draws its
   share of RRR sets from its own counter-keyed stream
   (:func:`~repro.kernels.rng.rank_seed`) and keeps them rank-local
-  (the distributed analogue of the NUMA-local partitioned store), fusing
+  (the distributed analogue of the NUMA-local partitioned layout), fusing
   counter updates into generation (Algorithm 3);
 - **counter** — the global vertex-occurrence counter is one
   ``Allreduce_sum`` of the per-rank fused counters;

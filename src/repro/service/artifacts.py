@@ -14,12 +14,11 @@ arrays; :func:`load_store` and :class:`ArtifactStore` verify both and raise
 :class:`~repro.errors.ArtifactError` on any mismatch — a corrupt artifact is
 reported (and treated as a cache miss by the engine), never silently served.
 
-The store serializers cover all three RRR-store layouts
-(:class:`~repro.sketch.store.FlatRRRStore`,
-:class:`~repro.sketch.store.AdaptiveRRRStore`,
-:class:`~repro.sketch.store.PartitionedRRRStore`): a loaded store is
-selection-kernel-equivalent to the saved one (identical seeds out of
-``efficient_select``/``ripples_select``).
+Sketch artifacts hold a :class:`~repro.sketch.store.FlatRRRStore`
+(``kind: flat``), the one store every production path saves: the engine,
+shard workers, sampling checkpoints and the incremental maintainer.  A
+loaded store is bit-identical to the saved one, so it selects the same
+seeds.  Any other ``kind`` is rejected as :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ import numpy as np
 from repro.errors import ArtifactError, ParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.io import graph_fingerprint, load_npz, save_npz
-from repro.sketch.protocol import make_store
-from repro.sketch.rrr import AdaptivePolicy
-from repro.sketch.store import AdaptiveRRRStore, FlatRRRStore, PartitionedRRRStore
+from repro.sketch.store import FlatRRRStore
 
 __all__ = [
     "SKETCH_SCHEMA_VERSION",
@@ -87,43 +84,8 @@ def _payload_checksum(arrays: dict[str, np.ndarray]) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _flat_arrays(store: FlatRRRStore, prefix: str = "") -> dict[str, np.ndarray]:
-    return {
-        f"{prefix}offsets": store.offsets,
-        f"{prefix}vertices": store.vertices,
-    }
-
-
-def _store_payload(store) -> tuple[str, dict[str, np.ndarray], dict[str, Any]]:
-    """(kind, payload arrays, json-able meta) for any supported store."""
-    if isinstance(store, FlatRRRStore):
-        return "flat", _flat_arrays(store), {}
-    if isinstance(store, PartitionedRRRStore):
-        arrays: dict[str, np.ndarray] = {}
-        for w, part in enumerate(store.parts):
-            arrays.update(_flat_arrays(part, prefix=f"part{w}_"))
-        return (
-            "partitioned",
-            arrays,
-            {"num_workers": store.num_workers},
-        )
-    if isinstance(store, AdaptiveRRRStore):
-        # Adaptive sets are persisted in the flat layout (each set's sorted
-        # vertices); the policy/budget metadata rebuilds the per-set
-        # representations on load.
-        flat = store.to_flat()
-        meta: dict[str, Any] = {
-            "policy_bitmap_fraction": (
-                store.policy.bitmap_fraction if store.policy is not None else None
-            ),
-            "budget_bytes": store.budget_bytes,
-        }
-        return "adaptive", _flat_arrays(flat), meta
-    raise ArtifactError(f"cannot serialise store type {type(store).__name__}")
-
-
 def save_store(
-    store,
+    store: FlatRRRStore,
     path: str | os.PathLike,
     *,
     fingerprint: str = "",
@@ -131,8 +93,8 @@ def save_store(
     meta: dict[str, Any] | None = None,
     compress: bool = True,
 ) -> Path:
-    """Persist any RRR store (plus optional fused counter) as a checksummed
-    ``.npz`` artifact; returns the written path.
+    """Persist a flat RRR store (plus optional fused counter) as a
+    checksummed ``.npz`` artifact; returns the written path.
 
     ``fingerprint`` and ``meta`` are stored verbatim and verified/exposed by
     :func:`load_store`; ``counter`` is the fused occurrence counter so a warm
@@ -141,15 +103,17 @@ def save_store(
     checkpoints use it because they are rewritten after every batch and the
     zlib pass dominates the write cost; ``load_store`` reads both forms.
     """
-    kind, arrays, store_meta = _store_payload(store)
+    if not isinstance(store, FlatRRRStore):
+        raise ArtifactError(f"cannot serialise store type {type(store).__name__}")
+    arrays = {"offsets": store.offsets, "vertices": store.vertices}
     if counter is not None:
-        arrays = {**arrays, "counter": np.ascontiguousarray(counter, dtype=np.int64)}
+        arrays["counter"] = np.ascontiguousarray(counter, dtype=np.int64)
     doc = {
         "schema_version": SKETCH_SCHEMA_VERSION,
-        "kind": kind,
+        "kind": "flat",
         "fingerprint": fingerprint,
         "num_vertices": int(store.num_vertices),
-        "store_meta": store_meta,
+        "store_meta": {},
         "meta": dict(meta or {}),
     }
     path = Path(path)
@@ -166,20 +130,6 @@ def save_store(
     return path
 
 
-def _rebuild_flat(
-    path: Path, num_vertices: int, arrays: dict[str, np.ndarray], prefix: str
-) -> FlatRRRStore:
-    try:
-        offsets = arrays[f"{prefix}offsets"]
-        vertices = arrays[f"{prefix}vertices"]
-    except KeyError as exc:
-        raise ArtifactError(f"sketch artifact is missing array {exc}") from exc
-    try:
-        return FlatRRRStore.from_arrays(num_vertices, offsets, vertices)
-    except ParameterError as exc:
-        raise ArtifactError(f"{path}: malformed sketch ({exc})") from exc
-
-
 def load_store(
     path: str | os.PathLike,
     *,
@@ -190,9 +140,11 @@ def load_store(
     Returns ``(store, counter, meta)`` where ``counter`` is ``None`` when the
     artifact was saved without one.  Raises :class:`ArtifactError` on a
     missing file, unknown schema, checksum mismatch, (when
-    ``expect_fingerprint`` is given) a fingerprint mismatch, or arrays no
-    store holds (:meth:`FlatRRRStore.from_arrays`'s checks, and a counter
-    whose length is not ``num_vertices``).
+    ``expect_fingerprint`` is given) a fingerprint mismatch, a header that
+    is not a JSON object with an integer ``num_vertices >= 0`` and
+    ``kind: flat``, or arrays no store holds
+    (:meth:`FlatRRRStore.from_arrays`'s checks, and a counter whose length
+    is not ``num_vertices``).
     """
     path = Path(path)
     if not path.exists():
@@ -206,6 +158,8 @@ def load_store(
                 doc = json.loads(bytes(data["header"]).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ArtifactError(f"{path}: corrupt artifact header") from exc
+            if not isinstance(doc, dict):
+                raise ArtifactError(f"{path}: artifact header is not an object")
             arrays = {
                 k: data[k] for k in files if k not in ("header", "checksum")
             }
@@ -229,34 +183,24 @@ def load_store(
             f"{doc.get('fingerprint')!r}, expected {expect_fingerprint!r})"
         )
 
-    n = int(doc["num_vertices"])
+    n = doc.get("num_vertices")
+    if type(n) is not int or n < 0:
+        raise ArtifactError(
+            f"{path}: header num_vertices {n!r} is not an integer >= 0"
+        )
+    if doc.get("kind") != "flat":
+        raise ArtifactError(f"{path}: unknown store kind {doc.get('kind')!r}")
     counter = arrays.pop("counter", None)
     if counter is not None:
         if counter.shape != (n,):
             raise ArtifactError(f"{path}: counter shape {counter.shape} is not ({n},)")
         counter = counter.astype(np.int64, copy=False)
-    kind = doc.get("kind")
-    store_meta = doc.get("store_meta", {})
-    if kind == "flat":
-        store = _rebuild_flat(path, n, arrays, "")
-    elif kind == "partitioned":
-        num_workers = int(store_meta["num_workers"])
-        store = make_store("partitioned", num_vertices=n, num_workers=num_workers)
-        store.parts = [
-            _rebuild_flat(path, n, arrays, f"part{w}_") for w in range(num_workers)
-        ]
-    elif kind == "adaptive":
-        frac = store_meta.get("policy_bitmap_fraction")
-        policy = AdaptivePolicy(frac) if frac is not None else None
-        store = make_store("adaptive", num_vertices=n, policy=policy, budget_bytes=None)
-        flat = _rebuild_flat(path, n, arrays, "")
-        for s in flat:
-            store.append(s)
-        # Restore the budget only after re-appending: the saved contents by
-        # construction fit it, so reloading must not re-raise OOM.
-        store.budget_bytes = store_meta.get("budget_bytes")
-    else:
-        raise ArtifactError(f"{path}: unknown store kind {kind!r}")
+    try:
+        store = FlatRRRStore.from_arrays(n, arrays["offsets"], arrays["vertices"])
+    except KeyError as exc:
+        raise ArtifactError(f"{path}: sketch artifact is missing array {exc}") from exc
+    except ParameterError as exc:
+        raise ArtifactError(f"{path}: malformed sketch ({exc})") from exc
     return store, counter, doc.get("meta", {})
 
 
@@ -277,7 +221,7 @@ def read_artifact_meta(path: str | os.PathLike) -> dict[str, Any] | None:
             doc = json.loads(bytes(data["header"]).decode("utf-8"))
     except Exception:
         return None
-    if doc.get("schema_version") != SKETCH_SCHEMA_VERSION:
+    if not isinstance(doc, dict) or doc.get("schema_version") != SKETCH_SCHEMA_VERSION:
         return None
     meta = dict(doc.get("meta", {}))
     meta["_fingerprint"] = doc.get("fingerprint", "")
@@ -392,8 +336,6 @@ class ArtifactStore:
         segment — the disk load and the copy into shared memory happen at
         most once; on the fast path (already published, and the artifact
         carries no counter to re-read) the disk is not touched at all.
-        Non-flat stores are flattened in global order, which preserves the
-        selection answers and the content hash.
         """
         existing = manager.handle_for(fingerprint)
         path = self.sketch_path(fingerprint)
@@ -410,9 +352,5 @@ class ArtifactStore:
                 counter = None
             return existing, counter, meta
         store, counter, meta = self.load_sketch(fingerprint)
-        if isinstance(store, PartitionedRRRStore):
-            store = store.merge()
-        elif not isinstance(store, FlatRRRStore):
-            store = store.to_flat()
-        handle = manager.publish_store(store.trim(), fingerprint=fingerprint)
+        handle = manager.publish_store(store, fingerprint=fingerprint)
         return handle, counter, meta

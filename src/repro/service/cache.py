@@ -1,9 +1,10 @@
 """Byte-accounted LRU cache of warm sketches, keyed by fingerprint.
 
-The cache follows the memory-accounting convention of
-:class:`~repro.sketch.store.AdaptiveRRRStore` — every insert charges the
-entry's modelled footprint against an optional byte budget — but degrades
-gracefully instead of raising :class:`~repro.errors.OutOfMemoryModelError`:
+The cache follows the memory-accounting convention of the sampler's
+modelled budget (:class:`~repro.core.sampling.SamplingConfig`'s
+``memory_budget_bytes``) — every insert charges the entry's footprint
+against an optional byte budget — but degrades gracefully instead of
+raising :class:`~repro.errors.OutOfMemoryModelError`:
 least-recently-used entries are evicted until the newcomer fits, and an
 entry larger than the whole budget is simply not cached (the engine then
 serves that fingerprint cold every time).  Evicting never corrupts the

@@ -204,7 +204,7 @@ class ShardCluster:
             sub_fp = shard_fingerprint(fp, w.shard_id, self.plan)
             if w.engine.cache.get(sub_fp) is not None:
                 continue
-            sub = parts.parts[w.shard_id]
+            sub = parts[w.shard_id]
             counter = sub.vertex_counts()
             shard_meta = {
                 **(meta or {}),
@@ -254,7 +254,7 @@ class ShardCluster:
                 graph, spec.model, spec.num_sets, num_workers=1,
                 seed=spec.seed, backend=SerialBackend(),
             )
-            parts = self.plan.partition_store(full, fp).trim()
+            parts = self.plan.partition_store(full, fp)
         return self._adopt(spec, fp, parts)
 
     def publish(
@@ -280,7 +280,7 @@ class ShardCluster:
         self._installed[ds] = graph
         for w in self.workers:
             w.install_graph(ds, graph)
-        parts = self.plan.partition_store(store, fingerprint).trim()
+        parts = self.plan.partition_store(store, fingerprint)
         extra = dict(meta or {})
         spec = SketchSpec(
             dataset=ds,
@@ -342,7 +342,7 @@ class ShardCluster:
         self._published[spec.dataset] = (spec, fp, parts, dict(meta or {}))
         summary = []
         for shard in range(self.plan.num_shards):
-            sub = parts.parts[shard]
+            sub = parts[shard]
             counter = sub.vertex_counts()
             sub_fp = shard_fingerprint(fp, shard, self.plan)
             shard_meta = {

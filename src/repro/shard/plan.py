@@ -33,8 +33,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.runtime.partition import balanced_partition, block_partition
-from repro.sketch.protocol import make_store
-from repro.sketch.store import FlatRRRStore, PartitionedRRRStore
+from repro.sketch.store import FlatRRRStore
 
 __all__ = ["ShardPlan", "shard_fingerprint"]
 
@@ -139,8 +138,8 @@ class ShardPlan:
     ) -> np.ndarray:
         """Owning shard of every global set index, ``int64[num_sets]``.
 
-        ``sizes`` (per-set entry counts) is required by the ``"balanced"``
-        strategy and ignored by the others.
+        ``sizes`` (per-set entry counts, one per set) is required by the
+        ``"balanced"`` strategy and ignored by the others.
         """
         if num_sets < 0:
             raise ParameterError(f"num_sets must be >= 0, got {num_sets}")
@@ -155,9 +154,12 @@ class ShardPlan:
                     "the 'balanced' strategy needs per-set sizes; build the "
                     "full sketch first (repro shard build) or use 'hash'/'block'"
                 )
-            bounds = balanced_partition(
-                np.asarray(sizes, dtype=np.float64), self.num_shards
-            )
+            sizes = np.asarray(sizes, dtype=np.float64).ravel()
+            if sizes.size != num_sets:
+                raise ParameterError(
+                    f"got {sizes.size} set sizes for {num_sets} sets"
+                )
+            bounds = balanced_partition(sizes, self.num_shards)
         else:  # block
             bounds = block_partition(num_sets, self.num_shards)
         for s, (lo, hi) in enumerate(bounds):
@@ -181,24 +183,22 @@ class ShardPlan:
 
     def partition_store(
         self, store: FlatRRRStore, fingerprint: str
-    ) -> PartitionedRRRStore:
-        """Split a full sketch into one partition per shard.
+    ) -> list[FlatRRRStore]:
+        """Split a full sketch into one flat store per shard.
 
-        Partition ``s`` of the result is exactly the sub-sketch shard ``s``'s
-        workers serve; per-partition vertex counters sum to the full store's
-        counter, which is what makes scatter-gathered selection exact.
+        Entry ``s`` of the result is exactly the sub-sketch shard ``s``'s
+        workers serve: its owned sets in global order, cut with one gather
+        (:meth:`FlatRRRStore.take`).  Per-shard vertex counters sum to the
+        full store's counter, which is what makes scatter-gathered
+        selection exact.
         """
         owners = self.assign_sets(
             fingerprint, len(store), sizes=store.sizes()
         )
-        parts = make_store(
-            "partitioned",
-            num_vertices=store.num_vertices,
-            num_workers=self.num_shards,
-        )
-        for i, s in enumerate(owners.tolist()):
-            parts.append(s, store.get(i))
-        return parts
+        return [
+            store.take(np.flatnonzero(owners == s))
+            for s in range(self.num_shards)
+        ]
 
     # --------------------------------------------------------------- workers
     @property

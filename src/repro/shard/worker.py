@@ -374,8 +374,6 @@ class ShardWorker:
         materialises the full sketch transiently (prefer ``repro shard
         build`` artifacts for that layout).
         """
-        n = graph.num_vertices
-        store = make_store("flat", num_vertices=n)
         if self.plan.strategy == "balanced":
             full = parallel_generate(
                 graph, spec.model, spec.num_sets, num_workers=1,
@@ -384,9 +382,10 @@ class ShardWorker:
             mask = self.plan.owned_mask(
                 fingerprint, len(full), self.shard_id, sizes=full.sizes()
             )
-            store.extend(full.get(i) for i in np.flatnonzero(mask).tolist())
-            return store.trim()
+            return full.take(np.flatnonzero(mask))
 
+        n = graph.num_vertices
+        store = make_store("flat", num_vertices=n)
         mask = self.plan.owned_mask(fingerprint, spec.num_sets, self.shard_id)
         owned = np.flatnonzero(mask).astype(np.int64)
         sampler = KernelSampler(get_model(spec.model, graph))

@@ -321,21 +321,13 @@ class SegmentManager:
     def publish_store(self, store, *, fingerprint: str | None = None) -> SegmentHandle:
         """Publish a flat store's arrays; returns the attachable handle.
 
-        Partitioned/adaptive/compressed stores are materialised to the flat
-        layout first (their global order is preserved, so fingerprints and
-        selection answers are unchanged).
+        Only a :class:`~repro.sketch.store.FlatRRRStore` (or a view of one)
+        publishes; decode a compressed store with its ``to_flat()`` first.
         """
         from repro.sketch.store import FlatRRRStore
 
         if not isinstance(store, FlatRRRStore):
-            if hasattr(store, "merge"):
-                store = store.merge()
-            elif hasattr(store, "to_flat"):
-                store = store.to_flat()
-            else:
-                raise ShmError(
-                    f"cannot publish store type {type(store).__name__}"
-                )
+            raise ShmError(f"cannot publish store type {type(store).__name__}")
         fp = fingerprint if fingerprint is not None else store.fingerprint()
         return self.publish_arrays(
             "flat-store",

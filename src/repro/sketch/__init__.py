@@ -1,14 +1,14 @@
-"""RRR-sketch machinery: representations, stores, compression, statistics.
+"""RRR-sketch machinery: the store, the adaptive policy, compression, statistics.
 
 Reverse-reachable (RRR) sets are the sketches IMM samples; how they are
 *stored* is one of the paper's contributions (§IV-C "Adaptive RRRset
 Representation") and the axis of the HBMax comparison in related work.
 
-- :mod:`repro.sketch.rrr` — single-set representations: sorted vertex list,
-  packed bitmap, and the adaptive policy that switches between them;
-- :mod:`repro.sketch.store` — collections: the flat CSR-style store the
-  selection kernels operate on, the adaptive store with memory-budget
-  accounting (the OOM experiment), and per-worker partitioned stores;
+- :mod:`repro.sketch.store` — the flat CSR-style store every sampler fills
+  and every selection kernel reads;
+- :mod:`repro.sketch.rrr` — the adaptive list/bitmap policy whose
+  threshold prices each set's representation (memory model, build cost,
+  membership probes);
 - :mod:`repro.sketch.compress` — HBMax-style Huffman and delta-varint codecs
   used as the compression baseline ablation;
 - :mod:`repro.sketch.stats` — coverage statistics (Table I's columns).
@@ -22,29 +22,18 @@ from repro.sketch.protocol import (
     RRRStore,
     make_store,
 )
-from repro.sketch.rrr import AdaptivePolicy, BitmapRRR, ListRRR, RRRSet, make_rrr
+from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.stats import CoverageStats, coverage_stats
-from repro.sketch.store import (
-    AdaptiveRRRStore,
-    FlatRRRStore,
-    PartitionedRRRStore,
-    content_fingerprint,
-)
+from repro.sketch.store import FlatRRRStore, content_fingerprint
 
 __all__ = [
-    "RRRSet",
-    "ListRRR",
-    "BitmapRRR",
     "AdaptivePolicy",
-    "make_rrr",
     "RRRStore",
     "make_store",
     "STORE_KINDS",
     "PROTOCOL_METHODS",
     "STORE_EXTRAS",
     "FlatRRRStore",
-    "AdaptiveRRRStore",
-    "PartitionedRRRStore",
     "CompressedRRRStore",
     "content_fingerprint",
     "CoverageStats",

@@ -8,8 +8,6 @@ module is that statement:
 
 - :class:`RRRStore` — the runtime-checkable protocol every implementation
   satisfies (:class:`~repro.sketch.store.FlatRRRStore`,
-  :class:`~repro.sketch.store.AdaptiveRRRStore`,
-  :class:`~repro.sketch.store.PartitionedRRRStore`,
   :class:`~repro.sketch.compressed_store.CompressedRRRStore`, and
   :class:`~repro.shm.views.SharedFlatRRRStore`);
 - :data:`PROTOCOL_METHODS` / :data:`STORE_EXTRAS` — the drift-guard
@@ -28,7 +26,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.sketch.compressed_store import CompressedRRRStore
-from repro.sketch.store import AdaptiveRRRStore, FlatRRRStore, PartitionedRRRStore
+from repro.sketch.store import FlatRRRStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -114,15 +112,12 @@ STORE_EXTRAS: dict[type, frozenset[str]] = {
             "append_csr",
             "from_arrays",
             "membership_pairs",
+            "take",
             "offsets",
             "vertices",
             "total_entries",
             "capacity_bytes",
         }
-    ),
-    AdaptiveRRRStore: frozenset({"representation_histogram", "to_flat"}),
-    PartitionedRRRStore: frozenset(
-        {"merge", "total_entries", "capacity_bytes"}
     ),
     CompressedRRRStore: frozenset(
         {"finalize", "compression_ratio", "to_flat"}
@@ -165,7 +160,7 @@ def store_implementations() -> list[type]:
 
 # -------------------------------------------------------------------- factory
 #: Store kinds :func:`make_store` accepts.
-STORE_KINDS = ("flat", "adaptive", "partitioned", "compressed", "shared")
+STORE_KINDS = ("flat", "compressed", "shared")
 
 
 def make_store(kind: str, *, num_vertices: int | None = None, **opts):
@@ -175,8 +170,6 @@ def make_store(kind: str, *, num_vertices: int | None = None, **opts):
 
         make_store("flat", num_vertices=n)
         make_store("flat", num_vertices=n, offsets=off, vertices=vs)  # rebuild
-        make_store("adaptive", num_vertices=n, policy=p, budget_bytes=b)
-        make_store("partitioned", num_vertices=n, num_workers=w)
         make_store("compressed", num_vertices=n, codec="delta-varint")
         make_store("shared", handle=h)        # attach a repro.shm segment
         make_store("shared", name="rs-...")   # ... by raw segment name
@@ -217,15 +210,6 @@ def make_store(kind: str, *, num_vertices: int | None = None, **opts):
                 num_vertices, offsets, vertices, **opts
             )
         return FlatRRRStore(num_vertices, **opts)
-    if kind == "adaptive":
-        return AdaptiveRRRStore(num_vertices, **opts)
-    if kind == "partitioned":
-        num_workers = opts.pop("num_workers", None)
-        if num_workers is None:
-            raise ParameterError(
-                "make_store('partitioned') requires num_workers"
-            )
-        return PartitionedRRRStore(num_vertices, num_workers, **opts)
     if kind == "compressed":
         return CompressedRRRStore(num_vertices, **opts)
     raise ParameterError(

@@ -1,20 +1,19 @@
-"""RRR-set collections: flat, adaptive (budgeted), and partitioned stores.
+"""The flat RRR-set store: every set's vertices in one CSR layout.
 
-Three stores cover the designs the paper contrasts:
+:class:`FlatRRRStore` is the one mutable in-memory store: every set's
+vertices, ascending, concatenated into one ``int32`` array with an
+``int64`` offsets array (CSR-of-sets).  All selection kernels consume this
+layout because it vectorises counting (`bincount`) and per-set slicing.
 
-- :class:`FlatRRRStore` — the numpy workhorse: every set's vertices,
-  ascending, concatenated into one ``int32`` array with an ``int64``
-  offsets array (CSR-of-sets).  All selection kernels consume this layout
-  because it vectorises counting (`bincount`) and per-set slicing.
-- :class:`AdaptiveRRRStore` — per-set adaptive representations with *memory
-  accounting*: every append charges the modelled footprint against an
-  optional budget, raising :class:`OutOfMemoryModelError` when exceeded.
-  This store reproduces the Table III "Ripples OOM on Twitter7" experiment:
-  run it with ``policy=None`` (always lists, Ripples) versus an
-  :class:`AdaptivePolicy` (EfficientIMM) under the same budget.
-- :class:`PartitionedRRRStore` — one flat store per worker, the layout the
-  RRRset-partitioning strategy (§IV-A) and NUMA-local placement (§IV-B)
-  produce; provides a ``merge()`` modelling Ripples' gather step.
+The paper's other layouts are not kept as second copies of the sets:
+
+- EfficientIMM's adaptive list/bitmap sets (§IV-C) are priced from the set
+  sizes by :class:`~repro.sketch.rrr.AdaptivePolicy` (footprint, budget
+  check and build cost in :mod:`repro.core.sampling`);
+- the RRR-partitioned, worker-local layout (§IV-A/B) is a list of flat
+  stores, one per worker or shard, each cut from the full store by one
+  gather (:meth:`FlatRRRStore.take`;
+  :meth:`~repro.shard.plan.ShardPlan.partition_store`).
 """
 
 from __future__ import annotations
@@ -24,12 +23,10 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro import telemetry
 from repro._util import stable_argsort
-from repro.errors import OutOfMemoryModelError, ParameterError
-from repro.sketch.rrr import AdaptivePolicy, RRRSet, make_rrr
+from repro.errors import ParameterError
 
-__all__ = ["FlatRRRStore", "AdaptiveRRRStore", "PartitionedRRRStore"]
+__all__ = ["FlatRRRStore", "gather_rows"]
 
 _GROW = 1.5  # amortised growth factor for the flat arrays
 
@@ -43,7 +40,7 @@ def content_fingerprint(
     its ``fingerprint()`` through this one function over its *logical*
     content (global set order, concatenated vertices), so two stores holding
     the same sets in the same order fingerprint identically regardless of
-    layout — flat, partitioned, compressed, or a shared-memory view.  The
+    layout — flat, compressed, or a shared-memory view.  The
     hex16 output matches the artifact/sketch fingerprint width and keys
     :mod:`repro.shm` segment names.
     """
@@ -53,6 +50,23 @@ def content_fingerprint(
     h.update(np.ascontiguousarray(sizes, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(vertices, dtype=np.int32).tobytes())
     return h.hexdigest()[:16]
+
+
+def gather_rows(
+    offsets: np.ndarray, values: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the CSR ``(offsets, values)``, concatenated in
+    order, and their lengths: one vectorised index, no per-row copy.
+
+    The one gather behind :meth:`FlatRRRStore.take`,
+    :meth:`FlatRRRStore.membership_pairs` (over the inverted index) and
+    selection's per-round cover (:class:`~repro.core.selection.CoverStep`).
+    """
+    lo = offsets[rows]
+    lengths = offsets[rows + 1] - lo
+    starts = np.cumsum(lengths) - lengths
+    index = np.arange(int(lengths.sum()), dtype=np.int64)
+    return values[index + np.repeat(lo - starts, lengths)], lengths
 
 
 def _check_sets(num_vertices: int, verts: np.ndarray, bounds: np.ndarray) -> None:
@@ -188,6 +202,26 @@ class FlatRRRStore:
             raise IndexError(f"set index {i} out of range [0, {self._num_sets})")
         return self._verts[self._offsets[i] : self._offsets[i + 1]]
 
+    def take(self, indices: np.ndarray) -> "FlatRRRStore":
+        """A new store holding sets ``indices``, in that order, cut with one
+        gather of their entries (:func:`gather_rows`).
+
+        Each index must lie in ``[0, len(self))``; a negative one raises
+        rather than counting from the end.  The copy is already ascending,
+        so it is not re-checked, and it carries no growth slack.
+        """
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        if idx.size and (idx.min() < 0 or idx.max() >= self._num_sets):
+            raise IndexError(f"set indices must lie in [0, {self._num_sets})")
+        verts, sizes = gather_rows(self.offsets, self.vertices, idx)
+        out = FlatRRRStore(self.num_vertices)
+        out._offsets = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=out._offsets[1:])
+        out._verts = verts
+        out._num_sets = int(idx.size)
+        out._num_entries = int(verts.size)
+        return out
+
     def __iter__(self) -> Iterator[np.ndarray]:
         for i in range(self._num_sets):
             yield self.get(i)
@@ -259,14 +293,8 @@ class FlatRRRStore:
         if self._index is None:
             self._build_index()
         assert self._index is not None
-        ptr, set_ids = self._index
-        lo = ptr[vs]
-        lengths = ptr[vs + 1] - lo
-        starts = np.cumsum(lengths) - lengths
-        pos = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
-            lo - starts, lengths
-        )
-        return set_ids[pos], np.repeat(np.arange(vs.size), lengths)
+        sets, lengths = gather_rows(*self._index, vs)
+        return sets, np.repeat(np.arange(vs.size), lengths)
 
     def _build_index(self) -> None:
         """Build the inverted index: for each vertex, which sets hold it."""
@@ -354,304 +382,3 @@ class FlatRRRStore:
         """Layout-independent content hash (see :func:`content_fingerprint`)."""
         return content_fingerprint(self.num_vertices, self.sizes(), self.vertices)
 
-
-class AdaptiveRRRStore:
-    """Per-set representations with budget-checked memory accounting.
-
-    ``policy=None`` forces sorted lists for every set (the Ripples layout);
-    an :class:`AdaptivePolicy` enables EfficientIMM's per-set switching.
-    ``budget_bytes`` models the machine's memory: exceeding it raises
-    :class:`OutOfMemoryModelError` exactly where the real Ripples run dies.
-    """
-
-    def __init__(
-        self,
-        num_vertices: int,
-        *,
-        policy: AdaptivePolicy | None = None,
-        budget_bytes: int | None = None,
-    ):
-        self.num_vertices = int(num_vertices)
-        self.policy = policy
-        self.budget_bytes = budget_bytes
-        self._sets: list[RRRSet] = []
-        self._bytes = 0
-
-    def append(self, vertices: np.ndarray) -> int:
-        """Add one set; returns its index (the RRRStore protocol contract)."""
-        kind = "list" if self.policy is None else None
-        rrr = make_rrr(vertices, self.num_vertices, policy=self.policy, kind=kind)
-        new_total = self._bytes + rrr.nbytes()
-        if self.budget_bytes is not None and new_total > self.budget_bytes:
-            raise OutOfMemoryModelError(new_total, self.budget_bytes)
-        self._sets.append(rrr)
-        self._bytes = new_total
-        tel = telemetry.get()
-        if tel.enabled:
-            # One counter per representation kind: the §IV-C list↔bitmap
-            # decision stream (docs/observability.md, `sketch.adaptive.*`).
-            tel.registry.counter(f"sketch.adaptive.{rrr.kind}_sets").inc()
-            tel.registry.gauge("sketch.adaptive.bytes").set(new_total)
-        return len(self._sets) - 1
-
-    def extend(self, sets: Sequence[np.ndarray]) -> None:
-        for s in sets:
-            self.append(s)
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def get(self, i: int) -> np.ndarray:
-        """Set ``i``'s vertices as a sorted ``int32`` array."""
-        if not (0 <= i < len(self._sets)):
-            raise IndexError(f"set index {i} out of range [0, {len(self._sets)})")
-        return np.asarray(self._sets[i].vertices(), dtype=np.int32)
-
-    def __getitem__(self, i: int) -> RRRSet:
-        return self._sets[i]
-
-    def __iter__(self) -> Iterator[RRRSet]:
-        return iter(self._sets)
-
-    def sizes(self) -> np.ndarray:
-        """Per-set sizes, in append order."""
-        return np.asarray([s.size for s in self._sets], dtype=np.int64)
-
-    def vertex_counts(self) -> np.ndarray:
-        """Occurrences of each vertex across all sets."""
-        total = np.zeros(self.num_vertices, dtype=np.int64)
-        for s in self._sets:
-            total += np.bincount(s.vertices(), minlength=self.num_vertices)
-        return total
-
-    def sets_containing(self, v: int) -> np.ndarray:
-        """Indices of sets containing ``v`` — each representation answers
-        with its own membership primitive (binary search / bit probe)."""
-        return np.asarray(
-            [i for i, s in enumerate(self._sets) if s.contains(int(v))],
-            dtype=np.int64,
-        )
-
-    def replace_sets(
-        self, indices: np.ndarray, new_sets: Sequence[np.ndarray]
-    ) -> "AdaptiveRRRStore":
-        """Rebuild the given set slots (re-running the adaptive policy and
-        the budget accounting for each replacement); returns ``self``."""
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size == 0:
-            return self
-        if np.any(np.diff(idx) <= 0):
-            raise ParameterError("replace_sets indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= len(self._sets):
-            raise ParameterError(
-                f"replace_sets index out of range [0, {len(self._sets)})"
-            )
-        if len(new_sets) != idx.size:
-            raise ParameterError(
-                f"got {idx.size} indices but {len(new_sets)} replacement sets"
-            )
-        kind = "list" if self.policy is None else None
-        for j, i in enumerate(idx.tolist()):
-            rrr = make_rrr(
-                new_sets[j], self.num_vertices, policy=self.policy, kind=kind
-            )
-            new_total = self._bytes - self._sets[i].nbytes() + rrr.nbytes()
-            if self.budget_bytes is not None and new_total > self.budget_bytes:
-                raise OutOfMemoryModelError(new_total, self.budget_bytes)
-            self._sets[i] = rrr
-            self._bytes = new_total
-        return self
-
-    def trim(self) -> "AdaptiveRRRStore":
-        """No-op (per-set representations carry no growth slack); returns
-        ``self`` so protocol callers can chain it like the flat store's."""
-        return self
-
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def fingerprint(self) -> str:
-        """Layout-independent content hash (see :func:`content_fingerprint`)."""
-        verts = (
-            np.concatenate([self.get(i) for i in range(len(self._sets))])
-            if self._sets
-            else np.empty(0, dtype=np.int32)
-        )
-        return content_fingerprint(self.num_vertices, self.sizes(), verts)
-
-    def representation_histogram(self) -> dict[str, int]:
-        """Count of sets per representation kind ("list"/"bitmap")."""
-        hist: dict[str, int] = {}
-        for s in self._sets:
-            hist[s.kind] = hist.get(s.kind, 0) + 1
-        return hist
-
-    def to_flat(self) -> FlatRRRStore:
-        """Materialise as a flat store (used when handing to kernels)."""
-        flat = FlatRRRStore(self.num_vertices)
-        for s in self._sets:
-            flat.append(s.vertices())
-        return flat
-
-
-class PartitionedRRRStore:
-    """One :class:`FlatRRRStore` per worker (the NUMA-local layout).
-
-    Under EfficientIMM's partitioning each worker generates *and consumes*
-    its own slice of the RRR sets, so the sets never move; Ripples instead
-    gathers all sets into one global store before selection.  ``merge()``
-    models that gather (it copies every vertex once).
-    """
-
-    def __init__(self, num_vertices: int, num_workers: int):
-        if num_workers <= 0:
-            raise ParameterError(f"num_workers must be positive, got {num_workers}")
-        self.num_vertices = int(num_vertices)
-        self.num_workers = int(num_workers)
-        self.parts = [FlatRRRStore(num_vertices) for _ in range(num_workers)]
-
-    def append(self, worker, vertices: np.ndarray | None = None) -> int:
-        """Add one set.
-
-        Two forms: ``append(worker, vertices)`` files the set under a
-        specific partition and returns its *partition-local* index (the
-        NUMA-placement path); the protocol form ``append(vertices)`` files
-        it under the last partition — preserving the global
-        worker-concatenated order — and returns its *global* index.
-        """
-        if vertices is None:
-            self.parts[-1].append(worker)
-            return len(self) - 1
-        # Explicit range check: Python's negative-index wraparound would
-        # otherwise silently file the set under the *last* partition.
-        if not (0 <= worker < self.num_workers):
-            raise IndexError(
-                f"worker {worker} out of range [0, {self.num_workers})"
-            )
-        return self.parts[worker].append(vertices)
-
-    def extend(self, sets: Sequence[np.ndarray]) -> None:
-        """Protocol-form bulk append (all sets go to the last partition)."""
-        for s in sets:
-            self.append(s)
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def get(self, i: int) -> np.ndarray:
-        """Set ``i`` in global (worker-concatenated) order — the same order
-        :meth:`merge` lays the sets out in, so indices stay valid across a
-        gather."""
-        if i < 0:
-            raise IndexError(f"set index {i} out of range [0, {len(self)})")
-        for part in self.parts:
-            if i < len(part):
-                return part.get(i)
-            i -= len(part)
-        raise IndexError(f"set index out of range [0, {len(self)})")
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for part in self.parts:
-            yield from part
-
-    def sizes(self) -> np.ndarray:
-        """Per-set sizes in global order (matches :meth:`get`/:meth:`merge`)."""
-        parts = [p.sizes() for p in self.parts]
-        return (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-
-    @property
-    def total_entries(self) -> int:
-        return sum(p.total_entries for p in self.parts)
-
-    def merge(self) -> FlatRRRStore:
-        """Gather all partitions into one store (Ripples' redistribution).
-
-        The merged store preserves the global iteration order, so
-        ``len(merged) == len(self)`` and ``merged.get(i)`` equals
-        ``self.get(i)`` for every ``i``.
-        """
-        out = FlatRRRStore(self.num_vertices)
-        for part in self.parts:
-            for s in part:
-                out.append(s)
-        return out
-
-    def vertex_counts(self) -> np.ndarray:
-        """Global counter built from per-partition counts (sum of bincounts),
-        the serial equivalent of Algorithm 2's concurrent atomic updates."""
-        total = np.zeros(self.num_vertices, dtype=np.int64)
-        for part in self.parts:
-            total += part.vertex_counts()
-        return total
-
-    def sets_containing(self, v: int) -> np.ndarray:
-        """Global indices (worker-concatenated order) of sets containing
-        ``v`` — each partition's hits shifted by the partitions before it."""
-        out: list[np.ndarray] = []
-        base = 0
-        for part in self.parts:
-            out.append(part.sets_containing(v) + base)
-            base += len(part)
-        return (
-            np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-        )
-
-    def replace_sets(
-        self, indices: np.ndarray, new_sets: Sequence[np.ndarray]
-    ) -> "PartitionedRRRStore":
-        """Splice replacements by *global* index, routed to the owning
-        partitions (same contract as :meth:`FlatRRRStore.replace_sets`);
-        returns ``self``."""
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size == 0:
-            return self
-        if np.any(np.diff(idx) <= 0):
-            raise ParameterError("replace_sets indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= len(self):
-            raise ParameterError(
-                f"replace_sets index out of range [0, {len(self)})"
-            )
-        if len(new_sets) != idx.size:
-            raise ParameterError(
-                f"got {idx.size} indices but {len(new_sets)} replacement sets"
-            )
-        base = 0
-        cursor = 0
-        for part in self.parts:
-            hi = base + len(part)
-            lo_cursor = cursor
-            while cursor < idx.size and idx[cursor] < hi:
-                cursor += 1
-            if cursor > lo_cursor:
-                part.replace_sets(
-                    idx[lo_cursor:cursor] - base,
-                    [new_sets[j] for j in range(lo_cursor, cursor)],
-                )
-            base = hi
-        return self
-
-    def fingerprint(self) -> str:
-        """Layout-independent content hash over the *global* order (equal to
-        the fingerprint of :meth:`merge`'s flat result)."""
-        verts = [p.vertices for p in self.parts]
-        return content_fingerprint(
-            self.num_vertices,
-            self.sizes(),
-            np.concatenate(verts) if verts else np.empty(0, dtype=np.int32),
-        )
-
-    def nbytes(self) -> int:
-        return sum(p.nbytes() for p in self.parts)
-
-    def capacity_bytes(self) -> int:
-        """Physical footprint across partitions, growth slack included."""
-        return sum(p.capacity_bytes() for p in self.parts)
-
-    def trim(self) -> "PartitionedRRRStore":
-        """Trim every partition's growth slack (see
-        :meth:`FlatRRRStore.trim`); returns ``self`` for chaining."""
-        for part in self.parts:
-            part.trim()
-        return self

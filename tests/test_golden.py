@@ -278,3 +278,61 @@ class TestGoldenDistributed:
         # A float sum of per-rank op counts: its grouping may move the
         # last bit.
         assert res.selection_compute_s == pytest.approx(selection_s, rel=1e-12)
+
+
+SHARD_SLICES = {
+    ("IC", 300, "hash"): ["5176bf9f4e3ed98e", "19aa2d9d09c1014c", "78db31418b55d1cd"],
+    ("IC", 300, "block"): ["46942de9687efec0", "f1aed9e44317b7db", "0164252965c8328c"],
+    ("IC", 300, "balanced"): ["0741791210aa49e6", "fdead9e4521e5ac7", "714b28e00ffef511"],
+    ("LT", 3000, "hash"): ["df219ec4c593b5f6", "986bfa53f53fe074", "c29c87bce615ce20"],
+    ("LT", 3000, "block"): ["83d93920d640fab4", "c21e6edd88a9508e", "fa07dee1141c935f"],
+    ("LT", 3000, "balanced"): ["7fbfcd88c57db083", "91d3014ea5309a9c", "4bb5bf427965875d"],
+}
+
+
+class TestGoldenShardSlices:
+    """Pinned: the content fingerprint of every shard's slice of two real
+    amazon sketches (300 IC sets and 3,000 LT sets, seed 0), each keyed
+    by its sketch fingerprint at epsilon 0.5 and cut by a 3-shard plan
+    under every strategy.
+
+    Regenerate:  python -c "from repro.core.parallel_sampling import
+    parallel_generate; from repro.graph.datasets import load_dataset;
+    from repro.graph.io import graph_fingerprint; from
+    repro.service.artifacts import sketch_fingerprint; from repro.shard
+    import ShardPlan; g = load_dataset('amazon', model='IC', seed=0); s =
+    parallel_generate(g, 'IC', 300, num_workers=1, seed=0); fp =
+    sketch_fingerprint(graph_fingerprint(g), 'IC', 0.5, 0, 300);
+    print([p.fingerprint() for p in ShardPlan(3, strategy='hash')
+    .partition_store(s, fp)])"   (likewise LT with 3000 sets)
+    """
+
+    @pytest.fixture(scope="class")
+    def sketches(self):
+        from repro.core.parallel_sampling import parallel_generate
+        from repro.graph.io import graph_fingerprint
+        from repro.runtime.backends import SerialBackend
+        from repro.service.artifacts import sketch_fingerprint
+
+        out = {}
+        for model, num_sets in {(m, n) for m, n, _ in SHARD_SLICES}:
+            g = load_dataset("amazon", model=model, seed=0)
+            store = parallel_generate(
+                g, model, num_sets, num_workers=1, seed=0,
+                backend=SerialBackend(),
+            )
+            fp = sketch_fingerprint(graph_fingerprint(g), model, 0.5, 0, num_sets)
+            out[model, num_sets] = (store, fp)
+        return out
+
+    @pytest.mark.parametrize(
+        "key", sorted(SHARD_SLICES), ids=lambda key: f"{key[0]}-{key[2]}"
+    )
+    def test_slices_pinned(self, sketches, key):
+        from repro.shard import ShardPlan
+
+        model, num_sets, strategy = key
+        store, fp = sketches[model, num_sets]
+        parts = ShardPlan(num_shards=3, strategy=strategy).partition_store(store, fp)
+        assert [p.fingerprint() for p in parts] == SHARD_SLICES[key]
+        assert sum(len(p) for p in parts) == num_sets

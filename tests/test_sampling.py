@@ -186,8 +186,10 @@ class TestRRRSampler:
     def test_memory_budget_raises(self, amazon_ic):
         cfg = SamplingConfig.ripples(memory_budget_bytes=1000)
         sampler = RRRSampler(get_model("IC", amazon_ic), cfg, seed=6)
-        with pytest.raises(OutOfMemoryModelError):
+        with pytest.raises(OutOfMemoryModelError) as exc:
             sampler.extend(50)
+        assert exc.value.budget_bytes == 1000
+        assert exc.value.required_bytes == sampler.modelled_bytes() > 1000
 
     def test_adaptive_fits_same_budget(self, amazon_ic):
         # The OOM contrast at sampler level: same workload, same budget.

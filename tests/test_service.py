@@ -1,8 +1,8 @@
 """Tests for repro.service: artifacts, cache, protocol, and the query engine.
 
 Covers the serving-layer acceptance criteria: serialization round-trips for
-the CSR graph and all three RRR-store layouts (selection-kernel-equivalent
-after reload), integrity checks on corrupted artifacts, LRU byte-budget
+the CSR graph and the flat RRR store (selection-equivalent after reload),
+integrity checks on corrupted and malformed artifacts, LRU byte-budget
 behaviour, fingerprint batching with prefix-consistent answers, deadline
 timeouts that report instead of hang, and warm queries that skip sampling
 entirely (telemetry-verified).
@@ -22,8 +22,7 @@ from repro import telemetry
 from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, GraphFormatError, ParameterError
 from repro.graph.io import graph_checksum, graph_fingerprint, load_npz, save_npz
-from repro.sketch.rrr import AdaptivePolicy
-from repro.sketch.store import AdaptiveRRRStore, FlatRRRStore, PartitionedRRRStore
+from repro.sketch import FlatRRRStore, make_store
 from repro.service import (
     ArtifactStore,
     CacheEntry,
@@ -62,12 +61,14 @@ def _spans(tel, name):
 def _resign(path, header=None, **arrays):
     """Rewrite a sketch artifact with some payload arrays (and optionally
     the header document) replaced, under a correct checksum, so only the
-    new contents can make it invalid."""
+    new contents can make it invalid.  An array given as ``None`` is
+    dropped."""
     from repro.service.artifacts import _payload_checksum
 
     with np.load(path) as data:
         payload = {k: data[k].copy() for k in data.files}
     payload.update(arrays)
+    payload = {k: v for k, v in payload.items() if v is not None}
     if header is not None:
         payload["header"] = np.frombuffer(
             json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
@@ -82,9 +83,36 @@ def _header(path):
         return json.loads(bytes(data["header"]).decode("utf-8"))
 
 
-def _malformed(kind, offsets, vertices, counter, n):
-    """Payload arrays that break one rule of a valid sketch: a duplicated
-    vertex, a set out of order, an id past ``n``, or a short counter."""
+def _malformed(kind, header, offsets, vertices, counter):
+    """``_resign`` arguments that break one rule of a valid sketch: a
+    duplicated vertex, a set out of order, an id past ``num_vertices``, a
+    short counter, a header that is no object or has no integer
+    ``num_vertices >= 0``, or a retired store kind laid out as it was
+    saved (``partitioned``: per-worker arrays; ``adaptive``: the flat
+    arrays)."""
+    if kind == "header_list":
+        return {"header": [header]}
+    if kind == "no_num_vertices":
+        return {"header": {k: v for k, v in header.items() if k != "num_vertices"}}
+    if kind == "num_vertices_text":
+        return {"header": {**header, "num_vertices": "x"}}
+    if kind == "num_vertices_negative":
+        return {"header": {**header, "num_vertices": -1}}
+    if kind == "partitioned":
+        return {
+            "header": {
+                **header, "kind": "partitioned", "store_meta": {"num_workers": 2},
+            },
+            "offsets": None, "vertices": None,
+            "part0_offsets": offsets, "part0_vertices": vertices,
+            "part1_offsets": np.zeros(1, dtype=np.int64),
+            "part1_vertices": np.empty(0, dtype=np.int32),
+        }
+    if kind == "adaptive":
+        return {"header": {
+            **header, "kind": "adaptive",
+            "store_meta": {"policy_bitmap_fraction": 1 / 32, "budget_bytes": None},
+        }}
     vertices = vertices.copy()
     i = int(np.flatnonzero(np.diff(offsets) >= 2)[0])  # a set of 2+ entries
     lo = int(offsets[i])
@@ -93,7 +121,7 @@ def _malformed(kind, offsets, vertices, counter, n):
     elif kind == "unsorted":
         vertices[[lo, lo + 1]] = vertices[[lo + 1, lo]]
     elif kind == "out_of_range":
-        vertices[-1] = n  # still the last set's largest entry
+        vertices[-1] = header["num_vertices"]  # still the last set's largest
     else:
         return {"counter": counter[:-1]}
     return {"vertices": vertices}
@@ -104,6 +132,12 @@ MALFORMED = {
     "unsorted": "strictly ascending",
     "out_of_range": "must lie in",
     "short_counter": "counter shape",
+    "header_list": "header is not an object",
+    "no_num_vertices": "num_vertices None is not an integer",
+    "num_vertices_text": "num_vertices 'x' is not an integer",
+    "num_vertices_negative": "num_vertices -1 is not an integer >= 0",
+    "partitioned": "unknown store kind 'partitioned'",
+    "adaptive": "unknown store kind 'adaptive'",
 }
 
 
@@ -145,54 +179,32 @@ class TestSketchArtifacts:
         assert np.array_equal(loaded.offsets, store.offsets)
         assert np.array_equal(loaded.vertices, store.vertices)
 
-    def test_partitioned_roundtrip(self, tmp_path):
-        store = PartitionedRRRStore(40, 3)
-        for i, s in enumerate(_random_sets(40, 30, seed=1)):
-            store.append(i % 3, s)
-        path = save_store(store, tmp_path / "p.npz")
-        loaded, _, _ = load_store(path)
-        assert isinstance(loaded, PartitionedRRRStore)
-        assert loaded.num_workers == 3 and len(loaded) == len(store)
-        for a, b in zip(loaded, store):
-            assert np.array_equal(a, b)
-
-    def test_adaptive_roundtrip(self, tmp_path):
-        store = AdaptiveRRRStore(
-            40, policy=AdaptivePolicy(0.25), budget_bytes=1 << 20
-        )
-        for s in _random_sets(40, 30, seed=2):
-            store.append(s)
-        path = save_store(store, tmp_path / "a.npz")
-        loaded, _, _ = load_store(path)
-        assert isinstance(loaded, AdaptiveRRRStore)
-        assert len(loaded) == len(store)
-        assert loaded.policy.bitmap_fraction == 0.25
-        assert loaded.budget_bytes == 1 << 20
-        for a, b in zip(loaded, store):
-            assert np.array_equal(a.vertices(), b.vertices())
-
-    @pytest.mark.parametrize("kind", ["flat", "partitioned", "adaptive"])
+    @pytest.mark.parametrize("kind", ["flat", "shared"])
     def test_selection_identical_after_reload(self, tmp_path, kind):
-        sets = _random_sets(60, 50, seed=3)
-        if kind == "flat":
-            store = FlatRRRStore(60)
-            store.extend(sets)
-            to_flat = lambda s: s
-        elif kind == "partitioned":
-            store = PartitionedRRRStore(60, 2)
-            for i, s in enumerate(sets):
-                store.append(i % 2, s)
-            to_flat = lambda s: s.merge()
+        store = FlatRRRStore(60)
+        store.extend(_random_sets(60, 50, seed=3))
+        before = efficient_select(store, 5, 1)
+        if kind == "shared":  # a zero-copy shm view saves like its source
+            from repro import shm
+
+            with shm.SegmentManager(prefix="tsv") as mgr:
+                view = mgr.attach_store(mgr.publish_store(store))
+                path = save_store(view, tmp_path / "s.npz")
+                view.detach()
         else:
-            store = AdaptiveRRRStore(60, policy=AdaptivePolicy(0.5))
-            for s in sets:
-                store.append(s)
-            to_flat = lambda s: s.to_flat()
-        before = efficient_select(to_flat(store), 5, 1)
-        loaded, _, _ = load_store(save_store(store, tmp_path / "s.npz"))
-        after = efficient_select(to_flat(loaded), 5, 1)
+            path = save_store(store, tmp_path / "s.npz")
+        loaded, _, _ = load_store(path)
+        assert isinstance(loaded, FlatRRRStore)
+        after = efficient_select(loaded, 5, 1)
         assert after.seeds.tolist() == before.seeds.tolist()
         assert after.coverage_fraction == before.coverage_fraction
+
+    def test_only_flat_stores_save(self, tmp_path):
+        compressed = make_store("compressed", num_vertices=40)
+        compressed.extend(_random_sets(40, 5))
+        with pytest.raises(ArtifactError, match="CompressedRRRStore"):
+            save_store(compressed, tmp_path / "c.npz")
+        assert not (tmp_path / "c.npz").exists()
 
     def test_counter_and_meta_roundtrip(self, tmp_path):
         store = _flat_store()
@@ -233,8 +245,10 @@ class TestSketchArtifacts:
         store = _flat_store()
         counter = store.vertex_counts()
         path = save_store(store, tmp_path / "s.npz", counter=counter)
-        n = store.num_vertices
-        _resign(path, **_malformed(kind, store.offsets, store.vertices, counter, n))
+        _resign(
+            path,
+            **_malformed(kind, _header(path), store.offsets, store.vertices, counter),
+        )
         with pytest.raises(ArtifactError, match=MALFORMED[kind]) as exc:
             load_store(path)
         assert str(path) in str(exc.value)
@@ -595,8 +609,10 @@ class TestEnginePersistence:
         with np.load(art_file) as data:
             offsets, vertices = data["offsets"], data["vertices"]
             counter = data["counter"]
-        n = _header(art_file)["num_vertices"]
-        _resign(art_file, **_malformed(kind, offsets, vertices, counter, n))
+        _resign(
+            art_file,
+            **_malformed(kind, _header(art_file), offsets, vertices, counter),
+        )
         with telemetry.session() as tel:
             with QueryEngine(config=cfg) as eng2:
                 r = eng2.query(_q(k=5))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parallel_sampling import parallel_generate
 from repro.errors import BackendError, ParameterError
@@ -26,6 +28,7 @@ from repro.shard import (
     SketchSpec,
     shard_fingerprint,
 )
+from repro.sketch.store import FlatRRRStore
 
 from conftest import make_graph
 
@@ -45,6 +48,31 @@ def small_graph(n=40, seed=0):
 
 def spec_for(dataset="synth", num_sets=THETA):
     return SketchSpec(dataset=dataset, num_sets=num_sets, seed=3)
+
+
+def reference_partition(plan, store, fingerprint):
+    """The per-set partition loop ``ShardPlan.partition_store`` ran before
+    it cut each slice with one gather: every set, in global order, is
+    appended to its owner's store, and each store is then trimmed."""
+    owners = plan.assign_sets(fingerprint, len(store), sizes=store.sizes())
+    parts = [FlatRRRStore(store.num_vertices) for _ in range(plan.num_shards)]
+    for i, s in enumerate(owners.tolist()):
+        parts[s].append(store.get(i))
+    return [p.trim() for p in parts]
+
+
+@st.composite
+def stores(draw, n=20):
+    """A flat store of 0-25 sets over ``n`` vertices; sets may be empty."""
+    sets = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=8, unique=True),
+            max_size=25,
+        )
+    )
+    store = FlatRRRStore(n)
+    store.extend([np.asarray(x, dtype=np.int32) for x in sets])
+    return store
 
 
 # ===================================================================== plans
@@ -106,11 +134,18 @@ class TestShardPlan:
         )
         plan = ShardPlan(num_shards=3)
         parts = plan.partition_store(full, "fp")
-        assert len(parts) == len(full)
+        assert len(parts) == plan.num_shards
+        assert sum(len(part) for part in parts) == len(full)
         total = np.zeros(g.num_vertices, dtype=np.int64)
-        for part in parts.parts:
+        for part in parts:
             total += part.vertex_counts()
         assert np.array_equal(total, full.vertex_counts())
+
+    @pytest.mark.parametrize("num_sizes", [5, 11])
+    def test_balanced_rejects_sizes_of_another_length(self, num_sizes):
+        plan = ShardPlan(num_shards=2, strategy="balanced")
+        with pytest.raises(ParameterError, match=f"{num_sizes} set sizes for 10"):
+            plan.assign_sets("fp", 10, sizes=np.ones(num_sizes))
 
     def test_shard_fingerprints_distinct(self):
         p = ShardPlan(num_shards=4)
@@ -125,6 +160,52 @@ class TestShardPlan:
         assert plan.worker_name(1, 2) == "s1r2"
         d = plan.describe()
         assert d["num_shards"] == 2 and d["num_workers"] == 6
+
+
+class TestPartitionReference:
+    """``partition_store`` against the per-set reference loop, byte for
+    byte, under every strategy."""
+
+    @pytest.mark.parametrize("strategy", ["hash", "block", "balanced"])
+    @given(
+        store=stores(),
+        num_shards=st.integers(1, 8),
+        fingerprint=st.text(min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, strategy, store, num_shards, fingerprint):
+        plan = ShardPlan(num_shards=num_shards, strategy=strategy)
+        got = plan.partition_store(store, fingerprint)
+        want = reference_partition(plan, store, fingerprint)
+        assert len(got) == len(want) == num_shards
+        for part, ref in zip(got, want):
+            assert part.num_vertices == store.num_vertices
+            assert np.array_equal(part.offsets, ref.offsets)
+            assert np.array_equal(part.vertices, ref.vertices)
+            assert part.offsets.dtype == ref.offsets.dtype
+            assert part.vertices.dtype == ref.vertices.dtype
+            assert part.capacity_bytes() == ref.capacity_bytes()
+
+    @pytest.mark.parametrize("strategy", ["hash", "block", "balanced"])
+    def test_edge_cases(self, strategy):
+        empty = FlatRRRStore(6)
+        hollow = FlatRRRStore(6)  # only empty sets
+        hollow.extend([np.array([], dtype=np.int32)] * 3)
+        few = FlatRRRStore(6)  # fewer sets than shards, one of them empty
+        few.extend([np.array([1, 4]), np.array([], dtype=np.int32)])
+        for store in (empty, hollow, few):
+            for num_shards in (1, 5):
+                plan = ShardPlan(num_shards=num_shards, strategy=strategy)
+                got = plan.partition_store(store, "fp")
+                want = reference_partition(plan, store, "fp")
+                assert [p.offsets.tolist() for p in got] == [
+                    p.offsets.tolist() for p in want
+                ]
+                assert [p.vertices.tolist() for p in got] == [
+                    p.vertices.tolist() for p in want
+                ]
+                if num_shards == 1:  # one shard holds the store itself
+                    assert got[0].fingerprint() == store.fingerprint()
 
 
 # =================================================================== workers
@@ -161,7 +242,7 @@ class TestShardWorker:
                 info = w.session_open("s", spec)
                 assert info.fingerprint == fp
                 entry = w.engine.cache.get(info.shard_fingerprint)
-                expect = parts.parts[shard]
+                expect = parts[shard]
                 assert np.array_equal(entry.store.offsets, expect.offsets)
                 assert np.array_equal(entry.store.vertices, expect.vertices)
                 assert np.array_equal(

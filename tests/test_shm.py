@@ -115,18 +115,17 @@ def test_publish_is_idempotent_per_fingerprint(mgr):
     assert mgr.handle_for("0" * 16) is None
 
 
-def test_partitioned_store_flattens_on_publish(mgr):
-    part = make_store("partitioned", num_vertices=N, num_workers=3)
+def test_only_flat_stores_publish(mgr):
+    packed = make_store("compressed", num_vertices=N)
     rng = np.random.default_rng(9)
-    for w in range(3):
-        for _ in range(5):
-            part.append(
-                w,
-                np.sort(rng.choice(N, size=4, replace=False)).astype(np.int32),
-            )
-    view = mgr.attach_store(mgr.publish_store(part))
-    assert view.fingerprint() == part.fingerprint()
-    assert len(view) == len(part)
+    packed.extend(
+        [np.sort(rng.choice(N, size=4, replace=False)) for _ in range(15)]
+    )
+    with pytest.raises(ShmError, match="CompressedRRRStore"):
+        mgr.publish_store(packed)
+    view = mgr.attach_store(mgr.publish_store(packed.to_flat()))
+    assert view.fingerprint() == packed.fingerprint()
+    assert len(view) == len(packed)
     view.detach()
 
 

@@ -1,13 +1,12 @@
-"""Tests for the RRR stores (flat, adaptive/budgeted, partitioned)."""
+"""Tests for the flat RRR store."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OutOfMemoryModelError, ParameterError
-from repro.sketch.rrr import AdaptivePolicy
-from repro.sketch.store import AdaptiveRRRStore, FlatRRRStore, PartitionedRRRStore
+from repro.errors import ParameterError
+from repro.sketch.store import FlatRRRStore
 
 
 class TestFlatRRRStore:
@@ -117,165 +116,60 @@ class TestFlatRRRStore:
             FlatRRRStore(5).append_csr(np.array([1, 2]), np.array([3]))
 
 
-class TestAdaptiveRRRStore:
-    def test_ripples_mode_all_lists(self):
-        s = AdaptiveRRRStore(100, policy=None)
-        s.append(np.arange(90))  # dense, but policy=None forces a list
-        assert s.representation_histogram() == {"list": 1}
+class TestTake:
+    """``take`` cuts a new store with one gather; per-set ``get`` is the
+    reference."""
 
-    def test_adaptive_mode_switches(self):
-        s = AdaptiveRRRStore(320, policy=AdaptivePolicy())
-        s.append(np.arange(5))
-        s.append(np.arange(200))
-        assert s.representation_histogram() == {"list": 1, "bitmap": 1}
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 29), min_size=0, max_size=12, unique=True),
+            min_size=0, max_size=25,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_set_get(self, sets, data):
+        s = FlatRRRStore(30)
+        s.extend([np.asarray(x, dtype=np.int32) for x in sets])
+        idx = data.draw(
+            st.lists(st.integers(0, len(sets) - 1), max_size=30)
+            if sets else st.just([])
+        )
+        got = s.take(np.asarray(idx, dtype=np.int64))
+        assert len(got) == len(idx)
+        assert got.num_vertices == s.num_vertices
+        for j, i in enumerate(idx):
+            assert np.array_equal(got.get(j), s.get(i))
+        assert got.offsets.dtype == np.int64 and got.vertices.dtype == np.int32
+        assert got.capacity_bytes() == got.nbytes()  # no growth slack
+        expect = FlatRRRStore(30)
+        expect.extend([s.get(i) for i in idx])
+        assert got.fingerprint() == expect.fingerprint()
 
-    def test_budget_enforced(self):
-        s = AdaptiveRRRStore(1000, policy=None, budget_bytes=100)
-        s.append(np.arange(20))  # 80 bytes
-        with pytest.raises(OutOfMemoryModelError) as exc:
-            s.append(np.arange(20))
-        assert exc.value.budget_bytes == 100
-        assert exc.value.required_bytes > 100
+    def test_empty_indices(self):
+        s = FlatRRRStore(10)
+        s.extend([np.array([1, 2]), np.array([3])])
+        for idx in (np.array([], dtype=np.int64), []):
+            got = s.take(idx)
+            assert len(got) == 0 and got.total_entries == 0
+            assert got.offsets.tolist() == [0]
+        assert len(FlatRRRStore(10).take(np.array([], dtype=np.int64))) == 0
 
-    def test_adaptive_fits_where_lists_oom(self):
-        # The Table III Twitter7 mechanism at miniature scale: dense sets as
-        # bitmaps fit a budget that sorted vectors exceed.
-        n, dense = 4096, np.arange(3000)
-        budget = 8 * (n // 8 + 1)  # room for ~8 bitmaps
-        ripples = AdaptiveRRRStore(n, policy=None, budget_bytes=budget)
-        eimm = AdaptiveRRRStore(n, policy=AdaptivePolicy(), budget_bytes=budget)
-        with pytest.raises(OutOfMemoryModelError):
-            for _ in range(8):
-                ripples.append(dense)
-        for _ in range(8):
-            eimm.append(dense)
-        assert len(eimm) == 8
+    def test_copy_does_not_alias(self):
+        s = FlatRRRStore(10)
+        s.extend([np.array([1, 2]), np.array([3])])
+        got = s.take(np.array([1, 0]))
+        s.replace_sets(np.array([0]), [np.array([7])])
+        assert [x.tolist() for x in got] == [[3], [1, 2]]
+        got.append(np.array([5]))  # the cut store grows like any other
+        assert len(got) == 3 and len(s) == 2
 
-    def test_to_flat_roundtrip(self):
-        s = AdaptiveRRRStore(320)
-        s.append(np.array([5, 2, 9]))
-        s.append(np.arange(150))
-        flat = s.to_flat()
-        assert len(flat) == 2
-        assert sorted(flat.get(0).tolist()) == [2, 5, 9]
-        assert flat.get(1).size == 150
-
-    def test_nbytes_accumulates(self):
-        s = AdaptiveRRRStore(1000, policy=None)
-        s.append(np.arange(10))
-        s.append(np.arange(20))
-        assert s.nbytes() == 40 + 80
-
-    def test_getitem_and_iter(self):
-        s = AdaptiveRRRStore(100)
-        s.append(np.array([1]))
-        assert s[0].size == 1
-        assert len(list(s)) == 1
-
-
-class TestPartitionedRRRStore:
-    def test_append_routes_to_worker(self):
-        s = PartitionedRRRStore(10, 3)
-        s.append(0, np.array([1]))
-        s.append(2, np.array([2, 3]))
-        assert len(s.parts[0]) == 1
-        assert len(s.parts[1]) == 0
-        assert len(s.parts[2]) == 1
-        assert len(s) == 2
-
-    def test_total_entries(self):
-        s = PartitionedRRRStore(10, 2)
-        s.append(0, np.array([1, 2]))
-        s.append(1, np.array([3]))
-        assert s.total_entries == 3
-
-    def test_merge_gathers_everything(self):
-        s = PartitionedRRRStore(10, 2)
-        s.append(0, np.array([1, 2]))
-        s.append(1, np.array([3]))
-        merged = s.merge()
-        assert len(merged) == 2
-        assert merged.total_entries == 3
-
-    def test_vertex_counts_match_merged(self):
-        s = PartitionedRRRStore(6, 3)
-        rng = np.random.default_rng(1)
-        for i in range(12):
-            s.append(i % 3, rng.integers(0, 6, size=4))
-        assert np.array_equal(s.vertex_counts(), s.merge().vertex_counts())
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ParameterError):
-            PartitionedRRRStore(10, 0)
-
-    def test_len_iter_get_agree_with_merge(self):
-        """len/iteration/get use worker-concatenated order — merge()'s order."""
-        s = PartitionedRRRStore(10, 3)
-        rng = np.random.default_rng(5)
-        for i in range(11):
-            s.append(i % 3, rng.integers(0, 10, size=rng.integers(1, 5)))
-        merged = s.merge()
-        assert len(s) == len(merged)
-        assert len(list(s)) == len(s)
-        for i, (mine, via_iter) in enumerate(zip(range(len(s)), s)):
-            assert np.array_equal(s.get(i), merged.get(i))
-            assert np.array_equal(via_iter, merged.get(i))
-        assert s.sizes().tolist() == merged.sizes().tolist()
-
-    def test_append_out_of_range_worker_raises(self):
-        s = PartitionedRRRStore(10, 3)
-        with pytest.raises(IndexError, match="out of range"):
-            s.append(3, np.array([1]))
-        with pytest.raises(IndexError, match="out of range"):
-            s.append(-1, np.array([1]))
-        assert len(s) == 0, "failed append must not land anywhere"
-
-    def test_merge_with_empty_partitions(self):
-        """Workers that produced nothing must not shift merged ordering."""
-        s = PartitionedRRRStore(10, 4)
-        s.append(1, np.array([5]))
-        s.append(3, np.array([6, 7]))
-        merged = s.merge()
-        assert len(merged) == 2
-        assert merged.get(0).tolist() == [5]
-        assert merged.get(1).tolist() == [6, 7]
-        assert s.sizes().tolist() == [1, 2]
-
-    def test_all_empty_round_trip(self):
-        s = PartitionedRRRStore(10, 3)
-        assert len(s) == 0 and s.total_entries == 0
-        assert list(s) == []
-        assert s.sizes().tolist() == []
-        assert len(s.merge()) == 0
-        with pytest.raises(IndexError):
-            s.get(0)
-
-    def test_single_partition_degenerate_plan(self):
-        """num_workers=1 must behave exactly like a flat store."""
-        s = PartitionedRRRStore(10, 1)
-        flat = FlatRRRStore(10)
-        rng = np.random.default_rng(7)
-        for _ in range(9):
-            verts = rng.integers(0, 10, size=rng.integers(1, 5))
-            s.append(0, verts)
-            flat.append(verts)
-        assert len(s) == len(flat)
-        for i in range(len(s)):
-            assert np.array_equal(s.get(i), flat.get(i))
-        assert [v.tolist() for v in s] == [v.tolist() for v in flat]
-        assert s.sizes().tolist() == flat.sizes().tolist()
-        assert np.array_equal(s.merge().vertices, flat.vertices[: flat.total_entries])
-
-    def test_trim_and_capacity_bytes(self):
-        s = PartitionedRRRStore(10, 2)
-        s.append(0, np.array([1, 2]))
-        s.append(1, np.array([3]))
-        before = s.capacity_bytes()
-        assert s.trim() is s
-        after = s.capacity_bytes()
-        assert after <= before
-        assert after >= s.nbytes() or s.nbytes() == 0
-        assert len(s) == 2 and s.total_entries == 3
+    @pytest.mark.parametrize("bad", [[-1], [0, -2], [2], [0, 3]])
+    def test_rejects_out_of_range(self, bad):
+        s = FlatRRRStore(10)
+        s.extend([np.array([1, 2]), np.array([3])])
+        with pytest.raises(IndexError, match=r"\[0, 2\)"):
+            s.take(np.array(bad))
 
 
 class TestFlatStoreAccessors:

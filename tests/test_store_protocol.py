@@ -31,12 +31,7 @@ from repro.sketch.protocol import (
     public_surface,
     store_implementations,
 )
-from repro.sketch.store import (
-    AdaptiveRRRStore,
-    FlatRRRStore,
-    PartitionedRRRStore,
-    content_fingerprint,
-)
+from repro.sketch.store import FlatRRRStore, content_fingerprint
 
 N = 40
 
@@ -59,11 +54,7 @@ def _instances():
     for cls in store_implementations():
         if cls.__name__ == "SharedFlatRRRStore":
             continue  # exercised via the shm fixture below
-        if cls is PartitionedRRRStore:
-            store = make_store("partitioned", num_vertices=N, num_workers=3)
-        elif cls is AdaptiveRRRStore:
-            store = make_store("adaptive", num_vertices=N)
-        elif cls is CompressedRRRStore:
+        if cls is CompressedRRRStore:
             store = make_store("compressed", num_vertices=N)
         else:
             store = make_store("flat", num_vertices=N)
@@ -75,7 +66,7 @@ def _instances():
 # ----------------------------------------------------------------- conformance
 def test_every_implementation_satisfies_the_protocol():
     _, stores = _instances()
-    assert len(stores) >= 4
+    assert {type(s) for s in stores} == {FlatRRRStore, CompressedRRRStore}
     for store in stores:
         assert isinstance(store, RRRStore), type(store).__name__
 
@@ -171,8 +162,6 @@ def test_registry_covers_all_implementations():
     names = {cls.__name__ for cls in store_implementations()}
     assert {
         "FlatRRRStore",
-        "AdaptiveRRRStore",
-        "PartitionedRRRStore",
         "CompressedRRRStore",
         "SharedFlatRRRStore",
     } <= names
@@ -184,16 +173,9 @@ def test_registry_covers_all_implementations():
 def test_make_store_builds_every_kind():
     assert make_store("flat", num_vertices=N).num_vertices == N
     assert isinstance(
-        make_store("adaptive", num_vertices=N), AdaptiveRRRStore
-    )
-    part = make_store("partitioned", num_vertices=N, num_workers=4)
-    assert part.num_workers == 4
-    assert isinstance(
         make_store("compressed", num_vertices=N), CompressedRRRStore
     )
-    assert set(STORE_KINDS) == {
-        "flat", "adaptive", "partitioned", "compressed", "shared",
-    }
+    assert STORE_KINDS == ("flat", "compressed", "shared")
 
 
 def test_make_store_flat_rebuild_from_arrays():
@@ -213,8 +195,9 @@ def test_make_store_rejects_unknown_kind_and_bad_options():
         make_store("columnar", num_vertices=N)
     with pytest.raises(ParameterError, match="requires num_vertices"):
         make_store("flat")
-    with pytest.raises(ParameterError, match="requires num_workers"):
-        make_store("partitioned", num_vertices=N)
+    for retired in ("adaptive", "partitioned"):
+        with pytest.raises(ParameterError, match="unknown store kind"):
+            make_store(retired, num_vertices=N)
     with pytest.raises(ParameterError, match="offsets and vertices together"):
         make_store("flat", num_vertices=N, offsets=np.zeros(1, dtype=np.int64))
     with pytest.raises(ParameterError, match="exactly one of"):
