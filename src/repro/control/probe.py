@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import telemetry
+from repro.service.engine import QueryEngine
+from repro.shard.router import Router
 from repro.telemetry.metrics import Histogram, diff_snapshots
 
 __all__ = ["HealthProbe", "HealthSample", "RateTracker", "ReplicaHealth"]
@@ -225,8 +227,8 @@ class HealthProbe:
     #: the gateway's end-to-end latency is the SLO surface when present.
     LATENCY_METRICS = (
         "gateway.request_latency_s",
-        "shard.router.query_latency_s",
-        "engine.query_latency_s",
+        f"{Router.METRIC_PREFIX}.query_latency_s",
+        f"{QueryEngine.METRIC_PREFIX}.query_latency_s",
     )
 
     def __init__(

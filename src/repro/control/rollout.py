@@ -120,13 +120,7 @@ class EpochRollout:
             )
             return self._record(ds, epoch, fingerprint, "bootstrap", None, None)
 
-        spec = SketchSpec(
-            dataset=ds,
-            model=str(extra.get("model", "IC")).upper(),
-            epsilon=float(extra.get("epsilon", 0.5)),
-            seed=int(extra.get("seed", 0)),
-            num_sets=int(extra.get("num_sets", len(store))),
-        )
+        spec = SketchSpec.from_meta(ds, extra, len(store))
         reference = self.service.query(self.config.probe_k)
         canaries = self._pick_canaries()
         restore: dict[str, tuple[Any, Any]] = {}
@@ -139,17 +133,15 @@ class EpochRollout:
                 raise ReproError(
                     "no live replica available to canary on some shard"
                 )
-            parts = self.cluster.plan.partition_store(store, fingerprint)
+            plan = self.cluster.plan
+            parts = plan.partition_store(store, fingerprint)
             for w in canaries:
-                restore[w.name] = (w, w.installed_graph(ds))
-                sub = parts[w.shard_id]
-                sub_fp = shard_fingerprint(fingerprint, w.shard_id, self.cluster.plan)
+                restore[w.name] = (w, w.engine.installed_graph(ds))
+                sub_fp = shard_fingerprint(fingerprint, w.shard_id, plan)
                 sub_fps.append(sub_fp)
                 w.install_graph(ds, graph)
-                w.engine.warm(
-                    sub_fp, sub, counter=sub.vertex_counts(),
-                    meta={**extra, "shard": w.shard_id, "canary": True},
-                )
+                meta = spec.slice_meta(plan, w.shard_id, extra)
+                w.adopt(sub_fp, parts[w.shard_id], {**meta, "canary": True})
             router = Router(
                 canaries,
                 config=RouterConfig(

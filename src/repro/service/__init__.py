@@ -10,6 +10,10 @@ of the algorithm:
 - :mod:`repro.service.artifacts` — fingerprint-keyed, checksummed ``.npz``
   persistence for graphs and all three RRR-store layouts;
 - :mod:`repro.service.cache` — the byte-accounted LRU of warm sketches;
+- :mod:`repro.service.front` — the per-query lifecycle (validation,
+  grouping, deadlines, the ``k`` bound, the answer loop and the
+  ``ok``/``error``/``timeout`` responses) that the engine and the shard
+  router share;
 - :mod:`repro.service.engine` — the batching, deadline-enforcing
   :class:`QueryEngine` on top of :mod:`repro.runtime.backends`;
 - :mod:`repro.service.lifecycle` — :class:`GracefulShutdown`, the

@@ -11,8 +11,8 @@ order of decreasing speed:
    on the existing :mod:`repro.runtime.backends` work-queue machinery.
 
 Queries submitted together are grouped by sketch fingerprint; each group is
-served by **one** selection pass at ``k_max`` — greedy selection is
-prefix-consistent (round ``i`` never depends on later rounds), so the
+served by **one** selection pass at ``k_max``, which the shared
+:class:`~repro.service.front.QueryFront` turns into per-query answers — the
 ``k``-seed answer for every query in the group is the first ``k`` seeds of
 that single pass, with its coverage read off the per-round accounting.
 
@@ -37,9 +37,9 @@ a query-latency histogram whose ``percentile(0.95)`` is the serving p95.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -52,7 +52,8 @@ from repro.graph.io import graph_fingerprint
 from repro.runtime.api import BackendConfig, ExecutionContext
 from repro.service.artifacts import ArtifactStore, sketch_fingerprint
 from repro.service.cache import CacheEntry, SketchCache
-from repro.service.protocol import IMQuery, IMResponse
+from repro.service.front import Pending, QueryFront
+from repro.service.protocol import IMQuery
 
 __all__ = ["EngineConfig", "QueryEngine", "ServiceStats"]
 
@@ -75,7 +76,6 @@ class EngineConfig:
     default_theta: int = 2000
     backend: str = "serial"
     num_workers: int = 1
-    dataset_scale: float = 1.0
     persist: bool = True  # write artifacts for newly sampled sketches
 
 
@@ -106,26 +106,14 @@ class ServiceStats:
         }
 
 
-@dataclass
-class _Pending:
-    """One in-flight query with its submission bookkeeping."""
-
-    index: int
-    query: IMQuery
-    submitted_at: float
-
-    def deadline(self) -> float | None:
-        if self.query.deadline_s is None:
-            return None
-        return self.submitted_at + self.query.deadline_s
-
-
-class QueryEngine:
+class QueryEngine(QueryFront):
     """Serves :class:`IMQuery` batches from cached sketches.
 
     Process-local and single-threaded by design (the CLI loop drives it);
     cold sampling parallelism comes from the runtime backend underneath.
     """
+
+    METRIC_PREFIX = "service"
 
     def __init__(
         self,
@@ -182,43 +170,6 @@ class QueryEngine:
         self.close()
 
     # ----------------------------------------------------------------- public
-    def query(self, query: IMQuery) -> IMResponse:
-        """Serve a single query (a one-element :meth:`execute` batch)."""
-        return self.execute([query])[0]
-
-    def execute(self, queries: Sequence[IMQuery]) -> list[IMResponse]:
-        """Serve a batch; responses come back in submission order.
-
-        Never raises for a per-query failure — bad parameters, expired
-        deadlines, and unknown datasets become ``"error"``/``"timeout"``
-        responses so one poisoned query cannot take down its batch.
-        """
-        submitted_at = time.monotonic()
-        responses: list[IMResponse | None] = [None] * len(queries)
-        groups: dict[tuple, list[_Pending]] = {}
-        for i, q in enumerate(queries):
-            try:
-                q.validate()
-            except ParameterError as exc:
-                responses[i] = self._finish_error(q, exc, submitted_at)
-                continue
-            groups.setdefault(q.batch_key(), []).append(
-                _Pending(i, q, submitted_at)
-            )
-
-        for key, pending in groups.items():
-            for p, resp in self._serve_group(key, pending):
-                responses[p.index] = resp
-
-        self._project_stats()
-        # Every query index is answered exactly once: invalid queries above,
-        # everything else by its group.
-        return [
-            r if r is not None
-            else IMResponse(status="error", error="internal: query dropped")
-            for r in responses
-        ]
-
     def stats_snapshot(self) -> dict[str, Any]:
         """Engine + cache counters as one JSON-able dict (the `stats` op)."""
         return {"service": self.stats.to_dict(), "cache": self.cache.stats.to_dict()}
@@ -242,6 +193,30 @@ class QueryEngine:
             del self._graph_fps[key]
         return fp
 
+    def installed_graph(self, dataset: str) -> tuple[Any, str] | None:
+        """The ``(graph, fingerprint)`` installed for ``dataset``, if any
+        (the rollout canary restores it on rollback)."""
+        return self._installed.get(str(dataset).lower())
+
+    def resolve_graph(
+        self, dataset: str, model: str, seed: int
+    ) -> tuple[Any, str]:
+        """``(graph, graph fingerprint)`` for a query's dataset: the
+        installed graph when there is one, else the replica dataset under
+        ``model`` and ``seed``, loaded once per engine."""
+        installed = self.installed_graph(dataset)
+        if installed is not None:
+            return installed
+        key = (str(dataset).lower(), str(model).upper(), int(seed))
+        graph = self._graphs.get(key)
+        if graph is None:
+            tel = telemetry.get()
+            with tel.span("service.graph_load", dataset=key[0], model=key[1]):
+                graph = load_dataset(key[0], model=key[1], seed=key[2])
+            self._graphs[key] = graph
+            self._graph_fps[key] = graph_fingerprint(graph)
+        return graph, self._graph_fps[key]
+
     def warm(
         self,
         fingerprint: str,
@@ -264,114 +239,9 @@ class QueryEngine:
         return ok
 
     # --------------------------------------------------------------- internals
-    def _tel_inc(self, name: str, amount: float = 1) -> None:
+    def _serve_group(self, pending: list[Pending], out: list) -> None:
+        """Serve one fingerprint group: acquire its sketch, select once."""
         tel = telemetry.get()
-        if tel.enabled:
-            tel.registry.counter(name).inc(amount)
-
-    def _finish_error(
-        self, query: IMQuery, exc: Exception, submitted_at: float
-    ) -> IMResponse:
-        self.stats.queries += 1
-        self.stats.errors += 1
-        self._tel_inc("service.queries")
-        self._tel_inc("service.errors")
-        return IMResponse(
-            status="error",
-            id=query.id,
-            error=f"{type(exc).__name__}: {exc}",
-            latency_s=time.monotonic() - submitted_at,
-        )
-
-    def _finish_timeout(self, p: _Pending) -> IMResponse:
-        self.stats.queries += 1
-        self.stats.timeouts += 1
-        self._tel_inc("service.queries")
-        self._tel_inc("service.timeouts")
-        return IMResponse(
-            status="timeout",
-            id=p.query.id,
-            error=(
-                f"TimeoutError: deadline of {p.query.deadline_s}s exceeded "
-                f"after {time.monotonic() - p.submitted_at:.3f}s"
-            ),
-            latency_s=time.monotonic() - p.submitted_at,
-        )
-
-    def _finish_ok(
-        self,
-        p: _Pending,
-        seeds: np.ndarray,
-        coverage: float,
-        num_vertices: int,
-        num_sets: int,
-        cached: bool,
-        degraded: bool = False,
-    ) -> IMResponse:
-        latency = time.monotonic() - p.submitted_at
-        self.stats.queries += 1
-        self.stats.ok += 1
-        tel = telemetry.get()
-        if tel.enabled:
-            tel.registry.counter("service.queries").inc()
-            tel.registry.histogram("service.query_latency_s").observe(latency)
-        if degraded:
-            self.stats.degraded += 1
-            self._tel_inc("service.degraded")
-            self._tel_inc("resilience.degraded_responses")
-        return IMResponse(
-            status="ok",
-            id=p.query.id,
-            seeds=[int(v) for v in seeds],
-            spread_estimate=num_vertices * coverage,
-            coverage_fraction=coverage,
-            num_rrrsets=num_sets,
-            cached=cached,
-            degraded=degraded,
-            latency_s=latency,
-        )
-
-    def _expired(self, p: _Pending) -> bool:
-        deadline = p.deadline()
-        return deadline is not None and time.monotonic() > deadline
-
-    def _split_expired(
-        self, pending: list[_Pending], out: list
-    ) -> list[_Pending]:
-        """Move expired queries into timeout responses; return the live rest."""
-        live: list[_Pending] = []
-        for p in pending:
-            if self._expired(p):
-                out.append((p, self._finish_timeout(p)))
-            else:
-                live.append(p)
-        return live
-
-    def _resolve_graph(self, query: IMQuery) -> tuple[Any, str]:
-        """(graph, graph fingerprint) for a query, memoised per engine."""
-        installed = self._installed.get(query.dataset.lower())
-        if installed is not None:
-            return installed
-        key = (query.dataset.lower(), str(query.model).upper(), int(query.seed))
-        graph = self._graphs.get(key)
-        if graph is None:
-            tel = telemetry.get()
-            with tel.span("service.graph_load", dataset=key[0], model=key[1]):
-                graph = load_dataset(
-                    key[0], model=key[1], seed=key[2],
-                    scale=self.config.dataset_scale,
-                )
-            self._graphs[key] = graph
-            self._graph_fps[key] = graph_fingerprint(graph)
-        return graph, self._graph_fps[key]
-
-    def _serve_group(
-        self, key: tuple, pending: list[_Pending]
-    ) -> list[tuple[_Pending, IMResponse]]:
-        """Serve one fingerprint-group; returns (pending, response) pairs."""
-        tel = telemetry.get()
-        out: list[tuple[_Pending, IMResponse]] = []
-        self.stats.batches += 1
         if tel.enabled:
             tel.registry.counter("service.batches").inc()
             tel.registry.histogram("service.batch_size").observe(len(pending))
@@ -380,28 +250,16 @@ class QueryEngine:
 
         pending = self._split_expired(pending, out)
         if not pending:
-            return out
-
+            return
         q0 = pending[0].query
         try:
-            graph, graph_fp = self._resolve_graph(q0)
+            graph, graph_fp = self.resolve_graph(q0.dataset, q0.model, q0.seed)
         except ReproError as exc:
-            for p in pending:
-                out.append((p, self._finish_error(p.query, exc, p.submitted_at)))
-            return out
-
-        # k is validated against the vertex count only now that we know it.
-        live: list[_Pending] = []
-        for p in pending:
-            if p.query.k > graph.num_vertices:
-                exc = ParameterError(
-                    f"k={p.query.k} exceeds the vertex count {graph.num_vertices}"
-                )
-                out.append((p, self._finish_error(p.query, exc, p.submitted_at)))
-            else:
-                live.append(p)
+            self._fail(pending, exc, out)
+            return
+        live = self._bound_k(pending, graph.num_vertices, out)
         if not live:
-            return out
+            return
 
         num_sets = q0.theta_cap or self.config.default_theta
         fp = sketch_fingerprint(
@@ -415,43 +273,24 @@ class QueryEngine:
             except (ReproError, OSError) as exc:
                 # Cold sampling failed and no stale artifact could stand in:
                 # the whole group gets error responses, nothing raises out.
-                for p in live:
-                    out.append(
-                        (p, self._finish_error(p.query, exc, p.submitted_at))
-                    )
-                return out
+                self._fail(live, exc, out)
+                return
 
             live = self._split_expired(live, out)
             if not live:
-                return out
+                return
 
             k_max = max(p.query.k for p in live)
             with tel.span("service.selection", k=k_max, num_sets=len(entry.store)):
                 selection = efficient_select(
                     entry.store, k_max, 1, initial_counter=entry.counter
                 )
-            covered = np.cumsum(
-                [r["new_covered_sets"] for r in selection.rounds]
-            )
-            num_store_sets = len(entry.store)
-
-        for p in live:
-            if self._expired(p):
-                out.append((p, self._finish_timeout(p)))
-                continue
-            k = p.query.k
-            coverage = float(covered[k - 1]) / num_store_sets if num_store_sets else 0.0
-            out.append(
-                (
-                    p,
-                    self._finish_ok(
-                        p, selection.seeds[:k], coverage,
-                        graph.num_vertices, num_store_sets, cached,
-                        degraded=degraded,
-                    ),
-                )
-            )
-        return out
+        self._answer(
+            live, selection.seeds,
+            [r["new_covered_sets"] for r in selection.rounds], out,
+            num_vertices=graph.num_vertices, num_sets=len(entry.store),
+            cached=cached, degraded=degraded,
+        )
 
     def _acquire_sketch(
         self, fp: str, graph, query: IMQuery, num_sets: int

@@ -1,0 +1,210 @@
+"""The query front: the per-query lifecycle every executor shares.
+
+Every served answer is one greedy selection pass at ``k_max`` over one
+sketch; what turns that pass into per-query responses is the same whether
+the sketch lives whole in a :class:`~repro.service.engine.QueryEngine` or
+is scattered over a :class:`~repro.shard.router.Router`'s shards, so it
+lives here once:
+
+- validation, and grouping by :meth:`IMQuery.batch_key` (one group per
+  sketch, served by the subclass's ``_serve_group``);
+- the deadline checks — an expired query is answered ``"timeout"``, never
+  left hanging, while the rest of its group proceeds;
+- the ``k``-against-vertex-count bound, which needs the resolved graph;
+- the answer loop: query ``k`` gets the first ``k`` seeds of the pass and
+  the coverage of its first ``k`` rounds (greedy selection is
+  prefix-consistent: round ``i`` never depends on later rounds);
+- the ``ok``/``error``/``timeout`` responses and their per-query counters
+  and telemetry, named under the subclass's :attr:`QueryFront.METRIC_PREFIX`
+  (``<prefix>.queries``/``.errors``/``.timeouts``/``.degraded`` and the
+  ``<prefix>.query_latency_s`` histogram, plus
+  ``resilience.degraded_responses``).
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Any, Sequence
+
+import numpy as np
+
+from repro import telemetry
+from repro.errors import ParameterError
+from repro.service.protocol import IMQuery, IMResponse
+
+__all__ = ["Pending", "QueryFront"]
+
+
+@dataclass
+class Pending:
+    """One in-flight query with its submission bookkeeping."""
+
+    index: int
+    query: IMQuery
+    submitted_at: float
+
+    def expired(self) -> bool:
+        deadline = self.query.deadline_s
+        return deadline is not None and time.monotonic() > self.submitted_at + deadline
+
+
+class QueryFront:
+    """``execute(queries) -> responses`` over a subclass's group server.
+
+    A subclass sets :attr:`METRIC_PREFIX` and a ``stats`` record (with
+    ``queries``/``ok``/``errors``/``timeouts``/``degraded``/``batches``
+    counters), and implements :meth:`_serve_group` and
+    :meth:`_project_stats`.  ``out`` is the batch's response list, indexed
+    by :attr:`Pending.index`; every helper answers into it.
+    """
+
+    #: Prefix of the per-query metric names (``service``, ``shard.router``).
+    METRIC_PREFIX = ""
+
+    stats: Any
+
+    def query(self, query: IMQuery) -> IMResponse:
+        """Serve a single query (a one-element :meth:`execute` batch)."""
+        return self.execute([query])[0]
+
+    def execute(self, queries: Sequence[IMQuery]) -> list[IMResponse]:
+        """Serve a batch; responses come back in submission order.
+
+        Never raises for a per-query failure — bad parameters, expired
+        deadlines, and unknown datasets become ``"error"``/``"timeout"``
+        responses so one poisoned query cannot take down its batch.
+        """
+        submitted_at = time.monotonic()
+        out: list[IMResponse | None] = [None] * len(queries)
+        groups: dict[tuple, list[Pending]] = {}
+        for i, q in enumerate(queries):
+            p = Pending(i, q, submitted_at)
+            try:
+                q.validate()
+            except ParameterError as exc:
+                self._fail([p], exc, out)
+                continue
+            groups.setdefault(q.batch_key(), []).append(p)
+        for pending in groups.values():
+            self.stats.batches += 1
+            self._serve_group(pending, out)
+        self._project_stats()
+        # Every query index is answered exactly once: invalid queries above,
+        # everything else by its group.
+        return [
+            r if r is not None
+            else IMResponse(status="error", error="internal: query dropped")
+            for r in out
+        ]
+
+    # ------------------------------------------------------------- subclass
+    def _serve_group(self, pending: list[Pending], out: list) -> None:
+        """Answer one group of queries that share a sketch."""
+        raise NotImplementedError
+
+    def _project_stats(self) -> None:
+        """Mirror the cumulative stats into telemetry after each batch."""
+        raise NotImplementedError
+
+    # -------------------------------------------------------------- helpers
+    def _tel_inc(self, *names: str) -> None:
+        tel = telemetry.get()
+        if tel.enabled:
+            for name in names:
+                tel.registry.counter(name).inc()
+
+    def _split_expired(self, pending: list[Pending], out: list) -> list[Pending]:
+        """Answer the expired queries with timeouts; return the live rest."""
+        live = []
+        prefix = self.METRIC_PREFIX
+        for p in pending:
+            if p.expired():
+                self.stats.queries += 1
+                self.stats.timeouts += 1
+                self._tel_inc(f"{prefix}.queries", f"{prefix}.timeouts")
+                elapsed = time.monotonic() - p.submitted_at
+                out[p.index] = IMResponse(
+                    status="timeout",
+                    id=p.query.id,
+                    error=(
+                        f"TimeoutError: deadline of {p.query.deadline_s}s "
+                        f"exceeded after {elapsed:.3f}s"
+                    ),
+                    latency_s=elapsed,
+                )
+            else:
+                live.append(p)
+        return live
+
+    def _fail(self, pending: list[Pending], exc: Exception, out: list) -> None:
+        """Answer every query of ``pending`` with ``exc`` as an error."""
+        prefix = self.METRIC_PREFIX
+        for p in pending:
+            self.stats.queries += 1
+            self.stats.errors += 1
+            self._tel_inc(f"{prefix}.queries", f"{prefix}.errors")
+            out[p.index] = IMResponse(
+                status="error",
+                id=p.query.id,
+                error=f"{type(exc).__name__}: {exc}",
+                latency_s=time.monotonic() - p.submitted_at,
+            )
+
+    def _bound_k(
+        self, pending: list[Pending], num_vertices: int, out: list
+    ) -> list[Pending]:
+        """Answer the queries asking for more seeds than there are vertices
+        with errors (checkable only once the graph is known); return the
+        rest."""
+        live = []
+        for p in pending:
+            if p.query.k > num_vertices:
+                exc = ParameterError(
+                    f"k={p.query.k} exceeds the vertex count {num_vertices}"
+                )
+                self._fail([p], exc, out)
+            else:
+                live.append(p)
+        return live
+
+    def _answer(
+        self,
+        live: list[Pending],
+        seeds: np.ndarray,
+        newly_covered: Sequence[int],
+        out: list,
+        *,
+        num_vertices: int,
+        num_sets: int,
+        cached: bool,
+        degraded: bool,
+    ) -> None:
+        """Answer each query still in time from one ``k_max`` pass: its
+        first ``k`` seeds, and the sets its first ``k`` rounds covered."""
+        covered = np.cumsum(newly_covered)
+        prefix = self.METRIC_PREFIX
+        tel = telemetry.get()
+        for p in self._split_expired(live, out):
+            k = p.query.k
+            coverage = float(covered[k - 1]) / num_sets if num_sets else 0.0
+            latency = time.monotonic() - p.submitted_at
+            self.stats.queries += 1
+            self.stats.ok += 1
+            if tel.enabled:
+                tel.registry.counter(f"{prefix}.queries").inc()
+                tel.registry.histogram(f"{prefix}.query_latency_s").observe(latency)
+            if degraded:
+                self.stats.degraded += 1
+                self._tel_inc(f"{prefix}.degraded", "resilience.degraded_responses")
+            out[p.index] = IMResponse(
+                status="ok",
+                id=p.query.id,
+                seeds=[int(v) for v in seeds[:k]],
+                spread_estimate=num_vertices * coverage,
+                coverage_fraction=coverage,
+                num_rrrsets=num_sets,
+                cached=cached,
+                degraded=degraded,
+                latency_s=latency,
+            )

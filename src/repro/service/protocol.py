@@ -45,6 +45,11 @@ __all__ = ["IMQuery", "IMResponse", "parse_request_line", "MAX_LINE_BYTES"]
 MAX_LINE_BYTES = 1 << 20
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number: an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IMQuery:
     """One influence-maximisation request.
@@ -96,11 +101,9 @@ class IMQuery:
             raise ParameterError(f"model must be 'IC' or 'LT', got {self.model!r}")
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k!r}")
-        try:
-            eps = float(self.epsilon)
-        except (TypeError, ValueError):
-            raise ParameterError(f"epsilon must be a number, got {self.epsilon!r}") from None
-        if not 0.0 < eps < 1.0:
+        if not _is_number(self.epsilon):
+            raise ParameterError(f"epsilon must be a number, got {self.epsilon!r}")
+        if not 0.0 < self.epsilon < 1.0:
             raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ParameterError(f"seed must be an integer, got {self.seed!r}")
@@ -110,13 +113,11 @@ class IMQuery:
             if self.theta_cap < 1:
                 raise ParameterError(f"theta_cap must be >= 1, got {self.theta_cap}")
         if self.deadline_s is not None:
-            try:
-                deadline = float(self.deadline_s)
-            except (TypeError, ValueError):
+            if not _is_number(self.deadline_s):
                 raise ParameterError(
                     f"deadline_s must be a number, got {self.deadline_s!r}"
-                ) from None
-            if deadline < 0:
+                )
+            if not self.deadline_s >= 0:  # NaN fails this too
                 raise ParameterError(f"deadline_s must be >= 0, got {self.deadline_s}")
         if self.id is not None and not isinstance(self.id, str):
             raise ParameterError(f"id must be a string, got {self.id!r}")

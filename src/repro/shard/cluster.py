@@ -34,8 +34,6 @@ import numpy as np
 from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
 from repro.errors import ParameterError
-from repro.graph.datasets import load_dataset
-from repro.graph.io import graph_fingerprint
 from repro.runtime.backends import SerialBackend
 from repro.service.artifacts import sketch_fingerprint
 from repro.service.engine import EngineConfig
@@ -56,7 +54,6 @@ class ShardCluster:
         *,
         engine_config: EngineConfig | None = None,
         router_config: RouterConfig | None = None,
-        dataset_scale: float = 1.0,
         segment_manager=None,
     ):
         self.plan = plan
@@ -67,14 +64,12 @@ class ShardCluster:
                 plan,
                 replica_id=r,
                 config=engine_config,
-                dataset_scale=dataset_scale,
                 segment_manager=segment_manager,
             )
             for s in range(plan.num_shards)
             for r in range(plan.replication)
         ]
         self.router = Router(self.workers, config=router_config)
-        self.dataset_scale = float(dataset_scale)
         self._engine_config = engine_config
         self._installed: dict[str, Any] = {}
         # Last adopted sketch per dataset: (spec, fingerprint, parts, meta).
@@ -162,7 +157,6 @@ class ShardCluster:
             self.plan,
             replica_id=rid,
             config=self._engine_config,
-            dataset_scale=self.dataset_scale,
             segment_manager=self.segment_manager,
         )
         for ds, g in self._installed.items():
@@ -204,28 +198,13 @@ class ShardCluster:
             sub_fp = shard_fingerprint(fp, w.shard_id, self.plan)
             if w.engine.cache.get(sub_fp) is not None:
                 continue
-            sub = parts[w.shard_id]
-            counter = sub.vertex_counts()
-            shard_meta = {
-                **(meta or {}),
-                "dataset": spec.dataset, "model": spec.model,
-                "epsilon": spec.epsilon, "seed": spec.seed,
-                "num_sets": spec.num_sets, "shard": w.shard_id,
-                "num_shards": self.plan.num_shards,
-                "strategy": self.plan.strategy,
-            }
             handle = None
             if self.segment_manager is not None:
                 handle = self.segment_manager.handle_for(sub_fp)
-            if handle is not None:
-                view = self.segment_manager.attach_store(handle)
-                w._views.append(view)
-                w.stats.shm_attaches += 1
-                w.engine.warm(
-                    sub_fp, view, counter=counter.copy(), meta=shard_meta
-                )
-            else:
-                w.engine.warm(sub_fp, sub, counter=counter, meta=shard_meta)
+            w.adopt(
+                sub_fp, parts[w.shard_id],
+                spec.slice_meta(self.plan, w.shard_id, meta), handle=handle,
+            )
 
     # ------------------------------------------------------------------ build
     def build(self, spec: SketchSpec) -> dict[str, Any]:
@@ -236,15 +215,11 @@ class ShardCluster:
         worker holds — in memory and on disk — just its shard's slice.
         """
         tel = telemetry.get()
-        graph = self._installed.get(spec.dataset)
-        if graph is None:
-            graph = load_dataset(
-                spec.dataset, model=spec.model, seed=spec.seed,
-                scale=self.dataset_scale,
-            )
+        graph, gfp = self.workers[0].engine.resolve_graph(
+            spec.dataset, spec.model, spec.seed
+        )
         fp = sketch_fingerprint(
-            graph_fingerprint(graph), spec.model, spec.epsilon, spec.seed,
-            spec.num_sets,
+            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
         )
         with tel.span(
             "shard.build", dataset=spec.dataset, num_sets=spec.num_sets,
@@ -282,13 +257,7 @@ class ShardCluster:
             w.install_graph(ds, graph)
         parts = self.plan.partition_store(store, fingerprint)
         extra = dict(meta or {})
-        spec = SketchSpec(
-            dataset=ds,
-            model=str(extra.get("model", "IC")).upper(),
-            epsilon=float(extra.get("epsilon", 0.5)),
-            seed=int(extra.get("seed", 0)),
-            num_sets=int(extra.get("num_sets", len(store))),
-        )
+        spec = SketchSpec.from_meta(ds, extra, len(store))
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("shard.publishes").inc()
@@ -341,18 +310,10 @@ class ShardCluster:
         """
         self._published[spec.dataset] = (spec, fp, parts, dict(meta or {}))
         summary = []
-        for shard in range(self.plan.num_shards):
-            sub = parts[shard]
+        for shard, sub in enumerate(parts):
             counter = sub.vertex_counts()
             sub_fp = shard_fingerprint(fp, shard, self.plan)
-            shard_meta = {
-                **(meta or {}),
-                "dataset": spec.dataset, "model": spec.model,
-                "epsilon": spec.epsilon, "seed": spec.seed,
-                "num_sets": spec.num_sets, "shard": shard,
-                "num_shards": self.plan.num_shards,
-                "strategy": self.plan.strategy,
-            }
+            shard_meta = spec.slice_meta(self.plan, shard, meta)
             seg_handle = None
             if self.segment_manager is not None:
                 seg_handle = self.segment_manager.publish_store(
@@ -369,15 +330,9 @@ class ShardCluster:
                         sub_fp, sub, counter=counter, meta=shard_meta
                     )
                     w.engine.stats.artifact_saves += 1
-                if seg_handle is not None:
-                    view = self.segment_manager.attach_store(seg_handle)
-                    w._views.append(view)
-                    w.stats.shm_attaches += 1
-                    w.engine.warm(
-                        sub_fp, view, counter=counter.copy(), meta=shard_meta
-                    )
-                else:
-                    w.engine.warm(sub_fp, sub, counter=counter, meta=shard_meta)
+                w.adopt(
+                    sub_fp, sub, shard_meta, counter=counter, handle=seg_handle
+                )
             summary.append(
                 {
                     "shard": shard,

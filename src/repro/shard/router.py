@@ -1,9 +1,10 @@
 """Scatter-gather query routing over a shard cluster.
 
-The :class:`Router` presents the same ``execute(queries) -> responses``
-surface as :class:`~repro.service.engine.QueryEngine`, but instead of one
-full sketch it drives one selection *session* per query group across every
-shard.  The merge is exact, not approximate:
+The :class:`Router` shares the :class:`~repro.service.engine.QueryEngine`'s
+``execute(queries) -> responses`` front (:class:`~repro.service.front.QueryFront`:
+validation, grouping, deadlines, answers), but instead of one full sketch
+it drives one selection *session* per query group across every shard.
+The merge is exact, not approximate:
 
 - the global fused counter is the **int64 sum** of per-shard partial
   counters (disjoint set ownership makes occurrence counts additive);
@@ -33,6 +34,10 @@ Failure handling (docs/sharding.md):
   only the surviving shards would have served, marked ``degraded:true``
   (the same disclosure contract as the engine's stale-artifact
   fallback).
+- **session cleanup**: every shard that opened a group's session is told
+  to close it when the group is answered, including a shard lost
+  mid-query, so no replica keeps a session (and the slice it holds)
+  after the query that opened it.
 - **health tracking**: consecutive per-replica failures order future
   replica attempts (healthy first) and are reported in
   :meth:`stats_snapshot`; a soft per-call deadline flags slow workers.
@@ -51,7 +56,7 @@ from repro import telemetry
 from repro.core.selection import greedy_cover
 from repro.errors import BackendError, ParameterError, ReproError
 from repro.resilience.retry import RetryPolicy
-from repro.service.protocol import IMQuery, IMResponse
+from repro.service.front import Pending, QueryFront
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import CoverResult, OpenInfo, ShardWorker, SketchSpec
 
@@ -135,18 +140,6 @@ class RouterStats:
         return {k: int(v) for k, v in self.__dict__.items()}
 
 
-@dataclass
-class _Pending:
-    index: int
-    query: IMQuery
-    submitted_at: float
-
-    def deadline(self) -> float | None:
-        if self.query.deadline_s is None:
-            return None
-        return self.submitted_at + self.query.deadline_s
-
-
 class _GroupSession:
     """Mutable per-group selection state shared by the serve helpers."""
 
@@ -163,8 +156,10 @@ class _GroupSession:
         return sum(self.opens[s].num_local_sets for s in self.live)
 
 
-class Router:
+class Router(QueryFront):
     """Routes :class:`IMQuery` batches across a cluster of shard workers."""
+
+    METRIC_PREFIX = "shard.router"
 
     def __init__(
         self,
@@ -197,36 +192,6 @@ class Router:
         self._session_seq = 0
 
     # ----------------------------------------------------------------- public
-    def query(self, query: IMQuery) -> IMResponse:
-        """Serve a single query (a one-element :meth:`execute` batch)."""
-        return self.execute([query])[0]
-
-    def execute(self, queries: Sequence[IMQuery]) -> list[IMResponse]:
-        """Serve a batch; same grouping and per-query error isolation as
-        :meth:`QueryEngine.execute` — one poisoned query never takes down
-        its batch, and responses come back in submission order."""
-        submitted_at = time.monotonic()
-        responses: list[IMResponse | None] = [None] * len(queries)
-        groups: dict[tuple, list[_Pending]] = {}
-        for i, q in enumerate(queries):
-            try:
-                q.validate()
-            except ParameterError as exc:
-                responses[i] = self._finish_error(q, exc, submitted_at)
-                continue
-            groups.setdefault(q.batch_key(), []).append(
-                _Pending(i, q, submitted_at)
-            )
-        for pending in groups.values():
-            for p, resp in self._serve_group(pending):
-                responses[p.index] = resp
-        self._project_stats()
-        return [
-            r if r is not None
-            else IMResponse(status="error", error="internal: query dropped")
-            for r in responses
-        ]
-
     def add_worker(self, worker: ShardWorker) -> None:
         """Route to one more replica (control-plane scale-up).
 
@@ -344,10 +309,7 @@ class Router:
         for shard in sess.live:
             try:
                 info = self._call(
-                    shard,
-                    lambda w: w.session_open(
-                        sess.sid, sess.spec, with_counts=True
-                    ),
+                    shard, lambda w: w.session_open(sess.sid, sess.spec)
                 )
             except ShardDownError:
                 self._note_shard_loss(sess, shard)
@@ -372,9 +334,7 @@ class Router:
         n = sess.opens[sess.live[0]].num_vertices
         counts = np.zeros(n, dtype=np.int64)
         for s in sess.live:
-            c = sess.opens[s].counter
-            if c is not None:
-                counts += c.astype(np.int64, copy=False)
+            counts += sess.opens[s].counter.astype(np.int64, copy=False)
         return counts
 
     def _select(
@@ -431,23 +391,27 @@ class Router:
             self.stats.resyncs += 1
             self._tel_inc("shard.router.resyncs")
 
-    def _serve_group(
-        self, pending: list[_Pending]
-    ) -> list[tuple[_Pending, IMResponse]]:
-        tel = telemetry.get()
-        out: list[tuple[_Pending, IMResponse]] = []
-        self.stats.batches += 1
+    def _refuse_degraded(
+        self, sess: _GroupSession, cause: Exception | None = None
+    ) -> None:
+        """Raise when a shard was lost and degraded answers are disabled."""
+        if sess.lost_shard and not self.config.allow_degraded:
+            reason = "shard down and degraded answers are disabled"
+            raise BackendError(f"{reason} ({cause})" if cause else reason)
+
+    def _serve_group(self, pending: list[Pending], out: list) -> None:
+        """Serve one query group: open a session on every shard, then run
+        the scatter :meth:`_select` once."""
         pending = self._split_expired(pending, out)
         if not pending:
-            return out
-
-        q0 = pending[0].query
-        spec = SketchSpec.from_query(q0, self.config.default_theta)
+            return
+        spec = SketchSpec.from_query(pending[0].query, self.config.default_theta)
         self._session_seq += 1
         sess = _GroupSession(
             f"g{self._session_seq}", spec, list(range(self.plan.num_shards))
         )
-        with tel.span(
+        live = pending
+        with telemetry.get().span(
             "shard.route", dataset=spec.dataset, size=len(pending)
         ):
             try:
@@ -456,176 +420,41 @@ class Router:
                     raise BackendError(
                         "all shards down: no replica could open the session"
                     )
-                if sess.lost_shard and not self.config.allow_degraded:
-                    raise BackendError(
-                        "shard down and degraded answers are disabled"
-                    )
+                self._refuse_degraded(sess)
                 if sess.num_live_sets == 0:
                     raise ParameterError(
                         "cannot select seeds from an empty RRR store"
                     )
+                num_vertices = sess.opens[sess.live[0]].num_vertices
+                live = self._bound_k(pending, num_vertices, out)
+                if not live:
+                    return
+                cached = all(sess.opens[s].warm for s in sess.live)
+                try:
+                    seeds, newly = self._select(
+                        sess, max(p.query.k for p in live)
+                    )
+                except ReproError as exc:
+                    self._refuse_degraded(sess, exc)
+                    raise
+                self._refuse_degraded(sess)
             except ReproError as exc:
-                for p in pending:
-                    out.append(
-                        (p, self._finish_error(p.query, exc, p.submitted_at))
-                    )
+                self._fail(live, exc, out)
+                return
+            finally:
                 self._close_sessions(sess)
-                return out
-
-            num_vertices = sess.opens[sess.live[0]].num_vertices
-            live: list[_Pending] = []
-            for p in pending:
-                if p.query.k > num_vertices:
-                    exc = ParameterError(
-                        f"k={p.query.k} exceeds the vertex count {num_vertices}"
-                    )
-                    out.append(
-                        (p, self._finish_error(p.query, exc, p.submitted_at))
-                    )
-                else:
-                    live.append(p)
-            if not live:
-                self._close_sessions(sess)
-                return out
-
-            cached = all(sess.opens[s].warm for s in sess.live)
-            k_max = max(p.query.k for p in live)
-            try:
-                seeds, newly = self._select(sess, k_max)
-            except ReproError as exc:
-                if sess.lost_shard and not self.config.allow_degraded:
-                    exc = BackendError(
-                        f"shard down and degraded answers are disabled ({exc})"
-                    )
-                for p in live:
-                    out.append(
-                        (p, self._finish_error(p.query, exc, p.submitted_at))
-                    )
-                self._close_sessions(sess)
-                return out
-
-            if sess.lost_shard and not self.config.allow_degraded:
-                exc = BackendError(
-                    "shard down and degraded answers are disabled"
-                )
-                for p in live:
-                    out.append(
-                        (p, self._finish_error(p.query, exc, p.submitted_at))
-                    )
-                self._close_sessions(sess)
-                return out
-
-            covered = np.cumsum(newly)
-            num_sets = sess.num_live_sets
-            degraded = sess.lost_shard
-
-        for p in live:
-            if self._expired(p):
-                out.append((p, self._finish_timeout(p)))
-                continue
-            k = p.query.k
-            coverage = float(covered[k - 1]) / num_sets if num_sets else 0.0
-            out.append(
-                (
-                    p,
-                    self._finish_ok(
-                        p, seeds[:k], coverage, num_vertices, num_sets,
-                        cached, degraded=degraded,
-                    ),
-                )
-            )
-        self._close_sessions(sess)
-        return out
+        self._answer(
+            live, seeds, newly, out,
+            num_vertices=num_vertices, num_sets=sess.num_live_sets,
+            cached=cached, degraded=sess.lost_shard,
+        )
 
     def _close_sessions(self, sess: _GroupSession) -> None:
-        for s in sess.live:
+        """Close the group's session on every replica of every shard that
+        opened it — a shard lost mid-query included."""
+        for s in sess.opens:
             for w in self._replicas[s]:
                 w.session_close(sess.sid)
-
-    # ------------------------------------------------------------- responses
-    def _finish_error(
-        self, query: IMQuery, exc: Exception, submitted_at: float
-    ) -> IMResponse:
-        self.stats.queries += 1
-        self.stats.errors += 1
-        self._tel_inc("shard.router.queries")
-        self._tel_inc("shard.router.errors")
-        return IMResponse(
-            status="error",
-            id=query.id,
-            error=f"{type(exc).__name__}: {exc}",
-            latency_s=time.monotonic() - submitted_at,
-        )
-
-    def _finish_timeout(self, p: _Pending) -> IMResponse:
-        self.stats.queries += 1
-        self.stats.timeouts += 1
-        self._tel_inc("shard.router.queries")
-        self._tel_inc("shard.router.timeouts")
-        return IMResponse(
-            status="timeout",
-            id=p.query.id,
-            error=(
-                f"TimeoutError: deadline of {p.query.deadline_s}s exceeded "
-                f"after {time.monotonic() - p.submitted_at:.3f}s"
-            ),
-            latency_s=time.monotonic() - p.submitted_at,
-        )
-
-    def _finish_ok(
-        self,
-        p: _Pending,
-        seeds: np.ndarray,
-        coverage: float,
-        num_vertices: int,
-        num_sets: int,
-        cached: bool,
-        degraded: bool,
-    ) -> IMResponse:
-        latency = time.monotonic() - p.submitted_at
-        self.stats.queries += 1
-        self.stats.ok += 1
-        tel = telemetry.get()
-        if tel.enabled:
-            tel.registry.counter("shard.router.queries").inc()
-            tel.registry.histogram("shard.router.query_latency_s").observe(
-                latency
-            )
-        if degraded:
-            self.stats.degraded += 1
-            self._tel_inc("shard.router.degraded")
-            self._tel_inc("resilience.degraded_responses")
-        return IMResponse(
-            status="ok",
-            id=p.query.id,
-            seeds=[int(v) for v in seeds],
-            spread_estimate=num_vertices * coverage,
-            coverage_fraction=coverage,
-            num_rrrsets=num_sets,
-            cached=cached,
-            degraded=degraded,
-            latency_s=latency,
-        )
-
-    def _expired(self, p: _Pending) -> bool:
-        deadline = p.deadline()
-        return deadline is not None and time.monotonic() > deadline
-
-    def _split_expired(
-        self, pending: list[_Pending], out: list
-    ) -> list[_Pending]:
-        live: list[_Pending] = []
-        for p in pending:
-            if self._expired(p):
-                out.append((p, self._finish_timeout(p)))
-            else:
-                live.append(p)
-        return live
-
-    def _tel_inc(self, name: str, amount: float = 1) -> None:
-        tel = telemetry.get()
-        if tel.enabled:
-            tel.registry.counter(name).inc(amount)
 
     def _project_stats(self) -> None:
         tel = telemetry.get()

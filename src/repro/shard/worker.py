@@ -3,10 +3,12 @@
 A :class:`ShardWorker` is the in-process stand-in for one serving process
 of the cluster.  It owns a private :class:`~repro.service.engine.QueryEngine`
 whose warm layers hold only *this shard's* slice of each sketch — the
-byte-budget LRU cache, the fingerprint-keyed artifact store, and the
-engine's stats/telemetry all come along for free, keyed by
+byte-budget LRU cache, the fingerprint-keyed artifact store, graph
+resolution (:meth:`~repro.service.engine.QueryEngine.resolve_graph`), and
+the engine's stats/telemetry all come along for free, keyed by
 :func:`~repro.shard.plan.shard_fingerprint` so sub-sketches of different
-plans never collide.
+plans never collide.  Every slice enters the replica through
+:meth:`ShardWorker.adopt`.
 
 Acquisition order mirrors the engine (docs/serving.md):
 
@@ -52,8 +54,6 @@ from repro.core.parallel_sampling import parallel_generate
 from repro.core.selection import CoverStep
 from repro.diffusion.base import get_model
 from repro.errors import ArtifactError, BackendError, ParameterError
-from repro.graph.datasets import load_dataset
-from repro.graph.io import graph_fingerprint
 from repro.kernels import KernelSampler, indexed_draws
 from repro.runtime.backends import SerialBackend
 from repro.service.artifacts import sketch_fingerprint
@@ -86,15 +86,42 @@ class SketchSpec:
             num_sets=int(query.theta_cap or default_theta),
         )
 
+    @classmethod
+    def from_meta(
+        cls, dataset: str, meta: dict[str, Any], num_sets: int
+    ) -> "SketchSpec":
+        """The spec a published sketch's meta describes (publish hooks);
+        ``num_sets`` stands in when the meta does not say."""
+        return cls(
+            dataset=dataset,
+            model=str(meta.get("model", "IC")).upper(),
+            epsilon=float(meta.get("epsilon", 0.5)),
+            seed=int(meta.get("seed", 0)),
+            num_sets=int(meta.get("num_sets", num_sets)),
+        )
+
     def key(self) -> tuple:
         return (self.dataset, self.model, self.epsilon, self.seed, self.num_sets)
+
+    def slice_meta(
+        self, plan: ShardPlan, shard: int, extra: dict[str, Any] | None = None
+    ) -> dict[str, Any]:
+        """The meta stored with this sketch's slice on ``shard``: ``extra``
+        (a publisher's meta), overridden by the spec and the layout."""
+        return {
+            **(extra or {}),
+            "dataset": self.dataset, "model": self.model,
+            "epsilon": self.epsilon, "seed": self.seed,
+            "num_sets": self.num_sets, "shard": shard,
+            "num_shards": plan.num_shards, "strategy": plan.strategy,
+        }
 
 
 @dataclass
 class OpenInfo:
     """What a worker reports when a selection session opens."""
 
-    counter: np.ndarray | None
+    counter: np.ndarray
     num_local_sets: int
     num_vertices: int
     warm: bool
@@ -160,7 +187,6 @@ class ShardWorker:
         *,
         replica_id: int = 0,
         config: EngineConfig | None = None,
-        dataset_scale: float = 1.0,
         segment_manager=None,
     ):
         if not (0 <= shard_id < plan.num_shards):
@@ -177,12 +203,9 @@ class ShardWorker:
         self.plan = plan
         self.name = plan.worker_name(shard_id, replica_id)
         self.engine = QueryEngine(config=config or EngineConfig())
-        self.dataset_scale = float(dataset_scale)
         self.segment_manager = segment_manager
         self.stats = WorkerStats()
         self._sessions: dict[str, _Session] = {}
-        self._graphs: dict[tuple, tuple[Any, str]] = {}
-        self._installed: dict[str, tuple[Any, str]] = {}
         self._views: list[Any] = []  # attached shm views, detached on close
         self._dead = False
         self._fail_after: int | None = None
@@ -256,47 +279,42 @@ class ShardWorker:
     # ---------------------------------------------------------------- graphs
     def install_graph(self, dataset: str, graph: Any) -> str:
         """Serve ``dataset`` from an in-memory graph (the dynamic epoch
-        fan-out hook); returns the graph fingerprint.  Mirrors
-        :meth:`QueryEngine.install_graph` so the wrapped engine agrees."""
-        ds = str(dataset).lower()
-        fp = self.engine.install_graph(ds, graph)
-        self._installed[ds] = (graph, fp)
-        for key in [k for k in self._graphs if k[0] == ds]:
-            del self._graphs[key]
-        return fp
-
-    def installed_graph(self, dataset: str) -> tuple[Any, str] | None:
-        """The ``(graph, fingerprint)`` installed for ``dataset`` (or None).
-        The rollout canary uses this to restore the previous epoch."""
-        return self._installed.get(str(dataset).lower())
-
-    def _resolve_graph(self, spec: SketchSpec) -> tuple[Any, str]:
-        installed = self._installed.get(spec.dataset)
-        if installed is not None:
-            return installed
-        key = (spec.dataset, spec.model, spec.seed)
-        hit = self._graphs.get(key)
-        if hit is None:
-            graph = load_dataset(
-                spec.dataset, model=spec.model, seed=spec.seed,
-                scale=self.dataset_scale,
-            )
-            hit = (graph, graph_fingerprint(graph))
-            self._graphs[key] = hit
-        return hit
+        fan-out hook); returns the graph fingerprint.  Graphs resolve
+        through the wrapped engine (:meth:`QueryEngine.resolve_graph`)."""
+        return self.engine.install_graph(dataset, graph)
 
     # ------------------------------------------------------------ acquisition
-    def fingerprints(self, spec: SketchSpec) -> tuple[str, str]:
-        """(full-sketch fingerprint, this shard's sub-sketch fingerprint)."""
-        _, gfp = self._resolve_graph(spec)
-        fp = sketch_fingerprint(
-            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
+    def adopt(
+        self,
+        sub_fp: str,
+        store: Any,
+        meta: dict[str, Any],
+        *,
+        counter: np.ndarray | None = None,
+        handle=None,
+    ) -> CacheEntry:
+        """Warm this replica with one sketch slice; returns its entry.
+
+        This is the only way a slice enters a replica (acquisition, cluster
+        builds and publishes, re-warms, canaries).  With a shm ``handle`` the
+        replica serves its own zero-copy view of the published segment
+        instead of ``store``; the view is detached on :meth:`close`.  A
+        slice the cache budget rejects is still returned, uncached.
+        """
+        if handle is not None:
+            store = self.segment_manager.attach_store(handle)
+            self._views.append(store)
+            self.stats.shm_attaches += 1
+        if counter is None:
+            counter = store.vertex_counts()
+        self.engine.warm(sub_fp, store, counter=counter, meta=meta)
+        return self.engine.cache.get(sub_fp) or CacheEntry(
+            store=store, counter=counter, meta=meta
         )
-        return fp, shard_fingerprint(fp, self.shard_id, self.plan)
 
     def _acquire(self, spec: SketchSpec) -> tuple[CacheEntry, bool, str, str]:
         """(entry, warm, fp, shard_fp): cache → shm → artifact → cold stream."""
-        graph, gfp = self._resolve_graph(spec)
+        graph, gfp = self.engine.resolve_graph(spec.dataset, spec.model, spec.seed)
         fp = sketch_fingerprint(
             gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
         )
@@ -306,24 +324,11 @@ class ShardWorker:
             self.stats.warm_hits += 1
             return entry, True, fp, sub_fp
 
-        meta = {
-            "dataset": spec.dataset, "model": spec.model,
-            "epsilon": spec.epsilon, "seed": spec.seed,
-            "num_sets": spec.num_sets, "shard": self.shard_id,
-            "num_shards": self.plan.num_shards,
-            "strategy": self.plan.strategy,
-        }
+        meta = spec.slice_meta(self.plan, self.shard_id)
         if self.segment_manager is not None:
             handle = self.segment_manager.handle_for(sub_fp)
             if handle is not None:
-                store = self.segment_manager.attach_store(handle)
-                self._views.append(store)
-                counter = store.vertex_counts()
-                self.stats.shm_attaches += 1
-                self.engine.warm(sub_fp, store, counter=counter, meta=meta)
-                entry = self.engine.cache.get(sub_fp) or CacheEntry(
-                    store=store, counter=counter, meta=meta
-                )
+                entry = self.adopt(sub_fp, None, meta, handle=handle)
                 return entry, True, fp, sub_fp
         arts = self.engine.artifacts
         if arts is not None and arts.has_sketch(sub_fp):
@@ -331,16 +336,10 @@ class ShardWorker:
                 store, counter, _ = arts.load_sketch(sub_fp)
             except ArtifactError:
                 self.engine.stats.artifact_corrupt += 1
-                store = None
-            if store is not None:
-                if counter is None:
-                    counter = store.vertex_counts()
+            else:
                 self.stats.artifact_loads += 1
                 self.engine.stats.artifact_loads += 1
-                self.engine.warm(sub_fp, store, counter=counter, meta=meta)
-                entry = self.engine.cache.get(sub_fp) or CacheEntry(
-                    store=store, counter=counter, meta=meta
-                )
+                entry = self.adopt(sub_fp, store, meta, counter=counter)
                 return entry, True, fp, sub_fp
 
         tel = telemetry.get()
@@ -356,10 +355,7 @@ class ShardWorker:
         if arts is not None and self.engine.config.persist:
             arts.save_sketch(sub_fp, store, counter=counter, meta=meta)
             self.engine.stats.artifact_saves += 1
-        self.engine.warm(sub_fp, store, counter=counter, meta=meta)
-        entry = self.engine.cache.get(sub_fp) or CacheEntry(
-            store=store, counter=counter, meta=meta
-        )
+        entry = self.adopt(sub_fp, store, meta, counter=counter)
         return entry, False, fp, sub_fp
 
     def _build_subsketch(
@@ -394,18 +390,15 @@ class ShardWorker:
         return store.trim()
 
     # ------------------------------------------------------- scatter protocol
-    def session_open(
-        self, session_id: str, spec: SketchSpec, *, with_counts: bool = True
-    ) -> OpenInfo:
-        """Start (or restart) a selection session; optionally return this
-        shard's partial fused counter (skipped when the router has it
-        cached)."""
+    def session_open(self, session_id: str, spec: SketchSpec) -> OpenInfo:
+        """Start (or restart) a selection session; returns this shard's
+        partial fused counter with the slice's shape."""
         self._checkpoint()
         entry, warm, fp, sub_fp = self._acquire(spec)
         self._sessions[session_id] = _Session(spec=spec, entry=entry)
         self.stats.opens += 1
         return OpenInfo(
-            counter=entry.counter.copy() if with_counts else None,
+            counter=entry.counter.copy(),
             num_local_sets=len(entry.store),
             num_vertices=entry.store.num_vertices,
             warm=warm,
@@ -479,12 +472,6 @@ class ShardWorker:
         self._sessions.pop(session_id, None)
 
     # ------------------------------------------------------------------ misc
-    def sketch_bytes(self, spec: SketchSpec) -> int:
-        """Modelled bytes of this shard's sub-sketch (acquiring it if cold)."""
-        self._checkpoint()
-        entry, _, _, _ = self._acquire(spec)
-        return entry.store.nbytes()
-
     def stats_snapshot(self) -> dict[str, Any]:
         return {
             "name": self.name,

@@ -14,6 +14,7 @@ import time
 
 from repro import telemetry
 from repro.control import HealthProbe, HealthSample, RateTracker, ReplicaHealth
+from repro.service import EngineConfig, IMQuery, QueryEngine
 from repro.shard import ShardCluster, ShardPlan
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 
@@ -173,6 +174,22 @@ class TestHealthProbe:
             s2 = probe.sample()
             assert [r.name for r in s2.dead_replicas()] == ["s0r1"]
             assert s2.replicas_per_shard() == {0: 2, 1: 2}
+
+    def test_probe_reads_engine_latency(self):
+        """An engine-only stack records its latency under ``service.*``;
+        the probe must find it there, or no policy ever sees its load."""
+        clock = iter([0.0, 2.0])
+        with telemetry.session(), QueryEngine(config=EngineConfig()) as engine:
+            engine.install_graph("synth", small_graph())
+            probe = HealthProbe(clock=lambda: next(clock))
+            probe.sample()
+            for k in range(1, 6):
+                assert engine.query(
+                    IMQuery(dataset="synth", k=k, theta_cap=80)
+                ).ok
+            s = probe.sample()
+        assert s.p99_latency_s > 0.0
+        assert s.query_rate == 2.5  # five queries over the 2 s window
 
     def test_probe_without_handles_returns_defaults(self):
         s = HealthProbe().sample()

@@ -186,6 +186,18 @@ class TestGatewayServing:
         assert [len(r.seeds) for r in resps] == [5, 2, 8]
         assert all(r.id is None for r in resps)  # invented ids are stripped
 
+    def test_string_deadline_line_answered_then_next_query(self):
+        engine = FakeEngine()
+        with serve_in_thread(engine, config=GatewayConfig()) as srv:
+            bad = json.dumps(
+                {"dataset": "amazon", "k": 3, "theta_cap": 200, "deadline_s": "5"}
+            )
+            good = encode_queries([_q(k=2, id="after")])
+            out = _raw_roundtrip(srv.host, srv.port, [bad, good], expected=2)
+        assert out[0].status == "error"
+        assert "deadline_s must be a number" in out[0].error
+        assert out[1].ok and out[1].id == "after" and out[1].seeds == [0, 1]
+
     def test_micro_batch_coalescing(self):
         engine = FakeEngine()
         config = GatewayConfig(batch_window_s=0.2, batch_max=8)

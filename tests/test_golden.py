@@ -336,3 +336,222 @@ class TestGoldenShardSlices:
         parts = ShardPlan(num_shards=3, strategy=strategy).partition_store(store, fp)
         assert [p.fingerprint() for p in parts] == SHARD_SLICES[key]
         assert sum(len(p) for p in parts) == num_sets
+
+
+# One mixed batch: three valid k, one k above the 40-vertex count, one
+# expired deadline, one unknown dataset, one invalid field.
+FRONT_BATCH = (
+    {"k": 2, "id": "a"},
+    {"k": 5, "id": "b"},
+    {"k": 3, "id": "c"},
+    {"k": 41, "id": "too-big"},
+    {"k": 2, "deadline_s": 0, "id": "late"},
+    {"k": 2, "id": "unknown", "dataset": "nosuch"},
+    {"k": 0, "id": "invalid"},
+)
+
+#: The per-query metrics an executor records, under its prefix.
+FRONT_METRICS = ("queries", "errors", "timeouts", "degraded", "query_latency_s")
+
+
+def _front_record(executor, stats):
+    """Serve :data:`FRONT_BATCH` under a telemetry session; return the
+    responses (no latency, elapsed seconds masked), the stats counters and
+    the per-query metrics (counter values, histogram counts)."""
+    import re
+
+    from repro import telemetry
+    from repro.service import IMQuery
+
+    from test_shard import THETA
+
+    queries = [
+        IMQuery(**{"dataset": "synth", "theta_cap": THETA, "seed": 3, **kw})
+        for kw in FRONT_BATCH
+    ]
+    with telemetry.session() as tel:
+        responses = executor.execute(queries)
+        snap = tel.snapshot()
+    out = []
+    for resp in responses:
+        doc = resp.to_dict()
+        del doc["latency_s"]
+        if doc.get("error"):
+            doc["error"] = re.sub(r"after \d+\.\d+s", "after <t>s", doc["error"])
+        out.append(doc)
+    names = {
+        f"{prefix}.{name}"
+        for prefix in ("service", "shard.router")
+        for name in FRONT_METRICS
+    } | {"resilience.degraded_responses"}
+    metrics = {n: v for n, v in snap["counters"].items() if n in names}
+    metrics.update(
+        (n, h["count"]) for n, h in snap["histograms"].items() if n in names
+    )
+    return out, stats(executor), metrics
+
+
+def _front_executor(kind):
+    """A fresh executor of one kind over the 40-vertex ``synth`` graph."""
+    from repro.dynamic import DynamicService
+    from repro.service import EngineConfig, QueryEngine
+    from repro.shard import RouterConfig, ShardCluster, ShardPlan
+
+    from test_shard import THETA, small_graph
+
+    graph = small_graph()
+    if kind == "engine":
+        engine = QueryEngine(config=EngineConfig(default_theta=THETA))
+        engine.install_graph("synth", graph)
+        return engine, lambda e: e.stats.to_dict()
+    if kind == "dynamic":
+        service = DynamicService("synth", graph, num_sets=THETA, seed=3)
+        return service, lambda s: s.engine.stats.to_dict()
+    cluster = ShardCluster(
+        ShardPlan(num_shards=2, replication=2),
+        router_config=RouterConfig(
+            default_theta=THETA, allow_degraded=kind != "strict"
+        ),
+    )
+    cluster.install_graph("synth", graph)
+    if kind in ("degraded", "strict"):
+        cluster.kill(1)
+    return cluster, lambda c: c.router.stats.to_dict()
+
+
+def _ok(qid, seeds, spread, coverage, num_sets, **flags):
+    return {
+        "status": "ok", "id": qid, "seeds": seeds, "spread_estimate": spread,
+        "coverage_fraction": coverage, "num_rrrsets": num_sets,
+        "cached": False, "degraded": False, **flags,
+    }
+
+
+def _error(qid, error, status="error"):
+    return {"status": status, "id": qid, "error": error}
+
+
+_TOO_BIG = _error("too-big", "ParameterError: k=41 exceeds the vertex count 40")
+_LATE = _error(
+    "late", "TimeoutError: deadline of 0s exceeded after <t>s", "timeout"
+)
+_UNKNOWN = _error(
+    "unknown",
+    "DatasetError: unknown dataset 'nosuch'; available: amazon, dblp, "
+    "youtube, livejournal, pokec, skitter, google, twitter7",
+)
+_INVALID = _error("invalid", "ParameterError: k must be a positive integer, got 0")
+_FULL = [
+    _ok("a", [15, 17], 34.0, 0.85, 80),
+    _ok("b", [15, 17, 20, 3, 6], 37.5, 0.9375, 80),
+    _ok("c", [15, 17, 20], 36.0, 0.9, 80),
+]
+_STRICT = "BackendError: shard down and degraded answers are disabled"
+
+
+def _router_stats(**kw):
+    stats = dict(
+        queries=7, ok=3, errors=3, timeouts=1, degraded=0, batches=2,
+        scatter_calls=0, failovers=0, shard_losses=0, resyncs=0,
+        deadline_misses=0,
+    )
+    return {**stats, **kw}
+
+
+def _engine_stats(**kw):
+    stats = dict(
+        queries=7, ok=3, timeouts=1, errors=3, batches=2, cold_samples=1,
+        artifact_loads=0, artifact_saves=0, artifact_corrupt=0, degraded=0,
+    )
+    return {**stats, **kw}
+
+
+#: kind -> (responses, stats counters, per-query metrics), recorded from
+#: the engine and router as they were before the query front was shared.
+FRONT_GOLDEN = {
+    "engine": (
+        [*_FULL, _TOO_BIG, _LATE, _UNKNOWN, _INVALID],
+        _engine_stats(),
+        {
+            "service.queries": 7.0, "service.errors": 3.0,
+            "service.timeouts": 1.0, "service.query_latency_s": 3,
+        },
+    ),
+    "cluster": (
+        [*_FULL, _TOO_BIG, _LATE, _UNKNOWN, _INVALID],
+        _router_stats(scatter_calls=13),
+        {
+            "shard.router.queries": 7.0, "shard.router.errors": 3.0,
+            "shard.router.timeouts": 1.0, "shard.router.query_latency_s": 3,
+        },
+    ),
+    "degraded": (
+        [
+            _ok("a", [15, 16], 36.44444444444444, 0.9111111111111111, 45,
+                degraded=True),
+            _ok("b", [15, 16, 20, 2, 31], 40.0, 1.0, 45, degraded=True),
+            _ok("c", [15, 16, 20], 38.22222222222222, 0.9555555555555556, 45,
+                degraded=True),
+            _TOO_BIG, _LATE, _UNKNOWN, _INVALID,
+        ],
+        _router_stats(degraded=3, scatter_calls=9, shard_losses=1),
+        {
+            "shard.router.queries": 7.0, "shard.router.errors": 3.0,
+            "shard.router.timeouts": 1.0, "shard.router.degraded": 3.0,
+            "resilience.degraded_responses": 3.0,
+            "shard.router.query_latency_s": 3,
+        },
+    ),
+    "strict": (
+        [
+            *(_error(q, _STRICT) for q in ("a", "b", "c", "too-big")),
+            _LATE, _UNKNOWN, _INVALID,
+        ],
+        _router_stats(ok=0, errors=6, scatter_calls=4, shard_losses=1),
+        {
+            "shard.router.queries": 7.0, "shard.router.errors": 6.0,
+            "shard.router.timeouts": 1.0,
+        },
+    ),
+    "dynamic": (
+        [
+            _ok("a", [15, 5], 37.0, 0.925, 80, cached=True, epoch=0),
+            _ok("b", [15, 5, 6, 13, 17], 39.0, 0.975, 80, cached=True,
+                epoch=0),
+            _ok("c", [15, 5, 6], 38.0, 0.95, 80, cached=True, epoch=0),
+            _TOO_BIG, _LATE,
+            _error(
+                "unknown",
+                "ParameterError: this dynamic service serves 'synth', "
+                "not 'nosuch'",
+            ),
+            _INVALID,
+        ],
+        _engine_stats(queries=6, errors=2, batches=1, cold_samples=0),
+        {
+            "service.queries": 6.0, "service.errors": 2.0,
+            "service.timeouts": 1.0, "service.query_latency_s": 3,
+        },
+    ),
+}
+
+
+class TestGoldenQueryFront:
+    """Pinned: what every executor answers to one mixed batch — each
+    response (minus its latency, elapsed seconds masked), the executor's
+    stats counters, and the exact per-query metrics it records.
+
+    Regenerate:  cd tests && PYTHONPATH=../src python -c "import
+    test_golden as g; [print(k, g._front_record(*g._front_executor(k)))
+    for k in g.FRONT_GOLDEN]"
+    """
+
+    @pytest.mark.parametrize("kind", sorted(FRONT_GOLDEN))
+    def test_batch_pinned(self, kind):
+        executor, stats = _front_executor(kind)
+        with executor:
+            responses, counters, metrics = _front_record(executor, stats)
+        want_responses, want_counters, want_metrics = FRONT_GOLDEN[kind]
+        assert responses == want_responses
+        assert counters == want_counters
+        assert metrics == want_metrics

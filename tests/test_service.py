@@ -448,6 +448,10 @@ class TestProtocolHardening:
             {"deadline_s": "soon"},
             {"id": 7},
             {"dataset": 3},
+            {"deadline_s": "5"},   # a numeric string is still a string
+            {"deadline_s": True},
+            {"deadline_s": float("nan")},
+            {"epsilon": "0.5"},
         ],
     )
     def test_wrong_typed_fields_rejected(self, bad):

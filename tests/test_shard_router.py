@@ -302,6 +302,17 @@ class TestShardLoss:
             assert resp.status == "error"
             assert "degraded" in resp.error
 
+    def test_lost_shard_session_is_closed(self, graph):
+        """A shard dropped mid-query must not keep its session (and with
+        it the slice's cache entry) for the rest of the worker's life."""
+        with make_cluster(graph, 2) as cluster:
+            cluster.worker(1, 0).fail_after(2)
+            assert cluster.query(query()).degraded
+            cluster.revive(1)
+            for _ in range(5):
+                assert cluster.query(query()).ok
+            assert cluster.worker(1, 0)._sessions == {}
+
 
 # ============================================================ router surface
 class TestRouterSurface:
@@ -314,6 +325,21 @@ class TestRouterSurface:
             assert responses[1].status == "error"
             assert responses[2].status == "error"
             assert "exceeds the vertex count" in responses[2].error
+
+    @pytest.mark.parametrize("kind", ["engine", "cluster"])
+    def test_string_deadline_errors_without_failing_the_batch(
+        self, graph, kind
+    ):
+        bad, good = query(k=3, deadline_s="5"), query(k=3)
+        if kind == "engine":
+            executor = QueryEngine(config=EngineConfig())
+            executor.install_graph("synth", graph)
+        else:
+            executor = make_cluster(graph, 2)
+        with executor:
+            responses = executor.execute([bad, good])
+        assert [r.status for r in responses] == ["error", "ok"]
+        assert "deadline_s must be a number" in responses[0].error
 
     def test_unknown_dataset_errors(self):
         with ShardCluster(ShardPlan(num_shards=2)) as cluster:
