@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import EfficientIMM, IMMParams
-from repro.core.sampling import charge_per_set
+from repro.core.sampling import SamplingConfig
 from repro.core.selection import efficient_select
 from repro.graph.datasets import load_dataset
 from repro.simmachine.cost import CostModel, KernelCost, RunProfile
@@ -32,7 +32,7 @@ THREADS = 128
 @pytest.fixture(scope="module")
 def workload():
     """One shared sampling pass on the amazon replica."""
-    from repro.core.sampling import RRRSampler, SamplingConfig
+    from repro.core.sampling import RRRSampler
     from repro.diffusion.base import get_model
 
     graph = load_dataset("amazon", model="IC", seed=0)
@@ -48,35 +48,22 @@ def _price(graph, sampler, *, fused, adaptive_update, adaptive_repr, dynamic):
     """Model the full-run time at 128 threads for one toggle combination."""
     cm = CostModel(perlmutter())
     store = sampler.store
-    edges = np.asarray(sampler.per_set_edges, dtype=np.float64)
-    sizes = store.sizes().astype(np.float64)
     policy = AdaptivePolicy() if adaptive_repr else None
-    costs = charge_per_set(
-        edges, sizes, graph.num_vertices, policy, fused=fused
-    )
-
-    totals = {}
-    atomics = 0.0
-    rounds = 0
-    for p in (1, 2):
-        sel = efficient_select(
+    kc, sel = KernelCost.measure(
+        lambda p: efficient_select(
             store, K, p,
             initial_counter=sampler.counter if fused else None,
             adaptive_update=adaptive_update,
             adaptive_policy=policy or AdaptivePolicy(1.0),
         )
-        totals[p] = float(sel.stats.per_thread_ops().sum())
-        atomics = float(sel.stats.atomics.sum())
-        rounds = sel.num_rounds
-        seeds = sel.seeds
-    kc = KernelCost.from_two_runs(
-        totals[1], totals[2], atomic_ops=atomics,
-        serial_ops_per_round=1.0, rounds=rounds,
     )
     prof = RunProfile(
         framework="EfficientIMM", dataset="amazon", model="IC",
         n=graph.num_vertices, num_sets=len(store),
-        total_entries=store.total_entries, per_set_costs=costs,
+        total_entries=store.total_entries,
+        per_set_costs=sampler.costs(
+            SamplingConfig(fused=fused, adaptive_policy=policy)
+        ),
         sampling_schedule="dynamic" if dynamic else "static",
         numa_aware=True, selection=kc,
     )
@@ -85,7 +72,7 @@ def _price(graph, sampler, *, fused, adaptive_update, adaptive_repr, dynamic):
 
     return stages["Total"], modelled_store_bytes(
         store.sizes(), graph.num_vertices, policy
-    ), seeds
+    ), sel.seeds
 
 
 def test_ablation_matrix(benchmark, workload):

@@ -382,21 +382,12 @@ def experiment_fig5(
         store = sampler.store
         times = {}
         for adaptive in (False, True):
-            totals = {}
-            atomics = 0.0
-            rounds = 0
-            for p in (1, 2):
-                sel = efficient_select(
+            kc, _ = KernelCost.measure(
+                lambda p: efficient_select(
                     store, 50, p,
                     initial_counter=sampler.counter,
                     adaptive_update=adaptive,
                 )
-                totals[p] = float(sel.stats.per_thread_ops().sum())
-                atomics = float(sel.stats.atomics.sum())
-                rounds = sel.num_rounds
-            kc = KernelCost.from_two_runs(
-                totals[1], totals[2], atomic_ops=atomics,
-                serial_ops_per_round=1.0, rounds=rounds,
             )
             prof = RunProfile(
                 framework="EfficientIMM", dataset=name, model="IC",

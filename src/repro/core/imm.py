@@ -5,10 +5,12 @@ the :class:`~repro.core.sampling.SamplingConfig` and a selection callable.
 
 The control flow is Tang et al.'s (and Ripples'):
 
-1. **Estimation loop** — for levels ``i = 1 .. log2(n)-1``: grow the RRR
-   store to ``theta_i = lambda' / (n / 2^i)`` sets, run the greedy selection,
-   and stop as soon as ``n F(S) >= (1 + eps') * n / 2^i``; this certifies
-   the OPT lower bound ``LB = n F(S) / (1 + eps')``.
+1. **Estimation loop** (:meth:`MartingaleSchedule.certify
+   <repro.core.martingale.MartingaleSchedule.certify>`) — for levels
+   ``i = 1 .. log2(n)-1``: grow the RRR store to ``theta_i = lambda' /
+   (n / 2^i)`` sets, run the greedy selection, and stop as soon as
+   ``n F(S) >= (1 + eps') * n / 2^i``; this certifies the OPT lower bound
+   ``LB = n F(S) / (1 + eps')``.
 2. **Top-up** — compute ``theta = lambda* / LB``; if more sets are needed,
    generate them (reusing everything already sampled — the martingale
    argument is what makes this reuse sound).
@@ -24,7 +26,7 @@ the top-up).  A :class:`~repro.resilience.checkpoint.SamplingCheckpointer`
 snapshots the sampler after each completed batch; ``resume=True`` restores
 the latest snapshot before the loop, after which the already-sampled
 batches replay as no-ops (``extend`` targets a set *count*, which the
-restored store already meets) and sampling continues from the restored RNG
+restored store already meets) and sampling continues at the next set index
 — yielding byte-identical seeds to an uninterrupted run.  A
 :class:`~repro.resilience.faults.FaultPlan` fires ``batch``-scoped faults
 just before each batch runs.
@@ -141,59 +143,46 @@ def _run_imm_inner(
         ):
             checkpointer.save(sampler, batch_index)
 
-    def capped(theta: int) -> int:
-        if params.theta_cap is not None:
-            return min(theta, params.theta_cap)
-        return theta
+    sel_stats = None
 
-    def counter_arg() -> np.ndarray | None:
-        return sampler.counter if sampling_config.fused else None
-
-    def charge_gather() -> None:
+    def select(**span) -> SelectionResult:
+        nonlocal sel_stats
         if gather_before_select:
+            # Ripples' redistribution: every stored entry copied once.
             per_thread = sampler.gather_cost() / sampling_config.num_threads
             st = sampler.stats
             st.loads += per_thread / 2.0
             st.stores += per_thread / 2.0
             st.sync_barriers += 1
+        with times.measure("Find_Most_Influential_Set"), tel.span(
+            "imm.selection", **span
+        ):
+            selection = select_fn(
+                sampler.store, params.k, params.num_threads,
+                sampler.counter if sampling_config.fused else None,
+            )
+        sel_stats = (
+            selection.stats if sel_stats is None
+            else sel_stats.merge(selection.stats)
+        )
+        return selection
 
-    # ------------------------------------------------- 1. estimation loop
-    lb = 1.0
-    selection: SelectionResult | None = None
-    sel_stats = None
-    for level in range(1, sched.max_level + 1):
-        theta_i = capped(sched.theta_for_level(level))
+    def estimation_sample(theta_i: int, level: int) -> None:
         if tel.enabled:
             tel.registry.counter("imm.martingale_rounds").inc()
         with times.measure("Generate_RRRsets"), tel.span(
             "imm.sampling", phase="estimation", level=level, theta=theta_i
         ):
             sample_batch(theta_i)
-        charge_gather()
-        with times.measure("Find_Most_Influential_Set"), tel.span(
-            "imm.selection", phase="estimation", level=level
-        ):
-            selection = select_fn(
-                sampler.store, params.k, params.num_threads, counter_arg()
-            )
-        sel_stats = (
-            selection.stats if sel_stats is None
-            else sel_stats.merge(selection.stats)
-        )
-        if sched.accepts(level, selection.coverage_fraction):
-            lb = sched.lower_bound(selection.coverage_fraction)
-            break
-        if params.theta_cap is not None and theta_i >= params.theta_cap:
-            # The cap bound the level; certify with what we have.
-            lb = max(sched.lower_bound(selection.coverage_fraction), 1.0)
-            break
+
+    # ------------------------------------------------- 1. estimation loop
+    lb, theta, theta_capped = sched.certify(
+        estimation_sample,
+        lambda level: select(phase="estimation", level=level).coverage_fraction,
+        params.theta_cap,
+    )
 
     # --------------------------------------------------------- 2. top-up
-    theta = capped(sched.theta_final(lb))
-    theta_capped = (
-        params.theta_cap is not None
-        and sched.theta_final(lb) > params.theta_cap
-    )
     if len(sampler.store) < theta:
         with times.measure("Generate_RRRsets"), tel.span(
             "imm.sampling", phase="top_up", theta=theta
@@ -201,16 +190,9 @@ def _run_imm_inner(
             sample_batch(theta)
 
     # ----------------------------------------------- 3. selection phase
-    charge_gather()
-    with times.measure("Find_Most_Influential_Set"), tel.span(
-        "imm.selection", phase="final"
-    ):
-        final = select_fn(
-            sampler.store, params.k, params.num_threads, counter_arg()
-        )
-    sel_stats = final.stats if sel_stats is None else sel_stats.merge(final.stats)
+    final = select(phase="final")
 
-    result = IMMResult(
+    return IMMResult(
         seeds=final.seeds.copy(),
         params=params,
         theta=theta,
@@ -224,9 +206,8 @@ def _run_imm_inner(
         },
         rrr_store_bytes=sampler.modelled_bytes(),
         spread_estimate=n * final.coverage_fraction,
+        theta_capped=theta_capped,
     )
-    result.theta_capped = theta_capped  # type: ignore[attr-defined]
-    return result
 
 
 def _record_imm_telemetry(tel, result: IMMResult, framework: str) -> None:

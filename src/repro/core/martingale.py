@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from repro._util import check_fraction, check_positive_int
 from repro.errors import ParameterError
@@ -176,3 +177,39 @@ class MartingaleSchedule:
     @property
     def max_level(self) -> int:
         return estimation_levels(self.n)
+
+    def certify(
+        self,
+        sample: Callable[[int, int], None],
+        coverage: Callable[[int], float],
+        theta_cap: int | None = None,
+    ) -> tuple[float, int, bool]:
+        """Algorithm 1's estimation loop: the one loop every IMM run uses.
+
+        At each level ``i = 1 .. max_level``, ``sample(theta_i, i)`` grows
+        the caller's RRR sets to ``theta_i`` (bounded by ``theta_cap``) and
+        ``coverage(i)`` returns the greedy coverage fraction F(S) over them.
+        The loop stops at the first level passing ``n F(S) >= (1 + eps')
+        x_i``, or at the first whose ``theta_i`` reached the cap.  Returns
+        ``(LB, theta, capped)``: ``theta = lambda* / LB`` bounded by
+        ``theta_cap``, and whether the cap bound it.  The top-up to theta
+        is the caller's.
+        """
+
+        def cap(theta: int) -> int:
+            return theta if theta_cap is None else min(theta, theta_cap)
+
+        lb = 1.0
+        for level in range(1, self.max_level + 1):
+            theta_i = cap(self.theta_for_level(level))
+            sample(theta_i, level)
+            fraction = coverage(level)
+            if self.accepts(level, fraction):
+                lb = self.lower_bound(fraction)
+                break
+            if theta_cap is not None and theta_i >= theta_cap:
+                # The cap bound the level; certify with what we have.
+                lb = max(self.lower_bound(fraction), 1.0)
+                break
+        theta = self.theta_final(lb)
+        return lb, cap(theta), theta_cap is not None and theta > theta_cap

@@ -112,6 +112,8 @@ class IMMResult:
     set intersects; ``n * coverage_fraction`` is IMM's unbiased influence
     estimate.  ``stats`` maps kernel name -> accumulated
     :class:`KernelStats`; ``times`` is the wall-clock stage breakdown.
+    ``theta_capped`` says whether ``params.theta_cap`` bound theta below
+    the martingale's ``lambda* / LB``.
     """
 
     seeds: np.ndarray
@@ -123,15 +125,8 @@ class IMMResult:
     times: StageTimes = field(default_factory=StageTimes)
     stats: dict[str, KernelStats] = field(default_factory=dict)
     rrr_store_bytes: int = 0
-
-    @property
-    def estimated_spread(self) -> float:
-        """IMM's internal influence estimate n·F(S) — needs n from params'
-        context, so it is stored pre-multiplied by the caller via
-        ``spread_estimate``."""
-        return self.spread_estimate
-
     spread_estimate: float = 0.0
+    theta_capped: bool = False
 
     def summary(self) -> str:
         return (

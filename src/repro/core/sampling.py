@@ -69,9 +69,9 @@ def charge_per_set(
 ) -> np.ndarray:
     """Per-set generation cost under a framework's representation rules.
 
-    Recomputes what :class:`RRRSampler` charges online, from the charge-
-    independent primitives (edges examined, set size).  Lets one sampling
-    pass be re-priced for both frameworks without re-drawing the sets.
+    Prices sets from the charge-independent primitives (edges examined,
+    set size), so one sampling pass can be priced for both frameworks
+    without re-drawing the sets (:meth:`RRRSampler.costs`).
     """
     edges = np.asarray(edges, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
@@ -95,7 +95,6 @@ class SamplingConfig:
     num_threads: int = 1
     fused: bool = True  # EfficientIMM: update counter as sets are produced
     schedule: str = "dynamic"  # "static" (Ripples) or "dynamic"
-    chunk_size: int = 8
     adaptive_policy: AdaptivePolicy | None = None  # None = all sorted lists
     memory_budget_bytes: int | None = None
 
@@ -146,10 +145,10 @@ class RRRSampler:
         # frameworks is the *charged* post-processing cost (below).
         self.store = make_store("flat", num_vertices=n)
         self.counter = np.zeros(n, dtype=np.int64)  # fused global counter
-        self.per_set_costs: list[float] = []
-        self.per_set_edges: list[int] = []  # traversal work, charge-independent
+        # Edges examined per stored set: with the set sizes, the only
+        # record of per-set work (:meth:`costs` prices it).
+        self.per_set_edges = np.zeros(0, dtype=np.int64)
         self.stats = KernelStats(config.num_threads)
-        self.num_atomic_updates = 0
 
     # ---------------------------------------------------------------- main
     def extend(self, target_count: int) -> None:
@@ -188,9 +187,7 @@ class RRRSampler:
             # Fused update (Alg. 3): one bincount over the appended entries.
             added = self.store.vertices[entries0:]
             self.counter += np.bincount(added, minlength=n).astype(np.int64)
-            self.num_atomic_updates += int(added.size)
-        self.per_set_costs.extend(costs.tolist())
-        self.per_set_edges.extend(edges.tolist())
+        self.per_set_edges = np.concatenate((self.per_set_edges, edges))
         self._attribute(costs, sizes.astype(np.float64))
         self._check_budget()
         if tel.enabled:
@@ -217,9 +214,7 @@ class RRRSampler:
     def _attribute(self, costs: np.ndarray, sizes: np.ndarray) -> None:
         """Charge this batch's work to emulated threads per the schedule."""
         cfg = self.config
-        sched = simulate_schedule(
-            costs, cfg.num_threads, policy=cfg.schedule, chunk_size=cfg.chunk_size
-        )
+        sched = simulate_schedule(costs, cfg.num_threads, policy=cfg.schedule)
         per_thread = np.bincount(
             sched.assignment, weights=costs, minlength=cfg.num_threads
         )
@@ -242,6 +237,17 @@ class RRRSampler:
             raise OutOfMemoryModelError(used, cfg.memory_budget_bytes)
 
     # ------------------------------------------------------------ accessors
+    def costs(self, config: SamplingConfig | None = None) -> np.ndarray:
+        """Per-set generation cost of every stored set, priced under this
+        sampler's rules or another framework's ``config`` (e.g.
+        :meth:`SamplingConfig.ripples`): the sets are re-priced, not
+        re-drawn."""
+        cfg = self.config if config is None else config
+        return charge_per_set(
+            self.per_set_edges, self.store.sizes(), self.store.num_vertices,
+            cfg.adaptive_policy, fused=cfg.fused,
+        )
+
     def modelled_bytes(self) -> int:
         """Footprint of the sets under this config's representation."""
         return modelled_store_bytes(

@@ -119,30 +119,17 @@ class DistributedIMM:
         ]
         sched = MartingaleSchedule.for_run(n, params.k, params.epsilon, params.ell)
 
-        def capped(theta: int) -> int:
-            if params.theta_cap is not None:
-                return min(theta, params.theta_cap)
-            return theta
-
         def extend_to(theta_total: int) -> None:
             base, extra = divmod(theta_total, ranks)
             for r, sampler in enumerate(samplers):
                 sampler.extend(base + (1 if r < extra else 0))
 
         # ---- estimation loop (SPMD, one reduction per level) -------------
-        lb = 1.0
-        for level in range(1, sched.max_level + 1):
-            theta_i = capped(sched.theta_for_level(level))
-            extend_to(theta_i)
-            seeds, coverage, _ = self._select(samplers, params.k, world)
-            if sched.accepts(level, coverage):
-                lb = sched.lower_bound(coverage)
-                break
-            if params.theta_cap is not None and theta_i >= params.theta_cap:
-                lb = max(sched.lower_bound(coverage), 1.0)
-                break
-
-        theta = capped(sched.theta_final(lb))
+        _, theta, _ = sched.certify(
+            lambda theta_i, _level: extend_to(theta_i),
+            lambda _level: self._select(samplers, params.k, world)[1],
+            params.theta_cap,
+        )
         extend_to(max(theta, sum(len(s.store) for s in samplers)))
 
         # ---- final selection ---------------------------------------------
@@ -233,7 +220,7 @@ class DistributedIMM:
             n=sampler.store.num_vertices,
             num_sets=len(sampler.store),
             total_entries=sampler.store.total_entries,
-            per_set_costs=np.asarray(sampler.per_set_costs),
+            per_set_costs=sampler.costs(),
             sampling_schedule="dynamic",
             numa_aware=True,
         )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sampling import RRRSampler, charge_per_set
+from repro.core.sampling import RRRSampler, SamplingConfig
 from repro.distributed.comm import SimulatedComm
 from repro.distributed.dimm import DistributedIMM
 from repro.simmachine.cost import RunProfile
@@ -59,13 +59,7 @@ class DistributedRipples(DistributedIMM):
     def _sampling_profile(self, sampler: RRRSampler) -> RunProfile:
         """Ripples charges the full per-set sort and static scheduling."""
         prof = super()._sampling_profile(sampler)
-        prof.per_set_costs = charge_per_set(
-            np.asarray(sampler.per_set_edges, dtype=np.float64),
-            sampler.store.sizes().astype(np.float64),
-            self.graph.num_vertices,
-            None,
-            fused=False,
-        )
+        prof.per_set_costs = sampler.costs(SamplingConfig.ripples())
         prof.sampling_schedule = "static"
         prof.numa_aware = False
         return prof

@@ -3,9 +3,11 @@
 An IMM run spends almost all of its time in the sampling batches the
 martingale schedule requests (estimation levels, then the top-up).  The
 :class:`SamplingCheckpointer` snapshots the complete sampler state after
-every completed batch — the RRR store, the fused counter, and the
-per-set cost bookkeeping — as one checksummed ``.npz`` artifact (the
-sketch artifact format, written atomically via rename).
+every completed batch — the RRR store, the fused counter, the edges each
+set examined and the per-thread sampling stats — as one checksummed
+``.npz`` artifact (the sketch artifact format, written atomically via
+rename).  The CRC covers only the arrays, so :meth:`SamplingCheckpointer.restore`
+checks the JSON header field by field.
 
 Because :func:`repro.core.imm.run_imm` is deterministic in that state, a
 run interrupted at *any* point and restarted with ``resume=True`` replays
@@ -114,9 +116,7 @@ class SamplingCheckpointer:
             "checkpoint_version": CHECKPOINT_VERSION,
             "run_key": self.key,
             "batch_index": int(batch_index),
-            "per_set_costs": [float(c) for c in sampler.per_set_costs],
-            "per_set_edges": [int(e) for e in sampler.per_set_edges],
-            "num_atomic_updates": int(sampler.num_atomic_updates),
+            "per_set_edges": sampler.per_set_edges.tolist(),
             "stats": {
                 "num_threads": stats.num_threads,
                 "loads": stats.loads.tolist(),
@@ -153,8 +153,10 @@ class SamplingCheckpointer:
         index, or ``None`` when no checkpoint exists for this key.
 
         Raises :class:`~repro.errors.ArtifactError` when the checkpoint is
-        corrupt or belongs to a different run key — resuming the wrong
-        state would silently produce wrong seeds, so it is never attempted.
+        corrupt, belongs to a different run key or has a malformed header
+        field — resuming the wrong state would silently produce wrong
+        seeds, so it is never attempted.  Header keys it does not read,
+        such as the per-set costs older checkpoints carry, are ignored.
         """
         if not self.has_checkpoint():
             return None
@@ -162,33 +164,70 @@ class SamplingCheckpointer:
         from repro.service.artifacts import load_store
 
         store, counter, meta = load_store(self.path(), expect_fingerprint=self.key)
+
+        def check(ok: bool, field: str, want: str, got: Any) -> None:
+            if not ok:
+                raise ArtifactError(
+                    f"{self.path()}: checkpoint header field {field!r} must "
+                    f"be {want}, got {got!r}"
+                )
+
+        check(isinstance(meta, dict), "meta", "an object", meta)
         if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ArtifactError(
                 f"{self.path()}: unsupported checkpoint version "
                 f"{meta.get('checkpoint_version')!r}"
             )
-        if counter is None:
-            counter = store.vertex_counts()
-        sampler.store = store
-        sampler.counter = counter
-        sampler.per_set_costs = [float(c) for c in meta.get("per_set_costs", [])]
-        sampler.per_set_edges = [int(e) for e in meta.get("per_set_edges", [])]
-        sampler.num_atomic_updates = int(meta.get("num_atomic_updates", 0))
+        batch_index = meta.get("batch_index")
+        check(
+            _is_int(batch_index) and batch_index >= 0,
+            "batch_index", "an int >= 0", batch_index,
+        )
+        edges = meta.get("per_set_edges")
+        want = f"a list of {len(store)} ints in [0, 2**63), one per stored set"
+        check(isinstance(edges, list), "per_set_edges", want, edges)
+        check(len(edges) == len(store), "per_set_edges", want, f"{len(edges)} items")
+        wrong = [e for e in edges if not _is_int(e) or e < 0]
+        check(not wrong, "per_set_edges", want, wrong[:1])
         st = meta.get("stats")
-        if st is not None and st.get("num_threads") == sampler.stats.num_threads:
-            sampler.stats = KernelStats(
-                num_threads=int(st["num_threads"]),
-                loads=np.asarray(st["loads"], dtype=np.float64),
-                stores=np.asarray(st["stores"], dtype=np.float64),
-                atomics=np.asarray(st["atomics"], dtype=np.float64),
-                compute=np.asarray(st["compute"], dtype=np.float64),
-                serial_ops=float(st["serial_ops"]),
-                sync_barriers=int(st["sync_barriers"]),
+        check(isinstance(st, dict), "stats", "an object", st)
+        threads = sampler.stats.num_threads
+        check(
+            _is_int(st.get("num_threads")) and st["num_threads"] == threads,
+            "stats.num_threads", f"the sampler's {threads}",
+            st.get("num_threads"),
+        )
+        arrays = {}
+        for name in ("loads", "stores", "atomics", "compute"):
+            v = st.get(name)
+            check(
+                isinstance(v, list) and len(v) == threads
+                and all(map(_is_number, v)),
+                f"stats.{name}", f"a list of {threads} numbers", v,
             )
+            arrays[name] = np.asarray(v, dtype=np.float64)
+        check(
+            _is_number(st.get("serial_ops")),
+            "stats.serial_ops", "a number", st.get("serial_ops"),
+        )
+        check(
+            _is_int(st.get("sync_barriers")),
+            "stats.sync_barriers", "an int", st.get("sync_barriers"),
+        )
+        stats = KernelStats(
+            threads,
+            serial_ops=float(st["serial_ops"]),
+            sync_barriers=st["sync_barriers"],
+            **arrays,
+        )
+        sampler.store = store
+        sampler.counter = store.vertex_counts() if counter is None else counter
+        sampler.per_set_edges = np.asarray(edges, dtype=np.int64)
+        sampler.stats = stats
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("resilience.checkpoints_restored").inc()
-        return int(meta["batch_index"])
+        return batch_index
 
     def clear(self) -> None:
         """Delete this key's checkpoint (e.g. after a completed run)."""
@@ -196,3 +235,12 @@ class SamplingCheckpointer:
             self.path().unlink()
         except FileNotFoundError:
             pass
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer that fits int64; ``bool`` is not one."""
+    return type(value) is int and -(2**63) <= value < 2**63
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or type(value) is float

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -44,7 +45,10 @@ from repro.errors import ParameterError, SimulationError
 from repro.runtime.workqueue import simulate_schedule
 from repro.simmachine.topology import MachineTopology, perlmutter
 
-__all__ = ["KernelCost", "RunProfile", "CostModel", "ScalingCurve", "profile_run"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.selection import SelectionResult
+
+__all__ = ["KernelCost", "RunProfile", "CostModel", "ScalingCurve", "profile_pair"]
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,32 @@ class KernelCost:
         a = max(total_p1 - b, 0.0)
         return cls(partitioned_ops=a, replicated_ops=b, **kw)
 
+    @classmethod
+    def measure(
+        cls, select_at: Callable[[int], SelectionResult]
+    ) -> tuple[KernelCost, SelectionResult]:
+        """Run one selection kernel (really) at p=1 and p=2 and decompose
+        its operation count; ``select_at(p)`` runs it at p threads.
+
+        Returns the cost and the p=2 selection.  The atomic count is the
+        p=2 run's (Ripples' selection takes none, so it prices 0).
+        """
+        total_p1 = float(select_at(1).stats.per_thread_ops().sum())
+        sel = select_at(2)
+        cost = cls.from_two_runs(
+            total_p1, float(sel.stats.per_thread_ops().sum()),
+            atomic_ops=float(sel.stats.atomics.sum()),
+            serial_ops_per_round=1.0,
+            rounds=sel.num_rounds,
+        )
+        return cost, sel
+
 
 @dataclass
 class RunProfile:
     """Everything the cost model needs about one (graph, model, framework).
 
-    Extracted by :func:`profile_run` from real executions.
+    Extracted by :func:`profile_pair` from real executions.
     """
 
     framework: str
@@ -171,9 +195,7 @@ class CostModel:
         costs = profile.per_set_costs
         if costs.size == 0:
             return 0.0
-        sched = simulate_schedule(
-            costs, p, policy=profile.sampling_schedule, chunk_size=8
-        )
+        sched = simulate_schedule(costs, p, policy=profile.sampling_schedule)
         op_ns = self._op_ns(profile.numa_aware, p)
         compute_s = sched.makespan * op_ns * 1e-9
         total_bytes = float(costs.sum()) * 8.0
@@ -188,7 +210,7 @@ class CostModel:
         self._check_p(p)
         kc = profile.selection
         if kc is None:
-            raise SimulationError("profile has no selection cost; run profile_run")
+            raise SimulationError("profile has no selection cost; run profile_pair")
         imb = self._imbalance(profile, p)
         per_thread_ops = (kc.partitioned_ops / p) * imb + kc.replicated_ops
         op_ns = self._op_ns(profile.numa_aware, p)
@@ -276,72 +298,44 @@ def profile_pair(
     """Profile **both** frameworks from one shared sampling pass.
 
     The RRR sets a run draws depend only on the diffusion model and seed,
-    not on the framework, so one pass is sampled and re-priced per
-    framework with :func:`repro.core.sampling.charge_per_set`; each
-    framework's selection kernel then runs (really) at p=1 and p=2 on the
-    shared store.  Returns ``{"Ripples": ..., "EfficientIMM": ...}``.
+    not on the framework, so one pass is sampled and priced per framework
+    with :meth:`~repro.core.sampling.RRRSampler.costs`; each framework's
+    selection kernel then runs (really) at p=1 and p=2 on the shared store
+    (:meth:`KernelCost.measure`).  Returns ``{"Ripples": ...,
+    "EfficientIMM": ...}``.
     """
     from repro.core.martingale import MartingaleSchedule
-    from repro.core.sampling import RRRSampler, SamplingConfig, charge_per_set
+    from repro.core.sampling import (
+        RRRSampler, SamplingConfig, modelled_store_bytes,
+    )
     from repro.core.selection import efficient_select, ripples_select
     from repro.diffusion.base import get_model
-    from repro.sketch.rrr import AdaptivePolicy
 
-    dm = get_model(model, graph)
-    sampler = RRRSampler(dm, SamplingConfig.efficientimm(num_threads=1), seed=seed)
-    sched = MartingaleSchedule.for_run(graph.num_vertices, k, epsilon, 1.0)
+    efficient = SamplingConfig.efficientimm(num_threads=1)
+    sampler = RRRSampler(get_model(model, graph), efficient, seed=seed)
+    store = sampler.store
+
+    def select(p: int) -> SelectionResult:
+        return efficient_select(store, k, p, initial_counter=sampler.counter)
 
     # Run the real estimation loop so theta reflects the workload's actual
     # coverage dynamics (LT's tiny path-sets drive theta orders of magnitude
     # above IC's, exactly as §III observes), bounded by theta_cap.
-    def capped(t: int) -> int:
-        return t if theta_cap is None else min(t, theta_cap)
-
-    lb = 1.0
-    for level in range(1, sched.max_level + 1):
-        theta_i = capped(sched.theta_for_level(level))
-        sampler.extend(theta_i)
-        est = efficient_select(sampler.store, k, 1, initial_counter=sampler.counter)
-        if sched.accepts(level, est.coverage_fraction):
-            lb = sched.lower_bound(est.coverage_fraction)
-            break
-        if theta_cap is not None and theta_i >= theta_cap:
-            lb = max(sched.lower_bound(est.coverage_fraction), 1.0)
-            break
-    sampler.extend(capped(sched.theta_final(lb)))
-    store = sampler.store
-    edges = np.asarray(sampler.per_set_edges, dtype=np.float64)
-    sizes = store.sizes().astype(np.float64)
+    sched = MartingaleSchedule.for_run(graph.num_vertices, k, epsilon, 1.0)
+    _, theta, _ = sched.certify(
+        lambda theta_i, _level: sampler.extend(theta_i),
+        lambda _level: select(1).coverage_fraction,
+        theta_cap,
+    )
+    sampler.extend(theta)
 
     out: dict[str, RunProfile] = {}
-    for framework in ("Ripples", "EfficientIMM"):
-        if framework == "EfficientIMM":
-            policy = AdaptivePolicy()
-            costs = charge_per_set(edges, sizes, graph.num_vertices, policy, fused=True)
-            schedule = "dynamic"
-        else:
-            policy = None
-            costs = charge_per_set(edges, sizes, graph.num_vertices, None, fused=False)
-            schedule = "static"
-        totals = {}
-        atomics_total = 0.0
-        rounds = 0
-        for p in (1, 2):
-            if framework == "EfficientIMM":
-                sel = efficient_select(store, k, p, initial_counter=sampler.counter)
-            else:
-                sel = ripples_select(store, k, p)
-            totals[p] = float(sel.stats.per_thread_ops().sum())
-            atomics_total = float(sel.stats.atomics.sum())
-            rounds = sel.num_rounds
-        kc = KernelCost.from_two_runs(
-            totals[1], totals[2],
-            atomic_ops=atomics_total if framework == "EfficientIMM" else 0.0,
-            serial_ops_per_round=1.0,
-            rounds=rounds,
-        )
-        from repro.core.sampling import modelled_store_bytes
-
+    for framework, config, select_at in (
+        ("Ripples", SamplingConfig.ripples(), lambda p: ripples_select(store, k, p)),
+        ("EfficientIMM", efficient, select),
+    ):
+        ripples = framework == "Ripples"
+        cost, _ = KernelCost.measure(select_at)
         out[framework] = RunProfile(
             framework=framework,
             dataset=dataset,
@@ -349,98 +343,13 @@ def profile_pair(
             n=graph.num_vertices,
             num_sets=len(store),
             total_entries=store.total_entries,
-            per_set_costs=costs,
-            sampling_schedule=schedule,
-            numa_aware=(framework == "EfficientIMM"),
-            selection=kc,
-            gather_bytes=(
-                store.total_entries * 8.0 if framework == "Ripples" else 0.0
-            ),
+            per_set_costs=sampler.costs(config),
+            sampling_schedule=config.schedule,
+            numa_aware=not ripples,
+            selection=cost,
+            gather_bytes=store.total_entries * 8.0 if ripples else 0.0,
             store_bytes=modelled_store_bytes(
-                store.sizes(), graph.num_vertices, policy
+                store.sizes(), graph.num_vertices, config.adaptive_policy
             ),
         )
     return out
-
-
-def profile_run(
-    graph,
-    dataset: str,
-    model: str,
-    framework: str,
-    *,
-    k: int = 50,
-    epsilon: float = 0.5,
-    theta_cap: int | None = 2000,
-    seed: int = 0,
-) -> RunProfile:
-    """Execute one real run and extract its :class:`RunProfile`.
-
-    The sampler runs once (its per-set costs are p-independent); the
-    selection kernel runs at p=1 and p=2 on the same store to obtain the
-    A + B*p decomposition.
-    """
-    from repro.core.params import IMMParams
-    from repro.core.sampling import RRRSampler, SamplingConfig
-    from repro.core.selection import efficient_select, ripples_select
-    from repro.diffusion.base import get_model
-
-    params = IMMParams(
-        k=k, epsilon=epsilon, model=model, seed=seed,
-        theta_cap=theta_cap, num_threads=1,
-    )
-    dm = get_model(params.model, graph)
-    if framework == "EfficientIMM":
-        config = SamplingConfig.efficientimm(num_threads=1)
-    elif framework == "Ripples":
-        config = SamplingConfig.ripples(num_threads=1)
-    else:
-        raise ParameterError(f"unknown framework {framework!r}")
-
-    sampler = RRRSampler(dm, config, seed=seed)
-    from repro.core.martingale import MartingaleSchedule
-
-    sched = MartingaleSchedule.for_run(
-        graph.num_vertices, params.k, params.epsilon, params.ell
-    )
-    theta = sched.theta_for_level(1)
-    if theta_cap is not None:
-        theta = min(theta, theta_cap)
-    sampler.extend(theta)
-
-    store = sampler.store
-    totals = {}
-    for p in (1, 2):
-        if framework == "EfficientIMM":
-            sel = efficient_select(
-                store, params.k, p, initial_counter=sampler.counter
-            )
-        else:
-            sel = ripples_select(store, params.k, p)
-        totals[p] = float(sel.stats.per_thread_ops().sum())
-        atomics_total = float(sel.stats.atomics.sum())
-        rounds = sel.num_rounds
-
-    kc = KernelCost.from_two_runs(
-        totals[1],
-        totals[2],
-        atomic_ops=atomics_total if framework == "EfficientIMM" else 0.0,
-        serial_ops_per_round=1.0,
-        rounds=rounds,
-    )
-    return RunProfile(
-        framework=framework,
-        dataset=dataset,
-        model=model,
-        n=graph.num_vertices,
-        num_sets=len(store),
-        total_entries=store.total_entries,
-        per_set_costs=np.asarray(sampler.per_set_costs),
-        sampling_schedule=config.schedule,
-        numa_aware=(framework == "EfficientIMM"),
-        selection=kc,
-        gather_bytes=(
-            sampler.gather_cost() * 4.0 if framework == "Ripples" else 0.0
-        ),
-        store_bytes=sampler.modelled_bytes(),
-    )

@@ -73,7 +73,7 @@ class TestEpsilonExtremes:
         )
         assert res.seeds.size == 3
         # Loose epsilon needs few samples: the cap must not bind.
-        assert not getattr(res, "theta_capped", True)
+        assert not res.theta_capped
 
     def test_tight_epsilon_needs_more_samples(self, amazon_ic):
         loose = EfficientIMM(amazon_ic).run(

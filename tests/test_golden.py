@@ -8,6 +8,8 @@ sampler draws in a different order), regenerate the constants with the
 printing snippet in each test's docstring and say so in the commit.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,181 @@ class TestGoldenRuns:
             assert a[fw].num_sets == b[fw].num_sets
             assert a[fw].selection.partitioned_ops == b[fw].selection.partitioned_ops
             assert np.array_equal(a[fw].per_set_costs, b[fw].per_set_costs)
+
+
+
+def _digest(values) -> str:
+    """Short sha256 of an array's float64 bytes."""
+    data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _stats_digest(stats) -> str:
+    """Short sha256 of every array of one :class:`KernelStats`, plus its
+    serial ops and barrier count."""
+    h = hashlib.sha256()
+    for arr in (stats.loads, stats.stores, stats.atomics, stats.compute):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(repr((float(stats.serial_ops), int(stats.sync_barriers))).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``profile_pair`` per (dataset, model, framework), k=5, seed 0:
+#: ``(num_sets, total_entries, per_set_costs digest, KernelCost fields,
+#: gather_bytes, store_bytes, sampling_schedule)``.
+PROFILE_PINS = {
+    ("skitter", "IC", "Ripples"): (
+        200, 13667, "4a08cb8f5d25f2cb",
+        (56919.999999999985, 14638.491225452264, 0.0, 1.0, 5, 8.0),
+        109336.0, 54668, "static",
+    ),
+    ("skitter", "IC", "EfficientIMM"): (
+        200, 13667, "c9386db52870e266",
+        (41992.97295606618, 0.0, 9586.0, 1.0, 5, 8.0),
+        0.0, 41808, "dynamic",
+    ),
+    ("amazon", "LT", "Ripples"): (
+        3000, 5210, "8da834933223f124",
+        (27520.0, 20538.30090893648, 0.0, 1.0, 5, 8.0),
+        41680.0, 20840, "static",
+    ),
+    ("amazon", "LT", "EfficientIMM"): (
+        3000, 5210, "6d0abbe193bada3c",
+        (34167.67091638842, 0.0, 100.0, 1.0, 5, 8.0),
+        0.0, 20840, "dynamic",
+    ),
+}
+PROFILE_CAPS = {("skitter", "IC"): 200, ("amazon", "LT"): 3000}
+
+
+class TestGoldenProfiles:
+    """Pinned: the cost-model input behind Figures 1/2/6/7 and Table III.
+
+    Regenerate:  for (dataset, model), cap in PROFILE_CAPS.items(), print
+    each framework's (num_sets, total_entries, _digest(per_set_costs),
+    dataclasses.astuple(selection), gather_bytes, store_bytes,
+    sampling_schedule) from profile_pair(load_dataset(dataset,
+    model=model, seed=0), dataset, model, k=5, theta_cap=cap, seed=0).
+    """
+
+    @pytest.mark.parametrize("workload", sorted(PROFILE_CAPS))
+    def test_profile_pair_pinned(self, workload):
+        import dataclasses
+
+        from repro.simmachine.cost import profile_pair
+
+        dataset, model = workload
+        g = load_dataset(dataset, model=model, seed=0)
+        profiles = profile_pair(
+            g, dataset, model, k=5, theta_cap=PROFILE_CAPS[workload], seed=0
+        )
+        for fw in ("Ripples", "EfficientIMM"):
+            prof = profiles[fw]
+            assert (
+                prof.num_sets, prof.total_entries, _digest(prof.per_set_costs),
+                dataclasses.astuple(prof.selection), prof.gather_bytes,
+                prof.store_bytes, prof.sampling_schedule,
+            ) == PROFILE_PINS[dataset, model, fw], fw
+
+
+#: Both facades on amazon, k=7, theta_cap=1500, seed 3, keyed by (facade,
+#: model, num_threads): ``(seeds, theta, num_rrrsets, LB, coverage,
+#: theta_capped, {kernel: KernelStats digest})``.
+FACADE_PINS = {
+    ("EfficientIMM", "IC", 1): (
+        [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
+        1512.3218674462742, 0.7593220338983051, False,
+        {"Find_Most_Influential_Set": "87c24e3802a46b7b",
+         "Generate_RRRsets": "9e680d4be11f0769"},
+    ),
+    ("EfficientIMM", "IC", 4): (
+        [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
+        1512.3218674462742, 0.7593220338983051, False,
+        {"Find_Most_Influential_Set": "89274d776cdbd19e",
+         "Generate_RRRsets": "b3d9e0ce9d9cf671"},
+    ),
+    ("RipplesIMM", "IC", 1): (
+        [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
+        1512.3218674462742, 0.7593220338983051, False,
+        {"Find_Most_Influential_Set": "e724785087b706d4",
+         "Generate_RRRsets": "dd581f435ca6fbbc"},
+    ),
+    ("RipplesIMM", "IC", 4): (
+        [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
+        1512.3218674462742, 0.7593220338983051, False,
+        {"Find_Most_Influential_Set": "a76b9187fc6a429d",
+         "Generate_RRRsets": "7c527872d5b9d0e4"},
+    ),
+    ("EfficientIMM", "LT", 1): (
+        [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
+        39.83347775862954, 0.02, True,
+        {"Find_Most_Influential_Set": "275e4341d4fbcb6d",
+         "Generate_RRRsets": "0a7c81930dd13157"},
+    ),
+    ("EfficientIMM", "LT", 4): (
+        [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
+        39.83347775862954, 0.02, True,
+        {"Find_Most_Influential_Set": "4ede057682e22277",
+         "Generate_RRRsets": "3618b0a6fe88d51a"},
+    ),
+    ("RipplesIMM", "LT", 1): (
+        [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
+        39.83347775862954, 0.02, True,
+        {"Find_Most_Influential_Set": "c9fc787c68130586",
+         "Generate_RRRsets": "2557bc196e5e9c62"},
+    ),
+    ("RipplesIMM", "LT", 4): (
+        [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
+        39.83347775862954, 0.02, True,
+        {"Find_Most_Influential_Set": "21709c538f5de790",
+         "Generate_RRRsets": "364c759f3feea58e"},
+    ),
+}
+
+
+class TestGoldenFacades:
+    """Pinned: every answer and modelled count of both IMM facades.
+
+    Regenerate:  for each FACADE_PINS key, run facade(load_dataset(
+    'amazon', model=model, seed=0)).run(IMMParams(k=7, theta_cap=1500,
+    seed=3, model=model, num_threads=threads)) and print (seeds, theta,
+    num_rrrsets, opt_lower_bound, coverage_fraction, theta_capped,
+    {name: _stats_digest(st) for name, st in stats.items()}).
+    """
+
+    @pytest.mark.parametrize(
+        "key", sorted(FACADE_PINS), ids=lambda key: "-".join(map(str, key))
+    )
+    def test_run_pinned(self, key):
+        import repro.core as core
+
+        facade, model, threads = key
+        g = load_dataset("amazon", model=model, seed=0)
+        res = getattr(core, facade)(g).run(
+            IMMParams(k=7, theta_cap=1500, seed=3, model=model,
+                      num_threads=threads)
+        )
+        assert (
+            res.seeds.tolist(), res.theta, res.num_rrrsets,
+            res.opt_lower_bound, res.coverage_fraction, res.theta_capped,
+            {name: _stats_digest(st) for name, st in sorted(res.stats.items())},
+        ) == FACADE_PINS[key]
+
+
+class TestGoldenFig5:
+    def test_amazon_pinned(self):
+        """Pinned: Figure 5's modelled selection times on amazon, without
+        and with the adaptive counter update, and their ratio.
+
+        Regenerate:  python -c "from repro.bench.experiments import
+        experiment_fig5; print(experiment_fig5(datasets=('amazon',))
+        .data['amazon'])"
+        """
+        from repro.bench.experiments import experiment_fig5
+
+        assert experiment_fig5(datasets=("amazon",)).data["amazon"] == (
+            0.12809957557775825, 0.001569411223000958, 81.6226962700139
+        )
 
 
 #: Per-thread ``(l1_hits, l1_misses, l2_hits, l2_misses)`` of both Table IV

@@ -1,5 +1,7 @@
 """Tests for the IMM driver and the two framework facades."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,16 @@ class TestUncappedSmallGraph:
         res = EfficientIMM(g).run(IMMParams(k=3, epsilon=0.9, seed=0))
         assert res.seeds.size == 3
         assert res.opt_lower_bound >= 1.0
-        assert not getattr(res, "theta_capped", False)
+        assert not res.theta_capped
         assert res.num_rrrsets >= res.theta
+
+
+class TestThetaCappedField:
+    def test_capped_flag_survives_replace(self, amazon_ic):
+        res = EfficientIMM(amazon_ic).run(IMMParams(k=3, theta_cap=200, seed=0))
+        assert res.theta_capped
+        assert dataclasses.replace(res).theta_capped
+        assert dataclasses.asdict(res)["theta_capped"] is True
 
 
 class TestOOM:

@@ -713,7 +713,7 @@ class TestSamplerIntegration:
         b = kernel_store(g, "IC", count=60)
         b.extend(150)
         assert a.store.fingerprint() == b.store.fingerprint()
-        assert a.per_set_costs == b.per_set_costs
+        np.testing.assert_array_equal(a.costs(), b.costs())
         np.testing.assert_array_equal(a.counter, b.counter)
 
     def test_fused_counter_matches_store(self):

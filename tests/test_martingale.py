@@ -157,3 +157,85 @@ class TestSchedule:
     def test_max_level(self):
         s = MartingaleSchedule.for_run(1024, 5, 0.5, 1.0)
         assert s.max_level == 9
+
+
+def reference_certify(sched, sample, coverage, theta_cap):
+    """The estimation loop as ``run_imm`` wrote it inline before
+    :meth:`MartingaleSchedule.certify` existed, kept as the oracle."""
+
+    def capped(theta):
+        if theta_cap is not None:
+            return min(theta, theta_cap)
+        return theta
+
+    lb = 1.0
+    for level in range(1, sched.max_level + 1):
+        theta_i = capped(sched.theta_for_level(level))
+        sample(theta_i, level)
+        fraction = coverage(level)
+        if sched.accepts(level, fraction):
+            lb = sched.lower_bound(fraction)
+            break
+        if theta_cap is not None and theta_i >= theta_cap:
+            lb = max(sched.lower_bound(fraction), 1.0)
+            break
+    theta = capped(sched.theta_final(lb))
+    theta_capped = theta_cap is not None and sched.theta_final(lb) > theta_cap
+    return lb, theta, theta_capped
+
+
+def _run(certify, sched, fractions, theta_cap):
+    """Drive one certify implementation; return its sample calls and
+    answer.  Level i reports coverage ``fractions[i - 1]``."""
+    calls = []
+    out = certify(
+        sched,
+        lambda theta_i, level: calls.append((theta_i, level)),
+        lambda level: fractions[level - 1],
+        theta_cap,
+    )
+    return calls, out
+
+
+class TestCertify:
+    @given(
+        st.integers(2, 200_000),
+        st.integers(1, 60),
+        st.floats(0.05, 0.99),
+        st.one_of(st.none(), st.integers(1, 5_000)),
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=20, max_size=20,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, n, k, eps, theta_cap, fractions):
+        sched = MartingaleSchedule.for_run(n, min(k, n), eps, 1.0)
+        got = _run(MartingaleSchedule.certify, sched, fractions, theta_cap)
+        want = _run(reference_certify, sched, fractions, theta_cap)
+        assert got == want
+
+    def test_full_coverage_stops_at_level_one(self):
+        sched = MartingaleSchedule.for_run(4096, 10, 0.5, 1.0)
+        calls, (lb, theta, capped) = _run(
+            MartingaleSchedule.certify, sched, [1.0] * 20, None
+        )
+        assert calls == [(sched.theta_for_level(1), 1)]
+        assert lb == sched.lower_bound(1.0)
+        assert theta == sched.theta_final(lb) and not capped
+
+    def test_cap_stops_the_loop_and_flags_theta(self):
+        sched = MartingaleSchedule.for_run(4096, 10, 0.5, 1.0)
+        calls, (lb, theta, capped) = _run(
+            MartingaleSchedule.certify, sched, [0.0] * 20, 100
+        )
+        assert calls == [(100, 1)]
+        assert (lb, theta, capped) == (1.0, 100, True)
+
+    def test_no_level_accepts_without_cap(self):
+        sched = MartingaleSchedule.for_run(1024, 5, 0.5, 1.0)
+        calls, (lb, theta, capped) = _run(
+            MartingaleSchedule.certify, sched, [0.0] * 20, None
+        )
+        assert [level for _, level in calls] == list(range(1, sched.max_level + 1))
+        assert (lb, theta, capped) == (1.0, sched.theta_final(1.0), False)

@@ -725,6 +725,119 @@ class TestInterruptedRunResumes:
         assert snap["resilience.checkpoints_written"] == float(ck.saves)
 
 
+def _rewrite_header(ck, edit):
+    """Rewrite ``ck``'s checkpoint with ``edit(meta)`` applied to its JSON
+    header; the arrays, and so the CRC, are unchanged."""
+    from repro.service.artifacts import load_store, save_store
+
+    store, counter, meta = load_store(ck.path(), expect_fingerprint=ck.key)
+    edit(meta)
+    save_store(
+        store, ck.path(), fingerprint=ck.key, counter=counter, meta=meta,
+        compress=False,
+    )
+
+
+def _set_stat(name, value):
+    return lambda meta: meta["stats"].__setitem__(name, value)
+
+
+#: One malformed header per case: (id, edit, the field the error names).
+#: The checkpoint holds 50 sets sampled at one thread.
+MALFORMED_HEADERS = [
+    ("no-batch-index", lambda m: m.pop("batch_index"), "batch_index"),
+    ("bool-batch-index", lambda m: m.update(batch_index=True), "batch_index"),
+    ("negative-batch-index", lambda m: m.update(batch_index=-1), "batch_index"),
+    ("no-edges", lambda m: m.pop("per_set_edges"), "per_set_edges"),
+    ("text-edges", lambda m: m.update(per_set_edges=["x"] * 50), "per_set_edges"),
+    ("short-edges", lambda m: m.update(per_set_edges=[3] * 10), "per_set_edges"),
+    ("negative-edges", lambda m: m.update(per_set_edges=[-1] * 50), "per_set_edges"),
+    ("edges-overflow", lambda m: m.update(per_set_edges=[2**63] * 50), "per_set_edges"),
+    ("no-stats", lambda m: m.pop("stats"), "stats"),
+    ("text-stats", lambda m: m.update(stats="x"), "stats"),
+    ("other-thread-count", lambda m: m.update(stats={
+        "num_threads": 2, "loads": [0.0, 0.0], "stores": [0.0, 0.0],
+        "atomics": [0.0, 0.0], "compute": [0.0, 0.0], "serial_ops": 0.0,
+        "sync_barriers": 0,
+    }), "stats.num_threads"),
+    ("short-loads", _set_stat("loads", []), "stats.loads"),
+    ("text-compute", _set_stat("compute", ["x"]), "stats.compute"),
+    ("loads-overflow", _set_stat("loads", [10**400]), "stats.loads"),
+    ("text-serial-ops", _set_stat("serial_ops", "x"), "stats.serial_ops"),
+    ("float-barriers", _set_stat("sync_barriers", 1.5), "stats.sync_barriers"),
+]
+
+
+class TestCheckpointHeaderChecks:
+    """The CRC covers only the arrays: ``restore`` checks the JSON header
+    field by field and names the bad one in an ``ArtifactError``."""
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [case[1:] for case in MALFORMED_HEADERS],
+        ids=[case[0] for case in MALFORMED_HEADERS],
+    )
+    def test_malformed_header_rejected(self, amazon_graph, tmp_path, edit, field):
+        sampler = _make_sampler(amazon_graph)
+        sampler.extend(50)
+        ck = SamplingCheckpointer(tmp_path, "malformed")
+        ck.save(sampler, 0)
+        _rewrite_header(ck, edit)
+        fresh = _make_sampler(amazon_graph)
+        with pytest.raises(ArtifactError, match=f"field '{field}'"):
+            ck.restore(fresh)
+        assert len(fresh.store) == 0 and fresh.per_set_edges.size == 0
+
+    def test_retired_keys_resume_byte_identically(self, amazon_graph, tmp_path):
+        """A header written before the sampler kept one per-set record
+        still carries ``per_set_costs`` and ``num_atomic_updates``."""
+        params = IMMParams(k=3, theta_cap=800, seed=0)
+        clean = EfficientIMM(amazon_graph).run(params)
+        ck = SamplingCheckpointer(
+            tmp_path, run_key(amazon_graph, params, framework="EfficientIMM")
+        )
+        plan = FaultPlan([FaultSpec(kind="crash", index=1, scope="batch")])
+        with pytest.raises(FaultInjectedError):
+            EfficientIMM(amazon_graph).run(
+                params, checkpointer=ck, fault_plan=plan
+            )
+        _rewrite_header(ck, lambda m: m.update(
+            per_set_costs=[1.5] * len(m["per_set_edges"]), num_atomic_updates=7,
+        ))
+        resumed = EfficientIMM(amazon_graph).run(
+            params, checkpointer=ck, resume=True
+        )
+        assert resumed.seeds.tolist() == clean.seeds.tolist()
+        assert (resumed.theta, resumed.num_rrrsets, resumed.opt_lower_bound,
+                resumed.coverage_fraction) == (
+            clean.theta, clean.num_rrrsets, clean.opt_lower_bound,
+            clean.coverage_fraction)
+        for kernel, want in clean.stats.items():
+            got = resumed.stats[kernel]
+            for name in ("loads", "stores", "atomics", "compute"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name)
+                )
+            assert (got.serial_ops, got.sync_barriers) == (
+                want.serial_ops, want.sync_barriers
+            )
+
+    def test_cli_resume_of_malformed_header_exits_4(self, tmp_path, capsys):
+        from repro import cli
+
+        argv = ["run", "amazon", "--k", "3", "--theta-cap", "2000",
+                "--checkpoint", str(tmp_path)]
+        assert cli.main([*argv, "--inject-faults", "crash@batch:1"]) == 7
+        (path,) = tmp_path.glob("checkpoint-*.npz")
+        ck = SamplingCheckpointer(tmp_path, path.stem[len("checkpoint-"):])
+        _rewrite_header(ck, lambda m: m.pop("batch_index"))
+        capsys.readouterr()
+        assert cli.main([*argv, "--resume"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "'batch_index'" in err[0]
+
+
 # ------------------------------------------------------ degraded query serving
 ALWAYS_CRASH = "crash@task:0x99"
 

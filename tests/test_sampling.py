@@ -171,7 +171,7 @@ class TestRRRSampler:
         )
         sampler.extend(20)
         total = float(np.sum(sampler.stats.loads))
-        assert total == pytest.approx(sum(sampler.per_set_costs))
+        assert total == pytest.approx(sampler.costs().sum())
 
     def test_dynamic_schedule_balances(self, amazon_ic):
         sampler = RRRSampler(
@@ -236,3 +236,36 @@ class TestRRRSampler:
         sampler.extend(5)
         sampler.reset_counter()
         assert not sampler.counter.any()
+
+
+class TestSamplerCosts:
+    """``RRRSampler.costs`` is the only way a run's sets are priced."""
+
+    @pytest.mark.parametrize("model_name", ("IC", "LT"))
+    def test_costs_match_charge_per_set_after_extends(
+        self, amazon_ic, amazon_lt, model_name
+    ):
+        graph = amazon_ic if model_name == "IC" else amazon_lt
+        model = get_model(model_name, graph)
+        sampler = RRRSampler(
+            model, SamplingConfig.efficientimm(num_threads=3), seed=12
+        )
+        for target in (7, 30, 30, 64):
+            sampler.extend(target)
+        # The same 64 sets drawn whole, straight from the kernel.
+        _flat, sizes, edges = KernelSampler(model).sample_indexed(12, 0, 64)
+        n = graph.num_vertices
+        assert sampler.per_set_edges.dtype == np.int64
+        np.testing.assert_array_equal(sampler.per_set_edges, edges)
+        np.testing.assert_array_equal(
+            sampler.costs(),
+            charge_per_set(edges, sizes, n, AdaptivePolicy(), fused=True),
+        )
+        np.testing.assert_array_equal(
+            sampler.costs(SamplingConfig.ripples()),
+            charge_per_set(edges, sizes, n, None, fused=False),
+        )
+        # The online per-thread charge covers exactly the priced work.
+        assert float(sampler.stats.loads.sum()) == pytest.approx(
+            float(sampler.costs().sum())
+        )
