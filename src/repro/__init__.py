@@ -20,9 +20,9 @@ Subpackages:
 - :mod:`repro.sketch` — RRR-set representations, stores, compression;
 - :mod:`repro.core` — the IMM algorithm, EfficientIMM, and the Ripples
   baseline;
-- :mod:`repro.runtime` — partitioners, atomics, work queues, backends, and
-  the unified execution API (:class:`~repro.runtime.api.BackendConfig`,
-  :class:`~repro.runtime.api.ExecutionContext`);
+- :mod:`repro.runtime` — partitioners, the dynamic-schedule model
+  (:func:`~repro.runtime.workqueue.simulate_schedule`), and the serial and
+  multiprocess execution backends;
 - :mod:`repro.resilience` — fault injection, retry policies, and sampling
   checkpoints threaded through the execution layers (docs/resilience.md);
 - :mod:`repro.simmachine` — the simulated multi-NUMA machine (caches, NUMA

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
-        help="deterministic fault plan, e.g. 'crash@batch:1,slow@task:0:0.05'",
+        help="deterministic fault plan for the batch scope, "
+        "e.g. 'crash@batch:1,slow@batch:0:0.05'",
     )
     run.add_argument(
         "--fault-seed", type=int, default=0,
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctl.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
-        help="fault plan for action/canary scopes, e.g. 'crash@action:0'",
+        help="fault plan for the action scope, e.g. 'crash@action:0'",
     )
     ctl.add_argument(
         "--fault-seed", type=int, default=0,
@@ -734,10 +735,34 @@ def _run_params_meta(args: argparse.Namespace) -> dict:
     }
 
 
+def _fault_plan(args: argparse.Namespace, scopes: tuple[str, ...]):
+    """The ``--inject-faults`` plan, or ``None``.
+
+    A spec in a scope the command never consults would never fire, so it is
+    refused as a :class:`~repro.errors.ParameterError` naming the scope and
+    the scopes the command does consult.
+    """
+    if args.inject_faults is None:
+        return None
+    from repro.errors import ParameterError
+    from repro.resilience import FaultPlan
+
+    plan = FaultPlan.parse(args.inject_faults, seed=args.fault_seed)
+    for spec in plan.specs:
+        if spec.scope not in scopes:
+            raise ParameterError(
+                f"--inject-faults scope {spec.scope!r} is never consulted by "
+                f"'repro {args.command}'; it consults "
+                + ", ".join(map(repr, scopes))
+            )
+    return plan
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro import EfficientIMM, IMMParams, RipplesIMM, load_dataset, telemetry
     from repro.errors import ParameterError
 
+    fault_plan = _fault_plan(args, ("batch",))
     graph = load_dataset(args.dataset, model=args.model, seed=args.seed)
     params = IMMParams(
         k=args.k, epsilon=args.epsilon, model=args.model,
@@ -758,14 +783,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     elif getattr(args, "resume", False):
         raise ParameterError("--resume requires --checkpoint DIR")
-    fault_plan = None
-    if getattr(args, "inject_faults", None) is not None:
-        from repro.resilience import FaultPlan
-
-        fault_plan = FaultPlan.parse(
-            args.inject_faults, seed=getattr(args, "fault_seed", 0)
-        )
-
     run_kwargs = dict(
         checkpointer=checkpointer,
         resume=getattr(args, "resume", False),
@@ -1582,11 +1599,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     )
     from repro.errors import ParameterError
 
-    fault_plan = None
-    if args.inject_faults is not None:
-        from repro.resilience import FaultPlan
-
-        fault_plan = FaultPlan.parse(args.inject_faults, seed=args.fault_seed)
+    fault_plan = _fault_plan(args, ("action",))
 
     policies = [
         SelfHealPolicy(),

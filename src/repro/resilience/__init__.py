@@ -8,9 +8,9 @@ package provides the three primitives, threaded through
 :mod:`repro.service` (docs/resilience.md):
 
 - :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seedable
-  script of crash/slow/corrupt faults keyed by task index, rank, sampling
-  batch, or collective sequence number; usable from tests and from
-  ``repro run --inject-faults``;
+  script of crash/slow/corrupt faults keyed by task index, sampling batch,
+  collective sequence number, control action, or canary epoch; usable from
+  tests and from ``repro run --inject-faults``;
 - :class:`RetryPolicy` — bounded attempts with exponential backoff, a
   deterministic jitter cap, and retryable-error classification, applied
   per task by the execution backends and per collective by

@@ -1,13 +1,15 @@
 """Deterministic fault injection: :class:`FaultSpec` and :class:`FaultPlan`.
 
 A fault plan is a small, seedable script of failures keyed by *(scope,
-index)* — e.g. "crash task 3", "slow down rank 0", "corrupt the result of
-collective 2" — that the execution layers consult at well-defined points:
+index)* — e.g. "crash task 3", "slow down sampling batch 0", "corrupt the
+result of collective 2" — that the execution layers consult at well-defined
+points (:data:`FAULT_SCOPES`):
 
 - :mod:`repro.runtime.backends` — per *task* index in ``run_tasks``;
-- :mod:`repro.runtime.workqueue` — per *rank* on ``pop``;
 - :mod:`repro.core.imm` — per sampling *batch* in the IMM driver;
-- :mod:`repro.distributed.comm` — per *collective* sequence number.
+- :mod:`repro.distributed.comm` — per *collective* sequence number;
+- :mod:`repro.control.controller` — per reconcile *action* sequence number;
+- :mod:`repro.control.rollout` — per *canary* epoch.
 
 Because firing is keyed by deterministic indices and each spec has a finite
 ``times`` budget, a run under a fault plan is exactly reproducible: the same
@@ -20,11 +22,13 @@ CLI's ``--inject-faults`` spec string::
 
     crash@task:3            # raise FaultInjectedError before task 3 runs
     crash@batch:1x2         # fire twice (defeats a 2-attempt retry policy)
-    slow@rank:0:0.05        # sleep 50 ms whenever rank 0 pops work
+    slow@task:0:0.05        # sleep 50 ms before task 0 is dispatched
     corrupt@collective:2    # deterministically mangle collective 2's result
     crash@1                 # scope defaults to "task"
 
-Multiple specs are comma-separated.
+Multiple specs are comma-separated.  The parser accepts any scope string;
+a CLI command refuses a scope it never consults (``repro run`` consults
+only ``batch``, ``repro control`` only ``action``).
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS", "FAULT_SCOPES"]
 #: Supported fault kinds.
 FAULT_KINDS = ("crash", "slow", "corrupt")
 
-#: Conventional scopes (free-form strings are accepted; these are the ones
-#: the library's own injection points use).
-FAULT_SCOPES = ("task", "batch", "rank", "collective", "query")
+#: The scopes the library's injection points consult (the parser accepts
+#: free-form strings; a spec in any other scope never fires).
+FAULT_SCOPES = ("task", "batch", "collective", "action", "canary")
 
 
 def _count(name: str, amount: float = 1) -> None:

@@ -1,51 +1,33 @@
-"""Parallel runtime substrate: partitioning, atomics, work queues, backends.
+"""Parallel runtime substrate: partitioning, the schedule model, backends.
 
 This package provides the execution machinery both IMM implementations run
 on:
 
-- :mod:`repro.runtime.partition` — static block/cyclic partitioners and the
+- :mod:`repro.runtime.partition` — the static block partitioner and the
   weighted balanced partitioner;
-- :mod:`repro.runtime.atomic` — the atomic counter-array abstraction
-  (modelling the paper's 64-bit ``lock incq`` updates);
-- :mod:`repro.runtime.workqueue` — dynamic job balancing: chunked
-  producer-consumer queues with stealing, plus the deterministic list
-  scheduler the cost model uses;
+- :mod:`repro.runtime.workqueue` — dynamic job balancing as the
+  deterministic list scheduler the cost model uses
+  (:func:`~repro.runtime.workqueue.simulate_schedule`);
 - :mod:`repro.runtime.backends` — serial and multiprocessing execution
   backends (process-based because the CPython GIL forbids shared-memory
-  thread parallelism; see DESIGN.md's substitution table);
-- :mod:`repro.runtime.api` — the unified execution API:
-  :class:`~repro.runtime.api.BackendConfig` (keyword-only description of
-  backend, workers, chunking, and resilience attachments) and
-  :class:`~repro.runtime.api.ExecutionContext` (lazily builds and owns the
-  backend, hands out matching work queues).
+  thread parallelism; see DESIGN.md's substitution table).  Callers
+  construct the backend they need and attach an optional retry policy and
+  fault plan to it (docs/resilience.md).
 """
 
-from repro.runtime.api import BackendConfig, ExecutionContext
-from repro.runtime.atomic import AtomicCounterArray
 from repro.runtime.backends import (
     ExecutionBackend,
     MultiprocessBackend,
     SerialBackend,
-    make_backend,
 )
-from repro.runtime.partition import (
-    balanced_partition,
-    block_partition,
-    cyclic_partition,
-)
-from repro.runtime.workqueue import ChunkedWorkQueue, simulate_schedule
+from repro.runtime.partition import balanced_partition, block_partition
+from repro.runtime.workqueue import simulate_schedule
 
 __all__ = [
-    "AtomicCounterArray",
-    "BackendConfig",
-    "ExecutionContext",
     "ExecutionBackend",
     "SerialBackend",
     "MultiprocessBackend",
-    "make_backend",
     "block_partition",
-    "cyclic_partition",
     "balanced_partition",
-    "ChunkedWorkQueue",
     "simulate_schedule",
 ]

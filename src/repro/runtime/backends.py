@@ -13,25 +13,30 @@ core count.
 
 The backend interface is deliberately tiny — ``run_tasks(worker_fn, tasks)``
 with an optional per-process initializer — because both frameworks'
-parallel sections reduce to "map independent work, then reduce".
+parallel sections reduce to "map independent work, then reduce".  Callers
+construct the backend they need:
+:func:`~repro.core.parallel_sampling.parallel_generate` forks (or spawns) a
+:class:`MultiprocessBackend` per sampling pass, and
+:class:`~repro.service.engine.QueryEngine` keeps one :class:`SerialBackend`
+for in-process serving.
 
-Resilience (docs/resilience.md): a backend optionally carries a
-:class:`~repro.resilience.retry.RetryPolicy` and a
-:class:`~repro.resilience.faults.FaultPlan` (normally attached by
-:func:`make_backend` from a :class:`~repro.runtime.api.BackendConfig`).
-Faults are applied *per task index* at the dispatch boundary in the parent
-process — semantically a worker crashing on that task — and retries re-run
-only the failed tasks, with backoff, until the policy's attempt budget runs
-out (:class:`~repro.errors.RetryExhaustedError`).
+Each backend has one dispatch loop.  Resilience (docs/resilience.md): a
+backend optionally carries a :class:`~repro.resilience.retry.RetryPolicy`
+and a :class:`~repro.resilience.faults.FaultPlan`.  Faults are applied *per
+task index* at the dispatch boundary in the parent process — semantically a
+worker crashing on that task — and retries re-run only the failed tasks,
+with backoff, until the policy's attempt budget runs out
+(:class:`~repro.errors.RetryExhaustedError`).  With neither attached, a
+call is one round that raises the first failure in task order.
 
 Telemetry (docs/observability.md): when the global session is enabled,
-``run_tasks`` wraps every task to record per-task latency
-(``runtime.task_latency_s``), task/failure counts, worker utilisation, and
-reduce time.  Forked workers inherit the enabled session; each wrapped task
-snapshots the worker-local registry around the call and ships the *delta*
-back with its result, which the parent merges on reduce — so counters
-recorded inside worker code (e.g. ``sampling.rrr_sets``) aggregate exactly
-as they do in-process.
+``run_tasks`` records per-task latency (``runtime.task_latency_s``),
+task/failure counts, worker utilisation, and reduce time.  Forked workers
+inherit the enabled session; each task snapshots the worker-local registry
+around the call and ships the *delta* back with its result, which the
+parent merges under the ``runtime.reduce`` span — so counters recorded
+inside worker code (e.g. ``sampling.rrr_sets``) aggregate exactly as they
+do in-process.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import telemetry
 from repro.errors import BackendError, FaultInjectedError, RetryExhaustedError
@@ -47,10 +52,7 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry.metrics import diff_snapshots
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.api import BackendConfig
-
-__all__ = ["ExecutionBackend", "SerialBackend", "MultiprocessBackend", "make_backend"]
+__all__ = ["ExecutionBackend", "SerialBackend", "MultiprocessBackend"]
 
 
 def _instrumented_task(packed: tuple[Callable[[Any], Any], Any]):
@@ -105,7 +107,7 @@ class ExecutionBackend(ABC):
     backend_name: str = "backend"
 
     #: Optional resilience attachments (docs/resilience.md); ``None`` means
-    #: plain fail-fast execution with zero overhead on the clean path.
+    #: fail-fast execution: one attempt per task, no injected faults.
     retry_policy: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
 
@@ -125,27 +127,6 @@ class ExecutionBackend(ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------------ resilience
-    @property
-    def resilient(self) -> bool:
-        """True when a retry policy or fault plan is attached."""
-        return self.retry_policy is not None or self.fault_plan is not None
-
-    def _call_resilient(self, fn: Callable[[], Any], index: int):
-        """One task through the fault plan and retry policy (serial path)."""
-        plan = self.fault_plan
-
-        def attempt():
-            if plan is None:
-                return fn()
-            return plan.invoke("task", index, fn)
-
-        if self.retry_policy is None:
-            return attempt()
-        return self.retry_policy.call(
-            attempt, label=f"{self.backend_name} task {index}"
-        )
 
     # ------------------------------------------------------------- telemetry
     def _record_run(
@@ -177,13 +158,6 @@ class SerialBackend(ExecutionBackend):
 
     def run_tasks(self, worker_fn, tasks):
         tel = telemetry.get()
-        if not tel.enabled and not self.resilient:
-            return [worker_fn(t) for t in tasks]
-        if not tel.enabled:
-            return [
-                self._call_resilient(lambda t=t: worker_fn(t), i)
-                for i, t in enumerate(tasks)
-            ]
         with tel.span("runtime.run_tasks", backend=self.backend_name,
                       num_workers=1, num_tasks=len(tasks)):
             t0 = time.perf_counter()
@@ -196,11 +170,28 @@ class SerialBackend(ExecutionBackend):
                         self._call_resilient(lambda t=t: worker_fn(t), i)
                     )
                 except Exception:
-                    tel.registry.counter("runtime.task_failures").inc()
+                    if tel.enabled:
+                        tel.registry.counter("runtime.task_failures").inc()
                     raise
                 task_seconds.append(time.perf_counter() - s0)
-            self._record_run(task_seconds, time.perf_counter() - t0)
+            if tel.enabled:
+                self._record_run(task_seconds, time.perf_counter() - t0)
             return results
+
+    def _call_resilient(self, fn: Callable[[], Any], index: int):
+        """One task through the fault plan and retry policy."""
+        plan = self.fault_plan
+
+        def attempt():
+            if plan is None:
+                return fn()
+            return plan.invoke("task", index, fn)
+
+        if self.retry_policy is None:
+            return attempt()
+        return self.retry_policy.call(
+            attempt, label=f"{self.backend_name} task {index}"
+        )
 
 
 class MultiprocessBackend(ExecutionBackend):
@@ -292,48 +283,24 @@ class MultiprocessBackend(ExecutionBackend):
             time.sleep(0.002)
 
     def run_tasks(self, worker_fn, tasks):
+        """Per-task async dispatch with parent-side faults and retries.
+
+        Each round submits the outstanding tasks concurrently, collects
+        their results (the barrier), merges the workers' metric deltas
+        under ``runtime.reduce``, and — when the retry policy allows —
+        re-submits only the failed ones after the policy's backoff.  Faults
+        fire in the parent at the dispatch boundary so the plan's state
+        stays in one process and the schedule is deterministic.
+        """
         if self._pool is None:
             raise BackendError("backend already closed")
         tasks = list(tasks)
         tel = telemetry.get()
-        if self.resilient:
-            return self._run_tasks_resilient(worker_fn, tasks, tel)
-        if not tel.enabled:
-            return self._pool.map(worker_fn, tasks)
-        with tel.span("runtime.run_tasks", backend=self.backend_name,
-                      num_workers=self.num_workers, num_tasks=len(tasks)):
-            t0 = time.perf_counter()
-            try:
-                packed = self._pool.map(
-                    _instrumented_task, [(worker_fn, t) for t in tasks]
-                )
-            except Exception:
-                tel.registry.counter("runtime.task_failures").inc()
-                raise
-            wall = time.perf_counter() - t0
-            # Reduce: unpack results and merge the worker metric deltas.
-            r0 = time.perf_counter()
-            results = [r for r, _, _ in packed]
-            task_seconds = [s for _, s, _ in packed]
-            with tel.span("runtime.reduce", num_tasks=len(tasks)):
-                for _, _, delta in packed:
-                    tel.registry.merge_snapshot(delta)
-            self._record_run(task_seconds, wall, time.perf_counter() - r0)
-            return results
-
-    def _run_tasks_resilient(self, worker_fn, tasks, tel):
-        """Per-task async dispatch with parent-side faults and retries.
-
-        Each round submits the outstanding tasks concurrently, collects
-        failures, and — when the retry policy allows — re-submits only the
-        failed ones after the policy's backoff.  Faults fire in the parent
-        at the dispatch boundary so the plan's state stays in one process
-        and the schedule is deterministic.
-        """
         plan, policy = self.fault_plan, self.retry_policy
         instrument = tel.enabled
         results: list[Any] = [None] * len(tasks)
         task_seconds: list[float] = []
+        reduce_seconds = 0.0
         pending = list(range(len(tasks)))
         attempt = 1
         max_attempts = policy.max_attempts if policy is not None else 1
@@ -360,6 +327,7 @@ class MultiprocessBackend(ExecutionBackend):
                         ar = self._pool.apply_async(worker_fn, (tasks[i],))
                     submitted.append((i, ar, spec, None))
                 failures: list[tuple[int, BaseException]] = []
+                deltas: list[dict[str, Any]] = []
                 for i, ar, spec, exc in submitted:
                     r = None
                     if ar is not None:
@@ -375,10 +343,16 @@ class MultiprocessBackend(ExecutionBackend):
                     if instrument:
                         r, secs, delta = r
                         task_seconds.append(secs)
-                        tel.registry.merge_snapshot(delta)
+                        deltas.append(delta)
                     if spec is not None and spec.kind == "corrupt":
                         r = plan.corrupt(r)
                     results[i] = r
+                if deltas:
+                    r0 = time.perf_counter()
+                    with tel.span("runtime.reduce", num_tasks=len(deltas)):
+                        for delta in deltas:
+                            tel.registry.merge_snapshot(delta)
+                    reduce_seconds += time.perf_counter() - r0
                 if not failures:
                     break
                 first_idx, first_exc = failures[0]
@@ -401,7 +375,9 @@ class MultiprocessBackend(ExecutionBackend):
                 pending = [i for i, _ in failures]
                 attempt += 1
             if instrument:
-                self._record_run(task_seconds, time.perf_counter() - t0)
+                self._record_run(
+                    task_seconds, time.perf_counter() - t0, reduce_seconds
+                )
         return results
 
     def close(self) -> None:
@@ -420,36 +396,3 @@ class MultiprocessBackend(ExecutionBackend):
             pool.join()
         except Exception:  # pragma: no cover - defensive teardown
             pass
-
-
-def make_backend(config: "BackendConfig | None" = None) -> ExecutionBackend:
-    """Factory: build a backend from a :class:`~repro.runtime.api.BackendConfig`
-    (default: a serial backend).
-
-    The config carries the backend name, worker count, and the optional
-    resilience attachments (retry policy, fault plan), which are installed
-    on the returned backend.
-    """
-    from repro.runtime.api import BackendConfig
-
-    if config is None:
-        config = BackendConfig()
-    elif not isinstance(config, BackendConfig):
-        raise BackendError(
-            f"make_backend takes a BackendConfig, got {config!r}; e.g. "
-            "make_backend(BackendConfig(backend='multiprocess', num_workers=4))"
-        )
-    if config.backend == "serial":
-        backend: ExecutionBackend = SerialBackend()
-    elif config.backend == "multiprocess":
-        backend = MultiprocessBackend(
-            config.num_workers,
-            initializer=config.initializer,
-            initargs=config.initargs,
-            start_method=config.start_method or "fork",
-        )
-    else:  # unreachable through BackendConfig validation, kept defensive
-        raise BackendError(f"unknown backend {config.backend!r}")
-    backend.retry_policy = config.retry
-    backend.fault_plan = config.faults
-    return backend

@@ -1,4 +1,4 @@
-"""Work partitioners: static block, cyclic, and weight-balanced contiguous.
+"""Work partitioners: static block and weight-balanced contiguous.
 
 Both frameworks statically partition *something*: Ripples partitions the
 vertex id space across threads in ``Find_Most_Influential_Set``; EfficientIMM
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["block_partition", "cyclic_partition", "balanced_partition"]
+__all__ = ["block_partition", "balanced_partition"]
 
 
 def block_partition(num_items: int, num_workers: int) -> list[tuple[int, int]]:
@@ -32,19 +32,6 @@ def block_partition(num_items: int, num_workers: int) -> list[tuple[int, int]]:
         bounds.append((start, start + size))
         start += size
     return bounds
-
-
-def cyclic_partition(num_items: int, num_workers: int) -> list[np.ndarray]:
-    """Round-robin assignment: worker ``w`` owns items ``w, w+p, w+2p, ...``
-
-    (OpenMP ``schedule(static, 1)``); used to spread skewed neighbouring
-    items across workers.
-    """
-    _check(num_items, num_workers)
-    return [
-        np.arange(w, num_items, num_workers, dtype=np.int64)
-        for w in range(num_workers)
-    ]
 
 
 def balanced_partition(

@@ -29,11 +29,12 @@ Typical use::
         warm = engine.query(IMQuery(dataset="amazon", k=25))  # cache hit
         assert warm.cached
 
-Execution (backend choice, retry policy, fault plan) can be controlled by
-passing ``context=ExecutionContext(BackendConfig(...))`` — see
-:mod:`repro.runtime.api` and docs/resilience.md.  When a cold sampling
-pass fails, the engine degrades gracefully to the freshest compatible
-stale artifact (response flag ``degraded: true``) instead of erroring.
+The backend is chosen by ``EngineConfig(backend=..., num_workers=...)``;
+``QueryEngine(retry=RetryPolicy(...), faults=FaultPlan(...))`` attaches a
+retry policy and a fault plan to every cold sampling pass (see
+docs/resilience.md).  When a cold sampling pass fails, the engine degrades
+gracefully to the freshest compatible stale artifact (response flag
+``degraded: true``) instead of erroring.
 
 From the shell: ``repro query amazon --k 10`` (one-shot) and
 ``repro serve`` (JSON-lines request loop on stdin/stdout); see

@@ -8,7 +8,7 @@ order of decreasing speed:
 2. the on-disk :class:`~repro.service.artifacts.ArtifactStore` — an
    integrity-checked load skips sampling (and survives process restarts);
 3. cold sampling through :func:`repro.core.parallel_sampling.parallel_generate`
-   on the existing :mod:`repro.runtime.backends` work-queue machinery.
+   on a :mod:`repro.runtime.backends` backend.
 
 Queries submitted together are grouped by sketch fingerprint; each group is
 served by **one** selection pass at ``k_max``, which the shared
@@ -20,14 +20,14 @@ Per-query deadlines are enforced at every stage boundary: an expired query
 is answered with a ``"timeout"`` response (a reported ``TimeoutError``,
 never a hang) while the rest of its batch proceeds.
 
-Resilience (docs/resilience.md): the engine executes on an
-:class:`~repro.runtime.api.ExecutionContext` (built from its config, or
-passed in via ``context=``), whose retry policy and fault plan flow into
-the cold sampling passes.  When a cold sample fails anyway, the engine
-*degrades gracefully*: it serves the freshest compatible stale artifact —
-same dataset and model, whatever sketch parameters — with ``degraded:
-true`` on the response instead of an error, and never caches that entry
-under the failed fingerprint (the next attempt retries the real sketch).
+Resilience (docs/resilience.md): the engine's optional ``retry=`` policy
+and ``faults=`` plan flow into every cold sampling pass, on the engine's
+serial backend or on each pass's own process pool.  When a cold sample
+fails anyway, the engine *degrades gracefully*: it serves the freshest
+compatible stale artifact — same dataset and model, whatever sketch
+parameters — with ``degraded: true`` on the response instead of an error,
+and never caches that entry under the failed fingerprint (the next attempt
+retries the real sketch).
 
 Telemetry (``service.*``, docs/observability.md): cache hits/misses/
 evictions, batch sizes, queue wait, cold-sample and artifact counters, and
@@ -49,7 +49,9 @@ from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, ParameterError, ReproError
 from repro.graph.datasets import load_dataset
 from repro.graph.io import graph_fingerprint
-from repro.runtime.api import BackendConfig, ExecutionContext
+from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import RetryPolicy
+from repro.runtime.backends import SerialBackend
 from repro.service.artifacts import ArtifactStore, sketch_fingerprint
 from repro.service.cache import CacheEntry, SketchCache
 from repro.service.front import Pending, QueryFront
@@ -119,7 +121,8 @@ class QueryEngine(QueryFront):
         self,
         *,
         config: EngineConfig | None = None,
-        context: ExecutionContext | None = None,
+        retry: RetryPolicy | None = None,
+        faults: FaultPlan | None = None,
     ):
         self.config = config or EngineConfig()
         self.cache = SketchCache(self.config.cache_budget_bytes)
@@ -132,23 +135,13 @@ class QueryEngine(QueryFront):
             raise ParameterError(
                 f"unknown engine backend {self.config.backend!r}"
             )
-        if context is None:
-            context = ExecutionContext(
-                BackendConfig(
-                    backend=self.config.backend,
-                    num_workers=self.config.num_workers,
-                    telemetry_label="service",
-                )
-            )
-        self.context = context
-        # A shared serial backend is reused across cold passes; the
-        # multiprocess path hands backend=None to parallel_generate, which
-        # builds a properly initialised fork pool per (graph, pass) — the
-        # context's retry policy and fault plan ride along either way.
+        self.retry = retry
+        self.faults = faults
+        # A serial engine reuses one in-process backend across cold passes;
+        # a multiprocess one hands backend=None to parallel_generate, which
+        # builds a properly initialised fork pool per (graph, pass).
         self._backend = (
-            self.context.backend
-            if self.context.config.backend == "serial"
-            else None
+            SerialBackend() if self.config.backend == "serial" else None
         )
         self._graphs: dict[tuple, Any] = {}
         self._graph_fps: dict[tuple, str] = {}
@@ -160,8 +153,9 @@ class QueryEngine(QueryFront):
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        self.context.close()
-        self._backend = None
+        """Nothing to release: the serial backend holds no resources, so a
+        closed serial engine keeps sampling in-process, and every
+        multiprocess pass closes its own pool."""
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -326,8 +320,8 @@ class QueryEngine(QueryFront):
                 self.stats.artifact_corrupt += 1
                 self._tel_inc("service.artifacts.corrupt")
 
-        # Cold path: sample on the runtime backend work queue, under the
-        # context's retry policy and fault plan (docs/resilience.md).
+        # Cold path: sample on the runtime backend, under the engine's
+        # retry policy and fault plan (docs/resilience.md).
         try:
             store = parallel_generate(
                 graph,
@@ -336,8 +330,8 @@ class QueryEngine(QueryFront):
                 num_workers=self.config.num_workers,
                 seed=int(query.seed),
                 backend=self._backend,
-                retry=self.context.retry,
-                faults=self.context.faults,
+                retry=self.retry,
+                faults=self.faults,
             )
         except (ReproError, OSError) as exc:
             stale = self._stale_fallback(query)

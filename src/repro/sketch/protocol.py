@@ -14,8 +14,8 @@ module is that statement:
   registry: a store may only expose a public method that is either in the
   protocol or declared here as a deliberate extra, so new surface area is
   an explicit decision, not an accident (tests/test_store_protocol.py);
-- :func:`make_store` — one keyword-only construction entry point
-  mirroring :func:`~repro.runtime.backends.make_backend`.
+- :func:`make_store` — one keyword-only construction entry point for
+  every store kind.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ STORE_KINDS = ("flat", "compressed", "shared")
 
 
 def make_store(kind: str, *, num_vertices: int | None = None, **opts):
-    """Factory: build any RRR store by kind (mirrors ``make_backend``).
+    """Factory: build any RRR store by kind.
 
     Keyword-only forms::
 

@@ -433,6 +433,19 @@ class TestControlCLI:
         doc = json.loads(out)
         assert doc["replicas"][0]["dead"] is True
 
+    def test_inject_faults_rejects_scopes_control_never_consults(
+        self, tmp_path, capsys
+    ):
+        """Only the ``action`` scope is consulted: a ``canary`` drill (the
+        rollout's scope) would never fire, so it is refused up front."""
+        fixture = self.write_fixture(tmp_path)
+        argv = ["control", "run", "--dry-run", "--fixture", str(fixture)]
+        assert cli.main([*argv, "--inject-faults", "crash@canary:0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "'canary'" in err[0] and "'action'" in err[0]
+        assert cli.main([*argv, "--inject-faults", "crash@action:0"]) == 0
+
     def test_plan_without_fixture_is_a_parameter_error(self, tmp_path, capsys):
         assert cli.main(["control", "plan"]) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Tests for repro.resilience: fault injection, retry policies, checkpoint/
-resume determinism, failure-aware work queues, comm retry accounting, and
-graceful degradation in the query engine (docs/resilience.md)."""
+resume determinism, comm retry accounting, and graceful degradation in the
+query engine (docs/resilience.md)."""
 
 import os
 import time
@@ -30,9 +30,7 @@ from repro.resilience import (
     call_with_retry,
     run_key,
 )
-from repro.runtime.api import BackendConfig, ExecutionContext
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
-from repro.runtime.workqueue import ChunkedWorkQueue
 from repro.service import EngineConfig, IMQuery, QueryEngine
 
 
@@ -155,6 +153,18 @@ class TestFaultPlan:
         snap = tel.snapshot()["counters"]
         assert snap["resilience.faults_injected"] == 1.0
         assert snap["resilience.faults.crash"] == 1.0
+
+    def test_cli_run_rejects_scopes_it_never_consults(self, capsys):
+        """``repro run`` consults only the ``batch`` scope: a ``task``
+        drill or a misspelt scope would never fire, so each is refused."""
+        from repro import cli
+
+        argv = ["run", "amazon", "--k", "3", "--theta-cap", "300"]
+        for spec, scope in (("crash@task:0", "task"), ("crash@bacth:0", "bacth")):
+            assert cli.main([*argv, "--inject-faults", spec]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert f"'{scope}'" in err[0] and "'batch'" in err[0]
 
 
 # --------------------------------------------------------------- RetryPolicy
@@ -401,77 +411,6 @@ class TestInitializerFailure:
     def test_good_initializer_runs_in_every_worker(self):
         with MultiprocessBackend(2, initializer=_good_init, initargs=(42,)) as b:
             assert b.run_tasks(_read_slot, [0, 1, 2]) == [42, 42, 42]
-
-    def test_initializer_via_config(self):
-        cfg = BackendConfig(
-            backend="multiprocess", num_workers=2,
-            initializer=_good_init, initargs=(7,),
-        )
-        with ExecutionContext(cfg) as ctx:
-            assert ctx.run_tasks(_read_slot, [0]) == [7]
-
-
-# ------------------------------------------------------ workqueue resilience
-class TestWorkQueueResilience:
-    def test_failed_worker_cannot_pop(self):
-        q = ChunkedWorkQueue(8, num_workers=2, chunk_size=2)
-        leftover = q.fail_worker(0)
-        assert leftover == 2
-        assert q.failed_workers == frozenset({0})
-        with pytest.raises(BackendError, match="worker 0 has failed"):
-            q.pop(0)
-
-    def test_survivors_steal_failed_workers_chunks(self):
-        q = ChunkedWorkQueue(12, num_workers=3, chunk_size=2)
-        q.fail_worker(0)
-        covered = []
-        for w in (1, 2, 1, 2, 1, 2, 1):
-            c = q.pop(w)
-            if c is not None:
-                covered.extend(range(*c))
-        # Every item — including worker 0's orphaned chunks — is dispatched
-        # exactly once to the survivors.
-        assert sorted(covered) == list(range(12))
-        assert q.remaining() == 0
-
-    def test_requeue_returns_inflight_chunk(self):
-        q = ChunkedWorkQueue(4, num_workers=2, chunk_size=2)
-        chunk = q.pop(0)
-        q.fail_worker(0)
-        q.requeue(chunk)  # worker 0 died holding it
-        covered = []
-        while (c := q.pop(1)) is not None:
-            covered.extend(range(*c))
-        assert sorted(covered) == list(range(4))
-
-    def test_requeue_with_all_failed_rejected(self):
-        q = ChunkedWorkQueue(4, num_workers=2, chunk_size=2)
-        q.fail_worker(0)
-        q.fail_worker(1)
-        with pytest.raises(BackendError, match="all workers"):
-            q.requeue((0, 2))
-
-    def test_fail_worker_validates_index(self):
-        q = ChunkedWorkQueue(4, num_workers=2)
-        with pytest.raises(ParameterError):
-            q.fail_worker(5)
-
-    def test_rank_crash_fault_fires_once(self):
-        plan = FaultPlan([FaultSpec(kind="crash", index=1, scope="rank")])
-        q = ChunkedWorkQueue(8, num_workers=2, chunk_size=2,
-                             fault_plan=plan)
-        with pytest.raises(FaultInjectedError, match="crash@rank:1"):
-            q.pop(1)
-        assert q.pop(1) is not None  # budget spent; rank lives on
-        assert plan.injected == 1
-
-    def test_rank_slow_and_corrupt_faults_nonfatal(self):
-        plan = FaultPlan.parse("slow@rank:0:0.0,corrupt@rank:0")
-        q = ChunkedWorkQueue(8, num_workers=2, chunk_size=2,
-                             fault_plan=plan)
-        assert q.pop(0) is not None  # slow: sleeps, then pops
-        assert q.pop(0) is not None  # corrupt: ignored at rank scope
-        assert plan.injected == 2
 
 
 # ------------------------------------------------------------ comm resilience
@@ -842,14 +781,8 @@ class TestCheckpointHeaderChecks:
 ALWAYS_CRASH = "crash@task:0x99"
 
 
-def _failing_context():
-    return ExecutionContext(
-        BackendConfig(
-            backend="serial",
-            faults=FaultPlan.parse(ALWAYS_CRASH),
-            telemetry_label="service",
-        )
-    )
+def _failing_faults():
+    return FaultPlan.parse(ALWAYS_CRASH)
 
 
 class TestDegradedServing:
@@ -864,7 +797,7 @@ class TestDegradedServing:
     def test_stale_artifact_serves_degraded(self, tmp_path):
         self._seed_artifact(tmp_path)
         cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
-        with QueryEngine(config=cfg, context=_failing_context()) as eng:
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
             # Different theta -> different fingerprint -> cold sample, which
             # the fault plan kills; the stale 300-set sketch stands in.
             resp = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=400))
@@ -882,13 +815,13 @@ class TestDegradedServing:
     def test_degraded_flag_on_the_wire(self, tmp_path):
         self._seed_artifact(tmp_path)
         cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
-        with QueryEngine(config=cfg, context=_failing_context()) as eng:
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
             resp = eng.query(IMQuery(dataset="amazon", k=2, theta_cap=400))
         assert resp.to_dict()["degraded"] is True
 
     def test_no_stale_artifact_means_error_response(self, tmp_path):
         cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
-        with QueryEngine(config=cfg, context=_failing_context()) as eng:
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
             resp = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=300))
         assert resp.status == "error"
         assert "FaultInjectedError" in resp.error
@@ -897,36 +830,53 @@ class TestDegradedServing:
     def test_wrong_dataset_stale_not_used(self, tmp_path):
         self._seed_artifact(tmp_path)  # an *amazon* sketch
         cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
-        with QueryEngine(config=cfg, context=_failing_context()) as eng:
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
             resp = eng.query(IMQuery(dataset="dblp", k=3, theta_cap=300))
         assert resp.status == "error"  # dblp has no compatible stale sketch
 
     def test_no_artifact_store_means_error_response(self):
         cfg = EngineConfig(artifact_dir=None, default_theta=300)
-        with QueryEngine(config=cfg, context=_failing_context()) as eng:
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
             resp = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=300))
         assert resp.status == "error"
 
     def test_engine_retry_recovers_transient_cold_failure(self, tmp_path):
-        ctx = ExecutionContext(
-            BackendConfig(
-                backend="serial",
-                faults=FaultPlan.parse("crash@task:0"),  # fires once
-                retry=RetryPolicy(max_attempts=2),
-                telemetry_label="service",
-            )
-        )
         cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
-        with QueryEngine(config=cfg, context=ctx) as eng:
+        with QueryEngine(
+            config=cfg,
+            faults=FaultPlan.parse("crash@task:0"),  # fires once
+            retry=RetryPolicy(max_attempts=2),
+        ) as eng:
             resp = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=300))
             assert resp.ok and not resp.degraded  # retried through the fault
+            assert eng.stats.cold_samples == 1
+
+    def test_multiprocess_engine_degrades_and_retries(self, tmp_path):
+        self._seed_artifact(tmp_path)
+        cfg = EngineConfig(
+            artifact_dir=tmp_path, default_theta=300,
+            backend="multiprocess", num_workers=1,
+        )
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
+            resp = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=400))
+            assert resp.ok and resp.degraded and not resp.cached
+            assert resp.num_rrrsets == 300  # served from the stale sketch
+            assert eng.stats.cold_samples == 0
+        with QueryEngine(
+            config=cfg,
+            faults=FaultPlan.parse("crash@task:0"),  # fires once
+            retry=RetryPolicy(max_attempts=2),
+        ) as eng:
+            resp = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=400))
+            assert resp.ok and not resp.degraded  # retried through the fault
+            assert resp.num_rrrsets == 400
             assert eng.stats.cold_samples == 1
 
     def test_degraded_telemetry_counter(self, tmp_path):
         self._seed_artifact(tmp_path)
         cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
         with telemetry.session() as tel:
-            with QueryEngine(config=cfg, context=_failing_context()) as eng:
+            with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
                 eng.query(IMQuery(dataset="amazon", k=3, theta_cap=400))
         snap = tel.snapshot()["counters"]
         assert snap["resilience.degraded_responses"] == 1.0

@@ -1,4 +1,4 @@
-"""Tests for the runtime substrate: partitioners, atomics, queues, backends."""
+"""Tests for the runtime substrate: partitioners, the schedule model, backends."""
 
 from heapq import heappop, heappush
 
@@ -7,20 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import BackendError, ParameterError
-from repro.runtime.atomic import AtomicCounterArray
-from repro.runtime.api import BackendConfig
-from repro.runtime.backends import MultiprocessBackend, SerialBackend, make_backend
-from repro.runtime.partition import (
-    balanced_partition,
-    block_partition,
-    cyclic_partition,
-)
-from repro.runtime.workqueue import (
-    ChunkedWorkQueue,
-    ScheduleResult,
-    simulate_schedule,
-)
+from repro.resilience import FaultPlan, RetryPolicy
+from repro.runtime.backends import MultiprocessBackend, SerialBackend
+from repro.runtime.partition import balanced_partition, block_partition
+from repro.runtime.workqueue import ScheduleResult, simulate_schedule
 
 
 class TestBlockPartition:
@@ -52,21 +44,6 @@ class TestBlockPartition:
             assert b == c and a <= b and c <= d
         sizes = [hi - lo for lo, hi in bounds]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestCyclicPartition:
-    def test_round_robin(self):
-        parts = cyclic_partition(7, 3)
-        assert parts[0].tolist() == [0, 3, 6]
-        assert parts[1].tolist() == [1, 4]
-        assert parts[2].tolist() == [2, 5]
-
-    @given(st.integers(0, 300), st.integers(1, 32))
-    @settings(max_examples=60, deadline=None)
-    def test_exact_cover(self, n, p):
-        parts = cyclic_partition(n, p)
-        all_items = np.concatenate(parts) if parts else np.empty(0)
-        assert sorted(all_items.tolist()) == list(range(n))
 
 
 class TestBalancedPartition:
@@ -101,128 +78,6 @@ class TestBalancedPartition:
         assert bounds[0][0] == 0 and bounds[-1][1] == w.size
         for (a, b), (c, d) in zip(bounds, bounds[1:]):
             assert b == c
-
-
-class TestAtomicCounterArray:
-    def test_add_with_duplicates(self):
-        c = AtomicCounterArray(5)
-        c.add(np.array([1, 1, 2]))
-        assert c.values.tolist() == [0, 2, 1, 0, 0]
-
-    def test_sub(self):
-        c = AtomicCounterArray(3)
-        c.add(np.array([0, 1]))
-        c.sub(np.array([1]))
-        assert c.values.tolist() == [1, 0, 0]
-
-    def test_update_accounting(self):
-        c = AtomicCounterArray(5)
-        c.add(np.array([1, 2, 3]))
-        c.add(np.array([1]))
-        assert c.num_updates == 4
-        assert c.num_batches == 2
-
-    def test_merge(self):
-        a, b = AtomicCounterArray(3), AtomicCounterArray(3)
-        a.add(np.array([0]))
-        b.add(np.array([0, 2]))
-        a.merge_from(b)
-        assert a.values.tolist() == [2, 0, 1]
-        assert a.num_updates == 3
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(ParameterError):
-            AtomicCounterArray(3).merge_from(AtomicCounterArray(4))
-
-    def test_reset(self):
-        c = AtomicCounterArray(3)
-        c.add(np.array([1]))
-        c.reset()
-        assert not c.values.any()
-
-    def test_argmax(self):
-        c = AtomicCounterArray(4)
-        c.add(np.array([2, 2, 1]))
-        assert c.argmax() == 2
-
-    def test_two_step_reduction_matches_argmax(self):
-        rng = np.random.default_rng(0)
-        c = AtomicCounterArray(100)
-        c.add(rng.integers(0, 100, size=1000))
-        bounds = block_partition(100, 7)
-        regional = c.regional_argmax(bounds)
-        assert c.global_from_regional(regional) == c.argmax()
-
-    def test_regional_argmax_empty_ranges(self):
-        c = AtomicCounterArray(3)
-        c.add(np.array([1]))
-        regional = c.regional_argmax(block_partition(3, 5))
-        assert (regional == -1).sum() == 2
-
-    def test_conflict_estimate_bounds(self):
-        c = AtomicCounterArray(100)
-        assert c.estimate_conflicts(np.arange(10), 1) == 0.0
-        assert 0.0 < c.estimate_conflicts(np.arange(50), 8) <= 1.0
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ParameterError):
-            AtomicCounterArray(-1)
-
-
-class TestChunkedWorkQueue:
-    def test_drains_everything_single_worker(self):
-        q = ChunkedWorkQueue(10, num_workers=1, chunk_size=3)
-        got = []
-        while (c := q.pop(0)) is not None:
-            got.append(c)
-        assert got == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_own_queue_first(self):
-        q = ChunkedWorkQueue(8, num_workers=2, chunk_size=2)
-        first = q.pop(1)
-        assert first == (4, 6)  # worker 1's own block starts at chunk 2
-
-    def test_stealing_when_empty(self):
-        q = ChunkedWorkQueue(8, num_workers=2, chunk_size=2)
-        q.pop(0), q.pop(0)  # drain worker 0's two chunks
-        stolen = q.pop(0)
-        assert stolen is not None
-        assert q.steals == 1
-
-    def test_steal_takes_from_back(self):
-        q = ChunkedWorkQueue(8, num_workers=2, chunk_size=2)
-        q.pop(0), q.pop(0)
-        assert q.pop(0) == (6, 8)  # back of worker 1's queue
-
-    def test_exhaustion_returns_none(self):
-        q = ChunkedWorkQueue(4, num_workers=2, chunk_size=2)
-        for _ in range(2):
-            q.pop(0)
-        q.pop(1)
-        assert q.pop(0) is None and q.pop(1) is None
-
-    def test_remaining(self):
-        q = ChunkedWorkQueue(10, num_workers=2, chunk_size=5)
-        assert q.remaining() == 2
-        q.pop(0)
-        assert q.remaining() == 1
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ParameterError):
-            ChunkedWorkQueue(10, num_workers=2, chunk_size=0)
-        with pytest.raises(ParameterError):
-            ChunkedWorkQueue(10, num_workers=0)
-
-    @given(st.integers(0, 200), st.integers(1, 8), st.integers(1, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_every_item_dispatched_once(self, n, p, chunk):
-        q = ChunkedWorkQueue(n, num_workers=p, chunk_size=chunk)
-        seen = []
-        w = 0
-        while (c := q.pop(w % p)) is not None:
-            seen.extend(range(*c))
-            w += 1
-        assert sorted(seen) == list(range(n))
 
 
 def reference_dynamic_schedule(c, num_workers, chunk_size):
@@ -331,11 +186,217 @@ class TestBackends:
         b.close()
         b.close()
 
-    def test_factory(self):
-        assert isinstance(make_backend(BackendConfig(backend="serial")), SerialBackend)
-        with pytest.raises(BackendError):
-            BackendConfig(backend="gpu")
-
     def test_rejects_zero_workers(self):
-        with pytest.raises(BackendError):
-            MultiprocessBackend(0)
+        for bad in (0, -1, -7):
+            with pytest.raises(BackendError, match="num_workers"):
+                MultiprocessBackend(bad)
+
+
+# ------------------------------------------------ backend telemetry pin
+def _pin_task(x):
+    tel = telemetry.get()
+    if tel.enabled:
+        tel.registry.counter("pin.worker_calls").inc()
+    return x * x
+
+
+PIN_VALUES = (
+    "runtime.tasks", "runtime.task_failures", "runtime.num_workers",
+    "resilience.retries", "pin.worker_calls",
+)
+
+
+def _pin_run(kind, mode):
+    backend = SerialBackend() if kind == "serial" else MultiprocessBackend(2)
+    with backend:
+        if mode in ("idle-plan", "crash"):
+            backend.retry_policy = RetryPolicy(max_attempts=2)
+            backend.fault_plan = (
+                FaultPlan.parse("crash@task:1") if mode == "crash" else FaultPlan()
+            )
+        return backend.run_tasks(_pin_task, [1, 2, 3])
+
+
+def _backend_pin_record(kind, mode):
+    """What one pinned ``run_tasks`` call returns and records: the results,
+    the sorted metric and span names, and the values of :data:`PIN_VALUES`
+    (``None`` where the metric was never recorded)."""
+    if mode == "off":
+        return {"results": _pin_run(kind, mode)}
+    with telemetry.session() as tel:
+        results = _pin_run(kind, mode)
+    snap = tel.snapshot()
+    values = {**snap["counters"], **snap["gauges"]}
+    return {
+        "results": results,
+        "counters": sorted(snap["counters"]),
+        "gauges": sorted(snap["gauges"]),
+        "histograms": sorted(snap["histograms"]),
+        "spans": sorted(
+            {s.name for root in tel.tracer.roots for s in root.iter_tree()}
+        ),
+        "values": {name: values.get(name) for name in PIN_VALUES},
+    }
+
+
+BACKEND_PIN = {
+    ("serial", "off"): {
+        "results": [1, 4, 9],
+    },
+    ("serial", "on"): {
+        "results": [1, 4, 9],
+        "counters": [
+            "pin.worker_calls",
+            "runtime.reduce_s",
+            "runtime.tasks",
+        ],
+        "gauges": [
+            "runtime.num_workers",
+            "runtime.worker_utilization",
+        ],
+        "histograms": ["runtime.task_latency_s"],
+        "spans": ["runtime.run_tasks"],
+        "values": {
+            "runtime.tasks": 3.0,
+            "runtime.task_failures": None,
+            "runtime.num_workers": 1.0,
+            "resilience.retries": None,
+            "pin.worker_calls": 3.0,
+        },
+    },
+    ("serial", "idle-plan"): {
+        "results": [1, 4, 9],
+        "counters": [
+            "pin.worker_calls",
+            "runtime.reduce_s",
+            "runtime.tasks",
+        ],
+        "gauges": [
+            "runtime.num_workers",
+            "runtime.worker_utilization",
+        ],
+        "histograms": ["runtime.task_latency_s"],
+        "spans": ["runtime.run_tasks"],
+        "values": {
+            "runtime.tasks": 3.0,
+            "runtime.task_failures": None,
+            "runtime.num_workers": 1.0,
+            "resilience.retries": None,
+            "pin.worker_calls": 3.0,
+        },
+    },
+    ("serial", "crash"): {
+        "results": [1, 4, 9],
+        "counters": [
+            "pin.worker_calls",
+            "resilience.faults.crash",
+            "resilience.faults_injected",
+            "resilience.retries",
+            "runtime.reduce_s",
+            "runtime.tasks",
+        ],
+        "gauges": [
+            "runtime.num_workers",
+            "runtime.worker_utilization",
+        ],
+        "histograms": ["runtime.task_latency_s"],
+        "spans": ["runtime.run_tasks"],
+        "values": {
+            "runtime.tasks": 3.0,
+            "runtime.task_failures": None,
+            "runtime.num_workers": 1.0,
+            "resilience.retries": 1.0,
+            "pin.worker_calls": 3.0,
+        },
+    },
+    ("multiprocess", "off"): {
+        "results": [1, 4, 9],
+    },
+    ("multiprocess", "on"): {
+        "results": [1, 4, 9],
+        "counters": [
+            "pin.worker_calls",
+            "runtime.reduce_s",
+            "runtime.tasks",
+        ],
+        "gauges": [
+            "runtime.num_workers",
+            "runtime.worker_utilization",
+        ],
+        "histograms": ["runtime.task_latency_s"],
+        "spans": ["runtime.reduce", "runtime.run_tasks"],
+        "values": {
+            "runtime.tasks": 3.0,
+            "runtime.task_failures": None,
+            "runtime.num_workers": 2.0,
+            "resilience.retries": None,
+            "pin.worker_calls": 3.0,
+        },
+    },
+    ("multiprocess", "idle-plan"): {
+        "results": [1, 4, 9],
+        "counters": [
+            "pin.worker_calls",
+            "runtime.reduce_s",
+            "runtime.tasks",
+        ],
+        "gauges": [
+            "runtime.num_workers",
+            "runtime.worker_utilization",
+        ],
+        "histograms": ["runtime.task_latency_s"],
+        "spans": ["runtime.reduce", "runtime.run_tasks"],
+        "values": {
+            "runtime.tasks": 3.0,
+            "runtime.task_failures": None,
+            "runtime.num_workers": 2.0,
+            "resilience.retries": None,
+            "pin.worker_calls": 3.0,
+        },
+    },
+    ("multiprocess", "crash"): {
+        "results": [1, 4, 9],
+        "counters": [
+            "pin.worker_calls",
+            "resilience.faults.crash",
+            "resilience.faults_injected",
+            "resilience.retries",
+            "runtime.reduce_s",
+            "runtime.task_failures",
+            "runtime.tasks",
+        ],
+        "gauges": [
+            "runtime.num_workers",
+            "runtime.worker_utilization",
+        ],
+        "histograms": ["runtime.task_latency_s"],
+        "spans": ["runtime.reduce", "runtime.run_tasks"],
+        "values": {
+            "runtime.tasks": 3.0,
+            "runtime.task_failures": 1.0,
+            "runtime.num_workers": 2.0,
+            "resilience.retries": 1.0,
+            "pin.worker_calls": 3.0,
+        },
+    },
+}
+
+
+class TestGoldenBackendTelemetry:
+    """Pinned: both backends with telemetry off, on, on with an idle fault
+    plan and a 2-attempt retry policy, and on with ``crash@task:1`` and 2
+    attempts.
+
+    Two entries moved on purpose: the multiprocess ``idle-plan`` and
+    ``crash`` runs gained the ``runtime.reduce`` span when the backend's
+    separate retry loop became its only dispatch loop, which merges the
+    workers' metric deltas under that span as the plain loop did.
+
+    Regenerate:  cd tests && PYTHONPATH=../src python -c "import
+    test_runtime as t; [print(repr(k), t._backend_pin_record(*k)) for k
+    in t.BACKEND_PIN]"
+    """
+
+    @pytest.mark.parametrize("key", sorted(BACKEND_PIN), ids="-".join)
+    def test_run_pinned(self, key):
+        assert _backend_pin_record(*key) == BACKEND_PIN[key]

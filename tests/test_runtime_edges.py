@@ -1,64 +1,18 @@
-"""Edge cases for the runtime substrate: empty/degenerate work queues,
-failing tasks, backend teardown safety, and telemetry merge across forked
-workers (ISSUE 1, satellite c)."""
+"""Edge cases for the runtime substrate: a one-item schedule, failing
+tasks, backend teardown safety, and telemetry merge across forked
+workers."""
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.errors import BackendError
-from repro.runtime.api import BackendConfig
-from repro.runtime.backends import MultiprocessBackend, SerialBackend, make_backend
-from repro.runtime.workqueue import ChunkedWorkQueue, simulate_schedule
+from repro.runtime.backends import MultiprocessBackend, SerialBackend
+from repro.runtime.workqueue import simulate_schedule
 
 
 # ----------------------------------------------------------- workqueue edges
 class TestWorkQueueEdges:
-    def test_empty_task_list(self):
-        q = ChunkedWorkQueue(0, num_workers=3, chunk_size=4)
-        assert q.remaining() == 0
-        assert q.pop(0) is None and q.pop(2) is None
-        assert q.steals == 0 and q.pops == 0
-
-    def test_single_task(self):
-        q = ChunkedWorkQueue(1, num_workers=4, chunk_size=8)
-        assert q.remaining() == 1
-        # Only worker 0's queue holds the lone chunk; any popper gets it.
-        assert q.pop(3) == (0, 1)
-        assert q.steals == 1  # worker 3 had to steal it
-        assert q.pop(0) is None
-        assert q.remaining() == 0
-
-    def test_fewer_chunks_than_workers(self):
-        q = ChunkedWorkQueue(3, num_workers=8, chunk_size=2)
-        got = [q.pop(w) for w in range(8)]
-        ranges = [c for c in got if c is not None]
-        assert sorted(ranges) == [(0, 2), (2, 3)]
-
-    def test_task_raising_mid_queue_leaves_queue_consistent(self):
-        """A consumer crashing mid-drain must not corrupt the queue: the
-        remaining chunks stay poppable by other workers, exactly once."""
-        q = ChunkedWorkQueue(12, num_workers=2, chunk_size=2)
-
-        def drain(worker, fail_after):
-            done = []
-            while (c := q.pop(worker)) is not None:
-                if len(done) == fail_after:
-                    raise RuntimeError("boom")
-                done.append(c)
-            return done
-
-        with pytest.raises(RuntimeError):
-            drain(0, fail_after=1)
-        # Worker 0 consumed 1 chunk and crashed holding a 2nd; worker 1
-        # drains everything left.
-        survivors = drain(1, fail_after=99)
-        assert q.remaining() == 0
-        # 6 chunks total: 1 done by w0, 1 lost in the crash, 4 to w1.
-        assert len(survivors) == 4
-        covered = sorted(i for lo, hi in survivors for i in range(lo, hi))
-        assert len(covered) == len(set(covered)) == 8
-
     def test_simulate_schedule_single_item(self):
         r = simulate_schedule(np.array([5.0]), 4, policy="dynamic")
         assert r.makespan == 5.0
@@ -114,18 +68,6 @@ class TestBackendEdges:
                 with pytest.raises(ValueError):
                     b.run_tasks(_boom, [1, 2])
         assert tel.snapshot()["counters"]["runtime.task_failures"] == 1.0
-
-    def test_make_backend_validates_num_workers(self):
-        for bad in (0, -1, -7):
-            with pytest.raises(BackendError, match="num_workers"):
-                make_backend(BackendConfig(backend="serial", num_workers=bad))
-            with pytest.raises(BackendError, match="num_workers"):
-                make_backend(BackendConfig(backend="multiprocess", num_workers=bad))
-        # None means "pick a default" and stays valid for both.
-        make_backend(BackendConfig(backend="serial")).close()
-        b = make_backend(BackendConfig(backend="multiprocess", num_workers=1))
-        assert b.num_workers == 1
-        b.close()
 
 
 # ---------------------------------------------- merge across forked workers

@@ -22,6 +22,7 @@ from repro import telemetry
 from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, GraphFormatError, ParameterError
 from repro.graph.io import graph_checksum, graph_fingerprint, load_npz, save_npz
+from repro.runtime.backends import MultiprocessBackend
 from repro.sketch import FlatRRRStore, make_store
 from repro.service import (
     ArtifactStore,
@@ -548,6 +549,33 @@ class TestQueryEngine:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ParameterError, match="backend"):
             QueryEngine(config=EngineConfig(backend="gpu"))
+
+    def test_query_engine_positional(self):
+        with pytest.raises(TypeError):
+            QueryEngine(EngineConfig(default_theta=300))
+
+    def test_query_engine_positional_and_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            QueryEngine(EngineConfig(), config=EngineConfig())
+
+    def test_closed_serial_engine_samples_in_process(self, monkeypatch):
+        """``close()`` must not turn a serial engine into one that forks a
+        process pool for its next cold pass."""
+        pools = []
+        init = MultiprocessBackend.__init__
+
+        def spy(backend, *args, **kwargs):
+            pools.append(args)
+            init(backend, *args, **kwargs)
+
+        monkeypatch.setattr(MultiprocessBackend, "__init__", spy)
+        eng = QueryEngine(config=EngineConfig(default_theta=THETA))
+        assert eng.query(_q(k=3, theta_cap=200)).ok
+        eng.close()
+        after = eng.query(_q(k=3, theta_cap=250))
+        assert after.ok and not after.cached
+        assert eng.stats.cold_samples == 2
+        assert pools == []
 
 
 class TestEngineTelemetry:
