@@ -12,8 +12,8 @@ selection cost into a modeled parallel latency instead:
 
 where ``cost_per_entry`` is the warm selection busy-time of the 1-shard
 cluster divided by total sketch entries, and ``max_entries(S)`` is the
-heaviest shard under the S-way consistent-hash plan (the straggler that
-bounds a parallel scatter-gather round).  Both inputs are deterministic
+heaviest shard under the S-way plan's hashed set ownership (the straggler
+that bounds a parallel scatter-gather round).  Both inputs are deterministic
 under a fixed seed, so the recorded throughput curve is too.
 
 Also recorded, without scaling assertions: the measured sequential

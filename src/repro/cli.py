@@ -232,14 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "--replicas", type=int, default=1, help="replicas per shard"
     )
-    shard.add_argument(
-        "--strategy", default="hash", choices=("hash", "block", "balanced"),
-        help="RRR-set ownership strategy (docs/sharding.md)",
-    )
-    shard.add_argument(
-        "--virtual-nodes", type=int, default=64,
-        help="consistent-hash ring points per shard",
-    )
     shard.add_argument("--model", default="IC", choices=("IC", "LT"))
     shard.add_argument("--k", type=int, default=10)
     shard.add_argument("--epsilon", type=float, default=0.5)
@@ -1114,12 +1106,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.service import GracefulShutdown
     from repro.shard import RouterConfig, ShardCluster, ShardPlan, SketchSpec
 
-    plan = ShardPlan(
-        num_shards=args.shards,
-        replication=args.replicas,
-        strategy=args.strategy,
-        virtual_nodes=args.virtual_nodes,
-    )
+    plan = ShardPlan(num_shards=args.shards, replication=args.replicas)
     router_config = RouterConfig(
         default_theta=args.default_theta,
         worker_deadline_s=args.worker_deadline,

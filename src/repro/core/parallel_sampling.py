@@ -117,8 +117,8 @@ def parallel_generate(
     in-process (used by tests and single-core hosts).
 
     ``retry`` / ``faults`` attach resilience to the per-worker tasks
-    (docs/resilience.md); they are installed on the backend this call owns,
-    or onto a caller-supplied backend when given.
+    (docs/resilience.md).  They hold for this call only: a caller-supplied
+    backend gets its own retry policy and fault plan back when it returns.
 
     ``start_method="spawn"`` starts fresh-interpreter workers that attach
     the graph from a :mod:`repro.shm` segment this call publishes (and
@@ -165,6 +165,7 @@ def parallel_generate(
             )
     elif isinstance(backend, SerialBackend):
         _init_worker(graph, model_name)
+    own_resilience = backend.retry_policy, backend.fault_plan
     if retry is not None:
         backend.retry_policy = retry
     if faults is not None:
@@ -178,6 +179,7 @@ def parallel_generate(
         try:
             results = backend.run_tasks(sample_task, tasks)
         finally:
+            backend.retry_policy, backend.fault_plan = own_resilience
             if owns_backend:
                 backend.close()
             if segment_manager is not None:

@@ -3,8 +3,7 @@
 This package provides the execution machinery both IMM implementations run
 on:
 
-- :mod:`repro.runtime.partition` — the static block partitioner and the
-  weighted balanced partitioner;
+- :mod:`repro.runtime.partition` — the static block partitioner;
 - :mod:`repro.runtime.workqueue` — dynamic job balancing as the
   deterministic list scheduler the cost model uses
   (:func:`~repro.runtime.workqueue.simulate_schedule`);
@@ -20,7 +19,7 @@ from repro.runtime.backends import (
     MultiprocessBackend,
     SerialBackend,
 )
-from repro.runtime.partition import balanced_partition, block_partition
+from repro.runtime.partition import block_partition
 from repro.runtime.workqueue import simulate_schedule
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "SerialBackend",
     "MultiprocessBackend",
     "block_partition",
-    "balanced_partition",
     "simulate_schedule",
 ]

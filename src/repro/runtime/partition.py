@@ -1,19 +1,17 @@
-"""Work partitioners: static block and weight-balanced contiguous.
+"""The static block partitioner.
 
 Both frameworks statically partition *something*: Ripples partitions the
 vertex id space across threads in ``Find_Most_Influential_Set``; EfficientIMM
-partitions the RRR sets.  The partitioners here are shared by the real
+partitions the RRR sets.  :func:`block_partition` is shared by the selection
 kernels, the instrumented kernels, and the cost model, so that every layer
 sees exactly the same work distribution.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ParameterError
 
-__all__ = ["block_partition", "balanced_partition"]
+__all__ = ["block_partition"]
 
 
 def block_partition(num_items: int, num_workers: int) -> list[tuple[int, int]]:
@@ -31,37 +29,6 @@ def block_partition(num_items: int, num_workers: int) -> list[tuple[int, int]]:
         size = base + (1 if w < extra else 0)
         bounds.append((start, start + size))
         start += size
-    return bounds
-
-
-def balanced_partition(
-    weights: np.ndarray, num_workers: int
-) -> list[tuple[int, int]]:
-    """Contiguous partition approximately balancing total weight per worker.
-
-    Splits at the quantiles of the weight prefix sum: worker ``w`` receives
-    the smallest contiguous range whose cumulative weight reaches
-    ``(w+1)/p`` of the total.  This is the static analogue of dynamic job
-    balancing and is what EfficientIMM uses to seed its per-worker queues
-    (locality-preserving: ranges stay contiguous).
-    """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    _check(w.size, num_workers)
-    if np.any(w < 0):
-        raise ParameterError("weights must be non-negative")
-    total = w.sum()
-    if total == 0.0:
-        return block_partition(w.size, num_workers)
-    prefix = np.cumsum(w)
-    targets = total * (np.arange(1, num_workers) / num_workers)
-    cuts = np.searchsorted(prefix, targets, side="left") + 1
-    cuts = np.clip(cuts, 0, w.size)
-    bounds = []
-    start = 0
-    for c in list(cuts) + [w.size]:
-        end = max(int(c), start)
-        bounds.append((start, end))
-        start = end
     return bounds
 
 

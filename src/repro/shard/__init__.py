@@ -10,8 +10,8 @@ shard loss degrades to an exact answer over the survivors
 
 Layout:
 
-- :mod:`repro.shard.plan` — :class:`ShardPlan`: consistent-hash (or
-  block/balanced) RRR-set ownership, replication, sub-sketch fingerprints;
+- :mod:`repro.shard.plan` — :class:`ShardPlan`: RRR-set ownership by one
+  vectorised hash, replication, sub-sketch fingerprints;
 - :mod:`repro.shard.worker` — :class:`ShardWorker`: one replica, a
   :class:`QueryEngine`-backed sub-sketch plus the self-healing scatter
   protocol and fault hooks;

@@ -20,7 +20,7 @@ the tests, and the benchmarks drive: it instantiates
   CI can exercise failover over the wire.
 
 Everything runs in one process; "workers" model separate serving
-processes the way :mod:`repro.runtime.simmachine` models parallel
+processes the way :mod:`repro.simmachine` models parallel
 hardware — state is strictly per-worker, and all cross-worker
 communication flows through the router's scatter-gather calls.
 """

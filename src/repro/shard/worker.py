@@ -50,12 +50,10 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.core.parallel_sampling import parallel_generate
 from repro.core.selection import CoverStep
 from repro.diffusion.base import get_model
 from repro.errors import ArtifactError, BackendError, ParameterError
 from repro.kernels import KernelSampler, indexed_draws
-from repro.runtime.backends import SerialBackend
 from repro.service.artifacts import sketch_fingerprint
 from repro.service.cache import CacheEntry
 from repro.service.engine import EngineConfig, QueryEngine
@@ -113,7 +111,7 @@ class SketchSpec:
             "dataset": self.dataset, "model": self.model,
             "epsilon": self.epsilon, "seed": self.seed,
             "num_sets": self.num_sets, "shard": shard,
-            "num_shards": plan.num_shards, "strategy": plan.strategy,
+            "num_shards": plan.num_shards,
         }
 
 
@@ -365,21 +363,8 @@ class ShardWorker:
 
         Only the *owned* global indices are sampled, batch by batch, so the
         work and the memory are O(owned) and the result matches what a
-        single-node engine draws at those indices.  The ``"balanced"``
-        strategy needs all set sizes up front and so cannot stream; it
-        materialises the full sketch transiently (prefer ``repro shard
-        build`` artifacts for that layout).
+        single-node engine draws at those indices.
         """
-        if self.plan.strategy == "balanced":
-            full = parallel_generate(
-                graph, spec.model, spec.num_sets, num_workers=1,
-                seed=spec.seed, backend=SerialBackend(),
-            )
-            mask = self.plan.owned_mask(
-                fingerprint, len(full), self.shard_id, sizes=full.sizes()
-            )
-            return full.take(np.flatnonzero(mask))
-
         n = graph.num_vertices
         store = make_store("flat", num_vertices=n)
         mask = self.plan.owned_mask(fingerprint, spec.num_sets, self.shard_id)

@@ -320,7 +320,8 @@ def trace_sampling(
     - CSR row reads of the transposed graph (sequential within a row);
     - visited-bitmap probes, one per examined in-edge (line 8);
     - RRR-buffer writes (sequential);
-    - fused counter updates (random scatter), when ``fused``.
+    - fused counter updates at ``counter_base + 8 * v`` for every member
+      ``v`` of the set, when ``fused``.
 
     Each emulated thread owns a contiguous block of the sets and its own
     cache hierarchy; DRAM time for the cache-missing accesses is priced
@@ -362,19 +363,16 @@ def trace_sampling(
             root = int(rng.integers(0, n))
             streams: list[np.ndarray] = []
             if model.upper() == "IC":
-                out_count = _traced_ic_bfs(
+                members = _traced_ic_bfs(
                     rev, root, rng, dm._stamp, dm._next_epoch(),
                     g_base, p_base, v_base, r_base, streams,
                 )
             else:
-                out_count = _traced_lt_walk(
+                members = _traced_lt_walk(
                     dm, root, rng, g_base, p_base, v_base, r_base, streams,
                 )
             if fused:
-                # Counter updates for the produced set (random scatter).
-                streams.append(
-                    c_base + rng.integers(0, n, size=out_count) * 8
-                )
+                streams.append(c_base + members * 8)
             addrs = np.concatenate(streams)
             got = caches[w].access(addrs)
             # Price the misses under both placements.  Missing addresses
@@ -411,16 +409,18 @@ def trace_sampling(
 
 def _traced_ic_bfs(
     rev, root, rng, stamp, epoch, g_base, p_base, v_base, r_base, streams
-) -> int:
+) -> np.ndarray:
     """IC reverse BFS that appends its exact address stream to ``streams``.
 
-    Returns the RRR-set size.  Mirrors ``repro.diffusion.ic._ic_bfs``.
+    Returns the RRR set's members (int64, in visit order).  Mirrors
+    ``repro.diffusion.ic._ic_bfs``.
     """
     from repro.diffusion.ic import gather_frontier_edges
 
     indptr = rev.indptr
     stamp[root] = epoch
     frontier = np.array([root], dtype=np.int64)
+    members = [frontier]
     size = 1
     streams.append(np.array([r_base], dtype=np.int64))  # root write
     while frontier.size:
@@ -451,14 +451,17 @@ def _traced_ic_bfs(
         )
         size += fresh.size
         frontier = fresh.astype(np.int64)
-    return size
+        members.append(frontier)
+    return np.concatenate(members)
 
 
 def _traced_lt_walk(
     dm, root, rng, g_base, p_base, v_base, r_base, streams
-) -> int:
+) -> np.ndarray:
     """LT reverse walk with its exact address stream (one binary search
-    over the current vertex's cumulative in-weight row per step)."""
+    over the current vertex's cumulative in-weight row per step).
+
+    Returns the RRR set's members (int64, in walk order)."""
     rev = dm.reverse_graph
     indptr, indices, cum = rev.indptr, rev.indices, dm._cum
     epoch = dm._next_epoch()
@@ -466,7 +469,7 @@ def _traced_lt_walk(
     stamp[root] = epoch
     streams.append(np.array([r_base], dtype=np.int64))
     v = root
-    size = 1
+    members = [root]
     while True:
         lo, hi = int(indptr[v]), int(indptr[v + 1])
         if hi == lo:
@@ -487,10 +490,10 @@ def _traced_lt_walk(
             break
         stamp[u] = epoch
         streams.append(np.array([v_base + (u >> 3)], dtype=np.int64))
-        streams.append(np.array([r_base + size * 4], dtype=np.int64))
-        size += 1
+        streams.append(np.array([r_base + len(members) * 4], dtype=np.int64))
+        members.append(u)
         v = u
-    return size
+    return np.asarray(members, dtype=np.int64)
 
 
 # ======================================================== Table II driver

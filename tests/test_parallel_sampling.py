@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.parallel_sampling import parallel_generate
 from repro.core.selection import efficient_select
-from repro.errors import ParameterError
+from repro.errors import ParameterError, RetryExhaustedError
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.runtime.backends import SerialBackend
 
 
@@ -83,3 +84,22 @@ class TestParallelGenerate:
             parallel_generate(
                 skitter_ic, "IC", 5, num_workers=0, backend=SerialBackend()
             )
+
+    def test_retry_and_faults_hold_for_one_call(self, amazon_ic):
+        """A caller's backend gets its own retry policy and fault plan
+        back, so a later call without ``faults=`` runs fault-free."""
+        backend = SerialBackend()
+        own_retry = RetryPolicy(max_attempts=1)
+        backend.retry_policy = own_retry
+        with pytest.raises(RetryExhaustedError, match="crash@task:0x99"):
+            parallel_generate(
+                amazon_ic, "IC", 10, num_workers=1, seed=0, backend=backend,
+                retry=RetryPolicy(max_attempts=1),
+                faults=FaultPlan.parse("crash@task:0x99"),
+            )
+        assert backend.retry_policy is own_retry
+        assert backend.fault_plan is None
+        store = parallel_generate(
+            amazon_ic, "IC", 10, num_workers=1, seed=0, backend=backend
+        )
+        assert len(store) == 10

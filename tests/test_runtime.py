@@ -1,4 +1,4 @@
-"""Tests for the runtime substrate: partitioners, the schedule model, backends."""
+"""Tests for the runtime substrate: block partitioner, schedule model, backends."""
 
 from heapq import heappop, heappush
 
@@ -11,7 +11,7 @@ from repro import telemetry
 from repro.errors import BackendError, ParameterError
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
-from repro.runtime.partition import balanced_partition, block_partition
+from repro.runtime.partition import block_partition
 from repro.runtime.workqueue import ScheduleResult, simulate_schedule
 
 
@@ -44,40 +44,6 @@ class TestBlockPartition:
             assert b == c and a <= b and c <= d
         sizes = [hi - lo for lo, hi in bounds]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestBalancedPartition:
-    def test_skewed_weights_balanced(self):
-        w = np.array([100, 1, 1, 1, 1, 1, 1, 1])
-        bounds = balanced_partition(w, 2)
-        loads = [w[lo:hi].sum() for lo, hi in bounds]
-        # One giant item alone, the rest together.
-        assert loads[0] == 100
-
-    def test_uniform_weights_like_block(self):
-        w = np.ones(12)
-        bounds = balanced_partition(w, 4)
-        assert [hi - lo for lo, hi in bounds] == [3, 3, 3, 3]
-
-    def test_zero_weights_fallback(self):
-        assert balanced_partition(np.zeros(6), 2) == block_partition(6, 2)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ParameterError):
-            balanced_partition(np.array([1.0, -1.0]), 2)
-
-    @given(
-        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=100),
-        st.integers(1, 16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_contiguous_exact_cover(self, weights, p):
-        w = np.asarray(weights)
-        bounds = balanced_partition(w, p)
-        assert len(bounds) == p
-        assert bounds[0][0] == 0 and bounds[-1][1] == w.size
-        for (a, b), (c, d) in zip(bounds, bounds[1:]):
-            assert b == c
 
 
 def reference_dynamic_schedule(c, num_workers, chunk_size):

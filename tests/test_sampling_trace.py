@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.diffusion.base import get_model
 from repro.graph.datasets import load_dataset
+from repro.simmachine import instrumented
+from repro.simmachine.cache import CacheHierarchy
 from repro.simmachine.instrumented import SamplingTraceResult, trace_sampling
+from repro.simmachine.layout import MemoryLayout
 from repro.simmachine.topology import perlmutter
 
 
@@ -75,3 +79,77 @@ class TestLTTrace:
         ic_total = ic.total.l1_hits + ic.total.l1_misses
         # LT sets are tiny paths; per-set traffic is orders below IC's.
         assert lt_total < 0.05 * ic_total
+
+
+class TestFusedCounterTraffic:
+    """The fused trace is the unfused trace plus the set's own counter
+    updates: the same sets, then one 8-byte scatter at
+    ``counter_base + 8 * v`` per member ``v``."""
+
+    @staticmethod
+    def record(monkeypatch, graph, model, fused):
+        """Per-set address streams and members of a 5-set, 1-thread trace
+        (seed 2: IC sets of one and of ~3,400 vertices), and the base
+        address of every region it allocates."""
+        streams, members, bases = [], [], {}
+        access = CacheHierarchy.access
+        allocate = MemoryLayout.allocate
+        walk = (
+            instrumented._traced_ic_bfs if model == "IC"
+            else instrumented._traced_lt_walk
+        )
+
+        def record_access(self, addrs):
+            streams.append(np.array(addrs))
+            return access(self, addrs)
+
+        def record_allocate(self, name, nbytes, **kw):
+            bases[name] = allocate(self, name, nbytes, **kw)
+            return bases[name]
+
+        def record_walk(*args):
+            members.append(walk(*args))
+            return members[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(CacheHierarchy, "access", record_access)
+            m.setattr(MemoryLayout, "allocate", record_allocate)
+            m.setattr(instrumented, walk.__name__, record_walk)
+            trace_sampling(
+                graph, 5, 1, perlmutter(), model=model, fused=fused, seed=2
+            )
+        return streams, members, bases
+
+    @pytest.mark.parametrize("model,dataset", [("IC", "google"), ("LT", "amazon")])
+    def test_counter_updates_are_the_members(self, monkeypatch, model, dataset):
+        g = load_dataset(dataset, model=model, seed=0)
+        rev = get_model(model, g).reverse_graph
+        plain, plain_members, _ = self.record(monkeypatch, g, model, False)
+        fused, members, bases = self.record(monkeypatch, g, model, True)
+        assert len(plain) == len(fused) == len(members) == 5
+        n = g.num_vertices
+        ctr_lo, ctr_hi = bases["counter"], bases["counter"] + 8 * n
+        rrr_lo, rrr_hi = bases["rrr"], bases["rrr"] + 4 * n
+        edge_lo = bases["rev_indices"]
+        edge_hi = edge_lo + rev.indices.nbytes
+        for want, got in zip(plain, fused):
+            # The same sets, traced access for access, then counter updates.
+            assert np.array_equal(got[: want.size], want)
+            tail = got[want.size :]
+            assert ((tail >= ctr_lo) & (tail < ctr_hi)).all()
+        for want, got, want_own, own in zip(plain, fused, plain_members, members):
+            assert np.array_equal(own, want_own)
+            # Its counter updates land on its own members, once each.
+            assert np.array_equal(
+                np.sort(got[want.size :]), np.sort(bases["counter"] + 8 * own)
+            )
+            # The members are the set the stream built: one RRR-buffer
+            # write each, distinct, each reached along an examined row.
+            assert ((want >= rrr_lo) & (want < rrr_hi)).sum() == own.size
+            assert np.unique(own).size == own.size
+            edges = want[(want >= edge_lo) & (want < edge_hi)]
+            rows = np.unique(
+                np.searchsorted(rev.indptr, (edges - edge_lo) // 4, "right") - 1
+            )
+            reached = [rev.indices[rev.indptr[r] : rev.indptr[r + 1]] for r in rows]
+            assert np.isin(own[1:], np.concatenate([own[:1], *reached])).all()

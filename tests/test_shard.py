@@ -2,13 +2,16 @@
 
 The router's end-to-end determinism and failure handling live in
 test_shard_router.py; this module covers the layers underneath — ownership
-assignment (consistent hashing, block/balanced), sub-sketch fingerprints,
-the worker's cold-streaming build (byte-identical to the partitioned full
-sketch), artifact round-trips, the self-healing session protocol, and the
-cluster build/publish fan-out.
+assignment (one vectorised hash), sub-sketch fingerprints and the guard
+against serving a slice of another layout, the worker's cold-streaming
+build (byte-identical to the partitioned full sketch), artifact
+round-trips, the self-healing session protocol, and the cluster
+build/publish fan-out.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.core.parallel_sampling import parallel_generate
 from repro.errors import BackendError, ParameterError
 from repro.graph.io import graph_fingerprint
 from repro.runtime.backends import SerialBackend
-from repro.service.artifacts import sketch_fingerprint
+from repro.service.artifacts import ArtifactStore, sketch_fingerprint
 from repro.service.engine import EngineConfig
 from repro.shard import (
     ShardCluster,
@@ -54,7 +57,7 @@ def reference_partition(plan, store, fingerprint):
     """The per-set partition loop ``ShardPlan.partition_store`` ran before
     it cut each slice with one gather: every set, in global order, is
     appended to its owner's store, and each store is then trimmed."""
-    owners = plan.assign_sets(fingerprint, len(store), sizes=store.sizes())
+    owners = plan.assign_sets(fingerprint, len(store))
     parts = [FlatRRRStore(store.num_vertices) for _ in range(plan.num_shards)]
     for i, s in enumerate(owners.tolist()):
         parts[s].append(store.get(i))
@@ -83,15 +86,10 @@ class TestShardPlan:
         with pytest.raises(ParameterError):
             ShardPlan(num_shards=2, replication=0)
         with pytest.raises(ParameterError):
-            ShardPlan(num_shards=2, strategy="roundrobin")
-        with pytest.raises(ParameterError):
-            ShardPlan(num_shards=2, virtual_nodes=0)
-        with pytest.raises(ParameterError):
             ShardPlan(num_shards=2).assign_sets("fp", -1)
 
-    @pytest.mark.parametrize("strategy", ["hash", "block"])
-    def test_assignment_is_a_partition(self, strategy):
-        plan = ShardPlan(num_shards=4, strategy=strategy)
+    def test_assignment_is_a_partition(self):
+        plan = ShardPlan(num_shards=4)
         owners = plan.assign_sets("fp0", 200)
         assert owners.shape == (200,)
         assert owners.min() >= 0 and owners.max() < 4
@@ -105,27 +103,11 @@ class TestShardPlan:
         assert np.array_equal(a, ShardPlan(num_shards=4).assign_sets("fp0", 300))
         assert not np.array_equal(a, plan.assign_sets("fp1", 300))
 
-    def test_consistent_hashing_remaps_a_small_fraction(self):
-        """Adding a shard moves ~1/num_shards of the sets, not all of them."""
-        before = ShardPlan(num_shards=4).assign_sets("fp", 400)
-        after = ShardPlan(num_shards=5).assign_sets("fp", 400)
-        moved = float((before != after).mean())
-        assert moved < 0.40, f"{moved:.0%} of sets remapped by one new shard"
-
     def test_hash_balance_is_reasonable(self):
         owners = ShardPlan(num_shards=4).assign_sets("fp", 400)
         counts = np.bincount(owners, minlength=4)
         assert counts.min() > 0
         assert counts.max() <= 3 * counts.min()
-
-    def test_balanced_needs_sizes(self):
-        plan = ShardPlan(num_shards=2, strategy="balanced")
-        with pytest.raises(ParameterError, match="sizes"):
-            plan.assign_sets("fp", 10)
-        sizes = np.array([10, 1, 1, 1, 10, 1])
-        owners = plan.assign_sets("fp", 6, sizes=sizes)
-        per_shard = np.bincount(owners, weights=sizes, minlength=2)
-        assert abs(per_shard[0] - per_shard[1]) <= 10
 
     def test_partition_store_counters_sum_exactly(self):
         g = small_graph()
@@ -141,18 +123,17 @@ class TestShardPlan:
             total += part.vertex_counts()
         assert np.array_equal(total, full.vertex_counts())
 
-    @pytest.mark.parametrize("num_sizes", [5, 11])
-    def test_balanced_rejects_sizes_of_another_length(self, num_sizes):
-        plan = ShardPlan(num_shards=2, strategy="balanced")
-        with pytest.raises(ParameterError, match=f"{num_sizes} set sizes for 10"):
-            plan.assign_sets("fp", 10, sizes=np.ones(num_sizes))
-
     def test_shard_fingerprints_distinct(self):
         p = ShardPlan(num_shards=4)
         fps = {shard_fingerprint("fp", s, p) for s in range(4)}
         assert len(fps) == 4
-        other = ShardPlan(num_shards=4, virtual_nodes=32)
+        other = ShardPlan(num_shards=5)
         assert shard_fingerprint("fp", 0, p) != shard_fingerprint("fp", 0, other)
+        # Replicas hold identical data, so replication leaves the key alone.
+        replicated = ShardPlan(num_shards=4, replication=3)
+        assert shard_fingerprint("fp", 0, p) == shard_fingerprint(
+            "fp", 0, replicated
+        )
 
     def test_worker_naming_and_describe(self):
         plan = ShardPlan(num_shards=2, replication=3)
@@ -164,17 +145,16 @@ class TestShardPlan:
 
 class TestPartitionReference:
     """``partition_store`` against the per-set reference loop, byte for
-    byte, under every strategy."""
+    byte."""
 
-    @pytest.mark.parametrize("strategy", ["hash", "block", "balanced"])
     @given(
         store=stores(),
         num_shards=st.integers(1, 8),
         fingerprint=st.text(min_size=1, max_size=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference(self, strategy, store, num_shards, fingerprint):
-        plan = ShardPlan(num_shards=num_shards, strategy=strategy)
+    def test_matches_reference(self, store, num_shards, fingerprint):
+        plan = ShardPlan(num_shards=num_shards)
         got = plan.partition_store(store, fingerprint)
         want = reference_partition(plan, store, fingerprint)
         assert len(got) == len(want) == num_shards
@@ -186,8 +166,7 @@ class TestPartitionReference:
             assert part.vertices.dtype == ref.vertices.dtype
             assert part.capacity_bytes() == ref.capacity_bytes()
 
-    @pytest.mark.parametrize("strategy", ["hash", "block", "balanced"])
-    def test_edge_cases(self, strategy):
+    def test_edge_cases(self):
         empty = FlatRRRStore(6)
         hollow = FlatRRRStore(6)  # only empty sets
         hollow.extend([np.array([], dtype=np.int32)] * 3)
@@ -195,7 +174,7 @@ class TestPartitionReference:
         few.extend([np.array([1, 4]), np.array([], dtype=np.int32)])
         for store in (empty, hollow, few):
             for num_shards in (1, 5):
-                plan = ShardPlan(num_shards=num_shards, strategy=strategy)
+                plan = ShardPlan(num_shards=num_shards)
                 got = plan.partition_store(store, "fp")
                 want = reference_partition(plan, store, "fp")
                 assert [p.offsets.tolist() for p in got] == [
@@ -222,13 +201,12 @@ class TestShardWorker:
         assert w.name == "s0r3"
         w.close()
 
-    @pytest.mark.parametrize("strategy", ["hash", "block", "balanced"])
-    def test_cold_build_matches_partitioned_full_sketch(self, strategy):
+    def test_cold_build_matches_partitioned_full_sketch(self):
         """The streaming cold path derives exactly the owned slice of the
         deterministic global sampling sequence."""
         g = small_graph()
         gfp = graph_fingerprint(g)
-        plan = ShardPlan(num_shards=3, strategy=strategy)
+        plan = ShardPlan(num_shards=3)
         spec = spec_for()
         full = parallel_generate(
             g, "IC", THETA, num_workers=1, seed=spec.seed,
@@ -264,6 +242,45 @@ class TestShardWorker:
             assert again.warm
             assert w2.stats.artifact_loads == 1 and w2.stats.cold_builds == 0
             assert again.sketch_bytes == first.sketch_bytes
+
+    @pytest.mark.parametrize(
+        "key_of",
+        [
+            # The key slices had under the hash-ring layout (64 ring
+            # points per shard), whose slices hold other sets.
+            lambda fp, shard, plan: hashlib.sha256(
+                f"{fp}:shard{shard}/{plan.num_shards}:hash:64".encode()
+            ).hexdigest()[:16],
+            shard_fingerprint,
+        ],
+        ids=["ring-layout", "own-layout"],
+    )
+    def test_serves_only_slices_of_its_own_layout(self, tmp_path, key_of):
+        """A slice persisted under another layout's key is never served:
+        the worker cold-builds its own slice beside it."""
+        g = small_graph()
+        plan = ShardPlan(num_shards=2)
+        spec = spec_for()
+        fp = sketch_fingerprint(
+            graph_fingerprint(g), "IC", spec.epsilon, spec.seed, THETA
+        )
+        full = parallel_generate(
+            g, "IC", THETA, num_workers=1, seed=spec.seed,
+            backend=SerialBackend(),
+        )
+        own, other = plan.partition_store(full, fp)
+        # Plant a slice that is not shard 0's under the layout's key.
+        ArtifactStore(tmp_path).save_sketch(key_of(fp, 0, plan), other)
+        cfg = EngineConfig(artifact_dir=str(tmp_path))
+        with ShardWorker(0, plan, config=cfg) as w:
+            w.install_graph("synth", g)
+            info = w.session_open("s", spec)
+        planted_served = key_of is shard_fingerprint
+        assert w.stats.artifact_loads == int(planted_served)
+        assert w.stats.cold_builds == int(not planted_served)
+        served = other if planted_served else own
+        assert info.num_local_sets == len(served)
+        assert np.array_equal(info.counter, served.vertex_counts())
 
     def test_warm_hit_on_second_open(self):
         g = small_graph()

@@ -174,7 +174,7 @@ class TestBisectingShards:
         full = parallel_generate(
             g, "IC", theta, num_workers=1, seed=0, backend=SerialBackend()
         )
-        owners = plan.assign_sets(fp, theta, sizes=full.sizes())
+        owners = plan.assign_sets(fp, theta)
         from repro.sketch.store import FlatRRRStore
 
         survivor = FlatRRRStore(g.num_vertices)
@@ -250,7 +250,7 @@ class TestShardLoss:
             graph, "IC", THETA, num_workers=1, seed=SEED,
             backend=SerialBackend(),
         )
-        owners = plan.assign_sets(fp, THETA, sizes=full.sizes())
+        owners = plan.assign_sets(fp, THETA)
         from repro.sketch.store import FlatRRRStore
 
         survivor = FlatRRRStore(graph.num_vertices)
