@@ -27,6 +27,10 @@ knob, exposed as ``adaptive_update``).
 (:mod:`repro.simmachine.instrumented`), the simulated-cluster ranks
 (:mod:`repro.distributed.dimm`) and the shard router
 (:mod:`repro.shard.router`) all run it, each with its own cover step.
+Greedy is prefix-consistent (round ``i`` never depends on later rounds),
+so the query engine keeps each cached sketch's longest
+``efficient_select`` answer (:class:`~repro.service.cache.CacheEntry`) and
+serves every shorter ``k`` from its first ``k`` rounds.
 
 Membership ("which uncovered sets contain v") costs what it covers.
 :class:`CoverStep` finds it one of two ways, fixed once per call (or per

@@ -11,7 +11,7 @@ protocol and adds the overload behaviour a real deployment needs before
   queue with deadline-aware load shedding (structured ``"overloaded"``
   responses carrying ``retry_after_s``, never a hang), per-client
   token-bucket rate limiting, and micro-batch coalescing so one engine
-  selection pass answers every compatible in-flight client;
+  call answers every compatible in-flight client;
 - :mod:`repro.gateway.client` — :class:`GatewayClient` /
   :class:`AsyncGatewayClient` plus the canonical wire-encoding helpers
   (the single definition of how queries become lines), with

@@ -34,7 +34,8 @@ concurrent load:
 - **micro-batch coalescing** — the single dispatcher drains the queue in
   windows of ``batch_window_s`` (up to ``batch_max`` queries) and hands
   the whole batch to the engine, whose own fingerprint grouping then
-  serves every compatible in-flight client from **one** selection pass.
+  serves every compatible in-flight client from **one** sketch
+  acquisition and at most one selection pass over it.
 
 The engine runs on a dedicated single-thread executor: the event loop
 stays free to accept, parse, and shed while a batch computes, and the

@@ -10,11 +10,18 @@ order of decreasing speed:
 3. cold sampling through :func:`repro.core.parallel_sampling.parallel_generate`
    on a :mod:`repro.runtime.backends` backend.
 
-Queries submitted together are grouped by sketch fingerprint; each group is
-served by **one** selection pass at ``k_max``, which the shared
-:class:`~repro.service.front.QueryFront` turns into per-query answers — the
-``k``-seed answer for every query in the group is the first ``k`` seeds of
-that single pass, with its coverage read off the per-round accounting.
+Queries submitted together are grouped by sketch fingerprint, and every
+group is answered from one greedy selection over its sketch.  Greedy is
+prefix-consistent, so the ``k``-seed answer is that selection's first
+``k`` seeds, with its coverage read off the per-round accounting, which
+the shared :class:`~repro.service.front.QueryFront` turns into per-query
+answers.  The cache entry keeps the longest selection served from its
+sketch (:meth:`~repro.service.cache.CacheEntry.select`): a group runs
+:func:`~repro.core.selection.efficient_select` only when its ``k_max`` is
+longer than that, and a warm read at any ``k`` up to the longest served so
+far runs no greedy round.  The kept selection goes with its entry:
+eviction, a re-warm under the same fingerprint, or a degraded (never
+cached) response drops it.
 
 Per-query deadlines are enforced at every stage boundary: an expired query
 is answered with a ``"timeout"`` response (a reported ``TimeoutError``,
@@ -45,7 +52,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
-from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, ParameterError, ReproError
 from repro.graph.datasets import load_dataset
 from repro.graph.io import graph_fingerprint
@@ -234,7 +240,8 @@ class QueryEngine(QueryFront):
 
     # --------------------------------------------------------------- internals
     def _serve_group(self, pending: list[Pending], out: list) -> None:
-        """Serve one fingerprint group: acquire its sketch, select once."""
+        """Serve one fingerprint group: acquire its sketch, then answer
+        from its kept selection, re-run first when ``k_max`` outruns it."""
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("service.batches").inc()
@@ -274,14 +281,18 @@ class QueryEngine(QueryFront):
             if not live:
                 return
 
+            # Select only past the longest k served from this sketch so
+            # far; every shorter k reads the kept selection's prefix.
             k_max = max(p.query.k for p in live)
-            with tel.span("service.selection", k=k_max, num_sets=len(entry.store)):
-                selection = efficient_select(
-                    entry.store, k_max, 1, initial_counter=entry.counter
-                )
+            if k_max > entry.seeds.size:
+                with tel.span(
+                    "service.selection", k=k_max, num_sets=len(entry.store)
+                ):
+                    entry.select(k_max)
+                self.cache.recharge(fp, entry)
+                self._sync_cache_telemetry()
         self._answer(
-            live, selection.seeds,
-            [r["new_covered_sets"] for r in selection.rounds], out,
+            live, entry.seeds, entry.newly, out,
             num_vertices=graph.num_vertices, num_sets=len(entry.store),
             cached=cached, degraded=degraded,
         )

@@ -1,19 +1,21 @@
 """The query front: the per-query lifecycle every executor shares.
 
-Every served answer is one greedy selection pass at ``k_max`` over one
-sketch; what turns that pass into per-query responses is the same whether
-the sketch lives whole in a :class:`~repro.service.engine.QueryEngine` or
-is scattered over a :class:`~repro.shard.router.Router`'s shards, so it
-lives here once:
+Every served answer reads the first ``k`` rounds of one greedy selection
+of at least ``k_max`` rounds over one sketch: the longest selection a
+:class:`~repro.service.engine.QueryEngine` keeps per cached sketch, one
+scatter-gather pass over a :class:`~repro.shard.router.Router`'s shards.
+What turns those rounds into per-query responses is the same for both, so
+it lives here once:
 
 - validation, and grouping by :meth:`IMQuery.batch_key` (one group per
   sketch, served by the subclass's ``_serve_group``);
 - the deadline checks — an expired query is answered ``"timeout"``, never
   left hanging, while the rest of its group proceeds;
 - the ``k``-against-vertex-count bound, which needs the resolved graph;
-- the answer loop: query ``k`` gets the first ``k`` seeds of the pass and
-  the coverage of its first ``k`` rounds (greedy selection is
-  prefix-consistent: round ``i`` never depends on later rounds);
+- the answer loop: query ``k`` gets the first ``k`` seeds and the
+  coverage of the first ``k`` rounds (greedy selection is
+  prefix-consistent: round ``i`` never depends on later rounds, so rounds
+  past ``k_max`` do not change the answer);
 - the ``ok``/``error``/``timeout`` responses and their per-query counters
   and telemetry, named under the subclass's :attr:`QueryFront.METRIC_PREFIX`
   (``<prefix>.queries``/``.errors``/``.timeouts``/``.degraded`` and the
@@ -180,8 +182,9 @@ class QueryFront:
         cached: bool,
         degraded: bool,
     ) -> None:
-        """Answer each query still in time from one ``k_max`` pass: its
-        first ``k`` seeds, and the sets its first ``k`` rounds covered."""
+        """Answer each query still in time from one selection of at least
+        ``k_max`` rounds: its first ``k`` seeds, and the sets its first
+        ``k`` rounds covered."""
         covered = np.cumsum(newly_covered)
         prefix = self.METRIC_PREFIX
         tel = telemetry.get()

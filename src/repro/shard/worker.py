@@ -45,7 +45,7 @@ on every operation until ``revive()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -60,6 +60,9 @@ from repro.service.engine import EngineConfig, QueryEngine
 from repro.service.protocol import IMQuery
 from repro.shard.plan import ShardPlan, shard_fingerprint
 from repro.sketch.protocol import make_store
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sketch.store import FlatRRRStore
 
 __all__ = ["SketchSpec", "OpenInfo", "CoverResult", "ShardWorker", "WorkerStats"]
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import selection
@@ -540,6 +540,61 @@ class TestKernelEquivalence:
         seeds = set(res.seeds.tolist()[:k])
         expected = sum(bool(seeds & set(x)) for x in sets) / len(sets)
         assert res.coverage_fraction == pytest.approx(expected)
+
+
+class TestPrefixConsistency:
+    """Greedy is prefix-consistent: ``efficient_select`` at any k1 <= k2
+    returns the first k1 rounds of the run at k2 — the same seeds, the
+    same sets newly covered each round, the same §IV-C update decisions.
+    The query engine keeps each sketch's longest selection and answers
+    every shorter k from its prefix on this property.  Both membership
+    paths, stores with empty sets and k past full coverage (the fill
+    path)."""
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 24), min_size=0, max_size=12, unique=True),
+            min_size=1, max_size=30,
+        ),
+        st.lists(st.integers(1, 25), min_size=1, max_size=5),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example([[], [1, 2], [], [3]], [1, 2, 5], True, True, False)
+    @example([[], [1, 2], [], [3]], [1, 2, 5], False, True, True)
+    @settings(max_examples=200, deadline=None)
+    def test_shorter_k_is_a_prefix(self, sets, ks, bisect, adaptive, fused):
+        n = 25
+        s = store_of(sets, n)
+        ks = sorted(ks)
+        counter = s.vertex_counts() if fused else None
+        with membership_side(bisect):
+            runs = [
+                efficient_select(
+                    s, k, initial_counter=counter, adaptive_update=adaptive
+                )
+                for k in ks
+            ]
+        longest = runs[-1]
+        assert longest.seeds.tolist() == greedy_reference(sets, n, ks[-1])
+        for k, run in zip(ks, runs):
+            assert run.seeds.tolist() == longest.seeds[:k].tolist()
+            assert run.rounds == longest.rounds[:k]
+        if counter is not None:
+            assert np.array_equal(counter, s.vertex_counts())
+
+    def test_fill_path_prefixes(self):
+        # Two rounds cover both sets; later rounds take the lowest
+        # unchosen ids, so every k past full coverage is a prefix too.
+        s = store_of([[1, 2], [3]], 6)
+        longest = efficient_select(s, 6)
+        assert longest.seeds.tolist() == [1, 3, 0, 2, 4, 5]
+        assert [r["new_covered_sets"] for r in longest.rounds] == [
+            1, 1, 0, 0, 0, 0
+        ]
+        for k in (2, 4):
+            assert efficient_select(s, k).rounds == longest.rounds[:k]
 
 
 class TestApproximationGuarantee:

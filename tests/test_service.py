@@ -10,10 +10,12 @@ entirely (telemetry-verified).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -735,6 +737,127 @@ class TestEngineEviction:
         assert r1.ok and r2.ok and not r2.cached
         assert eng.stats.cold_samples == 2
         assert eng.cache.stats.rejected == 2
+
+
+def _synth_engine() -> tuple[QueryEngine, int]:
+    """An engine serving the 40-vertex ``synth`` graph, and that graph's
+    vertex count."""
+    from test_shard import small_graph
+
+    graph = small_graph()
+    eng = QueryEngine(config=EngineConfig(default_theta=THETA))
+    eng.install_graph("synth", graph)
+    return eng, graph.num_vertices
+
+
+def _synth_fp(eng: QueryEngine, theta: int = THETA) -> str:
+    """The sketch fingerprint of a ``synth`` query with ``theta_cap=theta``."""
+    q = _q("synth", theta_cap=theta)
+    _, gfp = eng.resolve_graph("synth", q.model, q.seed)
+    return sketch_fingerprint(gfp, q.model, q.epsilon, q.seed, theta)
+
+
+def _rounds(tel) -> float:
+    return tel.registry.counter("selection.rounds").value
+
+
+class TestEngineKeptSelection:
+    """Warm reads come from the longest greedy selection each cached
+    sketch has served.  Answers are checked against the pure-Python greedy
+    over the sketch's sets and coverage against a plain count of the sets
+    the seeds hit."""
+
+    def test_answers_from_the_prefix_or_select_again(self):
+        from test_selection import greedy_reference
+
+        eng, n = _synth_engine()
+        answers, grown = [], []
+        with telemetry.session() as tel:
+            for k in (3, 1, 7, 7, 2, 12):
+                before = _rounds(tel)
+                answers.append(eng.query(_q("synth", k=k)))
+                grown.append(_rounds(tel) - before)
+            grew = [s.attrs["k"] for s in _spans(tel, "service.selection")]
+        # A k past the kept selection runs one selection from scratch;
+        # every other k runs no round.
+        assert grown == [3, 0, 7, 0, 0, 12]
+        assert grew == [3, 7, 12]  # a span only when a selection runs
+        assert [r.cached for r in answers] == [False] + [True] * 5
+        sets = [set(x.tolist()) for x in eng.cache.get(_synth_fp(eng)).store]
+        for r in answers:
+            assert r.ok
+            assert r.seeds == greedy_reference(sets, n, len(r.seeds))
+            hit = sum(1 for x in sets if x & set(r.seeds))
+            assert r.coverage_fraction == hit / len(sets)
+
+    def test_rewarm_replaces_the_selection(self):
+        from test_selection import greedy_reference
+
+        eng, n = _synth_engine()
+        fp = _synth_fp(eng)
+        first = eng.query(_q("synth", k=5))  # kept on the sampled sketch
+        w = (first.seeds[0] + 1) % n
+        sets_b = [[w], [w, (w + 1) % n], [w, (w + 2) % n], [(w + 2) % n]]
+        store_b = FlatRRRStore(n)
+        for x in sets_b:
+            store_b.append(np.asarray(x, dtype=np.int32))
+        assert eng.warm(fp, store_b)
+        with telemetry.session() as tel:
+            r = eng.query(_q("synth", k=3))
+            rounds = _rounds(tel)
+        assert r.ok and r.cached and r.num_rrrsets == len(sets_b)
+        assert r.seeds == greedy_reference(sets_b, n, 3)
+        assert r.seeds[0] == w != first.seeds[0]
+        assert rounds == 3  # B's own selection, not A's prefix
+
+    def test_eviction_drops_the_selection(self):
+        eng, _ = _synth_engine()
+        fp = _synth_fp(eng)
+        assert eng.query(_q("synth", k=6)).ok
+        entry = weakref.ref(eng.cache.get(fp))
+        assert entry().seeds.size == 6
+        assert eng.cache.evict(fp)
+        gc.collect()
+        assert entry() is None
+        with telemetry.session() as tel:
+            again = eng.query(_q("synth", k=4))
+            assert _rounds(tel) == 4
+        assert again.ok and not again.cached
+
+    def test_charge_follows_the_kept_selection(self):
+        eng, n = _synth_engine()
+        thetas = (THETA, THETA + 10)
+        for theta in thetas:
+            assert eng.query(_q("synth", k=2, theta_cap=theta)).ok
+        entries = [eng.cache.get(_synth_fp(eng, t)) for t in thetas]
+        held = sum(e.store.nbytes() + e.counter.nbytes for e in entries)
+        assert eng.cache.current_bytes() == held + 2 * 16 * 2
+        for theta in thetas:  # every selection at its longest: n rounds
+            assert eng.query(_q("synth", k=n, theta_cap=theta)).ok
+        assert eng.cache.current_bytes() == held + 2 * 16 * n
+        assert eng.cache.current_bytes() == sum(e.nbytes() for e in entries)
+        for theta in thetas:
+            assert eng.cache.evict(_synth_fp(eng, theta))
+        assert eng.cache.current_bytes() == 0
+
+    def test_growth_evicts_to_fit(self):
+        eng, _ = _synth_engine()
+        thetas = (THETA, THETA + 10)
+        for theta in thetas:
+            assert eng.query(_q("synth", k=1, theta_cap=theta)).ok
+        a, b = (eng.cache.get(_synth_fp(eng, t)) for t in thetas)
+        # Room for both as they are, not for a longer selection on top.
+        eng.cache.budget_bytes = eng.cache.current_bytes()
+        assert eng.query(_q("synth", k=3, theta_cap=thetas[1])).ok
+        assert b.seeds.size == 3 and _synth_fp(eng, thetas[0]) not in eng.cache
+        assert eng.cache.current_bytes() == b.nbytes()
+        # An entry its own growth takes past the whole budget is dropped,
+        # and the read that grew it is still answered.
+        eng.cache.budget_bytes = b.nbytes()
+        r = eng.query(_q("synth", k=5, theta_cap=thetas[1]))
+        assert r.ok and r.cached and len(r.seeds) == 5
+        assert len(eng.cache) == 0 and eng.cache.current_bytes() == 0
+        assert a.seeds.size == 1  # an evicted entry is left as it was
 
 
 class TestServingAcceptance:

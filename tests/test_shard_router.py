@@ -22,7 +22,13 @@ from repro.runtime.backends import SerialBackend
 from repro.service import EngineConfig, IMQuery, QueryEngine, sketch_fingerprint
 from repro.dynamic import DynamicService
 from repro.errors import ParameterError
-from repro.shard import Router, RouterConfig, ShardCluster, ShardPlan
+from repro.shard import (
+    Router,
+    RouterConfig,
+    ShardCluster,
+    ShardPlan,
+    shard_fingerprint,
+)
 from repro.shard import worker as worker_module
 
 from conftest import make_graph
@@ -105,6 +111,23 @@ class TestByteIdenticalSelection:
             second = cluster.query(query())
             assert not first.cached and second.cached
             assert first.seeds == second.seeds
+
+    def test_replica_slices_charge_store_and_counter(self, graph):
+        # Routed queries never select on a replica's own cache entry, so
+        # a slice costs its replica what its arrays hold, nothing more.
+        with make_cluster(graph, 2) as cluster:
+            q = query()
+            assert cluster.query(q).ok
+            for w in cluster.workers:
+                _, gfp = w.engine.resolve_graph("synth", q.model, q.seed)
+                fp = sketch_fingerprint(gfp, q.model, q.epsilon, q.seed, THETA)
+                entry = w.engine.cache.get(
+                    shard_fingerprint(fp, w.shard_id, cluster.plan)
+                )
+                assert len(w.engine.cache) == 1 and entry.seeds.size == 0
+                assert w.engine.cache.current_bytes() == (
+                    entry.store.nbytes() + entry.counter.nbytes
+                )
 
 
 # ======================================================= bisecting shards
