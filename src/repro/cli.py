@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gw.add_argument(
         "--batch-window", type=float, default=0.002, metavar="SECONDS",
-        help="micro-batch coalescing window",
+        help="longest wait for queries to join a batch, taken only after "
+        "an engine batch that took at least as long (0 never waits)",
     )
     gw.add_argument(
         "--batch-max", type=int, default=64, help="max queries per batch"

@@ -31,11 +31,14 @@ concurrent load:
 - **per-client rate limiting** — a token bucket per client address
   (``rate_limit_per_s`` / ``rate_limit_burst``) rejects the excess with
   ``"overloaded"`` before it can occupy queue space;
-- **micro-batch coalescing** — the single dispatcher drains the queue in
-  windows of ``batch_window_s`` (up to ``batch_max`` queries) and hands
-  the whole batch to the engine, whose own fingerprint grouping then
-  serves every compatible in-flight client from **one** sketch
-  acquisition and at most one selection pass over it.
+- **micro-batch coalescing** — the single dispatcher hands the engine
+  batches of up to ``batch_max`` queries, whose own fingerprint grouping
+  then serves every compatible in-flight client from **one** sketch
+  acquisition and at most one selection pass over it.  A query that joins
+  a batch saves at most one engine batch, so the dispatcher waits up to
+  ``batch_window_s`` for company only after a batch that took at least
+  that long; after a faster one it takes what is already queued and
+  dispatches at once.
 
 The engine runs on a dedicated single-thread executor: the event loop
 stays free to accept, parse, and shed while a batch computes, and the
@@ -94,9 +97,11 @@ class GatewayConfig:
         component of every accepted query's latency.
     batch_window_s / batch_max:
         Micro-batch coalescing: after the first query is popped, the
-        dispatcher keeps collecting for up to ``batch_window_s`` (or until
-        ``batch_max`` queries), then executes the whole batch at once.
-        ``0`` still coalesces whatever is already queued, without waiting.
+        dispatcher takes every queued query (up to ``batch_max``) and
+        executes them as one batch.  ``batch_window_s`` is the longest it
+        waits for more, and it waits only after an engine batch that took
+        at least that long (and before the first batch), since a query
+        that joins saves at most one batch.  ``0`` never waits.
     rate_limit_per_s / rate_limit_burst:
         Per-client-address token bucket; ``None`` disables rate limiting.
     retry_after_floor_s:
@@ -294,6 +299,9 @@ class GatewayServer:
         # shed decision and the retry_after_s hints.  None until the first
         # batch completes.
         self._ema_query_s: float | None = None
+        # Engine time of the last batch, which decides whether the next one
+        # waits for company (_coalesce); unknown counts as slow.
+        self._last_batch_s = float("inf")
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="gateway-engine"
         )
@@ -614,10 +622,16 @@ class GatewayServer:
                 self._tel_gauge("gateway.queue_depth", self._queue.qsize())
 
     async def _coalesce(self) -> list[_Pending]:
-        """Collect more queued queries for up to one batch window."""
+        """Collect more queries for the batch whose first query was popped.
+
+        Waiting for company pays only when a joining query saves a batch
+        that costs more than the wait, so the dispatcher waits up to one
+        batch window only after a batch that took at least that long;
+        otherwise it takes what is already queued.
+        """
         extra: list[_Pending] = []
         cfg = self.config
-        if cfg.batch_window_s > 0 and cfg.batch_max > 1:
+        if cfg.batch_max > 1 and 0 < cfg.batch_window_s <= self._last_batch_s:
             deadline = self._loop.time() + cfg.batch_window_s
             while len(extra) < cfg.batch_max - 1:
                 remaining = deadline - self._loop.time()
@@ -704,7 +718,7 @@ class GatewayServer:
                     ).to_dict()
                 )
             return
-        elapsed = time.perf_counter() - t0
+        elapsed = self._last_batch_s = time.perf_counter() - t0
         per_query = elapsed / len(live)
         self._ema_query_s = (
             per_query if self._ema_query_s is None

@@ -142,6 +142,12 @@ class SketchCache:
         self.stats.hits += 1
         return item[0]
 
+    def peek(self, fingerprint: str) -> CacheEntry | None:
+        """The resident entry for ``fingerprint``, or ``None``, counting
+        no hit or miss and leaving recency alone."""
+        item = self._entries.get(fingerprint)
+        return None if item is None else item[0]
+
     def put(self, fingerprint: str, entry: CacheEntry) -> bool:
         """Insert (or refresh) an entry, evicting LRU entries to fit.
 
@@ -171,8 +177,7 @@ class SketchCache:
         resident under ``fingerprint`` (its kept selection grew): LRU
         entries are evicted to fit, and an entry now larger than the whole
         budget is evicted itself."""
-        item = self._entries.get(fingerprint)
-        if item is not None and item[0] is entry:
+        if self.peek(fingerprint) is entry:
             if not self.put(fingerprint, entry):
                 self.evict(fingerprint)
 

@@ -196,7 +196,7 @@ class ShardCluster:
         preferring a zero-copy shm attach over the retained partition."""
         for spec, fp, parts, meta in self._published.values():
             sub_fp = shard_fingerprint(fp, w.shard_id, self.plan)
-            if w.engine.cache.get(sub_fp) is not None:
+            if sub_fp in w.engine.cache:
                 continue
             handle = None
             if self.segment_manager is not None:

@@ -308,10 +308,9 @@ class ShardWorker:
             self.stats.shm_attaches += 1
         if counter is None:
             counter = store.vertex_counts()
-        self.engine.warm(sub_fp, store, counter=counter, meta=meta)
-        return self.engine.cache.get(sub_fp) or CacheEntry(
-            store=store, counter=counter, meta=meta
-        )
+        if self.engine.warm(sub_fp, store, counter=counter, meta=meta):
+            return self.engine.cache.peek(sub_fp)
+        return CacheEntry(store=store, counter=counter, meta=meta)
 
     def _acquire(self, spec: SketchSpec) -> tuple[CacheEntry, bool, str, str]:
         """(entry, warm, fp, shard_fp): cache → shm → artifact → cold stream."""

@@ -10,9 +10,15 @@ Optional memory attribution: a :class:`Tracer` built with ``memory=True``
 reads :mod:`tracemalloc` at span entry/exit (when tracing is active) and
 stamps ``mem_delta_bytes`` / ``mem_peak_bytes`` onto each span.
 
+Retention is bounded: a tracer keeps the newest :data:`MAX_ROOTS` root
+spans, each with its whole tree, and counts the older ones it drops, so a
+long-running server (one ``service.batch`` root per engine batch) holds a
+fixed amount of trace memory.
+
 Exports:
 
-- :meth:`Tracer.to_dict` — the span tree as nested JSON (the repo schema);
+- :meth:`Tracer.to_dict` — the span tree as nested JSON (the repo schema),
+  with the count of dropped roots under ``dropped_roots``;
 - :meth:`Tracer.to_chrome_trace` — flat ``traceEvents`` in the Chrome
   trace-event format, loadable in ``chrome://tracing`` / Perfetto.
 """
@@ -26,7 +32,10 @@ import time
 import tracemalloc
 from typing import Any, Callable, Iterator
 
-__all__ = ["Span", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer", "NULL_SPAN", "MAX_ROOTS"]
+
+#: Root spans one tracer keeps; pushing another drops the oldest.
+MAX_ROOTS = 4096
 
 
 class Span:
@@ -114,6 +123,8 @@ class Tracer:
         self.enabled = True
         self.memory = bool(memory)
         self.roots: list[Span] = []
+        #: Roots dropped to keep ``roots`` within :data:`MAX_ROOTS`.
+        self.dropped_roots = 0
         self.epoch = time.perf_counter()
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -132,6 +143,9 @@ class Tracer:
         else:
             with self._lock:
                 self.roots.append(span)
+                if len(self.roots) > MAX_ROOTS:
+                    del self.roots[0]
+                    self.dropped_roots += 1
         st.append(span)
 
     def _pop(self, span: Span) -> None:
@@ -155,6 +169,7 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self.roots.clear()
+            self.dropped_roots = 0
         self._local = threading.local()
         self.epoch = time.perf_counter()
 
@@ -166,7 +181,10 @@ class Tracer:
 
     # -------------------------------------------------------------- exports
     def to_dict(self) -> dict[str, Any]:
-        return {"spans": [r.to_dict() for r in self.roots]}
+        return {
+            "spans": [r.to_dict() for r in self.roots],
+            "dropped_roots": self.dropped_roots,
+        }
 
     def to_chrome_trace(self) -> dict[str, Any]:
         """Chrome trace-event JSON (complete ``"X"`` events, microseconds)."""

@@ -208,6 +208,41 @@ class TestGatewayServing:
         # the engine saw them as one batch (one selection pass downstream).
         assert any(len(b) == 3 for b in engine.batches)
 
+    def test_lone_query_after_fast_batch_skips_the_window(self):
+        # A warm batch much faster than the window: the next lone query
+        # dispatches at once instead of waiting out the window for company.
+        engine = FakeEngine()
+        config = GatewayConfig(batch_window_s=0.5)
+        with serve_in_thread(engine, config=config) as srv:
+            with GatewayClient(srv.host, srv.port) as client:
+                assert client.query(_q(k=2, id="first")).ok
+                second = client.query(_q(k=3, id="second"))
+        assert second.ok and second.latency_s < 0.25
+        assert [len(b) for b in engine.batches] == [1, 1]
+
+    def test_slow_batch_keeps_coalescing(self):
+        # After a batch slower than the window, the dispatcher waits for
+        # company again: two clients 50 ms apart share one engine batch.
+        engine = FakeEngine(delay_s=0.3)
+        config = GatewayConfig(batch_window_s=0.2)
+        with serve_in_thread(engine, config=config) as srv:
+            with GatewayClient(srv.host, srv.port) as client:
+                assert client.query(_q(k=1, id="slow")).ok
+            out: dict[str, IMResponse] = {}
+
+            def send(qid):
+                with GatewayClient(srv.host, srv.port) as c:
+                    out[qid] = c.query(_q(k=2, id=qid))
+
+            first = threading.Thread(target=send, args=("a",))
+            first.start()
+            time.sleep(0.05)
+            send("b")
+            first.join(timeout=15)
+            assert not first.is_alive()
+        assert out["a"].ok and out["b"].ok
+        assert sorted(q.id for q in engine.batches[-1]) == ["a", "b"]
+
     def test_queue_full_sheds_overloaded(self):
         engine = FakeEngine(delay_s=0.4)
         config = GatewayConfig(queue_depth=1, batch_max=1, batch_window_s=0.0)

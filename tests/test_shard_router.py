@@ -112,6 +112,29 @@ class TestByteIdenticalSelection:
             assert not first.cached and second.cached
             assert first.seeds == second.seeds
 
+    def test_replica_cache_counts_only_lookups(self, graph):
+        # Warming a slice into a replica is no cache read: after a cold
+        # routed query the lookup that missed is the only one until a warm
+        # repeat hits, and a new replica warmed from the published tier
+        # has read nothing.
+        with make_cluster(graph, 2) as cluster:
+            assert cluster.query(query()).ok
+            for w in cluster.workers:
+                snap = w.stats_snapshot()
+                assert snap["worker"]["cold_builds"] == 1
+                assert snap["worker"]["warm_hits"] == 0
+                cache = snap["engine"]["cache"]
+                assert (cache["hits"], cache["misses"]) == (0, 1)
+            assert cluster.query(query()).cached
+            for w in cluster.workers:
+                cache = w.stats_snapshot()["engine"]["cache"]
+                assert (cache["hits"], cache["misses"]) == (1, 1)
+            cluster.build(spec_for())
+            cluster.add_replica(0)
+            fresh = cluster.worker(0, 1).engine
+            assert len(fresh.cache) == 1
+            assert (fresh.cache.stats.hits, fresh.cache.stats.misses) == (0, 0)
+
     def test_replica_slices_charge_store_and_counter(self, graph):
         # Routed queries never select on a replica's own cache entry, so
         # a slice costs its replica what its arrays hold, nothing more.

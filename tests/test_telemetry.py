@@ -17,6 +17,7 @@ from repro.telemetry import (
     merge_snapshots,
 )
 from repro.telemetry.export import bench_payload
+from repro.telemetry.tracing import MAX_ROOTS
 
 
 # ------------------------------------------------------------- instruments
@@ -229,6 +230,29 @@ class TestTracing:
             assert ev["ph"] == "X"
             assert ev["dur"] >= 0.0 and ev["ts"] >= 0.0
             assert isinstance(ev["pid"], int) and isinstance(ev["tid"], int)
+
+    def test_root_retention_keeps_newest_trees(self):
+        extra = 5
+        with telemetry.session() as tel:
+            for i in range(MAX_ROOTS + extra):
+                with tel.span("batch", i=i):
+                    with tel.span("selection", i=i):
+                        pass
+        roots = tel.tracer.roots
+        assert isinstance(roots, list) and len(roots) == MAX_ROOTS
+        assert [r.attrs["i"] for r in roots] == list(
+            range(extra, MAX_ROOTS + extra)
+        )
+        assert all(
+            [(c.name, c.attrs["i"]) for c in r.children]
+            == [("selection", r.attrs["i"])]
+            for r in roots
+        )
+        assert tel.tracer.dropped_roots == extra
+        doc = tel.tracer.to_dict()
+        assert doc["dropped_roots"] == extra and len(doc["spans"]) == MAX_ROOTS
+        tel.tracer.clear()
+        assert tel.tracer.roots == [] and tel.tracer.dropped_roots == 0
 
     def test_disabled_span_is_noop(self):
         assert not telemetry.is_enabled()
