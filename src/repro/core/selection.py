@@ -30,7 +30,9 @@ knob, exposed as ``adaptive_update``).
 Greedy is prefix-consistent (round ``i`` never depends on later rounds),
 so the query engine keeps each cached sketch's longest
 ``efficient_select`` answer (:class:`~repro.service.cache.CacheEntry`) and
-serves every shorter ``k`` from its first ``k`` rounds.
+serves every shorter ``k`` from its first ``k`` rounds, and the shard
+router keeps each sketch spec's longest scatter ``greedy_cover`` answer
+over one exact set of slice instances and does the same.
 
 Membership ("which uncovered sets contain v") costs what it covers.
 :class:`CoverStep` finds it one of two ways, fixed once per call (or per

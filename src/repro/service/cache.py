@@ -23,6 +23,7 @@ projects the cumulative stats as gauges.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
@@ -38,6 +39,10 @@ def _no_rounds() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
 
+#: Source of :attr:`CacheEntry.version`: unique within the process.
+_versions = itertools.count()
+
+
 @dataclass(frozen=True)
 class CacheEntry:
     """One warm sketch: the flat store, its fused counter, metadata, and
@@ -48,6 +53,10 @@ class CacheEntry:
     covered sets answer any ``k`` up to its length.  It lives and dies
     with its entry: a re-warmed fingerprint gets a new entry, and an
     evicted entry takes its selection with it.
+
+    Every entry built gets a new :attr:`version`, so two entries under
+    one fingerprint (a slice re-adopted with other content, or the same
+    slice on another replica) never read as the same instance.
     """
 
     store: Any  # FlatRRRStore (trimmed)
@@ -60,6 +69,10 @@ class CacheEntry:
     )
     newly: np.ndarray = field(
         default_factory=_no_rounds, init=False, repr=False, compare=False
+    )
+    #: Unique within the process, set at construction.
+    version: int = field(
+        default_factory=lambda: next(_versions), init=False, compare=False
     )
 
     def select(self, k: int) -> None:

@@ -38,6 +38,17 @@ Failure handling (docs/sharding.md):
   to close it when the group is answered, including a shard lost
   mid-query, so no replica keeps a session (and the slice it holds)
   after the query that opened it.
+- **kept selections**: greedy is prefix-consistent, so the router keeps,
+  per sketch spec, the longest selection it has served and answers a
+  group whose ``k_max`` it covers from its prefix, with no cover call.
+  It does so only while every shard opens over the very slice instances
+  that selection was made over: each open reports its slice's
+  ``(shard_fingerprint, version)``, every way a slice enters a replica
+  (build, publish, re-warm, canary, re-acquire after eviction) makes a
+  new version, and each replica's copy has its own.  A degraded pass, or
+  one in which some cover had to replay its session, is never kept.  At
+  most :data:`MAX_KEPT` specs keep one; the least recently read is
+  dropped first.
 - **health tracking**: consecutive per-replica failures order future
   replica attempts (healthy first) and are reported in
   :meth:`stats_snapshot`; a soft per-call deadline flags slow workers.
@@ -46,6 +57,7 @@ Failure handling (docs/sharding.md):
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -61,6 +73,10 @@ from repro.shard.plan import ShardPlan
 from repro.shard.worker import CoverResult, OpenInfo, ShardWorker, SketchSpec
 
 __all__ = ["Router", "RouterConfig", "RouterStats", "ShardDownError"]
+
+#: Most sketch specs the router keeps a selection for (16 bytes a round
+#: each); past it the least recently read one is dropped.
+MAX_KEPT = 256
 
 
 class ShardDownError(BackendError):
@@ -135,6 +151,7 @@ class RouterStats:
     shard_losses: int = 0
     resyncs: int = 0
     deadline_misses: int = 0
+    kept_hits: int = 0  # groups answered from a kept selection
 
     def to_dict(self) -> dict[str, int]:
         return {k: int(v) for k, v in self.__dict__.items()}
@@ -150,6 +167,7 @@ class _GroupSession:
         self.opens: dict[int, OpenInfo] = {}
         self.history: list[int] = []      # seeds applied so far
         self.lost_shard = False
+        self.replayed = False             # a cover rebuilt its session
 
     @property
     def num_live_sets(self) -> int:
@@ -190,6 +208,9 @@ class Router(QueryFront):
         self._failures: dict[str, int] = {w.name: 0 for w in workers}
         self.stats = RouterStats()
         self._session_seq = 0
+        #: Spec key -> (slice stamp, seeds, sets newly covered per round)
+        #: of the longest full selection served over those slices.
+        self._kept: OrderedDict[tuple, tuple] = OrderedDict()
 
     # ----------------------------------------------------------------- public
     def add_worker(self, worker: ShardWorker) -> None:
@@ -370,6 +391,7 @@ class Router(QueryFront):
             if dec.size:
                 counts -= np.bincount(dec, minlength=counts.size)
             sess.history.append(v)
+            sess.replayed |= any(r.replayed for r in results)
             if tel.enabled:
                 tel.registry.histogram("shard.router.gather_fanin").observe(
                     len(sess.live)
@@ -391,6 +413,33 @@ class Router(QueryFront):
             self.stats.resyncs += 1
             self._tel_inc("shard.router.resyncs")
 
+    def _selection(
+        self, sess: _GroupSession, k_max: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The group's selection: the kept one, when it was made over the
+        slice instances every shard opened and runs to ``k_max``; else a
+        :meth:`_select` pass from round zero, kept unless it lost a shard
+        or replayed a session.  Only full passes are kept, so a group that
+        lost a shard at open (its stamp lacks that shard) never reads one."""
+        key = sess.spec.key()
+        stamp = tuple(
+            (s, sess.opens[s].shard_fingerprint, sess.opens[s].version)
+            for s in sess.live
+        )
+        kept = self._kept.get(key)
+        if kept is not None and kept[0] == stamp and k_max <= kept[1].size:
+            self._kept.move_to_end(key)
+            self.stats.kept_hits += 1
+            self._tel_inc("shard.router.kept_hits")
+            return kept[1], kept[2]
+        seeds, newly = self._select(sess, k_max)
+        if not (sess.lost_shard or sess.replayed):
+            self._kept[key] = (stamp, seeds, newly)
+            self._kept.move_to_end(key)
+            while len(self._kept) > MAX_KEPT:
+                self._kept.popitem(last=False)
+        return seeds, newly
+
     def _refuse_degraded(
         self, sess: _GroupSession, cause: Exception | None = None
     ) -> None:
@@ -400,8 +449,8 @@ class Router(QueryFront):
             raise BackendError(f"{reason} ({cause})" if cause else reason)
 
     def _serve_group(self, pending: list[Pending], out: list) -> None:
-        """Serve one query group: open a session on every shard, then run
-        the scatter :meth:`_select` once."""
+        """Serve one query group: open a session on every shard, then read
+        the kept selection or run the scatter :meth:`_select` once."""
         pending = self._split_expired(pending, out)
         if not pending:
             return
@@ -431,7 +480,7 @@ class Router(QueryFront):
                     return
                 cached = all(sess.opens[s].warm for s in sess.live)
                 try:
-                    seeds, newly = self._select(
+                    seeds, newly = self._selection(
                         sess, max(p.query.k for p in live)
                     )
                 except ReproError as exc:

@@ -28,13 +28,15 @@ Acquisition order mirrors the engine (docs/serving.md):
    indices, which is what makes scatter-gathered selection equal the
    single-node engine.
 
-The scatter protocol (``session_open`` / ``session_cover`` /
-``session_counts``) is deliberately self-healing: every call carries the
-selection history, so a replica that never saw the session — or fell out
-of sync after a presumed-failed call — silently rebuilds its state by
-replaying the history against its (identical) sub-sketch.  That replay is
-the whole failover story; the router never orchestrates recovery beyond
-re-sending the same call to the next replica.
+The scatter protocol (``session_open`` / ``session_cover``) is
+deliberately self-healing: every call carries the selection history, so a
+replica that never saw the session — or fell out of sync after a
+presumed-failed call — silently rebuilds its state by replaying the
+history against its (identical) sub-sketch.  That replay is the whole
+failover story; the router never orchestrates recovery beyond re-sending
+the same call to the next replica.  ``session_open`` reports the slice
+instance it opened over (:attr:`OpenInfo.version`), which is how the
+router tells that a selection it kept still answers for every shard.
 
 ``kill()`` / ``fail_after()`` are deterministic fault hooks in the spirit
 of :mod:`repro.resilience.faults`: a dead worker raises
@@ -129,6 +131,7 @@ class OpenInfo:
     sketch_bytes: int
     fingerprint: str        # full-sketch fingerprint (cluster-wide)
     shard_fingerprint: str  # this shard's sub-sketch key
+    version: int            # the slice instance (CacheEntry.version)
 
 
 @dataclass
@@ -392,6 +395,7 @@ class ShardWorker:
             sketch_bytes=entry.store.nbytes(),
             fingerprint=fp,
             shard_fingerprint=sub_fp,
+            version=entry.version,
         )
 
     def _sync_session(
@@ -441,19 +445,6 @@ class ShardWorker:
         dec, new_covered = self._cover(sess, int(v))
         self.stats.covers += 1
         return CoverResult(dec=dec, new_covered=new_covered, replayed=replayed)
-
-    def session_counts(
-        self, session_id: str, spec: SketchSpec, history: tuple[int, ...]
-    ) -> np.ndarray:
-        """Partial fused counter over this shard's *uncovered* sets — the
-        resync gather the router runs after losing a shard mid-stream."""
-        self._checkpoint()
-        sess, _ = self._sync_session(session_id, spec, tuple(history))
-        store = sess.entry.store
-        entry_active = np.repeat(sess.active, store.sizes())
-        return np.bincount(
-            store.vertices[entry_active], minlength=store.num_vertices
-        ).astype(np.int64)
 
     def session_close(self, session_id: str) -> None:
         self._sessions.pop(session_id, None)

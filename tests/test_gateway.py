@@ -67,6 +67,34 @@ class FakeEngine:
         return {"fake": {"batches": len(self.batches)}}
 
 
+class ColdThenWarmEngine(FakeEngine):
+    """Samples for ``cold_s`` on its first batch; answers every later batch
+    at once from its cache, marked ``cached``."""
+
+    def __init__(self, cold_s: float):
+        super().__init__()
+        self.cold_s = cold_s
+
+    def execute(self, queries):
+        cold = not self.batches
+        if cold:
+            time.sleep(self.cold_s)
+        responses = super().execute(queries)
+        for r in responses:
+            r.cached = not cold
+        return responses
+
+
+class FakeConn:
+    """A connection that records what the gateway sends it."""
+
+    def __init__(self):
+        self.sent = []
+
+    async def send(self, doc):
+        self.sent.append(doc)
+
+
 def _raw_roundtrip(host, port, lines, expected, timeout=15.0):
     """Pipeline several request lines on one socket, read ``expected``
     response lines back (the shape the sync client cannot produce)."""
@@ -314,13 +342,6 @@ class TestGatewayServing:
         # Unit-level: with an EMA predicting a 5 s/query engine and one
         # query already queued, a 1 s-deadline query is doomed — shed at
         # admission instead of queued into a guaranteed timeout.
-        class FakeConn:
-            def __init__(self):
-                self.sent = []
-
-            async def send(self, doc):
-                self.sent.append(doc)
-
         async def scenario():
             server = GatewayServer(FakeEngine(), config=GatewayConfig())
             server._queue = asyncio.Queue(maxsize=4)
@@ -338,6 +359,33 @@ class TestGatewayServing:
         assert "predicted queue wait" in doc["error"]
         assert doc["retry_after_s"] >= 5.0
         assert server.stats.shed_deadline == 1
+
+    def test_cold_batch_does_not_inflate_the_predicted_wait(self):
+        # One 0.5 s cold build, then 20 warm batches: the EMA tracks the
+        # warm ones (folding the cold one in, it reads 0.5 s * 0.8**20, or
+        # ~5.8 ms), so a tight deadline behind a queue of one is admitted.
+        with serve_in_thread(ColdThenWarmEngine(0.5)) as srv:
+            with GatewayClient(srv.host, srv.port) as client:
+                assert not client.query(_q(k=5, id="cold")).cached
+                for i in range(20):
+                    assert client.query(_q(k=1 + i % 5, id=f"w{i}")).cached
+                ema = client.stats()["gateway"]["ema_query_s"]
+        assert ema < 1e-3
+
+        async def scenario():
+            server = GatewayServer(FakeEngine(), config=GatewayConfig())
+            server._queue = asyncio.Queue(maxsize=4)
+            server._queue.put_nowait(object())
+            server._ema_query_s = ema
+            conn = FakeConn()
+            await server._admit(
+                _q(k=1, deadline_s=0.01, id="tight"), conn, time.monotonic()
+            )
+            return server, conn
+
+        server, conn = asyncio.run(scenario())
+        assert conn.sent == [] and server._queue.qsize() == 2
+        assert server.stats.accepted == 1 and server.stats.shed_deadline == 0
 
     def test_connection_limit(self):
         engine = FakeEngine()

@@ -623,7 +623,7 @@ def _router_stats(**kw):
     stats = dict(
         queries=7, ok=3, errors=3, timeouts=1, degraded=0, batches=2,
         scatter_calls=0, failovers=0, shard_losses=0, resyncs=0,
-        deadline_misses=0,
+        deadline_misses=0, kept_hits=0,
     )
     return {**stats, **kw}
 

@@ -335,21 +335,6 @@ class TestShardWorker:
             assert a.new_covered == b.new_covered
             assert np.array_equal(np.sort(a.dec), np.sort(b.dec))
 
-    def test_session_counts_tracks_uncovered_sets(self):
-        g = small_graph()
-        spec = spec_for()
-        with ShardWorker(0, ShardPlan(num_shards=1)) as w:
-            w.install_graph("synth", g)
-            info = w.session_open("s", spec)
-            assert np.array_equal(
-                w.session_counts("s", spec, ()), info.counter
-            )
-            v = int(np.argmax(info.counter))
-            res = w.session_cover("s", spec, (), v)
-            after = w.session_counts("s", spec, (v,))
-            assert int(info.counter.sum() - after.sum()) == res.dec.size
-            assert after[v] == 0
-
     def test_session_close_forgets(self):
         g = small_graph()
         spec = spec_for()

@@ -98,7 +98,7 @@ def test_routed_answer_is_greedy_over_the_answering_sets(
         if when == "open":
             cluster.kill(lost)
         elif when == "mid-query":
-            cluster.execute(queries)  # warm every shard first
+            cluster.build(spec_for())  # warm every shard first
             cluster.worker(lost, 0).fail_after(2)  # open, one cover, dead
         responses = cluster.execute(queries)
         resyncs = cluster.router.stats.resyncs

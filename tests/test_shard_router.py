@@ -29,9 +29,11 @@ from repro.shard import (
     ShardPlan,
     shard_fingerprint,
 )
+from repro.shard import router as router_module
 from repro.shard import worker as worker_module
 
 from conftest import make_graph
+from test_selection import greedy_reference
 from test_shard import THETA, small_graph, spec_for
 
 SEED = 3
@@ -324,7 +326,7 @@ class TestShardLoss:
         plan = ShardPlan(num_shards=2, replication=1)
         with ShardCluster(plan) as cluster:
             cluster.install_graph("synth", graph)
-            cluster.query(query())  # warm both shards first
+            cluster.build(spec_for())  # warm both shards first
             cluster.worker(1, 0).fail_after(2)
             resp = cluster.query(query(k=5))
             assert resp.status == "ok" and resp.degraded
@@ -358,6 +360,139 @@ class TestShardLoss:
             for _ in range(5):
                 assert cluster.query(query()).ok
             assert cluster.worker(1, 0)._sessions == {}
+
+
+# =========================================================== kept selections
+def slice_sets(cluster, *shards):
+    """The sets the first replica of each of ``shards`` serves for
+    ``query()``'s sketch, shard by shard."""
+    q, sets = query(), []
+    for shard in shards:
+        w = cluster.worker(shard, 0)
+        _, gfp = w.engine.resolve_graph(q.dataset, q.model, q.seed)
+        fp = sketch_fingerprint(gfp, q.model, q.epsilon, q.seed, q.theta_cap)
+        sub_fp = shard_fingerprint(fp, shard, cluster.plan)
+        store = w.engine.cache.peek(sub_fp).store
+        sets += [store.get(i).tolist() for i in range(len(store))]
+    return sets
+
+
+def other_slice(graph, plan):
+    """Other content for shard 0's key: the slice a sketch drawn with
+    another seed cuts for shard 0."""
+    full = parallel_generate(
+        graph, "IC", THETA, num_workers=1, seed=SEED + 1,
+        backend=SerialBackend(),
+    )
+    return plan.partition_store(full, "other")[0]
+
+
+class TestKeptSelection:
+    """The router answers a group from the longest selection it kept for
+    the spec only while every shard opens over the slices it was made
+    over, and only for a ``k`` no longer than it."""
+
+    KS = (10, 4, 10, 12)
+
+    def prefix_reads(self, cluster, make_query, graph=None):
+        with QueryEngine(config=EngineConfig()) as engine:
+            if graph is not None:
+                engine.install_graph("synth", graph)
+            refs = {k: engine.query(make_query(k)) for k in set(self.KS)}
+        covers = []
+        for k in self.KS:
+            resp = cluster.query(make_query(k))
+            assert resp.status == "ok" and not resp.degraded
+            assert resp.seeds == refs[k].seeds, f"k={k} seeds diverge"
+            assert resp.coverage_fraction == refs[k].coverage_fraction
+            assert resp.spread_estimate == refs[k].spread_estimate
+            covers.append(sum(w.stats.covers for w in cluster.workers))
+        # k=4 and the second k=10 read the first k=10 pass; k=12 selects.
+        assert cluster.router.stats.kept_hits == 2
+        assert covers[0] == covers[1] == covers[2] < covers[3]
+
+    def test_prefix_reads_across_groups(self, graph):
+        with make_cluster(graph, 2, replication=2) as cluster:
+            self.prefix_reads(cluster, lambda k: query(k=k), graph)
+
+    def test_prefix_reads_over_bisecting_shards(self, membership_paths):
+        plan = ShardPlan(num_shards=2, replication=2)
+        with ShardCluster(plan) as cluster:
+            self.prefix_reads(cluster, lambda k: IMQuery(k=k, **AMAZON))
+        assert membership_paths and all(membership_paths)
+
+    def test_readopted_slice_is_selected_again(self, graph):
+        plan = ShardPlan(num_shards=2, replication=2)
+        other = other_slice(graph, plan)
+        with ShardCluster(plan) as cluster:
+            cluster.install_graph("synth", graph)
+            built = cluster.build(spec_for())
+            first = cluster.query(query(k=6))
+            sub_fp = built["shards"][0]["shard_fingerprint"]
+            for w in cluster.replicas(0):
+                w.adopt(sub_fp, other, spec_for().slice_meta(plan, 0))
+            resp = cluster.query(query(k=6))
+            assert cluster.router.stats.kept_hits == 0
+            answering = slice_sets(cluster, 0, 1)
+        seeds = greedy_reference(answering, graph.num_vertices, 6)
+        assert seeds != first.seeds, "the new slice must change the answer"
+        covered = sum(1 for s in answering if set(s) & set(seeds))
+        assert resp.status == "ok" and not resp.degraded
+        assert resp.seeds == seeds
+        assert resp.num_rrrsets == len(answering)
+        assert resp.coverage_fraction == covered / len(answering)
+
+    def test_pass_replayed_on_another_replica_is_not_kept(self, graph):
+        # Shard 0's replicas disagree and the first dies mid-pass, so the
+        # pass mixes both slices.  Kept under the first replica's stamp, it
+        # would be served once that replica answers alone again.
+        plan = ShardPlan(num_shards=2, replication=2)
+        with ShardCluster(plan) as cluster:
+            cluster.install_graph("synth", graph)
+            built = cluster.build(spec_for())
+            cluster.worker(0, 1).adopt(
+                built["shards"][0]["shard_fingerprint"],
+                other_slice(graph, plan),
+                spec_for().slice_meta(plan, 0),
+            )
+            cluster.worker(0, 0).fail_after(2)  # open, one cover, dead
+            assert cluster.query(query(k=6)).ok
+            cluster.revive(0, 0)
+            cluster.kill(0, 1)
+            resp = cluster.query(query(k=6))
+            assert cluster.router.stats.kept_hits == 0
+            answering = slice_sets(cluster, 0, 1)
+        assert resp.status == "ok" and not resp.degraded
+        assert resp.seeds == greedy_reference(answering, graph.num_vertices, 6)
+
+    def test_degraded_pass_is_not_kept(self, graph):
+        with make_cluster(graph, 2, replication=2) as cluster:
+            full = cluster.query(query(k=6))
+            cluster.kill(1)
+            degraded = cluster.query(query(k=5))
+            survivors = slice_sets(cluster, 0)
+            cluster.revive(1)
+            again = cluster.query(query(k=6))
+            # The full selection outlived the degraded pass.
+            assert cluster.router.stats.kept_hits == 1
+        assert degraded.status == "ok" and degraded.degraded
+        assert degraded.seeds == greedy_reference(
+            survivors, graph.num_vertices, 5
+        )
+        assert degraded.seeds != full.seeds[:5]
+        assert again.status == "ok" and not again.degraded
+        assert again.seeds == full.seeds
+        assert again.coverage_fraction == full.coverage_fraction
+
+    def test_kept_selections_are_bounded(self, graph, monkeypatch):
+        monkeypatch.setattr(router_module, "MAX_KEPT", 2)
+        with make_cluster(graph, 2) as cluster:
+            for theta in (60, 70, 80, 80, 70):
+                assert cluster.query(query(k=4, theta_cap=theta)).ok
+            assert cluster.router.stats.kept_hits == 2
+            # Three specs through a cap of two: the first was dropped.
+            assert cluster.query(query(k=4, theta_cap=60)).ok
+            assert cluster.router.stats.kept_hits == 2
 
 
 # ============================================================ router surface
