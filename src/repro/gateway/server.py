@@ -295,11 +295,11 @@ class GatewayServer:
         self._stopped = False
         self._buckets: dict[str, _TokenBucket] = {}
         self._connections: set[_Connection] = set()
-        # EMA of per-query engine service time over warm batches (every
-        # answer ok and cached), feeding the predicted-wait shed decision
-        # and the retry_after_s hints.  None until the first batch
-        # completes; a cold or failed batch stands in only until the first
-        # warm one, which replaces it.
+        # EMA of per-query engine service time, feeding the predicted-wait
+        # shed decision and the retry_after_s hints.  None until the first
+        # batch completes.  Until a warm batch (every answer ok and cached)
+        # has been seen it folds in every batch; the first warm one
+        # replaces it, and from then on it folds in warm batches only.
         self._ema_query_s: float | None = None
         self._ema_warm = False
         # Engine time of the last batch, which decides whether the next one
@@ -724,11 +724,11 @@ class GatewayServer:
         elapsed = self._last_batch_s = time.perf_counter() - t0
         per_query = elapsed / len(live)
         warm = all(r.ok and r.cached for r in responses)
-        if warm and self._ema_warm:
-            self._ema_query_s = 0.8 * self._ema_query_s + 0.2 * per_query
-        elif warm or self._ema_query_s is None:
+        if self._ema_query_s is None or (warm and not self._ema_warm):
             self._ema_query_s = per_query
             self._ema_warm = warm
+        elif warm or not self._ema_warm:
+            self._ema_query_s = 0.8 * self._ema_query_s + 0.2 * per_query
         self.stats.batches += 1
         if tel.enabled:
             tel.registry.counter("gateway.batches").inc()

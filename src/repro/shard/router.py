@@ -43,9 +43,9 @@ Failure handling (docs/sharding.md):
   group whose ``k_max`` it covers from its prefix, with no cover call.
   It does so only while every shard opens over the very slice instances
   that selection was made over: each open reports its slice's
-  ``(shard_fingerprint, version)``, every way a slice enters a replica
-  (build, publish, re-warm, canary, re-acquire after eviction) makes a
-  new version, and each replica's copy has its own.  A degraded pass, or
+  ``version``, which is unique within the process, every way a slice
+  enters a replica (build, publish, re-warm, canary, re-acquire after
+  eviction) makes a new one, and each replica's copy has its own.  A degraded pass, or
   one in which some cover had to replay its session, is never kept.  At
   most :data:`MAX_KEPT` specs keep one; the least recently read is
   dropped first.
@@ -422,10 +422,7 @@ class Router(QueryFront):
         or replayed a session.  Only full passes are kept, so a group that
         lost a shard at open (its stamp lacks that shard) never reads one."""
         key = sess.spec.key()
-        stamp = tuple(
-            (s, sess.opens[s].shard_fingerprint, sess.opens[s].version)
-            for s in sess.live
-        )
+        stamp = tuple((s, sess.opens[s].version) for s in sess.live)
         kept = self._kept.get(key)
         if kept is not None and kept[0] == stamp and k_max <= kept[1].size:
             self._kept.move_to_end(key)

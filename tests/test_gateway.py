@@ -85,6 +85,20 @@ class ColdThenWarmEngine(FakeEngine):
         return responses
 
 
+class ColdOnlyEngine(FakeEngine):
+    """Fails its first batch at once, then answers every later batch after
+    ``delay_s``, never from a cache."""
+
+    def execute(self, queries):
+        if not self.batches:
+            self.batches.append(list(queries))
+            return [
+                IMResponse(status="error", id=q.id, error="unknown dataset")
+                for q in queries
+            ]
+        return super().execute(queries)
+
+
 class FakeConn:
     """A connection that records what the gateway sends it."""
 
@@ -386,6 +400,19 @@ class TestGatewayServing:
         server, conn = asyncio.run(scenario())
         assert conn.sent == [] and server._queue.qsize() == 2
         assert server.stats.accepted == 1 and server.stats.shed_deadline == 0
+
+    def test_cold_traffic_keeps_the_predicted_wait_current(self):
+        # No batch is ever warm and the first one fails at once: the EMA
+        # follows the later 20 ms batches (>= 20 ms * (1 - 0.8**10), or
+        # ~18 ms) instead of keeping the failure's near-zero time.
+        with serve_in_thread(ColdOnlyEngine(0.02)) as srv:
+            with GatewayClient(srv.host, srv.port) as client:
+                assert client.query(_q(k=1, id="bad")).status == "error"
+                for i in range(10):
+                    resp = client.query(_q(k=1, id=f"c{i}"))
+                    assert resp.ok and not resp.cached
+                ema = client.stats()["gateway"]["ema_query_s"]
+        assert ema > 0.015
 
     def test_connection_limit(self):
         engine = FakeEngine()
