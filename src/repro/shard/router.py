@@ -42,13 +42,13 @@ Failure handling (docs/sharding.md):
   per sketch spec, the longest selection it has served and answers a
   group whose ``k_max`` it covers from its prefix, with no cover call.
   It does so only while every shard opens over the very slice instances
-  that selection was made over: each open reports its slice's
-  ``version``, which is unique within the process, every way a slice
+  that selection was made over.  Each open reports its slice's
+  ``version``, which is unique within the process: every way a slice
   enters a replica (build, publish, re-warm, canary, re-acquire after
-  eviction) makes a new one, and each replica's copy has its own.  A degraded pass, or
-  one in which some cover had to replay its session, is never kept.  At
-  most :data:`MAX_KEPT` specs keep one; the least recently read is
-  dropped first.
+  eviction) makes a new one, and each replica's copy has its own.  A
+  degraded pass, or one in which some cover had to replay its session,
+  is never kept.  At most :data:`MAX_KEPT` specs keep one; the least
+  recently read is dropped first.
 - **health tracking**: consecutive per-replica failures order future
   replica attempts (healthy first) and are reported in
   :meth:`stats_snapshot`; a soft per-call deadline flags slow workers.
