@@ -998,14 +998,29 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
 
 
-def _serve_loop(tel, shutdown, execute, control) -> int:
+def _write_telemetry(args: argparse.Namespace, tel, run: dict) -> None:
+    """Write the ``--telemetry`` report of ``run``, when asked for, and
+    name its files on stderr."""
+    from repro import telemetry
+
+    if args.telemetry is not None:
+        paths = telemetry.write_report(args.telemetry, tel, run=run)
+        print(
+            f"telemetry: {paths['metrics']} {paths['trace']}",
+            file=sys.stderr,
+        )
+
+
+def _serve_loop(tel, shutdown, execute, snapshot, ops=None) -> int:
     """Shared JSON-lines loop of the ``serve`` verbs.
 
-    ``execute(queries) -> responses`` handles a parsed batch; ``control(op
-    dict) -> (payload | None, stop)`` handles control operations (``None``
-    payload means unknown op).  Batches and control ops run inside the
-    shutdown guard, so a SIGINT/SIGTERM drains the in-flight work before
-    the loop exits; the return value is the number of queries served.
+    ``execute(queries) -> responses`` handles a parsed batch.  Of the
+    control operations, ``stats`` answers ``snapshot()`` with the telemetry
+    counters, ``shutdown`` ends the loop, and any other goes to ``ops(op
+    dict) -> payload | None`` (``None`` means unknown op).  Batches and
+    control ops run inside the shutdown guard, so a SIGINT/SIGTERM drains
+    the in-flight work before the loop exits; the return value is the
+    number of queries served.
     """
     import json
 
@@ -1027,15 +1042,22 @@ def _serve_loop(tel, shutdown, execute, control) -> int:
                 )
                 continue
             if isinstance(request, dict):  # control operation
+                op = request.get("op")
                 with shutdown.guard():
-                    payload, stop = control(request)
+                    if op == "stats":
+                        snap = tel.snapshot()
+                        payload = {
+                            "status": "ok", "op": "stats", **snapshot(),
+                            "counters": snap["counters"],
+                        }
+                    elif op == "shutdown":
+                        payload = {"status": "ok", "op": "shutdown"}
+                    else:
+                        payload = ops(request) if ops is not None else None
                 if payload is None:
-                    payload = {
-                        "status": "error",
-                        "error": f"unknown op {request.get('op')!r}",
-                    }
+                    payload = {"status": "error", "error": f"unknown op {op!r}"}
                 print(json.dumps(payload, default=float), flush=True)
-                if stop:
+                if op == "shutdown":
                     break
             else:
                 with shutdown.guard():
@@ -1067,37 +1089,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     with telemetry.session() as tel, QueryEngine(config=config) as engine, \
             GracefulShutdown() as shutdown:
-
-        def control(request):
-            op = request.get("op")
-            if op == "stats":
-                snap = tel.snapshot()
-                return (
-                    {
-                        "status": "ok", "op": "stats",
-                        **engine.stats_snapshot(),
-                        "counters": snap["counters"],
-                    },
-                    False,
-                )
-            if op == "shutdown":
-                return {"status": "ok", "op": "shutdown"}, True
-            return None, False
-
-        served = _serve_loop(tel, shutdown, engine.execute, control)
+        served = _serve_loop(
+            tel, shutdown, engine.execute, engine.stats_snapshot
+        )
         # The flush runs inside the guard so a first signal arriving now
         # cannot cut the telemetry report in half (a repeated signal still
         # escalates past the guard, by design).
         with shutdown.guard():
-            if args.telemetry is not None:
-                paths = telemetry.write_report(
-                    args.telemetry, tel,
-                    run={"command": "serve", "queries": served},
-                )
-                print(
-                    f"telemetry: {paths['metrics']} {paths['trace']}",
-                    file=sys.stderr,
-                )
+            _write_telemetry(
+                args, tel, {"command": "serve", "queries": served}
+            )
     return 0
 
 
@@ -1164,72 +1165,37 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         else:  # serve
             with GracefulShutdown() as shutdown:
 
-                def control(request):
+                def fault_ops(request):
                     op = request.get("op")
-                    if op == "stats":
-                        snap = tel.snapshot()
-                        return (
-                            {
-                                "status": "ok", "op": "stats",
-                                **cluster.stats_snapshot(),
-                                "counters": snap["counters"],
-                            },
-                            False,
-                        )
-                    if op == "shutdown":
-                        return {"status": "ok", "op": "shutdown"}, True
-                    if op in ("kill", "revive"):
-                        if "shard" not in request:
-                            return (
-                                {"status": "error",
-                                 "error": f"op {op!r} needs a 'shard' field"},
-                                False,
-                            )
-                        fn = cluster.kill if op == "kill" else cluster.revive
-                        names = fn(
-                            int(request["shard"]),
-                            (
-                                int(request["replica"])
-                                if request.get("replica") is not None
-                                else None
-                            ),
-                        )
-                        return (
-                            {"status": "ok", "op": op, "workers": names},
-                            False,
-                        )
-                    return None, False
+                    if op not in ("kill", "revive"):
+                        return None
+                    if "shard" not in request:
+                        return {"status": "error",
+                                "error": f"op {op!r} needs a 'shard' field"}
+                    fn = cluster.kill if op == "kill" else cluster.revive
+                    replica = request.get("replica")
+                    names = fn(
+                        int(request["shard"]),
+                        int(replica) if replica is not None else None,
+                    )
+                    return {"status": "ok", "op": op, "workers": names}
 
                 served = _serve_loop(
-                    tel, shutdown, cluster.execute, control
+                    tel, shutdown, cluster.execute, cluster.stats_snapshot,
+                    fault_ops,
                 )
                 with shutdown.guard():
-                    if args.telemetry is not None:
-                        paths = telemetry.write_report(
-                            args.telemetry, tel,
-                            run={
-                                "command": "shard serve",
-                                "queries": served,
-                                **plan.describe(),
-                            },
-                        )
-                        print(
-                            f"telemetry: {paths['metrics']} {paths['trace']}",
-                            file=sys.stderr,
-                        )
+                    _write_telemetry(
+                        args, tel,
+                        {"command": "shard serve", "queries": served,
+                         **plan.describe()},
+                    )
             return 0
-        if args.telemetry is not None:
-            paths = telemetry.write_report(
-                args.telemetry, tel,
-                run={
-                    "command": f"shard {args.action}", "queries": served,
-                    **plan.describe(),
-                },
-            )
-            print(
-                f"telemetry: {paths['metrics']} {paths['trace']}",
-                file=sys.stderr,
-            )
+        _write_telemetry(
+            args, tel,
+            {"command": f"shard {args.action}", "queries": served,
+             **plan.describe()},
+        )
     return 0
 
 
@@ -1331,15 +1297,9 @@ def _gateway_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         with shutdown.guard():
-            if args.telemetry is not None:
-                paths = telemetry.write_report(
-                    args.telemetry, tel,
-                    run={"command": "gateway serve", **summary},
-                )
-                print(
-                    f"telemetry: {paths['metrics']} {paths['trace']}",
-                    file=sys.stderr,
-                )
+            _write_telemetry(
+                args, tel, {"command": "gateway serve", **summary}
+            )
     return 0
 
 
@@ -1528,16 +1488,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
                 "committed and are discarded",
                 file=sys.stderr,
             )
-        if args.telemetry is not None:
-            paths = telemetry.write_report(
-                args.telemetry, tel,
-                run={"command": "update", "dataset": args.dataset,
-                     "commits": commits, "queries": queries},
-            )
-            print(
-                f"telemetry: {paths['metrics']} {paths['trace']}",
-                file=sys.stderr,
-            )
+        _write_telemetry(
+            args, tel,
+            {"command": "update", "dataset": args.dataset,
+             "commits": commits, "queries": queries},
+        )
     print(
         f"update stream done: epoch {delta.epoch}, {commits} commit(s), "
         f"{queries} query(ies)",
@@ -1692,16 +1647,11 @@ def _cmd_control(args: argparse.Namespace) -> int:
             ),
             flush=True,
         )
-        if args.telemetry is not None:
-            paths = telemetry.write_report(
-                args.telemetry, tel,
-                run={"command": "control run", "ticks": controller.ticks,
-                     **plan.describe()},
-            )
-            print(
-                f"telemetry: {paths['metrics']} {paths['trace']}",
-                file=sys.stderr,
-            )
+        _write_telemetry(
+            args, tel,
+            {"command": "control run", "ticks": controller.ticks,
+             **plan.describe()},
+        )
     return 0
 
 

@@ -28,11 +28,11 @@ knob, exposed as ``adaptive_update``).
 (:mod:`repro.distributed.dimm`) and the shard router
 (:mod:`repro.shard.router`) all run it, each with its own cover step.
 Greedy is prefix-consistent (round ``i`` never depends on later rounds),
-so the query engine keeps each cached sketch's longest
-``efficient_select`` answer (:class:`~repro.service.cache.CacheEntry`) and
-serves every shorter ``k`` from its first ``k`` rounds, and the shard
-router keeps each sketch spec's longest scatter ``greedy_cover`` answer
-over one exact set of slice instances and does the same.
+so the query front both executors share (:mod:`repro.service.front`)
+keeps each sketch's longest answer — the engine's ``efficient_select``
+over one cache entry, the shard router's scatter ``greedy_cover`` over
+one exact set of slice instances — and serves every shorter ``k`` from
+its first ``k`` rounds.
 
 Membership ("which uncovered sets contain v") costs what it covers.
 :class:`CoverStep` finds it one of two ways, fixed once per call (or per

@@ -15,13 +15,16 @@ group is answered from one greedy selection over its sketch.  Greedy is
 prefix-consistent, so the ``k``-seed answer is that selection's first
 ``k`` seeds, with its coverage read off the per-round accounting, which
 the shared :class:`~repro.service.front.QueryFront` turns into per-query
-answers.  The cache entry keeps the longest selection served from its
-sketch (:meth:`~repro.service.cache.CacheEntry.select`): a group runs
-:func:`~repro.core.selection.efficient_select` only when its ``k_max`` is
-longer than that, and a warm read at any ``k`` up to the longest served so
-far runs no greedy round.  The kept selection goes with its entry:
-eviction, a re-warm under the same fingerprint, or a degraded (never
-cached) response drops it.
+answers.  The front also keeps, per batch key, the longest selection
+served, stamped with the :attr:`~repro.service.cache.CacheEntry.version`
+of the entry it was made over: a group runs
+:func:`~repro.core.selection.efficient_select` only when it acquires
+another entry or its ``k_max`` is longer than that, and a warm read at any
+``k`` up to the longest served so far runs no greedy round.  Eviction, a
+re-warm under the same fingerprint, or a new epoch of a dynamic dataset
+brings a new entry and so a new selection; a selection over an entry the
+cache does not hold (a degraded stale entry, or one the budget rejected)
+is not kept.
 
 Per-query deadlines are enforced at every stage boundary: an expired query
 is answered with a ``"timeout"`` response (a reported ``TimeoutError``,
@@ -52,6 +55,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
+from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, ParameterError, ReproError
 from repro.graph.datasets import load_dataset
 from repro.graph.io import graph_fingerprint
@@ -156,6 +160,7 @@ class QueryEngine(QueryFront):
         # query naming that dataset, whatever its model/seed.
         self._installed: dict[str, tuple[Any, str]] = {}
         self.stats = ServiceStats()
+        super().__init__()
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -281,18 +286,29 @@ class QueryEngine(QueryFront):
             if not live:
                 return
 
-            # Select only past the longest k served from this sketch so
+            # Select only past the longest k served from this entry so
             # far; every shorter k reads the kept selection's prefix.
             k_max = max(p.query.k for p in live)
-            if k_max > entry.seeds.size:
+            key = q0.batch_key()
+            kept = self._kept_selection(key, entry.version, k_max)
+            if kept is None:
                 with tel.span(
                     "service.selection", k=k_max, num_sets=len(entry.store)
                 ):
-                    entry.select(k_max)
-                self.cache.recharge(fp, entry)
-                self._sync_cache_telemetry()
+                    sel = efficient_select(
+                        entry.store, k_max, 1, initial_counter=entry.counter
+                    )
+                kept = sel.seeds, np.array(
+                    [r["new_covered_sets"] for r in sel.rounds], np.int64
+                )
+                # Only the entry the cache holds is acquired again: a record
+                # over a stale or budget-rejected one would only push a
+                # live record out.
+                if self.cache.peek(fp) is entry:
+                    self._keep_selection(key, entry.version, *kept)
+        seeds, newly = kept
         self._answer(
-            live, entry.seeds, entry.newly, out,
+            live, seeds, newly, out,
             num_vertices=graph.num_vertices, num_sets=len(entry.store),
             cached=cached, degraded=degraded,
         )

@@ -1,11 +1,12 @@
 """The query front: the per-query lifecycle every executor shares.
 
 Every served answer reads the first ``k`` rounds of one greedy selection
-of at least ``k_max`` rounds over one sketch: the longest selection a
-:class:`~repro.service.engine.QueryEngine` keeps per cached sketch, one
+of at least ``k_max`` rounds over one sketch: a selection kept from an
+earlier group, or a fresh one — ``efficient_select`` over a
+:class:`~repro.service.engine.QueryEngine`'s cached sketch, one
 scatter-gather pass over a :class:`~repro.shard.router.Router`'s shards.
-What turns those rounds into per-query responses is the same for both, so
-it lives here once:
+What turns those rounds into per-query responses, and what keeps them,
+is the same for both, so it lives here once:
 
 - validation, and grouping by :meth:`IMQuery.batch_key` (one group per
   sketch, served by the subclass's ``_serve_group``);
@@ -20,12 +21,22 @@ it lives here once:
   and telemetry, named under the subclass's :attr:`QueryFront.METRIC_PREFIX`
   (``<prefix>.queries``/``.errors``/``.timeouts``/``.degraded`` and the
   ``<prefix>.query_latency_s`` histogram, plus
-  ``resilience.degraded_responses``).
+  ``resilience.degraded_responses``);
+- the kept selections.  Greedy is prefix-consistent, so the front keeps,
+  per sketch key, the longest selection a group was answered from, with
+  the stamp of the sketch instances it was made over: an engine's
+  ``CacheEntry.version``, or a router's ``(shard, version)`` per shard.
+  A later group of the same key reads its prefix only when it acquires
+  that same stamp and its ``k_max`` fits; any other group selects from
+  round zero, and its selection replaces the kept one when the subclass
+  says the pass may be kept.  At most :data:`MAX_KEPT` keys keep one; the
+  least recently read is dropped first.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -35,7 +46,11 @@ from repro import telemetry
 from repro.errors import ParameterError
 from repro.service.protocol import IMQuery, IMResponse
 
-__all__ = ["Pending", "QueryFront"]
+__all__ = ["MAX_KEPT", "Pending", "QueryFront"]
+
+#: Most sketch keys a front keeps a selection for (16 bytes a round each);
+#: past it the least recently read one is dropped.
+MAX_KEPT = 256
 
 
 @dataclass
@@ -65,6 +80,11 @@ class QueryFront:
     METRIC_PREFIX = ""
 
     stats: Any
+
+    def __init__(self) -> None:
+        #: Sketch key -> (stamp, seeds, sets newly covered per round) of
+        #: the longest selection kept for that key.
+        self._kept: OrderedDict[tuple, tuple] = OrderedDict()
 
     def query(self, query: IMQuery) -> IMResponse:
         """Serve a single query (a one-element :meth:`execute` batch)."""
@@ -108,6 +128,27 @@ class QueryFront:
     def _project_stats(self) -> None:
         """Mirror the cumulative stats into telemetry after each batch."""
         raise NotImplementedError
+
+    # ------------------------------------------------------ kept selections
+    def _kept_selection(
+        self, key: tuple, stamp: Any, k_max: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The kept ``(seeds, newly covered)`` for ``key`` when it was made
+        over ``stamp`` and runs to ``k_max``, else ``None``."""
+        kept = self._kept.get(key)
+        if kept is None or kept[0] != stamp or k_max > kept[1].size:
+            return None
+        self._kept.move_to_end(key)
+        return kept[1], kept[2]
+
+    def _keep_selection(
+        self, key: tuple, stamp: Any, seeds: np.ndarray, newly: np.ndarray
+    ) -> None:
+        """Keep a fresh selection for ``key``, replacing its old one."""
+        self._kept[key] = (stamp, seeds, newly)
+        self._kept.move_to_end(key)
+        while len(self._kept) > MAX_KEPT:
+            self._kept.popitem(last=False)
 
     # -------------------------------------------------------------- helpers
     def _tel_inc(self, *names: str) -> None:

@@ -47,8 +47,8 @@ Failure handling (docs/sharding.md):
   enters a replica (build, publish, re-warm, canary, re-acquire after
   eviction) makes a new one, and each replica's copy has its own.  A
   degraded pass, or one in which some cover had to replay its session,
-  is never kept.  At most :data:`MAX_KEPT` specs keep one; the least
-  recently read is dropped first.
+  is never kept.  The keeping is the front's, shared with the engine
+  (at most :data:`repro.service.front.MAX_KEPT` specs).
 - **health tracking**: consecutive per-replica failures order future
   replica attempts (healthy first) and are reported in
   :meth:`stats_snapshot`; a soft per-call deadline flags slow workers.
@@ -57,7 +57,6 @@ Failure handling (docs/sharding.md):
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -73,10 +72,6 @@ from repro.shard.plan import ShardPlan
 from repro.shard.worker import CoverResult, OpenInfo, ShardWorker, SketchSpec
 
 __all__ = ["Router", "RouterConfig", "RouterStats", "ShardDownError"]
-
-#: Most sketch specs the router keeps a selection for (16 bytes a round
-#: each); past it the least recently read one is dropped.
-MAX_KEPT = 256
 
 
 class ShardDownError(BackendError):
@@ -208,9 +203,7 @@ class Router(QueryFront):
         self._failures: dict[str, int] = {w.name: 0 for w in workers}
         self.stats = RouterStats()
         self._session_seq = 0
-        #: Spec key -> (slice stamp, seeds, sets newly covered per round)
-        #: of the longest full selection served over those slices.
-        self._kept: OrderedDict[tuple, tuple] = OrderedDict()
+        super().__init__()
 
     # ----------------------------------------------------------------- public
     def add_worker(self, worker: ShardWorker) -> None:
@@ -423,18 +416,14 @@ class Router(QueryFront):
         lost a shard at open (its stamp lacks that shard) never reads one."""
         key = sess.spec.key()
         stamp = tuple((s, sess.opens[s].version) for s in sess.live)
-        kept = self._kept.get(key)
-        if kept is not None and kept[0] == stamp and k_max <= kept[1].size:
-            self._kept.move_to_end(key)
+        kept = self._kept_selection(key, stamp, k_max)
+        if kept is not None:
             self.stats.kept_hits += 1
             self._tel_inc("shard.router.kept_hits")
-            return kept[1], kept[2]
+            return kept
         seeds, newly = self._select(sess, k_max)
         if not (sess.lost_shard or sess.replayed):
-            self._kept[key] = (stamp, seeds, newly)
-            self._kept.move_to_end(key)
-            while len(self._kept) > MAX_KEPT:
-                self._kept.popitem(last=False)
+            self._keep_selection(key, stamp, seeds, newly)
         return seeds, newly
 
     def _refuse_degraded(

@@ -172,8 +172,7 @@ class _Session:
 
     spec: SketchSpec
     entry: CacheEntry
-    covered: int = 0            # cover ops applied so far
-    history: list[int] = field(default_factory=list)
+    history: list[int] = field(default_factory=list)  # seeds applied so far
 
     def __post_init__(self) -> None:
         self.active = np.ones(len(self.entry.store), dtype=bool)
@@ -403,12 +402,7 @@ class ShardWorker:
     ) -> tuple[_Session, bool]:
         """The session, replayed from ``history`` when absent or diverged."""
         sess = self._sessions.get(session_id)
-        if (
-            sess is not None
-            and sess.spec == spec
-            and sess.covered == len(history)
-            and sess.history == list(history)
-        ):
+        if sess is not None and sess.spec == spec and sess.history == list(history):
             return sess, False
         # Fresh replica (failover) or diverged state (a call the router
         # timed out on still mutated us): rebuild deterministically.
@@ -425,7 +419,6 @@ class ShardWorker:
 
     def _cover(self, sess: _Session, v: int) -> tuple[np.ndarray, int]:
         new_sets = sess.step.retire(v, sess.active)
-        sess.covered += 1
         sess.history.append(int(v))
         return sess.step.entries(new_sets), int(new_sets.size)
 

@@ -39,6 +39,7 @@ from repro.service import (
     save_store,
     sketch_fingerprint,
 )
+from repro.service import front as front_module
 
 THETA = 120  # serving sketch size used throughout (small => fast cold path)
 
@@ -815,7 +816,6 @@ class TestEngineKeptSelection:
         fp = _synth_fp(eng)
         assert eng.query(_q("synth", k=6)).ok
         entry = weakref.ref(eng.cache.get(fp))
-        assert entry().seeds.size == 6
         assert eng.cache.evict(fp)
         gc.collect()
         assert entry() is None
@@ -824,40 +824,55 @@ class TestEngineKeptSelection:
             assert _rounds(tel) == 4
         assert again.ok and not again.cached
 
-    def test_charge_follows_the_kept_selection(self):
+    def test_kept_selection_is_not_charged(self):
+        # An entry is charged its store and counter once, at put; however
+        # far its kept selection grows, the byte total does not move.
         eng, n = _synth_engine()
         thetas = (THETA, THETA + 10)
-        for theta in thetas:
-            assert eng.query(_q("synth", k=2, theta_cap=theta)).ok
-        entries = [eng.cache.get(_synth_fp(eng, t)) for t in thetas]
-        held = sum(e.store.nbytes() + e.counter.nbytes for e in entries)
-        assert eng.cache.current_bytes() == held + 2 * 16 * 2
-        for theta in thetas:  # every selection at its longest: n rounds
-            assert eng.query(_q("synth", k=n, theta_cap=theta)).ok
-        assert eng.cache.current_bytes() == held + 2 * 16 * n
-        assert eng.cache.current_bytes() == sum(e.nbytes() for e in entries)
+        with telemetry.session() as tel:
+            for k in (2, n):  # then every selection at its longest
+                for theta in thetas:
+                    assert eng.query(_q("synth", k=k, theta_cap=theta)).ok
+                entries = [eng.cache.peek(_synth_fp(eng, t)) for t in thetas]
+                assert eng.cache.current_bytes() == sum(
+                    e.store.nbytes() + e.counter.nbytes for e in entries
+                )
+            assert _rounds(tel) == 2 * (2 + n)
         for theta in thetas:
             assert eng.cache.evict(_synth_fp(eng, theta))
         assert eng.cache.current_bytes() == 0
 
-    def test_growth_evicts_to_fit(self):
+    def test_kept_selections_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(front_module, "MAX_KEPT", 2)
         eng, _ = _synth_engine()
-        thetas = (THETA, THETA + 10)
-        for theta in thetas:
-            assert eng.query(_q("synth", k=1, theta_cap=theta)).ok
-        a, b = (eng.cache.get(_synth_fp(eng, t)) for t in thetas)
-        # Room for both as they are, not for a longer selection on top.
+        grown = []
+        with telemetry.session() as tel:
+            for theta in (60, 70, 80, 80, 70, 60):
+                before = _rounds(tel)
+                assert eng.query(_q("synth", k=4, theta_cap=theta)).ok
+                grown.append(_rounds(tel) - before)
+        # Three sketches through a cap of two: the first one's selection
+        # was dropped, though its entry is still cached.
+        assert grown == [4, 4, 4, 0, 0, 4]
+        assert len(eng.cache) == 3
+
+    def test_pass_over_a_rejected_sketch_is_not_kept(self, monkeypatch):
+        # With room for one record, keeping a pass over a sketch the cache
+        # rejected would push out the resident sketch's selection.
+        monkeypatch.setattr(front_module, "MAX_KEPT", 1)
+        eng, _ = _synth_engine()
+        resident, rejected = THETA, 10 * THETA
+        first = eng.query(_q("synth", k=5, theta_cap=resident))
         eng.cache.budget_bytes = eng.cache.current_bytes()
-        assert eng.query(_q("synth", k=3, theta_cap=thetas[1])).ok
-        assert b.seeds.size == 3 and _synth_fp(eng, thetas[0]) not in eng.cache
-        assert eng.cache.current_bytes() == b.nbytes()
-        # An entry its own growth takes past the whole budget is dropped,
-        # and the read that grew it is still answered.
-        eng.cache.budget_bytes = b.nbytes()
-        r = eng.query(_q("synth", k=5, theta_cap=thetas[1]))
-        assert r.ok and r.cached and len(r.seeds) == 5
-        assert len(eng.cache) == 0 and eng.cache.current_bytes() == 0
-        assert a.seeds.size == 1  # an evicted entry is left as it was
+        with telemetry.session() as tel:
+            cold = eng.query(_q("synth", k=5, theta_cap=rejected))
+            assert _rounds(tel) == 5
+            again = eng.query(_q("synth", k=3, theta_cap=resident))
+            assert _rounds(tel) == 5  # the resident sketch's prefix
+        assert cold.ok and not cold.cached
+        assert eng.cache.stats.rejected == 1
+        assert _synth_fp(eng, rejected) not in eng.cache
+        assert again.ok and again.cached and again.seeds == first.seeds[:3]
 
 
 class TestServingAcceptance:

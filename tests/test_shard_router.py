@@ -29,7 +29,7 @@ from repro.shard import (
     ShardPlan,
     shard_fingerprint,
 )
-from repro.shard import router as router_module
+from repro.service import front as front_module
 from repro.shard import worker as worker_module
 
 from conftest import make_graph
@@ -149,7 +149,7 @@ class TestByteIdenticalSelection:
                 entry = w.engine.cache.get(
                     shard_fingerprint(fp, w.shard_id, cluster.plan)
                 )
-                assert len(w.engine.cache) == 1 and entry.seeds.size == 0
+                assert len(w.engine.cache) == 1
                 assert w.engine.cache.current_bytes() == (
                     entry.store.nbytes() + entry.counter.nbytes
                 )
@@ -485,7 +485,7 @@ class TestKeptSelection:
         assert again.coverage_fraction == full.coverage_fraction
 
     def test_kept_selections_are_bounded(self, graph, monkeypatch):
-        monkeypatch.setattr(router_module, "MAX_KEPT", 2)
+        monkeypatch.setattr(front_module, "MAX_KEPT", 2)
         with make_cluster(graph, 2) as cluster:
             for theta in (60, 70, 80, 80, 70):
                 assert cluster.query(query(k=4, theta_cap=theta)).ok
