@@ -286,27 +286,31 @@ class QueryEngine(QueryFront):
             if not live:
                 return
 
+            # The batch key with theta_cap resolved, like the router's spec
+            # key: a query that omits it and one that names the default
+            # share one record, and a dynamic dataset's next epoch (same
+            # key, new entry) replaces it.
+            key = q0.batch_key()[:-1] + (num_sets,)
             # Select only past the longest k served from this entry so
             # far; every shorter k reads the kept selection's prefix.
             k_max = max(p.query.k for p in live)
-            key = q0.batch_key()
-            kept = self._kept_selection(key, entry.version, k_max)
-            if kept is None:
+            selection = self._kept_selection(key, entry.version, k_max)
+            if selection is None:
                 with tel.span(
                     "service.selection", k=k_max, num_sets=len(entry.store)
                 ):
                     sel = efficient_select(
                         entry.store, k_max, 1, initial_counter=entry.counter
                     )
-                kept = sel.seeds, np.array(
+                selection = sel.seeds, np.array(
                     [r["new_covered_sets"] for r in sel.rounds], np.int64
                 )
                 # Only the entry the cache holds is acquired again: a record
                 # over a stale or budget-rejected one would only push a
                 # live record out.
                 if self.cache.peek(fp) is entry:
-                    self._keep_selection(key, entry.version, *kept)
-        seeds, newly = kept
+                    self._keep_selection(key, entry.version, *selection)
+        seeds, newly = selection
         self._answer(
             live, seeds, newly, out,
             num_vertices=graph.num_vertices, num_sets=len(entry.store),

@@ -811,6 +811,16 @@ class TestEngineKeptSelection:
         assert r.seeds[0] == w != first.seeds[0]
         assert rounds == 3  # B's own selection, not A's prefix
 
+    def test_default_theta_shares_the_selection(self):
+        # theta_cap omitted reads the engine's default_theta sketch, so a
+        # read naming that default reads the same kept selection.
+        eng, _ = _synth_engine()
+        with telemetry.session() as tel:
+            first = eng.query(_q("synth", k=5, theta_cap=None))
+            again = eng.query(_q("synth", k=3, theta_cap=THETA))
+            assert _rounds(tel) == 5
+        assert again.ok and again.cached and again.seeds == first.seeds[:3]
+
     def test_eviction_drops_the_selection(self):
         eng, _ = _synth_engine()
         fp = _synth_fp(eng)
