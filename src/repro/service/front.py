@@ -71,9 +71,10 @@ class QueryFront:
 
     A subclass sets :attr:`METRIC_PREFIX` and a ``stats`` record (with
     ``queries``/``ok``/``errors``/``timeouts``/``degraded``/``batches``
-    counters), and implements :meth:`_serve_group` and
-    :meth:`_project_stats`.  ``out`` is the batch's response list, indexed
-    by :attr:`Pending.index`; every helper answers into it.
+    counters), calls ``QueryFront.__init__``, and implements
+    :meth:`_serve_group` and :meth:`_project_stats`.  ``out`` is the
+    batch's response list, indexed by :attr:`Pending.index`; every helper
+    answers into it.
     """
 
     #: Prefix of the per-query metric names (``service``, ``shard.router``).

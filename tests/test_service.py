@@ -840,7 +840,7 @@ class TestEngineKeptSelection:
         eng, n = _synth_engine()
         thetas = (THETA, THETA + 10)
         with telemetry.session() as tel:
-            for k in (2, n):  # then every selection at its longest
+            for k in (2, n):  # short selections, then each at its longest
                 for theta in thetas:
                     assert eng.query(_q("synth", k=k, theta_cap=theta)).ok
                 entries = [eng.cache.peek(_synth_fp(eng, t)) for t in thetas]
