@@ -40,7 +40,7 @@ from repro.bench.report import Table
 from repro.core.parallel_sampling import _init_worker, parallel_generate
 from repro.graph.datasets import load_dataset
 from repro.runtime.backends import MultiprocessBackend
-from repro.sketch.protocol import make_store
+from repro.sketch.store import FlatRRRStore
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 NUM_SETS = 60_000 if SMOKE else 240_000
@@ -60,9 +60,7 @@ def _synthetic_store():
     offsets = np.zeros(NUM_SETS + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // N_VERTICES, minlength=NUM_SETS), out=offsets[1:])
     vertices = (keys % N_VERTICES).astype(np.int32)
-    return make_store(
-        "flat", num_vertices=N_VERTICES, offsets=offsets, vertices=vertices
-    )
+    return FlatRRRStore.from_arrays(N_VERTICES, offsets, vertices)
 
 
 def _private_kb() -> int | None:
@@ -81,7 +79,7 @@ def _private_kb() -> int | None:
 def _warm_child() -> None:
     """Pre-fault the shared code paths so the measured delta is the payload,
     not copy-on-write page faults from first touching the inherited heap."""
-    tiny = make_store("flat", num_vertices=4)
+    tiny = FlatRRRStore(4)
     tiny.append(np.array([1, 2], dtype=np.int32))
     int(pickle.loads(pickle.dumps(tiny)).vertices.sum())
 

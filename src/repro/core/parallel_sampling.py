@@ -32,7 +32,6 @@ from repro.errors import ParameterError
 from repro.graph.csr import CSRGraph
 from repro.kernels import KernelSampler
 from repro.runtime.backends import ExecutionBackend, MultiprocessBackend, SerialBackend
-from repro.sketch.protocol import make_store
 from repro.sketch.store import FlatRRRStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -185,7 +184,7 @@ def parallel_generate(
             if segment_manager is not None:
                 segment_manager.close()
 
-        store = make_store("flat", num_vertices=graph.num_vertices)
+        store = FlatRRRStore(graph.num_vertices)
         for batches in results:
             for flat, sizes in batches:
                 store.append_csr(flat, sizes)

@@ -33,7 +33,7 @@ from repro.diffusion.base import DiffusionModel
 from repro.errors import OutOfMemoryModelError, ParameterError
 from repro.kernels import KernelSampler
 from repro.sketch.rrr import AdaptivePolicy
-from repro.sketch.protocol import make_store
+from repro.sketch.store import FlatRRRStore
 from repro.runtime.workqueue import simulate_schedule
 
 __all__ = ["RRRSampler", "modelled_store_bytes"]
@@ -143,7 +143,7 @@ class RRRSampler:
         # The physical layout always keeps sets internally sorted so both
         # selection kernels can binary-search them; what differs between the
         # frameworks is the *charged* post-processing cost (below).
-        self.store = make_store("flat", num_vertices=n)
+        self.store = FlatRRRStore(n)
         self.counter = np.zeros(n, dtype=np.int64)  # fused global counter
         # Edges examined per stored set: with the set sizes, the only
         # record of per-set work (:meth:`costs` prices it).

@@ -81,7 +81,7 @@ from repro.kernels.rng import (
     derive_key,
     derive_keys,
 )
-from repro.sketch.protocol import make_store
+from repro.sketch.store import FlatRRRStore
 
 from repro.dynamic.delta import CommitInfo, DeltaGraph
 
@@ -163,7 +163,7 @@ class IncrementalMaintainer:
         self.seed = int(seed)
         self.full_resample_threshold = float(full_resample_threshold)
         self.repair = repair
-        self.store = make_store("flat", num_vertices=delta.num_vertices)
+        self.store = FlatRRRStore(delta.num_vertices)
         self.roots = np.empty(self.num_sets, dtype=np.int64)
         self.counter = np.zeros(delta.num_vertices, dtype=np.int64)
         self.epoch = -1  # no sketch yet
@@ -186,7 +186,7 @@ class IncrementalMaintainer:
         u = counter_uniforms(derive_key(self.seed, DOMAIN_ROOT, epoch), indices)
         self.roots = np.clip((u * n).astype(np.int64), 0, n - 1)
         keys = self._keys(DOMAIN_RESAMPLE, epoch, indices)
-        store = make_store("flat", num_vertices=n)
+        store = FlatRRRStore(n)
         for flat, sizes, _ in KernelSampler(model).stream(self.roots, keys):
             store.append_csr(flat, sizes)
         self.store = store.trim()

@@ -330,7 +330,8 @@ class ArtifactStore:
 
         Returns ``(handle, counter, meta)`` where ``handle`` is the
         :class:`~repro.shm.SegmentHandle` any process on the host can
-        attach (``make_store("shared", handle=...)``).  The segment is
+        attach (:func:`repro.shm.attach_store`, or the manager's
+        ``attach_store``).  The segment is
         keyed by the *sketch* fingerprint, so repeated publishes of the
         same fingerprint through the same manager reuse the existing
         segment — the disk load and the copy into shared memory happen at

@@ -47,7 +47,7 @@ on every operation until ``revive()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -61,10 +61,7 @@ from repro.service.cache import CacheEntry
 from repro.service.engine import EngineConfig, QueryEngine
 from repro.service.protocol import IMQuery
 from repro.shard.plan import ShardPlan, shard_fingerprint
-from repro.sketch.protocol import make_store
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sketch.store import FlatRRRStore
+from repro.sketch.store import FlatRRRStore
 
 __all__ = ["SketchSpec", "OpenInfo", "CoverResult", "ShardWorker", "WorkerStats"]
 
@@ -370,7 +367,7 @@ class ShardWorker:
         single-node engine draws at those indices.
         """
         n = graph.num_vertices
-        store = make_store("flat", num_vertices=n)
+        store = FlatRRRStore(n)
         mask = self.plan.owned_mask(fingerprint, spec.num_sets, self.shard_id)
         owned = np.flatnonzero(mask).astype(np.int64)
         sampler = KernelSampler(get_model(spec.model, graph))

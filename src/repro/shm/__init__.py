@@ -18,10 +18,11 @@ replaces that with named POSIX shared-memory segments
 - what crosses a process boundary is a :class:`SegmentHandle` — a few
   hundred bytes instead of the payload.
 
-``make_store("shared", handle=...)`` (:func:`repro.sketch.make_store`)
-routes here; docs/memory.md is the narrative companion, and ``shm.*``
-telemetry (docs/observability.md) counts publishes, attaches, bytes
-shared, and leaks.
+:func:`attach_store` attaches a published store by handle or name in any
+process; :meth:`SegmentManager.attach_store` does the same and counts the
+view against the manager's leak check.  docs/memory.md is the narrative
+companion, and ``shm.*`` telemetry (docs/observability.md) counts
+publishes, attaches, bytes shared, and leaks.
 """
 
 from repro.shm.segments import (

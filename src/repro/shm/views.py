@@ -25,7 +25,6 @@ from repro import telemetry
 from repro.errors import ShmError
 from repro.graph.csr import CSRGraph
 from repro.shm.segments import SegmentHandle, array_views, open_segment, read_header
-from repro.sketch.protocol import STORE_EXTRAS
 from repro.sketch.store import FlatRRRStore
 
 __all__ = ["SharedFlatRRRStore", "SharedCSRGraph", "attach_store", "attach_graph"]
@@ -154,11 +153,6 @@ class SharedCSRGraph(CSRGraph):
         if self._manager is not None:
             self._manager._release(self.segment_name)
             self._manager = None
-
-
-# Drift-guard registration: the shared view's only additions beyond the
-# flat store's surface are the segment lifecycle hooks.
-STORE_EXTRAS[SharedFlatRRRStore] = frozenset({"detach", "detached"})
 
 
 def _record_attach(header: dict[str, Any]) -> None:

@@ -36,12 +36,12 @@ def content_fingerprint(
 ) -> str:
     """Content hash of a store: vertex space + per-set sizes + flat entries.
 
-    Every :class:`~repro.sketch.protocol.RRRStore` implementation computes
-    its ``fingerprint()`` through this one function over its *logical*
-    content (global set order, concatenated vertices), so two stores holding
-    the same sets in the same order fingerprint identically regardless of
-    layout — flat, compressed, or a shared-memory view.  The
-    hex16 output matches the artifact/sketch fingerprint width and keys
+    :meth:`FlatRRRStore.fingerprint` hashes the store's *logical* content
+    (global set order, concatenated vertices), never its growth slack, so
+    two stores holding the same sets in the same order fingerprint
+    identically — a trimmed store, one rebuilt by
+    :meth:`FlatRRRStore.from_arrays`, or a shared-memory view.  The hex16
+    output matches the artifact/sketch fingerprint width and keys
     :mod:`repro.shm` segment names.
     """
     h = hashlib.sha256()

@@ -101,8 +101,10 @@ def record_codec_stats(registry, store: Any) -> None:
 
     Duck-typed on :class:`~repro.sketch.compressed_store.CompressedRRRStore`'s
     public surface (``nbytes()``, ``compression_ratio``, ``encode_seconds``,
-    ``decode_seconds``).  The store calls this after every encode/decode —
-    gauges are idempotent, so the snapshot always carries the current
+    ``decode_seconds``).  The store calls this after every append it
+    encodes and every decode, so it keeps ``nbytes()`` and
+    ``compression_ratio`` constant-time.  Gauges are idempotent, so the
+    snapshot always carries the current
     footprint, ratio, and cumulative codec time (``perf_counter``-based)
     alongside the event-stream ``sketch.compressed.sets`` counter.
     """

@@ -78,6 +78,46 @@ class TestCompressedStore:
             for s in random_sets(n, 50, rng):
                 store.append(s)
 
+    @pytest.mark.parametrize(
+        "codec, opts",
+        [
+            ("delta-varint", {"budget_bytes": 200}),
+            ("huffman", {"budget_bytes": 150, "training_sets": 10}),
+        ],
+        ids=["delta-varint", "huffman"],
+    )
+    def test_refused_append_leaves_no_trace(self, codec, opts):
+        n = 400
+        rng = np.random.default_rng(3)
+        sets = [rng.choice(n, size=30, replace=False) for _ in range(40)]
+        store = CompressedRRRStore(n, codec=codec, **opts)
+        appended = 0
+        with pytest.raises(OutOfMemoryModelError):
+            for s in sets:
+                store.append(s)
+                appended += 1
+        assert len(store) == appended
+        assert store.sizes().tolist() == [30] * appended
+        for i in range(appended):
+            assert np.array_equal(store.get(i), np.sort(sets[i]).astype(np.int32))
+
+    @pytest.mark.parametrize("codec", ["huffman", "delta-varint"])
+    def test_codec_gauges_track_the_store(self, rng, codec):
+        from repro import telemetry
+
+        n = 300
+        sets = random_sets(n, 40, rng)
+        with telemetry.session() as tel:
+            store = CompressedRRRStore(n, codec=codec, training_sets=8)
+            store.extend(sets)
+            store.get(5)
+        snap = tel.registry.snapshot()
+        raw = 4 * sum(len(s) for s in sets)
+        assert snap["counters"]["sketch.compressed.sets"] == 40
+        assert snap["gauges"]["sketch.compressed.bytes"] == store.nbytes()
+        assert snap["gauges"]["sketch.compressed.ratio"] == raw / store.nbytes()
+        assert store.compression_ratio == raw / store.nbytes()
+
     def test_to_flat(self, rng):
         n = 150
         sets = random_sets(n, 12, rng)

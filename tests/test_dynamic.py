@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import (
     DeltaGraph,
@@ -164,6 +166,77 @@ class TestDeltaGraphCommit:
         d = DeltaGraph(line_graph)
         d.apply_batch([EdgeUpdate("delete", 0, 1)])
         assert list(line_graph.iter_edges()) == edges_before
+
+
+# Few probabilities, so reweights to the current value occur.
+_PROBS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _delta_histories(draw):
+    """A base edge set on <= 6 vertices and up to 4 non-empty update batches."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    base = draw(st.dictionaries(pair, _PROBS, max_size=n * (n - 1)))
+    op = st.tuples(st.sampled_from(["insert", "delete", "reweight"]), pair, _PROBS)
+    batches = draw(st.lists(st.lists(op, min_size=1, max_size=8), min_size=1, max_size=4))
+    return n, base, batches
+
+
+def _model_commit(edges, batch):
+    """Apply ``batch`` to a copy of the dict ``edges`` one op at a time, then
+    read the commit's net effect off the two dicts.  Returns the new dict,
+    the changes as ``{(src, dst): prob or None}`` and the ignored count."""
+    new = dict(edges)
+    touched = set()
+    ignored = 0
+    for op, key, prob in batch:
+        if op == "insert" or key in new:
+            if op == "delete":
+                del new[key]
+            else:
+                new[key] = prob
+            touched.add(key)
+        else:  # delete or reweight of an absent edge
+            ignored += 1
+    changed = {k: new.get(k) for k in touched if new.get(k) != edges.get(k)}
+    return new, changed, ignored + len(touched) - len(changed)
+
+
+class TestDeltaGraphModel:
+    @settings(max_examples=200, deadline=None)
+    @given(_delta_histories())
+    def test_matches_dict_of_edges(self, history):
+        n, edges, batches = history
+        d = DeltaGraph(make_graph([(*k, p) for k, p in edges.items()], n=n))
+        for epoch, batch in enumerate(batches, start=1):
+            for op, (u, v), prob in batch:
+                d.stage(EdgeUpdate(op, u, v, None if op == "delete" else prob))
+            info = d.commit()
+            old = edges
+            edges, changed, ignored = _model_commit(old, batch)
+
+            inserted = sorted(k for k in changed if k not in old)
+            deleted = sorted(k for k in changed if changed[k] is None)
+            reweighted = sorted(k for k in changed if k in old and k in edges)
+            assert info.epoch == d.epoch == epoch
+            assert info.inserted.tolist() == [list(k) for k in inserted]
+            assert info.inserted_probs.tolist() == [edges[k] for k in inserted]
+            assert info.deleted.tolist() == [list(k) for k in deleted]
+            assert info.reweighted.tolist() == [list(k) for k in reweighted]
+            assert info.reweighted_probs.tolist() == [edges[k] for k in reweighted]
+            assert info.ignored == ignored
+
+            src, dst, probs = d.compact().edge_array()
+            assert list(zip(src.tolist(), dst.tolist())) == sorted(edges)
+            assert probs.tolist() == [edges[k] for k in sorted(edges)]
+            assert d.num_edges == len(edges)
+            for u in range(n):
+                for v in range(n):
+                    assert d.has_edge(u, v) == ((u, v) in edges)
+                    assert d.prob(u, v) == edges.get((u, v))
 
 
 # ----------------------------------------------------- IncrementalMaintainer

@@ -780,7 +780,6 @@ class TestUnsortedStores:
         from repro.service import (
             EngineConfig, IMQuery, QueryEngine, sketch_fingerprint,
         )
-        from repro.sketch.protocol import make_store
 
         rng = np.random.default_rng(5)
         n = amazon_ic.num_vertices
@@ -788,7 +787,7 @@ class TestUnsortedStores:
             rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
             for _ in range(200)
         ]
-        store = make_store("flat", num_vertices=n)
+        store = FlatRRRStore(n)
         store.extend(sets)
         q = IMQuery(dataset="amazon", k=5, theta_cap=len(sets))
         fp = sketch_fingerprint(

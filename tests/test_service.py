@@ -25,7 +25,7 @@ from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, GraphFormatError, ParameterError
 from repro.graph.io import graph_checksum, graph_fingerprint, load_npz, save_npz
 from repro.runtime.backends import MultiprocessBackend
-from repro.sketch import FlatRRRStore, make_store
+from repro.sketch import CompressedRRRStore, FlatRRRStore
 from repro.service import (
     ArtifactStore,
     CacheEntry,
@@ -204,7 +204,7 @@ class TestSketchArtifacts:
         assert after.coverage_fraction == before.coverage_fraction
 
     def test_only_flat_stores_save(self, tmp_path):
-        compressed = make_store("compressed", num_vertices=40)
+        compressed = CompressedRRRStore(40)
         compressed.extend(_random_sets(40, 5))
         with pytest.raises(ArtifactError, match="CompressedRRRStore"):
             save_store(compressed, tmp_path / "c.npz")

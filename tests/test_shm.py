@@ -32,7 +32,8 @@ from repro import shm
 from repro.core.selection import efficient_select
 from repro.errors import ShmError
 from repro.shm.segments import open_segment, read_header
-from repro.sketch.protocol import make_store
+from repro.sketch.compressed_store import CompressedRRRStore
+from repro.sketch.store import FlatRRRStore
 
 N = 60
 SHM_DIR = Path("/dev/shm")
@@ -40,7 +41,7 @@ SHM_DIR = Path("/dev/shm")
 
 def _filled_store(seed=5, num_sets=40):
     rng = np.random.default_rng(seed)
-    store = make_store("flat", num_vertices=N)
+    store = FlatRRRStore(N)
     store.extend(
         np.sort(
             rng.choice(N, size=int(rng.integers(1, 10)), replace=False)
@@ -70,6 +71,23 @@ def test_store_round_trip_is_byte_identical(mgr):
     np.testing.assert_array_equal(view.vertices, store.vertices)
     assert not view.vertices.flags.writeable
     view.detach()
+
+
+def test_attach_store_by_handle_name_and_manager(mgr):
+    store = _filled_store()
+    handle = mgr.publish_store(store)
+    views = [
+        shm.attach_store(handle),
+        shm.attach_store(handle.name),
+        mgr.attach_store(handle),
+    ]
+    try:
+        for view in views:
+            assert view.fingerprint() == store.fingerprint()
+    finally:
+        for view in views:
+            view.detach()
+    assert mgr.leaked() == []
 
 
 def test_graph_round_trip(mgr, diamond_graph):
@@ -116,7 +134,7 @@ def test_publish_is_idempotent_per_fingerprint(mgr):
 
 
 def test_only_flat_stores_publish(mgr):
-    packed = make_store("compressed", num_vertices=N)
+    packed = CompressedRRRStore(N)
     rng = np.random.default_rng(9)
     packed.extend(
         [np.sort(rng.choice(N, size=4, replace=False)) for _ in range(15)]
@@ -124,7 +142,7 @@ def test_only_flat_stores_publish(mgr):
     with pytest.raises(ShmError, match="CompressedRRRStore"):
         mgr.publish_store(packed)
     view = mgr.attach_store(mgr.publish_store(packed.to_flat()))
-    assert view.fingerprint() == packed.fingerprint()
+    assert view.fingerprint() == packed.to_flat().fingerprint()
     assert len(view) == len(packed)
     view.detach()
 
