@@ -1,17 +1,13 @@
-"""RRRStore protocol conformance, the drift guard, and make_store.
+"""The flat store's contract, across every way a store is built.
 
-Three layers of contract enforcement:
-
-- every registered implementation satisfies the runtime-checkable
-  :class:`~repro.sketch.protocol.RRRStore` protocol *behaviourally*
-  (same answers for the same sets, not just matching names);
-- the drift guard: a store class may only expose public surface that is
-  either in the protocol or declared in
-  :data:`~repro.sketch.protocol.STORE_EXTRAS` — growing a store's API
-  requires touching the registry;
-- :func:`~repro.sketch.protocol.make_store` builds every kind, and the
-  pre-redesign positional form warns with the ``"repro execution API: "``
-  prefix pyproject.toml escalates.
+docs/memory.md states one read/mutation contract, that of
+:class:`~repro.sketch.store.FlatRRRStore`.  A store reaches a caller by
+one of four routes: ``FlatRRRStore(n)`` filled by appends,
+``FlatRRRStore.from_arrays``, a shared-memory view attached through
+:mod:`repro.shm`, or the compressed baseline decoded with ``to_flat()``.
+For the same sets, every route must give the same answers — sizes,
+vertex lists, inverted index, content fingerprint — and ``replace_sets``
+and ``trim`` must leave them agreeing.
 """
 
 from __future__ import annotations
@@ -19,18 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
 from repro.sketch.compressed_store import CompressedRRRStore
-from repro.sketch.protocol import (
-    PROTOCOL_METHODS,
-    STORE_EXTRAS,
-    STORE_KINDS,
-    RRRStore,
-    allowed_surface,
-    make_store,
-    public_surface,
-    store_implementations,
-)
 from repro.sketch.store import FlatRRRStore, content_fingerprint
 
 N = 40
@@ -46,185 +31,152 @@ def _sample_sets(rng=None):
     ]
 
 
-def _instances():
-    """One filled instance per registered implementation (global order
-    identical across all of them)."""
-    sets = _sample_sets()
-    out = []
-    for cls in store_implementations():
-        if cls.__name__ == "SharedFlatRRRStore":
-            continue  # exercised via the shm fixture below
-        if cls is CompressedRRRStore:
-            store = make_store("compressed", num_vertices=N)
-        else:
-            store = make_store("flat", num_vertices=N)
-        store.extend(sets)
-        out.append(store)
-    return sets, out
+def _flat(sets):
+    store = FlatRRRStore(N)
+    store.extend(sets)
+    return store
 
 
-# ----------------------------------------------------------------- conformance
-def test_every_implementation_satisfies_the_protocol():
-    _, stores = _instances()
-    assert {type(s) for s in stores} == {FlatRRRStore, CompressedRRRStore}
-    for store in stores:
-        assert isinstance(store, RRRStore), type(store).__name__
+def _compressed(sets, codec):
+    store = CompressedRRRStore(N, codec=codec, training_sets=8)
+    store.extend(sets)
+    store.finalize()
+    return store
+
+
+def _check_same_content(store, ref, name):
+    assert len(store) == len(ref), name
+    assert store.num_vertices == ref.num_vertices, name
+    np.testing.assert_array_equal(store.sizes(), ref.sizes(), err_msg=name)
+    np.testing.assert_array_equal(
+        store.vertex_counts(), ref.vertex_counts(), err_msg=name
+    )
+    for i in range(len(ref)):
+        np.testing.assert_array_equal(store.get(i), ref.get(i), err_msg=name)
+    for v in range(N):
+        np.testing.assert_array_equal(
+            store.sets_containing(v), ref.sets_containing(v), err_msg=name
+        )
+    assert [s.tolist() for s in store] == [s.tolist() for s in ref], name
+    assert store.fingerprint() == ref.fingerprint(), name
 
 
 def test_shared_view_satisfies_the_protocol():
     shm = pytest.importorskip("repro.shm")
-    sets = _sample_sets()
-    flat = make_store("flat", num_vertices=N)
-    flat.extend(sets)
+    flat = _flat(_sample_sets())
     with shm.SegmentManager(prefix="tsp") as mgr:
         view = mgr.attach_store(mgr.publish_store(flat))
-        assert isinstance(view, RRRStore)
-        assert view.fingerprint() == flat.fingerprint()
-        view.detach()
+        try:
+            assert isinstance(view, FlatRRRStore)
+            _check_same_content(view, flat, "shared view")
+            np.testing.assert_array_equal(view.offsets, flat.offsets)
+            np.testing.assert_array_equal(view.vertices, flat.vertices)
+            assert view.nbytes() == flat.nbytes()
+        finally:
+            view.detach()
+        assert mgr.leaked() == []
 
 
 def test_implementations_agree_behaviourally():
-    sets, stores = _instances()
-    ref = stores[0]
+    sets = _sample_sets()
+    ref = _flat(sets)
     expected_fp = content_fingerprint(
-        N, ref.sizes(), np.concatenate([ref.get(i) for i in range(len(ref))])
+        N, np.array([s.size for s in sets], dtype=np.int64), np.concatenate(sets)
     )
-    for store in stores:
-        name = type(store).__name__
-        assert len(store) == len(sets), name
-        assert store.num_vertices == N, name
-        np.testing.assert_array_equal(store.sizes(), ref.sizes(), err_msg=name)
-        np.testing.assert_array_equal(
-            store.vertex_counts(), ref.vertex_counts(), err_msg=name
-        )
-        for i in (0, len(sets) // 2, len(sets) - 1):
-            np.testing.assert_array_equal(
-                np.sort(store.get(i)), np.sort(ref.get(i)), err_msg=name
-            )
-        for v in (0, 13, N - 1):
-            np.testing.assert_array_equal(
-                store.sets_containing(v), ref.sets_containing(v), err_msg=name
-            )
-        assert store.fingerprint() == expected_fp, name
-        assert store.nbytes() > 0, name
-        it = list(iter(store))
-        assert len(it) == len(sets), name
+    assert ref.fingerprint() == expected_fp
+    for i, s in enumerate(sets):
+        np.testing.assert_array_equal(ref.get(i), s)
+    rebuilt = FlatRRRStore.from_arrays(N, ref.offsets, ref.vertices)
+    _check_same_content(rebuilt, ref, "from_arrays")
+    for codec in ("huffman", "delta-varint"):
+        packed = _compressed(sets, codec)
+        assert len(packed) == len(sets), codec
+        assert packed.num_vertices == N, codec
+        np.testing.assert_array_equal(packed.sizes(), ref.sizes(), err_msg=codec)
+        for i in range(len(sets)):
+            np.testing.assert_array_equal(packed.get(i), ref.get(i), err_msg=codec)
+        assert packed.nbytes() > 0, codec
+        _check_same_content(packed.to_flat(), ref, codec)
 
 
 def test_replace_sets_consistent_across_implementations():
-    sets, stores = _instances()
+    shm = pytest.importorskip("repro.shm")
+    sets = _sample_sets()
     rng = np.random.default_rng(11)
     idx = np.array([2, 9, 17], dtype=np.int64)
     new_sets = [
-        np.sort(rng.choice(N, size=4, replace=False)).astype(np.int32)
-        for _ in idx
+        rng.choice(N, size=int(size), replace=False).astype(np.int32)
+        for size in (1, 4, 8)
     ]
-    ref_fp = None
-    for store in stores:
-        name = type(store).__name__
-        store.replace_sets(idx, [s.copy() for s in new_sets])
-        assert len(store) == len(sets), name
-        fp = store.fingerprint()
-        if ref_fp is None:
-            ref_fp = fp
-        assert fp == ref_fp, name
+    expected = list(sets)
+    for j, i in enumerate(idx):
+        expected[i] = np.sort(new_sets[j])
+    ref = _flat(expected)
+
+    flat = _flat(sets)
+    assert flat.replace_sets(idx, [s.copy() for s in new_sets]) is flat
+    _check_same_content(flat, ref, "flat")
+
+    base = _flat(sets)
+    rebuilt = FlatRRRStore.from_arrays(N, base.offsets, base.vertices)
+    rebuilt.replace_sets(idx, [s.copy() for s in new_sets])
+    _check_same_content(rebuilt, ref, "from_arrays")
+
+    decoded = _compressed(sets, "delta-varint").to_flat()
+    decoded.replace_sets(idx, [s.copy() for s in new_sets])
+    _check_same_content(decoded, ref, "decoded compressed")
+
+    source = _flat(sets)
+    with shm.SegmentManager(prefix="tsr") as mgr:
+        handle = mgr.publish_store(source)
+        view = mgr.attach_store(handle)
+        other = mgr.attach_store(handle)
+        try:
+            view.replace_sets(idx, [s.copy() for s in new_sets])
+            _check_same_content(view, ref, "shared view")
+            # Copy-on-write: the segment other views read is untouched.
+            _check_same_content(other, source, "other shared view")
+        finally:
+            view.detach()
+            other.detach()
+        assert mgr.leaked() == []
 
 
 def test_trim_preserves_content():
-    _, stores = _instances()
-    for store in stores:
-        fp = store.fingerprint()
+    shm = pytest.importorskip("repro.shm")
+    sets = _sample_sets()
+    ref = _flat(sets)
+    stores = {
+        "flat": _flat(sets),
+        "from_arrays": FlatRRRStore.from_arrays(N, ref.offsets, ref.vertices),
+        "decoded compressed": _compressed(sets, "huffman").to_flat(),
+    }
+    for name, store in stores.items():
         trimmed = store.trim()
-        assert trimmed.fingerprint() == fp, type(store).__name__
-
-
-# ----------------------------------------------------------------- drift guard
-def test_no_store_exposes_unregistered_public_surface():
-    """The drift guard: every public method/property is either protocol
-    surface or a registered deliberate extra."""
-    for cls in store_implementations():
-        extra = public_surface(cls) - allowed_surface(cls)
-        assert not extra, (
-            f"{cls.__name__} grew unregistered public surface {sorted(extra)}; "
-            "add it to PROTOCOL_METHODS or STORE_EXTRAS deliberately"
-        )
-
-
-def test_drift_guard_catches_a_new_method():
-    class Rogue(FlatRRRStore):
-        def surprise(self):  # pragma: no cover - never called
-            return 42
-
-    assert "surprise" in public_surface(Rogue) - allowed_surface(Rogue)
-
-
-def test_registry_covers_all_implementations():
-    names = {cls.__name__ for cls in store_implementations()}
-    assert {
-        "FlatRRRStore",
-        "CompressedRRRStore",
-        "SharedFlatRRRStore",
-    } <= names
-    assert "append" in PROTOCOL_METHODS
-    assert STORE_EXTRAS[FlatRRRStore]  # non-empty: offsets/vertices/...
-
-
-# --------------------------------------------------------------------- factory
-def test_make_store_builds_every_kind():
-    assert make_store("flat", num_vertices=N).num_vertices == N
-    assert isinstance(
-        make_store("compressed", num_vertices=N), CompressedRRRStore
-    )
-    assert STORE_KINDS == ("flat", "compressed", "shared")
+        assert trimmed is store, name
+        assert trimmed.capacity_bytes() == trimmed.nbytes(), name
+        _check_same_content(trimmed, ref, name)
+        trimmed.append(np.array([0, N - 1], dtype=np.int32))
+        assert len(trimmed) == len(sets) + 1, name
+        np.testing.assert_array_equal(trimmed.get(len(sets)), [0, N - 1])
+    with shm.SegmentManager(prefix="tst") as mgr:
+        view = mgr.attach_store(mgr.publish_store(ref))
+        try:
+            _check_same_content(view.trim(), ref, "shared view")
+        finally:
+            view.detach()
+        assert mgr.leaked() == []
 
 
 def test_make_store_flat_rebuild_from_arrays():
-    flat = make_store("flat", num_vertices=N)
-    flat.extend(_sample_sets())
-    rebuilt = make_store(
-        "flat",
-        num_vertices=N,
-        offsets=flat.offsets,
-        vertices=flat.vertices,
-    )
-    assert rebuilt.fingerprint() == flat.fingerprint()
-
-
-def test_make_store_rejects_unknown_kind_and_bad_options():
-    with pytest.raises(ParameterError, match="unknown store kind"):
-        make_store("columnar", num_vertices=N)
-    with pytest.raises(ParameterError, match="requires num_vertices"):
-        make_store("flat")
-    for retired in ("adaptive", "partitioned"):
-        with pytest.raises(ParameterError, match="unknown store kind"):
-            make_store(retired, num_vertices=N)
-    with pytest.raises(ParameterError, match="offsets and vertices together"):
-        make_store("flat", num_vertices=N, offsets=np.zeros(1, dtype=np.int64))
-    with pytest.raises(ParameterError, match="exactly one of"):
-        make_store("shared")
-
-
-def test_make_store_positional_form_rejected():
-    with pytest.raises(TypeError):
-        make_store("flat", N)
-    with pytest.raises(TypeError):
-        make_store("flat", N, num_vertices=N)
-
-
-def test_make_store_shared_attaches_by_handle_name_and_manager():
-    from repro import shm
-
-    flat = make_store("flat", num_vertices=N)
-    flat.extend(_sample_sets())
-    with shm.SegmentManager(prefix="tsf") as mgr:
-        handle = mgr.publish_store(flat)
-        by_handle = make_store("shared", handle=handle)
-        by_name = make_store("shared", name=handle.name)
-        by_mgr = make_store("shared", handle=handle, manager=mgr)
-        try:
-            for view in (by_handle, by_name, by_mgr):
-                assert view.fingerprint() == flat.fingerprint()
-        finally:
-            for view in (by_handle, by_name, by_mgr):
-                view.detach()
-        assert mgr.leaked() == []
+    flat = _flat(_sample_sets())
+    flat.append(np.array([3, 5], dtype=np.int32))  # leaves growth slack
+    rebuilt = FlatRRRStore.from_arrays(N, flat.offsets, flat.vertices)
+    _check_same_content(rebuilt, flat, "from_arrays")
+    assert rebuilt.capacity_bytes() == rebuilt.nbytes()
+    # The arrays are copied: writing into the inputs leaves the rebuild alone.
+    offsets, vertices = flat.offsets.copy(), flat.vertices.copy()
+    copied = FlatRRRStore.from_arrays(N, offsets, vertices)
+    offsets[1:] = offsets[-1]
+    vertices[:] = 0
+    _check_same_content(copied, flat, "from_arrays after the inputs changed")
