@@ -1,12 +1,14 @@
 """Diffusion models: Independent Cascade and Linear Threshold.
 
-Provides both directions the reproduction needs:
+Each model binds to one graph and provides:
 
 - **forward** Monte-Carlo simulation (:mod:`repro.diffusion.spread`) to
   estimate the influence spread sigma(S) of a seed set — used to validate
   end-to-end solution quality against the greedy reference;
-- **reverse** samplers (:class:`ICModel` / :class:`LTModel`) that draw one
-  random reverse-reachable (RRR) set, the primitive of IMM's sampling phase.
+- the **reverse** views that :mod:`repro.kernels` reads to draw random
+  reverse-reachable (RRR) sets, the primitive of IMM's sampling phase: the
+  transpose graph, the visited stamps and LT's cumulative in-weight rows.
+  The models draw no RRR sets themselves.
 """
 
 from repro.diffusion.base import DiffusionModel, get_model

@@ -1,16 +1,18 @@
 """Common interface for diffusion models.
 
-A diffusion model supplies two sampling primitives:
+A diffusion model binds IC or LT to one weighted graph and supplies:
 
 - :meth:`DiffusionModel.forward_sample` — simulate one cascade from a seed
   set, returning the activated vertices (defines sigma(S) by expectation);
-- :meth:`DiffusionModel.reverse_sample` — draw one random reverse-reachable
-  set rooted at a given vertex, the equivalence on which RIS/IMM rests: the
-  probability that S intersects a random RRR set equals sigma(S) / n.
+- the reverse views the RRR sampling kernels (:mod:`repro.kernels`) read:
+  the transpose graph and an epoch-stamped visited array (LT adds its
+  cumulative in-weight rows).  RIS/IMM rests on the equivalence that the
+  probability S intersects a random reverse-reachable set equals
+  sigma(S) / n.
 
-Implementations keep reusable scratch buffers (epoch-stamped visited arrays)
-so drawing many samples does not re-zero O(n) memory each time — the Python
-analogue of the per-thread scratch both C++ frameworks maintain.
+The epoch-stamped visited array is reused across samples, so drawing many
+of them does not re-zero O(n) memory each time — the Python analogue of
+the per-thread scratch both C++ frameworks maintain.
 """
 
 from __future__ import annotations
@@ -40,17 +42,9 @@ class DiffusionModel(ABC):
         self._stamp = np.zeros(n, dtype=np.int64)
         self._epoch = 0
 
-    # ------------------------------------------------------------ sampling
     def _next_epoch(self) -> int:
         self._epoch += 1
         return self._epoch
-
-    @abstractmethod
-    def reverse_sample(
-        self, root: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw one RRR set rooted at ``root``; returns vertex ids
-        (``int32``, unsorted, root included, no duplicates)."""
 
     @abstractmethod
     def forward_sample(
@@ -58,11 +52,6 @@ class DiffusionModel(ABC):
     ) -> np.ndarray:
         """Simulate one cascade from ``seeds``; returns activated vertex ids
         (seeds included, no duplicates)."""
-
-    # ------------------------------------------------------------- helpers
-    def random_root(self, rng: np.random.Generator) -> int:
-        """Uniform random RRR root, as prescribed by RIS."""
-        return int(rng.integers(0, self.graph.num_vertices))
 
 
 def get_model(name: str, graph: CSRGraph) -> DiffusionModel:

@@ -1,14 +1,17 @@
-"""Independent Cascade model: forward cascades and reverse probabilistic BFS.
+"""Independent Cascade model: forward cascades and the frontier row gather.
 
-Both directions use the frontier-at-a-time vectorised BFS pattern: all edges
-incident to the current frontier are gathered with one fancy-indexing pass,
-one batch of coin flips decides which are live, and survivors are deduplicated
-against the epoch-stamped visited array.  This keeps the per-sample Python
-overhead at O(depth) instead of O(edges).
+Forward cascades use the frontier-at-a-time vectorised BFS pattern: all
+edges incident to the current frontier are gathered with one
+fancy-indexing pass (:func:`gather_frontier_edges`), one batch of coin
+flips decides which are live, and survivors are deduplicated against the
+epoch-stamped visited array.  This keeps the per-cascade Python overhead
+at O(depth) instead of O(edges).  The reverse BFS that draws RRR sets runs
+in :mod:`repro.kernels` over this model's transpose, with the same gather
+in its per-set reference.
 
 The live-edge semantics match the model definition exactly: every edge
-incident to a newly activated (resp. newly visited) vertex is examined at
-most once and flips its own independent coin with the edge's probability.
+incident to a newly activated vertex is examined at most once and flips
+its own independent coin with the edge's probability.
 """
 
 from __future__ import annotations
@@ -53,17 +56,6 @@ class ICModel(DiffusionModel):
 
     name = "IC"
 
-    def reverse_sample(self, root: int, rng: np.random.Generator) -> np.ndarray:
-        """Reverse probabilistic BFS from ``root`` over in-edges.
-
-        Every in-edge of every visited vertex flips one coin; the RRR set is
-        the set of vertices reached through live edges (Algorithm 3's loop,
-        minus the fused counter update which the sampling kernel owns).
-        """
-        return _ic_bfs(
-            self.reverse_graph, root, rng, self._stamp, self._next_epoch()
-        )
-
     def forward_sample(self, seeds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One forward cascade: seeds activate, each new activation gets one
         chance per out-edge."""
@@ -90,31 +82,3 @@ class ICModel(DiffusionModel):
             frontier = fresh.astype(np.int64)
         return np.concatenate(out)
 
-
-def _ic_bfs(
-    graph: CSRGraph,
-    root: int,
-    rng: np.random.Generator,
-    stamp: np.ndarray,
-    epoch: int,
-) -> np.ndarray:
-    """Shared BFS core for reverse sampling (probabilistic frontier BFS)."""
-    stamp[root] = epoch
-    out: list[np.ndarray] = [np.array([root], dtype=np.int32)]
-    frontier = np.array([root], dtype=np.int64)
-    while frontier.size:
-        nbrs, probs = gather_frontier_edges(graph, frontier)
-        if nbrs.size == 0:
-            break
-        live = rng.random(nbrs.size) < probs
-        cand = nbrs[live]
-        if cand.size == 0:
-            break
-        cand = np.unique(cand)
-        fresh = cand[stamp[cand] != epoch]
-        if fresh.size == 0:
-            break
-        stamp[fresh] = epoch
-        out.append(fresh.astype(np.int32))
-        frontier = fresh.astype(np.int64)
-    return np.concatenate(out)

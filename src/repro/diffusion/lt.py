@@ -1,17 +1,16 @@
-"""Linear Threshold model: forward threshold cascades and reverse walks.
+"""Linear Threshold model: forward threshold cascades and the reverse rows.
 
-**Reverse sampling.** Under LT's live-edge interpretation (Kempe et al.),
+**Reverse view.** Under LT's live-edge interpretation (Kempe et al.),
 every vertex independently selects *at most one* in-edge, choosing edge
 ``(u, v)`` with probability ``w_uv`` and no edge with the remaining
 ``1 - sum_u w_uv``.  A reverse-reachable set rooted at ``r`` is therefore a
 *path*: follow the (single) selected in-edge from ``r`` until either no edge
 is selected or an already-visited vertex is reached.  This is why Table I/
 §III observes LT RRR sets are much smaller than IC's while theta is much
-larger.
-
-Sampling one in-neighbour proportionally to weight uses per-vertex cumulative
-weight rows precomputed over the transpose CSR, so each step is one binary
-search (``np.searchsorted``) — O(log indegree).
+larger.  The walks themselves run in :mod:`repro.kernels`; this model
+holds the per-vertex cumulative weight rows over the transpose CSR they
+read, so picking an in-neighbour proportionally to weight is one binary
+search — O(log indegree).
 
 **Forward simulation.** Thresholds ``T_v ~ U[0, 1]`` are drawn per cascade;
 each round adds the out-weights of newly active vertices into an incoming-
@@ -45,33 +44,6 @@ class LTModel(DiffusionModel):
         self._incoming_mass = np.zeros(graph.num_vertices)
         self._mass_stamp = np.zeros(graph.num_vertices, dtype=np.int64)
 
-    # -------------------------------------------------------------- reverse
-    def reverse_sample(self, root: int, rng: np.random.Generator) -> np.ndarray:
-        rev = self.reverse_graph
-        indptr, indices, cum = rev.indptr, rev.indices, self._cum
-        epoch = self._next_epoch()
-        stamp = self._stamp
-        out = [root]
-        stamp[root] = epoch
-        v = root
-        while True:
-            lo, hi = indptr[v], indptr[v + 1]
-            if hi == lo:
-                break
-            r = rng.random()
-            row = cum[lo:hi]
-            # row[-1] = total incoming weight (<= 1); r beyond it = no edge.
-            if r >= row[-1]:
-                break
-            u = int(indices[lo + np.searchsorted(row, r, side="right")])
-            if stamp[u] == epoch:
-                break  # walked into the existing path: live-edge cycle
-            stamp[u] = epoch
-            out.append(u)
-            v = u
-        return np.asarray(out, dtype=np.int32)
-
-    # -------------------------------------------------------------- forward
     def forward_sample(self, seeds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.int64).ravel()
         n = self.graph.num_vertices

@@ -15,9 +15,11 @@ index owns a key derived from ``(seed, set_index)`` and consumes uniforms
 ``u(key, 0), u(key, 1), ...`` in a canonical traversal order.  Because no
 stream state is shared between sets, the output bytes are identical
 regardless of batch size, worker count, process start method, or shard
-layout.  :mod:`repro.kernels.scalar` is an independent per-root reference
-implementation sharing only the RNG layer; the equivalence suite in
-``tests/test_kernels.py`` uses it as the oracle.
+layout.  :mod:`repro.kernels.scalar` is the one per-set traversal: an
+independent reference implementation sharing only the RNG layer, which
+the equivalence suite in ``tests/test_kernels.py`` uses as the oracle and
+whose levels and steps the sampling trace
+(:func:`repro.simmachine.instrumented.trace_sampling`) replays.
 
 Entry points:
 

@@ -1,27 +1,31 @@
-"""Per-root reference kernel over the counter-based RNG streams.
+"""The per-set reverse traversal over the counter-based RNG streams.
 
-This is the *semantic specification* the batched kernel must match: one RRR
-set at a time, consuming its stream ``u(key, 0), u(key, 1), ...`` in the
-canonical traversal order —
+This is the one per-set reverse sampler in the program and the *semantic
+specification* the batched kernel must match: one RRR set at a time,
+consuming its stream ``u(key, 0), u(key, 1), ...`` in the canonical
+traversal order —
 
-IC (reverse probabilistic BFS):
+IC (reverse probabilistic BFS, :func:`ic_levels`):
     level by level; within a level, frontier vertices ascending; within a
     frontier vertex, in-edges in reverse-CSR row order.  One counter tick
     per examined edge.
 
-LT (reverse weighted walk):
+LT (reverse weighted walk, :func:`lt_steps`):
     one counter tick per step, drawn only when the current vertex has at
-    least one in-edge (matching :meth:`LTModel.reverse_sample`, which
-    checks ``hi == lo`` before consuming randomness).
+    least one in-edge.
 
-The traversal order fixes the coins; each set is then returned sorted,
-as the batched kernel emits it.  It shares only :mod:`repro.kernels.rng`
-with the batched implementation, so their byte-identity
-(``tests/test_kernels.py``) is a real cross-check rather than two calls
-into common code.
+:func:`scalar_one_set` collects the levels or steps into one set, returned
+sorted as the batched kernel emits it;
+:func:`repro.simmachine.instrumented.trace_sampling` turns the same levels
+and steps into address streams.  The module shares only
+:mod:`repro.kernels.rng` with the batched implementation, so their
+byte-identity (``tests/test_kernels.py``) is a real cross-check rather
+than two calls into common code.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from repro.diffusion.ic import gather_frontier_edges
 from repro.errors import ParameterError
 from repro.kernels.rng import counter_uniforms
 
-__all__ = ["sample_scalar", "scalar_one_set"]
+__all__ = ["ic_levels", "lt_steps", "sample_scalar", "scalar_one_set"]
 
 
 def scalar_one_set(
@@ -39,9 +43,16 @@ def scalar_one_set(
     """Draw one RRR set from one counter stream: ``(sorted vertices, edges)``."""
     kind = getattr(model, "name", "?")
     if kind == "IC":
-        return _ic_one(model, root, key)
+        out = [np.array([root], dtype=np.int32)]
+        edges = 0
+        for _frontier, examined, fresh in ic_levels(model, root, key):
+            edges += examined.size
+            out.append(fresh.astype(np.int32))
+        return np.sort(np.concatenate(out)), edges
     if kind == "LT":
-        return _lt_one(model, root, key)
+        path = [root] + [u for _v, u, fresh in lt_steps(model, root, key) if fresh]
+        verts = np.sort(np.asarray(path, dtype=np.int32))
+        return verts, int(verts.size)  # LT cost convention: path length
     raise ParameterError(f"kernel sampling supports IC/LT, not {kind!r}")
 
 
@@ -66,59 +77,66 @@ def sample_scalar(
     return flat, sizes, edges
 
 
-def _ic_one(model, root: int, key: int) -> tuple[np.ndarray, int]:
+def ic_levels(
+    model: DiffusionModel, root: int, key: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The IC reverse BFS from ``root`` on stream ``key``, level by level.
+
+    Yields ``(frontier, examined, fresh)`` per level: the level's vertices
+    (ascending, the root alone first), the in-neighbour of every in-edge
+    it examines, in draw order, and the vertices it newly reaches
+    (ascending; empty at the last level).
+    """
     rev = model.reverse_graph
     stamp = model._stamp
     epoch = model._next_epoch()
     stamp[root] = epoch
-    out = [np.array([root], dtype=np.int32)]
     frontier = np.array([root], dtype=np.int64)
-    edges = 0
     ctr = 0
     while frontier.size:
-        nbrs, probs = gather_frontier_edges(rev, frontier)
-        edges += nbrs.size
-        if nbrs.size == 0:
-            break
-        u = counter_uniforms(key, np.arange(ctr, ctr + nbrs.size, dtype=np.int64))
-        ctr += nbrs.size
-        cand = nbrs[u < probs]
-        if cand.size == 0:
-            break
-        cand = np.unique(cand)
+        examined, probs = gather_frontier_edges(rev, frontier)
+        u = counter_uniforms(
+            key, np.arange(ctr, ctr + examined.size, dtype=np.int64)
+        )
+        ctr += examined.size
+        cand = np.unique(examined[u < probs])
         fresh = cand[stamp[cand] != epoch]
-        if fresh.size == 0:
-            break
         stamp[fresh] = epoch
-        out.append(fresh.astype(np.int32))
+        yield frontier, examined, fresh
         frontier = fresh.astype(np.int64)
-    return np.sort(np.concatenate(out)), edges
 
 
-def _lt_one(model, root: int, key: int) -> tuple[np.ndarray, int]:
+def lt_steps(
+    model: DiffusionModel, root: int, key: int
+) -> Iterator[tuple[int, int, bool]]:
+    """The LT reverse walk from ``root`` on stream ``key``, draw by draw.
+
+    Yields ``(v, u, fresh)`` for each uniform the walk draws at vertex
+    ``v`` (a vertex with no in-edges draws none and ends the walk): ``u``
+    is the in-neighbour picked, ``-1`` when the draw falls in the row's
+    slack, and ``fresh`` whether ``u`` is new to the path.  The walk goes
+    on from ``u`` exactly when ``fresh``; otherwise it closed a live-edge
+    cycle or stopped.
+    """
     rev = model.reverse_graph
     indptr, indices, cum = rev.indptr, rev.indices, model._cum
     stamp = model._stamp
     epoch = model._next_epoch()
-    out = [root]
     stamp[root] = epoch
     v = root
-    ctr = 0
-    one = np.ones(1, dtype=np.int64)
-    while True:
+    ctr = np.zeros(1, dtype=np.int64)
+    while indptr[v + 1] > indptr[v]:
         lo, hi = indptr[v], indptr[v + 1]
-        if hi == lo:
-            break
-        r = float(counter_uniforms(key, ctr * one)[0])
+        r = float(counter_uniforms(key, ctr)[0])
         ctr += 1
-        row = cum[lo:hi]
-        if r >= row[-1]:
-            break
-        u = int(indices[lo + np.searchsorted(row, r, side="right")])
-        if stamp[u] == epoch:
-            break  # walked into the existing path: live-edge cycle
+        # cum[hi - 1] is the row's total in-weight (<= 1); beyond it, no edge.
+        if r >= cum[hi - 1]:
+            yield v, -1, False
+            return
+        u = int(indices[lo + np.searchsorted(cum[lo:hi], r, side="right")])
+        fresh = bool(stamp[u] != epoch)
         stamp[u] = epoch
-        out.append(u)
+        yield v, u, fresh
+        if not fresh:
+            return
         v = u
-    verts = np.sort(np.asarray(out, dtype=np.int32))
-    return verts, int(verts.size)  # LT cost convention: path length

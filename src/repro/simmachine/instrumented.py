@@ -29,6 +29,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.selection import CoverStep, _check_select_args, greedy_cover
+from repro.diffusion.base import get_model
+from repro.kernels.dispatch import indexed_draws
+from repro.kernels.scalar import ic_levels, lt_steps
 from repro.runtime.partition import block_partition
 from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.store import FlatRRRStore
@@ -315,7 +318,12 @@ def trace_sampling(
 ) -> SamplingTraceResult:
     """Replay Generate_RRRsets (Algorithm 3) as exact memory traces.
 
-    Runs the real probabilistic reverse BFS per set, recording every access:
+    Traces the sets the program draws: set ``i`` is the kernel's set with
+    root and stream ``indexed_draws(seed, i)``, walked by the per-set
+    reference traversal (:func:`repro.kernels.scalar.ic_levels` or
+    :func:`~repro.kernels.scalar.lt_steps`), so ``num_sets`` traced sets
+    are exactly ``KernelSampler(model).sample_indexed(seed, 0, num_sets)``.
+    Every access of each set is recorded:
 
     - CSR row reads of the transposed graph (sequential within a row);
     - visited-bitmap probes, one per examined in-edge (line 8);
@@ -329,12 +337,11 @@ def trace_sampling(
     once with everything first-touched on node 0 — giving the same
     comparison as Table II but from exact traces.
     """
-    from repro.diffusion.base import get_model
-
-    rng = np.random.default_rng(seed)
     dm = get_model(model, graph)
     rev = dm.reverse_graph
     n = graph.num_vertices
+    roots, keys = indexed_draws(seed, np.arange(num_sets), n)
+    walk = _traced_ic_bfs if dm.name == "IC" else _traced_lt_walk
 
     layout = MemoryLayout()
     g_base = layout.allocate("rev_indices", rev.indices.nbytes, policy="interleave")
@@ -359,18 +366,12 @@ def trace_sampling(
 
     for w, (lo, hi) in enumerate(set_bounds):
         core = worker_cores[w]
-        for _ in range(lo, hi):
-            root = int(rng.integers(0, n))
+        for i in range(lo, hi):
             streams: list[np.ndarray] = []
-            if model.upper() == "IC":
-                members = _traced_ic_bfs(
-                    rev, root, rng, dm._stamp, dm._next_epoch(),
-                    g_base, p_base, v_base, r_base, streams,
-                )
-            else:
-                members = _traced_lt_walk(
-                    dm, root, rng, g_base, p_base, v_base, r_base, streams,
-                )
+            members = walk(
+                dm, int(roots[i]), int(keys[i]),
+                g_base, p_base, v_base, r_base, streams,
+            )
             if fused:
                 streams.append(c_base + members * 8)
             addrs = np.concatenate(streams)
@@ -408,91 +409,65 @@ def trace_sampling(
 
 
 def _traced_ic_bfs(
-    rev, root, rng, stamp, epoch, g_base, p_base, v_base, r_base, streams
+    dm, root, key, g_base, p_base, v_base, r_base, streams
 ) -> np.ndarray:
-    """IC reverse BFS that appends its exact address stream to ``streams``.
+    """Append the exact address stream of one IC set to ``streams``.
 
-    Returns the RRR set's members (int64, in visit order).  Mirrors
-    ``repro.diffusion.ic._ic_bfs``.
+    Returns the RRR set's members (int64, in visit order), level by level
+    from :func:`~repro.kernels.scalar.ic_levels`.
     """
-    from repro.diffusion.ic import gather_frontier_edges
-
-    indptr = rev.indptr
-    stamp[root] = epoch
-    frontier = np.array([root], dtype=np.int64)
-    members = [frontier]
+    indptr = dm.reverse_graph.indptr
+    members = [np.array([root], dtype=np.int64)]
     size = 1
     streams.append(np.array([r_base], dtype=np.int64))  # root write
-    while frontier.size:
+    for frontier, examined, fresh in ic_levels(dm, root, key):
         # CSR row reads: indices + probs, sequential within each row.
         for u in frontier.tolist():
             lo, hi = int(indptr[u]), int(indptr[u + 1])
             if hi > lo:
                 streams.append(g_base + np.arange(lo, hi, dtype=np.int64) * 4)
                 streams.append(p_base + np.arange(lo, hi, dtype=np.int64) * 8)
-        nbrs, probs = gather_frontier_edges(rev, frontier)
-        if nbrs.size == 0:
-            break
         # Visited-bitmap probe per examined edge (Algorithm 3 line 8).
-        streams.append(v_base + (nbrs.astype(np.int64) >> 3))
-        live = rng.random(nbrs.size) < probs
-        cand = nbrs[live]
-        if cand.size == 0:
-            break
-        cand = np.unique(cand)
-        fresh = cand[stamp[cand] != epoch]
-        if fresh.size == 0:
-            break
-        stamp[fresh] = epoch
+        streams.append(v_base + (examined.astype(np.int64) >> 3))
         # Bitmap writes + RRR appends for the fresh vertices.
-        streams.append(v_base + (fresh.astype(np.int64) >> 3))
+        fresh = fresh.astype(np.int64)
+        streams.append(v_base + (fresh >> 3))
         streams.append(
             r_base + (size + np.arange(fresh.size, dtype=np.int64)) * 4
         )
         size += fresh.size
-        frontier = fresh.astype(np.int64)
-        members.append(frontier)
+        members.append(fresh)
     return np.concatenate(members)
 
 
 def _traced_lt_walk(
-    dm, root, rng, g_base, p_base, v_base, r_base, streams
+    dm, root, key, g_base, p_base, v_base, r_base, streams
 ) -> np.ndarray:
-    """LT reverse walk with its exact address stream (one binary search
-    over the current vertex's cumulative in-weight row per step).
+    """Append the exact address stream of one LT walk to ``streams``: one
+    binary search over the current vertex's cumulative in-weight row per
+    step of :func:`~repro.kernels.scalar.lt_steps`.
 
     Returns the RRR set's members (int64, in walk order)."""
-    rev = dm.reverse_graph
-    indptr, indices, cum = rev.indptr, rev.indices, dm._cum
-    epoch = dm._next_epoch()
-    stamp = dm._stamp
-    stamp[root] = epoch
-    streams.append(np.array([r_base], dtype=np.int64))
-    v = root
+    indptr = dm.reverse_graph.indptr
     members = [root]
-    while True:
+    streams.append(np.array([r_base], dtype=np.int64))  # root write
+    for v, u, fresh in lt_steps(dm, root, key):
         lo, hi = int(indptr[v]), int(indptr[v + 1])
-        if hi == lo:
-            break
-        r = rng.random()
-        row = cum[lo:hi]
         # Bisection probes over the cumulative-weight row (8-byte floats):
         # rescale the 4-byte probe offsets to the float64 element size.
-        probes4 = _bisect_probe_addrs(0, lo, hi - lo)
-        streams.append(p_base + probes4 * 2)
-        if r >= row[-1]:
+        streams.append(p_base + _bisect_probe_addrs(0, lo, hi - lo) * 2)
+        if u < 0:
             break
-        u = int(indices[lo + np.searchsorted(row, r, side="right")])
-        # Neighbour-id load + visited probe + bitmap write + RRR append.
-        streams.append(np.array([g_base + (lo) * 4], dtype=np.int64))
-        streams.append(np.array([v_base + (u >> 3)], dtype=np.int64))
-        if stamp[u] == epoch:
-            break
-        stamp[u] = epoch
-        streams.append(np.array([v_base + (u >> 3)], dtype=np.int64))
-        streams.append(np.array([r_base + len(members) * 4], dtype=np.int64))
-        members.append(u)
-        v = u
+        # Neighbour-id load + visited probe; a fresh step adds its bitmap
+        # write + RRR append.
+        streams.append(
+            np.array([g_base + lo * 4, v_base + (u >> 3)], dtype=np.int64)
+        )
+        if fresh:
+            streams.append(np.array(
+                [v_base + (u >> 3), r_base + len(members) * 4], dtype=np.int64
+            ))
+            members.append(u)
     return np.asarray(members, dtype=np.int64)
 
 

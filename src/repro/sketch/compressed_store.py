@@ -42,7 +42,8 @@ class CompressedRRRStore:
         codebook (hub frequencies stabilise quickly); they are encoded
         retroactively once the codebook exists.  Ignored by delta-varint.
     budget_bytes:
-        Optional memory-model budget, enforced on the *compressed* size.
+        Optional memory-model budget on :meth:`nbytes`: the compressed
+        size, plus 4 bytes per vertex of each buffered training set.
     """
 
     def __init__(
@@ -77,7 +78,8 @@ class CompressedRRRStore:
         """
         arr = np.asarray(vertices, dtype=np.int32).ravel()
         if self._codec is None and len(self._pending) + 1 < self.training_sets:
-            # Huffman: buffer until the codebook can be trained.
+            # Huffman: buffer, counted raw, until the codebook can be trained.
+            self._check_budget(self.nbytes() + 4 * arr.size)
             self._pending.append(arr)
             self._record(arr)
         else:
@@ -110,10 +112,7 @@ class CompressedRRRStore:
             blob = codec.encode(s)
             self.encode_seconds += time.perf_counter() - t0
             total += len(blob)
-            if self.budget_bytes is not None and total > self.budget_bytes:
-                raise OutOfMemoryModelError(
-                    total, self.budget_bytes, what="compressed RRR store"
-                )
+            self._check_budget(total)
             blobs.append(blob)
         self._codec, self._pending, self._bytes = codec, [], total
         self._blobs += blobs
@@ -125,6 +124,13 @@ class CompressedRRRStore:
             # through the shared bridge like the other stores' stats.
             tel.registry.counter("sketch.compressed.sets").inc(len(blobs))
             record_codec_stats(tel.registry, self)
+
+    def _check_budget(self, total: int) -> None:
+        """Raise if a footprint of ``total`` bytes would overrun the budget."""
+        if self.budget_bytes is not None and total > self.budget_bytes:
+            raise OutOfMemoryModelError(
+                total, self.budget_bytes, what="compressed RRR store"
+            )
 
     def finalize(self) -> None:
         """Force codebook training and flush any buffered sets."""

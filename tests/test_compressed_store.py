@@ -102,6 +102,26 @@ class TestCompressedStore:
             assert np.array_equal(store.get(i), np.sort(sets[i]).astype(np.int32))
 
     @pytest.mark.parametrize("codec", ["huffman", "delta-varint"])
+    def test_footprint_stays_within_budget(self, codec):
+        # Buffered Huffman training sets count raw against the budget too:
+        # 30-vertex sets take 120 bytes each before the codebook exists.
+        n, budget = 400, 150
+        rng = np.random.default_rng(3)
+        store = CompressedRRRStore(
+            n, codec=codec, training_sets=10, budget_bytes=budget
+        )
+        refused = 0
+        for _ in range(12):
+            before = (len(store), store.nbytes())
+            try:
+                store.append(rng.choice(n, size=30, replace=False))
+            except OutOfMemoryModelError:
+                refused += 1
+                assert (len(store), store.nbytes()) == before
+            assert store.nbytes() <= budget
+        assert refused > 0 and len(store) > 0
+
+    @pytest.mark.parametrize("codec", ["huffman", "delta-varint"])
     def test_codec_gauges_track_the_store(self, rng, codec):
         from repro import telemetry
 

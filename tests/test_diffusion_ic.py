@@ -1,15 +1,10 @@
-"""Tests for the Independent Cascade model (forward + reverse)."""
+"""Tests for the Independent Cascade model: forward cascades, and reverse
+sets as the kernel draws them over the model's transpose."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.diffusion.ic import ICModel, gather_frontier_edges
-from repro.errors import ParameterError
-from repro.graph.builder import from_edge_array
-from repro.graph.generators import erdos_renyi
-from repro.graph.weights import assign_ic_weights
+from repro.kernels import KernelSampler, coin_key, derive_keys, roots_for_indices
 
 from conftest import make_graph
 
@@ -42,54 +37,57 @@ class TestGatherFrontierEdges:
         assert nbrs.size == 16
 
 
+def draw(model, roots, seed=0):
+    """Kernel-drawn sets from ``roots``, one counter stream each."""
+    roots = np.asarray(roots)
+    keys = derive_keys(coin_key(seed), np.arange(roots.size))
+    flat, sizes, _ = KernelSampler(model).sample_for_roots(roots, keys)
+    return np.split(flat, np.cumsum(sizes)[:-1])
+
+
 class TestReverseSample:
-    def test_deterministic_line(self, line_graph, rng):
-        model = ICModel(line_graph)
+    """Reverse sampling under IC: the kernel's BFS over the model's
+    transpose."""
+
+    def test_deterministic_line(self, line_graph):
         # All probabilities 1: reverse reach of vertex 4 is everything.
-        rrr = model.reverse_sample(4, rng)
-        assert sorted(rrr.tolist()) == [0, 1, 2, 3, 4]
+        [rrr] = draw(ICModel(line_graph), [4])
+        assert rrr.tolist() == [0, 1, 2, 3, 4]
 
-    def test_root_always_included(self, line_graph, rng):
-        model = ICModel(line_graph)
-        rrr = model.reverse_sample(0, rng)
-        assert 0 in rrr.tolist()
-        assert rrr.size == 1  # vertex 0 has no in-edges
+    def test_root_always_included(self, line_graph):
+        [rrr] = draw(ICModel(line_graph), [0])
+        assert rrr.tolist() == [0]  # vertex 0 has no in-edges
 
-    def test_zero_probability_blocks(self, rng):
+    def test_zero_probability_blocks(self):
         g = make_graph([(0, 1, 0.0)], n=2)
-        model = ICModel(g)
-        assert model.reverse_sample(1, rng).tolist() == [1]
+        assert [s.tolist() for s in draw(ICModel(g), [1] * 20)] == [[1]] * 20
 
-    def test_no_duplicates(self, cycle_graph, rng):
-        model = ICModel(cycle_graph)
-        rrr = model.reverse_sample(0, rng)
-        assert len(set(rrr.tolist())) == rrr.size
+    def test_no_duplicates(self, cycle_graph):
+        for rrr in draw(ICModel(cycle_graph), range(6)):
+            assert np.unique(rrr).size == rrr.size
 
-    def test_respects_direction(self, line_graph, rng):
-        model = ICModel(line_graph)
+    def test_respects_direction(self, line_graph):
         # Nothing downstream of 2 can appear in its reverse set.
-        rrr = model.reverse_sample(2, rng)
+        [rrr] = draw(ICModel(line_graph), [2])
         assert set(rrr.tolist()) <= {0, 1, 2}
 
-    def test_epoch_isolation_between_samples(self, cycle_graph, rng):
-        model = ICModel(cycle_graph)
-        a = model.reverse_sample(0, rng)
-        b = model.reverse_sample(3, rng)
+    def test_epoch_isolation_between_samples(self, cycle_graph):
+        # Two draws through one sampler's reused scratch.
+        ks = KernelSampler(ICModel(cycle_graph))
+        keys = derive_keys(coin_key(0), np.arange(2))
+        a = ks.sample_for_roots(np.array([0]), keys[:1])[0]
+        b = ks.sample_for_roots(np.array([3]), keys[1:])[0]
         assert 3 in b.tolist()
         assert a.size == b.size == 6  # determinism with p=1 edges
 
     def test_monte_carlo_probability(self):
         # Single edge with p=0.3: P(0 in RRR(1)) must approach 0.3.
         g = make_graph([(0, 1, 0.3)], n=2)
-        model = ICModel(g)
-        rng = np.random.default_rng(0)
-        hits = sum(
-            model.reverse_sample(1, rng).size == 2 for _ in range(4000)
-        )
+        hits = sum(rrr.size == 2 for rrr in draw(ICModel(g), [1] * 4000))
         assert 0.27 < hits / 4000 < 0.33
 
-    def test_dtype(self, cycle_graph, rng):
-        assert ICModel(cycle_graph).reverse_sample(0, rng).dtype == np.int32
+    def test_dtype(self, cycle_graph):
+        assert draw(ICModel(cycle_graph), [0])[0].dtype == np.int32
 
 
 class TestForwardSample:
@@ -131,32 +129,9 @@ class TestForwardSample:
 
 
 class TestRISEquivalence:
-    """The identity RIS rests on: P(v in RRR(u)) == P(u activates v)."""
-
-    @given(st.integers(0, 2000))
-    @settings(max_examples=10, deadline=None)
-    def test_reverse_forward_symmetry(self, seed):
-        src, dst = erdos_renyi(25, 80, seed=seed)
-        g = assign_ic_weights(
-            from_edge_array(src, dst, num_vertices=25), seed=seed
-        )
-        model = ICModel(g)
-        rng = np.random.default_rng(seed)
-        u, v = 3, 17
-        trials = 1200
-        fwd = sum(
-            v in model.forward_sample(np.array([u]), rng).tolist()
-            for _ in range(trials)
-        )
-        rev = sum(
-            u in model.reverse_sample(v, rng).tolist() for _ in range(trials)
-        )
-        # Both estimate the same probability; allow Monte-Carlo slack.
-        assert abs(fwd - rev) / trials < 0.08
+    """RIS's estimator n * Pr[S hits R] needs uniformly random roots."""
 
     def test_random_root_uniform(self, cycle_graph):
-        model = ICModel(cycle_graph)
-        rng = np.random.default_rng(2)
-        roots = [model.random_root(rng) for _ in range(1200)]
+        roots = roots_for_indices(2, np.arange(1200), cycle_graph.num_vertices)
         counts = np.bincount(roots, minlength=6)
         assert counts.min() > 120  # roughly uniform over 6 vertices

@@ -1,4 +1,5 @@
-"""Tests for the Linear Threshold model (forward + reverse)."""
+"""Tests for the Linear Threshold model: forward cascades, and reverse
+walks as the kernel draws them over the model's cumulative rows."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ import pytest
 from repro.diffusion.base import get_model
 from repro.diffusion.lt import LTModel, _row_cumsum
 from repro.errors import ParameterError
-from repro.graph.builder import from_edge_array
-from repro.graph.generators import erdos_renyi
-from repro.graph.weights import assign_lt_weights
+from repro.kernels import KernelSampler, coin_key, derive_keys
+from repro.kernels.scalar import lt_steps
 
 from conftest import make_graph
 
@@ -28,45 +28,51 @@ class TestRowCumsum:
         assert _row_cumsum(g) == pytest.approx([0.9, 0.1])
 
 
+def draw(model, roots, seed=0):
+    """Kernel-drawn sets from ``roots``, one counter stream each."""
+    roots = np.asarray(roots)
+    keys = derive_keys(coin_key(seed), np.arange(roots.size))
+    flat, sizes, _ = KernelSampler(model).sample_for_roots(roots, keys)
+    return np.split(flat, np.cumsum(sizes)[:-1])
+
+
 class TestReverseSample:
-    def test_is_a_path(self, rng):
+    """Reverse walks under LT: the kernel's walks over the model's
+    cumulative in-weight rows, and the reference walk's step order."""
+
+    def test_is_a_path(self):
         # Chain with full weights: the reverse walk from 3 is the whole chain.
         g = make_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], n=4)
         model = LTModel(g)
-        rrr = model.reverse_sample(3, rng)
-        assert rrr.tolist() == [3, 2, 1, 0]
+        steps = list(lt_steps(model, 3, 0))
+        assert [(v, u) for v, u, _fresh in steps] == [(3, 2), (2, 1), (1, 0)]
+        assert draw(model, [3])[0].tolist() == [0, 1, 2, 3]
 
-    def test_stops_without_in_edges(self, rng):
+    def test_stops_without_in_edges(self):
         g = make_graph([(0, 1, 1.0)], n=2)
         model = LTModel(g)
-        assert model.reverse_sample(0, rng).tolist() == [0]
+        assert list(lt_steps(model, 0, 0)) == []  # no in-edge, no draw
+        assert draw(model, [0])[0].tolist() == [0]
 
     def test_no_activation_mass_stops_walk(self):
         g = make_graph([(0, 1, 0.0)], n=2)
-        model = LTModel(g)
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            assert model.reverse_sample(1, rng).tolist() == [1]
+        assert [s.tolist() for s in draw(LTModel(g), [1] * 30)] == [[1]] * 30
 
-    def test_cycle_terminates(self, cycle_graph, rng):
+    def test_cycle_terminates(self, cycle_graph):
         model = LTModel(cycle_graph)
-        rrr = model.reverse_sample(0, rng)
         # Weight-1 cycle: the walk must wrap once and stop at revisit.
-        assert rrr.size == 6
-        assert len(set(rrr.tolist())) == 6
+        *_, (v, u, fresh) = lt_steps(model, 0, 0)
+        assert (v, u, fresh) == (1, 0, False)
+        assert draw(model, [0])[0].tolist() == list(range(6))
 
     def test_picks_in_neighbor_proportionally(self):
         # v=2 has in-edges from 0 (w=0.6) and 1 (w=0.2); stop mass 0.2.
         g = make_graph([(0, 2, 0.6), (1, 2, 0.2)], n=3)
-        model = LTModel(g)
-        rng = np.random.default_rng(3)
-        picks = {0: 0, 1: 0, None: 0}
-        for _ in range(5000):
-            rrr = model.reverse_sample(2, rng).tolist()
-            if len(rrr) == 1:
-                picks[None] += 1
-            else:
-                picks[rrr[1]] += 1
+        sets = draw(LTModel(g), [2] * 5000, seed=3)
+        picks = {
+            u: sum(s.tolist() == want for s in sets)
+            for u, want in ((0, [0, 2]), (1, [1, 2]), (None, [2]))
+        }
         assert picks[0] / 5000 == pytest.approx(0.6, abs=0.03)
         assert picks[1] / 5000 == pytest.approx(0.2, abs=0.03)
         assert picks[None] / 5000 == pytest.approx(0.2, abs=0.03)
@@ -74,12 +80,9 @@ class TestReverseSample:
     def test_lt_sets_smaller_than_ic(self, amazon_lt, amazon_ic):
         # The §III observation that motivates everything: LT RRR sets are
         # tiny paths, IC sets are SCC-sized.
-        rng = np.random.default_rng(7)
-        lt = get_model("LT", amazon_lt)
-        ic = get_model("IC", amazon_ic)
-        lt_sizes = [lt.reverse_sample(lt.random_root(rng), rng).size for _ in range(30)]
-        ic_sizes = [ic.reverse_sample(ic.random_root(rng), rng).size for _ in range(30)]
-        assert np.mean(lt_sizes) < 0.05 * np.mean(ic_sizes)
+        lt = KernelSampler(get_model("LT", amazon_lt)).sample_indexed(7, 0, 30)
+        ic = KernelSampler(get_model("IC", amazon_ic)).sample_indexed(7, 0, 30)
+        assert lt[1].mean() < 0.05 * ic[1].mean()
 
 
 class TestForwardSample:
@@ -141,23 +144,3 @@ class TestFactory:
     def test_get_model_unknown(self, amazon_ic):
         with pytest.raises(ParameterError):
             get_model("SIS", amazon_ic)
-
-
-class TestLTReverseForwardSymmetry:
-    def test_symmetry_on_random_graph(self):
-        src, dst = erdos_renyi(20, 60, seed=42)
-        g = assign_lt_weights(
-            from_edge_array(src, dst, num_vertices=20), seed=42
-        )
-        model = LTModel(g)
-        rng = np.random.default_rng(0)
-        u, v = 2, 11
-        trials = 3000
-        fwd = sum(
-            v in model.forward_sample(np.array([u]), rng).tolist()
-            for _ in range(trials)
-        )
-        rev = sum(
-            u in model.reverse_sample(v, rng).tolist() for _ in range(trials)
-        )
-        assert abs(fwd - rev) / trials < 0.05

@@ -149,14 +149,17 @@ class TestCorruptedInputs:
 
 
 class TestNumericalRobustness:
-    def test_probability_exactly_one_and_zero(self, rng):
+    def test_probability_exactly_one_and_zero(self):
+        from repro.kernels import KernelSampler, coin_key, derive_keys
+
         g = make_graph([(0, 1, 1.0), (1, 2, 0.0)], n=3)
-        model = get_model("IC", g)
-        for _ in range(20):
-            rrr = model.reverse_sample(2, rng)
-            assert rrr.tolist() == [2]
-            rrr = model.reverse_sample(1, rng)
-            assert sorted(rrr.tolist()) == [0, 1]
+        roots = np.repeat([2, 1], 20)
+        keys = derive_keys(coin_key(0), np.arange(roots.size))
+        flat, sizes, _ = KernelSampler(get_model("IC", g)).sample_for_roots(
+            roots, keys
+        )
+        sets = [s.tolist() for s in np.split(flat, np.cumsum(sizes)[:-1])]
+        assert sets == [[2]] * 20 + [[0, 1]] * 20
 
     def test_huge_theta_cap_is_fine(self, amazon_ic):
         # A cap far above what the run needs must behave like no cap.

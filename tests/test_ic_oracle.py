@@ -19,11 +19,14 @@ import numpy as np
 import pytest
 
 from repro.diffusion.base import get_model
+from repro.diffusion.spread import estimate_spread
 from repro.graph.csr import CSRGraph
 from repro.kernels import KernelSampler, batched
 
 NUM_SETS = 40_000
 Z_BOUND = 4.0
+#: Forward cascades per seed set for the forward oracle.
+CASCADES = 5_000
 
 #: name -> (num_vertices, [(u, v, p_uv), ...], seed sets S to check).
 GRAPHS = {
@@ -150,4 +153,27 @@ def test_estimator_matches_exact_spread(batch, graphs, monkeypatch):
 
 def test_weakened_coins_are_caught():
     z = z_scores(scale=0.9)
+    assert max(abs(v) for v in z.values()) > Z_BOUND
+
+
+def forward_z_scores(scale=1.0, seed=11):
+    """One z-score per (graph, S): the forward Monte-Carlo estimate of
+    ``estimate_spread`` against the exact spread, in its standard errors."""
+    out = {}
+    for name, (n, edges, seed_sets) in GRAPHS.items():
+        model = get_model("IC", build(n, edges, scale))
+        for s in seed_sets:
+            est = estimate_spread(model, s, num_samples=CASCADES, seed=seed)
+            out[name, s] = (est.mean - exact_spread(n, edges, s)) / est.stderr
+    return out
+
+
+def test_forward_cascades_match_exact_spread():
+    z = forward_z_scores()
+    worst = max(z, key=lambda key: abs(z[key]))
+    assert abs(z[worst]) <= Z_BOUND, (worst, z[worst])
+
+
+def test_weakened_forward_edges_are_caught():
+    z = forward_z_scores(scale=0.9)
     assert max(abs(v) for v in z.values()) > Z_BOUND

@@ -19,11 +19,14 @@ import numpy as np
 import pytest
 
 from repro.diffusion.base import get_model
+from repro.diffusion.spread import estimate_spread
 from repro.graph.builder import GraphBuilder
 from repro.kernels import KernelSampler, batched
 
 NUM_SETS = 40_000
 Z_BOUND = 4.0
+#: Forward cascades per seed set for the forward oracle.
+CASCADES = 5_000
 
 #: name -> (num_vertices, [(u, v, w_uv), ...], seed sets S to check).
 GRAPHS = {
@@ -139,4 +142,28 @@ def test_shifted_coins_are_caught(monkeypatch):
         batched, "counter_uniforms", lambda keys, ctr: 0.9 * uniforms(keys, ctr)
     )
     z = z_scores()
+    assert max(abs(v) for v in z.values()) > Z_BOUND
+
+
+def forward_z_scores(scale=1.0, seed=11):
+    """One z-score per (graph, S): the forward Monte-Carlo estimate of
+    ``estimate_spread`` against the exact spread, in its standard errors,
+    with every weight of the simulated graph multiplied by ``scale``."""
+    out = {}
+    for name, (n, edges, seed_sets) in GRAPHS.items():
+        model = get_model("LT", build(n, [(u, v, scale * w) for u, v, w in edges]))
+        for s in seed_sets:
+            est = estimate_spread(model, s, num_samples=CASCADES, seed=seed)
+            out[name, s] = (est.mean - exact_spread(n, edges, s)) / est.stderr
+    return out
+
+
+def test_forward_cascades_match_exact_spread():
+    z = forward_z_scores()
+    worst = max(z, key=lambda key: abs(z[key]))
+    assert abs(z[worst]) <= Z_BOUND, (worst, z[worst])
+
+
+def test_weakened_forward_weights_are_caught():
+    z = forward_z_scores(scale=0.9)
     assert max(abs(v) for v in z.values()) > Z_BOUND

@@ -99,20 +99,26 @@ class TestSamplerInvariants:
     @settings(max_examples=15, deadline=None)
     def test_lt_walks_are_simple_paths(self, seed):
         from repro.diffusion.base import get_model
+        from repro.kernels import KernelSampler, indexed_draws
+        from repro.kernels.scalar import lt_steps
 
         src, dst = erdos_renyi(25, 120, seed=seed)
         g = assign_lt_weights(
             from_edge_array(src, dst, num_vertices=25), seed=seed
         )
         model = get_model("LT", g)
-        rng = np.random.default_rng(seed)
-        for _ in range(10):
-            walk = model.reverse_sample(model.random_root(rng), rng)
-            assert len(set(walk.tolist())) == walk.size
+        roots, keys = indexed_draws(seed, np.arange(10), 25)
+        flat, sizes, _ = KernelSampler(model).sample_indexed(seed, 0, 10)
+        rev = g.transpose()
+        for root, key, rrr in zip(roots, keys, np.split(flat, np.cumsum(sizes)[:-1])):
+            steps = lt_steps(model, int(root), int(key))
+            walk = [int(root)] + [u for _v, u, fresh in steps if fresh]
+            assert len(set(walk)) == len(walk)
             # Consecutive pairs are actual reverse edges.
-            rev = g.transpose()
             for a, b in zip(walk[:-1], walk[1:]):
-                assert b in rev.neighbors(int(a))
+                assert b in rev.neighbors(a)
+            # The kernel's set holds exactly the walk's vertices.
+            assert rrr.tolist() == sorted(walk)
 
 
 class TestSelectionCostCoupling:

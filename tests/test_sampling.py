@@ -52,25 +52,6 @@ class TestReverseSampleWithCost:
         verts, cost = sample_with_cost(model, 2)
         assert cost == verts.size
 
-    def test_matches_plain_reverse_sample_distribution(self, amazon_ic):
-        # Kernel sets from a fixed root have the size distribution of the
-        # model's own per-root sampler.
-        model = get_model("IC", amazon_ic)
-        draws = 300
-        keys = derive_keys(coin_key(5), np.arange(draws))
-        _flat, kernel_sizes, _ = KernelSampler(model).sample_for_roots(
-            np.full(draws, 7), keys
-        )
-        rng = np.random.default_rng(3)
-        plain_sizes = np.array(
-            [model.reverse_sample(7, rng).size for _ in range(draws)]
-        )
-        diff = kernel_sizes.mean() - plain_sizes.mean()
-        stderr = np.sqrt(
-            (kernel_sizes.var() + plain_sizes.var()) / draws
-        )
-        assert abs(diff) <= 4 * stderr + 1e-9
-
 
 class TestModelledStoreBytes:
     def test_ripples_all_lists(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.diffusion.base import get_model
 from repro.graph.datasets import load_dataset
+from repro.kernels import KernelSampler
 from repro.simmachine import instrumented
 from repro.simmachine.cache import CacheHierarchy
 from repro.simmachine.instrumented import SamplingTraceResult, trace_sampling
@@ -153,3 +154,27 @@ class TestFusedCounterTraffic:
             )
             reached = [rev.indices[rev.indptr[r] : rev.indptr[r + 1]] for r in rows]
             assert np.isin(own[1:], np.concatenate([own[:1], *reached])).all()
+
+
+class TestTracesTheProgramsSets:
+    """Set ``i`` of a trace is the set the kernel draws at index ``i``
+    under the same seed, whichever thread traces it."""
+
+    @pytest.mark.parametrize("model,dataset", [("IC", "google"), ("LT", "amazon")])
+    def test_traced_sets_are_the_kernel_sets(self, monkeypatch, model, dataset):
+        g = load_dataset(dataset, model=model, seed=0)
+        name = "_traced_ic_bfs" if model == "IC" else "_traced_lt_walk"
+        walk = getattr(instrumented, name)
+        traced = []
+
+        def record_walk(*args):
+            traced.append(walk(*args))
+            return traced[-1]
+
+        monkeypatch.setattr(instrumented, name, record_walk)
+        trace_sampling(g, 12, 3, perlmutter(), model=model, seed=7)
+        flat, sizes, _ = KernelSampler(get_model(model, g)).sample_indexed(7, 0, 12)
+        drawn = np.split(flat, np.cumsum(sizes)[:-1])
+        assert len(traced) == len(drawn) == 12
+        for got, want in zip(traced, drawn):
+            assert np.array_equal(np.sort(got), want)

@@ -29,12 +29,12 @@ class TestRootsUniform:
         with pytest.raises(ParameterError):
             roots_are_uniform(np.arange(5), 100)
 
-    def test_real_sampler_roots_uniform(self, amazon_ic, rng):
-        from repro.diffusion import get_model
+    def test_real_sampler_roots_uniform(self, amazon_ic):
+        from repro.kernels import roots_for_indices
 
-        model = get_model("IC", amazon_ic)
-        roots = np.array([model.random_root(rng) for _ in range(4000)])
-        assert roots_are_uniform(roots, amazon_ic.num_vertices)
+        n = amazon_ic.num_vertices
+        roots = roots_for_indices(0, np.arange(4000), n)
+        assert roots_are_uniform(roots, n)
 
 
 class TestSizeDistribution:
