@@ -318,12 +318,12 @@ def trace_sampling(
 ) -> SamplingTraceResult:
     """Replay Generate_RRRsets (Algorithm 3) as exact memory traces.
 
-    Traces the sets the program draws: set ``i`` is the kernel's set with
-    root and stream ``indexed_draws(seed, i)``, walked by the per-set
-    reference traversal (:func:`repro.kernels.scalar.ic_levels` or
-    :func:`~repro.kernels.scalar.lt_steps`), so ``num_sets`` traced sets
-    are exactly ``KernelSampler(model).sample_indexed(seed, 0, num_sets)``.
-    Every access of each set is recorded:
+    Traces the sets the program draws: set ``i`` has the root and stream
+    ``indexed_draws(seed, i)`` and is walked by the per-set reference
+    traversal (:func:`repro.kernels.scalar.ic_levels` or
+    :func:`~repro.kernels.scalar.lt_steps`), so the traced sets are
+    exactly ``KernelSampler(get_model(model, graph)).sample_indexed(seed,
+    0, num_sets)``.  Every access of each set is recorded:
 
     - CSR row reads of the transposed graph (sequential within a row);
     - visited-bitmap probes, one per examined in-edge (line 8);

@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
+from repro.kernels import KernelSampler, coin_key, derive_keys
 
 
 def make_graph(edges, n=None, probs=None) -> CSRGraph:
@@ -23,6 +24,14 @@ def make_graph(edges, n=None, probs=None) -> CSRGraph:
         p,
         num_vertices=n,
     )
+
+
+def kernel_sets(model, roots, seed=0) -> list[np.ndarray]:
+    """The kernel's sets from ``roots``, one counter stream each."""
+    roots = np.asarray(roots)
+    keys = derive_keys(coin_key(seed), np.arange(roots.size))
+    flat, sizes, _ = KernelSampler(model).sample_for_roots(roots, keys)
+    return np.split(flat, np.cumsum(sizes)[:-1])
 
 
 @pytest.fixture

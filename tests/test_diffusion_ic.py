@@ -6,7 +6,7 @@ import numpy as np
 from repro.diffusion.ic import ICModel, gather_frontier_edges
 from repro.kernels import KernelSampler, coin_key, derive_keys, roots_for_indices
 
-from conftest import make_graph
+from conftest import kernel_sets, make_graph
 
 
 class TestGatherFrontierEdges:
@@ -37,38 +37,30 @@ class TestGatherFrontierEdges:
         assert nbrs.size == 16
 
 
-def draw(model, roots, seed=0):
-    """Kernel-drawn sets from ``roots``, one counter stream each."""
-    roots = np.asarray(roots)
-    keys = derive_keys(coin_key(seed), np.arange(roots.size))
-    flat, sizes, _ = KernelSampler(model).sample_for_roots(roots, keys)
-    return np.split(flat, np.cumsum(sizes)[:-1])
-
-
 class TestReverseSample:
     """Reverse sampling under IC: the kernel's BFS over the model's
     transpose."""
 
     def test_deterministic_line(self, line_graph):
         # All probabilities 1: reverse reach of vertex 4 is everything.
-        [rrr] = draw(ICModel(line_graph), [4])
+        [rrr] = kernel_sets(ICModel(line_graph), [4])
         assert rrr.tolist() == [0, 1, 2, 3, 4]
 
     def test_root_always_included(self, line_graph):
-        [rrr] = draw(ICModel(line_graph), [0])
+        [rrr] = kernel_sets(ICModel(line_graph), [0])
         assert rrr.tolist() == [0]  # vertex 0 has no in-edges
 
     def test_zero_probability_blocks(self):
         g = make_graph([(0, 1, 0.0)], n=2)
-        assert [s.tolist() for s in draw(ICModel(g), [1] * 20)] == [[1]] * 20
+        assert [s.tolist() for s in kernel_sets(ICModel(g), [1] * 20)] == [[1]] * 20
 
     def test_no_duplicates(self, cycle_graph):
-        for rrr in draw(ICModel(cycle_graph), range(6)):
+        for rrr in kernel_sets(ICModel(cycle_graph), range(6)):
             assert np.unique(rrr).size == rrr.size
 
     def test_respects_direction(self, line_graph):
         # Nothing downstream of 2 can appear in its reverse set.
-        [rrr] = draw(ICModel(line_graph), [2])
+        [rrr] = kernel_sets(ICModel(line_graph), [2])
         assert set(rrr.tolist()) <= {0, 1, 2}
 
     def test_epoch_isolation_between_samples(self, cycle_graph):
@@ -83,11 +75,11 @@ class TestReverseSample:
     def test_monte_carlo_probability(self):
         # Single edge with p=0.3: P(0 in RRR(1)) must approach 0.3.
         g = make_graph([(0, 1, 0.3)], n=2)
-        hits = sum(rrr.size == 2 for rrr in draw(ICModel(g), [1] * 4000))
+        hits = sum(rrr.size == 2 for rrr in kernel_sets(ICModel(g), [1] * 4000))
         assert 0.27 < hits / 4000 < 0.33
 
     def test_dtype(self, cycle_graph):
-        assert draw(ICModel(cycle_graph), [0])[0].dtype == np.int32
+        assert kernel_sets(ICModel(cycle_graph), [0])[0].dtype == np.int32
 
 
 class TestForwardSample:

@@ -7,10 +7,10 @@ import pytest
 from repro.diffusion.base import get_model
 from repro.diffusion.lt import LTModel, _row_cumsum
 from repro.errors import ParameterError
-from repro.kernels import KernelSampler, coin_key, derive_keys
+from repro.kernels import KernelSampler
 from repro.kernels.scalar import lt_steps
 
-from conftest import make_graph
+from conftest import kernel_sets, make_graph
 
 
 class TestRowCumsum:
@@ -28,14 +28,6 @@ class TestRowCumsum:
         assert _row_cumsum(g) == pytest.approx([0.9, 0.1])
 
 
-def draw(model, roots, seed=0):
-    """Kernel-drawn sets from ``roots``, one counter stream each."""
-    roots = np.asarray(roots)
-    keys = derive_keys(coin_key(seed), np.arange(roots.size))
-    flat, sizes, _ = KernelSampler(model).sample_for_roots(roots, keys)
-    return np.split(flat, np.cumsum(sizes)[:-1])
-
-
 class TestReverseSample:
     """Reverse walks under LT: the kernel's walks over the model's
     cumulative in-weight rows, and the reference walk's step order."""
@@ -46,29 +38,29 @@ class TestReverseSample:
         model = LTModel(g)
         steps = list(lt_steps(model, 3, 0))
         assert [(v, u) for v, u, _fresh in steps] == [(3, 2), (2, 1), (1, 0)]
-        assert draw(model, [3])[0].tolist() == [0, 1, 2, 3]
+        assert kernel_sets(model, [3])[0].tolist() == [0, 1, 2, 3]
 
     def test_stops_without_in_edges(self):
         g = make_graph([(0, 1, 1.0)], n=2)
         model = LTModel(g)
         assert list(lt_steps(model, 0, 0)) == []  # no in-edge, no draw
-        assert draw(model, [0])[0].tolist() == [0]
+        assert kernel_sets(model, [0])[0].tolist() == [0]
 
     def test_no_activation_mass_stops_walk(self):
         g = make_graph([(0, 1, 0.0)], n=2)
-        assert [s.tolist() for s in draw(LTModel(g), [1] * 30)] == [[1]] * 30
+        assert [s.tolist() for s in kernel_sets(LTModel(g), [1] * 30)] == [[1]] * 30
 
     def test_cycle_terminates(self, cycle_graph):
         model = LTModel(cycle_graph)
         # Weight-1 cycle: the walk must wrap once and stop at revisit.
         *_, (v, u, fresh) = lt_steps(model, 0, 0)
         assert (v, u, fresh) == (1, 0, False)
-        assert draw(model, [0])[0].tolist() == list(range(6))
+        assert kernel_sets(model, [0])[0].tolist() == list(range(6))
 
     def test_picks_in_neighbor_proportionally(self):
         # v=2 has in-edges from 0 (w=0.6) and 1 (w=0.2); stop mass 0.2.
         g = make_graph([(0, 2, 0.6), (1, 2, 0.2)], n=3)
-        sets = draw(LTModel(g), [2] * 5000, seed=3)
+        sets = kernel_sets(LTModel(g), [2] * 5000, seed=3)
         picks = {
             u: sum(s.tolist() == want for s in sets)
             for u, want in ((0, [0, 2]), (1, [1, 2]), (None, [2]))

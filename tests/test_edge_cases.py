@@ -15,7 +15,7 @@ from repro.errors import ParameterError, ReproError
 from repro.graph.builder import from_edge_array
 from repro.sketch.store import FlatRRRStore
 
-from conftest import make_graph
+from conftest import kernel_sets, make_graph
 
 
 class TestDegenerateGraphs:
@@ -150,16 +150,9 @@ class TestCorruptedInputs:
 
 class TestNumericalRobustness:
     def test_probability_exactly_one_and_zero(self):
-        from repro.kernels import KernelSampler, coin_key, derive_keys
-
         g = make_graph([(0, 1, 1.0), (1, 2, 0.0)], n=3)
-        roots = np.repeat([2, 1], 20)
-        keys = derive_keys(coin_key(0), np.arange(roots.size))
-        flat, sizes, _ = KernelSampler(get_model("IC", g)).sample_for_roots(
-            roots, keys
-        )
-        sets = [s.tolist() for s in np.split(flat, np.cumsum(sizes)[:-1])]
-        assert sets == [[2]] * 20 + [[0, 1]] * 20
+        sets = kernel_sets(get_model("IC", g), np.repeat([2, 1], 20))
+        assert [s.tolist() for s in sets] == [[2]] * 20 + [[0, 1]] * 20
 
     def test_huge_theta_cap_is_fine(self, amazon_ic):
         # A cap far above what the run needs must behave like no cap.
