@@ -8,7 +8,8 @@ this package makes the reproduction serve a *changing* one:
   epoch numbering, and O(m) ``compact()`` back to CSR;
 - :mod:`repro.dynamic.maintain` — :class:`IncrementalMaintainer`, which
   repairs an RRR sketch after each committed batch instead of rebuilding
-  it: provenance-based invalidation via ``sets_containing()``, resampling
+  it: provenance-based invalidation from one ``membership_pairs()`` scan
+  of the store per commit, resampling
   through the existing kernels, an exact coin-coupling extension path for
   inserted edges (IC), in-place fused-counter patching, and a full-resample
   fallback above a configurable invalidation threshold — plus epoch-aware

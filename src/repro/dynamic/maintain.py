@@ -5,8 +5,11 @@ reverse BFS/walk only ever examines an in-edge ``(u, v)`` *after visiting
 its destination* ``v``.  An RRR set that does not contain ``v`` therefore
 never looked at that edge — its realised trajectory is identical under the
 old and new graph, and the set can be kept verbatim.  That is the
-provenance rule :meth:`FlatRRRStore.sets_containing` answers, and it is
-what keeps a small update batch from invalidating the whole sketch.
+provenance rule, and it is what keeps a small update batch from
+invalidating the whole sketch.  Each commit asks the store once
+(:meth:`FlatRRRStore.membership_pairs`, one scan of its entries) which
+sets hold any updated endpoint, and cuts both repairs' work from the
+answer.
 
 Per update kind (IC, ``repair="extend"``, the default):
 
@@ -81,7 +84,7 @@ from repro.kernels.rng import (
     derive_key,
     derive_keys,
 )
-from repro.sketch.store import FlatRRRStore
+from repro.sketch.store import FlatRRRStore, gather_rows
 
 from repro.dynamic.delta import CommitInfo, DeltaGraph
 
@@ -215,10 +218,20 @@ class IncrementalMaintainer:
         t0 = time.perf_counter()
 
         use_extension = self.repair == "extend" and self.model_name == "IC"
-        structural = (
-            commit.structural_dsts() if use_extension else commit.all_dsts()
+        if use_extension:
+            structural, ext_edges = commit.structural_dsts(), commit.inserted
+        else:  # every destination invalidates, the inserted ones included
+            structural, ext_edges = commit.all_dsts(), commit.inserted[:0]
+        ext_edges = ext_edges.astype(np.int64)
+        # One store scan answers every endpoint the commit asks about:
+        # structural destinations, then the destinations and sources of the
+        # inserted edges to extend by.
+        pair_sets, pair_at = self.store.membership_pairs(
+            np.concatenate([structural, ext_edges[:, 1], ext_edges[:, 0]])
         )
-        invalidated = self._sets_containing_any(structural)
+        hit = pair_at < structural.size
+        invalidated = np.unique(pair_sets[hit])
+        ext_pairs = (pair_sets[~hit], pair_at[~hit] - structural.size)
         fraction = invalidated.size / self.num_sets
 
         with tel.span(
@@ -235,11 +248,10 @@ class IncrementalMaintainer:
                     get_model(self.model_name, self.delta.compact())
                 )
                 # Both repairs read the store before either writes it, so
-                # the inverted index is built once, and the store is
-                # spliced once.
+                # the store is spliced once.
                 ext_idx, ext_sets, added = (
-                    self._extend_sets(sampler, commit, exclude=invalidated)
-                    if use_extension and commit.inserted.shape[0]
+                    self._extend_sets(sampler, commit, ext_pairs, invalidated)
+                    if ext_edges.shape[0]
                     else (np.empty(0, dtype=np.int64), [], 0)
                 )
                 fresh = self._resample_sets(sampler, invalidated, commit.epoch)
@@ -270,10 +282,6 @@ class IncrementalMaintainer:
         self._record_telemetry(report)
         return report
 
-    def _sets_containing_any(self, dsts: np.ndarray) -> np.ndarray:
-        """Sorted unique indices of sets containing any of ``dsts``."""
-        return np.unique(self.store.membership_pairs(dsts)[0])
-
     def _resample_sets(
         self, sampler: KernelSampler, indices: np.ndarray, epoch: int
     ) -> list[np.ndarray]:
@@ -282,7 +290,7 @@ class IncrementalMaintainer:
         if indices.size == 0:
             return []
         n = self.delta.num_vertices
-        old = np.concatenate([self.store.get(int(i)) for i in indices])
+        old = gather_rows(self.store.offsets, self.store.vertices, indices)[0]
         fresh: list[np.ndarray] = []
         keys = self._keys(DOMAIN_RESAMPLE, epoch, indices)
         for flat, sizes, _ in sampler.stream(self.roots[indices], keys):
@@ -292,33 +300,37 @@ class IncrementalMaintainer:
         return fresh
 
     def _extend_sets(
-        self, sampler: KernelSampler, commit: CommitInfo, exclude: np.ndarray
+        self,
+        sampler: KernelSampler,
+        commit: CommitInfo,
+        pairs: tuple[np.ndarray, np.ndarray],
+        exclude: np.ndarray,
     ) -> tuple[np.ndarray, list[np.ndarray], int]:
         """Couple inserted edges into the surviving sets (IC only).
 
+        ``pairs`` are the store's membership pairs ``(sets, at)`` of the
+        inserted edges' destinations (``at`` is the edge), then of their
+        sources (``at`` is the edge plus the number of inserted edges).
         For each set containing an inserted edge's destination but not its
-        source (and not being resampled), flip the edge's coin; the sets
-        with a live coin continue their reverse BFS from the live sources,
-        all at once through :meth:`KernelSampler.grow
+        source (and not being resampled, ``exclude``), flip the edge's coin;
+        the sets with a live coin continue their reverse BFS from the live
+        sources, all at once through :meth:`KernelSampler.grow
         <repro.kernels.dispatch.KernelSampler.grow>`.  Set *i*'s coins come
         from the ``(seed, extend-domain, epoch, i)`` stream: first one per
         candidate edge in insertion order, then the BFS edges.  Returns
-        ``(indices, extended sets, vertices added)`` and patches the
-        fused counter.
+        ``(indices, extended sets, vertices added)`` and patches the fused
+        counter.
         """
         n = self.delta.num_vertices
         ins_src = commit.inserted[:, 0].astype(np.int64)
-        ins_dst = commit.inserted[:, 1].astype(np.int64)
         num_ins = ins_src.size
 
-        def pair_keys(endpoints: np.ndarray) -> np.ndarray:
-            """``set * num_ins + edge`` for every set holding an endpoint."""
-            sets, edge = self.store.membership_pairs(endpoints)
-            return sets * num_ins + edge
-
         # Candidate (set, edge) pairs, set-major then insertion order.
-        cand = pair_keys(ins_dst)
-        cand = cand[~np.isin(cand, pair_keys(ins_src))]
+        pair_sets, pair_at = pairs
+        pair_keys = pair_sets * num_ins + pair_at % num_ins
+        at_dst = pair_at < num_ins
+        cand = pair_keys[at_dst]
+        cand = cand[~np.isin(cand, pair_keys[~at_dst])]
         cand_set, cand_edge = np.divmod(np.sort(cand), num_ins)
         keep = ~np.isin(cand_set, exclude)
         cand_set, cand_edge = cand_set[keep], cand_edge[keep]
@@ -339,18 +351,21 @@ class IncrementalMaintainer:
             return empty
         f_slot, f_vert = np.divmod(frontier, n)
         grown, f_sizes = np.unique(f_slot, return_counts=True)
-        members = [self.store.get(int(i)) for i in sets[grown]]
+        members, m_sizes = gather_rows(
+            self.store.offsets, self.store.vertices, sets[grown]
+        )
         added, a_sizes = sampler.grow(
-            (np.concatenate(members), np.array([m.size for m in members])),
+            (members, m_sizes),
             (f_vert, f_sizes),
             keys[grown],
             counts[grown].astype(np.uint64),
         )
         self.counter += np.bincount(added, minlength=n)
+        old = np.split(members, np.cumsum(m_sizes)[:-1])
         parts = np.split(added, np.cumsum(a_sizes)[:-1])
         return (
             sets[grown],
-            [np.concatenate([m, a]) for m, a in zip(members, parts)],
+            [np.concatenate([m, a]) for m, a in zip(old, parts)],
             int(added.size),
         )
 

@@ -4,7 +4,9 @@ The CSR layout mirrors what Ripples and EfficientIMM both use in C++: three
 flat arrays (``indptr``, ``indices``, ``probs``) giving contiguous, cache-
 friendly adjacency traversal.  The reverse (transpose) graph used by reverse
 influence sampling is computed once and cached, exactly as the C++ codes
-materialise the transposed CSR before sampling.
+materialise the transposed CSR before sampling; so is the content hash the
+serving layer keys a graph by.  Nothing writes a graph's arrays in place,
+which is what makes both caches sound.
 
 Design notes (per the HPC-Python guides this repo follows):
 
@@ -57,6 +59,8 @@ class CSRGraph:
     indices: np.ndarray
     probs: np.ndarray
     _transpose: "CSRGraph | None" = field(default=None, repr=False, compare=False)
+    #: :func:`~repro.graph.io.graph_fingerprint`'s hash, computed once.
+    _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ ctor
     def __post_init__(self) -> None:

@@ -221,12 +221,17 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     string.  This is the ``graph`` component of the serving layer's artifact
     fingerprints (:mod:`repro.service`): two graphs share a fingerprint iff
     their topology and edge probabilities are bit-identical.
+
+    The hash is cached on the graph, so a published epoch is hashed once
+    however many engines install it.
     """
-    h = hashlib.sha256()
-    h.update(np.int64(graph.num_vertices).tobytes())
-    for arr in (graph.indptr, graph.indices, graph.probs):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:16]
+    if graph._fingerprint is None:
+        h = hashlib.sha256()
+        h.update(np.int64(graph.num_vertices).tobytes())
+        for arr in (graph.indptr, graph.indices, graph.probs):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        graph._fingerprint = h.hexdigest()[:16]
+    return graph._fingerprint
 
 
 def save_npz(graph: CSRGraph, path: str | os.PathLike) -> None:

@@ -154,7 +154,6 @@ class QueryEngine(QueryFront):
             SerialBackend() if self.config.backend == "serial" else None
         )
         self._graphs: dict[tuple, Any] = {}
-        self._graph_fps: dict[tuple, str] = {}
         # Installed graphs (repro.dynamic): dataset name -> (graph, fp).
         # An installed graph overrides replica-dataset resolution for every
         # query naming that dataset, whatever its model/seed.
@@ -195,7 +194,6 @@ class QueryEngine(QueryFront):
         self._installed[ds] = (graph, fp)
         for key in [k for k in self._graphs if k[0] == ds]:
             del self._graphs[key]
-            del self._graph_fps[key]
         return fp
 
     def installed_graph(self, dataset: str) -> tuple[Any, str] | None:
@@ -219,8 +217,7 @@ class QueryEngine(QueryFront):
             with tel.span("service.graph_load", dataset=key[0], model=key[1]):
                 graph = load_dataset(key[0], model=key[1], seed=key[2])
             self._graphs[key] = graph
-            self._graph_fps[key] = graph_fingerprint(graph)
-        return graph, self._graph_fps[key]
+        return graph, graph_fingerprint(graph)
 
     def warm(
         self,

@@ -98,7 +98,6 @@ class SharedFlatRRRStore(FlatRRRStore):
             self._verts = np.empty(0, dtype=np.int32)
             self._num_sets = 0
             self._num_entries = 0
-        self._index = None
         try:
             shm.close()
         except BufferError:
@@ -146,6 +145,7 @@ class SharedCSRGraph(CSRGraph):
         self.indices = np.empty(0, dtype=np.int32)
         self.probs = np.empty(0, dtype=np.float64)
         self._transpose = None
+        self._fingerprint = None
         try:
             shm.close()
         except BufferError:  # caller still holds a neighbors() sub-view

@@ -59,8 +59,8 @@ def gather_rows(
     order, and their lengths: one vectorised index, no per-row copy.
 
     The one gather behind :meth:`FlatRRRStore.take`,
-    :meth:`FlatRRRStore.membership_pairs` (over the inverted index) and
-    selection's per-round cover (:class:`~repro.core.selection.CoverStep`).
+    :meth:`FlatRRRStore.membership_pairs`, the dynamic maintainer's repairs
+    and selection's per-round cover (:class:`~repro.core.selection.CoverStep`).
     """
     lo = offsets[rows]
     lengths = offsets[rows + 1] - lo
@@ -97,9 +97,6 @@ class FlatRRRStore:
         self._verts = np.empty(64, dtype=np.int32)
         self._num_sets = 0
         self._num_entries = 0
-        # Lazily built inverted index (vertex -> set ids); see
-        # :meth:`sets_containing`.  Any mutation drops it.
-        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     # --------------------------------------------------------------- append
     def append(self, vertices: np.ndarray) -> int:
@@ -123,7 +120,6 @@ class FlatRRRStore:
         self._num_entries = need
         self._num_sets += 1
         self._offsets[self._num_sets] = need
-        self._index = None
         return self._num_sets - 1
 
     def extend(self, sets: Sequence[np.ndarray]) -> None:
@@ -159,7 +155,6 @@ class FlatRRRStore:
         self._offsets[self._num_sets + 1 : last + 1] = ends + self._num_entries
         self._num_entries = need
         self._num_sets = last
-        self._index = None
 
     @classmethod
     def from_arrays(
@@ -255,30 +250,11 @@ class FlatRRRStore:
             np.int64
         )
 
-    def sets_containing(self, v: int, *, use_index: bool = True) -> np.ndarray:
-        """Indices of sets that contain vertex ``v``.
-
-        With ``use_index=True`` (the default) the query is answered from a
-        lazily built inverted index (vertex -> set ids, CSR layout): the
-        first call after any mutation pays one ``argsort`` over the flat
-        vertex array, and every subsequent call is an O(hits) slice.  The
-        incremental maintainer issues one query per touched endpoint per
-        update batch, which would otherwise re-scan the whole store each
-        time.  ``use_index=False`` forces the original linear scan (used by
-        tests and the microbench as the reference).
-        """
-        if not use_index:
-            hits = np.flatnonzero(self.vertices == np.int32(v))
-            return np.unique(
-                np.searchsorted(self.offsets, hits, side="right") - 1
-            )
-        if not (0 <= v < self.num_vertices):
-            return np.empty(0, dtype=np.int64)
-        if self._index is None:
-            self._build_index()
-        assert self._index is not None
-        ptr, set_ids = self._index
-        return np.unique(set_ids[ptr[v] : ptr[v + 1]])
+    def sets_containing(self, v: int) -> np.ndarray:
+        """Ascending indices of the sets that contain vertex ``v`` (none for
+        a ``v`` outside ``[0, num_vertices)``): :meth:`membership_pairs`
+        of the one vertex."""
+        return self.membership_pairs(np.array([v]))[0]
 
     def membership_pairs(
         self, vertices: np.ndarray
@@ -286,27 +262,26 @@ class FlatRRRStore:
         """Every ``(set, i)`` with ``vertices[i]`` in set ``set``, as two
         aligned arrays (``i`` ascending, then set ascending).
 
-        :meth:`sets_containing` for many vertices in one vectorised
-        gather from the inverted index.
+        One scan of the flat vertex array against a mark per queried
+        vertex, then a sort of the hits alone to group them by vertex, so a
+        query costs one pass over the entries however few vertices it
+        asks about, and the store keeps no index beside its sets.  A
+        vertex outside ``[0, num_vertices)`` is in no set; a vertex queried
+        twice gets its pairs twice.
         """
+        n = self.num_vertices
         vs = np.asarray(vertices, dtype=np.int64).ravel()
-        if self._index is None:
-            self._build_index()
-        assert self._index is not None
-        sets, lengths = gather_rows(*self._index, vs)
-        return sets, np.repeat(np.arange(vs.size), lengths)
-
-    def _build_index(self) -> None:
-        """Build the inverted index: for each vertex, which sets hold it."""
-        verts = self.vertices
-        order = stable_argsort(verts)
-        set_ids = np.repeat(
-            np.arange(self._num_sets, dtype=np.int64), self.sizes()
-        )[order]
-        ptr = np.searchsorted(
-            verts[order], np.arange(self.num_vertices + 1, dtype=np.int32)
-        ).astype(np.int64)
-        self._index = (ptr, set_ids)
+        asked = np.flatnonzero((vs >= 0) & (vs < n))
+        mark = np.zeros(n, dtype=bool)
+        mark[vs[asked]] = True
+        hits = np.flatnonzero(mark[self.vertices])
+        hit_verts = self.vertices[hits]
+        hit_sets = np.searchsorted(self.offsets, hits, side="right") - 1
+        hit_sets = hit_sets[stable_argsort(hit_verts)]
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(hit_verts, minlength=n), out=ptr[1:])
+        sets, lengths = gather_rows(ptr, hit_sets, vs[asked])
+        return sets, np.repeat(asked, lengths)
 
     # ------------------------------------------------------------- mutation
     def replace_sets(
@@ -318,7 +293,7 @@ class FlatRRRStore:
         replaces set ``indices[j]``.  Replacement sets may have any size —
         the flat arrays are rebuilt in one concatenation pass, so the cost
         is O(total_entries) regardless of how many sets change.  Sorts each
-        replacement set and drops the inverted index.  Returns ``self``.
+        replacement set.  Returns ``self``.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
@@ -355,7 +330,6 @@ class FlatRRRStore:
         np.cumsum(sizes, out=new_offsets[1:])
         self._offsets = new_offsets
         self._num_entries = int(new_offsets[-1])
-        self._index = None
         return self
 
     def nbytes(self) -> int:
@@ -375,7 +349,6 @@ class FlatRRRStore:
             self._verts = self._verts[: self._num_entries].copy()
         if self._offsets.size != self._num_sets + 1:
             self._offsets = self._offsets[: self._num_sets + 1].copy()
-        self._index = None
         return self
 
     def fingerprint(self) -> str:

@@ -34,6 +34,21 @@ def kernel_sets(model, roots, seed=0) -> list[np.ndarray]:
     return np.split(flat, np.cumsum(sizes)[:-1])
 
 
+def membership_oracle(store, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """``store.membership_pairs(vertices)`` by a pure-Python loop over
+    ``store.get(i)``: for each queried vertex in turn, every set holding
+    it, as aligned ``(set, query position)`` arrays."""
+    members = [store.get(i).tolist() for i in range(len(store))]
+    pairs = [
+        (i, at)
+        for at, v in enumerate(vertices)
+        for i, m in enumerate(members)
+        if int(v) in m
+    ]
+    sets, at = zip(*pairs) if pairs else ((), ())
+    return np.array(sets, dtype=np.int64), np.array(at, dtype=np.int64)
+
+
 @pytest.fixture
 def line_graph() -> CSRGraph:
     """0 -> 1 -> 2 -> 3 -> 4, all probabilities 1."""

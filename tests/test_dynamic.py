@@ -616,6 +616,46 @@ class TestDynamicService:
             cluster.close()
             assert mgr.leaked() == []
 
+    def test_one_graph_hash_per_epoch(self, monkeypatch):
+        """A committed epoch's graph is hashed once, though the service's
+        engine and all four replicas of a 2x2 cluster install it, and
+        every engine holds the fingerprint a fresh hash of it gives."""
+        import hashlib
+        import types
+
+        import repro.graph.io as graph_io
+        from repro.graph.csr import CSRGraph
+        from repro.shard import ShardCluster, ShardPlan
+
+        passes = []
+
+        def counting_sha256(*args):
+            passes.append(args)
+            return hashlib.sha256(*args)
+
+        cluster = ShardCluster(ShardPlan(num_shards=2, replication=2))
+        with cluster, DynamicService("live", random_graph(), num_sets=64, seed=1) as svc:
+            svc.add_publish_hook(cluster.publish)
+            src, dst, _ = svc.delta.compact().edge_array()
+            batch = [
+                EdgeUpdate("insert", 0, 5, 0.9),
+                EdgeUpdate("delete", int(src[0]), int(dst[0])),
+            ]
+            with monkeypatch.context() as m:
+                m.setattr(
+                    graph_io, "hashlib", types.SimpleNamespace(sha256=counting_sha256)
+                )
+                svc.apply(batch)
+            assert len(passes) == 1
+            g = svc.delta.compact()
+            fresh = CSRGraph(
+                g.num_vertices, g.indptr.copy(), g.indices.copy(), g.probs.copy()
+            )
+            want = graph_fingerprint(fresh)
+            engines = [svc.engine] + [w.engine for w in cluster.workers]
+            assert len(engines) == 5
+            assert [e.installed_graph("live")[1] for e in engines] == [want] * 5
+
     def test_failed_repair_serves_degraded(self, monkeypatch):
         g = random_graph()
         with DynamicService("live", g, num_sets=64, seed=1) as svc:

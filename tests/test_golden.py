@@ -727,3 +727,89 @@ class TestGoldenQueryFront:
         assert responses == want_responses
         assert counters == want_counters
         assert metrics == want_metrics
+
+
+def _repair_batch(delta, rng, size=12):
+    """One epoch of updates over ``delta``'s current edges: ``size``
+    deletes, one reweight to half the edge's weight, ``size`` inserts of
+    randomly oriented absent edges with weights 0.01-0.1."""
+    from repro.dynamic import EdgeUpdate
+
+    src, dst, probs = delta.compact().edge_array()
+    picks = rng.choice(src.size, size=size + 1, replace=False)
+    ups = [EdgeUpdate("delete", int(src[j]), int(dst[j])) for j in picks[:size]]
+    j = picks[size]
+    ups.append(EdgeUpdate("reweight", int(src[j]), int(dst[j]), float(probs[j]) / 2))
+    while len(ups) < 2 * size + 1:
+        u, v = (int(x) for x in rng.integers(0, delta.num_vertices, size=2))
+        if u != v and not delta.has_edge(u, v):
+            ups.append(EdgeUpdate("insert", u, v, float(rng.uniform(0.01, 0.1))))
+    return ups
+
+
+def _repair_record(model, repair):
+    """Maintain a 400-set skitter sketch (seed 5) through five batches of
+    :func:`_repair_batch` (rng 11); return each commit's ``(mode,
+    invalidated, extended, added_vertices)``, the final store fingerprint,
+    a digest of the fused counter and the top-10 seeds."""
+    from repro.dynamic import DeltaGraph, IncrementalMaintainer
+
+    delta = DeltaGraph(load_dataset("skitter", model=model, seed=0))
+    m = IncrementalMaintainer(
+        delta, model=model, num_sets=400, seed=5, repair=repair
+    )
+    rng = np.random.default_rng(11)
+    reports = []
+    for _ in range(5):
+        for update in _repair_batch(delta, rng):
+            delta.stage(update)
+        r = m.apply(delta.commit())
+        reports.append((r.mode, r.invalidated, r.extended, r.added_vertices))
+    counter = np.ascontiguousarray(m.counter, dtype=np.int64).tobytes()
+    return (
+        reports,
+        m.store.fingerprint(),
+        hashlib.sha256(counter).hexdigest()[:16],
+        m.select(10).seeds.tolist(),
+    )
+
+
+#: ``_repair_record`` per (model, repair).  IC ``extend`` grows sets in
+#: four of the five commits; IC ``resample`` falls back to a full resample
+#: once; LT always resamples.
+REPAIR_GOLDEN = {
+    ("IC", "extend"): (
+        [("repair", 38, 2, 319), ("repair", 41, 4, 444), ("repair", 47, 2, 230),
+         ("repair", 17, 3, 93), ("repair", 27, 0, 0)],
+        "4f573e3d2bc33dc5", "0f61b090795b031c",
+        [123, 17, 104, 94, 5, 46, 19, 150, 126, 434],
+    ),
+    ("IC", "resample"): (
+        [("repair", 61, 0, 0), ("full", 400, 0, 0), ("repair", 95, 0, 0),
+         ("repair", 69, 0, 0), ("repair", 62, 0, 0)],
+        "7e41190cb1759cff", "7fcfa2da07c1c2b7",
+        [206, 5, 13, 19, 7, 41, 81, 27, 20, 26],
+    ),
+    ("LT", "extend"): (
+        [("repair", 6, 0, 0), ("repair", 4, 0, 0), ("repair", 4, 0, 0),
+         ("repair", 7, 0, 0), ("repair", 2, 0, 0)],
+        "df2469d2a01fa496", "f63ad19dd3fdb70b",
+        [103, 5, 28, 242, 1094, 10, 21, 60, 68, 73],
+    ),
+}
+
+
+class TestGoldenRepairs:
+    """Pinned: a repaired sketch, commit by commit — what each repair did,
+    then the final store, fused counter and seeds.
+
+    Regenerate:  cd tests && PYTHONPATH=../src python -c "import
+    test_golden as g; [print(k, g._repair_record(*k)) for k in
+    g.REPAIR_GOLDEN]"
+    """
+
+    @pytest.mark.parametrize(
+        "key", sorted(REPAIR_GOLDEN), ids=lambda key: "-".join(key)
+    )
+    def test_repairs_pinned(self, key):
+        assert _repair_record(*key) == REPAIR_GOLDEN[key]

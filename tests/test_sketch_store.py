@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.sketch.store import FlatRRRStore
 
+from conftest import membership_oracle
+
 
 class TestFlatRRRStore:
     def test_append_and_get(self):
@@ -228,36 +230,59 @@ class TestFlatStoreAccessors:
             )
 
 
-class TestInvertedIndex:
-    def make_random(self, seed=0, n=50, sets=60):
-        s = FlatRRRStore(n)
-        rng = np.random.default_rng(seed)
-        for _ in range(sets):
-            size = int(rng.integers(0, 12))
-            s.append(rng.choice(n, size=size, replace=False))
-        return s
+def _random_store(seed=0, n=50, sets=60):
+    s = FlatRRRStore(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(sets):
+        size = int(rng.integers(0, 12))
+        s.append(rng.choice(n, size=size, replace=False))
+    return s
 
-    def test_index_matches_linear_scan(self):
-        s = self.make_random()
-        for v in range(s.num_vertices):
-            assert np.array_equal(
-                s.sets_containing(v),
-                s.sets_containing(v, use_index=False),
-            )
 
-    def test_index_built_lazily_and_reused(self):
-        s = self.make_random()
-        assert s._index is None
-        s.sets_containing(0)
-        assert s._index is not None
-        idx = s._index
-        s.sets_containing(3)
-        assert s._index is idx  # no rebuild between queries
+def _assert_membership(store, queries):
+    """``membership_pairs`` and ``sets_containing`` answer ``queries``
+    exactly as :func:`membership_oracle` does."""
+    got = store.membership_pairs(np.asarray(queries, dtype=np.int64))
+    want = membership_oracle(store, queries)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    for v in queries:
+        np.testing.assert_array_equal(
+            store.sets_containing(int(v)), membership_oracle(store, [v])[0]
+        )
 
-    def test_out_of_range_vertex_empty(self):
-        s = self.make_random()
+
+class TestMembershipOracle:
+    """The store's membership answers against a pure-Python loop over
+    ``store.get(i)``, which shares no code with the store's scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_pure_python_loop(self, data):
+        n = data.draw(st.integers(0, 20), label="n")
+        vertex = st.integers(0, n - 1) if n else st.nothing()
+        sets = data.draw(
+            st.lists(st.lists(vertex, unique=True), max_size=12), label="sets"
+        )
+        queries = data.draw(
+            st.lists(st.integers(-3, n + 3), max_size=12), label="queries"
+        )
+        store = FlatRRRStore(n)
+        store.extend([np.array(x, dtype=np.int32) for x in sets])
+        _assert_membership(store, queries)
+
+    def test_duplicate_negative_and_out_of_range_vertices(self):
+        s = _random_store()
+        _assert_membership(s, [3, -1, 3, s.num_vertices, 7, -50, 10**6, 7])
         assert s.sets_containing(-1).size == 0
         assert s.sets_containing(s.num_vertices).size == 0
+
+    def test_empty_store(self):
+        _assert_membership(FlatRRRStore(10), [3, 0, 9, -1])
+        assert FlatRRRStore(10).sets_containing(3).size == 0
+        only_empty = FlatRRRStore(10)
+        only_empty.extend([np.array([], dtype=np.int32)] * 3)
+        _assert_membership(only_empty, [0, 3])
 
     @pytest.mark.parametrize(
         "mutate",
@@ -267,21 +292,14 @@ class TestInvertedIndex:
             lambda s: s.trim(),
             lambda s: s.replace_sets(np.array([0]), [np.array([4])]),
         ],
+        ids=["append", "extend", "trim", "replace_sets"],
     )
-    def test_mutation_invalidates_index(self, mutate):
-        s = self.make_random()
-        s.sets_containing(0)
+    def test_answers_after_mutation(self, mutate):
+        s = _random_store()
+        # Ask first: nothing kept from this answer may outlive the mutation.
+        s.membership_pairs(np.arange(s.num_vertices))
         mutate(s)
-        assert s._index is None
-        # And the rebuilt index answers correctly post-mutation.
-        for v in range(s.num_vertices):
-            assert np.array_equal(
-                s.sets_containing(v), s.sets_containing(v, use_index=False)
-            )
-
-    def test_empty_store(self):
-        s = FlatRRRStore(10)
-        assert s.sets_containing(3).size == 0
+        _assert_membership(s, range(s.num_vertices))
 
 
 class TestReplaceSets:

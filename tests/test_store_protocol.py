@@ -6,8 +6,8 @@ one of four routes: ``FlatRRRStore(n)`` filled by appends,
 ``FlatRRRStore.from_arrays``, a shared-memory view attached through
 :mod:`repro.shm`, or the compressed baseline decoded with ``to_flat()``.
 For the same sets, every route must give the same answers — sizes,
-vertex lists, inverted index, content fingerprint — and ``replace_sets``
-and ``trim`` must leave them agreeing.
+vertex lists, membership (checked against a pure-Python loop), content
+fingerprint — and ``replace_sets`` and ``trim`` must leave them agreeing.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import pytest
 
 from repro.sketch.compressed_store import CompressedRRRStore
 from repro.sketch.store import FlatRRRStore, content_fingerprint
+
+from conftest import membership_oracle
 
 N = 40
 
@@ -53,9 +55,15 @@ def _check_same_content(store, ref, name):
     )
     for i in range(len(ref)):
         np.testing.assert_array_equal(store.get(i), ref.get(i), err_msg=name)
+    queries = np.arange(-1, N + 1)
+    for got, want in zip(
+        store.membership_pairs(queries), membership_oracle(ref, queries)
+    ):
+        np.testing.assert_array_equal(got, want, err_msg=name)
     for v in range(N):
         np.testing.assert_array_equal(
-            store.sets_containing(v), ref.sets_containing(v), err_msg=name
+            store.sets_containing(v), membership_oracle(ref, [v])[0],
+            err_msg=name,
         )
     assert [s.tolist() for s in store] == [s.tolist() for s in ref], name
     assert store.fingerprint() == ref.fingerprint(), name
