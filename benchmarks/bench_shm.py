@@ -80,7 +80,7 @@ def _warm_child() -> None:
     """Pre-fault the shared code paths so the measured delta is the payload,
     not copy-on-write page faults from first touching the inherited heap."""
     tiny = FlatRRRStore(4)
-    tiny.append(np.array([1, 2], dtype=np.int32))
+    tiny.append_csr(np.array([1, 2], dtype=np.int32), np.array([2]))
     int(pickle.loads(pickle.dumps(tiny)).vertices.sum())
 
 

@@ -34,11 +34,12 @@ reshapes a vertex's whole walk distribution) skips the extension path and
 resamples every set containing the destination of *any* update.
 
 Resampling keeps each set's original root (roots are uniform draws,
-independent of the graph); resampled and extended sets are spliced into
-the store with one :meth:`FlatRRRStore.replace_sets` pass, and the fused
-selection counter is patched with ``bincount`` passes (subtract old
-members, add new) rather than rebuilt — the dynamic analogue of
-EfficientIMM's fused counter updates.  When the invalidated fraction
+independent of the graph).  Resampled and extended sets stay in CSR form
+``(flat, sizes)`` from the kernel to the store, which splices them in
+with one checked :meth:`FlatRRRStore.replace_sets` call (no per-set
+Python), and the fused selection counter is patched with ``bincount``
+passes (subtract old members, add new) rather than rebuilt — the dynamic
+analogue of EfficientIMM's fused counter updates.  When the invalidated fraction
 exceeds ``full_resample_threshold`` the maintainer falls back to a full
 resample of the sketch (fresh roots), which is cheaper than patching
 almost everything.
@@ -130,6 +131,13 @@ class RepairReport:
             "ignored": self.ignored,
             "elapsed_s": self.elapsed_s,
         }
+
+
+def _none_extended() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """:meth:`IncrementalMaintainer._extend_sets`' answer when no set grows:
+    ``(indices, flat, sizes, vertices added)``."""
+    rows = np.empty(0, dtype=np.int64)
+    return rows, np.empty(0, dtype=np.int32), rows, 0
 
 
 class IncrementalMaintainer:
@@ -248,17 +256,23 @@ class IncrementalMaintainer:
                     get_model(self.model_name, self.delta.compact())
                 )
                 # Both repairs read the store before either writes it, so
-                # the store is spliced once.
-                ext_idx, ext_sets, added = (
+                # the store is spliced once, in set order.
+                ext_idx, ext_flat, ext_sizes, added = (
                     self._extend_sets(sampler, commit, ext_pairs, invalidated)
                     if ext_edges.shape[0]
-                    else (np.empty(0, dtype=np.int64), [], 0)
+                    else _none_extended()
                 )
-                fresh = self._resample_sets(sampler, invalidated, commit.epoch)
+                flat, sizes = self._resample_sets(
+                    sampler, invalidated, commit.epoch
+                )
                 idx = np.concatenate([invalidated, ext_idx])
+                offsets = np.zeros(idx.size + 1, dtype=np.int64)
+                np.cumsum(np.concatenate([sizes, ext_sizes]), out=offsets[1:])
                 order = np.argsort(idx, kind="stable")
-                sets = fresh + ext_sets
-                self.store.replace_sets(idx[order], [sets[j] for j in order])
+                self.store.replace_sets(
+                    idx[order],
+                    *gather_rows(offsets, np.concatenate([flat, ext_flat]), order),
+                )
                 extended_sets = int(ext_idx.size)
                 mode = "repair"
                 invalidated_count = int(invalidated.size)
@@ -284,20 +298,20 @@ class IncrementalMaintainer:
 
     def _resample_sets(
         self, sampler: KernelSampler, indices: np.ndarray, epoch: int
-    ) -> list[np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Redraw the given sets from their original roots on the current
-        graph; returns the new sets and patches the fused counter."""
+        graph; returns the kernel's CSR ``(flat, sizes)`` of the new sets
+        and patches the fused counter."""
         if indices.size == 0:
-            return []
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
         n = self.delta.num_vertices
         old = gather_rows(self.store.offsets, self.store.vertices, indices)[0]
-        fresh: list[np.ndarray] = []
         keys = self._keys(DOMAIN_RESAMPLE, epoch, indices)
-        for flat, sizes, _ in sampler.stream(self.roots[indices], keys):
-            fresh.extend(np.split(flat, np.cumsum(sizes)[:-1]))
-            self.counter += np.bincount(flat, minlength=n)
+        flats, sizes, _ = zip(*sampler.stream(self.roots[indices], keys))
+        flat = np.concatenate(flats)
+        self.counter += np.bincount(flat, minlength=n)
         self.counter -= np.bincount(old, minlength=n)
-        return fresh
+        return flat, np.concatenate(sizes)
 
     def _extend_sets(
         self,
@@ -305,7 +319,7 @@ class IncrementalMaintainer:
         commit: CommitInfo,
         pairs: tuple[np.ndarray, np.ndarray],
         exclude: np.ndarray,
-    ) -> tuple[np.ndarray, list[np.ndarray], int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Couple inserted edges into the surviving sets (IC only).
 
         ``pairs`` are the store's membership pairs ``(sets, at)`` of the
@@ -318,8 +332,8 @@ class IncrementalMaintainer:
         <repro.kernels.dispatch.KernelSampler.grow>`.  Set *i*'s coins come
         from the ``(seed, extend-domain, epoch, i)`` stream: first one per
         candidate edge in insertion order, then the BFS edges.  Returns
-        ``(indices, extended sets, vertices added)`` and patches the fused
-        counter.
+        ``(indices, flat, sizes, vertices added)``, the grown sets in CSR
+        form, and patches the fused counter.
         """
         n = self.delta.num_vertices
         ins_src = commit.inserted[:, 0].astype(np.int64)
@@ -334,9 +348,8 @@ class IncrementalMaintainer:
         cand_set, cand_edge = np.divmod(np.sort(cand), num_ins)
         keep = ~np.isin(cand_set, exclude)
         cand_set, cand_edge = cand_set[keep], cand_edge[keep]
-        empty = (np.empty(0, dtype=np.int64), [], 0)
         if cand_set.size == 0:
-            return empty
+            return _none_extended()
         sets, first, counts = np.unique(
             cand_set, return_index=True, return_counts=True
         )
@@ -348,7 +361,7 @@ class IncrementalMaintainer:
         )
         frontier = np.unique(slot[live] * n + ins_src[cand_edge[live]])
         if frontier.size == 0:
-            return empty
+            return _none_extended()
         f_slot, f_vert = np.divmod(frontier, n)
         grown, f_sizes = np.unique(f_slot, return_counts=True)
         members, m_sizes = gather_rows(
@@ -361,13 +374,18 @@ class IncrementalMaintainer:
             counts[grown].astype(np.uint64),
         )
         self.counter += np.bincount(added, minlength=n)
-        old = np.split(members, np.cumsum(m_sizes)[:-1])
-        parts = np.split(added, np.cumsum(a_sizes)[:-1])
-        return (
-            sets[grown],
-            [np.concatenate([m, a]) for m, a in zip(old, parts)],
-            int(added.size),
+        # A grown set is its members and its added vertices (disjoint, each
+        # ascending), merged by one sort of row-keyed entries.
+        sizes = m_sizes + a_sizes
+        base = np.arange(grown.size, dtype=np.int64) * n
+        merged = np.sort(
+            np.concatenate([
+                np.repeat(base, m_sizes) + members,
+                np.repeat(base, a_sizes) + added,
+            ])
         )
+        flat = (merged - np.repeat(base, sizes)).astype(np.int32)
+        return sets[grown], flat, sizes, int(added.size)
 
     def _record_telemetry(self, report: RepairReport) -> None:
         tel = telemetry.get()

@@ -7,12 +7,13 @@ whose backing arrays happen to live in a named shared-memory segment,
 mapped read-only.  N attached replicas therefore share one copy of the
 bytes; attach cost is a header parse, independent of payload size.
 
-Mutation is copy-on-write: ``append``/``replace_sets`` first privatise the
-arrays (one copy into process-local memory), so a writer never perturbs
-the segment other processes are reading.  ``detach()`` drops every numpy
-reference into the mapping *before* closing it (a live view would make
-``mmap.close`` raise ``BufferError``) and is idempotent; after detaching,
-the view reads as empty.
+Mutation is copy-on-write: the store's two writers, ``append_csr`` and
+``replace_sets``, first privatise the arrays (one copy into process-local
+memory), so a writer never perturbs the segment other processes are
+reading.  ``detach()`` drops every numpy reference into the mapping
+*before* closing it (a live view would make ``mmap.close`` raise
+``BufferError``) and is idempotent; after detaching, the view reads as
+empty.
 """
 
 from __future__ import annotations
@@ -69,21 +70,13 @@ class SharedFlatRRRStore(FlatRRRStore):
         self._verts = self._verts.copy()
         self._private = True
 
-    def append(self, vertices: np.ndarray) -> int:
-        self._privatize()
-        return super().append(vertices)
-
-    def extend(self, sets) -> None:
-        self._privatize()
-        super().extend(sets)
-
     def append_csr(self, vertices, sizes) -> None:
         self._privatize()
         super().append_csr(vertices, sizes)
 
-    def replace_sets(self, indices, new_sets) -> "SharedFlatRRRStore":
+    def replace_sets(self, indices, vertices, sizes) -> "SharedFlatRRRStore":
         self._privatize()
-        super().replace_sets(indices, new_sets)
+        super().replace_sets(indices, vertices, sizes)
         return self
 
     def detach(self) -> None:

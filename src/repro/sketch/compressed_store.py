@@ -168,9 +168,11 @@ class CompressedRRRStore:
         return self._raw_bytes / max(self.nbytes(), 1)
 
     def to_flat(self) -> FlatRRRStore:
-        """Decode everything into a flat store (pays full decode cost)."""
+        """Decode everything into a flat store (pays full decode cost) with
+        one :meth:`FlatRRRStore.append_csr` call.  :meth:`get` sorts each
+        decoded set, since Huffman blobs keep their input order."""
         self.finalize()
+        sets = [self.get(i) for i in range(len(self))]
         flat = FlatRRRStore(self.num_vertices)
-        for i in range(len(self)):
-            flat.append(self.get(i))
+        flat.append_csr(np.concatenate(sets) if sets else [], self.sizes())
         return flat

@@ -4,6 +4,8 @@
 vertices, ascending, concatenated into one ``int32`` array with an
 ``int64`` offsets array (CSR-of-sets).  All selection kernels consume this
 layout because it vectorises counting (`bincount`) and per-set slicing.
+Sets come in the same way, as CSR ``(vertices, sizes)``, and one
+validator checks every set before it is written.
 
 The paper's other layouts are not kept as second copies of the sets:
 
@@ -19,7 +21,7 @@ The paper's other layouts are not kept as second copies of the sets:
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -69,26 +71,47 @@ def gather_rows(
     return values[index + np.repeat(lo - starts, lengths)], lengths
 
 
-def _check_sets(num_vertices: int, verts: np.ndarray, bounds: np.ndarray) -> None:
-    """Raise :class:`ParameterError` unless each set, ``verts`` split at the
-    flat positions ``bounds``, is strictly ascending in ``[0, num_vertices)``."""
+def _check_sets(
+    num_vertices: int, vertices, sizes
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR sets ``(vertices, sizes)`` as ``int32`` and ``int64`` arrays,
+    once they are checked: set *j* is the next ``sizes[j]`` entries.
+
+    The one check of every set a caller writes into a store.  Raises
+    :class:`ParameterError` unless every size is ``>= 0``, the sizes sum
+    to the number of vertices, and each set is strictly ascending in
+    ``[0, num_vertices)``.  Ids are range-checked as given, so the
+    ``int32`` cast cannot wrap a wide one into range.
+    """
+    raw = np.asarray(vertices).ravel()
+    sizes = np.asarray(sizes, dtype=np.int64).ravel()
+    if sizes.size and sizes.min() < 0:
+        raise ParameterError("set sizes must be >= 0")
+    if int(sizes.sum()) != raw.size:
+        raise ParameterError(
+            f"sizes sum to {int(sizes.sum())} but there are {raw.size} vertices"
+        )
+    verts = raw.astype(np.int32, copy=False)
     rising = verts[1:] > verts[:-1]
     # A set may start below the end of the set before it.
-    rising[bounds[(bounds > 0) & (bounds < verts.size)] - 1] = True
+    ends = np.cumsum(sizes)
+    rising[ends[(ends > 0) & (ends < verts.size)] - 1] = True
     if not rising.all():
         raise ParameterError("each set's vertices must be strictly ascending")
-    if verts.size and (verts.min() < 0 or verts.max() >= num_vertices):
+    if raw.size and (raw.min() < 0 or raw.max() >= num_vertices):
         raise ParameterError(f"vertex ids must lie in [0, {num_vertices})")
+    return verts, sizes
 
 
 class FlatRRRStore:
     """Concatenated RRR sets: ``offsets[i]:offsets[i+1]`` slices set ``i``.
 
-    Each set's vertices are strictly ascending: the kernels emit sets that
-    way, :meth:`append_csr` and :meth:`from_arrays` reject any that are not,
-    and :meth:`append` and :meth:`replace_sets` sort each set they get.
-    The sort the paper charges Ripples per set is modelled, in
-    ``charge_per_set``, not paid here.
+    Sets are written only in CSR form ``(vertices, sizes)``, through
+    :meth:`append_csr`, :meth:`from_arrays` and :meth:`replace_sets`, and
+    each is checked strictly ascending in ``[0, num_vertices)`` before
+    anything is written.  The store never sorts: the kernels emit sets
+    ascending, and the sort the paper charges Ripples per set is
+    modelled, in ``charge_per_set``, not paid here.
     """
 
     def __init__(self, num_vertices: int):
@@ -99,50 +122,15 @@ class FlatRRRStore:
         self._num_entries = 0
 
     # --------------------------------------------------------------- append
-    def append(self, vertices: np.ndarray) -> int:
-        """Add one set (stored sorted); returns its index.
-
-        Precondition: ``vertices`` holds no duplicates (every sampler
-        guarantees this — a BFS/walk visits each vertex at most once).  The
-        store does not re-deduplicate; duplicate entries would double-count
-        in :meth:`vertex_counts` and the selection kernels.
-        """
-        arr = np.sort(np.asarray(vertices, dtype=np.int32).ravel())
-        need = self._num_entries + arr.size
-        if need > self._verts.size:
-            new_cap = max(int(self._verts.size * _GROW), need)
-            self._verts = np.resize(self._verts, new_cap)
-        if self._num_sets + 2 > self._offsets.size:
-            self._offsets = np.resize(
-                self._offsets, int(self._offsets.size * _GROW) + 2
-            )
-        self._verts[self._num_entries : need] = arr
-        self._num_entries = need
-        self._num_sets += 1
-        self._offsets[self._num_sets] = need
-        return self._num_sets - 1
-
-    def extend(self, sets: Sequence[np.ndarray]) -> None:
-        for s in sets:
-            self.append(s)
-
     def append_csr(self, vertices: np.ndarray, sizes: np.ndarray) -> None:
         """Add ``len(sizes)`` sets at once from CSR form: set *j* is the
         next ``sizes[j]`` entries of ``vertices``, strictly ascending.
 
-        One checked bulk copy instead of a Python call per set — the path
-        every sampler streams its batches through.  Sets are not sorted: a
-        batch with one out of order raises :class:`ParameterError`.
+        One checked bulk copy, the path every sampler streams its batches
+        through.  A malformed batch raises :class:`ParameterError` and
+        adds nothing.
         """
-        verts = np.asarray(vertices, dtype=np.int32).ravel()
-        sizes = np.asarray(sizes, dtype=np.int64).ravel()
-        if int(sizes.sum()) != verts.size:
-            raise ParameterError(
-                f"sizes sum to {int(sizes.sum())} but there are "
-                f"{verts.size} vertices"
-            )
-        ends = np.cumsum(sizes)
-        _check_sets(self.num_vertices, verts, ends)
+        verts, sizes = _check_sets(self.num_vertices, vertices, sizes)
         need = self._num_entries + verts.size
         if need > self._verts.size:
             new_cap = max(int(self._verts.size * _GROW), need)
@@ -152,7 +140,9 @@ class FlatRRRStore:
             new_cap = max(int(self._offsets.size * _GROW) + 2, last + 1)
             self._offsets = np.resize(self._offsets, new_cap)
         self._verts[self._num_entries : need] = verts
-        self._offsets[self._num_sets + 1 : last + 1] = ends + self._num_entries
+        self._offsets[self._num_sets + 1 : last + 1] = (
+            np.cumsum(sizes) + self._num_entries
+        )
         self._num_entries = need
         self._num_sets = last
 
@@ -165,26 +155,19 @@ class FlatRRRStore:
     ) -> "FlatRRRStore":
         """Rebuild a store directly from its flat arrays (deserialisation).
 
-        The arrays are checked (offsets and sets, as in :meth:`append_csr`)
-        and copied, never re-sorted, so a store round-trips bit for bit.
+        The sets are checked as in :meth:`append_csr` (``offsets`` must
+        start at 0) and copied, never re-sorted, so a store round-trips
+        bit for bit.
         """
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        vertices = np.ascontiguousarray(vertices, dtype=np.int32)
+        offsets = np.array(offsets, dtype=np.int64).ravel()
         if offsets.size < 1 or offsets[0] != 0:
             raise ParameterError("offsets must start with 0")
-        if np.any(np.diff(offsets) < 0):
-            raise ParameterError("offsets must be non-decreasing")
-        if offsets[-1] != vertices.size:
-            raise ParameterError(
-                f"offsets end at {int(offsets[-1])} but there are "
-                f"{vertices.size} vertices"
-            )
-        _check_sets(num_vertices, vertices, offsets)
+        verts, _ = _check_sets(num_vertices, vertices, np.diff(offsets))
         store = cls(num_vertices)
-        store._offsets = offsets.copy()
-        store._verts = vertices.copy()
+        store._offsets = offsets
+        store._verts = verts.copy()
         store._num_sets = offsets.size - 1
-        store._num_entries = int(vertices.size)
+        store._num_entries = int(verts.size)
         return store
 
     # ------------------------------------------------------------ accessors
@@ -285,51 +268,44 @@ class FlatRRRStore:
 
     # ------------------------------------------------------------- mutation
     def replace_sets(
-        self, indices: np.ndarray, new_sets: Sequence[np.ndarray]
+        self, indices: np.ndarray, vertices: np.ndarray, sizes: np.ndarray
     ) -> "FlatRRRStore":
-        """Splice new vertex lists into existing set slots, in place.
+        """Splice new sets into existing set slots, in place.
 
-        ``indices`` must be strictly increasing set indices;``new_sets[j]``
-        replaces set ``indices[j]``.  Replacement sets may have any size —
-        the flat arrays are rebuilt in one concatenation pass, so the cost
-        is O(total_entries) regardless of how many sets change.  Sorts each
-        replacement set.  Returns ``self``.
+        ``indices`` must be strictly increasing set indices; the CSR sets
+        ``(vertices, sizes)``, checked as in :meth:`append_csr`, replace
+        them in that order and may have any size.  One vectorised pass:
+        the new offsets from the replaced sizes, one masked copy of the
+        kept entries and one copy of the new ones, so the cost is
+        O(total_entries) however many sets change.  Returns ``self``.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size == 0:
-            return self
         if np.any(np.diff(idx) <= 0):
             raise ParameterError("replace_sets indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= self._num_sets:
+        if idx.size and (idx[0] < 0 or idx[-1] >= self._num_sets):
             raise ParameterError(
                 f"replace_sets index out of range [0, {self._num_sets})"
             )
-        if len(new_sets) != idx.size:
+        verts, new_sizes = _check_sets(self.num_vertices, vertices, sizes)
+        if new_sizes.size != idx.size:
             raise ParameterError(
-                f"got {idx.size} indices but {len(new_sets)} replacement sets"
+                f"got {idx.size} indices but {new_sizes.size} replacement sets"
             )
-        offsets = self.offsets
-        pieces: list[np.ndarray] = []
-        sizes = np.diff(offsets)
-        cursor = 0  # next unconsumed set index
-        for j, i in enumerate(idx):
-            if cursor < i:  # untouched run [cursor, i)
-                pieces.append(self._verts[offsets[cursor] : offsets[i]])
-            arr = np.sort(np.asarray(new_sets[j], dtype=np.int32).ravel())
-            pieces.append(arr)
-            sizes[i] = arr.size
-            cursor = int(i) + 1
-        if cursor < self._num_sets:
-            pieces.append(self._verts[offsets[cursor] :])
-        self._verts = (
-            np.concatenate(pieces)
-            if pieces
-            else np.empty(0, dtype=np.int32)
-        )
-        new_offsets = np.zeros(self._num_sets + 1, dtype=np.int64)
-        np.cumsum(sizes, out=new_offsets[1:])
-        self._offsets = new_offsets
-        self._num_entries = int(new_offsets[-1])
+        if idx.size == 0:
+            return self
+        keep = np.ones(self._num_sets, dtype=bool)
+        keep[idx] = False
+        all_sizes = self.sizes()
+        kept = self.vertices[np.repeat(keep, all_sizes)]
+        all_sizes[idx] = new_sizes
+        offsets = np.zeros(self._num_sets + 1, dtype=np.int64)
+        np.cumsum(all_sizes, out=offsets[1:])
+        out = np.empty(int(offsets[-1]), dtype=np.int32)
+        at_kept = np.repeat(keep, all_sizes)
+        out[at_kept] = kept
+        out[~at_kept] = verts
+        self._offsets, self._verts = offsets, out
+        self._num_entries = out.size
         return self
 
     def nbytes(self) -> int:

@@ -8,6 +8,7 @@ import pytest
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
 from repro.kernels import KernelSampler, coin_key, derive_keys
+from repro.sketch.store import FlatRRRStore
 
 
 def make_graph(edges, n=None, probs=None) -> CSRGraph:
@@ -24,6 +25,23 @@ def make_graph(edges, n=None, probs=None) -> CSRGraph:
         p,
         num_vertices=n,
     )
+
+
+def csr_sets(sets) -> tuple[np.ndarray, np.ndarray]:
+    """``sets`` in the store's CSR form ``(vertices, sizes)``.  Each set is
+    sorted here, since a store takes only ascending sets; a repeated
+    vertex is left for the store to reject."""
+    sets = [np.sort(np.asarray(s, dtype=np.int32).ravel()) for s in sets]
+    flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int32)
+    return flat, np.array([s.size for s in sets], dtype=np.int64)
+
+
+def make_store(num_vertices, sets) -> FlatRRRStore:
+    """A :class:`FlatRRRStore` holding ``sets`` in order, written with one
+    ``append_csr`` of :func:`csr_sets`."""
+    store = FlatRRRStore(num_vertices)
+    store.append_csr(*csr_sets(sets))
+    return store
 
 
 def kernel_sets(model, roots, seed=0) -> list[np.ndarray]:

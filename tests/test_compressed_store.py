@@ -6,6 +6,8 @@ import pytest
 from repro.errors import OutOfMemoryModelError, ParameterError
 from repro.sketch.compressed_store import CompressedRRRStore
 
+from conftest import make_store
+
 
 def random_sets(n, count, rng, lo=5, hi=60):
     return [
@@ -167,14 +169,12 @@ class TestCompressedStore:
         # End-to-end: greedy over the compressed store's decode equals
         # greedy over the plain store.
         from repro.core.selection import efficient_select
-        from repro.sketch.store import FlatRRRStore
 
         n = 120
         sets = random_sets(n, 40, rng)
-        plain = FlatRRRStore(n)
+        plain = make_store(n, sets)
         comp = CompressedRRRStore(n, codec="huffman", training_sets=10)
         for s in sets:
-            plain.append(s)
             comp.append(s)
         a = efficient_select(plain, 5)
         b = efficient_select(comp.to_flat(), 5)

@@ -13,7 +13,8 @@ from repro.distributed import (
 from repro.distributed.cluster import ClusterTopology
 from repro.errors import ParameterError
 from repro.simmachine.topology import perlmutter
-from repro.sketch.store import FlatRRRStore
+
+from conftest import make_store
 
 
 class TestClusterTopology:
@@ -127,7 +128,7 @@ class TestDistributedIMM:
         from repro.kernels.rng import rank_seed
 
         res = dimm.run(params)
-        union = FlatRRRStore(skitter.num_vertices)
+        sets = []
         for r, count in enumerate(res.sets_per_rank):
             sampler = RRRSampler(
                 get_model("IC", skitter),
@@ -135,9 +136,8 @@ class TestDistributedIMM:
                 seed=rank_seed(params.seed, r),
             )
             sampler.extend(count)
-            for s in sampler.store:
-                union.append(s)
-        serial = efficient_select(union, params.k)
+            sets.extend(sampler.store)
+        serial = efficient_select(make_store(skitter.num_vertices, sets), params.k)
         # The greedy reads only per-vertex counts, so the order the sets
         # are stored in cannot matter: the seed sequence and the coverage
         # are exactly the serial ones, for both frameworks.

@@ -13,9 +13,8 @@ from repro.core.selection import efficient_select, ripples_select
 from repro.diffusion.base import get_model
 from repro.errors import ParameterError, ReproError
 from repro.graph.builder import from_edge_array
-from repro.sketch.store import FlatRRRStore
 
-from conftest import kernel_sets, make_graph
+from conftest import kernel_sets, make_graph, make_store
 
 
 class TestDegenerateGraphs:
@@ -92,30 +91,23 @@ class TestEpsilonExtremes:
 
 class TestSelectionDegenerates:
     def test_all_identical_sets(self):
-        s = FlatRRRStore(6)
-        for _ in range(10):
-            s.append(np.array([2, 4]))
+        s = make_store(6, [[2, 4]] * 10)
         res = efficient_select(s, 2)
         assert res.seeds[0] == 2  # lowest id of the tie
         assert res.coverage_fraction == 1.0
 
     def test_all_singleton_sets(self):
-        s = FlatRRRStore(5)
-        for v in [0, 1, 1, 2, 2, 2]:
-            s.append(np.array([v]))
+        s = make_store(5, [[v] for v in [0, 1, 1, 2, 2, 2]])
         res = efficient_select(s, 3)
         assert res.seeds.tolist()[:3] == [2, 1, 0]
 
     def test_sets_larger_than_k_vertices(self):
-        s = FlatRRRStore(4)
-        s.append(np.array([0, 1, 2, 3]))
+        s = make_store(4, [[0, 1, 2, 3]])
         res = ripples_select(s, 4)
         assert sorted(res.seeds.tolist()) == [0, 1, 2, 3]
 
     def test_one_empty_set_among_real_ones(self):
-        s = FlatRRRStore(4)
-        s.append(np.array([], dtype=np.int32))
-        s.append(np.array([1]))
+        s = make_store(4, [[], [1]])
         res = efficient_select(s, 1)
         assert res.seeds[0] == 1
         assert res.coverage_fraction == 0.5  # the empty set is uncoverable

@@ -14,7 +14,8 @@ from repro.core.opim import (
     run_opim,
 )
 from repro.errors import ParameterError
-from repro.sketch.store import FlatRRRStore
+
+from conftest import make_store
 
 
 class TestBounds:
@@ -44,8 +45,7 @@ class TestBounds:
 
 class TestCoverageOfSeeds:
     def test_exact_count(self):
-        store = FlatRRRStore(10)
-        store.extend([np.array([1, 2]), np.array([3]), np.array([2, 3])])
+        store = make_store(10, [[1, 2], [3], [2, 3]])
         assert coverage_of_seeds(store, np.array([2])) == 2
         assert coverage_of_seeds(store, np.array([1, 3])) == 3
         assert coverage_of_seeds(store, np.array([9])) == 0

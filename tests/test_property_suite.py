@@ -15,7 +15,8 @@ from repro.core.selection import efficient_select, ripples_select
 from repro.graph.builder import from_edge_array
 from repro.graph.generators import erdos_renyi
 from repro.graph.weights import assign_ic_weights, assign_lt_weights
-from repro.sketch.store import FlatRRRStore
+
+from conftest import make_store
 
 
 @st.composite
@@ -132,9 +133,7 @@ class TestSelectionCostCoupling:
     @settings(max_examples=30, deadline=None)
     def test_ripples_total_ops_affine_in_threads(self, sets, k):
         """W(p) = A + B*p exactly — the decomposition the cost model uses."""
-        store = FlatRRRStore(30)
-        for s in sets:
-            store.append(np.asarray(s, dtype=np.int32))
+        store = make_store(30, sets)
         w = {
             p: float(ripples_select(store, k, p).stats.per_thread_ops().sum())
             for p in (1, 2, 3)
@@ -151,9 +150,7 @@ class TestSelectionCostCoupling:
     @settings(max_examples=30, deadline=None)
     def test_efficient_reduction_term_only(self, sets):
         """EfficientIMM's only p-dependent work is the k*n reduction scan."""
-        store = FlatRRRStore(30)
-        for s in sets:
-            store.append(np.asarray(s, dtype=np.int32))
+        store = make_store(30, sets)
         w1 = float(efficient_select(store, 2, 1).stats.per_thread_ops().sum())
         w4 = float(efficient_select(store, 2, 4).stats.per_thread_ops().sum())
         # The reduction scan contributes n per round regardless of p; all

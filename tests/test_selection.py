@@ -27,12 +27,7 @@ from repro.core.selection import (
     segmented_membership,
 )
 
-
-def store_of(sets, n):
-    s = FlatRRRStore(n)
-    for x in sets:
-        s.append(np.asarray(x, dtype=np.int32))
-    return s
+from conftest import make_store
 
 
 def greedy_reference(sets, n, k):
@@ -283,43 +278,43 @@ def membership_side(bisect):
 
 class TestSegmentedMembership:
     def test_finds_containing_sets(self):
-        s = store_of([[1, 5, 9], [2, 5], [0, 3]], 10)
+        s = make_store(10, [[1, 5, 9], [2, 5], [0, 3]])
         active = np.ones(3, dtype=bool)
         assert segmented_membership(s, 5, active).tolist() == [0, 1]
 
     def test_respects_active_mask(self):
-        s = store_of([[1, 5], [5], [5, 7]], 10)
+        s = make_store(10, [[1, 5], [5], [5, 7]])
         active = np.array([True, False, True])
         assert segmented_membership(s, 5, active).tolist() == [0, 2]
 
     def test_absent_vertex(self):
-        s = store_of([[1, 2], [3]], 10)
+        s = make_store(10, [[1, 2], [3]])
         assert segmented_membership(s, 9, np.ones(2, dtype=bool)).size == 0
 
     def test_empty_sets_handled(self):
-        s = store_of([[], [4], []], 10)
+        s = make_store(10, [[], [4], []])
         assert segmented_membership(s, 4, np.ones(3, dtype=bool)).tolist() == [1]
 
     def test_no_active_sets(self):
-        s = store_of([[1]], 10)
+        s = make_store(10, [[1]])
         assert segmented_membership(s, 1, np.zeros(1, dtype=bool)).size == 0
 
     def test_boundary_vertices(self):
-        s = store_of([[0, 9]], 10)
+        s = make_store(10, [[0, 9]])
         active = np.ones(1, dtype=bool)
         assert segmented_membership(s, 0, active).tolist() == [0]
         assert segmented_membership(s, 9, active).tolist() == [0]
 
     @given(
         st.lists(
-            st.lists(st.integers(0, 19), min_size=0, max_size=15),
+            st.lists(st.integers(0, 19), min_size=0, max_size=15, unique=True),
             min_size=1, max_size=25,
         ),
         st.integers(0, 19),
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_naive(self, sets, v):
-        s = store_of(sets, 20)
+        s = make_store(20, sets)
         active = np.ones(len(sets), dtype=bool)
         got = set(segmented_membership(s, v, active).tolist())
         expected = {i for i, x in enumerate(sets) if v in x}
@@ -328,48 +323,48 @@ class TestSegmentedMembership:
 
 class TestEfficientSelect:
     def test_obvious_winner(self):
-        s = store_of([[0, 1], [0, 2], [0, 3], [4]], 5)
+        s = make_store(5, [[0, 1], [0, 2], [0, 3], [4]])
         res = efficient_select(s, 1)
         assert res.seeds.tolist() == [0]
         assert res.coverage_fraction == 0.75
 
     def test_two_seeds_cover_all(self):
-        s = store_of([[0, 1], [0, 2], [3], [3, 4]], 5)
+        s = make_store(5, [[0, 1], [0, 2], [3], [3, 4]])
         res = efficient_select(s, 2)
         assert res.seeds.tolist() == [0, 3]
         assert res.coverage_fraction == 1.0
 
     def test_tie_breaks_to_lowest_id(self):
-        s = store_of([[2], [4]], 5)
+        s = make_store(5, [[2], [4]])
         res = efficient_select(s, 1)
         assert res.seeds[0] == 2
 
     def test_fill_after_full_coverage(self):
-        s = store_of([[3]], 5)
+        s = make_store(5, [[3]])
         res = efficient_select(s, 3)
         assert res.seeds.tolist() == [3, 0, 1]  # fill picks lowest unchosen
 
     def test_seeds_unique(self):
-        s = store_of([[0, 1, 2], [0, 1], [2, 3]], 6)
+        s = make_store(6, [[0, 1, 2], [0, 1], [2, 3]])
         res = efficient_select(s, 4)
         assert len(set(res.seeds.tolist())) == 4
 
     def test_initial_counter_shortcut_same_result(self):
-        s = store_of([[0, 1], [1, 2], [2]], 4)
+        s = make_store(4, [[0, 1], [1, 2], [2]])
         counter = s.vertex_counts()
         a = efficient_select(s, 2)
         b = efficient_select(s, 2, initial_counter=counter)
         assert np.array_equal(a.seeds, b.seeds)
 
     def test_initial_counter_not_mutated(self):
-        s = store_of([[0, 1], [1, 2]], 4)
+        s = make_store(4, [[0, 1], [1, 2]])
         counter = s.vertex_counts()
         before = counter.copy()
         efficient_select(s, 2, initial_counter=counter)
         assert np.array_equal(counter, before)
 
     def test_adaptive_off_same_seeds(self):
-        s = store_of([[0, 1, 2], [0, 3], [1, 2], [4]], 6)
+        s = make_store(6, [[0, 1, 2], [0, 3], [1, 2], [4]])
         a = efficient_select(s, 3, adaptive_update=True)
         b = efficient_select(s, 3, adaptive_update=False)
         assert np.array_equal(a.seeds, b.seeds)
@@ -390,7 +385,7 @@ class TestEfficientSelect:
         )
 
     def test_round_records(self):
-        s = store_of([[0, 1], [0, 2], [3]], 5)
+        s = make_store(5, [[0, 1], [0, 2], [3]])
         res = efficient_select(s, 2)
         assert res.rounds[0]["seed"] == 0
         assert res.rounds[0]["new_covered_sets"] == 2
@@ -398,8 +393,11 @@ class TestEfficientSelect:
 
     def test_multithread_same_seeds(self):
         rng = np.random.default_rng(0)
-        sets = [rng.integers(0, 50, size=rng.integers(1, 20)) for _ in range(60)]
-        s = store_of(sets, 50)
+        sets = [
+            np.unique(rng.integers(0, 50, size=rng.integers(1, 20)))
+            for _ in range(60)
+        ]
+        s = make_store(50, sets)
         base = efficient_select(s, 8, num_threads=1).seeds
         for p in (2, 3, 7, 16):
             assert np.array_equal(efficient_select(s, 8, num_threads=p).seeds, base)
@@ -409,35 +407,38 @@ class TestEfficientSelect:
             efficient_select(FlatRRRStore(5), 1)
 
     def test_rejects_k_above_n(self):
-        s = store_of([[0]], 2)
+        s = make_store(2, [[0]])
         with pytest.raises(ParameterError):
             efficient_select(s, 3)
 
     def test_rejects_bad_threads(self):
-        s = store_of([[0]], 2)
+        s = make_store(2, [[0]])
         with pytest.raises(ParameterError):
             efficient_select(s, 1, num_threads=0)
 
 
 class TestRipplesSelect:
     def test_same_result_as_efficient(self):
-        s = store_of([[0, 1], [0, 2], [0, 3], [4]], 5)
+        s = make_store(5, [[0, 1], [0, 2], [0, 3], [4]])
         assert ripples_select(s, 2).seeds.tolist() == efficient_select(
             s, 2
         ).seeds.tolist()
 
     def test_multithread_same_seeds(self):
         rng = np.random.default_rng(1)
-        sets = [rng.integers(0, 40, size=rng.integers(1, 15)) for _ in range(50)]
-        s = store_of(sets, 40)
+        sets = [
+            np.unique(rng.integers(0, 40, size=rng.integers(1, 15)))
+            for _ in range(50)
+        ]
+        s = make_store(40, sets)
         base = ripples_select(s, 6, num_threads=1).seeds
         for p in (2, 5, 8):
             assert np.array_equal(ripples_select(s, 6, num_threads=p).seeds, base)
 
     def test_work_scales_with_threads(self):
         rng = np.random.default_rng(2)
-        sets = [rng.integers(0, 100, size=20) for _ in range(80)]
-        s = store_of(sets, 100)
+        sets = [np.unique(rng.integers(0, 100, size=20)) for _ in range(80)]
+        s = make_store(100, sets)
         w1 = ripples_select(s, 5, num_threads=1).stats.total_memory_ops
         w4 = ripples_select(s, 5, num_threads=4).stats.total_memory_ops
         # The paper's Challenge 1: total traffic grows with threads.
@@ -445,8 +446,8 @@ class TestRipplesSelect:
 
     def test_efficient_work_does_not_scale_with_threads(self):
         rng = np.random.default_rng(3)
-        sets = [rng.integers(0, 100, size=20) for _ in range(80)]
-        s = store_of(sets, 100)
+        sets = [np.unique(rng.integers(0, 100, size=20)) for _ in range(80)]
+        s = make_store(100, sets)
         w1 = efficient_select(s, 5, num_threads=1).stats.total_memory_ops
         w8 = efficient_select(s, 5, num_threads=8).stats.total_memory_ops
         assert w8 < 1.5 * w1  # work-efficient: only reduction scans grow
@@ -463,7 +464,7 @@ class TestKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_three_way_agreement(self, sets, k):
         n = 25
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         ref = greedy_reference(sets, n, k)
         eff = efficient_select(s, k, num_threads=3).seeds.tolist()
         rip = ripples_select(s, k, num_threads=2).seeds.tolist()
@@ -499,7 +500,7 @@ class TestKernelEquivalence:
         from repro.simmachine.topology import perlmutter
 
         n = 25
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         ref = greedy_reference(sets, n, k)
         topo = perlmutter()
         assert trace_efficient_selection(s, k, 3, topo).seeds.tolist() == ref
@@ -512,7 +513,7 @@ class TestKernelEquivalence:
                      for rank in range(ranks)]
         samplers = []
         for part in rank_sets:
-            local = store_of(part, n)
+            local = make_store(n, part)
             samplers.append(
                 SimpleNamespace(store=local, counter=local.vertex_counts())
             )
@@ -535,7 +536,7 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_coverage_fraction_correct(self, sets):
         n, k = 25, 3
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         res = efficient_select(s, k)
         seeds = set(res.seeds.tolist()[:k])
         expected = sum(bool(seeds & set(x)) for x in sets) / len(sets)
@@ -566,7 +567,7 @@ class TestPrefixConsistency:
     @settings(max_examples=200, deadline=None)
     def test_shorter_k_is_a_prefix(self, sets, ks, bisect, adaptive, fused):
         n = 25
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         ks = sorted(ks)
         counter = s.vertex_counts() if fused else None
         with membership_side(bisect):
@@ -587,7 +588,7 @@ class TestPrefixConsistency:
     def test_fill_path_prefixes(self):
         # Two rounds cover both sets; later rounds take the lowest
         # unchosen ids, so every k past full coverage is a prefix too.
-        s = store_of([[1, 2], [3]], 6)
+        s = make_store(6, [[1, 2], [3]])
         longest = efficient_select(s, 6)
         assert longest.seeds.tolist() == [1, 3, 0, 2, 4, 5]
         assert [r["new_covered_sets"] for r in longest.rounds] == [
@@ -610,7 +611,7 @@ class TestApproximationGuarantee:
             min_size=1, max_size=20,
         ))
         k = data.draw(st.integers(1, min(4, n)))
-        res = efficient_select(store_of(sets, n), k)
+        res = efficient_select(make_store(n, sets), k)
 
         masks = np.array([sum(1 << v for v in x) for x in sets])
 
@@ -628,7 +629,7 @@ class TestApproximationGuarantee:
         # initial counts picks 0 then 1 and covers 5 of 9 sets, below
         # (1 - 1/e) x 9.  The greedy must re-count after the first pick.
         sets = [[0, 1]] * 5 + [[2, 5, 6]] * 4
-        res = efficient_select(store_of(sets, 7), 2)
+        res = efficient_select(make_store(7, sets), 2)
         assert res.seeds.tolist() == [0, 2]
         assert res.coverage_fraction == 1.0
 
@@ -654,7 +655,7 @@ class TestReferenceLoop:
         self, sets, k, threads, adaptive, fused, bisect
     ):
         n = 25
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         counter = s.vertex_counts() if fused else None
         seeds, coverage, stats, rounds = reference_select(
             s, k, threads, initial_counter=counter, adaptive_update=adaptive
@@ -733,7 +734,7 @@ class TestRipplesReference:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, sets, k, threads):
-        self.assert_matches(store_of(sets, 25), k, threads)
+        self.assert_matches(make_store(25, sets), k, threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize(
@@ -767,7 +768,7 @@ class TestUnsortedStores:
     @settings(max_examples=100, deadline=None)
     def test_matches_greedy_reference(self, sets, k):
         n = 25
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         res = efficient_select(s, k, num_threads=2)
         assert res.seeds.tolist() == greedy_reference(sets, n, k)
         expected = sum(
@@ -787,8 +788,7 @@ class TestUnsortedStores:
             rng.choice(n, size=int(rng.integers(1, 40)), replace=False)
             for _ in range(200)
         ]
-        store = FlatRRRStore(n)
-        store.extend(sets)
+        store = make_store(n, sets)
         q = IMQuery(dataset="amazon", k=5, theta_cap=len(sets))
         fp = sketch_fingerprint(
             graph_fingerprint(amazon_ic), q.model, q.epsilon, q.seed,
@@ -817,7 +817,7 @@ class TestCoverStep:
         return steps
 
     def check(self, sets, n, v, active):
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         scan, bis = self.both(s)
         got = []
         for step in (scan, bis):
@@ -883,10 +883,10 @@ class TestCoverStep:
     def test_rule_sides(self):
         # 3 sets of 400 entries: depth 9, 400 > 32 x 9 entries per set.
         big = [list(range(i, 400 + i)) for i in range(3)]
-        assert CoverStep(store_of(big, 403)).bisect
+        assert CoverStep(make_store(403, big)).bisect
         # Sets of 200 entries: 200 <= 32 x 8, so a scan is cheaper.
         small = [list(range(i, 200 + i)) for i in range(3)]
-        assert not CoverStep(store_of(small, 203)).bisect
+        assert not CoverStep(make_store(203, small)).bisect
         assert not CoverStep(FlatRRRStore(3)).bisect
 
     def test_large_sets_select_like_reference(self):
@@ -896,7 +896,7 @@ class TestCoverStep:
             rng.choice(n, size=int(rng.integers(380, 600)), replace=False)
             for _ in range(12)
         ] + [rng.choice(n, size=3, replace=False) for _ in range(4)]
-        s = store_of(sets, n)
+        s = make_store(n, sets)
         assert CoverStep(s).bisect
         seeds, coverage, _, rounds = reference_select(s, 10, 3)
         res = efficient_select(s, 10, 3)

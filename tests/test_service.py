@@ -41,6 +41,8 @@ from repro.service import (
 )
 from repro.service import front as front_module
 
+from conftest import make_store
+
 THETA = 120  # serving sketch size used throughout (small => fast cold path)
 
 
@@ -53,9 +55,7 @@ def _random_sets(n, count, seed=0, max_size=12):
 
 
 def _flat_store(n=40, count=30, seed=0) -> FlatRRRStore:
-    s = FlatRRRStore(n)
-    s.extend(_random_sets(n, count, seed))
-    return s
+    return make_store(n, _random_sets(n, count, seed))
 
 
 def _spans(tel, name):
@@ -185,8 +185,7 @@ class TestSketchArtifacts:
 
     @pytest.mark.parametrize("kind", ["flat", "shared"])
     def test_selection_identical_after_reload(self, tmp_path, kind):
-        store = FlatRRRStore(60)
-        store.extend(_random_sets(60, 50, seed=3))
+        store = make_store(60, _random_sets(60, 50, seed=3))
         before = efficient_select(store, 5, 1)
         if kind == "shared":  # a zero-copy shm view saves like its source
             from repro import shm
@@ -687,8 +686,7 @@ class TestEnginePersistence:
             f"{q.seed}:{THETA}"
         )
         legacy_fp = hashlib.sha256(legacy_key.encode()).hexdigest()[:16]
-        bogus = FlatRRRStore(graph.num_vertices)
-        bogus.extend([np.array([v]) for v in range(THETA)])
+        bogus = make_store(graph.num_vertices, [[v] for v in range(THETA)])
         ArtifactStore(tmp_path).save_sketch(legacy_fp, bogus)
         cfg = EngineConfig(default_theta=THETA, artifact_dir=tmp_path)
         with QueryEngine(config=cfg) as eng:
@@ -799,9 +797,7 @@ class TestEngineKeptSelection:
         first = eng.query(_q("synth", k=5))  # kept on the sampled sketch
         w = (first.seeds[0] + 1) % n
         sets_b = [[w], [w, (w + 1) % n], [w, (w + 2) % n], [(w + 2) % n]]
-        store_b = FlatRRRStore(n)
-        for x in sets_b:
-            store_b.append(np.asarray(x, dtype=np.int32))
+        store_b = make_store(n, sets_b)
         assert eng.warm(fp, store_b)
         with telemetry.session() as tel:
             r = eng.query(_q("synth", k=3))

@@ -33,7 +33,7 @@ from repro.shard import (
 )
 from repro.sketch.store import FlatRRRStore
 
-from conftest import make_graph
+from conftest import make_graph, make_store
 
 THETA = 80  # sketch size used throughout (small => fast cold streams)
 
@@ -55,13 +55,16 @@ def spec_for(dataset="synth", num_sets=THETA):
 
 def reference_partition(plan, store, fingerprint):
     """The per-set partition loop ``ShardPlan.partition_store`` ran before
-    it cut each slice with one gather: every set, in global order, is
-    appended to its owner's store, and each store is then trimmed."""
-    owners = plan.assign_sets(fingerprint, len(store))
-    parts = [FlatRRRStore(store.num_vertices) for _ in range(plan.num_shards)]
-    for i, s in enumerate(owners.tolist()):
-        parts[s].append(store.get(i))
-    return [p.trim() for p in parts]
+    it cut each slice with one gather: every set, in global order, goes to
+    its owner's store, and each store is then trimmed."""
+    owners = plan.assign_sets(fingerprint, len(store)).tolist()
+    return [
+        make_store(
+            store.num_vertices,
+            [store.get(i) for i, owner in enumerate(owners) if owner == s],
+        ).trim()
+        for s in range(plan.num_shards)
+    ]
 
 
 @st.composite
@@ -73,9 +76,7 @@ def stores(draw, n=20):
             max_size=25,
         )
     )
-    store = FlatRRRStore(n)
-    store.extend([np.asarray(x, dtype=np.int32) for x in sets])
-    return store
+    return make_store(n, sets)
 
 
 # ===================================================================== plans
@@ -168,10 +169,8 @@ class TestPartitionReference:
 
     def test_edge_cases(self):
         empty = FlatRRRStore(6)
-        hollow = FlatRRRStore(6)  # only empty sets
-        hollow.extend([np.array([], dtype=np.int32)] * 3)
-        few = FlatRRRStore(6)  # fewer sets than shards, one of them empty
-        few.extend([np.array([1, 4]), np.array([], dtype=np.int32)])
+        hollow = make_store(6, [[]] * 3)  # only empty sets
+        few = make_store(6, [[1, 4], []])  # fewer sets than shards, one empty
         for store in (empty, hollow, few):
             for num_shards in (1, 5):
                 plan = ShardPlan(num_shards=num_shards)

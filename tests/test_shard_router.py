@@ -32,7 +32,7 @@ from repro.shard import (
 from repro.service import front as front_module
 from repro.shard import worker as worker_module
 
-from conftest import make_graph
+from conftest import make_graph, make_store
 from test_selection import greedy_reference
 from test_shard import THETA, small_graph, spec_for
 
@@ -223,10 +223,9 @@ class TestBisectingShards:
             g, "IC", theta, num_workers=1, seed=0, backend=SerialBackend()
         )
         owners = plan.assign_sets(fp, theta)
-        from repro.sketch.store import FlatRRRStore
-
-        survivor = FlatRRRStore(g.num_vertices)
-        survivor.extend(full.get(i) for i in range(theta) if owners[i] == 0)
+        survivor = make_store(
+            g.num_vertices, [full.get(i) for i in range(theta) if owners[i] == 0]
+        )
         with QueryEngine(config=EngineConfig()) as engine:
             engine.warm(fp, survivor)
             ref = engine.query(IMQuery(k=100, **AMAZON))
@@ -299,12 +298,10 @@ class TestShardLoss:
             backend=SerialBackend(),
         )
         owners = plan.assign_sets(fp, THETA)
-        from repro.sketch.store import FlatRRRStore
-
-        survivor = FlatRRRStore(graph.num_vertices)
-        for i in range(THETA):
-            if owners[i] in surviving_shards:
-                survivor.append(full.get(i))
+        survivor = make_store(
+            graph.num_vertices,
+            [full.get(i) for i in range(THETA) if owners[i] in surviving_shards],
+        )
         with QueryEngine(config=EngineConfig()) as engine:
             engine.install_graph("synth", graph)
             engine.warm(fp, survivor)

@@ -33,7 +33,8 @@ from repro.core.selection import efficient_select
 from repro.errors import ShmError
 from repro.shm.segments import open_segment, read_header
 from repro.sketch.compressed_store import CompressedRRRStore
-from repro.sketch.store import FlatRRRStore
+
+from conftest import make_store
 
 N = 60
 SHM_DIR = Path("/dev/shm")
@@ -41,14 +42,11 @@ SHM_DIR = Path("/dev/shm")
 
 def _filled_store(seed=5, num_sets=40):
     rng = np.random.default_rng(seed)
-    store = FlatRRRStore(N)
-    store.extend(
-        np.sort(
-            rng.choice(N, size=int(rng.integers(1, 10)), replace=False)
-        ).astype(np.int32)
-        for _ in range(num_sets)
+    return make_store(
+        N,
+        [rng.choice(N, size=int(rng.integers(1, 10)), replace=False)
+         for _ in range(num_sets)],
     )
-    return store
 
 
 @pytest.fixture
@@ -163,7 +161,7 @@ def test_mutation_privatises_without_touching_other_views(mgr):
     writer = mgr.attach_store(handle)
     reader = mgr.attach_store(handle)
     n0 = len(reader)
-    writer.append(np.array([1, 2, 3], dtype=np.int32))
+    writer.append_csr(np.array([1, 2, 3], dtype=np.int32), [3])
     assert len(writer) == n0 + 1
     assert len(reader) == n0  # untouched
     assert reader.fingerprint() == store.fingerprint()
@@ -173,15 +171,21 @@ def test_mutation_privatises_without_touching_other_views(mgr):
 
 
 def test_replace_sets_is_cow(mgr):
+    """A CSR splice through one view, of the first and the last set,
+    leaves the segment a second view reads byte for byte as published."""
     store = _filled_store()
     handle = mgr.publish_store(store)
     writer = mgr.attach_store(handle)
     reader = mgr.attach_store(handle)
+    last = len(store) - 1
     writer.replace_sets(
-        np.array([0], dtype=np.int64), [np.array([7], dtype=np.int32)]
+        np.array([0, last]), np.array([7, 3, 8, 9], dtype=np.int32), [1, 3]
     )
-    np.testing.assert_array_equal(writer.get(0), [7])
-    np.testing.assert_array_equal(reader.get(0), store.get(0))
+    assert [writer.get(0).tolist(), writer.get(last).tolist()] == [[7], [3, 8, 9]]
+    np.testing.assert_array_equal(writer.get(1), store.get(1))
+    np.testing.assert_array_equal(reader.offsets, store.offsets)
+    np.testing.assert_array_equal(reader.vertices, store.vertices)
+    assert reader.fingerprint() == store.fingerprint()
     writer.detach()
     reader.detach()
 
@@ -220,7 +224,7 @@ def test_mutating_a_detached_view_raises():
         view = m.attach_store(m.publish_store(_filled_store()))
         view.detach()
         with pytest.raises(ShmError, match="detached"):
-            view.append(np.array([1], dtype=np.int32))
+            view.append_csr(np.array([1], dtype=np.int32), [1])
 
 
 def test_leak_detector_reports_undetached_views():

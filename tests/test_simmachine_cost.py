@@ -19,6 +19,8 @@ from repro.simmachine.instrumented import (
 )
 from repro.simmachine.topology import perlmutter, ripples_testbed
 
+from conftest import make_store
+
 
 @pytest.fixture(scope="module")
 def profiles(amazon_ic):
@@ -187,11 +189,8 @@ class TestSelectionTraces:
     ])
     def test_rejects_what_the_kernels_reject(self, trace, sets, k):
         from repro.core.selection import efficient_select, ripples_select
-        from repro.sketch.store import FlatRRRStore
 
-        store = FlatRRRStore(5)
-        for x in sets:
-            store.append(np.asarray(x, dtype=np.int32))
+        store = make_store(5, sets)
         for select in (efficient_select, ripples_select):
             with pytest.raises(ParameterError):
                 select(store, k)

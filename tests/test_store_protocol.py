@@ -2,7 +2,7 @@
 
 docs/memory.md states one read/mutation contract, that of
 :class:`~repro.sketch.store.FlatRRRStore`.  A store reaches a caller by
-one of four routes: ``FlatRRRStore(n)`` filled by appends,
+one of four routes: ``FlatRRRStore(n)`` filled by ``append_csr``,
 ``FlatRRRStore.from_arrays``, a shared-memory view attached through
 :mod:`repro.shm`, or the compressed baseline decoded with ``to_flat()``.
 For the same sets, every route must give the same answers — sizes,
@@ -18,7 +18,7 @@ import pytest
 from repro.sketch.compressed_store import CompressedRRRStore
 from repro.sketch.store import FlatRRRStore, content_fingerprint
 
-from conftest import membership_oracle
+from conftest import csr_sets, make_store, membership_oracle
 
 N = 40
 
@@ -31,12 +31,6 @@ def _sample_sets(rng=None):
         ).astype(np.int32)
         for _ in range(25)
     ]
-
-
-def _flat(sets):
-    store = FlatRRRStore(N)
-    store.extend(sets)
-    return store
 
 
 def _compressed(sets, codec):
@@ -71,7 +65,7 @@ def _check_same_content(store, ref, name):
 
 def test_shared_view_satisfies_the_protocol():
     shm = pytest.importorskip("repro.shm")
-    flat = _flat(_sample_sets())
+    flat = make_store(N, _sample_sets())
     with shm.SegmentManager(prefix="tsp") as mgr:
         view = mgr.attach_store(mgr.publish_store(flat))
         try:
@@ -87,7 +81,7 @@ def test_shared_view_satisfies_the_protocol():
 
 def test_implementations_agree_behaviourally():
     sets = _sample_sets()
-    ref = _flat(sets)
+    ref = make_store(N, sets)
     expected_fp = content_fingerprint(
         N, np.array([s.size for s in sets], dtype=np.int64), np.concatenate(sets)
     )
@@ -119,28 +113,29 @@ def test_replace_sets_consistent_across_implementations():
     expected = list(sets)
     for j, i in enumerate(idx):
         expected[i] = np.sort(new_sets[j])
-    ref = _flat(expected)
+    ref = make_store(N, expected)
+    vertices, sizes = csr_sets(new_sets)
 
-    flat = _flat(sets)
-    assert flat.replace_sets(idx, [s.copy() for s in new_sets]) is flat
+    flat = make_store(N, sets)
+    assert flat.replace_sets(idx, vertices, sizes) is flat
     _check_same_content(flat, ref, "flat")
 
-    base = _flat(sets)
+    base = make_store(N, sets)
     rebuilt = FlatRRRStore.from_arrays(N, base.offsets, base.vertices)
-    rebuilt.replace_sets(idx, [s.copy() for s in new_sets])
+    rebuilt.replace_sets(idx, vertices, sizes)
     _check_same_content(rebuilt, ref, "from_arrays")
 
     decoded = _compressed(sets, "delta-varint").to_flat()
-    decoded.replace_sets(idx, [s.copy() for s in new_sets])
+    decoded.replace_sets(idx, vertices, sizes)
     _check_same_content(decoded, ref, "decoded compressed")
 
-    source = _flat(sets)
+    source = make_store(N, sets)
     with shm.SegmentManager(prefix="tsr") as mgr:
         handle = mgr.publish_store(source)
         view = mgr.attach_store(handle)
         other = mgr.attach_store(handle)
         try:
-            view.replace_sets(idx, [s.copy() for s in new_sets])
+            view.replace_sets(idx, vertices, sizes)
             _check_same_content(view, ref, "shared view")
             # Copy-on-write: the segment other views read is untouched.
             _check_same_content(other, source, "other shared view")
@@ -153,9 +148,9 @@ def test_replace_sets_consistent_across_implementations():
 def test_trim_preserves_content():
     shm = pytest.importorskip("repro.shm")
     sets = _sample_sets()
-    ref = _flat(sets)
+    ref = make_store(N, sets)
     stores = {
-        "flat": _flat(sets),
+        "flat": make_store(N, sets),
         "from_arrays": FlatRRRStore.from_arrays(N, ref.offsets, ref.vertices),
         "decoded compressed": _compressed(sets, "huffman").to_flat(),
     }
@@ -164,7 +159,7 @@ def test_trim_preserves_content():
         assert trimmed is store, name
         assert trimmed.capacity_bytes() == trimmed.nbytes(), name
         _check_same_content(trimmed, ref, name)
-        trimmed.append(np.array([0, N - 1], dtype=np.int32))
+        trimmed.append_csr(np.array([0, N - 1], dtype=np.int32), [2])
         assert len(trimmed) == len(sets) + 1, name
         np.testing.assert_array_equal(trimmed.get(len(sets)), [0, N - 1])
     with shm.SegmentManager(prefix="tst") as mgr:
@@ -177,8 +172,8 @@ def test_trim_preserves_content():
 
 
 def test_make_store_flat_rebuild_from_arrays():
-    flat = _flat(_sample_sets())
-    flat.append(np.array([3, 5], dtype=np.int32))  # leaves growth slack
+    flat = make_store(N, _sample_sets())
+    flat.append_csr(np.array([3, 5], dtype=np.int32), [2])  # leaves slack
     rebuilt = FlatRRRStore.from_arrays(N, flat.offsets, flat.vertices)
     _check_same_content(rebuilt, flat, "from_arrays")
     assert rebuilt.capacity_bytes() == rebuilt.nbytes()
