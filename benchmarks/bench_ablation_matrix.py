@@ -37,7 +37,7 @@ def workload():
 
     graph = load_dataset("amazon", model="IC", seed=0)
     sampler = RRRSampler(
-        get_model("IC", graph), SamplingConfig.efficientimm(num_threads=1),
+        get_model("IC", graph), SamplingConfig.efficientimm(),
         seed=0,
     )
     sampler.extend(1000)

@@ -58,7 +58,7 @@ def test_table4_direction_holds_under_lt(benchmark):
     topo = perlmutter()
     g = load_dataset("amazon", model="LT", seed=0)
     sampler = RRRSampler(
-        get_model("LT", g), SamplingConfig.efficientimm(num_threads=1), seed=3
+        get_model("LT", g), SamplingConfig.efficientimm(), seed=3
     )
     sampler.extend(3000)
     store = sampler.store

@@ -36,7 +36,7 @@ def amazon_store(amazon_ic_graph):
     """A 300-set RRR store on the amazon replica (shared kernel workload)."""
     sampler = RRRSampler(
         get_model("IC", amazon_ic_graph),
-        SamplingConfig.efficientimm(num_threads=1),
+        SamplingConfig.efficientimm(),
         seed=0,
     )
     sampler.extend(300)

@@ -30,7 +30,7 @@ from repro.sketch.rrr import AdaptivePolicy
 def main() -> None:
     graph = load_dataset("livejournal", model="IC", seed=0)
     sampler = RRRSampler(
-        get_model("IC", graph), SamplingConfig.efficientimm(num_threads=1),
+        get_model("IC", graph), SamplingConfig.efficientimm(),
         seed=1,
     )
     sampler.extend(250)

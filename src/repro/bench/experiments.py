@@ -109,7 +109,7 @@ def experiment_table1(num_samples: int = 60, seed: int = 1) -> Table:
     for name, spec in DATASETS.items():
         g = load_dataset(name, model="IC")
         sampler = RRRSampler(
-            get_model("IC", g), SamplingConfig.efficientimm(num_threads=1),
+            get_model("IC", g), SamplingConfig.efficientimm(),
             seed=seed,
         )
         sampler.extend(num_samples)
@@ -145,7 +145,7 @@ def experiment_table2(seed: int = 0) -> Table:
     for name in ("amazon", "youtube", "pokec", "livejournal", "google"):
         g = load_dataset(name, model="IC")
         sampler = RRRSampler(
-            get_model("IC", g), SamplingConfig.efficientimm(num_threads=1),
+            get_model("IC", g), SamplingConfig.efficientimm(),
             seed=seed,
         )
         sampler.extend(40)
@@ -281,7 +281,7 @@ def experiment_table4(
     for name in ("amazon", "google", "pokec", "youtube", "livejournal"):
         g = load_dataset(name, model="IC")
         sampler = RRRSampler(
-            get_model("IC", g), SamplingConfig.efficientimm(num_threads=1),
+            get_model("IC", g), SamplingConfig.efficientimm(),
             seed=seed,
         )
         sampler.extend(theta)
@@ -375,7 +375,7 @@ def experiment_fig5(
     for name in datasets:
         g = load_dataset(name, model="IC")
         sampler = RRRSampler(
-            get_model("IC", g), SamplingConfig.efficientimm(num_threads=1),
+            get_model("IC", g), SamplingConfig.efficientimm(),
             seed=seed,
         )
         sampler.extend(_cap(name, "IC"))

@@ -121,7 +121,7 @@ def run_sweep(
 
             sampler = RRRSampler(
                 get_model(model, graph),
-                SamplingConfig.efficientimm(num_threads=1),
+                SamplingConfig.efficientimm(),
                 seed=seed,
             )
             sampler.extend(min(256, caps[model][name]))

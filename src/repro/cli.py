@@ -892,7 +892,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     serial = RRRSampler(
         get_model(args.model, graph),
-        SamplingConfig.efficientimm(num_threads=1),
+        SamplingConfig.efficientimm(),
         seed=args.seed,
     )
     serial.extend(200)
@@ -1371,7 +1371,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     from repro.dynamic import DeltaGraph, DynamicService, IncrementalMaintainer
     from repro.dynamic.updates import parse_update_line
     from repro.errors import ParameterError
-    from repro.service.artifacts import read_artifact_meta
 
     if args.resume and args.checkpoint is None:
         raise ParameterError("--resume requires --checkpoint DIR")
@@ -1393,9 +1392,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     resume_epoch = 0
     if args.resume:
         probe = IncrementalMaintainer(delta, build=False, **maintainer_kwargs)
-        meta = read_artifact_meta(probe.checkpoint_path(args.checkpoint))
-        if meta is not None:
-            resume_epoch = int(meta.get("epoch", 0))
+        resume_epoch = probe.checkpoint_epoch(args.checkpoint) or 0
 
     def make_service() -> DynamicService:
         maintainer = None

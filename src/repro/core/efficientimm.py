@@ -7,8 +7,11 @@ Optimisations and their defaults:
 - ``fused_kernels=True`` — Algorithm 3's in-place counter updates;
 - ``adaptive_update=True`` — §IV-C counter rebuild-vs-decrement;
 - ``adaptive_representation=True`` — §IV-C list/bitmap switching;
-- ``dynamic_schedule=True`` — §IV-C producer-consumer job balancing;
 - ``num_threads`` — emulated worker count (see DESIGN.md).
+
+§IV-C's producer-consumer job balancing changes no set and no seed, only
+how sampling work spreads over threads, so the simulated machine prices
+it (``RunProfile.sampling_schedule``, :mod:`repro.simmachine.cost`).
 """
 
 from __future__ import annotations
@@ -45,22 +48,19 @@ class EfficientIMM:
     fused_kernels: bool = True
     adaptive_update: bool = True
     adaptive_representation: bool = True
-    dynamic_schedule: bool = True
     bitmap_fraction: float = 1.0 / 32.0
     memory_budget_bytes: int | None = None
 
     name = "EfficientIMM"
 
-    def sampling_config(self, params: IMMParams) -> SamplingConfig:
+    def sampling_config(self) -> SamplingConfig:
         policy = (
             AdaptivePolicy(self.bitmap_fraction)
             if self.adaptive_representation
             else None
         )
         return SamplingConfig(
-            num_threads=params.num_threads,
             fused=self.fused_kernels,
-            schedule="dynamic" if self.dynamic_schedule else "static",
             adaptive_policy=policy,
             memory_budget_bytes=self.memory_budget_bytes,
         )
@@ -98,9 +98,8 @@ class EfficientIMM:
         return run_imm(
             self.graph,
             params,
-            self.sampling_config(params),
+            self.sampling_config(),
             select,
-            gather_before_select=False,
             framework=self.name,
             checkpointer=checkpointer,
             resume=resume,

@@ -72,7 +72,6 @@ def run_imm(
     sampling_config: SamplingConfig,
     select_fn: SelectFn,
     *,
-    gather_before_select: bool = False,
     framework: str = "IMM",
     checkpointer: "SamplingCheckpointer | None" = None,
     resume: bool = False,
@@ -80,10 +79,11 @@ def run_imm(
 ) -> IMMResult:
     """Execute Algorithm 1 and return a fully populated :class:`IMMResult`.
 
-    ``gather_before_select=True`` charges Ripples' redistribution step (every
-    stored entry copied once) ahead of each selection; EfficientIMM's fused,
-    partition-local pipeline skips it.  ``framework`` labels the telemetry
-    spans/metrics this run emits (docs/observability.md).
+    ``framework`` labels the telemetry spans/metrics this run emits
+    (docs/observability.md).  The run prices no sampling work: the
+    simulated machine does that from the sampler's per-set record
+    (:meth:`RRRSampler.costs <repro.core.sampling.RRRSampler.costs>`),
+    Ripples' gather step included (:mod:`repro.simmachine.cost`).
 
     ``checkpointer`` snapshots the sampler after every completed sampling
     batch; ``resume=True`` restores its latest snapshot first (no-op when
@@ -96,7 +96,7 @@ def run_imm(
         k=params.k, epsilon=params.epsilon, num_threads=params.num_threads,
     ):
         result = _run_imm_inner(
-            graph, params, sampling_config, select_fn, gather_before_select,
+            graph, params, sampling_config, select_fn,
             tel, checkpointer, resume, fault_plan,
         )
     if tel.enabled:
@@ -109,7 +109,6 @@ def _run_imm_inner(
     params: IMMParams,
     sampling_config: SamplingConfig,
     select_fn: SelectFn,
-    gather_before_select: bool,
     tel,
     checkpointer: "SamplingCheckpointer | None" = None,
     resume: bool = False,
@@ -147,13 +146,6 @@ def _run_imm_inner(
 
     def select(**span) -> SelectionResult:
         nonlocal sel_stats
-        if gather_before_select:
-            # Ripples' redistribution: every stored entry copied once.
-            per_thread = sampler.gather_cost() / sampling_config.num_threads
-            st = sampler.stats
-            st.loads += per_thread / 2.0
-            st.stores += per_thread / 2.0
-            st.sync_barriers += 1
         with times.measure("Find_Most_Influential_Set"), tel.span(
             "imm.selection", **span
         ):
@@ -200,10 +192,7 @@ def _run_imm_inner(
         coverage_fraction=final.coverage_fraction,
         opt_lower_bound=lb,
         times=times,
-        stats={
-            "Generate_RRRsets": sampler.stats,
-            "Find_Most_Influential_Set": sel_stats,
-        },
+        stats={"Find_Most_Influential_Set": sel_stats},
         rrr_store_bytes=sampler.modelled_bytes(),
         spread_estimate=n * final.coverage_fraction,
         theta_capped=theta_capped,

@@ -124,11 +124,11 @@ def run_opim(
     model1 = get_model(params.model, graph)
     model2 = get_model(params.model, graph)
     r1 = RRRSampler(
-        model1, SamplingConfig.efficientimm(num_threads=1), seed=params.seed
+        model1, SamplingConfig.efficientimm(), seed=params.seed
     )
     r2 = RRRSampler(
         model2,
-        SamplingConfig.efficientimm(num_threads=1),
+        SamplingConfig.efficientimm(),
         seed=params.seed + 0x5EED,
     )
     a_total = math.log(3.0 * max_iterations / delta)

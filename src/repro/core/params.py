@@ -30,9 +30,10 @@ class IMMParams:
     seed:
         RNG seed; every implementation is deterministic given it.
     num_threads:
-        The *emulated* thread count p: kernels execute the exact p-thread
-        work program serially and report per-thread statistics, which the
-        simulated machine turns into parallel time (DESIGN.md).
+        The *emulated* thread count p: the selection kernels execute the
+        exact p-thread work program serially and report per-thread
+        statistics (sampling runs the same at any p; the simulated machine
+        schedules its per-set costs over p threads, DESIGN.md).
     theta_cap:
         Optional hard cap on the number of RRR sets, used by tests and
         benchmarks to bound runtime; ``None`` (default) is the faithful
@@ -61,14 +62,16 @@ class IMMParams:
 
 @dataclass
 class KernelStats:
-    """Per-thread operation counts emitted by every kernel.
+    """Per-thread operation counts emitted by the selection kernels.
 
     These are the quantities the simulated machine prices: array element
     loads/stores, atomic updates, binary-search probes, and generic compute
     operations, each as a length-``num_threads`` vector so load imbalance is
     visible.  ``serial_ops`` counts work on the critical section /
     single-thread path (e.g. Ripples' merge of thread-local counters), which
-    is what produces its Amdahl saturation.
+    is what produces its Amdahl saturation.  Sampling emits none: its work
+    is the sampler's per-set record, which the cost model prices
+    (:meth:`RRRSampler.costs <repro.core.sampling.RRRSampler.costs>`).
     """
 
     num_threads: int
@@ -111,7 +114,9 @@ class IMMResult:
     ``coverage_fraction`` is F(S): the fraction of sampled RRR sets the seed
     set intersects; ``n * coverage_fraction`` is IMM's unbiased influence
     estimate.  ``stats`` maps kernel name -> accumulated
-    :class:`KernelStats`; ``times`` is the wall-clock stage breakdown.
+    :class:`KernelStats` (only ``Find_Most_Influential_Set``: sampling is
+    priced by the cost model); ``times`` is the wall-clock stage
+    breakdown.
     ``theta_capped`` says whether ``params.theta_cap`` bound theta below
     the martingale's ``lambda* / LB``.
     """

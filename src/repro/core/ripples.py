@@ -10,6 +10,10 @@ Faithful to the reference implementation's algorithmic choices:
 - vertex-partitioned selection in which every thread traverses all RRR
   sets (binary-searching each) to maintain its private counter slice —
   the memory-traversal pattern behind Figures 1/2 and Table IV.
+
+The static partitioning and the gather change no set and no seed; the
+simulated machine prices them (:mod:`repro.simmachine.cost`), and a run
+charges neither.
 """
 
 from __future__ import annotations
@@ -41,10 +45,9 @@ class RipplesIMM:
 
     name = "Ripples"
 
-    def sampling_config(self, params: IMMParams) -> SamplingConfig:
+    def sampling_config(self) -> SamplingConfig:
         return SamplingConfig.ripples(
-            num_threads=params.num_threads,
-            memory_budget_bytes=self.memory_budget_bytes,
+            memory_budget_bytes=self.memory_budget_bytes
         )
 
     def run(
@@ -71,9 +74,8 @@ class RipplesIMM:
         return run_imm(
             self.graph,
             params,
-            self.sampling_config(params),
+            self.sampling_config(),
             select,
-            gather_before_select=True,
             framework=self.name,
             checkpointer=checkpointer,
             resume=resume,

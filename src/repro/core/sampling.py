@@ -12,12 +12,16 @@ work distribution            static theta/p blocks     dynamic chunked queue
 set placement                gathered to one store     stays worker-local
 ===========================  ========================  =====================
 
-The sampler executes the real sampling work serially (one host core) while
-*attributing* it to ``num_threads`` emulated workers according to the
-framework's scheduling policy; the per-thread attribution is what the
-simulated machine prices into parallel time.  Memory-footprint accounting is
-analytic (:func:`modelled_store_bytes`) so the Twitter7 OOM experiment does
-not need to materialise per-set objects.
+The sampler executes the real sampling work serially (one host core) and
+keeps one record of it: the edges each set examined
+(:attr:`RRRSampler.per_set_edges`), which with the set sizes
+:meth:`RRRSampler.costs` prices under either framework's rules.  The
+simulated machine schedules those costs over its emulated threads, statically
+for Ripples and dynamically for EfficientIMM
+(:meth:`~repro.simmachine.cost.CostModel.sampling_time_s`); the sampler
+itself charges no thread.  Memory-footprint accounting is analytic
+(:func:`modelled_store_bytes`) so the Twitter7 OOM experiment does not need
+to materialise per-set objects.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.core.params import KernelStats
 from repro.diffusion.base import DiffusionModel
 from repro.errors import OutOfMemoryModelError, ParameterError
 from repro.kernels import KernelSampler
 from repro.sketch.rrr import AdaptivePolicy
 from repro.sketch.store import FlatRRRStore
-from repro.runtime.workqueue import simulate_schedule
 
 __all__ = ["RRRSampler", "modelled_store_bytes"]
 
@@ -71,7 +73,12 @@ def charge_per_set(
 
     Prices sets from the charge-independent primitives (edges examined,
     set size), so one sampling pass can be priced for both frameworks
-    without re-drawing the sets (:meth:`RRRSampler.costs`).
+    without re-drawing the sets (:meth:`RRRSampler.costs`).  Every set is
+    charged its traversal loads (edges examined) plus the writes of its
+    entries, plus the representation cost: Ripples sorts every set
+    (s log s); EfficientIMM sorts only the small sets and builds a bitmap
+    (O(s)) for dense ones (§IV-C).  A fused sampler adds one counter update
+    per entry.
     """
     edges = np.asarray(edges, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
@@ -92,26 +99,18 @@ def charge_per_set(
 class SamplingConfig:
     """How the sampler behaves; the two presets mirror the frameworks."""
 
-    num_threads: int = 1
     fused: bool = True  # EfficientIMM: update counter as sets are produced
-    schedule: str = "dynamic"  # "static" (Ripples) or "dynamic"
     adaptive_policy: AdaptivePolicy | None = None  # None = all sorted lists
     memory_budget_bytes: int | None = None
 
     @classmethod
-    def ripples(cls, num_threads: int = 1, **kw) -> "SamplingConfig":
-        return cls(
-            num_threads=num_threads, fused=False,
-            schedule="static", adaptive_policy=None, **kw,
-        )
+    def ripples(cls, **kw) -> "SamplingConfig":
+        return cls(fused=False, adaptive_policy=None, **kw)
 
     @classmethod
-    def efficientimm(cls, num_threads: int = 1, **kw) -> "SamplingConfig":
+    def efficientimm(cls, **kw) -> "SamplingConfig":
         kw.setdefault("adaptive_policy", AdaptivePolicy())
-        return cls(
-            num_threads=num_threads, fused=True,
-            schedule="dynamic", **kw,
-        )
+        return cls(fused=True, **kw)
 
 
 class RRRSampler:
@@ -128,8 +127,6 @@ class RRRSampler:
     """
 
     def __init__(self, model: DiffusionModel, config: SamplingConfig, *, seed=0):
-        if config.num_threads < 1:
-            raise ParameterError("num_threads must be >= 1")
         if not isinstance(seed, (int, np.integer)):
             raise ParameterError(
                 "the sampler needs an integer seed: its counter streams "
@@ -148,20 +145,16 @@ class RRRSampler:
         # Edges examined per stored set: with the set sizes, the only
         # record of per-set work (:meth:`costs` prices it).
         self.per_set_edges = np.zeros(0, dtype=np.int64)
-        self.stats = KernelStats(config.num_threads)
 
     # ---------------------------------------------------------------- main
     def extend(self, target_count: int) -> None:
         """Generate sets until the store holds ``target_count`` of them.
 
         Each kernel batch is bulk-appended to the store as it is drawn, so
-        the extend never holds its new sets twice.  Every set is charged
-        its traversal loads (edges examined) plus the writes of its
-        entries, plus the representation cost: Ripples sorts every set
-        (s log s); EfficientIMM sorts only the small sets and builds a
-        bitmap (O(s)) for dense ones (§IV-C).
+        the extend never holds its new sets twice, and the edges each set
+        examined join :attr:`per_set_edges`; the work is priced later, by
+        :meth:`costs`.
         """
-        cfg = self.config
         start = len(self.store)
         count = target_count - start
         if count <= 0:
@@ -170,29 +163,23 @@ class RRRSampler:
         tel = telemetry.get()
         t0 = time.perf_counter() if tel.enabled else 0.0
         entries0 = self.store.total_entries
-        all_sizes: list[np.ndarray] = []
         all_edges: list[np.ndarray] = []
         for flat, sizes, edges in self._kernel.stream_indexed(
             self.seed, start, count
         ):
             self.store.append_csr(flat, sizes)
-            all_sizes.append(sizes)
             all_edges.append(edges)
-        sizes = np.concatenate(all_sizes)
         edges = np.concatenate(all_edges)
-        costs = charge_per_set(
-            edges, sizes, n, cfg.adaptive_policy, fused=cfg.fused
-        )
-        if cfg.fused:
+        if self.config.fused:
             # Fused update (Alg. 3): one bincount over the appended entries.
             added = self.store.vertices[entries0:]
             self.counter += np.bincount(added, minlength=n).astype(np.int64)
         self.per_set_edges = np.concatenate((self.per_set_edges, edges))
-        self._attribute(costs, sizes.astype(np.float64))
         self._check_budget()
         if tel.enabled:
+            elapsed = time.perf_counter() - t0
             self._record_telemetry(
-                tel, sizes, int(edges.sum()), time.perf_counter() - t0
+                tel, self.store.sizes()[start:], int(edges.sum()), elapsed
             )
 
     def _record_telemetry(
@@ -210,23 +197,6 @@ class RRRSampler:
         reg.gauge("sketch.store.sets").set(len(self.store))
         reg.gauge("sketch.store.entries").set(self.store.total_entries)
         reg.gauge("sketch.store.bytes").set(self.modelled_bytes())
-
-    def _attribute(self, costs: np.ndarray, sizes: np.ndarray) -> None:
-        """Charge this batch's work to emulated threads per the schedule."""
-        cfg = self.config
-        sched = simulate_schedule(costs, cfg.num_threads, policy=cfg.schedule)
-        per_thread = np.bincount(
-            sched.assignment, weights=costs, minlength=cfg.num_threads
-        )
-        self.stats.loads += per_thread
-        size_per_thread = np.bincount(
-            sched.assignment, weights=sizes.astype(np.float64),
-            minlength=cfg.num_threads,
-        )
-        self.stats.stores += size_per_thread
-        if cfg.fused:
-            self.stats.atomics += size_per_thread
-        self.stats.sync_barriers += 1
 
     def _check_budget(self) -> None:
         cfg = self.config
@@ -263,8 +233,3 @@ class RRRSampler:
     def rebuild_counter(self) -> None:
         """Recompute the fused counter from the current store contents."""
         self.counter = self.store.vertex_counts()
-
-    def gather_cost(self) -> float:
-        """Loads+stores of Ripples' gather/redistribution step: every stored
-        entry is copied once into the global structure before selection."""
-        return 2.0 * self.store.total_entries

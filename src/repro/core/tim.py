@@ -118,7 +118,7 @@ def run_tim(graph: CSRGraph, params: IMMParams | None = None) -> TIMResult:
     times = StageTimes()
     model = get_model(params.model, graph)
     sampler = RRRSampler(
-        model, SamplingConfig.efficientimm(num_threads=1), seed=params.seed
+        model, SamplingConfig.efficientimm(), seed=params.seed
     )
 
     with times.measure("KPT_Estimation"):

@@ -112,7 +112,7 @@ class DistributedIMM:
         samplers = [
             RRRSampler(
                 get_model(params.model, self.graph),
-                SamplingConfig.efficientimm(num_threads=1),
+                SamplingConfig.efficientimm(),
                 seed=rank_seed(params.seed, r),
             )
             for r in range(ranks)

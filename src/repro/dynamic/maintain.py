@@ -63,6 +63,7 @@ independent.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -85,6 +86,7 @@ from repro.kernels.rng import (
     derive_key,
     derive_keys,
 )
+from repro.resilience.checkpoint import _check_field, _is_int
 from repro.sketch.store import FlatRRRStore, gather_rows
 
 from repro.dynamic.delta import CommitInfo, DeltaGraph
@@ -471,6 +473,38 @@ class IncrementalMaintainer:
             tel.registry.counter("dynamic.checkpoints_written").inc()
         return final
 
+    def checkpoint_epoch(self, root: str | os.PathLike) -> int | None:
+        """The epoch of this configuration's checkpoint under ``root``, read
+        from its header alone (``None`` when there is no readable one) and
+        checked as :meth:`from_checkpoint` checks it."""
+        from repro.service.artifacts import read_artifact_meta
+
+        path = self.checkpoint_path(root)
+        meta = read_artifact_meta(path)
+        return None if meta is None else self._checked_header(meta, path)[0]
+
+    def _checked_header(self, meta: Any, path: Path) -> tuple[int, np.ndarray]:
+        """``(epoch, roots)`` from a checkpoint header, checked field by
+        field (:class:`ArtifactError` naming the field): the CRC covers
+        only the arrays."""
+        check = functools.partial(_check_field, path)
+        check(isinstance(meta, dict), "meta", "an object", meta)
+        if meta.get("dynamic_checkpoint_version") != DYNAMIC_CHECKPOINT_VERSION:
+            raise ArtifactError(
+                f"{path}: unsupported dynamic checkpoint version "
+                f"{meta.get('dynamic_checkpoint_version')!r}"
+            )
+        epoch = meta.get("epoch")
+        check(_is_int(epoch) and epoch >= 0, "epoch", "an int >= 0", epoch)
+        roots = meta.get("roots")
+        n = self.delta.num_vertices
+        want = f"a list of {self.num_sets} ints in [0, {n}), one per set"
+        check(isinstance(roots, list), "roots", want, roots)
+        check(len(roots) == self.num_sets, "roots", want, f"{len(roots)} items")
+        wrong = [r for r in roots if not _is_int(r) or not 0 <= r < n]
+        check(not wrong, "roots", want, wrong[:1])
+        return epoch, np.array(roots, dtype=np.int64)
+
     @classmethod
     def from_checkpoint(
         cls,
@@ -488,7 +522,9 @@ class IncrementalMaintainer:
         ``delta`` must already be replayed to the checkpointed epoch — the
         checkpoint stores the graph fingerprint it was taken at and refuses
         (:class:`ArtifactError`) to resume against any other graph, since a
-        silently mismatched sketch would produce wrong seeds.
+        silently mismatched sketch would produce wrong seeds.  A header
+        whose ``epoch`` or ``roots`` is malformed is refused the same way,
+        naming the field.
         """
         from repro.service.artifacts import load_store
 
@@ -505,14 +541,10 @@ class IncrementalMaintainer:
         store, counter, meta = load_store(
             path, expect_fingerprint=m.checkpoint_key()
         )
-        if meta.get("dynamic_checkpoint_version") != DYNAMIC_CHECKPOINT_VERSION:
-            raise ArtifactError(
-                f"{path}: unsupported dynamic checkpoint version "
-                f"{meta.get('dynamic_checkpoint_version')!r}"
-            )
+        epoch, roots = m._checked_header(meta, path)
         if meta.get("graph_fp") != delta.fingerprint():
             raise ArtifactError(
-                f"{path}: checkpoint was taken at epoch {meta.get('epoch')} "
+                f"{path}: checkpoint was taken at epoch {epoch} "
                 f"of a graph with fingerprint {meta.get('graph_fp')!r}, but "
                 f"the delta graph (epoch {delta.epoch}) fingerprints as "
                 f"{delta.fingerprint()!r}; replay the update stream to the "
@@ -522,8 +554,8 @@ class IncrementalMaintainer:
         m.counter = (
             counter if counter is not None else store.vertex_counts()
         ).astype(np.int64)
-        m.roots = np.array(meta["roots"], dtype=np.int64)
-        m.epoch = int(meta["epoch"])
+        m.roots = roots
+        m.epoch = epoch
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("dynamic.checkpoints_restored").inc()

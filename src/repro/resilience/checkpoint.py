@@ -3,11 +3,11 @@
 An IMM run spends almost all of its time in the sampling batches the
 martingale schedule requests (estimation levels, then the top-up).  The
 :class:`SamplingCheckpointer` snapshots the complete sampler state after
-every completed batch — the RRR store, the fused counter, the edges each
-set examined and the per-thread sampling stats — as one checksummed
-``.npz`` artifact (the sketch artifact format, written atomically via
-rename).  The CRC covers only the arrays, so :meth:`SamplingCheckpointer.restore`
-checks the JSON header field by field.
+every completed batch — the RRR store, the fused counter and the edges
+each set examined — as one checksummed ``.npz`` artifact (the sketch
+artifact format, written atomically via rename).  The CRC covers only the
+arrays, so :meth:`SamplingCheckpointer.restore` checks the JSON header
+field by field.
 
 Because :func:`repro.core.imm.run_imm` is deterministic in that state, a
 run interrupted at *any* point and restarted with ``resume=True`` replays
@@ -24,6 +24,7 @@ never be resumed into the wrong context (it raises
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from pathlib import Path
@@ -111,21 +112,11 @@ class SamplingCheckpointer:
             return None
         from repro.service.artifacts import save_store
 
-        stats = sampler.stats
         meta: dict[str, Any] = {
             "checkpoint_version": CHECKPOINT_VERSION,
             "run_key": self.key,
             "batch_index": int(batch_index),
             "per_set_edges": sampler.per_set_edges.tolist(),
-            "stats": {
-                "num_threads": stats.num_threads,
-                "loads": stats.loads.tolist(),
-                "stores": stats.stores.tolist(),
-                "atomics": stats.atomics.tolist(),
-                "compute": stats.compute.tolist(),
-                "serial_ops": float(stats.serial_ops),
-                "sync_barriers": int(stats.sync_barriers),
-            },
         }
         final = self.path()
         tmp = final.with_name(final.stem + ".tmp.npz")
@@ -156,22 +147,15 @@ class SamplingCheckpointer:
         corrupt, belongs to a different run key or has a malformed header
         field — resuming the wrong state would silently produce wrong
         seeds, so it is never attempted.  Header keys it does not read,
-        such as the per-set costs older checkpoints carry, are ignored.
+        such as the per-set costs and per-thread ``stats`` older checkpoints
+        carry, are ignored.
         """
         if not self.has_checkpoint():
             return None
-        from repro.core.params import KernelStats
         from repro.service.artifacts import load_store
 
         store, counter, meta = load_store(self.path(), expect_fingerprint=self.key)
-
-        def check(ok: bool, field: str, want: str, got: Any) -> None:
-            if not ok:
-                raise ArtifactError(
-                    f"{self.path()}: checkpoint header field {field!r} must "
-                    f"be {want}, got {got!r}"
-                )
-
+        check = functools.partial(_check_field, self.path())
         check(isinstance(meta, dict), "meta", "an object", meta)
         if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ArtifactError(
@@ -189,41 +173,9 @@ class SamplingCheckpointer:
         check(len(edges) == len(store), "per_set_edges", want, f"{len(edges)} items")
         wrong = [e for e in edges if not _is_int(e) or e < 0]
         check(not wrong, "per_set_edges", want, wrong[:1])
-        st = meta.get("stats")
-        check(isinstance(st, dict), "stats", "an object", st)
-        threads = sampler.stats.num_threads
-        check(
-            _is_int(st.get("num_threads")) and st["num_threads"] == threads,
-            "stats.num_threads", f"the sampler's {threads}",
-            st.get("num_threads"),
-        )
-        arrays = {}
-        for name in ("loads", "stores", "atomics", "compute"):
-            v = st.get(name)
-            check(
-                isinstance(v, list) and len(v) == threads
-                and all(map(_is_number, v)),
-                f"stats.{name}", f"a list of {threads} numbers", v,
-            )
-            arrays[name] = np.asarray(v, dtype=np.float64)
-        check(
-            _is_number(st.get("serial_ops")),
-            "stats.serial_ops", "a number", st.get("serial_ops"),
-        )
-        check(
-            _is_int(st.get("sync_barriers")),
-            "stats.sync_barriers", "an int", st.get("sync_barriers"),
-        )
-        stats = KernelStats(
-            threads,
-            serial_ops=float(st["serial_ops"]),
-            sync_barriers=st["sync_barriers"],
-            **arrays,
-        )
         sampler.store = store
         sampler.counter = store.vertex_counts() if counter is None else counter
         sampler.per_set_edges = np.asarray(edges, dtype=np.int64)
-        sampler.stats = stats
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("resilience.checkpoints_restored").inc()
@@ -242,5 +194,12 @@ def _is_int(value: Any) -> bool:
     return type(value) is int and -(2**63) <= value < 2**63
 
 
-def _is_number(value: Any) -> bool:
-    return _is_int(value) or type(value) is float
+def _check_field(path: Path, ok: bool, field: str, want: str, got: Any) -> None:
+    """Refuse the checkpoint at ``path`` unless its header ``field`` is
+    ``ok``: the CRC covers only the arrays, so every header field a restore
+    reads is checked, and the error names the field."""
+    if not ok:
+        raise ArtifactError(
+            f"{path}: checkpoint header field {field!r} must be {want}, "
+            f"got {got!r}"
+        )

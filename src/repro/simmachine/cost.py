@@ -190,7 +190,12 @@ class CostModel:
 
     # ------------------------------------------------------------- kernels
     def sampling_time_s(self, profile: RunProfile, p: int) -> float:
-        """Generate_RRRsets: real per-set costs, real scheduling policy."""
+        """Generate_RRRsets: real per-set costs, real scheduling policy.
+
+        The only place sampling work meets a thread count: a run records
+        per-set work (:meth:`RRRSampler.costs
+        <repro.core.sampling.RRRSampler.costs>`) and charges no thread.
+        """
         self._check_p(p)
         costs = profile.per_set_costs
         if costs.size == 0:
@@ -311,7 +316,7 @@ def profile_pair(
     from repro.core.selection import efficient_select, ripples_select
     from repro.diffusion.base import get_model
 
-    efficient = SamplingConfig.efficientimm(num_threads=1)
+    efficient = SamplingConfig.efficientimm()
     sampler = RRRSampler(get_model(model, graph), efficient, seed=seed)
     store = sampler.store
 
@@ -344,7 +349,7 @@ def profile_pair(
             num_sets=len(store),
             total_entries=store.total_entries,
             per_set_costs=sampler.costs(config),
-            sampling_schedule=config.schedule,
+            sampling_schedule="static" if ripples else "dynamic",
             numa_aware=not ripples,
             selection=cost,
             gather_bytes=store.total_entries * 8.0 if ripples else 0.0,

@@ -132,7 +132,7 @@ class TestDistributedIMM:
         for r, count in enumerate(res.sets_per_rank):
             sampler = RRRSampler(
                 get_model("IC", skitter),
-                SamplingConfig.efficientimm(num_threads=1),
+                SamplingConfig.efficientimm(),
                 seed=rank_seed(params.seed, r),
             )
             sampler.extend(count)

@@ -416,7 +416,55 @@ class TestMaintainerRepair:
             assert m.store.get(int(i)).tolist() == [2]
 
 
+def _rewrite_header(path, edit):
+    """Rewrite the dynamic checkpoint at ``path`` with ``edit(meta)`` applied
+    to its JSON header; the arrays, and so the CRC, are unchanged."""
+    from repro.service.artifacts import load_store, save_store
+
+    key = path.stem[len("dynamic-"):]
+    store, counter, meta = load_store(path, expect_fingerprint=key)
+    edit(meta)
+    save_store(store, path, fingerprint=key, counter=counter, meta=meta,
+               compress=False)
+
+
+def _set_roots(value):
+    return lambda meta: meta.update(roots=[value] * len(meta["roots"]))
+
+
+#: One malformed header per case: (id, edit, the field the error names).
+#: The checkpoint holds 200 sets of an 80-vertex graph.
+MALFORMED_DYNAMIC_HEADERS = [
+    ("text-epoch", lambda m: m.update(epoch="x"), "epoch"),
+    ("no-epoch", lambda m: m.pop("epoch"), "epoch"),
+    ("bool-epoch", lambda m: m.update(epoch=True), "epoch"),
+    ("negative-epoch", lambda m: m.update(epoch=-1), "epoch"),
+    ("no-roots", lambda m: m.pop("roots"), "roots"),
+    ("text-roots", lambda m: m.update(roots="x"), "roots"),
+    ("short-roots", lambda m: m.update(roots=m["roots"][:10]), "roots"),
+    ("negative-roots", _set_roots(-1), "roots"),
+    ("out-of-range-roots", _set_roots(10**9), "roots"),
+    ("float-roots", _set_roots(0.0), "roots"),
+]
+
+
 class TestMaintainerCheckpoint:
+    @pytest.mark.parametrize(
+        "edit,field",
+        [case[1:] for case in MALFORMED_DYNAMIC_HEADERS],
+        ids=[case[0] for case in MALFORMED_DYNAMIC_HEADERS],
+    )
+    def test_malformed_header_rejected(self, tmp_path, maintained, edit, field):
+        """The CRC covers only the arrays: ``from_checkpoint`` checks the
+        header's ``epoch`` and ``roots`` and names the bad one."""
+        d, m = maintained
+        m.apply(batch(d, np.random.default_rng(31)))
+        _rewrite_header(m.save_checkpoint(tmp_path), edit)
+        with pytest.raises(ArtifactError, match=f"field '{field}'"):
+            IncrementalMaintainer.from_checkpoint(
+                tmp_path, d, num_sets=m.num_sets, seed=m.seed
+            )
+
     def test_roundtrip_byte_identical(self, tmp_path, maintained):
         d, m = maintained
         rng = np.random.default_rng(31)
@@ -752,6 +800,23 @@ class TestUpdateCLI:
         assert docs[1]["status"] == "ok" and docs[1]["epoch"] == 1
         assert docs[-2]["mode"] == "repair" and docs[-2]["epoch"] == 2
         assert docs[-1]["id"] == "q2" and docs[-1]["epoch"] == 2
+
+    def test_resume_of_malformed_header_exits_4(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        stream = tmp_path / "u.jsonl"
+        stream.write_text(self.STREAM)
+        argv = ["update", "amazon", "--updates", str(stream),
+                "--theta-cap", "100", "--seed", "1", "--checkpoint", str(ckpt)]
+        rc, _ = self.run_cli(argv, capsys)
+        assert rc == 0
+        (path,) = ckpt.glob("dynamic-*.npz")
+        _rewrite_header(path, lambda meta: meta.update(epoch="x"))
+        from repro.cli import main
+
+        assert main([*argv, "--resume"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "'epoch'" in err[0]
 
     def test_resume_requires_checkpoint_dir(self, tmp_path):
         from repro.cli import main

@@ -213,50 +213,42 @@ FACADE_PINS = {
     ("EfficientIMM", "IC", 1): (
         [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
         1512.3218674462742, 0.7593220338983051, False,
-        {"Find_Most_Influential_Set": "87c24e3802a46b7b",
-         "Generate_RRRsets": "9e680d4be11f0769"},
+        {"Find_Most_Influential_Set": "87c24e3802a46b7b"},
     ),
     ("EfficientIMM", "IC", 4): (
         [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
         1512.3218674462742, 0.7593220338983051, False,
-        {"Find_Most_Influential_Set": "89274d776cdbd19e",
-         "Generate_RRRsets": "b3d9e0ce9d9cf671"},
+        {"Find_Most_Influential_Set": "89274d776cdbd19e"},
     ),
     ("RipplesIMM", "IC", 1): (
         [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
         1512.3218674462742, 0.7593220338983051, False,
-        {"Find_Most_Influential_Set": "e724785087b706d4",
-         "Generate_RRRsets": "dd581f435ca6fbbc"},
+        {"Find_Most_Influential_Set": "e724785087b706d4"},
     ),
     ("RipplesIMM", "IC", 4): (
         [456, 3287, 2290, 27, 517, 975, 1250], 1152, 1180,
         1512.3218674462742, 0.7593220338983051, False,
-        {"Find_Most_Influential_Set": "a76b9187fc6a429d",
-         "Generate_RRRsets": "7c527872d5b9d0e4"},
+        {"Find_Most_Influential_Set": "a76b9187fc6a429d"},
     ),
     ("EfficientIMM", "LT", 1): (
         [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
         39.83347775862954, 0.02, True,
-        {"Find_Most_Influential_Set": "275e4341d4fbcb6d",
-         "Generate_RRRsets": "0a7c81930dd13157"},
+        {"Find_Most_Influential_Set": "275e4341d4fbcb6d"},
     ),
     ("EfficientIMM", "LT", 4): (
         [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
         39.83347775862954, 0.02, True,
-        {"Find_Most_Influential_Set": "4ede057682e22277",
-         "Generate_RRRsets": "3618b0a6fe88d51a"},
+        {"Find_Most_Influential_Set": "4ede057682e22277"},
     ),
     ("RipplesIMM", "LT", 1): (
         [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
         39.83347775862954, 0.02, True,
-        {"Find_Most_Influential_Set": "c9fc787c68130586",
-         "Generate_RRRsets": "2557bc196e5e9c62"},
+        {"Find_Most_Influential_Set": "c9fc787c68130586"},
     ),
     ("RipplesIMM", "LT", 4): (
         [899, 1556, 140, 303, 414, 495, 566], 1500, 1500,
         39.83347775862954, 0.02, True,
-        {"Find_Most_Influential_Set": "21709c538f5de790",
-         "Generate_RRRsets": "364c759f3feea58e"},
+        {"Find_Most_Influential_Set": "21709c538f5de790"},
     ),
 }
 

@@ -691,7 +691,7 @@ class TestEpochWrap:
 # ----------------------------------------------------- integration seams
 def kernel_store(graph, model_name, kernel="batched", count=160, seed=9, batch=64):
     with kernel_mode(kernel, batch):
-        cfg = SamplingConfig.efficientimm(num_threads=1)
+        cfg = SamplingConfig.efficientimm()
         sampler = RRRSampler(get_model(model_name, graph), cfg, seed=seed)
         sampler.extend(count)
     return sampler
@@ -723,7 +723,7 @@ class TestSamplerIntegration:
 
     def test_kernel_requires_integer_seed(self):
         g = random_graph()
-        cfg = SamplingConfig.efficientimm(num_threads=1)
+        cfg = SamplingConfig.efficientimm()
         with pytest.raises(ParameterError):
             RRRSampler(get_model("IC", g), cfg, seed=np.random.default_rng(0))
 

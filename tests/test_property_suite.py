@@ -83,7 +83,7 @@ class TestSamplerInvariants:
         graph, seed = graph_seed
         sampler = RRRSampler(
             get_model("IC", graph),
-            SamplingConfig.efficientimm(num_threads=1),
+            SamplingConfig.efficientimm(),
             seed=seed,
         )
         sampler.extend(count)

@@ -500,7 +500,7 @@ def amazon_graph():
 def _make_sampler(graph, seed=0):
     return RRRSampler(
         get_model("IC", graph),
-        SamplingConfig.efficientimm(num_threads=1),
+        SamplingConfig.efficientimm(),
         seed=seed,
     )
 
@@ -677,12 +677,8 @@ def _rewrite_header(ck, edit):
     )
 
 
-def _set_stat(name, value):
-    return lambda meta: meta["stats"].__setitem__(name, value)
-
-
 #: One malformed header per case: (id, edit, the field the error names).
-#: The checkpoint holds 50 sets sampled at one thread.
+#: The checkpoint holds 50 sets.
 MALFORMED_HEADERS = [
     ("no-batch-index", lambda m: m.pop("batch_index"), "batch_index"),
     ("bool-batch-index", lambda m: m.update(batch_index=True), "batch_index"),
@@ -692,18 +688,6 @@ MALFORMED_HEADERS = [
     ("short-edges", lambda m: m.update(per_set_edges=[3] * 10), "per_set_edges"),
     ("negative-edges", lambda m: m.update(per_set_edges=[-1] * 50), "per_set_edges"),
     ("edges-overflow", lambda m: m.update(per_set_edges=[2**63] * 50), "per_set_edges"),
-    ("no-stats", lambda m: m.pop("stats"), "stats"),
-    ("text-stats", lambda m: m.update(stats="x"), "stats"),
-    ("other-thread-count", lambda m: m.update(stats={
-        "num_threads": 2, "loads": [0.0, 0.0], "stores": [0.0, 0.0],
-        "atomics": [0.0, 0.0], "compute": [0.0, 0.0], "serial_ops": 0.0,
-        "sync_barriers": 0,
-    }), "stats.num_threads"),
-    ("short-loads", _set_stat("loads", []), "stats.loads"),
-    ("text-compute", _set_stat("compute", ["x"]), "stats.compute"),
-    ("loads-overflow", _set_stat("loads", [10**400]), "stats.loads"),
-    ("text-serial-ops", _set_stat("serial_ops", "x"), "stats.serial_ops"),
-    ("float-barriers", _set_stat("sync_barriers", 1.5), "stats.sync_barriers"),
 ]
 
 
@@ -729,7 +713,9 @@ class TestCheckpointHeaderChecks:
 
     def test_retired_keys_resume_byte_identically(self, amazon_graph, tmp_path):
         """A header written before the sampler kept one per-set record
-        still carries ``per_set_costs`` and ``num_atomic_updates``."""
+        still carries ``per_set_costs`` and ``num_atomic_updates``, and one
+        written while it charged emulated threads online carries their
+        per-thread ``stats``."""
         params = IMMParams(k=3, theta_cap=800, seed=0)
         clean = EfficientIMM(amazon_graph).run(params)
         ck = SamplingCheckpointer(
@@ -742,6 +728,11 @@ class TestCheckpointHeaderChecks:
             )
         _rewrite_header(ck, lambda m: m.update(
             per_set_costs=[1.5] * len(m["per_set_edges"]), num_atomic_updates=7,
+            stats={
+                "num_threads": 1, "loads": [123.0], "stores": [45.0],
+                "atomics": [45.0], "compute": [0.0], "serial_ops": 0.0,
+                "sync_barriers": 2,
+            },
         ))
         resumed = EfficientIMM(amazon_graph).run(
             params, checkpointer=ck, resume=True

@@ -10,8 +10,9 @@ from repro.core.sampling import (
     modelled_store_bytes,
 )
 from repro.diffusion.base import get_model
-from repro.errors import OutOfMemoryModelError, ParameterError
+from repro.errors import OutOfMemoryModelError
 from repro.kernels import KernelSampler, coin_key, derive_keys
+from repro.runtime.workqueue import simulate_schedule
 from repro.sketch.rrr import AdaptivePolicy
 
 from conftest import make_graph
@@ -145,23 +146,22 @@ class TestRRRSampler:
         assert np.array_equal(a.store.vertices, b.store.vertices)
 
     def test_per_thread_stats_cover_all_work(self, amazon_ic):
+        # The cost model's schedule of the priced sets assigns all the work.
         sampler = RRRSampler(
-            get_model("IC", amazon_ic),
-            SamplingConfig.efficientimm(num_threads=4),
-            seed=4,
+            get_model("IC", amazon_ic), SamplingConfig.efficientimm(), seed=4
         )
-        sampler.extend(20)
-        total = float(np.sum(sampler.stats.loads))
-        assert total == pytest.approx(sampler.costs().sum())
+        sampler.extend(60)
+        costs = sampler.costs()
+        sched = simulate_schedule(costs, 4, policy="dynamic")
+        assert sched.assignment.shape == costs.shape
+        assert float(sched.loads.sum()) == pytest.approx(float(costs.sum()))
 
     def test_dynamic_schedule_balances(self, amazon_ic):
         sampler = RRRSampler(
-            get_model("IC", amazon_ic),
-            SamplingConfig.efficientimm(num_threads=4),
-            seed=5,
+            get_model("IC", amazon_ic), SamplingConfig.efficientimm(), seed=5
         )
         sampler.extend(60)
-        loads = sampler.stats.loads
+        loads = simulate_schedule(sampler.costs(), 4, policy="dynamic").loads
         assert loads.max() < 2.0 * max(loads.mean(), 1.0)
 
     def test_memory_budget_raises(self, amazon_ic):
@@ -189,19 +189,6 @@ class TestRRRSampler:
         with pytest.raises(OutOfMemoryModelError):
             rip.extend(50)
 
-    def test_rejects_zero_threads(self, amazon_ic):
-        with pytest.raises(ParameterError):
-            RRRSampler(
-                get_model("IC", amazon_ic), SamplingConfig(num_threads=0)
-            )
-
-    def test_gather_cost(self, amazon_ic):
-        sampler = RRRSampler(
-            get_model("IC", amazon_ic), SamplingConfig.ripples(), seed=8
-        )
-        sampler.extend(10)
-        assert sampler.gather_cost() == 2.0 * sampler.store.total_entries
-
     def test_rebuild_counter(self, amazon_ic):
         sampler = RRRSampler(
             get_model("IC", amazon_ic), SamplingConfig.ripples(), seed=9
@@ -228,9 +215,7 @@ class TestSamplerCosts:
     ):
         graph = amazon_ic if model_name == "IC" else amazon_lt
         model = get_model(model_name, graph)
-        sampler = RRRSampler(
-            model, SamplingConfig.efficientimm(num_threads=3), seed=12
-        )
+        sampler = RRRSampler(model, SamplingConfig.efficientimm(), seed=12)
         for target in (7, 30, 30, 64):
             sampler.extend(target)
         # The same 64 sets drawn whole, straight from the kernel.
@@ -245,8 +230,4 @@ class TestSamplerCosts:
         np.testing.assert_array_equal(
             sampler.costs(SamplingConfig.ripples()),
             charge_per_set(edges, sizes, n, None, fused=False),
-        )
-        # The online per-thread charge covers exactly the priced work.
-        assert float(sampler.stats.loads.sum()) == pytest.approx(
-            float(sampler.costs().sum())
         )

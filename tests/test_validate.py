@@ -62,7 +62,7 @@ class TestSizeDistribution:
 
         serial = RRRSampler(
             get_model("IC", skitter_ic),
-            SamplingConfig.efficientimm(num_threads=1),
+            SamplingConfig.efficientimm(),
             seed=10,
         )
         serial.extend(250)
