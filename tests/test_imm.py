@@ -28,6 +28,11 @@ class TestIMMParams:
         with pytest.raises(ParameterError):
             IMMParams(model="SIR")
 
+    def test_rejects_zero_threads(self):
+        # The one emulated thread count a run takes; the sampler takes none.
+        with pytest.raises(ParameterError, match="num_threads"):
+            IMMParams(num_threads=0)
+
     def test_rejects_bad_theta_cap(self):
         with pytest.raises(ParameterError):
             IMMParams(theta_cap=0)
