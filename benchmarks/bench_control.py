@@ -110,7 +110,7 @@ def test_control_tick_and_recovery(bench_record):
             recover_s.append(time.perf_counter() - t0)
             assert [a["kind"] for a in report.outcomes] == ["revive"]
             assert not victim.dead
-        assert victim.stats.cold_builds == 0
+        assert victim.engine.stats.cold_samples == 0
         resp = cluster.query(query)
         assert resp.seeds == expected.seeds and not resp.degraded
 
@@ -121,7 +121,7 @@ def test_control_tick_and_recovery(bench_record):
             dataset=DATASET, model="IC", seed=SEED, num_sets=THETA
         ))
         cold_s = time.perf_counter() - t0
-        assert victim.stats.cold_builds == 1
+        assert victim.engine.stats.cold_samples == 1
 
     tick_p50_ms = float(np.percentile(tick_s, 50) * 1e3)
     tick_p99_ms = float(np.percentile(tick_s, 99) * 1e3)

@@ -475,20 +475,30 @@ class IncrementalMaintainer:
 
     def checkpoint_epoch(self, root: str | os.PathLike) -> int | None:
         """The epoch of this configuration's checkpoint under ``root``, read
-        from its header alone (``None`` when there is no readable one) and
-        checked as :meth:`from_checkpoint` checks it."""
+        from its header alone (``None`` when there is none) and checked as
+        :meth:`from_checkpoint` checks it.  A checkpoint that is present
+        but unreadable is refused (:class:`ArtifactError`), never taken
+        for a missing one."""
         from repro.service.artifacts import read_artifact_meta
 
         path = self.checkpoint_path(root)
+        if not path.exists():
+            return None
         meta = read_artifact_meta(path)
-        return None if meta is None else self._checked_header(meta, path)[0]
+        if meta is None:
+            raise ArtifactError(
+                f"{path}: unreadable checkpoint header (not a repro "
+                "artifact, or its meta is not an object)"
+            )
+        return self._checked_header(meta, path)[0]
 
-    def _checked_header(self, meta: Any, path: Path) -> tuple[int, np.ndarray]:
+    def _checked_header(
+        self, meta: dict[str, Any], path: Path
+    ) -> tuple[int, np.ndarray]:
         """``(epoch, roots)`` from a checkpoint header, checked field by
         field (:class:`ArtifactError` naming the field): the CRC covers
         only the arrays."""
         check = functools.partial(_check_field, path)
-        check(isinstance(meta, dict), "meta", "an object", meta)
         if meta.get("dynamic_checkpoint_version") != DYNAMIC_CHECKPOINT_VERSION:
             raise ArtifactError(
                 f"{path}: unsupported dynamic checkpoint version "

@@ -156,7 +156,6 @@ class SamplingCheckpointer:
 
         store, counter, meta = load_store(self.path(), expect_fingerprint=self.key)
         check = functools.partial(_check_field, self.path())
-        check(isinstance(meta, dict), "meta", "an object", meta)
         if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ArtifactError(
                 f"{self.path()}: unsupported checkpoint version "

@@ -141,8 +141,8 @@ def load_store(
     artifact was saved without one.  Raises :class:`ArtifactError` on a
     missing file, unknown schema, checksum mismatch, (when
     ``expect_fingerprint`` is given) a fingerprint mismatch, a header that
-    is not a JSON object with an integer ``num_vertices >= 0`` and
-    ``kind: flat``, or arrays no store holds
+    is not a JSON object with an integer ``num_vertices >= 0``,
+    ``kind: flat`` and an object ``meta``, or arrays no store holds
     (:meth:`FlatRRRStore.from_arrays`'s checks, and a counter whose length
     is not ``num_vertices``).
     """
@@ -190,6 +190,9 @@ def load_store(
         )
     if doc.get("kind") != "flat":
         raise ArtifactError(f"{path}: unknown store kind {doc.get('kind')!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ArtifactError(f"{path}: header meta {meta!r} is not an object")
     counter = arrays.pop("counter", None)
     if counter is not None:
         if counter.shape != (n,):
@@ -201,17 +204,17 @@ def load_store(
         raise ArtifactError(f"{path}: sketch artifact is missing array {exc}") from exc
     except ParameterError as exc:
         raise ArtifactError(f"{path}: malformed sketch ({exc})") from exc
-    return store, counter, doc.get("meta", {})
+    return store, counter, meta
 
 
 def read_artifact_meta(path: str | os.PathLike) -> dict[str, Any] | None:
     """Header-only peek at an artifact's ``meta`` dict (no payload checks).
 
     Reads just the JSON header — cheap even for large sketches — and returns
-    ``None`` instead of raising when the file is missing, unreadable, or not
-    a repro artifact, so directory scans can skip junk silently.  The
-    returned dict additionally carries the header's ``fingerprint`` under
-    ``"_fingerprint"``.
+    ``None`` instead of raising when the file is missing, unreadable, not
+    a repro artifact, or its ``meta`` is not an object, so directory scans
+    can skip junk silently.  The returned dict additionally carries the
+    header's ``fingerprint`` under ``"_fingerprint"``.
     """
     path = Path(path)
     try:
@@ -223,9 +226,10 @@ def read_artifact_meta(path: str | os.PathLike) -> dict[str, Any] | None:
         return None
     if not isinstance(doc, dict) or doc.get("schema_version") != SKETCH_SCHEMA_VERSION:
         return None
-    meta = dict(doc.get("meta", {}))
-    meta["_fingerprint"] = doc.get("fingerprint", "")
-    return meta
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        return None
+    return {**meta, "_fingerprint": doc.get("fingerprint", "")}
 
 
 class ArtifactStore:
@@ -324,34 +328,3 @@ class ArtifactStore:
         return load_store(
             self.sketch_path(fingerprint), expect_fingerprint=fingerprint
         )
-
-    def publish_sketch(self, fingerprint: str, manager):
-        """Load a sketch once and publish it into shared memory.
-
-        Returns ``(handle, counter, meta)`` where ``handle`` is the
-        :class:`~repro.shm.SegmentHandle` any process on the host can
-        attach (:func:`repro.shm.attach_store`, or the manager's
-        ``attach_store``).  The segment is
-        keyed by the *sketch* fingerprint, so repeated publishes of the
-        same fingerprint through the same manager reuse the existing
-        segment — the disk load and the copy into shared memory happen at
-        most once; on the fast path (already published, and the artifact
-        carries no counter to re-read) the disk is not touched at all.
-        """
-        existing = manager.handle_for(fingerprint)
-        path = self.sketch_path(fingerprint)
-        if existing is not None:
-            meta = read_artifact_meta(path) or {}
-            meta.pop("_fingerprint", None)
-            # The counter is payload, not header; re-read just that array.
-            counter = None
-            try:
-                with np.load(path) as data:
-                    if "counter" in data.files:
-                        counter = data["counter"].astype(np.int64, copy=False)
-            except Exception:
-                counter = None
-            return existing, counter, meta
-        store, counter, meta = self.load_sketch(fingerprint)
-        handle = manager.publish_store(store, fingerprint=fingerprint)
-        return handle, counter, meta

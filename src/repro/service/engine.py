@@ -1,14 +1,16 @@
 """The query engine: batched, cached, deadline-aware IM query serving.
 
-One :class:`QueryEngine` owns the three warm layers a query can hit, in
-order of decreasing speed:
+One :class:`QueryEngine` acquires every sketch through one ladder,
+:meth:`QueryEngine.acquire`, in order of decreasing speed:
 
 1. the in-memory :class:`~repro.service.cache.SketchCache` (LRU, byte
-   budget) — a hit skips graph loading *and* sampling;
+   budget) — a hit skips sampling;
 2. the on-disk :class:`~repro.service.artifacts.ArtifactStore` — an
    integrity-checked load skips sampling (and survives process restarts);
-3. cold sampling through :func:`repro.core.parallel_sampling.parallel_generate`
-   on a :mod:`repro.runtime.backends` backend.
+3. the caller's build: for the engine's own queries, cold sampling through
+   :func:`repro.core.parallel_sampling.parallel_generate` on a
+   :mod:`repro.runtime.backends` backend; for a shard replica
+   (:mod:`repro.shard.worker`), the stream of the sets its shard owns.
 
 Queries submitted together are grouped by sketch fingerprint, and every
 group is answered from one greedy selection over its sketch.  Greedy is
@@ -47,9 +49,10 @@ a query-latency histogram whose ``percentile(0.95)`` is the serving p95.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -66,8 +69,13 @@ from repro.service.artifacts import ArtifactStore, sketch_fingerprint
 from repro.service.cache import CacheEntry, SketchCache
 from repro.service.front import Pending, QueryFront
 from repro.service.protocol import IMQuery
+from repro.sketch.store import FlatRRRStore
 
-__all__ = ["EngineConfig", "QueryEngine", "ServiceStats"]
+__all__ = ["MAX_GRAPHS", "EngineConfig", "QueryEngine", "ServiceStats"]
+
+#: Most replica graphs an engine keeps resolved; past it the least recently
+#: resolved one is dropped.  Installed graphs are not counted.
+MAX_GRAPHS = 8
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ class QueryEngine(QueryFront):
         self._backend = (
             SerialBackend() if self.config.backend == "serial" else None
         )
-        self._graphs: dict[tuple, Any] = {}
+        self._graphs: OrderedDict[tuple, Any] = OrderedDict()
         # Installed graphs (repro.dynamic): dataset name -> (graph, fp).
         # An installed graph overrides replica-dataset resolution for every
         # query naming that dataset, whatever its model/seed.
@@ -206,7 +214,8 @@ class QueryEngine(QueryFront):
     ) -> tuple[Any, str]:
         """``(graph, graph fingerprint)`` for a query's dataset: the
         installed graph when there is one, else the replica dataset under
-        ``model`` and ``seed``, loaded once per engine."""
+        ``model`` and ``seed``, loaded once and kept while it is among the
+        :data:`MAX_GRAPHS` most recently resolved."""
         installed = self.installed_graph(dataset)
         if installed is not None:
             return installed
@@ -216,7 +225,10 @@ class QueryEngine(QueryFront):
             tel = telemetry.get()
             with tel.span("service.graph_load", dataset=key[0], model=key[1]):
                 graph = load_dataset(key[0], model=key[1], seed=key[2])
-            self._graphs[key] = graph
+        self._graphs[key] = graph
+        self._graphs.move_to_end(key)
+        while len(self._graphs) > MAX_GRAPHS:
+            self._graphs.popitem(last=False)
         return graph, graph_fingerprint(graph)
 
     def warm(
@@ -265,13 +277,27 @@ class QueryEngine(QueryFront):
             return
 
         num_sets = q0.theta_cap or self.config.default_theta
-        fp = sketch_fingerprint(
-            graph_fp, q0.model, q0.epsilon, q0.seed, num_sets
-        )
+        model = str(q0.model).upper()
+        fp = sketch_fingerprint(graph_fp, model, q0.epsilon, q0.seed, num_sets)
+        meta = {
+            "dataset": q0.dataset, "model": model,
+            "epsilon": float(q0.epsilon), "seed": int(q0.seed),
+            "num_sets": num_sets, "num_workers": self.config.num_workers,
+        }
+
+        def sample() -> FlatRRRStore:
+            # Cold path: sample on the runtime backend, under the engine's
+            # retry policy and fault plan (docs/resilience.md).
+            return parallel_generate(
+                graph, model, num_sets, num_workers=self.config.num_workers,
+                seed=int(q0.seed), backend=self._backend,
+                retry=self.retry, faults=self.faults,
+            )
+
         with tel.span("service.batch", fingerprint=fp, size=len(live)):
             try:
-                entry, cached, degraded = self._acquire_sketch(
-                    fp, graph, q0, num_sets
+                entry, cached, degraded = self._acquire_or_stale(
+                    fp, meta, sample, q0
                 )
             except (ReproError, OSError) as exc:
                 # Cold sampling failed and no stale artifact could stand in:
@@ -314,106 +340,94 @@ class QueryEngine(QueryFront):
             cached=cached, degraded=degraded,
         )
 
-    def _acquire_sketch(
-        self, fp: str, graph, query: IMQuery, num_sets: int
-    ) -> tuple[CacheEntry, bool, bool]:
-        """Memory cache -> artifact -> cold sampling -> stale fallback.
+    def acquire(
+        self, fp: str, meta: dict[str, Any], build: Callable[[], FlatRRRStore]
+    ) -> tuple[CacheEntry, bool]:
+        """``(entry, warm)`` for sketch ``fp``: the memory cache, else its
+        artifact (verified by :func:`~repro.service.artifacts.load_store`),
+        else ``build()``.
 
-        Returns ``(entry, warm, degraded)``.  When cold sampling fails and
-        a compatible stale artifact exists, that entry is returned with
-        ``degraded=True`` and is *not* cached under ``fp`` — the next query
-        for this fingerprint attempts the real sketch again.
+        This is the one ladder every sketch is acquired through, the
+        engine's own and each shard replica's slice, and the one place
+        that counts cache hits and misses, artifact loads, saves and
+        corrupt artifacts, and cold samples.  A built store is trimmed,
+        counted from its sets, written under ``meta`` when the engine
+        persists (:meth:`write_sketch`) and then cached.  An entry the
+        cache budget rejects is still returned, uncached.
         """
-        tel = telemetry.get()
         entry = self.cache.get(fp)
         if entry is not None:
             self._tel_inc("service.cache.hits")
-            return entry, True, False
+            return entry, True
         self._tel_inc("service.cache.misses")
-
-        if self.artifacts is not None and self.artifacts.has_sketch(fp):
-            try:
-                with tel.span("service.artifact_load", fingerprint=fp):
-                    store, counter, meta = self.artifacts.load_sketch(fp)
-                if counter is None:
-                    counter = store.vertex_counts()
-                entry = CacheEntry(store=store, counter=counter, meta=meta)
-                self.stats.artifact_loads += 1
-                self._tel_inc("service.artifacts.loads")
-                self.cache.put(fp, entry)
-                self._sync_cache_telemetry()
-                return entry, True, False
-            except ArtifactError:
-                # Corrupt artifact: report, fall back to cold sampling.
-                self.stats.artifact_corrupt += 1
-                self._tel_inc("service.artifacts.corrupt")
-
-        # Cold path: sample on the runtime backend, under the engine's
-        # retry policy and fault plan (docs/resilience.md).
-        try:
-            store = parallel_generate(
-                graph,
-                str(query.model).upper(),
-                num_sets,
-                num_workers=self.config.num_workers,
-                seed=int(query.seed),
-                backend=self._backend,
-                retry=self.retry,
-                faults=self.faults,
-            )
-        except (ReproError, OSError) as exc:
-            stale = self._stale_fallback(query)
-            if stale is not None:
-                return stale, False, True
-            raise
-        store.trim()
-        counter = store.vertex_counts()
-        entry = CacheEntry(
-            store=store,
-            counter=counter,
-            meta={
-                "dataset": query.dataset, "model": str(query.model).upper(),
-                "epsilon": float(query.epsilon), "seed": int(query.seed),
-                "num_sets": num_sets, "num_workers": self.config.num_workers,
-            },
-        )
-        self.stats.cold_samples += 1
-        self._tel_inc("service.cold_samples")
-        if self.artifacts is not None and self.config.persist:
-            self.artifacts.save_sketch(
-                fp, store, counter=counter, meta=entry.meta
-            )
-            self.stats.artifact_saves += 1
-            self._tel_inc("service.artifacts.saves")
+        entry = self._load_artifact(fp)
+        warm = entry is not None
+        if not warm:
+            store = build().trim()
+            counter = store.vertex_counts()
+            self.stats.cold_samples += 1
+            self._tel_inc("service.cold_samples")
+            self.write_sketch(fp, store, counter, meta)
+            entry = CacheEntry(store=store, counter=counter, meta=meta)
         self.cache.put(fp, entry)
         self._sync_cache_telemetry()
-        return entry, False, False
+        return entry, warm
 
-    def _stale_fallback(self, query: IMQuery) -> CacheEntry | None:
-        """The freshest stale sketch compatible with a failed query, if any.
+    def write_sketch(
+        self, fp: str, store: FlatRRRStore, counter: np.ndarray,
+        meta: dict[str, Any],
+    ) -> None:
+        """Write ``fp``'s artifact when the engine persists (an artifact
+        dir and ``persist``), counted as one artifact save."""
+        if self.artifacts is None or not self.config.persist:
+            return
+        self.artifacts.save_sketch(fp, store, counter=counter, meta=meta)
+        self.stats.artifact_saves += 1
+        self._tel_inc("service.artifacts.saves")
 
-        Compatible means same dataset and diffusion model; the sketch
-        parameters (epsilon, seed, size) may differ — that imprecision is
-        exactly what the response's ``degraded: true`` flag discloses.
-        """
-        if self.artifacts is None:
-            return None
-        stale_fp = self.artifacts.newest_sketch(
-            dataset=query.dataset, model=str(query.model).upper()
-        )
-        if stale_fp is None:
+    def _load_artifact(self, fp: str) -> CacheEntry | None:
+        """``fp``'s artifact as an entry, or ``None`` when there is none
+        or it fails verification (counted as corrupt)."""
+        if self.artifacts is None or not self.artifacts.has_sketch(fp):
             return None
         try:
-            store, counter, meta = self.artifacts.load_sketch(stale_fp)
+            with telemetry.get().span("service.artifact_load", fingerprint=fp):
+                store, counter, meta = self.artifacts.load_sketch(fp)
         except ArtifactError:
             self.stats.artifact_corrupt += 1
             self._tel_inc("service.artifacts.corrupt")
             return None
-        if counter is None:
-            counter = store.vertex_counts()
         self.stats.artifact_loads += 1
         self._tel_inc("service.artifacts.loads")
+        if counter is None:
+            counter = store.vertex_counts()
         return CacheEntry(store=store, counter=counter, meta=meta)
+
+    def _acquire_or_stale(
+        self, fp: str, meta: dict[str, Any], build: Callable[[], FlatRRRStore],
+        query: IMQuery,
+    ) -> tuple[CacheEntry, bool, bool]:
+        """``(entry, warm, degraded)``: :meth:`acquire`, or, when that fails,
+        the freshest stale artifact of the query's dataset and model.
+
+        The stale sketch's other parameters (epsilon, seed, size) may
+        differ — that imprecision is exactly what the response's
+        ``degraded: true`` flag discloses — and it is *not* cached under
+        ``fp``, so the next query for this fingerprint attempts the real
+        sketch again.  With no stale sketch, the failure is re-raised.
+        """
+        try:
+            return (*self.acquire(fp, meta, build), False)
+        except (ReproError, OSError):
+            if self.artifacts is None:
+                raise
+            stale_fp = self.artifacts.newest_sketch(
+                dataset=query.dataset, model=str(query.model).upper()
+            )
+            stale = None if stale_fp is None else self._load_artifact(stale_fp)
+            if stale is None:
+                raise
+            return stale, False, True
 
     def _sync_cache_telemetry(self) -> None:
         tel = telemetry.get()

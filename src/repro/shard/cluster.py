@@ -319,17 +319,10 @@ class ShardCluster:
                 seg_handle = self.segment_manager.publish_store(
                     sub, fingerprint=sub_fp
                 )
-            for w in self.replicas(shard):
-                arts = w.engine.artifacts
-                if (
-                    arts is not None
-                    and w.engine.config.persist
-                    and not arts.has_sketch(sub_fp)
-                ):
-                    arts.save_sketch(
-                        sub_fp, sub, counter=counter, meta=shard_meta
-                    )
-                    w.engine.stats.artifact_saves += 1
+            replicas = self.replicas(shard)
+            # The replicas share one engine config, so one writes the slice.
+            replicas[0].engine.write_sketch(sub_fp, sub, counter, shard_meta)
+            for w in replicas:
                 w.adopt(
                     sub_fp, sub, shard_meta, counter=counter, handle=seg_handle
                 )
@@ -340,7 +333,7 @@ class ShardCluster:
                     "num_sets": len(sub),
                     "sketch_bytes": sub.nbytes(),
                     "segment": seg_handle.name if seg_handle else None,
-                    "replicas": [w.name for w in self.replicas(shard)],
+                    "replicas": [w.name for w in replicas],
                 }
             )
         tel = telemetry.get()

@@ -7,10 +7,13 @@ byte-budget LRU cache, the fingerprint-keyed artifact store, graph
 resolution (:meth:`~repro.service.engine.QueryEngine.resolve_graph`), and
 the engine's stats/telemetry all come along for free, keyed by
 :func:`~repro.shard.plan.shard_fingerprint` so sub-sketches of different
-plans never collide.  Every slice enters the replica through
+plans never collide.  A slice enters the replica either through the
+engine's ladder (an artifact load or a cold build) or handed over through
 :meth:`ShardWorker.adopt`.
 
-Acquisition order mirrors the engine (docs/serving.md):
+Acquisition goes through the wrapped engine's one ladder
+(:meth:`~repro.service.engine.QueryEngine.acquire`, docs/serving.md), with
+the worker's shared-memory step slotted in after the cache:
 
 1. the worker engine's in-memory cache (warm);
 2. a shared-memory segment published under the shard fingerprint (when the
@@ -27,6 +30,11 @@ Acquisition order mirrors the engine (docs/serving.md):
    :func:`repro.core.parallel_sampling.parallel_generate` draws at those
    indices, which is what makes scatter-gathered selection equal the
    single-node engine.
+
+The engine counts every cache lookup, artifact load, save and corrupt
+artifact, and cold build (``service.*``, reported under
+:meth:`ShardWorker.stats_snapshot`'s ``"engine"``); the worker counts only
+what is its own: sessions, replays, shm attaches and faults.
 
 The scatter protocol (``session_open`` / ``session_cover``) is
 deliberately self-healing: every call carries the selection history, so a
@@ -54,7 +62,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.selection import CoverStep
 from repro.diffusion.base import get_model
-from repro.errors import ArtifactError, BackendError, ParameterError
+from repro.errors import BackendError, ParameterError
 from repro.kernels import KernelSampler, indexed_draws
 from repro.service.artifacts import sketch_fingerprint
 from repro.service.cache import CacheEntry
@@ -147,19 +155,14 @@ class WorkerStats:
     opens: int = 0
     covers: int = 0
     replays: int = 0
-    cold_builds: int = 0
-    artifact_loads: int = 0
     shm_attaches: int = 0
-    warm_hits: int = 0
     faults: int = 0
 
     def to_dict(self) -> dict[str, int]:
         return {
             "opens": self.opens, "covers": self.covers,
-            "replays": self.replays, "cold_builds": self.cold_builds,
-            "artifact_loads": self.artifact_loads,
-            "shm_attaches": self.shm_attaches,
-            "warm_hits": self.warm_hits, "faults": self.faults,
+            "replays": self.replays, "shm_attaches": self.shm_attaches,
+            "faults": self.faults,
         }
 
 
@@ -295,11 +298,14 @@ class ShardWorker:
     ) -> CacheEntry:
         """Warm this replica with one sketch slice; returns its entry.
 
-        This is the only way a slice enters a replica (acquisition, cluster
-        builds and publishes, re-warms, canaries).  With a shm ``handle`` the
-        replica serves its own zero-copy view of the published segment
-        instead of ``store``; the view is detached on :meth:`close`.  A
-        slice the cache budget rejects is still returned, uncached.
+        This is how a slice is handed to a replica (a shm segment found
+        on acquisition, cluster builds and publishes, re-warms, canaries);
+        an artifact or a cold build enters through the engine's
+        :meth:`~repro.service.engine.QueryEngine.acquire`.  With a shm
+        ``handle`` the replica serves its own zero-copy view of the
+        published segment instead of ``store``; the view is detached on
+        :meth:`close`.  A slice the cache budget rejects is still
+        returned, uncached.
         """
         if handle is not None:
             store = self.segment_manager.attach_store(handle)
@@ -312,50 +318,23 @@ class ShardWorker:
         return CacheEntry(store=store, counter=counter, meta=meta)
 
     def _acquire(self, spec: SketchSpec) -> tuple[CacheEntry, bool, str, str]:
-        """(entry, warm, fp, shard_fp): cache → shm → artifact → cold stream."""
+        """(entry, warm, fp, shard_fp): cache → shm segment → artifact →
+        cold stream, all but the segment through the engine's ladder."""
         graph, gfp = self.engine.resolve_graph(spec.dataset, spec.model, spec.seed)
         fp = sketch_fingerprint(
             gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
         )
         sub_fp = shard_fingerprint(fp, self.shard_id, self.plan)
-        entry = self.engine.cache.get(sub_fp)
-        if entry is not None:
-            self.stats.warm_hits += 1
-            return entry, True, fp, sub_fp
-
         meta = spec.slice_meta(self.plan, self.shard_id)
-        if self.segment_manager is not None:
+        if self.segment_manager is not None and sub_fp not in self.engine.cache:
             handle = self.segment_manager.handle_for(sub_fp)
             if handle is not None:
                 entry = self.adopt(sub_fp, None, meta, handle=handle)
                 return entry, True, fp, sub_fp
-        arts = self.engine.artifacts
-        if arts is not None and arts.has_sketch(sub_fp):
-            try:
-                store, counter, _ = arts.load_sketch(sub_fp)
-            except ArtifactError:
-                self.engine.stats.artifact_corrupt += 1
-            else:
-                self.stats.artifact_loads += 1
-                self.engine.stats.artifact_loads += 1
-                entry = self.adopt(sub_fp, store, meta, counter=counter)
-                return entry, True, fp, sub_fp
-
-        tel = telemetry.get()
-        with tel.span(
-            "shard.cold_build",
-            worker=self.name, fingerprint=fp, num_sets=spec.num_sets,
-        ):
-            store = self._build_subsketch(graph, spec, fp)
-        counter = store.vertex_counts()
-        self.stats.cold_builds += 1
-        if tel.enabled:
-            tel.registry.counter("shard.worker.cold_builds").inc()
-        if arts is not None and self.engine.config.persist:
-            arts.save_sketch(sub_fp, store, counter=counter, meta=meta)
-            self.engine.stats.artifact_saves += 1
-        entry = self.adopt(sub_fp, store, meta, counter=counter)
-        return entry, False, fp, sub_fp
+        entry, warm = self.engine.acquire(
+            sub_fp, meta, lambda: self._build_subsketch(graph, spec, fp)
+        )
+        return entry, warm, fp, sub_fp
 
     def _build_subsketch(
         self, graph: Any, spec: SketchSpec, fingerprint: str
@@ -366,14 +345,18 @@ class ShardWorker:
         work and the memory are O(owned) and the result matches what a
         single-node engine draws at those indices.
         """
-        n = graph.num_vertices
-        store = FlatRRRStore(n)
-        mask = self.plan.owned_mask(fingerprint, spec.num_sets, self.shard_id)
-        owned = np.flatnonzero(mask).astype(np.int64)
-        sampler = KernelSampler(get_model(spec.model, graph))
-        for flat, sizes, _ in sampler.stream(*indexed_draws(spec.seed, owned, n)):
-            store.append_csr(flat, sizes)
-        return store.trim()
+        with telemetry.get().span(
+            "shard.cold_build",
+            worker=self.name, fingerprint=fingerprint, num_sets=spec.num_sets,
+        ):
+            n = graph.num_vertices
+            store = FlatRRRStore(n)
+            mask = self.plan.owned_mask(fingerprint, spec.num_sets, self.shard_id)
+            owned = np.flatnonzero(mask).astype(np.int64)
+            sampler = KernelSampler(get_model(spec.model, graph))
+            for flat, sizes, _ in sampler.stream(*indexed_draws(spec.seed, owned, n)):
+                store.append_csr(flat, sizes)
+        return store
 
     # ------------------------------------------------------- scatter protocol
     def session_open(self, session_id: str, spec: SketchSpec) -> OpenInfo:

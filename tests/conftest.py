@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def make_store(num_vertices, sets) -> FlatRRRStore:
     store = FlatRRRStore(num_vertices)
     store.append_csr(*csr_sets(sets))
     return store
+
+
+def set_header_meta(path, value) -> None:
+    """Rewrite the artifact at ``path`` with its JSON header's ``meta``
+    replaced by ``value``; the arrays, and so the CRC, are unchanged."""
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    doc = json.loads(bytes(payload["header"]).decode("utf-8"))
+    payload["header"] = np.frombuffer(
+        json.dumps({**doc, "meta": value}).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez(path, **payload)
 
 
 def kernel_sets(model, roots, seed=0) -> list[np.ndarray]:

@@ -110,7 +110,7 @@ class TestControllerEndToEnd:
             assert r0.outcomes[0]["outcome"] == "applied"
             assert not cluster.worker(1, 0).dead
             check_identical()
-            assert cluster.worker(1, 0).stats.cold_builds == 0
+            assert cluster.worker(1, 0).engine.stats.cold_samples == 0
 
             # Ticks 1-2: sustained synthetic p99 breach → exactly one
             # scale-up, bounded by max_replicas.
@@ -124,7 +124,7 @@ class TestControllerEndToEnd:
             assert len(cluster.workers) == 4
             for shard in (0, 1):
                 w = cluster.worker(shard, 1)
-                assert w.stats.cold_builds == 0  # warmed from published tier
+                assert w.engine.stats.cold_samples == 0  # warmed from published tier
             check_identical()
 
             # Tick 3: idle, but still inside the cooldown window.

@@ -20,7 +20,7 @@ from repro.graph.builder import from_edge_array
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import graph_fingerprint
 
-from conftest import make_graph
+from conftest import make_graph, set_header_meta
 
 
 def random_graph(n=80, m=320, seed=7, p=0.3):
@@ -465,6 +465,24 @@ class TestMaintainerCheckpoint:
                 tmp_path, d, num_sets=m.num_sets, seed=m.seed
             )
 
+    @pytest.mark.parametrize(
+        "meta", ["ab", [1, 2], 5], ids=["text", "list", "number"]
+    )
+    def test_non_object_meta_is_no_missing_checkpoint(
+        self, tmp_path, maintained, meta
+    ):
+        """A checkpoint whose header meta is no object is refused by both
+        readers; only an absent one reads as no checkpoint."""
+        d, m = maintained
+        assert m.checkpoint_epoch(tmp_path) is None
+        set_header_meta(m.save_checkpoint(tmp_path), meta)
+        with pytest.raises(ArtifactError, match="unreadable checkpoint header"):
+            m.checkpoint_epoch(tmp_path)
+        with pytest.raises(ArtifactError, match="is not an object"):
+            IncrementalMaintainer.from_checkpoint(
+                tmp_path, d, num_sets=m.num_sets, seed=m.seed
+            )
+
     def test_roundtrip_byte_identical(self, tmp_path, maintained):
         d, m = maintained
         rng = np.random.default_rng(31)
@@ -817,6 +835,26 @@ class TestUpdateCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "'epoch'" in err[0]
+
+    def test_resume_of_non_object_meta_exits_4(self, tmp_path, capsys):
+        """Present but unreadable is not "no checkpoint": the resume stops
+        with one error line instead of restarting from epoch 0."""
+        ckpt = tmp_path / "ckpt"
+        stream = tmp_path / "u.jsonl"
+        stream.write_text(self.STREAM)
+        argv = ["update", "amazon", "--updates", str(stream),
+                "--theta-cap", "100", "--seed", "1", "--checkpoint", str(ckpt)]
+        rc, _ = self.run_cli(argv, capsys)
+        assert rc == 0
+        (path,) = ckpt.glob("dynamic-*.npz")
+        set_header_meta(path, "ab")
+        from repro.cli import main
+
+        assert main([*argv, "--resume"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_resume_requires_checkpoint_dir(self, tmp_path):
         from repro.cli import main

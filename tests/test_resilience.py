@@ -31,7 +31,9 @@ from repro.resilience import (
     run_key,
 )
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
-from repro.service import EngineConfig, IMQuery, QueryEngine
+from repro.service import EngineConfig, IMQuery, QueryEngine, save_store
+
+from conftest import make_store, set_header_meta
 
 
 def _square(x):
@@ -802,6 +804,27 @@ class TestDegradedServing:
             again = eng.query(IMQuery(dataset="amazon", k=3, theta_cap=400))
             assert again.degraded and not again.cached
             assert eng.stats.degraded == 2
+
+    @pytest.mark.parametrize("meta", ["ab", [1, 2], 5], ids=["text", "list", "number"])
+    def test_non_object_meta_artifact_never_stands_in(self, tmp_path, meta):
+        """A sketch artifact whose header meta is no object neither raises
+        out of ``execute`` nor stands in for a failed cold sample."""
+        cfg = EngineConfig(artifact_dir=tmp_path, default_theta=300)
+        query = IMQuery(dataset="amazon", k=3, theta_cap=400)
+        junk = tmp_path / "sketch-junk.npz"
+        save_store(
+            make_store(4, [[0, 1]]), junk, fingerprint="junk",
+            meta={"dataset": "amazon", "model": "IC"},
+        )
+        set_header_meta(junk, meta)
+        with QueryEngine(config=cfg, faults=FaultPlan.parse("crash@task:0")) as eng:
+            resp = eng.query(query)
+        assert resp.status == "error" and "FaultInjectedError" in resp.error
+        self._seed_artifact(tmp_path)  # an older, readable amazon sketch
+        os.utime(junk)  # the junk is still the newest
+        with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
+            resp = eng.query(query)
+        assert resp.ok and resp.degraded and resp.num_rrrsets == 300
 
     def test_degraded_flag_on_the_wire(self, tmp_path):
         self._seed_artifact(tmp_path)

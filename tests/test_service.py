@@ -36,6 +36,7 @@ from repro.service import (
     SketchCache,
     load_store,
     parse_request_line,
+    read_artifact_meta,
     save_store,
     sketch_fingerprint,
 )
@@ -90,12 +91,14 @@ def _header(path):
 def _malformed(kind, header, offsets, vertices, counter):
     """``_resign`` arguments that break one rule of a valid sketch: a
     duplicated vertex, a set out of order, an id past ``num_vertices``, a
-    short counter, a header that is no object or has no integer
-    ``num_vertices >= 0``, or a retired store kind laid out as it was
-    saved (``partitioned``: per-worker arrays; ``adaptive``: the flat
-    arrays)."""
+    short counter, a header that is no object, has no integer
+    ``num_vertices >= 0`` or a ``meta`` that is no object, or a retired
+    store kind laid out as it was saved (``partitioned``: per-worker
+    arrays; ``adaptive``: the flat arrays)."""
     if kind == "header_list":
         return {"header": [header]}
+    if kind in NON_OBJECT_META:
+        return {"header": {**header, "meta": NON_OBJECT_META[kind]}}
     if kind == "no_num_vertices":
         return {"header": {k: v for k, v in header.items() if k != "num_vertices"}}
     if kind == "num_vertices_text":
@@ -131,6 +134,9 @@ def _malformed(kind, header, offsets, vertices, counter):
     return {"vertices": vertices}
 
 
+#: Header ``meta`` values that are no JSON object.
+NON_OBJECT_META = {"meta_text": "ab", "meta_list": [1, 2], "meta_number": 5}
+
 MALFORMED = {
     "duplicate": "strictly ascending",
     "unsorted": "strictly ascending",
@@ -142,6 +148,9 @@ MALFORMED = {
     "num_vertices_negative": "num_vertices -1 is not an integer >= 0",
     "partitioned": "unknown store kind 'partitioned'",
     "adaptive": "unknown store kind 'adaptive'",
+    "meta_text": "header meta 'ab' is not an object",
+    "meta_list": r"header meta \[1, 2\] is not an object",
+    "meta_number": "header meta 5 is not an object",
 }
 
 
@@ -270,6 +279,21 @@ class TestSketchArtifacts:
         assert base != sketch_fingerprint("g", "IC", 0.4, 0, 100)
         assert base != sketch_fingerprint("g", "IC", 0.5, 1, 100)
         assert base != sketch_fingerprint("g", "IC", 0.5, 0, 101)
+
+    @pytest.mark.parametrize("kind", sorted(NON_OBJECT_META))
+    def test_scans_skip_a_non_object_meta(self, tmp_path, kind):
+        """A header-only read of an artifact whose ``meta`` is no object
+        returns ``None``, so the stale-sketch scan passes over it to the
+        next match instead of raising."""
+        art = ArtifactStore(tmp_path)
+        meta = {"dataset": "amazon", "model": "IC"}
+        good = art.save_sketch("good", _flat_store(), meta=meta)
+        bad = art.save_sketch("bad", _flat_store(), meta=meta)
+        os.utime(good, (1, 1))  # the bad artifact is the newest
+        _resign(bad, header={**_header(bad), "meta": NON_OBJECT_META[kind]})
+        assert read_artifact_meta(bad) is None
+        assert read_artifact_meta(good) == {**meta, "_fingerprint": "good"}
+        assert art.newest_sketch(dataset="amazon", model="IC") == "good"
 
     def test_artifact_store_directory(self, tmp_path, diamond_graph):
         art = ArtifactStore(tmp_path / "arts")
@@ -519,6 +543,26 @@ class TestQueryEngine:
         assert r.spread_estimate == pytest.approx(
             r.coverage_fraction * engine._graphs[("amazon", "IC", 0)].num_vertices
         )
+
+    def test_graph_memo_is_bounded(self):
+        """Queries naming more (dataset, model, seed) keys than
+        ``MAX_GRAPHS`` keep only the most recently resolved graphs, and
+        every answer, one over a graph resolved again included, equals a
+        fresh engine's."""
+        from repro.service.engine import MAX_GRAPHS
+
+        seeds = range(MAX_GRAPHS + 2)
+        queries = [_q("dblp", k=3, theta_cap=40, seed=s) for s in seeds]
+        with QueryEngine(config=EngineConfig()) as eng:
+            got = [eng.query(q) for q in queries]
+            eng.query(queries[2])  # the least recent kept key, refreshed
+            got.append(eng.query(queries[0]))  # dropped, resolved again
+            kept = {key[2] for key in eng._graphs}
+        assert kept == {0, 2, *seeds[-(MAX_GRAPHS - 2):]}
+        for q, resp in zip([*queries, queries[0]], got):
+            with QueryEngine(config=EngineConfig()) as fresh:
+                want = fresh.query(q)
+            assert resp.ok and resp.seeds == want.seeds
 
     def test_expired_deadline_times_out_not_hangs(self, engine):
         r = engine.query(_q(k=5, deadline_s=0.0))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
 from repro.errors import BackendError, ParameterError
 from repro.graph.io import graph_fingerprint
@@ -187,6 +188,35 @@ class TestPartitionReference:
 
 
 # =================================================================== workers
+#: Per way a replica acquires its slice, the engine counters one session
+#: open moves, each by one.
+ACQUISITIONS = {
+    "cold": ("misses", "cold_samples", "artifact_saves"),
+    "artifact": ("misses", "artifact_loads"),
+    "warm": ("hits",),
+    "corrupt": ("misses", "artifact_corrupt", "cold_samples", "artifact_saves"),
+}
+
+#: The telemetry counter each engine counter is recorded under.
+ENGINE_METRICS = {
+    "hits": "service.cache.hits",
+    "misses": "service.cache.misses",
+    "cold_samples": "service.cold_samples",
+    "artifact_loads": "service.artifacts.loads",
+    "artifact_saves": "service.artifacts.saves",
+    "artifact_corrupt": "service.artifacts.corrupt",
+}
+
+
+def _engine_counts(worker):
+    """The replica engine's counters named in :data:`ENGINE_METRICS`."""
+    snap = worker.engine.stats_snapshot()
+    return {
+        k: snap["cache" if k in ("hits", "misses") else "service"][k]
+        for k in ENGINE_METRICS
+    }
+
+
 class TestShardWorker:
     def test_ctor_validates_ids(self):
         plan = ShardPlan(num_shards=2)
@@ -234,12 +264,13 @@ class TestShardWorker:
         with ShardWorker(0, plan, config=cfg) as w:
             w.install_graph("synth", g)
             first = w.session_open("s", spec)
-            assert not first.warm and w.stats.cold_builds == 1
+            assert not first.warm and w.engine.stats.cold_samples == 1
         with ShardWorker(0, plan, config=cfg) as w2:
             w2.install_graph("synth", g)
             again = w2.session_open("s", spec)
             assert again.warm
-            assert w2.stats.artifact_loads == 1 and w2.stats.cold_builds == 0
+            assert w2.engine.stats.artifact_loads == 1
+            assert w2.engine.stats.cold_samples == 0
             assert again.sketch_bytes == first.sketch_bytes
 
     @pytest.mark.parametrize(
@@ -275,11 +306,62 @@ class TestShardWorker:
             w.install_graph("synth", g)
             info = w.session_open("s", spec)
         planted_served = key_of is shard_fingerprint
-        assert w.stats.artifact_loads == int(planted_served)
-        assert w.stats.cold_builds == int(not planted_served)
+        assert w.engine.stats.artifact_loads == int(planted_served)
+        assert w.engine.stats.cold_samples == int(not planted_served)
         served = other if planted_served else own
         assert info.num_local_sets == len(served)
         assert np.array_equal(info.counter, served.vertex_counts())
+
+    @pytest.mark.parametrize("case", sorted(ACQUISITIONS))
+    def test_acquisition_counts_each_event_once(self, tmp_path, case):
+        """A replica acquires its slice through its engine's ladder: one
+        session open moves each engine counter its path touches by exactly
+        one (plain stats and telemetry alike) and no other.  Cold and
+        corrupt-artifact opens draw the sets ``parallel_generate`` draws at
+        the owned indices and (re)write the slice's artifact."""
+        g = small_graph()
+        plan = ShardPlan(num_shards=2)
+        spec = spec_for()
+        fp = sketch_fingerprint(
+            graph_fingerprint(g), "IC", spec.epsilon, spec.seed, THETA
+        )
+        full = parallel_generate(
+            g, "IC", THETA, num_workers=1, seed=spec.seed,
+            backend=SerialBackend(),
+        )
+        want = plan.partition_store(full, fp)[1]
+        sub_fp = shard_fingerprint(fp, 1, plan)
+        arts = ArtifactStore(tmp_path)
+        if case in ("artifact", "corrupt"):
+            path = arts.save_sketch(sub_fp, want, counter=want.vertex_counts())
+        if case == "corrupt":
+            raw = bytearray(path.read_bytes())
+            raw[len(raw) // 2] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        cfg = EngineConfig(artifact_dir=str(tmp_path))
+        with ShardWorker(1, plan, config=cfg) as w:
+            w.install_graph("synth", g)
+            if case == "warm":
+                w.session_open("prime", spec)
+            before = _engine_counts(w)
+            with telemetry.session() as tel:
+                info = w.session_open("s", spec)
+                counters = tel.registry.snapshot()["counters"]
+            moved = {k: v - before[k] for k, v in _engine_counts(w).items()}
+            entry = w.engine.cache.peek(sub_fp)
+        touched = ACQUISITIONS[case]
+        assert moved == {k: int(k in touched) for k in moved}
+        assert {
+            name: counters.get(name, 0) for name in ENGINE_METRICS.values()
+        } == {name: int(k in touched) for k, name in ENGINE_METRICS.items()}
+        assert info.warm == (case in ("artifact", "warm"))
+        assert np.array_equal(entry.store.offsets, want.offsets)
+        assert np.array_equal(entry.store.vertices, want.vertices)
+        assert np.array_equal(entry.counter, want.vertex_counts())
+        if case in ("cold", "corrupt"):
+            written, counter, _ = arts.load_sketch(sub_fp)
+            assert np.array_equal(written.vertices, want.vertices)
+            assert np.array_equal(counter, want.vertex_counts())
 
     def test_warm_hit_on_second_open(self):
         g = small_graph()
@@ -287,7 +369,7 @@ class TestShardWorker:
             w.install_graph("synth", g)
             assert not w.session_open("a", spec_for()).warm
             assert w.session_open("b", spec_for()).warm
-            assert w.stats.warm_hits == 1
+            assert w.engine.cache.stats.hits == 1
 
     def test_fault_hooks(self):
         g = small_graph()
@@ -360,7 +442,7 @@ class TestShardCluster:
             assert sum(s["num_sets"] for s in summary["shards"]) == THETA
             for w in cluster.workers:
                 assert w.session_open("s", spec_for()).warm
-                assert w.stats.cold_builds == 0
+                assert w.engine.stats.cold_samples == 0
             # Artifacts persisted once per shard fingerprint.
             names = {s["shard_fingerprint"] for s in summary["shards"]}
             for sub_fp in names:
@@ -417,7 +499,7 @@ class TestShardCluster:
                 # no cold build.
                 assert w.stats.shm_attaches == attaches + 1
                 assert w.engine.cache.get(sub_fp) is not None
-                assert w.stats.cold_builds == 0
+                assert w.engine.stats.cold_samples == 0
                 got = cluster.query(q)
                 assert got.ok and not got.degraded
                 assert got.seeds == expected.seeds
@@ -437,7 +519,7 @@ class TestShardCluster:
             cluster.revive(1, 0)
             assert w.engine.cache.get(sub_fp) is not None
             assert w.stats.shm_attaches == 0
-            assert w.stats.cold_builds == 0
+            assert w.engine.stats.cold_samples == 0
 
     def test_add_and_remove_replica_round_trip(self):
         """Scaling is additive on an immutable plan: the new replica reuses
@@ -457,7 +539,7 @@ class TestShardCluster:
             assert len(cluster.workers) == 4
             for shard in (0, 1):
                 w = cluster.worker(shard, 1)
-                assert w.stats.cold_builds == 0
+                assert w.engine.stats.cold_samples == 0
             got = cluster.query(q)
             assert got.seeds == expected.seeds and not got.degraded
             assert cluster.remove_replica(0) == "s0r1"  # highest id default

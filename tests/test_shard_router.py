@@ -123,8 +123,7 @@ class TestByteIdenticalSelection:
             assert cluster.query(query()).ok
             for w in cluster.workers:
                 snap = w.stats_snapshot()
-                assert snap["worker"]["cold_builds"] == 1
-                assert snap["worker"]["warm_hits"] == 0
+                assert snap["engine"]["service"]["cold_samples"] == 1
                 cache = snap["engine"]["cache"]
                 assert (cache["hits"], cache["misses"]) == (0, 1)
             assert cluster.query(query()).cached

@@ -12,9 +12,8 @@ Covers the contracts docs/memory.md states:
 - copy-on-write: mutating one view privatises it without perturbing the
   segment other views read;
 - the integration paths: spawn-mode ``parallel_generate`` equals fork
-  byte-for-byte, a sharded cluster over segments answers exactly like one
-  without, and ``ArtifactStore.publish_sketch`` reuses a live segment on
-  republish.
+  byte-for-byte, and a sharded cluster over segments answers exactly like
+  one without.
 """
 
 from __future__ import annotations
@@ -355,22 +354,3 @@ def test_shard_cluster_over_segments_matches_baseline():
     assert m.leaked() == []  # worker close detached every view
     m.close()
     assert shm.list_segments("tcs") == []
-
-
-def test_artifact_publish_sketch_round_trip(tmp_path):
-    from repro.service.artifacts import ArtifactStore
-
-    store = _filled_store(seed=21, num_sets=50)
-    arts = ArtifactStore(tmp_path)
-    fp = "feedfacefeedface"
-    arts.save_sketch(fp, store, counter=store.vertex_counts(), meta={"model": "IC"})
-    with shm.SegmentManager(prefix="tap") as m:
-        handle, counter, meta = arts.publish_sketch(fp, m)
-        assert meta["model"] == "IC"
-        np.testing.assert_array_equal(counter, store.vertex_counts())
-        view = m.attach_store(handle)
-        assert view.fingerprint() == store.fingerprint()
-        view.detach()
-        # Republish of a live fingerprint reuses the segment, no new copy.
-        h2, _, _ = arts.publish_sketch(fp, m)
-        assert h2.name == handle.name
