@@ -68,7 +68,6 @@ from repro.runtime.backends import SerialBackend
 from repro.service.artifacts import ArtifactStore, sketch_fingerprint
 from repro.service.cache import CacheEntry, SketchCache
 from repro.service.front import Pending, QueryFront
-from repro.service.protocol import IMQuery
 from repro.sketch.store import FlatRRRStore
 
 __all__ = ["MAX_GRAPHS", "EngineConfig", "QueryEngine", "ServiceStats"]
@@ -228,7 +227,11 @@ class QueryEngine(QueryFront):
         self._graphs[key] = graph
         self._graphs.move_to_end(key)
         while len(self._graphs) > MAX_GRAPHS:
-            self._graphs.popitem(last=False)
+            # A graph and its memoised transpose refer to each other: unlink
+            # them, so the dropped pair is freed now rather than at the next
+            # full garbage collection (a holder still using it re-derives
+            # the transpose).
+            self._graphs.popitem(last=False)[1]._transpose = None
         return graph, graph_fingerprint(graph)
 
     def warm(
@@ -296,9 +299,7 @@ class QueryEngine(QueryFront):
 
         with tel.span("service.batch", fingerprint=fp, size=len(live)):
             try:
-                entry, cached, degraded = self._acquire_or_stale(
-                    fp, meta, sample, q0
-                )
+                entry, cached, degraded = self._acquire_or_stale(fp, meta, sample)
             except (ReproError, OSError) as exc:
                 # Cold sampling failed and no stale artifact could stand in:
                 # the whole group gets error responses, nothing raises out.
@@ -404,11 +405,10 @@ class QueryEngine(QueryFront):
         return CacheEntry(store=store, counter=counter, meta=meta)
 
     def _acquire_or_stale(
-        self, fp: str, meta: dict[str, Any], build: Callable[[], FlatRRRStore],
-        query: IMQuery,
+        self, fp: str, meta: dict[str, Any], build: Callable[[], FlatRRRStore]
     ) -> tuple[CacheEntry, bool, bool]:
         """``(entry, warm, degraded)``: :meth:`acquire`, or, when that fails,
-        the freshest stale artifact of the query's dataset and model.
+        the freshest stale artifact of ``meta``'s dataset and model.
 
         The stale sketch's other parameters (epsilon, seed, size) may
         differ — that imprecision is exactly what the response's
@@ -422,7 +422,7 @@ class QueryEngine(QueryFront):
             if self.artifacts is None:
                 raise
             stale_fp = self.artifacts.newest_sketch(
-                dataset=query.dataset, model=str(query.model).upper()
+                dataset=meta["dataset"], model=meta["model"]
             )
             stale = None if stale_fp is None else self._load_artifact(stale_fp)
             if stale is None:

@@ -820,8 +820,8 @@ class TestDegradedServing:
         with QueryEngine(config=cfg, faults=FaultPlan.parse("crash@task:0")) as eng:
             resp = eng.query(query)
         assert resp.status == "error" and "FaultInjectedError" in resp.error
-        self._seed_artifact(tmp_path)  # an older, readable amazon sketch
-        os.utime(junk)  # the junk is still the newest
+        self._seed_artifact(tmp_path)  # a readable amazon sketch
+        os.utime(junk, (time.time() + 60,) * 2)  # the junk stays the newest
         with QueryEngine(config=cfg, faults=_failing_faults()) as eng:
             resp = eng.query(query)
         assert resp.ok and resp.degraded and resp.num_rrrsets == 300

@@ -554,7 +554,14 @@ class TestQueryEngine:
         seeds = range(MAX_GRAPHS + 2)
         queries = [_q("dblp", k=3, theta_cap=40, seed=s) for s in seeds]
         with QueryEngine(config=EngineConfig()) as eng:
-            got = [eng.query(q) for q in queries]
+            got = [eng.query(queries[0])]
+            first = weakref.ref(eng._graphs[("dblp", "IC", 0)])
+            gc.disable()  # a dropped graph is freed without the collector
+            try:
+                got += [eng.query(q) for q in queries[1:]]
+                assert first() is None
+            finally:
+                gc.enable()
             eng.query(queries[2])  # the least recent kept key, refreshed
             got.append(eng.query(queries[0]))  # dropped, resolved again
             kept = {key[2] for key in eng._graphs}
