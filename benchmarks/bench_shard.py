@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.bench.report import Table
 from repro.service import IMQuery
-from repro.shard import ShardCluster, ShardPlan, SketchSpec
+from repro.shard import ShardCluster, ShardPlan, SketchSpec, shard_fingerprint
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 THETA = 300 if SMOKE else 2000
@@ -74,11 +74,11 @@ def _measure_shape(num_shards):
         entries, bytes_per_shard = [], []
         for shard in range(num_shards):
             w = cluster.worker(shard, 0)
-            info = w.session_open("bench-probe", spec)
-            store = w.engine.cache.get(info.shard_fingerprint).store
+            _, gfp = w.engine.resolve_graph(spec.dataset, spec.model, spec.seed)
+            sub_fp = shard_fingerprint(spec.fingerprint(gfp), shard, cluster.plan)
+            store = w.engine.cache.get(sub_fp).store
             entries.append(int(store.total_entries))
-            bytes_per_shard.append(int(info.sketch_bytes))
-            w.session_close("bench-probe")
+            bytes_per_shard.append(int(store.nbytes()))
 
         latencies, max_busies = [], []
         for _ in range(REPEATS):

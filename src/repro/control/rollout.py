@@ -42,10 +42,9 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ParameterError, ReproError
 from repro.resilience.retry import RetryPolicy
-from repro.service.protocol import IMQuery
+from repro.service.artifacts import SketchSpec
 from repro.shard.plan import shard_fingerprint
 from repro.shard.router import Router, RouterConfig
-from repro.shard.worker import SketchSpec
 
 __all__ = ["EpochRollout", "RolloutConfig"]
 
@@ -140,8 +139,11 @@ class EpochRollout:
                 sub_fp = shard_fingerprint(fingerprint, w.shard_id, plan)
                 sub_fps.append(sub_fp)
                 w.install_graph(ds, graph)
-                meta = spec.slice_meta(plan, w.shard_id, extra)
-                w.adopt(sub_fp, parts[w.shard_id], {**meta, "canary": True})
+                meta = spec.meta(
+                    **extra, shard=w.shard_id, num_shards=plan.num_shards,
+                    canary=True,
+                )
+                w.adopt(sub_fp, parts[w.shard_id], meta)
             router = Router(
                 canaries,
                 config=RouterConfig(
@@ -151,13 +153,7 @@ class EpochRollout:
                 ),
                 plan=self.cluster.plan,
             )
-            resp = router.query(
-                IMQuery(
-                    dataset=ds, model=spec.model, epsilon=spec.epsilon,
-                    seed=spec.seed, k=self.config.probe_k,
-                    theta_cap=spec.num_sets,
-                )
-            )
+            resp = router.query(spec.query(self.config.probe_k))
             seeds = list(resp.seeds) if resp.seeds else []
             if self.fault_plan is not None:
                 seeds = self.fault_plan.invoke("canary", epoch, lambda: seeds)

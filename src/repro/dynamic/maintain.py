@@ -445,8 +445,6 @@ class IncrementalMaintainer:
         epoch) as one checksummed artifact, written atomically."""
         from repro.service.artifacts import save_store
 
-        final = self.checkpoint_path(root)
-        tmp = final.with_name(final.stem + ".tmp.npz")
         meta: dict[str, Any] = {
             "dynamic_checkpoint_version": DYNAMIC_CHECKPOINT_VERSION,
             "epoch": int(self.epoch),
@@ -459,19 +457,18 @@ class IncrementalMaintainer:
             "repair": self.repair,
             "roots": [int(r) for r in self.roots],
         }
-        save_store(
+        path = save_store(
             self.store,
-            tmp,
+            self.checkpoint_path(root),
             fingerprint=self.checkpoint_key(),
             counter=self.counter,
             meta=meta,
             compress=False,  # rolling snapshot: trade disk for write speed
         )
-        os.replace(tmp, final)
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("dynamic.checkpoints_written").inc()
-        return final
+        return path
 
     def checkpoint_epoch(self, root: str | os.PathLike) -> int | None:
         """The epoch of this configuration's checkpoint under ``root``, read

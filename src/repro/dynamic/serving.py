@@ -27,7 +27,7 @@ from typing import Any, Iterable, Sequence
 from repro import telemetry
 from repro.errors import ParameterError, ReproError
 from repro.graph.csr import CSRGraph
-from repro.service.artifacts import sketch_fingerprint
+from repro.service.artifacts import SketchSpec
 from repro.service.engine import EngineConfig, QueryEngine
 from repro.service.protocol import IMQuery, IMResponse
 from repro.sketch.store import FlatRRRStore
@@ -82,6 +82,10 @@ class DynamicService:
                 repair=repair,
             )
         self.num_sets = self.maintainer.num_sets
+        #: The sketch every epoch publishes and every query is pinned to.
+        self.spec = SketchSpec(
+            self.dataset, self.model, self.epsilon, self.seed, self.num_sets
+        )
         self._own_engine = engine is None
         self.engine = engine if engine is not None else QueryEngine(
             config=config or EngineConfig()
@@ -140,9 +144,7 @@ class DynamicService:
         graph = self.delta.compact()
         gfp = self.engine.install_graph(self.dataset, graph)
         superseded = self._fp
-        self._fp = sketch_fingerprint(
-            gfp, self.model, self.epsilon, self.seed, self.num_sets
-        )
+        self._fp = self.spec.fingerprint(gfp)
         if superseded is not None and superseded != self._fp:
             self.engine.cache.evict(superseded)
         # Snapshot the sketch: the maintainer keeps mutating its own store,
@@ -153,15 +155,7 @@ class DynamicService:
             self.maintainer.store.vertices,
         )
         counter = self.maintainer.counter.copy()
-        meta = {
-            "dataset": self.dataset,
-            "model": self.model,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "num_sets": self.num_sets,
-            "epoch": int(self.maintainer.epoch),
-            "dynamic": True,
-        }
+        meta = self.spec.meta(epoch=int(self.maintainer.epoch), dynamic=True)
         self.engine.warm(self._fp, store, counter=counter, meta=meta)
         self.served_epoch = int(self.maintainer.epoch)
         self._last_published = (graph, self._fp, store, counter, meta)
@@ -231,7 +225,7 @@ class DynamicService:
         (a failed repair), the response is flagged ``degraded``.
         """
         return self.execute(
-            [IMQuery(dataset=self.dataset, k=int(k), deadline_s=deadline_s, id=id)]
+            [self.spec.query(int(k), deadline_s=deadline_s, id=id)]
         )[0]
 
     def execute(self, queries: Sequence[IMQuery]) -> list[IMResponse]:
@@ -261,19 +255,7 @@ class DynamicService:
                 )
                 continue
             pinned.append(
-                (
-                    i,
-                    IMQuery(
-                        dataset=self.dataset,
-                        model=self.model,
-                        k=q.k,
-                        epsilon=self.epsilon,
-                        seed=self.seed,
-                        theta_cap=self.num_sets,
-                        deadline_s=q.deadline_s,
-                        id=q.id,
-                    ),
-                )
+                (i, self.spec.query(q.k, deadline_s=q.deadline_s, id=q.id))
             )
         if pinned:
             answers = self.engine.execute([q for _, q in pinned])

@@ -139,11 +139,12 @@ class CSRGraph:
         Reverse influence sampling traverses in-edges, so both frameworks
         build the transposed CSR up front; we mirror that and memoise it.
         The probability of edge ``(u, v)`` is preserved on ``(v, u)``.
+        The reverse graph holds no link back, so a graph nothing else uses
+        is freed with its transpose at once, without the cycle collector.
         """
         if self._transpose is None:
             src, dst, p = self.edge_array()
             self._transpose = _csr_from_coo(self.num_vertices, dst, src, p)
-            self._transpose._transpose = self  # share the inverse link
         return self._transpose
 
     def with_probs(self, probs: np.ndarray) -> "CSRGraph":

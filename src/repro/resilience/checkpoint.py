@@ -106,7 +106,7 @@ class SamplingCheckpointer:
 
         Returns the checkpoint path, or ``None`` when the cadence skipped
         this batch.  The write goes through the artifact layer (CRC-32,
-        schema version) into a temp file, then an atomic rename.
+        schema version, atomic replace).
         """
         if batch_index % self.every != 0:
             return None
@@ -118,11 +118,9 @@ class SamplingCheckpointer:
             "batch_index": int(batch_index),
             "per_set_edges": sampler.per_set_edges.tolist(),
         }
-        final = self.path()
-        tmp = final.with_name(final.stem + ".tmp.npz")
-        save_store(
+        path = save_store(
             sampler.store,
-            tmp,
+            self.path(),
             fingerprint=self.key,
             counter=sampler.counter,
             meta=meta,
@@ -130,13 +128,12 @@ class SamplingCheckpointer:
             # dominates the write cost, so trade disk for speed.
             compress=False,
         )
-        os.replace(tmp, final)
         self.saves += 1
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("resilience.checkpoints_written").inc()
             tel.registry.gauge("resilience.checkpoint_sets").set(len(sampler.store))
-        return final
+        return path
 
     # --------------------------------------------------------------- restore
     def restore(self, sampler: "RRRSampler") -> int | None:

@@ -8,7 +8,8 @@ of the algorithm:
 - :mod:`repro.service.protocol` — :class:`IMQuery`/:class:`IMResponse`
   records and the JSON-lines wire format of ``repro serve``;
 - :mod:`repro.service.artifacts` — fingerprint-keyed, checksummed ``.npz``
-  persistence for graphs and all three RRR-store layouts;
+  persistence for sketch stores, and :class:`SketchSpec`, the one name of
+  a serving sketch;
 - :mod:`repro.service.cache` — the byte-accounted LRU of warm sketches;
 - :mod:`repro.service.front` — the per-query lifecycle (validation,
   grouping, deadlines, the ``k`` bound, the answer loop and the
@@ -44,6 +45,7 @@ docs/serving.md.
 from repro.service.artifacts import (
     SKETCH_SCHEMA_VERSION,
     ArtifactStore,
+    SketchSpec,
     load_store,
     read_artifact_meta,
     save_store,
@@ -68,6 +70,7 @@ __all__ = [
     "save_store",
     "load_store",
     "sketch_fingerprint",
+    "SketchSpec",
     "read_artifact_meta",
     "SKETCH_SCHEMA_VERSION",
     "SketchCache",

@@ -1,4 +1,4 @@
-"""Versioned ``.npz`` persistence for graphs and RRR-sketch stores.
+"""Versioned ``.npz`` persistence for RRR-sketch stores, and their names.
 
 Every artifact is keyed by a **content fingerprint** so a warm `repro
 serve`/`repro query` process (or a later one) can skip sampling entirely:
@@ -8,6 +8,10 @@ serve`/`repro query` process (or a later one) can skip sampling entirely:
 - a *sketch* fingerprint (:func:`sketch_fingerprint`) combines the graph
   fingerprint with everything that determines the sampled sets: diffusion
   model, epsilon, RNG seed, and the sketch size.
+
+:class:`SketchSpec` names one serving sketch by those parameters (and its
+dataset).  The engine, every shard slice and every published epoch take
+their fingerprint, artifact meta and pinned queries from it.
 
 Artifacts carry a schema version and a CRC-32 checksum over their payload
 arrays; :func:`load_store` and :class:`ArtifactStore` verify both and raise
@@ -28,19 +32,20 @@ import json
 import os
 import zipfile
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.errors import ArtifactError, ParameterError
-from repro.graph.csr import CSRGraph
-from repro.graph.io import graph_fingerprint, load_npz, save_npz
+from repro.service.protocol import IMQuery
 from repro.sketch.store import FlatRRRStore
 
 __all__ = [
     "SKETCH_SCHEMA_VERSION",
     "sketch_fingerprint",
+    "SketchSpec",
     "save_store",
     "load_store",
     "read_artifact_meta",
@@ -73,6 +78,77 @@ def sketch_fingerprint(
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class SketchSpec:
+    """Everything that determines one serving sketch.
+
+    EfficientIMM partitions RRR sets, not vertices, so the engine's sketch
+    and every shard slice of it are cuts of the one sketch this names.
+    Queries are grouped by it, kept selections keyed by :meth:`key`, and
+    fingerprints, artifact meta and pinned queries come from
+    :meth:`fingerprint`, :meth:`meta` and :meth:`query`.
+    """
+
+    dataset: str
+    model: str = "IC"
+    epsilon: float = 0.5
+    seed: int = 0
+    num_sets: int = 2000
+
+    @classmethod
+    def from_query(cls, query: IMQuery, default_theta: int) -> "SketchSpec":
+        """The sketch ``query`` reads; ``default_theta`` stands in for an
+        omitted ``theta_cap``."""
+        return cls(
+            dataset=query.dataset.lower(),
+            model=str(query.model).upper(),
+            epsilon=float(query.epsilon),
+            seed=int(query.seed),
+            num_sets=int(query.theta_cap or default_theta),
+        )
+
+    @classmethod
+    def from_meta(
+        cls, dataset: str, meta: dict[str, Any], num_sets: int
+    ) -> "SketchSpec":
+        """The spec a published sketch's meta describes (publish hooks);
+        ``num_sets`` stands in when the meta does not say."""
+        return cls(
+            dataset=dataset,
+            model=str(meta.get("model", "IC")).upper(),
+            epsilon=float(meta.get("epsilon", 0.5)),
+            seed=int(meta.get("seed", 0)),
+            num_sets=int(meta.get("num_sets", num_sets)),
+        )
+
+    def key(self) -> tuple:
+        return (self.dataset, self.model, self.epsilon, self.seed, self.num_sets)
+
+    def fingerprint(self, graph_fp: str) -> str:
+        """This sketch's content key over the graph hashed to ``graph_fp``."""
+        return sketch_fingerprint(
+            graph_fp, self.model, self.epsilon, self.seed, self.num_sets
+        )
+
+    def meta(self, **extra: Any) -> dict[str, Any]:
+        """The meta stored and published with this sketch: ``extra``,
+        overridden by the spec's fields."""
+        return {
+            **extra,
+            "dataset": self.dataset, "model": self.model,
+            "epsilon": self.epsilon, "seed": self.seed,
+            "num_sets": self.num_sets,
+        }
+
+    def query(self, k: int, **fields: Any) -> IMQuery:
+        """A ``k``-seed query pinned to this sketch (``fields`` adds the
+        deadline or id)."""
+        return IMQuery(
+            dataset=self.dataset, model=self.model, k=k, epsilon=self.epsilon,
+            seed=self.seed, theta_cap=self.num_sets, **fields,
+        )
+
+
 # ----------------------------------------------------------------- internals
 def _payload_checksum(arrays: dict[str, np.ndarray]) -> int:
     """CRC-32 over the payload arrays in sorted-key order."""
@@ -94,7 +170,8 @@ def save_store(
     compress: bool = True,
 ) -> Path:
     """Persist a flat RRR store (plus optional fused counter) as a
-    checksummed ``.npz`` artifact; returns the written path.
+    checksummed ``.npz`` artifact, replacing ``path`` atomically; returns
+    the written path.
 
     ``fingerprint`` and ``meta`` are stored verbatim and verified/exposed by
     :func:`load_store`; ``counter`` is the fused occurrence counter so a warm
@@ -119,14 +196,26 @@ def save_store(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     writer = np.savez_compressed if compress else np.savez
-    writer(
-        path,
-        header=np.frombuffer(
-            json.dumps(doc, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        checksum=np.uint32(_payload_checksum(arrays)),
-        **arrays,
-    )
+    # Write beside the target, then rename over it: a write that fails
+    # leaves the artifact already there whole.  The temp name ends in
+    # ``.tmp``, so no ``sketch-*.npz`` scan sees it, and it is written
+    # through a handle because ``np.savez`` appends ``.npz`` to a path.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            writer(
+                fh,
+                header=np.frombuffer(
+                    json.dumps(doc, sort_keys=True).encode("utf-8"),
+                    dtype=np.uint8,
+                ),
+                checksum=np.uint32(_payload_checksum(arrays)),
+                **arrays,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -233,13 +322,11 @@ def read_artifact_meta(path: str | os.PathLike) -> dict[str, Any] | None:
 
 
 class ArtifactStore:
-    """A directory of fingerprint-keyed graph and sketch artifacts.
+    """A directory of fingerprint-keyed sketch artifacts.
 
-    Layout: ``<root>/graph-<gfp>.npz`` (CSR arrays, written through
-    :func:`repro.graph.io.save_npz`) and ``<root>/sketch-<fp>.npz``
-    (:func:`save_store` payloads).  All loads are integrity-checked; the
-    engine treats :class:`ArtifactError` as a cache miss and falls back to
-    cold sampling.
+    Layout: ``<root>/sketch-<fp>.npz`` (:func:`save_store` payloads).  All
+    loads are integrity-checked; the engine treats :class:`ArtifactError`
+    as a cache miss and falls back to cold sampling.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -250,18 +337,8 @@ class ArtifactStore:
     def sketch_path(self, fingerprint: str) -> Path:
         return self.root / f"sketch-{fingerprint}.npz"
 
-    def graph_path(self, graph_fp: str) -> Path:
-        return self.root / f"graph-{graph_fp}.npz"
-
     def has_sketch(self, fingerprint: str) -> bool:
         return self.sketch_path(fingerprint).exists()
-
-    def list_sketches(self) -> list[str]:
-        """Fingerprints of every sketch artifact present, sorted."""
-        return sorted(
-            p.stem.removeprefix("sketch-")
-            for p in self.root.glob("sketch-*.npz")
-        )
 
     def newest_sketch(
         self, *, dataset: str | None = None, model: str | None = None
@@ -289,21 +366,6 @@ class ArtifactStore:
                 continue
             return path.stem.removeprefix("sketch-")
         return None
-
-    # ----------------------------------------------------------------- graphs
-    def save_graph(self, graph: CSRGraph) -> str:
-        """Persist a graph under its own fingerprint; returns the fingerprint."""
-        gfp = graph_fingerprint(graph)
-        path = self.graph_path(gfp)
-        if not path.exists():
-            save_npz(graph, path)
-        return gfp
-
-    def load_graph(self, graph_fp: str) -> CSRGraph:
-        path = self.graph_path(graph_fp)
-        if not path.exists():
-            raise ArtifactError(f"{path}: graph artifact not found")
-        return load_npz(path)
 
     # ---------------------------------------------------------------- sketches
     def save_sketch(

@@ -12,12 +12,13 @@ One :class:`QueryEngine` acquires every sketch through one ladder,
    :mod:`repro.runtime.backends` backend; for a shard replica
    (:mod:`repro.shard.worker`), the stream of the sets its shard owns.
 
-Queries submitted together are grouped by sketch fingerprint, and every
-group is answered from one greedy selection over its sketch.  Greedy is
+Queries submitted together are grouped by
+:class:`~repro.service.artifacts.SketchSpec`, and every group is answered
+from one greedy selection over its sketch.  Greedy is
 prefix-consistent, so the ``k``-seed answer is that selection's first
 ``k`` seeds, with its coverage read off the per-round accounting, which
 the shared :class:`~repro.service.front.QueryFront` turns into per-query
-answers.  The front also keeps, per batch key, the longest selection
+answers.  The front also keeps, per sketch spec, the longest selection
 served, stamped with the :attr:`~repro.service.cache.CacheEntry.version`
 of the entry it was made over: a group runs
 :func:`~repro.core.selection.efficient_select` only when it acquires
@@ -65,7 +66,7 @@ from repro.graph.io import graph_fingerprint
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.backends import SerialBackend
-from repro.service.artifacts import ArtifactStore, sketch_fingerprint
+from repro.service.artifacts import ArtifactStore, SketchSpec
 from repro.service.cache import CacheEntry, SketchCache
 from repro.service.front import Pending, QueryFront
 from repro.sketch.store import FlatRRRStore
@@ -227,11 +228,7 @@ class QueryEngine(QueryFront):
         self._graphs[key] = graph
         self._graphs.move_to_end(key)
         while len(self._graphs) > MAX_GRAPHS:
-            # A graph and its memoised transpose refer to each other: unlink
-            # them, so the dropped pair is freed now rather than at the next
-            # full garbage collection (a holder still using it re-derives
-            # the transpose).
-            self._graphs.popitem(last=False)[1]._transpose = None
+            self._graphs.popitem(last=False)
         return graph, graph_fingerprint(graph)
 
     def warm(
@@ -256,9 +253,11 @@ class QueryEngine(QueryFront):
         return ok
 
     # --------------------------------------------------------------- internals
-    def _serve_group(self, pending: list[Pending], out: list) -> None:
-        """Serve one fingerprint group: acquire its sketch, then answer
-        from its kept selection, re-run first when ``k_max`` outruns it."""
+    def _serve_group(
+        self, spec: SketchSpec, pending: list[Pending], out: list
+    ) -> None:
+        """Serve one sketch's group: acquire its sketch, then answer from
+        its kept selection, re-run first when ``k_max`` outruns it."""
         tel = telemetry.get()
         if tel.enabled:
             tel.registry.counter("service.batches").inc()
@@ -269,9 +268,10 @@ class QueryEngine(QueryFront):
         pending = self._split_expired(pending, out)
         if not pending:
             return
-        q0 = pending[0].query
         try:
-            graph, graph_fp = self.resolve_graph(q0.dataset, q0.model, q0.seed)
+            graph, graph_fp = self.resolve_graph(
+                spec.dataset, spec.model, spec.seed
+            )
         except ReproError as exc:
             self._fail(pending, exc, out)
             return
@@ -279,22 +279,16 @@ class QueryEngine(QueryFront):
         if not live:
             return
 
-        num_sets = q0.theta_cap or self.config.default_theta
-        model = str(q0.model).upper()
-        fp = sketch_fingerprint(graph_fp, model, q0.epsilon, q0.seed, num_sets)
-        meta = {
-            "dataset": q0.dataset, "model": model,
-            "epsilon": float(q0.epsilon), "seed": int(q0.seed),
-            "num_sets": num_sets, "num_workers": self.config.num_workers,
-        }
+        fp = spec.fingerprint(graph_fp)
+        meta = spec.meta(num_workers=self.config.num_workers)
 
         def sample() -> FlatRRRStore:
             # Cold path: sample on the runtime backend, under the engine's
             # retry policy and fault plan (docs/resilience.md).
             return parallel_generate(
-                graph, model, num_sets, num_workers=self.config.num_workers,
-                seed=int(q0.seed), backend=self._backend,
-                retry=self.retry, faults=self.faults,
+                graph, spec.model, spec.num_sets,
+                num_workers=self.config.num_workers, seed=spec.seed,
+                backend=self._backend, retry=self.retry, faults=self.faults,
             )
 
         with tel.span("service.batch", fingerprint=fp, size=len(live)):
@@ -310,13 +304,11 @@ class QueryEngine(QueryFront):
             if not live:
                 return
 
-            # The batch key with theta_cap resolved, like the router's spec
-            # key: a query that omits it and one that names the default
-            # share one record, and a dynamic dataset's next epoch (same
-            # key, new entry) replaces it.
-            key = q0.batch_key()[:-1] + (num_sets,)
             # Select only past the longest k served from this entry so
-            # far; every shorter k reads the kept selection's prefix.
+            # far; every shorter k reads the kept selection's prefix.  A
+            # dynamic dataset's next epoch (same spec, new entry) replaces
+            # the kept selection.
+            key = spec.key()
             k_max = max(p.query.k for p in live)
             selection = self._kept_selection(key, entry.version, k_max)
             if selection is None:

@@ -8,8 +8,10 @@ scatter-gather pass over a :class:`~repro.shard.router.Router`'s shards.
 What turns those rounds into per-query responses, and what keeps them,
 is the same for both, so it lives here once:
 
-- validation, and grouping by :meth:`IMQuery.batch_key` (one group per
-  sketch, served by the subclass's ``_serve_group``);
+- validation, and grouping by
+  :meth:`SketchSpec.from_query <repro.service.artifacts.SketchSpec.from_query>`
+  under the subclass's ``config.default_theta`` (one group per sketch,
+  served by the subclass's ``_serve_group``);
 - the deadline checks — an expired query is answered ``"timeout"``, never
   left hanging, while the rest of its group proceeds;
 - the ``k``-against-vertex-count bound, which needs the resolved graph;
@@ -23,7 +25,7 @@ is the same for both, so it lives here once:
   ``<prefix>.query_latency_s`` histogram, plus
   ``resilience.degraded_responses``);
 - the kept selections.  Greedy is prefix-consistent, so the front keeps,
-  per sketch key, the longest selection a group was answered from, with
+  per sketch spec key, the longest selection a group was answered from, with
   the stamp of the sketch instances it was made over: an engine's
   ``CacheEntry.version``, or a router's ``(shard, version)`` per shard.
   A later group of the same key reads its prefix only when it acquires
@@ -44,6 +46,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ParameterError
+from repro.service.artifacts import SketchSpec
 from repro.service.protocol import IMQuery, IMResponse
 
 __all__ = ["MAX_KEPT", "Pending", "QueryFront"]
@@ -69,7 +72,8 @@ class Pending:
 class QueryFront:
     """``execute(queries) -> responses`` over a subclass's group server.
 
-    A subclass sets :attr:`METRIC_PREFIX` and a ``stats`` record (with
+    A subclass sets :attr:`METRIC_PREFIX`, a ``config`` with a
+    ``default_theta`` and a ``stats`` record (with
     ``queries``/``ok``/``errors``/``timeouts``/``degraded``/``batches``
     counters), calls ``QueryFront.__init__``, and implements
     :meth:`_serve_group` and :meth:`_project_stats`.  ``out`` is the
@@ -80,11 +84,12 @@ class QueryFront:
     #: Prefix of the per-query metric names (``service``, ``shard.router``).
     METRIC_PREFIX = ""
 
+    config: Any
     stats: Any
 
     def __init__(self) -> None:
-        #: Sketch key -> (stamp, seeds, sets newly covered per round) of
-        #: the longest selection kept for that key.
+        #: ``SketchSpec.key()`` -> (stamp, seeds, sets newly covered per
+        #: round) of the longest selection kept for that sketch.
         self._kept: OrderedDict[tuple, tuple] = OrderedDict()
 
     def query(self, query: IMQuery) -> IMResponse:
@@ -100,7 +105,7 @@ class QueryFront:
         """
         submitted_at = time.monotonic()
         out: list[IMResponse | None] = [None] * len(queries)
-        groups: dict[tuple, list[Pending]] = {}
+        groups: dict[SketchSpec, list[Pending]] = {}
         for i, q in enumerate(queries):
             p = Pending(i, q, submitted_at)
             try:
@@ -108,10 +113,11 @@ class QueryFront:
             except ParameterError as exc:
                 self._fail([p], exc, out)
                 continue
-            groups.setdefault(q.batch_key(), []).append(p)
-        for pending in groups.values():
+            spec = SketchSpec.from_query(q, self.config.default_theta)
+            groups.setdefault(spec, []).append(p)
+        for spec, pending in groups.items():
             self.stats.batches += 1
-            self._serve_group(pending, out)
+            self._serve_group(spec, pending, out)
         self._project_stats()
         # Every query index is answered exactly once: invalid queries above,
         # everything else by its group.
@@ -122,8 +128,10 @@ class QueryFront:
         ]
 
     # ------------------------------------------------------------- subclass
-    def _serve_group(self, pending: list[Pending], out: list) -> None:
-        """Answer one group of queries that share a sketch."""
+    def _serve_group(
+        self, spec: SketchSpec, pending: list[Pending], out: list
+    ) -> None:
+        """Answer one group of queries that read the sketch ``spec``."""
         raise NotImplementedError
 
     def _project_stats(self) -> None:

@@ -2,11 +2,12 @@
 
 A client submits :class:`IMQuery` records — "give me the top-``k`` seeds on
 ``dataset`` under ``model`` at quality ``epsilon``" — and receives
-:class:`IMResponse` records.  Queries that agree on everything except ``k``
-share a *batch key*: the engine answers all of them from one sketch and one
-incremental greedy selection pass (greedy seed sets are prefix-consistent,
-so the first ``k`` seeds of a ``k_max`` selection are exactly the ``k``-seed
-answer).
+:class:`IMResponse` records.  Queries that name the same sketch
+(:class:`~repro.service.artifacts.SketchSpec`: everything but ``k``,
+``deadline_s`` and ``id``, with ``theta_cap`` resolved) are answered from
+one sketch and one incremental greedy selection pass (greedy seed sets are
+prefix-consistent, so the first ``k`` seeds of a ``k_max`` selection are
+exactly the ``k``-seed answer).
 
 Wire format (one JSON document per line, both directions)::
 
@@ -121,18 +122,6 @@ class IMQuery:
                 raise ParameterError(f"deadline_s must be >= 0, got {self.deadline_s}")
         if self.id is not None and not isinstance(self.id, str):
             raise ParameterError(f"id must be a string, got {self.id!r}")
-
-    def batch_key(self) -> tuple:
-        """Queries with equal batch keys are served from one sketch —
-        everything that determines the sketch, i.e. all fields but ``k``,
-        ``deadline_s``, and ``id``."""
-        return (
-            self.dataset.lower(),
-            str(self.model).upper(),
-            float(self.epsilon),
-            int(self.seed),
-            self.theta_cap,
-        )
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "IMQuery":

@@ -19,12 +19,16 @@ Layout:
   replica failover, health tracking, degraded answers;
 - :mod:`repro.shard.cluster` — :class:`ShardCluster`: plan + workers +
   router as one handle with build/publish/kill/revive.
+
+:class:`SketchSpec`, the name of the sketch every slice is cut from, is
+:mod:`repro.service.artifacts`'s, re-exported here.
 """
 
+from repro.service.artifacts import SketchSpec
 from repro.shard.cluster import ShardCluster
 from repro.shard.plan import ShardPlan, shard_fingerprint
 from repro.shard.router import Router, RouterConfig, RouterStats
-from repro.shard.worker import ShardWorker, SketchSpec
+from repro.shard.worker import ShardWorker
 
 __all__ = [
     "Router",

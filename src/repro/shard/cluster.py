@@ -35,12 +35,12 @@ from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
 from repro.errors import ParameterError
 from repro.runtime.backends import SerialBackend
-from repro.service.artifacts import sketch_fingerprint
+from repro.service.artifacts import SketchSpec
 from repro.service.engine import EngineConfig
 from repro.service.protocol import IMQuery, IMResponse
 from repro.shard.plan import ShardPlan, shard_fingerprint
 from repro.shard.router import Router, RouterConfig
-from repro.shard.worker import ShardWorker, SketchSpec
+from repro.shard.worker import ShardWorker
 
 __all__ = ["ShardCluster"]
 
@@ -203,7 +203,10 @@ class ShardCluster:
                 handle = self.segment_manager.handle_for(sub_fp)
             w.adopt(
                 sub_fp, parts[w.shard_id],
-                spec.slice_meta(self.plan, w.shard_id, meta), handle=handle,
+                spec.meta(
+                    **meta, shard=w.shard_id, num_shards=self.plan.num_shards
+                ),
+                handle=handle,
             )
 
     # ------------------------------------------------------------------ build
@@ -218,9 +221,7 @@ class ShardCluster:
         graph, gfp = self.workers[0].engine.resolve_graph(
             spec.dataset, spec.model, spec.seed
         )
-        fp = sketch_fingerprint(
-            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
-        )
+        fp = spec.fingerprint(gfp)
         with tel.span(
             "shard.build", dataset=spec.dataset, num_sets=spec.num_sets,
             num_shards=self.plan.num_shards,
@@ -308,12 +309,15 @@ class ShardCluster:
         per dataset so later revives / scale-ups re-warm from it instead of
         cold-building (see :meth:`revive`).
         """
-        self._published[spec.dataset] = (spec, fp, parts, dict(meta or {}))
+        meta = dict(meta or {})
+        self._published[spec.dataset] = (spec, fp, parts, meta)
         summary = []
         for shard, sub in enumerate(parts):
             counter = sub.vertex_counts()
             sub_fp = shard_fingerprint(fp, shard, self.plan)
-            shard_meta = spec.slice_meta(self.plan, shard, meta)
+            shard_meta = spec.meta(
+                **meta, shard=shard, num_shards=self.plan.num_shards
+            )
             seg_handle = None
             if self.segment_manager is not None:
                 seg_handle = self.segment_manager.publish_store(

@@ -67,9 +67,10 @@ from repro import telemetry
 from repro.core.selection import greedy_cover
 from repro.errors import BackendError, ParameterError, ReproError
 from repro.resilience.retry import RetryPolicy
+from repro.service.artifacts import SketchSpec
 from repro.service.front import Pending, QueryFront
 from repro.shard.plan import ShardPlan
-from repro.shard.worker import CoverResult, OpenInfo, ShardWorker, SketchSpec
+from repro.shard.worker import CoverResult, OpenInfo, ShardWorker
 
 __all__ = ["Router", "RouterConfig", "RouterStats", "ShardDownError"]
 
@@ -434,13 +435,14 @@ class Router(QueryFront):
             reason = "shard down and degraded answers are disabled"
             raise BackendError(f"{reason} ({cause})" if cause else reason)
 
-    def _serve_group(self, pending: list[Pending], out: list) -> None:
+    def _serve_group(
+        self, spec: SketchSpec, pending: list[Pending], out: list
+    ) -> None:
         """Serve one query group: open a session on every shard, then read
         the kept selection or run the scatter :meth:`_select` once."""
         pending = self._split_expired(pending, out)
         if not pending:
             return
-        spec = SketchSpec.from_query(pending[0].query, self.config.default_theta)
         self._session_seq += 1
         sess = _GroupSession(
             f"g{self._session_seq}", spec, list(range(self.plan.num_shards))

@@ -64,65 +64,13 @@ from repro.core.selection import CoverStep
 from repro.diffusion.base import get_model
 from repro.errors import BackendError, ParameterError
 from repro.kernels import KernelSampler, indexed_draws
-from repro.service.artifacts import sketch_fingerprint
+from repro.service.artifacts import SketchSpec
 from repro.service.cache import CacheEntry
 from repro.service.engine import EngineConfig, QueryEngine
-from repro.service.protocol import IMQuery
 from repro.shard.plan import ShardPlan, shard_fingerprint
 from repro.sketch.store import FlatRRRStore
 
-__all__ = ["SketchSpec", "OpenInfo", "CoverResult", "ShardWorker", "WorkerStats"]
-
-
-@dataclass(frozen=True)
-class SketchSpec:
-    """Everything that determines one serving sketch (a query batch key)."""
-
-    dataset: str
-    model: str = "IC"
-    epsilon: float = 0.5
-    seed: int = 0
-    num_sets: int = 2000
-
-    @classmethod
-    def from_query(cls, query: IMQuery, default_theta: int) -> "SketchSpec":
-        return cls(
-            dataset=query.dataset.lower(),
-            model=str(query.model).upper(),
-            epsilon=float(query.epsilon),
-            seed=int(query.seed),
-            num_sets=int(query.theta_cap or default_theta),
-        )
-
-    @classmethod
-    def from_meta(
-        cls, dataset: str, meta: dict[str, Any], num_sets: int
-    ) -> "SketchSpec":
-        """The spec a published sketch's meta describes (publish hooks);
-        ``num_sets`` stands in when the meta does not say."""
-        return cls(
-            dataset=dataset,
-            model=str(meta.get("model", "IC")).upper(),
-            epsilon=float(meta.get("epsilon", 0.5)),
-            seed=int(meta.get("seed", 0)),
-            num_sets=int(meta.get("num_sets", num_sets)),
-        )
-
-    def key(self) -> tuple:
-        return (self.dataset, self.model, self.epsilon, self.seed, self.num_sets)
-
-    def slice_meta(
-        self, plan: ShardPlan, shard: int, extra: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """The meta stored with this sketch's slice on ``shard``: ``extra``
-        (a publisher's meta), overridden by the spec and the layout."""
-        return {
-            **(extra or {}),
-            "dataset": self.dataset, "model": self.model,
-            "epsilon": self.epsilon, "seed": self.seed,
-            "num_sets": self.num_sets, "shard": shard,
-            "num_shards": plan.num_shards,
-        }
+__all__ = ["OpenInfo", "CoverResult", "ShardWorker", "WorkerStats"]
 
 
 @dataclass
@@ -133,9 +81,6 @@ class OpenInfo:
     num_local_sets: int
     num_vertices: int
     warm: bool
-    sketch_bytes: int
-    fingerprint: str        # full-sketch fingerprint (cluster-wide)
-    shard_fingerprint: str  # this shard's sub-sketch key
     version: int            # the slice instance (CacheEntry.version)
 
 
@@ -317,24 +262,20 @@ class ShardWorker:
             return self.engine.cache.peek(sub_fp)
         return CacheEntry(store=store, counter=counter, meta=meta)
 
-    def _acquire(self, spec: SketchSpec) -> tuple[CacheEntry, bool, str, str]:
-        """(entry, warm, fp, shard_fp): cache → shm segment → artifact →
-        cold stream, all but the segment through the engine's ladder."""
+    def _acquire(self, spec: SketchSpec) -> tuple[CacheEntry, bool]:
+        """(entry, warm): cache → shm segment → artifact → cold stream, all
+        but the segment through the engine's ladder."""
         graph, gfp = self.engine.resolve_graph(spec.dataset, spec.model, spec.seed)
-        fp = sketch_fingerprint(
-            gfp, spec.model, spec.epsilon, spec.seed, spec.num_sets
-        )
+        fp = spec.fingerprint(gfp)
         sub_fp = shard_fingerprint(fp, self.shard_id, self.plan)
-        meta = spec.slice_meta(self.plan, self.shard_id)
+        meta = spec.meta(shard=self.shard_id, num_shards=self.plan.num_shards)
         if self.segment_manager is not None and sub_fp not in self.engine.cache:
             handle = self.segment_manager.handle_for(sub_fp)
             if handle is not None:
-                entry = self.adopt(sub_fp, None, meta, handle=handle)
-                return entry, True, fp, sub_fp
-        entry, warm = self.engine.acquire(
+                return self.adopt(sub_fp, None, meta, handle=handle), True
+        return self.engine.acquire(
             sub_fp, meta, lambda: self._build_subsketch(graph, spec, fp)
         )
-        return entry, warm, fp, sub_fp
 
     def _build_subsketch(
         self, graph: Any, spec: SketchSpec, fingerprint: str
@@ -363,7 +304,7 @@ class ShardWorker:
         """Start (or restart) a selection session; returns this shard's
         partial fused counter with the slice's shape."""
         self._checkpoint()
-        entry, warm, fp, sub_fp = self._acquire(spec)
+        entry, warm = self._acquire(spec)
         self._sessions[session_id] = _Session(spec=spec, entry=entry)
         self.stats.opens += 1
         return OpenInfo(
@@ -371,9 +312,6 @@ class ShardWorker:
             num_local_sets=len(entry.store),
             num_vertices=entry.store.num_vertices,
             warm=warm,
-            sketch_bytes=entry.store.nbytes(),
-            fingerprint=fp,
-            shard_fingerprint=sub_fp,
             version=entry.version,
         )
 
@@ -386,7 +324,7 @@ class ShardWorker:
             return sess, False
         # Fresh replica (failover) or diverged state (a call the router
         # timed out on still mutated us): rebuild deterministically.
-        entry, _, _, _ = self._acquire(spec)
+        entry, _ = self._acquire(spec)
         sess = _Session(spec=spec, entry=entry)
         for v in history:
             self._cover(sess, int(v))

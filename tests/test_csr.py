@@ -1,5 +1,8 @@
 """Unit + property tests for the CSR graph core."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,8 +131,24 @@ class TestTranspose:
     def test_transpose_cached(self, line_graph):
         assert line_graph.transpose() is line_graph.transpose()
 
-    def test_double_transpose_is_original(self, diamond_graph):
-        assert diamond_graph.transpose().transpose() is diamond_graph
+    def test_double_transpose_equals_original(self, diamond_graph):
+        """The transpose of the transpose equals the graph, and a reverse
+        graph keeps no reference to its source, so the source is freed
+        without the cycle collector once nothing else holds it."""
+        g = CSRGraph(
+            diamond_graph.num_vertices, diamond_graph.indptr,
+            diamond_graph.indices, diamond_graph.probs,
+        )
+        rev = g.transpose()
+        assert rev.transpose() == g
+        source = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert source() is None
+        finally:
+            gc.enable()
+        assert rev.transpose() == diamond_graph
 
     def test_transpose_degree_sums(self, two_triangles):
         rev = two_triangles.transpose()

@@ -1,5 +1,6 @@
 """Tests for repro.dynamic: delta graphs, incremental maintenance, serving."""
 
+import gc
 import json
 
 import numpy as np
@@ -681,6 +682,33 @@ class TestDynamicService:
                 assert routed.ok and routed.seeds == svc.query(k=3).seeds
             cluster.close()
             assert mgr.leaked() == []
+
+    def test_superseded_graphs_are_freed_without_the_collector(self):
+        """With the cycle collector off, a service publishing into a 2x2
+        cluster holds no more graphs after 8 commits than after its first:
+        each superseded epoch's graph and its transpose are freed as the
+        last holder lets go."""
+        from repro.graph.csr import CSRGraph
+        from repro.shard import ShardCluster, ShardPlan
+
+        rng = np.random.default_rng(6)
+        cluster = ShardCluster(ShardPlan(num_shards=2, replication=2))
+        with cluster, DynamicService("live", random_graph(), num_sets=64, seed=1) as svc:
+            svc.add_publish_hook(cluster.publish)
+            live = []
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(8):
+                    u, v = (int(x) for x in rng.choice(80, size=2, replace=False))
+                    op = "delete" if svc.delta.has_edge(u, v) else "insert"
+                    svc.apply([EdgeUpdate(op, u, v, None if op == "delete" else 0.5)])
+                    live.append(
+                        sum(isinstance(o, CSRGraph) for o in gc.get_objects())
+                    )
+            finally:
+                gc.enable()
+        assert max(live) <= live[0], live
 
     def test_one_graph_hash_per_epoch(self, monkeypatch):
         """A committed epoch's graph is hashed once, though the service's

@@ -11,6 +11,7 @@ entirely (telemetry-verified).
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import subprocess
@@ -34,6 +35,7 @@ from repro.service import (
     IMResponse,
     QueryEngine,
     SketchCache,
+    SketchSpec,
     load_store,
     parse_request_line,
     read_artifact_meta,
@@ -295,17 +297,117 @@ class TestSketchArtifacts:
         assert read_artifact_meta(good) == {**meta, "_fingerprint": "good"}
         assert art.newest_sketch(dataset="amazon", model="IC") == "good"
 
-    def test_artifact_store_directory(self, tmp_path, diamond_graph):
+    def test_artifact_store_directory(self, tmp_path):
         art = ArtifactStore(tmp_path / "arts")
-        gfp = art.save_graph(diamond_graph)
-        g2 = art.load_graph(gfp)
-        assert graph_fingerprint(g2) == gfp
         store = _flat_store()
         art.save_sketch("f00d", store)
         assert art.has_sketch("f00d") and not art.has_sketch("beef")
-        assert art.list_sketches() == ["f00d"]
         loaded, _, _ = art.load_sketch("f00d")
         assert np.array_equal(loaded.vertices, store.vertices)
+
+    def test_failed_rewrite_keeps_the_old_artifact(self, tmp_path, monkeypatch):
+        """A rewrite whose writer fails mid-write leaves the artifact
+        already on disk loadable, the stale scan still finding it, and no
+        temp file behind."""
+        art = ArtifactStore(tmp_path)
+        good = _flat_store(seed=1)
+        meta = {"dataset": "amazon", "model": "IC"}
+        path = art.save_sketch("f00d", good, meta=meta)
+        writer = np.savez_compressed
+
+        def torn(file, **arrays):
+            # Half an archive reaches the file, then the disk fills up.
+            buf = io.BytesIO()
+            writer(buf, **arrays)
+            half = buf.getvalue()[: buf.tell() // 2]
+            if hasattr(file, "write"):
+                file.write(half)
+            else:
+                with open(file, "wb") as fh:
+                    fh.write(half)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="No space left"):
+            art.save_sketch("f00d", _flat_store(seed=2), meta=meta)
+        monkeypatch.undo()
+        loaded, _, _ = art.load_sketch("f00d")
+        assert np.array_equal(loaded.offsets, good.offsets)
+        assert np.array_equal(loaded.vertices, good.vertices)
+        assert art.newest_sketch(dataset="amazon", model="IC") == "f00d"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
+# --------------------------------------------------------------- sketch specs
+#: (dataset, model, epsilon, seed, num_sets) pinned for the spec tests.
+SPEC_INPUTS = [
+    ("amazon", "IC", 0.5, 0, 300),
+    ("amazon", "LT", 0.3, 7, 3000),
+    ("synth", "IC", 0.25, 3, 1),
+]
+
+
+class TestSketchSpec:
+    @pytest.mark.parametrize("fields", SPEC_INPUTS)
+    def test_fingerprint_is_sketch_fingerprint(self, fields):
+        _, model, epsilon, seed, num_sets = fields
+        spec = SketchSpec(*fields)
+        for gfp in ("6fb6b04ca983e2c8", "g"):
+            assert spec.fingerprint(gfp) == sketch_fingerprint(
+                gfp, model, epsilon, seed, num_sets
+            )
+
+    def test_every_sketch_is_keyed_by_sketch_fingerprint(self):
+        """The engine's cache, a dynamic service's epoch, a cluster build
+        and every replica's slice are keyed from ``sketch_fingerprint`` of
+        the same pinned parameters."""
+        from test_shard import small_graph
+
+        from repro.dynamic import DynamicService
+        from repro.shard import ShardCluster, ShardPlan, shard_fingerprint
+
+        g = small_graph()
+        fp = sketch_fingerprint(graph_fingerprint(g), "IC", 0.5, 3, THETA)
+        q = IMQuery("synth", k=3, seed=3, theta_cap=THETA)
+        with QueryEngine() as eng:
+            eng.install_graph("synth", g)
+            assert eng.query(q).ok and fp in eng.cache
+        with DynamicService("synth", g, num_sets=THETA, seed=3) as svc:
+            assert svc.current_fingerprint() == fp
+        plan = ShardPlan(num_shards=2)
+        slices = [shard_fingerprint(fp, s, plan) for s in range(2)]
+        with ShardCluster(plan) as built, ShardCluster(plan) as routed:
+            built.install_graph("synth", g)
+            summary = built.build(SketchSpec.from_query(q, THETA))
+            assert summary["fingerprint"] == fp
+            assert [s["shard_fingerprint"] for s in summary["shards"]] == slices
+            routed.install_graph("synth", g)
+            assert routed.query(q).ok
+            assert [
+                sub_fp in w.engine.cache
+                for w, sub_fp in zip(routed.workers, slices)
+            ] == [True, True]
+
+    @pytest.mark.parametrize("fields", SPEC_INPUTS)
+    def test_meta_round_trips(self, tmp_path, fields):
+        """A spec survives its meta, also through an artifact header; the
+        spec's fields win over the extra keys, which are kept."""
+        spec = SketchSpec(*fields)
+        meta = spec.meta(shard=1, num_shards=2, model="XX", epoch=4)
+        assert meta["model"] == spec.model
+        assert (meta["shard"], meta["num_shards"], meta["epoch"]) == (1, 2, 4)
+        assert SketchSpec.from_meta(spec.dataset, meta, 0) == spec
+        path = save_store(_flat_store(), tmp_path / "s.npz", meta=meta)
+        on_disk = read_artifact_meta(path)
+        assert SketchSpec.from_meta(spec.dataset, on_disk, 0) == spec
+
+    @pytest.mark.parametrize("fields", SPEC_INPUTS)
+    def test_query_is_pinned_to_the_spec(self, fields):
+        spec = SketchSpec(*fields)
+        q = spec.query(5, deadline_s=1.0, id="x")
+        q.validate()
+        assert (q.k, q.deadline_s, q.id) == (5, 1.0, "x")
+        assert SketchSpec.from_query(q, default_theta=1) == spec
 
 
 # ---------------------------------------------------------------------- cache
@@ -402,12 +504,14 @@ class TestProtocol:
         with pytest.raises(ParameterError):
             IMQuery(dataset="amazon", **bad).validate()
 
-    def test_batch_key_groups_on_sketch_identity(self):
+    def test_spec_groups_on_sketch_identity(self):
         a = IMQuery(dataset="Amazon", k=5)
         b = IMQuery(dataset="amazon", k=50, deadline_s=1.0, id="x")
         c = IMQuery(dataset="amazon", k=5, epsilon=0.3)
-        assert a.batch_key() == b.batch_key()
-        assert a.batch_key() != c.batch_key()
+        d = IMQuery(dataset="amazon", k=5, theta_cap=THETA)
+        a, b, c, d = (SketchSpec.from_query(q, THETA) for q in (a, b, c, d))
+        assert a == b == d
+        assert a != c
 
     def test_parse_request_line_shapes(self):
         single = parse_request_line('{"dataset": "amazon"}')
@@ -867,6 +971,19 @@ class TestEngineKeptSelection:
             again = eng.query(_q("synth", k=3, theta_cap=THETA))
             assert _rounds(tel) == 5
         assert again.ok and again.cached and again.seeds == first.seeds[:3]
+
+    def test_mixed_theta_spellings_form_one_group(self):
+        """A batch mixing a query that omits theta_cap with one naming the
+        default is one group: one acquisition, one cold sample, and the
+        answers each query gets alone."""
+        eng, _ = _synth_engine()
+        batch = [_q("synth", k=5, theta_cap=None), _q("synth", k=3)]
+        got = eng.execute(batch)
+        assert eng.stats.batches == 1 and eng.stats.cold_samples == 1
+        assert [r.cached for r in got] == [False, False]
+        for q, r in zip(batch, got):
+            alone, _ = _synth_engine()
+            assert r.ok and r.seeds == alone.query(q).seeds
 
     def test_eviction_drops_the_selection(self):
         eng, _ = _synth_engine()

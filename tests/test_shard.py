@@ -247,8 +247,7 @@ class TestShardWorker:
             with ShardWorker(shard, plan) as w:
                 w.install_graph("synth", g)
                 info = w.session_open("s", spec)
-                assert info.fingerprint == fp
-                entry = w.engine.cache.get(info.shard_fingerprint)
+                entry = w.engine.cache.get(shard_fingerprint(fp, shard, plan))
                 expect = parts[shard]
                 assert np.array_equal(entry.store.offsets, expect.offsets)
                 assert np.array_equal(entry.store.vertices, expect.vertices)
@@ -271,7 +270,7 @@ class TestShardWorker:
             assert again.warm
             assert w2.engine.stats.artifact_loads == 1
             assert w2.engine.stats.cold_samples == 0
-            assert again.sketch_bytes == first.sketch_bytes
+            assert again.num_local_sets == first.num_local_sets
 
     @pytest.mark.parametrize(
         "key_of",

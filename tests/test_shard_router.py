@@ -95,6 +95,15 @@ class TestByteIdenticalSelection:
             assert cluster.router.stats.batches == 1
             assert batch[0].seeds == batch[1].seeds[:3]
 
+    def test_mixed_theta_spellings_form_one_group(self, graph, reference):
+        # Omitting theta_cap reads the router's default_theta sketch, so a
+        # read naming that default joins the same group.
+        refs, _ = reference
+        with make_cluster(graph, 2, default_theta=THETA) as cluster:
+            got = cluster.execute([query(k=6, theta_cap=None), query(k=4)])
+            assert cluster.router.stats.batches == 1
+        assert [r.seeds for r in got] == [refs[6].seeds, refs[4].seeds]
+
     def test_fill_path_matches_engine(self):
         """k large enough to cover every set exercises the lowest-id fill."""
         g = make_graph([(i, (i + 1) % 8, 1.0) for i in range(8)], n=8)
@@ -426,7 +435,7 @@ class TestKeptSelection:
             first = cluster.query(query(k=6))
             sub_fp = built["shards"][0]["shard_fingerprint"]
             for w in cluster.replicas(0):
-                w.adopt(sub_fp, other, spec_for().slice_meta(plan, 0))
+                w.adopt(sub_fp, other, spec_for().meta(shard=0, num_shards=2))
             resp = cluster.query(query(k=6))
             assert cluster.router.stats.kept_hits == 0
             answering = slice_sets(cluster, 0, 1)
@@ -449,7 +458,7 @@ class TestKeptSelection:
             cluster.worker(0, 1).adopt(
                 built["shards"][0]["shard_fingerprint"],
                 other_slice(graph, plan),
-                spec_for().slice_meta(plan, 0),
+                spec_for().meta(shard=0, num_shards=2),
             )
             cluster.worker(0, 0).fail_after(2)  # open, one cover, dead
             assert cluster.query(query(k=6)).ok
