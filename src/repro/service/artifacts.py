@@ -197,10 +197,12 @@ def save_store(
     path.parent.mkdir(parents=True, exist_ok=True)
     writer = np.savez_compressed if compress else np.savez
     # Write beside the target, then rename over it: a write that fails
-    # leaves the artifact already there whole.  The temp name ends in
-    # ``.tmp``, so no ``sketch-*.npz`` scan sees it, and it is written
-    # through a handle because ``np.savez`` appends ``.npz`` to a path.
-    tmp = path.with_name(path.name + ".tmp")
+    # leaves the artifact already there whole.  The temp name is the
+    # writer's own, so processes writing one artifact at once each rename
+    # a whole archive; it ends in ``.tmp``, so no ``sketch-*.npz`` scan
+    # sees it, and it is written through a handle because ``np.savez``
+    # appends ``.npz`` to a path.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             writer(

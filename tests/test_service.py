@@ -337,6 +337,28 @@ class TestSketchArtifacts:
         assert art.newest_sketch(dataset="amazon", model="IC") == "f00d"
         assert sorted(tmp_path.iterdir()) == [path]
 
+    def test_overlapping_rewrites_each_land_whole(self, tmp_path, monkeypatch):
+        """Two writers of one artifact at once (the second, a nested save
+        under another pid, stands in for another process) each rename a
+        whole archive of their own: the last rename wins and nothing is
+        left behind."""
+        first, second = _flat_store(seed=1), _flat_store(seed=2)
+        path = tmp_path / "sketch-f00d.npz"
+        writer = np.savez_compressed
+
+        def overlapped(file, **arrays):
+            monkeypatch.setattr(np, "savez_compressed", writer)
+            with monkeypatch.context() as m:
+                m.setattr(os, "getpid", lambda: 0)
+                save_store(second, path)
+            writer(file, **arrays)
+
+        monkeypatch.setattr(np, "savez_compressed", overlapped)
+        save_store(first, path)
+        loaded, _, _ = load_store(path)
+        assert np.array_equal(loaded.vertices, first.vertices)
+        assert sorted(tmp_path.iterdir()) == [path]
+
 
 # --------------------------------------------------------------- sketch specs
 #: (dataset, model, epsilon, seed, num_sets) pinned for the spec tests.
