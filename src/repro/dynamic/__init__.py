@@ -16,10 +16,11 @@ this package makes the reproduction serve a *changing* one:
   checkpoints for crash/resume across epochs;
 - :mod:`repro.dynamic.updates` — the JSON-lines update-stream grammar of
   ``repro update``;
-- :mod:`repro.dynamic.serving` — :class:`DynamicService`, publishing each
-  repaired epoch into the :class:`~repro.service.engine.QueryEngine` under
-  its epoch's sketch fingerprint so queries always hit the newest epoch
-  (stale epochs answer ``degraded`` until the repair catches up).
+- :mod:`repro.dynamic.serving` — :class:`DynamicService`, a
+  :class:`~repro.service.front.QueryFront` that publishes each repaired
+  epoch (graph, store and fused counter) and answers every query from the
+  newest published one (stale epochs answer ``degraded`` until the repair
+  catches up), fanning each epoch out to its publish hooks.
 
 Typical use::
 

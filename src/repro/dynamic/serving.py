@@ -1,35 +1,43 @@
-"""Epoch-aware serving: a :class:`DynamicService` in front of the engine.
+"""Epoch-aware serving: a :class:`DynamicService` answers from the epoch
+it last published.
 
 The service owns one :class:`DeltaGraph` + :class:`IncrementalMaintainer`
-pair and *publishes* each successfully repaired epoch into a
-:class:`~repro.service.engine.QueryEngine`:
+pair and *publishes* each successfully repaired epoch: the compacted graph
+and a snapshot of the maintainer's store and fused counter, held as one
+:class:`~repro.service.cache.CacheEntry`.  The counter is the one the
+repair patched, so selection starts from the counter sampling produced
+(EfficientIMM's Algorithm 3), and a query never samples: every group is
+answered from the published entry through the shared
+:class:`~repro.service.front.QueryFront` (validation, deadlines, the ``k``
+bound, the kept selection and the ``service.*`` per-query metrics).
 
-- the compacted graph is installed under the service's dataset name
-  (:meth:`QueryEngine.install_graph`), overriding replica-dataset loading;
-- the repaired sketch is warmed into the engine cache under its epoch's
-  sketch fingerprint (:meth:`QueryEngine.warm`).
+Queries are *pinned* to the service's sketch: only ``k``, ``deadline_s``
+and ``id`` are read from a query, and a group naming another dataset is
+answered with an error.  Each published epoch is a new entry, so its first
+group selects again and replaces the selection kept over the one before.
+Publish hooks fan every epoch out (a
+:class:`~repro.shard.cluster.ShardCluster` subscribes its ``publish``).
 
-Because sketch fingerprints hash the *graph* fingerprint, every epoch gets
-its own cache key automatically; publishing an epoch evicts the one it
-supersedes, so a long-running service holds one sketch, not one per
-epoch.  Queries are answered from the newest *published*
-epoch; when a repair fails mid-stream the delta graph may run ahead of the
-sketch, and the service keeps serving the last good epoch with
-``degraded: true`` on the response (the same disclosure the engine uses
-for stale-artifact fallback) plus the ``dynamic.epoch_staleness`` gauge /
-``dynamic.stale_queries`` counter.
+When a repair fails mid-stream the delta graph runs ahead of the sketch,
+and the service keeps answering from the last published epoch with
+``degraded: true`` (counted as ``service.degraded`` and
+``resilience.degraded_responses``, like every degraded answer) plus the
+``dynamic.epoch_staleness`` gauge / ``dynamic.stale_queries`` counter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro import telemetry
 from repro.errors import ParameterError, ReproError
 from repro.graph.csr import CSRGraph
+from repro.graph.io import graph_fingerprint
+from repro.service import ServiceStats
 from repro.service.artifacts import SketchSpec
-from repro.service.engine import EngineConfig, QueryEngine
-from repro.service.protocol import IMQuery, IMResponse
+from repro.service.cache import CacheEntry
+from repro.service.front import Pending, QueryFront
+from repro.service.protocol import IMResponse
 from repro.sketch.store import FlatRRRStore
 
 from repro.dynamic.delta import DeltaGraph, EdgeUpdate
@@ -38,8 +46,10 @@ from repro.dynamic.maintain import IncrementalMaintainer, RepairReport
 __all__ = ["DynamicService"]
 
 
-class DynamicService:
+class DynamicService(QueryFront):
     """Streaming updates + versioned query serving over one dynamic graph."""
+
+    METRIC_PREFIX = "service"
 
     def __init__(
         self,
@@ -54,8 +64,6 @@ class DynamicService:
         epsilon: float = 0.5,
         full_resample_threshold: float = 0.25,
         repair: str = "extend",
-        engine: QueryEngine | None = None,
-        config: EngineConfig | None = None,
     ):
         if (graph is None) == (delta is None):
             raise ParameterError(
@@ -86,23 +94,19 @@ class DynamicService:
         self.spec = SketchSpec(
             self.dataset, self.model, self.epsilon, self.seed, self.num_sets
         )
-        self._own_engine = engine is None
-        self.engine = engine if engine is not None else QueryEngine(
-            config=config or EngineConfig()
-        )
+        self.stats = ServiceStats()
+        super().__init__(self.num_sets)
         self.served_epoch = -1
-        self._fp: str | None = None
         # Publish fan-out (repro.shard): each hook receives every published
         # epoch — graph, fingerprint, sketch snapshot, counter, meta — so a
         # shard cluster (or any other downstream consumer) stays in lockstep
-        # with the engine.  See :meth:`add_publish_hook`.
+        # with the service.  See :meth:`add_publish_hook`.
         self._publish_hooks: list[Any] = []
         self._publish()
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        if self._own_engine:
-            self.engine.close()
+        """Nothing to release: the published epoch is plain memory."""
 
     def __enter__(self) -> "DynamicService":
         return self
@@ -127,7 +131,7 @@ class DynamicService:
         """
         self._publish_hooks.append(hook)
         if replay and self.served_epoch >= 0:
-            self._fan_out(hook, *self._last_published)
+            self._fan_out(hook)
 
     def remove_publish_hook(self, hook: Any) -> bool:
         """Unsubscribe a publish hook (the control plane's canary rollout
@@ -140,13 +144,9 @@ class DynamicService:
         return True
 
     def _publish(self) -> None:
-        """Install the maintainer's epoch (graph + warm sketch) for serving."""
-        graph = self.delta.compact()
-        gfp = self.engine.install_graph(self.dataset, graph)
-        superseded = self._fp
-        self._fp = self.spec.fingerprint(gfp)
-        if superseded is not None and superseded != self._fp:
-            self.engine.cache.evict(superseded)
+        """Make the maintainer's epoch (graph + sketch) the one served."""
+        self._graph = self.delta.compact()
+        self._fp = self.spec.fingerprint(graph_fingerprint(self._graph))
         # Snapshot the sketch: the maintainer keeps mutating its own store,
         # so the published entry copies the flat arrays (from_arrays copies).
         store = FlatRRRStore.from_arrays(
@@ -154,22 +154,24 @@ class DynamicService:
             self.maintainer.store.offsets,
             self.maintainer.store.vertices,
         )
-        counter = self.maintainer.counter.copy()
-        meta = self.spec.meta(epoch=int(self.maintainer.epoch), dynamic=True)
-        self.engine.warm(self._fp, store, counter=counter, meta=meta)
+        self._entry = CacheEntry(
+            store=store,
+            counter=self.maintainer.counter.copy(),
+            meta=self.spec.meta(epoch=int(self.maintainer.epoch), dynamic=True),
+        )
         self.served_epoch = int(self.maintainer.epoch)
-        self._last_published = (graph, self._fp, store, counter, meta)
         for hook in self._publish_hooks:
-            self._fan_out(hook, *self._last_published)
+            self._fan_out(hook)
 
-    def _fan_out(self, hook: Any, graph, fp, store, counter, meta) -> None:
+    def _fan_out(self, hook: Any) -> None:
+        entry = self._entry
         hook(
             dataset=self.dataset,
-            graph=graph,
-            fingerprint=fp,
-            store=store,
-            counter=counter,
-            meta=meta,
+            graph=self._graph,
+            fingerprint=self._fp,
+            store=entry.store,
+            counter=entry.counter,
+            meta=entry.meta,
         )
 
     # --------------------------------------------------------------- updates
@@ -228,66 +230,54 @@ class DynamicService:
             [self.spec.query(int(k), deadline_s=deadline_s, id=id)]
         )[0]
 
-    def execute(self, queries: Sequence[IMQuery]) -> list[IMResponse]:
-        """Serve a batch against the newest published epoch.
-
-        The same ``execute(queries) -> responses`` surface as
-        :class:`~repro.service.engine.QueryEngine` and
-        :class:`~repro.shard.cluster.ShardCluster`, so a
-        :class:`~repro.gateway.server.GatewayServer` can front a dynamic
-        service directly.  Queries are *pinned* to the service's sketch:
-        only ``k``, ``deadline_s``, and ``id`` are taken from the incoming
-        query — the dataset must match (an ``"error"`` response otherwise),
-        and model/epsilon/seed/theta follow the maintained sketch so every
-        answer reflects the published epoch.
-        """
-        responses: list[IMResponse | None] = [None] * len(queries)
-        pinned: list[tuple[int, IMQuery]] = []
-        for i, q in enumerate(queries):
-            if str(q.dataset).lower() != self.dataset.lower():
-                responses[i] = IMResponse(
-                    status="error",
-                    id=q.id,
-                    error=(
-                        f"ParameterError: this dynamic service serves "
-                        f"{self.dataset!r}, not {q.dataset!r}"
-                    ),
+    def _serve_group(
+        self, spec: SketchSpec, pending: list[Pending], out: list
+    ) -> None:
+        """Answer one group from the published epoch, whatever sketch
+        parameters its queries name, unless it names another dataset."""
+        pending = self._split_expired(pending, out)
+        if spec.dataset != self.dataset.lower():
+            for p in pending:
+                exc = ParameterError(
+                    f"this dynamic service serves {self.dataset!r}, "
+                    f"not {p.query.dataset!r}"
                 )
-                continue
-            pinned.append(
-                (i, self.spec.query(q.k, deadline_s=q.deadline_s, id=q.id))
-            )
-        if pinned:
-            answers = self.engine.execute([q for _, q in pinned])
-            stale = self.staleness()
-            tel = telemetry.get()
-            if tel.enabled:
-                tel.registry.gauge("dynamic.epoch_staleness").set(stale)
-            for (i, _), resp in zip(pinned, answers):
-                resp.epoch = self.served_epoch
-                if stale > 0 and resp.ok:
-                    resp.degraded = True
-                    if tel.enabled:
-                        tel.registry.counter("dynamic.stale_queries").inc()
-                responses[i] = resp
-        return [
-            r if r is not None
-            else IMResponse(status="error", error="internal: query dropped")
-            for r in responses
-        ]
+                self._fail([p], exc, out)
+            return
+        entry = self._entry
+        live = self._bound_k(pending, entry.store.num_vertices, out)
+        if not live:
+            return
+        seeds, newly = self._entry_selection(
+            self.spec.key(), entry, max(p.query.k for p in live), keep=True
+        )
+        stale = self.staleness()
+        self._answer(
+            live, seeds, newly, out,
+            num_vertices=entry.store.num_vertices, num_sets=len(entry.store),
+            cached=True, degraded=stale > 0, epoch=self.served_epoch,
+        )
+        tel = telemetry.get()
+        if tel.enabled:
+            tel.registry.gauge("dynamic.epoch_staleness").set(stale)
+            if stale > 0:
+                tel.registry.counter("dynamic.stale_queries").inc(
+                    sum(out[p.index].ok for p in live)
+                )
 
     # ----------------------------------------------------------------- stats
     def stats_snapshot(self) -> dict[str, Any]:
-        """Engine + dynamic counters as one JSON-able dict (the `stats` op)."""
-        snap = self.engine.stats_snapshot()
-        snap["dynamic"] = {
-            "dataset": self.dataset,
-            "model": self.model,
-            "num_sets": self.num_sets,
-            "graph_epoch": int(self.delta.epoch),
-            "served_epoch": self.served_epoch,
-            "staleness": self.staleness(),
-            "num_edges": self.delta.num_edges,
-            "fingerprint": self._fp,
+        """Query + dynamic counters as one JSON-able dict (the `stats` op)."""
+        return {
+            "service": self.stats.to_dict(),
+            "dynamic": {
+                "dataset": self.dataset,
+                "model": self.model,
+                "num_sets": self.num_sets,
+                "graph_epoch": int(self.delta.epoch),
+                "served_epoch": self.served_epoch,
+                "staleness": self.staleness(),
+                "num_edges": self.delta.num_edges,
+                "fingerprint": self._fp,
+            },
         }
-        return snap

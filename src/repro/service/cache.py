@@ -15,9 +15,14 @@ entries are immutable after insertion and eviction only drops the cache's
 reference.
 
 The cache keeps plain-Python counters (:class:`CacheStats`) so it works
-with telemetry disabled; the engine mirrors the events onto the
-``service.cache.*`` metrics and :func:`repro.telemetry.record_service_stats`
-projects the cumulative stats as gauges.
+with telemetry disabled; the engine counts hits and misses as the
+``service.cache.*`` counters and mirrors bytes, entries, evictions and
+rejections as gauges.
+
+A :class:`CacheEntry` is also the unit a
+:class:`~repro.dynamic.serving.DynamicService` publishes and answers
+from, with no cache around it: a dynamic epoch is never subject to this
+budget.
 """
 
 from __future__ import annotations

@@ -23,11 +23,10 @@ served, stamped with the :attr:`~repro.service.cache.CacheEntry.version`
 of the entry it was made over: a group runs
 :func:`~repro.core.selection.efficient_select` only when it acquires
 another entry or its ``k_max`` is longer than that, and a warm read at any
-``k`` up to the longest served so far runs no greedy round.  Eviction, a
-re-warm under the same fingerprint, or a new epoch of a dynamic dataset
-brings a new entry and so a new selection; a selection over an entry the
-cache does not hold (a degraded stale entry, or one the budget rejected)
-is not kept.
+``k`` up to the longest served so far runs no greedy round.  Eviction, or
+a re-warm or re-installed graph under the same spec, brings a new entry
+and so a new selection; a selection over an entry the cache does not hold
+(a degraded stale entry, or one the budget rejected) is not kept.
 
 Per-query deadlines are enforced at every stage boundary: an expired query
 is answered with a ``"timeout"`` response (a reported ``TimeoutError``,
@@ -59,7 +58,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.parallel_sampling import parallel_generate
-from repro.core.selection import efficient_select
 from repro.errors import ArtifactError, ParameterError, ReproError
 from repro.graph.datasets import load_dataset
 from repro.graph.io import graph_fingerprint
@@ -96,12 +94,12 @@ class EngineConfig:
     default_theta: int = 2000
     backend: str = "serial"
     num_workers: int = 1
-    persist: bool = True  # write artifacts for newly sampled sketches
 
 
 @dataclass
 class ServiceStats:
-    """Cumulative engine behaviour (plain counters, telemetry-independent)."""
+    """Cumulative behaviour of an engine or a dynamic service (plain
+    counters, telemetry-independent)."""
 
     queries: int = 0
     ok: int = 0
@@ -167,7 +165,7 @@ class QueryEngine(QueryFront):
         # query naming that dataset, whatever its model/seed.
         self._installed: dict[str, tuple[Any, str]] = {}
         self.stats = ServiceStats()
-        super().__init__()
+        super().__init__(self.config.default_theta)
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -190,12 +188,11 @@ class QueryEngine(QueryFront):
         """Serve ``dataset`` from an in-memory graph instead of the replica
         loader; returns the graph's fingerprint.
 
-        This is the dynamic-serving hook (docs/dynamic.md): each committed
-        epoch re-installs the compacted graph, and because sketch
-        fingerprints hash the graph fingerprint, all downstream caching
-        re-keys itself automatically.  Memoised resolutions of the same
-        dataset name are dropped so no query can see the previous epoch's
-        graph.
+        Shard replicas take each published dynamic epoch's graph through
+        it (docs/dynamic.md), and because sketch fingerprints hash the
+        graph fingerprint, all downstream caching re-keys itself
+        automatically.  Memoised resolutions of the same dataset name are
+        dropped so no query can see the previous epoch's graph.
         """
         ds = str(dataset).lower()
         fp = graph_fingerprint(graph)
@@ -241,9 +238,9 @@ class QueryEngine(QueryFront):
     ) -> bool:
         """Pre-seed the in-memory cache with an externally built sketch.
 
-        Returns whether the entry fit the cache budget.  Used by
-        :class:`~repro.dynamic.serving.DynamicService` to publish each
-        repaired epoch without a cold sampling pass.
+        Returns whether the entry fit the cache budget.  Used by shard
+        replicas to adopt a published slice without a cold sampling pass
+        (:meth:`~repro.shard.worker.ShardWorker.adopt`).
         """
         if counter is None:
             counter = store.vertex_counts()
@@ -304,29 +301,13 @@ class QueryEngine(QueryFront):
             if not live:
                 return
 
-            # Select only past the longest k served from this entry so
-            # far; every shorter k reads the kept selection's prefix.  A
-            # dynamic dataset's next epoch (same spec, new entry) replaces
-            # the kept selection.
-            key = spec.key()
-            k_max = max(p.query.k for p in live)
-            selection = self._kept_selection(key, entry.version, k_max)
-            if selection is None:
-                with tel.span(
-                    "service.selection", k=k_max, num_sets=len(entry.store)
-                ):
-                    sel = efficient_select(
-                        entry.store, k_max, 1, initial_counter=entry.counter
-                    )
-                selection = sel.seeds, np.array(
-                    [r["new_covered_sets"] for r in sel.rounds], np.int64
-                )
-                # Only the entry the cache holds is acquired again: a record
-                # over a stale or budget-rejected one would only push a
-                # live record out.
-                if self.cache.peek(fp) is entry:
-                    self._keep_selection(key, entry.version, *selection)
-        seeds, newly = selection
+            # Only the entry the cache holds is acquired again: a selection
+            # kept over a stale or budget-rejected one would only push a
+            # live record out.
+            seeds, newly = self._entry_selection(
+                spec.key(), entry, max(p.query.k for p in live),
+                keep=self.cache.peek(fp) is entry,
+            )
         self._answer(
             live, seeds, newly, out,
             num_vertices=graph.num_vertices, num_sets=len(entry.store),
@@ -344,8 +325,8 @@ class QueryEngine(QueryFront):
         engine's own and each shard replica's slice, and the one place
         that counts cache hits and misses, artifact loads, saves and
         corrupt artifacts, and cold samples.  A built store is trimmed,
-        counted from its sets, written under ``meta`` when the engine
-        persists (:meth:`write_sketch`) and then cached.  An entry the
+        counted from its sets, written under ``meta`` when the engine has
+        an artifact dir (:meth:`write_sketch`) and then cached.  An entry the
         cache budget rejects is still returned, uncached.
         """
         entry = self.cache.get(fp)
@@ -370,9 +351,9 @@ class QueryEngine(QueryFront):
         self, fp: str, store: FlatRRRStore, counter: np.ndarray,
         meta: dict[str, Any],
     ) -> None:
-        """Write ``fp``'s artifact when the engine persists (an artifact
-        dir and ``persist``), counted as one artifact save."""
-        if self.artifacts is None or not self.config.persist:
+        """Write ``fp``'s artifact when the engine has an artifact dir,
+        counted as one artifact save."""
+        if self.artifacts is None:
             return
         self.artifacts.save_sketch(fp, store, counter=counter, meta=meta)
         self.stats.artifact_saves += 1
@@ -432,10 +413,3 @@ class QueryEngine(QueryFront):
             reg.gauge("service.cache.entries").set(st.entries)
             reg.gauge("service.cache.evictions").set(st.evictions)
             reg.gauge("service.cache.rejected").set(st.rejected)
-
-    def _project_stats(self) -> None:
-        tel = telemetry.get()
-        if tel.enabled:
-            telemetry.record_service_stats(
-                tel.registry, self.stats, self.cache.stats
-            )

@@ -3,15 +3,17 @@
 Every served answer reads the first ``k`` rounds of one greedy selection
 of at least ``k_max`` rounds over one sketch: a selection kept from an
 earlier group, or a fresh one — ``efficient_select`` over a
-:class:`~repro.service.engine.QueryEngine`'s cached sketch, one
+:class:`~repro.service.cache.CacheEntry` (a
+:class:`~repro.service.engine.QueryEngine`'s acquired sketch, or the epoch
+a :class:`~repro.dynamic.serving.DynamicService` published), one
 scatter-gather pass over a :class:`~repro.shard.router.Router`'s shards.
 What turns those rounds into per-query responses, and what keeps them,
-is the same for both, so it lives here once:
+is the same for all three, so it lives here once:
 
 - validation, and grouping by
   :meth:`SketchSpec.from_query <repro.service.artifacts.SketchSpec.from_query>`
-  under the subclass's ``config.default_theta`` (one group per sketch,
-  served by the subclass's ``_serve_group``);
+  under the ``default_theta`` the subclass passes in (one group per
+  sketch, served by the subclass's ``_serve_group``);
 - the deadline checks — an expired query is answered ``"timeout"``, never
   left hanging, while the rest of its group proceeds;
 - the ``k``-against-vertex-count bound, which needs the resolved graph;
@@ -26,7 +28,7 @@ is the same for both, so it lives here once:
   ``resilience.degraded_responses``);
 - the kept selections.  Greedy is prefix-consistent, so the front keeps,
   per sketch spec key, the longest selection a group was answered from, with
-  the stamp of the sketch instances it was made over: an engine's
+  the stamp of the sketch instances it was made over: a
   ``CacheEntry.version``, or a router's ``(shard, version)`` per shard.
   A later group of the same key reads its prefix only when it acquires
   that same stamp and its ``k_max`` fits; any other group selects from
@@ -45,8 +47,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import telemetry
+from repro.core.selection import efficient_select
 from repro.errors import ParameterError
 from repro.service.artifacts import SketchSpec
+from repro.service.cache import CacheEntry
 from repro.service.protocol import IMQuery, IMResponse
 
 __all__ = ["MAX_KEPT", "Pending", "QueryFront"]
@@ -72,22 +76,21 @@ class Pending:
 class QueryFront:
     """``execute(queries) -> responses`` over a subclass's group server.
 
-    A subclass sets :attr:`METRIC_PREFIX`, a ``config`` with a
-    ``default_theta`` and a ``stats`` record (with
+    A subclass sets :attr:`METRIC_PREFIX` and a ``stats`` record (with
     ``queries``/``ok``/``errors``/``timeouts``/``degraded``/``batches``
-    counters), calls ``QueryFront.__init__``, and implements
-    :meth:`_serve_group` and :meth:`_project_stats`.  ``out`` is the
-    batch's response list, indexed by :attr:`Pending.index`; every helper
-    answers into it.
+    counters), calls ``QueryFront.__init__`` with the sketch size an
+    omitted ``theta_cap`` stands for, and implements :meth:`_serve_group`.
+    ``out`` is the batch's response list, indexed by
+    :attr:`Pending.index`; every helper answers into it.
     """
 
     #: Prefix of the per-query metric names (``service``, ``shard.router``).
     METRIC_PREFIX = ""
 
-    config: Any
     stats: Any
 
-    def __init__(self) -> None:
+    def __init__(self, default_theta: int) -> None:
+        self.default_theta = int(default_theta)
         #: ``SketchSpec.key()`` -> (stamp, seeds, sets newly covered per
         #: round) of the longest selection kept for that sketch.
         self._kept: OrderedDict[tuple, tuple] = OrderedDict()
@@ -113,12 +116,11 @@ class QueryFront:
             except ParameterError as exc:
                 self._fail([p], exc, out)
                 continue
-            spec = SketchSpec.from_query(q, self.config.default_theta)
+            spec = SketchSpec.from_query(q, self.default_theta)
             groups.setdefault(spec, []).append(p)
         for spec, pending in groups.items():
             self.stats.batches += 1
             self._serve_group(spec, pending, out)
-        self._project_stats()
         # Every query index is answered exactly once: invalid queries above,
         # everything else by its group.
         return [
@@ -132,10 +134,6 @@ class QueryFront:
         self, spec: SketchSpec, pending: list[Pending], out: list
     ) -> None:
         """Answer one group of queries that read the sketch ``spec``."""
-        raise NotImplementedError
-
-    def _project_stats(self) -> None:
-        """Mirror the cumulative stats into telemetry after each batch."""
         raise NotImplementedError
 
     # ------------------------------------------------------ kept selections
@@ -158,6 +156,28 @@ class QueryFront:
         self._kept.move_to_end(key)
         while len(self._kept) > MAX_KEPT:
             self._kept.popitem(last=False)
+
+    def _entry_selection(
+        self, key: tuple, entry: CacheEntry, k_max: int, *, keep: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(seeds, newly covered)`` of at least ``k_max`` rounds over
+        ``entry``: the selection kept for ``key`` when it was made over
+        this entry and runs that far, else ``efficient_select`` from the
+        entry's fused counter, kept when ``keep``."""
+        selection = self._kept_selection(key, entry.version, k_max)
+        if selection is None:
+            with telemetry.get().span(
+                "service.selection", k=k_max, num_sets=len(entry.store)
+            ):
+                sel = efficient_select(
+                    entry.store, k_max, 1, initial_counter=entry.counter
+                )
+            selection = sel.seeds, np.array(
+                [r["new_covered_sets"] for r in sel.rounds], np.int64
+            )
+            if keep:
+                self._keep_selection(key, entry.version, *selection)
+        return selection
 
     # -------------------------------------------------------------- helpers
     def _tel_inc(self, *names: str) -> None:
@@ -231,10 +251,11 @@ class QueryFront:
         num_sets: int,
         cached: bool,
         degraded: bool,
+        epoch: int | None = None,
     ) -> None:
         """Answer each query still in time from one selection of at least
         ``k_max`` rounds: its first ``k`` seeds, and the sets its first
-        ``k`` rounds covered."""
+        ``k`` rounds covered (over graph ``epoch``, for a dynamic one)."""
         covered = np.cumsum(newly_covered)
         prefix = self.METRIC_PREFIX
         tel = telemetry.get()
@@ -260,4 +281,5 @@ class QueryFront:
                 cached=cached,
                 degraded=degraded,
                 latency_s=latency,
+                epoch=epoch,
             )

@@ -134,7 +134,8 @@ class RouterConfig:
 
 @dataclass
 class RouterStats:
-    """Cumulative router behaviour, mirrored to ``shard.*`` telemetry."""
+    """Cumulative router behaviour (plain counters; the live ones are the
+    ``shard.router.*`` telemetry counters)."""
 
     queries: int = 0
     ok: int = 0
@@ -204,7 +205,7 @@ class Router(QueryFront):
         self._failures: dict[str, int] = {w.name: 0 for w in workers}
         self.stats = RouterStats()
         self._session_seq = 0
-        super().__init__()
+        super().__init__(self.config.default_theta)
 
     # ----------------------------------------------------------------- public
     def add_worker(self, worker: ShardWorker) -> None:
@@ -492,10 +493,3 @@ class Router(QueryFront):
         for s in sess.opens:
             for w in self._replicas[s]:
                 w.session_close(sess.sid)
-
-    def _project_stats(self) -> None:
-        tel = telemetry.get()
-        if tel.enabled:
-            telemetry.record_shard_stats(
-                tel.registry, self.stats, self.health_snapshot()
-            )

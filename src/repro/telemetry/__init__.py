@@ -45,8 +45,6 @@ from typing import Any
 from repro.telemetry.bridge import (
     record_access_counts,
     record_kernel_stats,
-    record_service_stats,
-    record_shard_stats,
     record_stage_times,
 )
 from repro.telemetry.export import (
@@ -88,8 +86,6 @@ __all__ = [
     "diff_snapshots",
     "record_kernel_stats",
     "record_access_counts",
-    "record_service_stats",
-    "record_shard_stats",
     "record_stage_times",
     "write_metrics_json",
     "write_chrome_trace",

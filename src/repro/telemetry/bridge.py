@@ -23,8 +23,6 @@ __all__ = [
     "record_kernel_stats",
     "record_access_counts",
     "record_stage_times",
-    "record_service_stats",
-    "record_shard_stats",
     "record_codec_stats",
 ]
 
@@ -58,42 +56,6 @@ def record_access_counts(registry, kernel: str, counts: Any) -> None:
     key = _slug(kernel)
     for field in ("l1_hits", "l1_misses", "l2_hits", "l2_misses"):
         registry.counter(f"cache.{key}.{field}").inc(int(getattr(counts, field)))
-
-
-def record_service_stats(registry, service: Any, cache: Any) -> None:
-    """Project serving-layer stats onto ``service.*`` summary gauges.
-
-    The engine increments the live ``service.*`` *counters* (queries, cache
-    hits/misses, timeouts) at each event; this bridge mirrors the cumulative
-    :class:`~repro.service.engine.ServiceStats` /
-    :class:`~repro.service.cache.CacheStats` records as *gauges*, so a
-    metrics snapshot carries both the event stream and the current totals
-    (idempotent — safe to call after every batch).
-    """
-    for name, value in service.to_dict().items():
-        registry.gauge(f"service.stats.{_slug(name)}").set(float(value))
-    for name, value in cache.to_dict().items():
-        registry.gauge(f"service.cache_stats.{_slug(name)}").set(float(value))
-
-
-def record_shard_stats(registry, stats: Any, health: Any = None) -> None:
-    """Project router-layer stats onto ``shard.*`` summary gauges.
-
-    The router increments the live ``shard.router.*`` *counters* (queries,
-    failovers, shard losses) at each event; this bridge mirrors the
-    cumulative :class:`~repro.shard.router.RouterStats` record — plus, when
-    given a health snapshot, the number of healthy replicas — as *gauges*
-    (idempotent — safe to call after every batch)."""
-    for name, value in stats.to_dict().items():
-        registry.gauge(f"shard.stats.{_slug(name)}").set(float(value))
-    if health is not None:
-        healthy = sum(
-            1
-            for replicas in health.values()
-            for state in replicas.values()
-            if state.get("healthy")
-        )
-        registry.gauge("shard.stats.healthy_replicas").set(healthy)
 
 
 def record_codec_stats(registry, store: Any) -> None:

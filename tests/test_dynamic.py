@@ -632,30 +632,30 @@ class TestDynamicService:
             svc.apply([EdgeUpdate("insert", 0, 5, 0.9)])
             assert svc.current_fingerprint() != fp0
 
-    @pytest.mark.parametrize("custom_config", (False, True))
-    def test_answers_hit_the_published_sketch(self, tmp_path, custom_config):
-        """Every answer comes from the sketch the service published (never
-        a cold sample of some other stream), under any engine config."""
-        from repro.service import EngineConfig
+    def test_answers_hit_the_published_sketch(self, monkeypatch):
+        """Every answer comes from the sketch the service published, never
+        from a static sample of the graph: with static sampling made to
+        raise, each epoch answers what its maintainer selects."""
+        import repro.core.parallel_sampling as parallel_sampling
+        from repro.kernels import KernelSampler
 
-        config = (
-            EngineConfig(artifact_dir=tmp_path, cache_budget_bytes=64 << 20)
-            if custom_config
-            else None
-        )
+        def static_sampling(*args, **kwargs):
+            raise AssertionError("the dynamic service sampled a static sketch")
+
+        monkeypatch.setattr(parallel_sampling, "parallel_generate", static_sampling)
+        monkeypatch.setattr(KernelSampler, "stream_indexed", static_sampling)
         g = random_graph()
-        with DynamicService("live", g, num_sets=96, seed=1, config=config) as svc:
+        with DynamicService("live", g, num_sets=96, seed=1) as svc:
             for step in range(3):
                 resp = svc.query(k=4)
-                assert resp.ok and resp.cached, resp
+                assert resp.ok and resp.cached and resp.epoch == step, resp
                 assert list(resp.seeds) == svc.maintainer.select(4).seeds.tolist()
                 svc.apply([EdgeUpdate("insert", step, 40 + step, 0.7)])
-            assert svc.engine.stats.cold_samples == 0
 
     def test_superseded_epochs_are_released(self):
-        """Publishing an epoch drops the one it replaced: the service's
-        engine and every shard replica keep one sketch per dataset, and
-        the cluster's shm segments stay one per shard."""
+        """Publishing an epoch drops the one it replaced: every shard
+        replica keeps one sketch per dataset, and the cluster's shm
+        segments stay one per shard."""
         from repro import shm
         from repro.service import IMQuery
         from repro.shard import ShardCluster, ShardPlan
@@ -672,7 +672,6 @@ class TestDynamicService:
                     u, v = (int(x) for x in rng.choice(80, size=2, replace=False))
                     op = "delete" if svc.delta.has_edge(u, v) else "insert"
                     svc.apply([EdgeUpdate(op, u, v, None if op == "delete" else 0.5)])
-                assert len(svc.engine.cache) == 1
                 assert [len(w.engine.cache) for w in cluster.workers] == [1] * 4
                 assert len(mgr.segments()) == 2
                 routed = cluster.execute([
@@ -711,9 +710,9 @@ class TestDynamicService:
         assert max(live) <= live[0], live
 
     def test_one_graph_hash_per_epoch(self, monkeypatch):
-        """A committed epoch's graph is hashed once, though the service's
-        engine and all four replicas of a 2x2 cluster install it, and
-        every engine holds the fingerprint a fresh hash of it gives."""
+        """A committed epoch's graph is hashed once, though the service
+        and all four replicas of a 2x2 cluster fingerprint it, and each of
+        them holds the fingerprint a fresh hash of it gives."""
         import hashlib
         import types
 
@@ -746,9 +745,10 @@ class TestDynamicService:
                 g.num_vertices, g.indptr.copy(), g.indices.copy(), g.probs.copy()
             )
             want = graph_fingerprint(fresh)
-            engines = [svc.engine] + [w.engine for w in cluster.workers]
-            assert len(engines) == 5
-            assert [e.installed_graph("live")[1] for e in engines] == [want] * 5
+            assert svc.current_fingerprint() == svc.spec.fingerprint(want)
+            engines = [w.engine for w in cluster.workers]
+            assert len(engines) == 4
+            assert [e.installed_graph("live")[1] for e in engines] == [want] * 4
 
     def test_failed_repair_serves_degraded(self, monkeypatch):
         g = random_graph()
@@ -764,6 +764,36 @@ class TestDynamicService:
             resp = svc.query(k=3)
             assert resp.ok and resp.degraded
             assert resp.epoch == 0  # still the last published epoch
+
+    def test_stale_answers_are_counted(self, monkeypatch):
+        """Answers from an epoch a failed repair left behind are disclosed
+        in telemetry too: as degraded answers, as stale queries, and by
+        the staleness gauge."""
+        from repro import telemetry
+
+        def boom(commit):
+            raise ReproError("injected repair failure")
+
+        with telemetry.session() as tel, DynamicService(
+            "live", random_graph(), num_sets=64, seed=1
+        ) as svc:
+            svc.apply([EdgeUpdate("insert", 0, 5, 0.9)])
+            fresh = svc.query(k=3)
+            monkeypatch.setattr(svc.maintainer, "apply", boom)
+            svc.stage(EdgeUpdate("insert", 1, 6, 0.9))
+            with pytest.raises(ReproError):
+                svc.commit()
+            stale = svc.execute([svc.spec.query(k) for k in (2, 3)])
+            snap = tel.snapshot()
+        assert [(r.ok, r.degraded, r.epoch) for r in stale] == [(True, True, 1)] * 2
+        assert stale[1].seeds == fresh.seeds
+        assert svc.stats.degraded == 2
+        for name in (
+            "service.degraded", "resilience.degraded_responses",
+            "dynamic.stale_queries",
+        ):
+            assert snap["counters"][name] == 2, name
+        assert snap["gauges"]["dynamic.epoch_staleness"] == 1
 
     def test_stats_snapshot_dynamic_section(self):
         g = random_graph()

@@ -568,7 +568,7 @@ def _front_executor(kind):
         return engine, lambda e: e.stats.to_dict()
     if kind == "dynamic":
         service = DynamicService("synth", graph, num_sets=THETA, seed=3)
-        return service, lambda s: s.engine.stats.to_dict()
+        return service, lambda s: s.stats.to_dict()
     cluster = ShardCluster(
         ShardPlan(num_shards=2, replication=2),
         router_config=RouterConfig(
@@ -691,9 +691,9 @@ FRONT_GOLDEN = {
             ),
             _INVALID,
         ],
-        _engine_stats(queries=6, errors=2, batches=1, cold_samples=0),
+        _engine_stats(cold_samples=0),
         {
-            "service.queries": 6.0, "service.errors": 2.0,
+            "service.queries": 7.0, "service.errors": 3.0,
             "service.timeouts": 1.0, "service.query_latency_s": 3,
         },
     ),

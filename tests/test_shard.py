@@ -480,11 +480,7 @@ class TestShardCluster:
         q = IMQuery(dataset="synth", k=6, seed=3, theta_cap=THETA)
         m = shm.SegmentManager(prefix="trw")
         try:
-            with ShardCluster(
-                plan,
-                engine_config=EngineConfig(persist=False),
-                segment_manager=m,
-            ) as cluster:
+            with ShardCluster(plan, segment_manager=m) as cluster:
                 cluster.install_graph("synth", g)
                 summary = cluster.build(spec_for())
                 expected = cluster.query(q)

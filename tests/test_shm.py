@@ -324,7 +324,6 @@ def test_spawn_parallel_generate_matches_fork(amazon_ic):
 
 
 def test_shard_cluster_over_segments_matches_baseline():
-    from repro.service.engine import EngineConfig
     from repro.service.protocol import IMQuery
     from repro.shard.cluster import ShardCluster
     from repro.shard.plan import ShardPlan
@@ -336,15 +335,14 @@ def test_shard_cluster_over_segments_matches_baseline():
     query = IMQuery(
         dataset="skitter", model="IC", k=8, epsilon=0.5, seed=0, theta_cap=200
     )
-    cfg = EngineConfig(persist=False)
     plan = ShardPlan(num_shards=2, replication=2)
 
-    with ShardCluster(plan, engine_config=cfg) as base:
+    with ShardCluster(plan) as base:
         base.build(spec)
         expected = base.query(query)
 
     m = shm.SegmentManager(prefix="tcs")
-    with ShardCluster(plan, engine_config=cfg, segment_manager=m) as clus:
+    with ShardCluster(plan, segment_manager=m) as clus:
         summary = clus.build(spec)
         assert all(row["segment"] for row in summary["shards"])
         got = clus.query(query)
