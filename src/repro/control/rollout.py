@@ -10,8 +10,8 @@ gets the new epoch.
 The correctness lever is the stack's byte-identity contract: a shard
 cluster serving epoch E answers a fixed probe query with exactly the
 seed set the single-node engine (here: the dynamic service itself, which
-warms its own engine before fanning out) produces for E.  So the canary
-check is exact, not statistical:
+answers from epoch E's published sketch before fanning it out) produces
+for E.  So the canary check is exact, not statistical:
 
 1. **canary** — install the new epoch's graph + sub-sketch slice on one
    replica per shard only (the canary set), leaving the other replicas on
