@@ -632,10 +632,12 @@ class TestDynamicService:
             svc.apply([EdgeUpdate("insert", 0, 5, 0.9)])
             assert svc.current_fingerprint() != fp0
 
-    def test_answers_hit_the_published_sketch(self, monkeypatch):
+    @pytest.mark.parametrize("resample_repair", (False, True))
+    def test_answers_hit_the_published_sketch(self, monkeypatch, resample_repair):
         """Every answer comes from the sketch the service published, never
         from a static sample of the graph: with static sampling made to
-        raise, each epoch answers what its maintainer selects."""
+        raise, each epoch answers what its maintainer selects, whether the
+        maintainer extends or resamples the sets a commit touches."""
         import repro.core.parallel_sampling as parallel_sampling
         from repro.kernels import KernelSampler
 
@@ -645,7 +647,8 @@ class TestDynamicService:
         monkeypatch.setattr(parallel_sampling, "parallel_generate", static_sampling)
         monkeypatch.setattr(KernelSampler, "stream_indexed", static_sampling)
         g = random_graph()
-        with DynamicService("live", g, num_sets=96, seed=1) as svc:
+        repair = "resample" if resample_repair else "extend"
+        with DynamicService("live", g, num_sets=96, seed=1, repair=repair) as svc:
             for step in range(3):
                 resp = svc.query(k=4)
                 assert resp.ok and resp.cached and resp.epoch == step, resp
